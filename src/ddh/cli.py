@@ -323,7 +323,8 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         if any(A.modulus[a, b] == 0.0 for a, b in zip(verts, verts[1:])):
             ok_paths, detail = False, f"path {path} crosses a zero entry"
             break
-    expected_sources = [i for i in T.members if i + 1 not in set(unreachable)]
+    unreachable_set = set(unreachable) if len(T) else set()
+    expected_sources = [i for i in T.members if i + 1 not in unreachable_set]
     if ok_paths and sorted(sources) != expected_sources:
         ok_paths, detail = False, "path sources do not match T minus unreachable"
     if ok_paths and bool(chain_obj.get("holds")) != (len(unreachable) == 0):

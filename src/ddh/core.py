@@ -1,11 +1,21 @@
-"""Dense square matrices and row-dominance primitives.
+"""Square matrices, their sparse pattern, and row-dominance primitives.
 
 Every check in this package depends on entry magnitudes only, so the
 container caches a nonnegative ``|a_ij|`` view next to the (possibly
-complex) entries.  Row sums accumulate left to right in increasing column
-order, and all callers share the helpers here, so quantities that must
-agree (a full deleted row sum versus its two halves over a column split)
-are computed with one accumulation order everywhere.
+complex) entries, and a compressed-row view of the off-diagonal nonzeros
+of that modulus (with its transpose).  The structural kernels (row sums,
+the peel, the interwoven closure, the sparsity graph) read the sparse
+view, so they cost O(nnz); dense work is left to the LU, the oracles and
+the scaling solve.
+
+Row sums accumulate left to right in increasing column order, and all
+callers share the helpers here, so quantities that must agree (a full
+deleted row sum versus its two halves over a column split, or a row's
+sum inside a peel restriction versus the same row in the copied
+submatrix) are computed with one accumulation order everywhere.  Kernels
+accumulate with ``total += v``, never with ``sum()`` or ``np.sum``:
+Python 3.12's ``sum()`` and ``math.fsum`` compensate, and numpy's sum is
+pairwise, so either would change the rounding of a row sum.
 """
 
 from __future__ import annotations
@@ -24,9 +34,9 @@ class InconsistencyError(RuntimeError):
 def _as_square_array(data) -> np.ndarray:
     arr = np.asarray(data)
     if arr.dtype.kind in "iubf":
-        arr = arr.astype(np.float64)
+        arr = arr.astype(np.float64, copy=False)
     elif arr.dtype.kind == "c":
-        arr = arr.astype(np.complex128)
+        arr = arr.astype(np.complex128, copy=False)
     else:
         raise ValueError(f"unsupported entry dtype {arr.dtype!r}")
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
@@ -37,8 +47,55 @@ def _as_square_array(data) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
+class SparsePattern:
+    """Off-diagonal nonzeros of a matrix modulus, by rows and by columns.
+
+    Row i holds the columns ``indices[indptr[i]:indptr[i + 1]]`` in
+    increasing order with magnitudes ``data`` at the same positions.
+    Column j is touched by the rows ``t_indices[t_indptr[j]:t_indptr[j + 1]]``
+    in increasing order with magnitudes ``t_data``.  Every entry with
+    ``|a_ij| != 0`` and i != j is stored, NaN included; the sparsity graph
+    keeps only those with ``|a_ij| > 0``.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    t_indptr: np.ndarray
+    t_indices: np.ndarray
+    t_data: np.ndarray
+
+    @classmethod
+    def from_modulus(cls, mod: np.ndarray) -> "SparsePattern":
+        n = mod.shape[0]
+        rows, cols = np.nonzero(mod)  # row-major: columns increase within a row
+        keep = rows != cols
+        rows, cols = rows[keep], cols[keep]
+        data = mod[rows, cols]
+        by_col = np.argsort(cols, kind="stable")  # rows stay increasing per column
+        arrays = (
+            _pointers(rows, n), cols, data,
+            _pointers(cols, n), rows[by_col], data[by_col],
+        )
+        for arr in arrays:
+            arr.setflags(write=False)
+        return cls(*arrays)
+
+    def row(self, i: int) -> tuple[list[int], list[float]]:
+        """Columns and magnitudes of row i's off-diagonal nonzeros."""
+        a, b = self.indptr[i], self.indptr[i + 1]
+        return self.indices[a:b].tolist(), self.data[a:b].tolist()
+
+
+def _pointers(keys: np.ndarray, n: int) -> np.ndarray:
+    ptr = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
+    return ptr
+
+
+@dataclass(frozen=True, eq=False)
 class Matrix:
-    """Square matrix of order >= 1 with a cached magnitude view."""
+    """Square matrix of order >= 1 with cached magnitude and sparse views."""
 
     entries: np.ndarray
 
@@ -60,15 +117,25 @@ class Matrix:
         return mod
 
     @cached_property
+    def pattern(self) -> SparsePattern:
+        """Off-diagonal nonzeros of ``modulus`` in compressed row form."""
+        return SparsePattern.from_modulus(self.modulus)
+
+    @cached_property
     def deleted_row_sums(self) -> np.ndarray:
         """All deleted row sums, accumulated in increasing column order.
 
-        ``cumsum`` accumulates strictly sequentially, so row i matches a
-        plain left-to-right loop over ``modulus[i]`` bit for bit.
+        Pass k adds every row's k-th off-diagonal nonzero, so each row is
+        summed strictly left to right and matches a plain loop over
+        ``modulus[i]`` bit for bit (adding the skipped zeros changes no
+        partial sum of nonnegative terms).
         """
-        off = self.modulus.copy()
-        np.fill_diagonal(off, 0.0)
-        sums = np.cumsum(off, axis=1)[:, -1].copy()
+        pat = self.pattern
+        counts = np.diff(pat.indptr)
+        sums = np.zeros(self.n)
+        for k in range(int(counts.max(initial=0))):
+            rows = np.flatnonzero(counts > k)
+            sums[rows] += pat.data[pat.indptr[rows] + k]
         sums.setflags(write=False)
         return sums
 
@@ -197,11 +264,12 @@ def partial_row_sum(A: Matrix, i: int, S: IndexSet) -> float:
     """Part of the deleted row sum of row i over the columns in S."""
     i = _check_index(A, i)
     _check_universe(A, S)
-    row = A.modulus[i]
+    inside = S.member_set
+    cols, vals = A.pattern.row(i)
     total = 0.0
-    for j in S.members:  # increasing column order, matching deleted_row_sum
-        if j != i:
-            total += float(row[j])
+    for j, v in zip(cols, vals):  # increasing column order, matching deleted_row_sum
+        if j in inside:
+            total += v
     return total
 
 
@@ -221,6 +289,80 @@ def non_sdd_rows(A: Matrix, tol: float = 0.0) -> IndexSet:
     """Indices of rows that are not strictly dominant (|a_ii| <= r_i + tol)."""
     s = row_strictness(A, tol)
     return IndexSet(tuple(int(i) for i in np.flatnonzero(s <= 0)), A.n)
+
+
+@dataclass(frozen=True, eq=False)
+class Peel:
+    """Level structure of the recursive peel onto the non-strict rows.
+
+    With T_0 = ``t_set`` and T_{k+1} = T_k minus ``levels[k]``, each
+    ``levels[k]`` lists (increasingly) the rows of T_k that are strict in
+    the principal submatrix of A on T_k, and is never empty.  The peel
+    ends when T_k is empty or when no row of a nonempty T_k is strict;
+    ``stalled`` tells the two apart.
+    """
+
+    t_set: IndexSet
+    levels: tuple[tuple[int, ...], ...]
+    stalled: bool
+
+    def active_sets(self) -> list[IndexSet]:
+        """T_0, T_1, ..., ending with the empty set or the stalled block."""
+        sets = [self.t_set]
+        for batch in self.levels:
+            gone = set(batch)
+            rest = tuple(i for i in sets[-1].members if i not in gone)
+            sets.append(IndexSet(rest, self.t_set.universe_size))
+        return sets
+
+
+def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
+    """Worklist form of the recursive peel (Kahn-style, one pass).
+
+    A row's sum inside T_k changes only when a column it touches leaves,
+    so only those rows are re-tested after each level: each row at most
+    once per column it loses, which is O(nnz) work for bounded row
+    degrees and O(sum of squared row degrees) at worst.  A re-tested row's
+    sum is re-accumulated over its nonzeros still in T_k in increasing
+    column order, which is exactly the deleted row sum of the copied
+    submatrix, so every decision matches ``row_strictness`` on it bit for
+    bit at any ``tol``.
+    """
+    tol = _check_tol(tol)
+    T = non_sdd_rows(A, tol)
+    pat = A.pattern
+    indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
+    t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
+    diag = A.diagonal_modulus.tolist()
+    active = [False] * A.n
+    for i in T.members:
+        active[i] = True
+    left = len(T)
+    removed = T.complement().members
+    levels: list[tuple[int, ...]] = []
+    while left:
+        touched = {
+            i
+            for j in removed
+            for i in t_indices[t_indptr[j]:t_indptr[j + 1]]
+            if active[i]
+        }
+        batch = []
+        for i in sorted(touched):
+            total = 0.0
+            for k in range(indptr[i], indptr[i + 1]):
+                if active[indices[k]]:
+                    total += data[k]
+            if diag[i] - total > tol:
+                batch.append(i)
+        if not batch:
+            break
+        for i in batch:
+            active[i] = False
+        levels.append(tuple(batch))
+        left -= len(batch)
+        removed = batch
+    return Peel(t_set=T, levels=tuple(levels), stalled=left > 0)
 
 
 def comparison_matrix(A: Matrix) -> Matrix:

@@ -75,11 +75,14 @@ class FrobeniusForm:
 
 
 def build_graph(A: Matrix) -> DirectedGraph:
-    """Digraph of the off-diagonal nonzero pattern of A."""
-    mod = A.modulus
+    """Digraph of the off-diagonal nonzero pattern of A, in O(nnz)."""
+    pat = A.pattern
+    ptr = pat.indptr.tolist()
+    cols = pat.indices.tolist()
+    positive = (pat.data > 0.0).tolist()  # NaN magnitudes are not edges
     adjacency = tuple(
-        tuple(int(j) for j in range(A.n) if j != i and mod[i, j] > 0.0)
-        for i in range(A.n)
+        tuple(j for j, ok in zip(cols[a:b], positive[a:b]) if ok)
+        for a, b in zip(ptr, ptr[1:])
     )
     return DirectedGraph(A.n, adjacency)
 

@@ -2,8 +2,11 @@
 
 The decision algorithm is a recursive peel: a diagonally dominant matrix
 is an H-matrix exactly when its restriction to the non-strict rows is,
-so ``is_h_dd`` restricts to T(A), recomputes T there, and repeats.  The
-peel either empties T (H-matrix; a strictly dominance-inducing positive
+so the peel restricts to T(A), recomputes T there, and repeats.
+``is_h_dd`` runs it as one worklist pass over the sparse pattern
+(``core.peel_levels``): after each level only the rows touching a
+just-peeled column are re-tested, and no submatrix is copied.  The peel
+either empties T (H-matrix; a strictly dominance-inducing positive
 scaling is then computed and checked), hits a zero diagonal entry, or
 stalls with T equal to the whole current block (a restriction that is
 dominant with no strict row).  The latter two produce a witness set
@@ -30,6 +33,7 @@ from .core import (
     comparison_matrix,
     non_sdd_rows,
     partial_row_sum,
+    peel_levels,
     principal_submatrix,
 )
 from .oracle import inverse_nonneg_oracle, lu_solve
@@ -109,43 +113,35 @@ def _require_dd(A: Matrix, tol: float, what: str):
 def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
     """Recursive peel deciding H-status of a diagonally dominant matrix."""
     _require_dd(A, tol, "is_h_dd")
-    active = IndexSet.full(A.n)
-    sub = A
-    trace: list[IndexSet] = []
-    while True:
-        t_rel = non_sdd_rows(sub, tol)
-        t_orig = IndexSet(tuple(active.members[k] for k in t_rel.members), A.n)
-        if len(t_orig) == 0:
-            return HVerdict(
-                is_h=True,
-                peel_trace=tuple(trace),
-                reason=PeelReason.SDD_REACHED,
-                scaling=scaling_certificate(A, tol),
-                witness=None,
-            )
-        if not trace or len(t_orig) < len(trace[-1]):
-            trace.append(t_orig)
-        zero_rows = [i for i in active.members if A.modulus[i, i] == 0.0]
-        if zero_rows:
-            # dominance forces such a row to be entirely zero
-            return HVerdict(
-                is_h=False,
-                peel_trace=tuple(trace),
-                reason=PeelReason.ZERO_DIAGONAL,
-                scaling=None,
-                witness=IndexSet((zero_rows[0],), A.n),
-            )
-        if len(t_orig) == len(active):
-            # restriction is dominant with no strict row
-            return HVerdict(
-                is_h=False,
-                peel_trace=tuple(trace),
-                reason=PeelReason.STAGNANT_PEEL,
-                scaling=None,
-                witness=active,
-            )
-        active = t_orig
-        sub = principal_submatrix(A, active)
+    zero_rows = np.flatnonzero(A.diagonal_modulus == 0.0)
+    if zero_rows.size:
+        # dominance leaves such a row at most tol off the diagonal: it sits
+        # in T and can never peel
+        return HVerdict(
+            is_h=False,
+            peel_trace=(non_sdd_rows(A, tol),),
+            reason=PeelReason.ZERO_DIAGONAL,
+            scaling=None,
+            witness=IndexSet((int(zero_rows[0]),), A.n),
+        )
+    peel = peel_levels(A, tol)
+    trace = peel.active_sets()
+    if peel.stalled:
+        # the last restriction is dominant with no strict row
+        return HVerdict(
+            is_h=False,
+            peel_trace=tuple(trace),
+            reason=PeelReason.STAGNANT_PEEL,
+            scaling=None,
+            witness=trace[-1],
+        )
+    return HVerdict(
+        is_h=True,
+        peel_trace=tuple(trace[:-1]),
+        reason=PeelReason.SDD_REACHED,
+        scaling=scaling_certificate(A, tol),
+        witness=None,
+    )
 
 
 def non_h_witness(A: Matrix, tol: float = 0.0) -> IndexSet:

@@ -11,12 +11,16 @@ The decision procedure is greedy.  "p is addable" (p has a nonzero entry
 into the outside-or-already-chosen set) is monotone in the chosen set,
 so repeatedly adding the smallest addable member reaches the unique
 maximal chosen set; S is interwoven iff that closure has at least
-|S| - 1 members.  The brute-force equivalence over all small patterns is
-part of the acceptance suite.
+|S| - 1 members.  The closure runs on a min-heap over the sparse
+pattern: a member is pushed once, when it first becomes addable, and
+the smallest is popped, so the decision costs O(nnz + |S| log |S|).
+The brute-force equivalence over all small patterns is part of the
+acceptance suite.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .core import (
@@ -25,7 +29,7 @@ from .core import (
     Matrix,
     classify_dominance,
     non_sdd_rows,
-    principal_submatrix,
+    peel_levels,
 )
 from .graph import chain_condition
 
@@ -82,37 +86,57 @@ def verify_certificate(A: Matrix, cert: InterwovenCertificate) -> bool:
 
 
 def is_interwoven(A: Matrix, S: IndexSet) -> InterwovenCertificate | None:
-    """Greedy decision: a certificate when S is interwoven, else None."""
+    """Greedy decision: a certificate when S is interwoven, else None.
+
+    A member enters the heap when it first becomes addable, which
+    happens at the start (an entry outside S) or when one of its
+    columns is chosen; the heap minimum is the smallest addable member.
+    """
     _check_subset(A, S)
     s = len(S)
     if s <= 1:
         return _trivial_certificate(S)
-    mod = A.modulus
-    outside = list(S.complement().members)
+    pat = A.pattern
+    t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
+    t_data = pat.t_data.tolist()
+    OUTSIDE, WAITING, QUEUED, CHOSEN = 0, 1, 2, 3
+    state = [OUTSIDE] * A.n
+    for p in S.members:
+        state[p] = WAITING
+    heap = []  # filled in increasing order, so already a heap
+    for p in S.members:
+        if any(state[j] == OUTSIDE and v > 0.0 for j, v in zip(*pat.row(p))):
+            state[p] = QUEUED
+            heap.append(p)
     chosen: list[int] = []
     companions: list[int] = []
-    remaining = list(S.members)
     while len(chosen) < s - 1:
-        pick = None
-        for p in remaining:
-            # smallest companion, preferring outside S over chosen members
-            q = next((j for j in outside if mod[p, j] > 0.0), None)
-            if q is None:
-                q = next((j for j in sorted(chosen) if mod[p, j] > 0.0), None)
-            if q is not None:
-                pick = (p, q)
-                break
-        if pick is None:
+        if not heap:
             return None
-        p, q = pick
+        p = heapq.heappop(heap)
+        # smallest companion, preferring outside S over chosen members
+        q = None
+        for j, v in zip(*pat.row(p)):
+            if not v > 0.0:
+                continue
+            if state[j] == OUTSIDE:
+                q = j
+                break
+            if state[j] == CHOSEN and q is None:
+                q = j
+        state[p] = CHOSEN
         chosen.append(p)
         companions.append(q)
-        remaining.remove(p)
+        for k in range(t_indptr[p], t_indptr[p + 1]):
+            i = t_indices[k]
+            if state[i] == WAITING and t_data[k] > 0.0:
+                state[i] = QUEUED
+                heapq.heappush(heap, i)
     return InterwovenCertificate(
         subset=S,
         p_seq=tuple(chosen),
         q_seq=tuple(companions),
-        leftover=remaining[0],
+        leftover=next(p for p in S.members if state[p] != CHOSEN),
     )
 
 
@@ -144,48 +168,48 @@ def interwoven_from_peeling(A: Matrix, tol: float = 0.0) -> InterwovenCertificat
 
     Restricting A to its non-strict rows T and recomputing T there peels
     off a batch of indices per stage: rows that became strict inside the
-    restriction.  A freshly peeled row gained its strictness from a
-    column dropped in the previous stage, so it always has a companion
-    in the previous batch (stage one pairs into the strict rows of A).
-    Succeeds iff the peel shrinks to at most one index; stalls (no row
-    becomes strict) mean T is not interwoven and yield None.
+    restriction (``core.peel_levels``).  A freshly peeled row gained its
+    strictness from a column dropped in the previous stage, so it always
+    has a companion in the previous batch (stage one pairs into the
+    strict rows of A).  Succeeds iff the peel shrinks to at most one
+    index; stalls (no row becomes strict) mean T is not interwoven and
+    yield None.
 
     Requires a diagonally dominant input.
     """
     if classify_dominance(A, tol) is DominanceClass.NOT_DD:
         raise ValueError("peeling construction requires a diagonally dominant matrix")
-    T = non_sdd_rows(A, tol)
+    peel = peel_levels(A, tol)
+    T = peel.t_set
     if len(T) <= 1:
         return _trivial_certificate(T)
     if T.is_full:
         return None
-    mod = A.modulus
-    current = list(T.members)
-    pool = list(T.complement().members)  # companion pool for the first batch
+    stage = [0 if i not in T else -1 for i in range(A.n)]  # -1: not yet peeled
     p_seq: list[int] = []
     q_seq: list[int] = []
-    while True:
-        sub = principal_submatrix(A, IndexSet(tuple(current), A.n))
-        t_rel = non_sdd_rows(sub, tol)
-        t_next = [current[k] for k in t_rel.members]
-        batch = [i for i in current if i not in set(t_next)]
-        if not batch:
-            return None  # peel stalled: no row became strict
-        if len(t_next) == 0:
+    left = len(T)
+    for k, batch in enumerate(peel.levels, start=1):
+        for i in batch:
+            stage[i] = k
+        left -= len(batch)
+        batch = list(batch)
+        if left == 0:
             leftover = batch.pop()  # drop the largest; nothing pairs into it
         for p in batch:
-            q = next((j for j in pool if mod[p, j] > 0.0), None)
+            # smallest companion in the previous batch
+            q = next(
+                (j for j, v in zip(*A.pattern.row(p)) if stage[j] == k - 1 and v > 0.0),
+                None,
+            )
             if q is None:
                 return None
             p_seq.append(p)
             q_seq.append(q)
-        if len(t_next) == 0:
-            break
-        if len(t_next) == 1:
-            leftover = t_next[0]
-            break
-        pool = batch
-        current = t_next
-    return InterwovenCertificate(
-        subset=T, p_seq=tuple(p_seq), q_seq=tuple(q_seq), leftover=leftover
-    )
+        if left <= 1:
+            if left == 1:
+                leftover = next(i for i in T.members if stage[i] == -1)
+            return InterwovenCertificate(
+                subset=T, p_seq=tuple(p_seq), q_seq=tuple(q_seq), leftover=leftover
+            )
+    return None  # peel stalled on two or more rows

@@ -28,6 +28,7 @@ from ddh import (
     Matrix,
     chain_condition,
     classify_dominance,
+    interwoven_from_peeling,
     inverse_nonneg_oracle,
     is_h_dd,
     is_interwoven,
@@ -45,6 +46,7 @@ from ddh import (
 from ddh.cli import analyze_matrix, emit_json, main, verify_report
 from ddh.oracle import JACOBI_BAND, derive_seed
 from helpers import all_proper_nonempty_subsets, brute_force_interwoven
+import reference
 
 CORPUS_SEED = 0x5EED_2026
 CORPUS_SIZE = 10_000
@@ -65,6 +67,7 @@ class Entry:
     chain_holds: bool
     interwoven_ok: bool | None  # None when T = N with |T| > 1 (undefined)
     is_h: bool | None  # None when the scaling solve failed (boundary)
+    matches_reference: bool  # peel verdict and peeling certificate, bit for bit
     inverse_nonneg: bool
     jacobi: bool
     rho: float | None
@@ -89,6 +92,14 @@ def corpus() -> list[Matrix]:
     return mats
 
 
+def _verdict_or_none(peel, A: Matrix):
+    """Peel verdict, or None when the scaling solve failed (boundary)."""
+    try:
+        return peel(A)
+    except InconsistencyError:
+        return None
+
+
 @pytest.fixture(scope="module")
 def analyzed(corpus) -> list[Entry]:
     entries = []
@@ -98,10 +109,10 @@ def analyzed(corpus) -> list[Entry]:
             interwoven_ok = None
         else:
             interwoven_ok = is_interwoven(A, T) is not None
-        try:
-            is_h = is_h_dd(A).is_h
-        except InconsistencyError:
-            is_h = None
+        verdict = _verdict_or_none(is_h_dd, A)
+        matches_reference = reference.verdict_key(verdict) == reference.verdict_key(
+            _verdict_or_none(reference.is_h_dd, A)
+        ) and interwoven_from_peeling(A) == reference.interwoven_from_peeling(A)
         entries.append(
             Entry(
                 matrix=A,
@@ -109,7 +120,8 @@ def analyzed(corpus) -> list[Entry]:
                 diag_nonzero=bool((A.diagonal_modulus > 0.0).all()),
                 chain_holds=chain_condition(A).holds,
                 interwoven_ok=interwoven_ok,
-                is_h=is_h,
+                is_h=None if verdict is None else verdict.is_h,
+                matches_reference=matches_reference,
                 inverse_nonneg=inverse_nonneg_oracle(A),
                 jacobi=jacobi_oracle(A),
                 rho=jacobi_spectral_radius(A),
@@ -122,6 +134,7 @@ def test_criterion_1_chain_iff_interwoven(corpus):
     start = time.perf_counter()
     checked = 0
     mismatches = 0
+    reference_mismatches = 0
     for A in corpus:
         T = non_sdd_rows(A)
         if not (A.diagonal_modulus > 0.0).all() or T.is_full:
@@ -131,13 +144,17 @@ def test_criterion_1_chain_iff_interwoven(corpus):
         checked += 1
         if holds != (cert is not None):
             mismatches += 1
+        if cert != reference.is_interwoven(A, T):
+            reference_mismatches += 1
     elapsed = time.perf_counter() - start
-    ok = mismatches == 0 and elapsed < 60.0
+    ok = mismatches == 0 and reference_mismatches == 0 and elapsed < 60.0
     _report_line(
         1, "chain condition iff interwoven set", ok,
-        f"{checked} matrices checked, {mismatches} mismatches, {elapsed:.1f} s",
+        f"{checked} matrices checked, {mismatches} mismatches, "
+        f"{reference_mismatches} certificates differing from the reference, {elapsed:.1f} s",
     )
     assert mismatches == 0
+    assert reference_mismatches == 0
     assert elapsed < 60.0
 
 
@@ -146,6 +163,7 @@ def test_criterion_2_h_characterization(analyzed):
     oracle_mismatch = 0
     band_logged = []
     crashes_outside_band = 0
+    reference_mismatch = sum(not e.matches_reference for e in analyzed)
     for idx, e in enumerate(analyzed):
         structural = e.chain_holds and e.diag_nonzero and not e.t.is_full
         if e.is_h is None:
@@ -162,13 +180,16 @@ def test_criterion_2_h_characterization(analyzed):
             continue
         if e.is_h != e.inverse_nonneg:
             oracle_mismatch += 1
-    ok = exact_mismatch == 0 and oracle_mismatch == 0 and crashes_outside_band == 0
+    ok = (exact_mismatch == 0 and oracle_mismatch == 0 and crashes_outside_band == 0
+          and reference_mismatch == 0)
     _report_line(
         2, "peel verdict iff chain form iff inverse oracle", ok,
         f"{len(analyzed)} matrices, {exact_mismatch} structural and "
-        f"{oracle_mismatch} oracle mismatches, {len(band_logged)} band-excluded "
+        f"{oracle_mismatch} oracle mismatches, {reference_mismatch} differing from "
+        f"the reference peel, {len(band_logged)} band-excluded "
         f"(first few: {band_logged[:5]})",
     )
+    assert reference_mismatch == 0
     assert exact_mismatch == 0
     assert oracle_mismatch == 0
     assert crashes_outside_band == 0
@@ -178,6 +199,7 @@ def test_criterion_3_greedy_completeness():
     start = time.perf_counter()
     checked = 0
     mismatches = 0
+    reference_mismatches = 0
     for n in range(1, 5):
         off_positions = [(i, j) for i in range(n) for j in range(n) if i != j]
         for bits in itertools.product((0.0, 1.0), repeat=len(off_positions)):
@@ -190,15 +212,20 @@ def test_criterion_3_greedy_completeness():
             for mask in range(2**n - 1):  # all proper subsets, empty included
                 S = IndexSet(tuple(i for i in range(n) if mask >> i & 1), n)
                 checked += 1
-                if (is_interwoven(A, S) is not None) != brute_force_interwoven(A, S):
+                cert = is_interwoven(A, S)
+                if (cert is not None) != brute_force_interwoven(A, S):
                     mismatches += 1
+                if cert != reference.is_interwoven(A, S):
+                    reference_mismatches += 1
     elapsed = time.perf_counter() - start
-    ok = mismatches == 0 and elapsed < 120.0
+    ok = mismatches == 0 and reference_mismatches == 0 and elapsed < 120.0
     _report_line(
         3, "greedy decision matches exhaustive search", ok,
-        f"{checked} (pattern, subset) pairs, {mismatches} mismatches, {elapsed:.1f} s",
+        f"{checked} (pattern, subset) pairs, {mismatches} mismatches, "
+        f"{reference_mismatches} certificates differing from the reference, {elapsed:.1f} s",
     )
     assert mismatches == 0
+    assert reference_mismatches == 0
     assert elapsed < 120.0
 
 
