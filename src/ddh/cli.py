@@ -166,25 +166,16 @@ def analyze_matrix(
     T = non_sdd_rows(A, tol)
     chain = chain_condition(A, tol)
 
-    if T.is_full and len(T) > 1:
-        greedy = None  # membership is defined for proper subsets only
-        interwoven_obj = {
-            "holds": False,
-            "subset": _one_based(T.members),
-            "p_seq": None,
-            "q_seq": None,
-            "leftover": None,
-        }
-    else:
-        greedy = is_interwoven(A, T)
-        cert_dict = _certificate_dict(greedy)
-        interwoven_obj = {
-            "holds": greedy is not None,
-            "subset": _one_based(T.members),
-            "p_seq": None if cert_dict is None else cert_dict["p_seq"],
-            "q_seq": None if cert_dict is None else cert_dict["q_seq"],
-            "leftover": None if cert_dict is None else cert_dict["leftover"],
-        }
+    # membership is defined for proper subsets only
+    greedy = None if T.is_full and len(T) > 1 else is_interwoven(A, T)
+    cert_dict = _certificate_dict(greedy) or {}
+    interwoven_obj = {
+        "holds": greedy is not None,
+        "subset": _one_based(T.members),
+        "p_seq": cert_dict.get("p_seq"),
+        "q_seq": cert_dict.get("q_seq"),
+        "leftover": cert_dict.get("leftover"),
+    }
 
     alternates = {"chains": None, "peeling": None}
     is_h = None
@@ -193,7 +184,7 @@ def analyze_matrix(
     witness = None
     scaling = None
     if dom.is_dd:
-        alternates["chains"] = _certificate_dict(interwoven_from_chains(A, tol))
+        alternates["chains"] = _certificate_dict(interwoven_from_chains(chain))
         alternates["peeling"] = _certificate_dict(interwoven_from_peeling(A, tol))
         verdict = is_h_dd(A, tol)
         is_h = verdict.is_h
@@ -258,6 +249,9 @@ def analyze_matrix(
                 "chain condition and interwoven decision disagree "
                 f"(chain={chain.holds}, interwoven={greedy is not None})"
             )
+    if subset is None and dom.is_dd and sh is not None and sh.inner_h != is_h:
+        # the peel of A[T,T] is the tail of A's own peel
+        problems.append(f"subset H-condition inner_h={sh.inner_h} disagrees with is_h={is_h}")
     if with_oracle and dom.is_dd and oracle_obj is not None:
         if bool(is_h) != oracle_obj["inverse_nonneg"]:
             problems.append(

@@ -367,8 +367,7 @@ def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
 
 def comparison_matrix(A: Matrix) -> Matrix:
     """Real matrix with diagonal |a_ii| and off-diagonal -|a_ij|."""
-    comp = -A.modulus.copy()
-    comp[comp == 0.0] = 0.0  # normalize -0.0
+    comp = 0.0 - A.modulus  # one allocation; 0.0 - 0.0 is +0.0, so no -0.0
     np.fill_diagonal(comp, A.diagonal_modulus)
     return Matrix(comp)
 

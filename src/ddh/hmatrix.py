@@ -13,8 +13,9 @@ dominant with no strict row).  The latter two produce a witness set
 whose principal submatrix certifies non-H-status by inspection.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
-subset-partitioned dominance conditions; both are cross-validated
-against the peel and the inverse-nonnegativity oracle in the test suite.
+subset-partitioned conditions (cross-validated in the test suite);
+``s_h_check`` decides a dominant inner block by the peel alone, and
+``find_ssdd_set_dd`` reads row sums over T instead of copying a block.
 """
 
 from __future__ import annotations
@@ -183,19 +184,17 @@ def find_ssdd_set_dd(A: Matrix, tol: float = 0.0) -> IndexSet | None:
     """Subset passing ``s_sdd_check`` for a diagonally dominant matrix.
 
     For dominant matrices the search collapses: the non-strict rows T
-    work iff their principal submatrix is strictly dominant; when T is
-    empty any singleton works ({0} by convention).  Returns None when no
-    subset exists (including order 1, which has no proper nonempty
-    subset at all).
+    work iff their principal submatrix is strictly dominant, read off
+    each row's sum over T; when T is empty any singleton works ({0} by
+    convention).  Returns None when no subset exists (including order 1,
+    which has no proper nonempty subset at all).
     """
     _require_dd(A, tol, "find_ssdd_set_dd")
     T = non_sdd_rows(A, tol)
     if len(T) == 0:
         return IndexSet((0,), A.n) if A.n >= 2 else None
-    if T.is_full:
-        return None
-    sub = principal_submatrix(A, T)
-    if classify_dominance(sub, tol) is DominanceClass.SDD:
+    diag = A.diagonal_modulus
+    if not T.is_full and all(diag[i] - partial_row_sum(A, i, T) > tol for i in T.members):
         return T
     return None
 
@@ -261,7 +260,9 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
         )
     lhs = float(np.max(np.abs(x)))
     if classify_dominance(sub, tol) is not DominanceClass.NOT_DD:
-        inner_h = is_h_dd(sub, tol).is_h
+        # a dominant block is H iff its peel does not stall (a zero
+        # diagonal stalls it too), so no second scaling solve is needed
+        inner_h = not peel_levels(sub, tol).stalled
     else:
         inner_h = inverse_nonneg_oracle(sub)
     satisfied = bool(inner_h and lhs < b2)

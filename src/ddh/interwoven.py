@@ -15,7 +15,8 @@ maximal chosen set; S is interwoven iff that closure has at least
 pattern: a member is pushed once, when it first becomes addable, and
 the smallest is popped, so the decision costs O(nnz + |S| log |S|).
 The brute-force equivalence over all small patterns is part of the
-acceptance suite.
+acceptance suite.  The constructions for T reuse the analysis: one
+orders a ``ChainReport``'s paths, the other pairs ``peel_levels``.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from .core import (
     IndexSet,
     Matrix,
     classify_dominance,
-    non_sdd_rows,
     peel_levels,
 )
-from .graph import chain_condition
+from .graph import ChainReport
 
 
 @dataclass(frozen=True)
@@ -140,24 +140,24 @@ def is_interwoven(A: Matrix, S: IndexSet) -> InterwovenCertificate | None:
     )
 
 
-def interwoven_from_chains(A: Matrix, tol: float = 0.0) -> InterwovenCertificate | None:
+def interwoven_from_chains(chain: ChainReport) -> InterwovenCertificate | None:
     """Build a certificate for the non-strict rows from shortest chains.
 
+    ``chain`` is the matrix's ``chain_condition``; T is its path sources.
     Members of T are grouped by breadth-first distance to the strict
     rows; listing them in nondecreasing distance order (dropping the
     last) makes each member's chain successor a valid companion: depth-1
     members point outside T, deeper members point at a member one level
     shallower, which appears earlier in the sequence.
     """
-    report = chain_condition(A, tol)
-    T = non_sdd_rows(A, tol)
-    if not report.holds:
+    if not chain.holds:
         return None
+    T = IndexSet.from_indices(chain.paths, chain.unreachable.universe_size)
     if len(T) <= 1:
         return _trivial_certificate(T)
-    ordered = sorted(T.members, key=lambda i: (len(report.paths[i]), i))
+    ordered = sorted(T.members, key=lambda i: (len(chain.paths[i]), i))
     p_seq = tuple(ordered[:-1])
-    q_seq = tuple(report.paths[p][1] for p in p_seq)
+    q_seq = tuple(chain.paths[p][1] for p in p_seq)
     return InterwovenCertificate(
         subset=T, p_seq=p_seq, q_seq=q_seq, leftover=ordered[-1]
     )

@@ -3,12 +3,14 @@
 Files are ingested into dense storage: unlisted entries are zero,
 duplicate coordinates are summed, symmetric storage is expanded (the
 hermitian variant conjugates the mirrored entry) and the 1-based file
-indices map to 0-based matrix indices.  Only square matrices are
-accepted.  Parse failures raise :class:`ParseError` carrying the
-offending 1-based line number.
+indices map to 0-based matrix indices.  Only square matrices with
+finite entries are accepted.  Parse failures raise :class:`ParseError`
+carrying the offending 1-based line number.
 """
 
 from __future__ import annotations
+
+import cmath
 
 import numpy as np
 
@@ -112,6 +114,8 @@ def parse_matrix_market(text) -> Matrix:
         if symmetry != "general" and i != j:
             mirrored = value.conjugate() if symmetry == "hermitian" else value
             entries[j, i] += mirrored
+        if not (cmath.isfinite(entries[i, j]) and cmath.isfinite(entries[j, i])):
+            raise ParseError("entry value must be finite, also when summed", lineno)
         seen += 1
     if seen != nnz:
         raise ParseError(f"declared {nnz} entries but found {seen}", len(lines) + 1)

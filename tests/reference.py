@@ -9,7 +9,11 @@ code in ``ddh`` replaces with sparse worklist kernels:
 * the recursive peel that copies the principal submatrix at every stage
   (``is_h_dd`` and ``interwoven_from_peeling``);
 * the greedy interwoven closure that rescans every remaining member at
-  every step.
+  every step;
+* the subset checks that analyze a copied block a second time: the
+  subset H-condition deciding a dominant inner block with the full
+  ``is_h_dd`` (scaling solve included), and the SSDD search classifying
+  the copied block on T.
 
 They are slow (the peel is O(n^3) on a chain) and exist only so that the
 tests can compare the product functions against them, bit for bit.
@@ -27,7 +31,11 @@ from ddh import (
     InterwovenCertificate,
     Matrix,
     PeelReason,
+    SHReport,
     classify_dominance,
+    comparison_matrix,
+    inverse_nonneg_oracle,
+    lu_solve,
     non_sdd_rows,
     principal_submatrix,
     scaling_certificate,
@@ -178,6 +186,73 @@ def interwoven_from_peeling(A: Matrix, tol: float = 0.0) -> InterwovenCertificat
     return InterwovenCertificate(
         subset=T, p_seq=tuple(p_seq), q_seq=tuple(q_seq), leftover=leftover
     )
+
+
+def find_ssdd_set_dd(A: Matrix, tol: float = 0.0) -> IndexSet | None:
+    """SSDD search that classifies the copied block on T."""
+    if classify_dominance(A, tol) is DominanceClass.NOT_DD:
+        raise ValueError("find_ssdd_set_dd requires a diagonally dominant matrix")
+    T = non_sdd_rows(A, tol)
+    if len(T) == 0:
+        return IndexSet((0,), A.n) if A.n >= 2 else None
+    if T.is_full:
+        return None
+    if classify_dominance(principal_submatrix(A, T), tol) is DominanceClass.SDD:
+        return T
+    return None
+
+
+def _gap_ratio(num: float, den: float) -> float:
+    if den != 0.0:
+        return num / den
+    if num > 0.0:
+        return float("inf")
+    if num < 0.0:
+        return float("-inf")
+    return 0.0
+
+
+def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
+    """Subset H-condition deciding a dominant inner block with ``is_h_dd``."""
+    if S.universe_size != A.n:
+        raise ValueError("subset universe does not match matrix order")
+    if len(S) == 0 or S.is_full:
+        raise ValueError("s_h_check requires a nonempty proper subset")
+    sbar = S.complement()
+    sub = principal_submatrix(A, S)
+    diag = A.diagonal_modulus
+    ratios = []
+    degenerate = False
+    for j in sbar.members:
+        num = diag[j] - partial_row_sum(A, j, sbar)
+        den = partial_row_sum(A, j, S)
+        if num == 0.0 and den == 0.0:
+            degenerate = True
+        ratios.append(_gap_ratio(num, den))
+    b2 = min(ratios)
+    note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
+    outside_sums = np.array([partial_row_sum(A, i, sbar) for i in S.members])
+    x = lu_solve(comparison_matrix(sub).entries, outside_sums)
+    if x is None:
+        return SHReport(
+            subset=S, lhs=None, b2=b2, satisfied=False, inner_h=False,
+            note=note or "inner comparison block is singular",
+        )
+    lhs = float(np.max(np.abs(x)))
+    if classify_dominance(sub, tol) is not DominanceClass.NOT_DD:
+        inner_h = is_h_dd(sub, tol).is_h
+    else:
+        inner_h = inverse_nonneg_oracle(sub)
+    satisfied = bool(inner_h and lhs < b2)
+    return SHReport(subset=S, lhs=lhs, b2=b2, satisfied=satisfied, inner_h=inner_h, note=note)
+
+
+def sh_key(rep):
+    """Every field of an SHReport, reals by their bits; other values as given."""
+    if not isinstance(rep, SHReport):
+        return rep
+    lhs = None if rep.lhs is None else rep.lhs.hex()
+    return (rep.subset, lhs, rep.b2.hex(), rep.satisfied, rep.inner_h, rep.note)
 
 
 def verdict_key(v):

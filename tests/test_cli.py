@@ -83,6 +83,10 @@ class TestParser:
             ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 abc\n", 3),
             ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n", 4),
             ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 1.0\n2 2 1.0\n", 4),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1.0\n2 2 nan\n", 4),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 -inf\n", 3),
+            ("%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0 inf\n", 3),
+            ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e308\n1 1 1e308\n", 4),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):
@@ -147,6 +151,16 @@ class TestAnalyzeCommand:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "nope.mtx")])
         assert rc == 2
+
+    @pytest.mark.parametrize("diagonal", ["nan", "inf"])
+    def test_non_finite_entry_exits_2(self, tmp_path, capsys, diagonal):
+        # a NaN diagonal used to exit 0 with a report failing its own verify,
+        # an Inf diagonal to exit 3
+        path = self._write(tmp_path, LADDER_MM.replace("3 3 2.0", f"3 3 {diagonal}"))
+        rc = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "line 7: entry value must be finite" in captured.err
 
     def test_max_n_guard(self, tmp_path, capsys):
         path = self._write(tmp_path, LADDER_MM)
@@ -255,6 +269,15 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert "FAIL" not in out
+
+    @pytest.mark.parametrize("diagonal", ["nan", "inf"])
+    def test_non_finite_matrix_exits_2(self, tmp_path, capsys, diagonal):
+        report_path, matrix_path = self._analyze_to_files(tmp_path, capsys, LADDER_MM)
+        matrix_path.write_text(LADDER_MM.replace("3 3 2.0", f"3 3 {diagonal}"))
+        rc = main(["verify", str(report_path), str(matrix_path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "line 7: entry value must be finite" in captured.err
 
     def test_tampered_companion_fails(self, tmp_path, capsys):
         report_path, matrix_path = self._analyze_to_files(tmp_path, capsys, LADDER_MM)

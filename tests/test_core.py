@@ -161,6 +161,15 @@ class TestComparisonMatrix:
         C = comparison_matrix(Matrix([[2, -3 + 1j], [1, 4]]))
         assert np.array_equal(comparison_matrix(C).entries, C.entries)
 
+    def test_zeros_are_positive_zero(self):
+        A = Matrix([[2.0, 0.0, -0.0], [-0.0, 0.0, 1.5], [-1.0, 0.0, -0.0]])
+        C = comparison_matrix(A).entries
+        assert not np.signbit(C[C == 0.0]).any()
+        assert np.array_equal(np.signbit(C), C < 0.0)
+        assert C.tobytes() == np.array(
+            [[2.0, 0.0, 0.0], [0.0, 0.0, -1.5], [-1.0, 0.0, 0.0]]
+        ).tobytes()
+
 
 class TestPrincipalSubmatrix:
     A = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]])

@@ -77,16 +77,16 @@ class TestIsInterwoven:
 
 class TestFromChains:
     def test_levels_of_ladder(self):
-        cert = interwoven_from_chains(LADDER)
+        cert = interwoven_from_chains(chain_condition(LADDER))
         assert cert is not None
         assert cert.p_seq == (1,) and cert.q_seq == (2,) and cert.leftover == 0
 
     def test_trivial_when_one_nonstrict_row(self):
-        cert = interwoven_from_chains(Matrix([[1, 1], [1, 2]]))
+        cert = interwoven_from_chains(chain_condition(Matrix([[1, 1], [1, 2]])))
         assert cert is not None and cert.p_seq == () and cert.subset.members == (0,)
 
     def test_none_when_chain_fails(self):
-        assert interwoven_from_chains(TWO_CYCLE) is None
+        assert interwoven_from_chains(chain_condition(TWO_CYCLE)) is None
 
 
 class TestFromPeeling:
@@ -137,7 +137,7 @@ def test_chain_equivalence_and_constructor_agreement(A):
     if not T.is_full and diag_nonzero:
         assert rep.holds == (is_interwoven(A, T) is not None)
     if rep.holds and not T.is_full:
-        for cert in (interwoven_from_chains(A), interwoven_from_peeling(A)):
+        for cert in (interwoven_from_chains(rep), interwoven_from_peeling(A)):
             assert cert is not None
             assert cert.subset.members == T.members
             assert verify_certificate(A, cert)

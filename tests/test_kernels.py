@@ -2,13 +2,15 @@
 
 ``reference`` holds the definitions the product code replaced: the
 submatrix-copying peel, the rescanning greedy closure, the dense graph
-scan and the dense row sums.  Inputs here are non-dyadic, so every row
+scan, the dense row sums, and the subset checks that analyze a copied
+block a second time.  Inputs here are non-dyadic, so every row
 sum rounds, and rows sit within an ulp of equality; agreement is checked
 bit for bit, at tolerances from 0 to 0.2.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -25,13 +27,17 @@ from ddh import (
     PeelReason,
     build_graph,
     deleted_row_sum,
+    find_ssdd_set_dd,
     interwoven_from_peeling,
     is_h_dd,
     is_interwoven,
     non_sdd_rows,
     partial_row_sum,
     peel_levels,
+    principal_submatrix,
+    s_h_check,
 )
+from ddh.cli import analyze_matrix, emit_json, verify_report
 from helpers import proper_subsets
 
 TOLERANCES = (0.0, 1e-12, 1e-3, 0.2)
@@ -98,6 +104,53 @@ def test_kernels_match_reference_bit_for_bit(A, data):
         assert reference.verdict_key(_outcome(is_h_dd, A, tol)) == reference.verdict_key(
             _outcome(reference.is_h_dd, A, tol)
         )
+
+
+@settings(max_examples=300, deadline=None)
+@given(rounded_matrices(), st.data())
+def test_subset_checks_match_reference(A, data):
+    """Every SHReport field, reals by their bits, and every raised error type.
+
+    Arbitrary subsets of non-H matrices are where the inner verdict is
+    not implied by A's own scaling, so the subsets are drawn freely.
+    """
+    S = data.draw(proper_subsets(A.n))
+    for tol in TOLERANCES:
+        assert _outcome(find_ssdd_set_dd, A, tol) == _outcome(
+            reference.find_ssdd_set_dd, A, tol
+        )
+        T = non_sdd_rows(A, tol)
+        for subset in (S, T):
+            got = _outcome(s_h_check, A, subset, tol)
+            expected = _outcome(reference.s_h_check, A, subset, tol)
+            if expected is InconsistencyError and got is not InconsistencyError:
+                _assert_only_the_inner_scaling_failed(A, subset, tol, got)
+            else:
+                assert reference.sh_key(got) == reference.sh_key(expected)
+
+
+def _assert_only_the_inner_scaling_failed(A, S, tol, got):
+    """The reference's one extra failure: the scaling solve of a block the peel calls H.
+
+    A nearly singular dominant block (a subnormal diagonal, say) peels
+    to H, but its scaling vector overflows and ``is_h_dd`` raises.  The
+    product reports the peel's verdict instead.
+    """
+    sub = principal_submatrix(A, S)
+    assert _outcome(is_h_dd, sub, tol) is InconsistencyError
+    assert got.inner_h and not peel_levels(sub, tol).stalled
+    assert got.satisfied == (got.lhs < got.b2)
+
+
+def test_subnormal_inner_block_is_h_without_a_scaling_solve():
+    # The 1x1 block [5e-324] is nonsingular, so H; its scaling 1/5e-324
+    # overflows, which made the old inner verdict raise.
+    A = Matrix([[-1.002, -1.0], [0.0, -5e-324]])
+    S = IndexSet((1,), 2)
+    assert _outcome(reference.s_h_check, A, S) is InconsistencyError
+    rep = s_h_check(A, S)
+    assert rep.inner_h and rep.satisfied
+    assert rep.lhs == 0.0 and rep.b2 == 1.002
 
 
 def test_row_sums_accumulate_left_to_right():
@@ -196,3 +249,43 @@ def test_deep_peel_copies_no_submatrix(monkeypatch):
     assert len(T) == n - 1
     assert is_interwoven(A, T) is None
     assert interwoven_from_peeling(A) is None
+
+
+def test_analysis_reuses_its_own_structures(monkeypatch):
+    """Work gate: counted solves, chain passes and block copies on an H chain.
+
+    On an order-200 bidiagonal chain, ``analyze_matrix`` solves once for
+    the scaling and once for the subset H-condition, and runs the chain
+    BFS once; ``verify_report`` solves once, for the subset H-condition;
+    the SSDD search copies no block.
+    """
+    calls = {"lu_solve": 0, "chain_condition": 0, "principal_submatrix": 0}
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        original = getattr(ddh, name)
+        for module in (ddh, ddh.core, ddh.graph, ddh.hmatrix, ddh.interwoven, ddh.cli):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting(name, original))
+
+    n = 200
+    A = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
+    report, problems = analyze_matrix(A)
+    assert report["is_h"] is True and len(report["peel_trace"]) == n - 1
+    assert report["sh"]["inner_h"] is True and problems == []
+    assert calls["lu_solve"] == 2 and calls["chain_condition"] == 1
+
+    calls.update(lu_solve=0, chain_condition=0, principal_submatrix=0)
+    results = verify_report(json.loads(emit_json(report)), A)
+    assert all(ok for _, ok, _ in results)
+    assert calls["lu_solve"] == 1
+
+    calls["principal_submatrix"] = 0
+    assert find_ssdd_set_dd(A) is None
+    assert calls["principal_submatrix"] == 0
