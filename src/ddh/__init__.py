@@ -27,13 +27,10 @@ from .core import (
 )
 from .graph import (
     ChainReport,
-    DirectedGraph,
     FrobeniusForm,
-    build_graph,
     chain_condition,
     frobenius_normal_form,
     is_irreducible,
-    reaches_target_set,
     taussky_test,
 )
 from .hmatrix import (
@@ -74,7 +71,6 @@ from .oracle import (
 __all__ = [
     "__version__",
     "ChainReport",
-    "DirectedGraph",
     "DominanceClass",
     "EnsembleSpec",
     "FrobeniusForm",
@@ -91,7 +87,6 @@ __all__ = [
     "SHReport",
     "ScalingCertificate",
     "SparsePattern",
-    "build_graph",
     "chain_condition",
     "classify_dominance",
     "comparison_matrix",
@@ -118,7 +113,6 @@ __all__ = [
     "principal_submatrix",
     "random_dd_matrix",
     "read_matrix_file",
-    "reaches_target_set",
     "s_h_check",
     "s_sdd_check",
     "scaling_certificate",

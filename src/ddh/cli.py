@@ -18,6 +18,7 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import __version__
@@ -249,6 +250,11 @@ def analyze_matrix(
                 "chain condition and interwoven decision disagree "
                 f"(chain={chain.holds}, interwoven={greedy is not None})"
             )
+    if dom.is_dd and diag_nonzero and tol == 0.0 and chain.holds != is_h:
+        # at tol > 0 the peel's T sets are not the chain's levels
+        problems.append(
+            f"chain condition and peel verdict disagree (chain={chain.holds}, is_h={is_h})"
+        )
     if subset is None and dom.is_dd and sh is not None and sh.inner_h != is_h:
         # the peel of A[T,T] is the tail of A's own peel
         problems.append(f"subset H-condition inner_h={sh.inner_h} disagrees with is_h={is_h}")
@@ -272,58 +278,70 @@ def _close(a: float, b: float, rtol: float = 1e-9) -> bool:
     return abs(a - b) <= rtol * max(1.0, abs(b))
 
 
+# what reading a report field of the wrong type, size or value raises
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+
 def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     """Re-check every certificate in ``report`` against ``A``.
 
     Returns (name, passed, detail) triples; an empty detail means no
-    commentary.  Structural surprises (wrong order, missing keys) are
-    reported as failures rather than raised.
+    commentary.  Structural surprises (wrong order, missing keys, fields
+    of the wrong type) are reported as failures of the check that reads
+    them rather than raised.
     """
     results: list[tuple[str, bool, str]] = []
 
     def check(name: str, ok: bool, detail: str = ""):
         results.append((name, bool(ok), detail))
 
+    @contextmanager
+    def guarded(name: str):
+        try:
+            yield
+        except _MALFORMED as exc:
+            check(name, False, f"malformed {name}: {type(exc).__name__}: {exc}")
+
     try:
         tol = float(report["tolerance"])
         n = int(report["order"])
-    except (KeyError, TypeError, ValueError):
+    except _MALFORMED:
         return [("report-shape", False, "missing or malformed tolerance/order")]
+    if not 0.0 <= tol < math.inf:
+        return [("report-shape", False, f"tolerance {tol!r} is not a finite nonnegative real")]
     if n != A.n:
         return [("report-shape", False, f"report order {n} != matrix order {A.n}")]
 
     T = non_sdd_rows(A, tol)
     check("t-set", report.get("t_set") == _one_based(T.members), "recomputed T differs")
 
-    chain_obj = report.get("chain") or {}
-    paths = chain_obj.get("paths") or []
-    unreachable = chain_obj.get("unreachable") or []
-    tbar = T.complement()
-    ok_paths = True
-    detail = ""
-    sources = []
-    for path in paths:
-        try:
+    with guarded("chain"):
+        chain_obj = report.get("chain") or {}
+        paths = chain_obj.get("paths") or []
+        unreachable = chain_obj.get("unreachable") or []
+        tbar = T.complement()
+        ok_paths = True
+        detail = ""
+        sources = []
+        for path in paths:
             verts = [int(v) - 1 for v in path]
-        except (TypeError, ValueError):
-            verts = []
-        if len(verts) < 2 or any(not 0 <= v < A.n for v in verts):
-            ok_paths, detail = False, f"malformed path {path}"
-            break
-        sources.append(verts[0])
-        if verts[0] not in T or verts[-1] not in tbar:
-            ok_paths, detail = False, f"path {path} has bad endpoints"
-            break
-        if any(A.modulus[a, b] == 0.0 for a, b in zip(verts, verts[1:])):
-            ok_paths, detail = False, f"path {path} crosses a zero entry"
-            break
-    unreachable_set = set(unreachable) if len(T) else set()
-    expected_sources = [i for i in T.members if i + 1 not in unreachable_set]
-    if ok_paths and sorted(sources) != expected_sources:
-        ok_paths, detail = False, "path sources do not match T minus unreachable"
-    if ok_paths and bool(chain_obj.get("holds")) != (len(unreachable) == 0):
-        ok_paths, detail = False, "holds flag inconsistent with unreachable set"
-    check("chain", ok_paths, detail)
+            if len(verts) < 2 or any(not 0 <= v < A.n for v in verts):
+                ok_paths, detail = False, f"malformed path {path}"
+                break
+            sources.append(verts[0])
+            if verts[0] not in T or verts[-1] not in tbar:
+                ok_paths, detail = False, f"path {path} has bad endpoints"
+                break
+            if any(A.modulus[a, b] == 0.0 for a, b in zip(verts, verts[1:])):
+                ok_paths, detail = False, f"path {path} crosses a zero entry"
+                break
+        unreachable_set = set(unreachable) if len(T) else set()
+        expected_sources = [i for i in T.members if i + 1 not in unreachable_set]
+        if ok_paths and sorted(sources) != expected_sources:
+            ok_paths, detail = False, "path sources do not match T minus unreachable"
+        if ok_paths and bool(chain_obj.get("holds")) != (len(unreachable) == 0):
+            ok_paths, detail = False, "holds flag inconsistent with unreachable set"
+        check("chain", ok_paths, detail)
 
     def cert_from_dict(obj) -> InterwovenCertificate:
         subset = _zero_based_set(obj["subset"], A.n)
@@ -334,9 +352,9 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             leftover=None if obj["leftover"] is None else int(obj["leftover"]) - 1,
         )
 
-    iw = report.get("interwoven") or {}
-    if iw.get("holds"):
-        try:
+    with guarded("interwoven"):
+        iw = report.get("interwoven") or {}
+        if iw.get("holds"):
             cert = cert_from_dict(
                 {
                     "subset": iw["subset"],
@@ -347,36 +365,28 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             )
             ok = cert.subset.members == T.members and verify_certificate(A, cert)
             check("interwoven", ok, "" if ok else "certificate failed re-verification")
-        except (KeyError, TypeError, ValueError) as exc:
-            check("interwoven", False, f"malformed certificate: {exc}")
-    else:
-        recomputed = None
-        if not (T.is_full and len(T) > 1):
-            recomputed = is_interwoven(A, T)
-        check(
-            "interwoven",
-            recomputed is None,
-            "" if recomputed is None else "matrix admits a certificate but report says no",
-        )
+        else:
+            recomputed = None
+            if not (T.is_full and len(T) > 1):
+                recomputed = is_interwoven(A, T)
+            check(
+                "interwoven",
+                recomputed is None,
+                "" if recomputed is None else "matrix admits a certificate but report says no",
+            )
 
     for label in ("chains", "peeling"):
-        obj = (report.get("interwoven_alternates") or {}).get(label)
-        if obj is None:
-            continue
-        try:
-            cert = cert_from_dict(obj)
-            ok = cert.subset.members == T.members and verify_certificate(A, cert)
-            check(f"interwoven-{label}", ok, "" if ok else "certificate failed re-verification")
-        except (KeyError, TypeError, ValueError) as exc:
-            check(f"interwoven-{label}", False, f"malformed certificate: {exc}")
+        with guarded(f"interwoven-{label}"):
+            obj = (report.get("interwoven_alternates") or {}).get(label)
+            if obj is not None:
+                cert = cert_from_dict(obj)
+                ok = cert.subset.members == T.members and verify_certificate(A, cert)
+                check(f"interwoven-{label}", ok, "" if ok else "certificate failed re-verification")
 
     witness = report.get("witness")
     if witness is not None:
-        try:
+        with guarded("witness"):
             W = _zero_based_set(witness, A.n)
-        except ValueError as exc:
-            check("witness", False, str(exc))
-        else:
             if not W.member_set <= T.member_set or len(W) == 0:
                 check("witness", False, "witness is not a nonempty subset of T")
             else:
@@ -390,13 +400,9 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     scaling = report.get("scaling")
     if scaling is not None:
-        try:
+        with guarded("scaling"):
             d = [real_from_json(x) for x in scaling["d"]]
             stored = real_from_json(scaling["margin"])
-        except (KeyError, TypeError, ValueError) as exc:
-            check("scaling", False, f"malformed scaling: {exc}")
-            d = None
-        if d is not None:
             if len(d) != A.n or any(not (0.0 < x <= 1.0) for x in d):
                 check("scaling", False, "scaling entries must lie in (0, 1]")
             else:
@@ -418,18 +424,14 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     ssdd = report.get("ssdd_set")
     if ssdd is not None:
-        try:
-            S = _zero_based_set(ssdd, A.n)
-            ok = s_sdd_check(A, S)
+        with guarded("ssdd"):
+            ok = s_sdd_check(A, _zero_based_set(ssdd, A.n))
             check("ssdd", ok, "" if ok else "stored set fails the subset dominance test")
-        except ValueError as exc:
-            check("ssdd", False, str(exc))
 
     sh = report.get("sh")
     if sh is not None:
-        try:
-            S = _zero_based_set(sh["subset"], A.n)
-            rep = s_h_check(A, S, tol)
+        with guarded("sh"):
+            rep = s_h_check(A, _zero_based_set(sh["subset"], A.n), tol)
             ok = bool(sh["satisfied"]) == rep.satisfied and bool(sh["inner_h"]) == rep.inner_h
             if ok and (sh["lhs"] is None) != (rep.lhs is None):
                 ok = False
@@ -438,8 +440,6 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             if ok:
                 ok = _close(real_from_json(sh["b2"]), rep.b2)
             check("sh", ok, "" if ok else "recomputed subset H-condition differs")
-        except (KeyError, TypeError, ValueError) as exc:
-            check("sh", False, f"malformed sh object: {exc}")
 
     return results
 
@@ -451,15 +451,12 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
 def _cmd_analyze(args) -> int:
     try:
-        A = read_matrix_file(args.matrix)
+        A = read_matrix_file(args.matrix, max_order=args.max_n)
     except ParseError as exc:
         print(f"ddh: parse error in {args.matrix}: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"ddh: cannot read {args.matrix}: {exc}", file=sys.stderr)
-        return 2
-    if A.n > args.max_n:
-        print(f"ddh: order {A.n} exceeds --max-n {args.max_n}", file=sys.stderr)
         return 2
     subset = None
     if args.subset:

@@ -3,10 +3,10 @@
 Every check in this package depends on entry magnitudes only, so the
 container caches a nonnegative ``|a_ij|`` view next to the (possibly
 complex) entries, and a compressed-row view of the off-diagonal nonzeros
-of that modulus (with its transpose).  The structural kernels (row sums,
-the peel, the interwoven closure, the sparsity graph) read the sparse
-view, so they cost O(nnz); dense work is left to the LU, the oracles and
-the scaling solve.
+of that modulus (with its transpose), which is also the sparsity graph.
+The structural kernels (row sums, the peel, the interwoven closure, the
+graph traversals) read the sparse view, so they cost O(nnz); dense work
+is left to the LU, the oracles and the scaling solve.
 
 Row sums accumulate left to right in increasing column order, and all
 callers share the helpers here, so quantities that must agree (a full
@@ -50,12 +50,13 @@ def _as_square_array(data) -> np.ndarray:
 class SparsePattern:
     """Off-diagonal nonzeros of a matrix modulus, by rows and by columns.
 
-    Row i holds the columns ``indices[indptr[i]:indptr[i + 1]]`` in
-    increasing order with magnitudes ``data`` at the same positions.
-    Column j is touched by the rows ``t_indices[t_indptr[j]:t_indptr[j + 1]]``
-    in increasing order with magnitudes ``t_data``.  Every entry with
-    ``|a_ij| != 0`` and i != j is stored, NaN included; the sparsity graph
-    keeps only those with ``|a_ij| > 0``.
+    This is the sparsity graph of the matrix, the only one the package
+    builds: every entry with i != j and ``|a_ij| != 0`` is stored, and is
+    an edge i -> j.  Row i holds the columns
+    ``indices[indptr[i]:indptr[i + 1]]`` (its out-edges) in increasing
+    order, with magnitudes ``data`` at the same positions.  Column j is
+    touched by the rows ``t_indices[t_indptr[j]:t_indptr[j + 1]]`` (its
+    in-edges), also in increasing order.
     """
 
     indptr: np.ndarray
@@ -63,7 +64,6 @@ class SparsePattern:
     data: np.ndarray
     t_indptr: np.ndarray
     t_indices: np.ndarray
-    t_data: np.ndarray
 
     @classmethod
     def from_modulus(cls, mod: np.ndarray) -> "SparsePattern":
@@ -71,11 +71,10 @@ class SparsePattern:
         rows, cols = np.nonzero(mod)  # row-major: columns increase within a row
         keep = rows != cols
         rows, cols = rows[keep], cols[keep]
-        data = mod[rows, cols]
         by_col = np.argsort(cols, kind="stable")  # rows stay increasing per column
         arrays = (
-            _pointers(rows, n), cols, data,
-            _pointers(cols, n), rows[by_col], data[by_col],
+            _pointers(rows, n), cols, mod[rows, cols],
+            _pointers(cols, n), rows[by_col],
         )
         for arr in arrays:
             arr.setflags(write=False)
@@ -95,12 +94,19 @@ def _pointers(keys: np.ndarray, n: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Matrix:
-    """Square matrix of order >= 1 with cached magnitude and sparse views."""
+    """Square matrix of order >= 1 with cached magnitude and sparse views.
+
+    NaN entries (a complex entry with a NaN part included) are rejected,
+    so every stored magnitude in ``pattern`` is positive.  Infinite
+    entries are kept.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
         arr = _as_square_array(self.entries)
+        if np.isnan(arr).any():  # before the copy, so the mask and the copy never coexist
+            raise ValueError("matrix entries must not be NaN")
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "entries", arr)
@@ -164,13 +170,10 @@ class IndexSet:
         object.__setattr__(self, "members", members)
         if self.universe_size < 0:
             raise ValueError("universe_size must be nonnegative")
-        prev = -1
-        for m in members:
-            if m <= prev:
-                raise ValueError("members must be strictly increasing")
-            prev = m
-        if members and not (0 <= members[0] and members[-1] < self.universe_size):
+        if any(not 0 <= m < self.universe_size for m in members):
             raise ValueError("members out of range for universe")
+        if any(a >= b for a, b in zip(members, members[1:])):
+            raise ValueError("members must be strictly increasing")
 
     @classmethod
     def from_indices(cls, indices, universe_size: int) -> "IndexSet":

@@ -1,7 +1,11 @@
 """Directed sparsity graph: reachability chains and block-triangular form.
 
 The graph of a matrix has an edge i -> j exactly when i != j and
-``|a_ij| > 0``.  Two questions about it drive the dominance analysis:
+a_ij != 0, which is exactly an entry stored in ``Matrix.pattern``
+(``Matrix`` rejects NaN, so every stored magnitude is positive).  The
+traversals here read that pattern directly: its rows are the out-edges
+and its transpose the in-edges.  Two questions about the graph drive
+the dominance analysis:
 
 * can every non-strict row reach a strict row along nonzero entries
   (``chain_condition``), and
@@ -22,29 +26,10 @@ from .core import (
     DominanceClass,
     IndexSet,
     Matrix,
+    SparsePattern,
     classify_dominance,
     non_sdd_rows,
 )
-
-
-@dataclass(frozen=True)
-class DirectedGraph:
-    """Adjacency-list digraph without self-loops."""
-
-    n: int
-    adjacency: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(self.adjacency) != self.n:
-            raise ValueError("adjacency length must equal vertex count")
-        for i, nbrs in enumerate(self.adjacency):
-            prev = -1
-            for j in nbrs:
-                if j == i or not (0 <= j < self.n):
-                    raise ValueError(f"bad edge {i}->{j}")
-                if j <= prev:
-                    raise ValueError("neighbour lists must be strictly increasing")
-                prev = j
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,69 +59,32 @@ class FrobeniusForm:
     blocks: tuple[IndexSet, ...]
 
 
-def build_graph(A: Matrix) -> DirectedGraph:
-    """Digraph of the off-diagonal nonzero pattern of A, in O(nnz)."""
-    pat = A.pattern
-    ptr = pat.indptr.tolist()
-    cols = pat.indices.tolist()
-    positive = (pat.data > 0.0).tolist()  # NaN magnitudes are not edges
-    adjacency = tuple(
-        tuple(j for j, ok in zip(cols[a:b], positive[a:b]) if ok)
-        for a, b in zip(ptr, ptr[1:])
-    )
-    return DirectedGraph(A.n, adjacency)
+def chain_condition(A: Matrix, tol: float = 0.0) -> ChainReport:
+    """Check that every non-strict row reaches a strict row in the graph.
 
-
-def _reverse_adjacency(G: DirectedGraph) -> list[list[int]]:
-    rev: list[list[int]] = [[] for _ in range(G.n)]
-    for i, nbrs in enumerate(G.adjacency):
-        for j in nbrs:
-            rev[j].append(i)
-    # built in increasing source order per target, already sorted
-    return rev
-
-
-def _bfs_to_targets(G: DirectedGraph, targets: IndexSet):
-    """Multi-source BFS toward ``targets`` along reversed edges.
-
-    Returns (dist, next_hop): dist[v] is the length of a shortest path
-    from v to the target set (-1 when unreachable); next_hop[v] is the
-    successor of v on one such path (first-discovered parent wins).
+    A multi-source BFS runs from the strict rows along reversed edges:
+    column u of the pattern lists the rows with an edge into u, in
+    increasing order, and the first row to discover a vertex becomes its
+    successor.  Paths are therefore breadth-first shortest and
+    deterministic; interior vertices are non-strict rows and only the
+    final vertex is strict.
     """
-    rev = _reverse_adjacency(G)
-    dist = [-1] * G.n
-    next_hop = [-1] * G.n
+    T = non_sdd_rows(A, tol)
+    pat = A.pattern
+    t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
+    dist = [-1] * A.n  # length of a shortest path into the strict rows
+    next_hop = [-1] * A.n
     queue: deque[int] = deque()
-    for t in targets.members:  # seed in increasing index order
+    for t in T.complement().members:  # seed in increasing index order
         dist[t] = 0
         queue.append(t)
     while queue:
         u = queue.popleft()
-        for v in rev[u]:  # increasing index order
+        for v in t_indices[t_indptr[u]:t_indptr[u + 1]]:
             if dist[v] == -1:
                 dist[v] = dist[u] + 1
                 next_hop[v] = u
                 queue.append(v)
-    return dist, next_hop
-
-
-def reaches_target_set(G: DirectedGraph, targets: IndexSet) -> IndexSet:
-    """All vertices with a directed path (length >= 0) into ``targets``."""
-    if targets.universe_size != G.n:
-        raise ValueError("target set universe does not match graph order")
-    dist, _ = _bfs_to_targets(G, targets)
-    return IndexSet(tuple(v for v in range(G.n) if dist[v] >= 0), G.n)
-
-
-def chain_condition(A: Matrix, tol: float = 0.0) -> ChainReport:
-    """Check that every non-strict row reaches a strict row in the graph.
-
-    Paths are breadth-first shortest; interior vertices are non-strict
-    rows and only the final vertex is strict.
-    """
-    T = non_sdd_rows(A, tol)
-    G = build_graph(A)
-    dist, next_hop = _bfs_to_targets(G, T.complement())
     paths: dict[int, tuple[int, ...]] = {}
     missing = []
     for i in T.members:
@@ -153,13 +101,15 @@ def chain_condition(A: Matrix, tol: float = 0.0) -> ChainReport:
     return ChainReport(holds=not missing, paths=paths, unreachable=unreachable)
 
 
-def _tarjan_sccs(adjacency) -> list[list[int]]:
+def _tarjan_sccs(pat: SparsePattern) -> list[list[int]]:
     """Strongly connected components, emitted in reverse topological order.
 
-    Iterative with an explicit work stack; recursion depth is not an
-    issue for any admissible matrix order.
+    Iterative with an explicit work stack of (vertex, next position in
+    ``pat.indices``); recursion depth is not an issue for any admissible
+    matrix order.
     """
-    n = len(adjacency)
+    indptr, indices = pat.indptr.tolist(), pat.indices.tolist()
+    n = len(indptr) - 1
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -169,21 +119,20 @@ def _tarjan_sccs(adjacency) -> list[list[int]]:
     for root in range(n):
         if index[root] != -1:
             continue
-        work: list[tuple[int, int]] = [(root, 0)]
+        work: list[tuple[int, int]] = [(root, indptr[root])]
         while work:
-            v, edge_pos = work[-1]
-            if edge_pos == 0:
+            v, pos = work[-1]
+            if index[v] == -1:
                 index[v] = low[v] = counter
                 counter += 1
                 stack.append(v)
                 on_stack[v] = True
             descended = False
-            nbrs = adjacency[v]
-            for k in range(edge_pos, len(nbrs)):
-                w = nbrs[k]
+            for k in range(pos, indptr[v + 1]):
+                w = indices[k]
                 if index[w] == -1:
                     work[-1] = (v, k + 1)
-                    work.append((w, 0))
+                    work.append((w, indptr[w]))
                     descended = True
                     break
                 if on_stack[w]:
@@ -214,8 +163,7 @@ def frobenius_normal_form(A: Matrix) -> FrobeniusForm:
     matrix is block upper triangular with irreducible (or 1x1) diagonal
     blocks.
     """
-    G = build_graph(A)
-    sccs = _tarjan_sccs(G.adjacency)
+    sccs = _tarjan_sccs(A.pattern)
     sccs.reverse()  # topological order of the condensation
     blocks = tuple(IndexSet(tuple(sorted(comp)), A.n) for comp in sccs)
     permutation = tuple(i for block in blocks for i in block.members)

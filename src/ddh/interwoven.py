@@ -98,14 +98,14 @@ def is_interwoven(A: Matrix, S: IndexSet) -> InterwovenCertificate | None:
         return _trivial_certificate(S)
     pat = A.pattern
     t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
-    t_data = pat.t_data.tolist()
     OUTSIDE, WAITING, QUEUED, CHOSEN = 0, 1, 2, 3
     state = [OUTSIDE] * A.n
     for p in S.members:
         state[p] = WAITING
     heap = []  # filled in increasing order, so already a heap
     for p in S.members:
-        if any(state[j] == OUTSIDE and v > 0.0 for j, v in zip(*pat.row(p))):
+        cols, _ = pat.row(p)
+        if any(state[j] == OUTSIDE for j in cols):
             state[p] = QUEUED
             heap.append(p)
     chosen: list[int] = []
@@ -116,9 +116,8 @@ def is_interwoven(A: Matrix, S: IndexSet) -> InterwovenCertificate | None:
         p = heapq.heappop(heap)
         # smallest companion, preferring outside S over chosen members
         q = None
-        for j, v in zip(*pat.row(p)):
-            if not v > 0.0:
-                continue
+        cols, _ = pat.row(p)
+        for j in cols:
             if state[j] == OUTSIDE:
                 q = j
                 break
@@ -127,9 +126,8 @@ def is_interwoven(A: Matrix, S: IndexSet) -> InterwovenCertificate | None:
         state[p] = CHOSEN
         chosen.append(p)
         companions.append(q)
-        for k in range(t_indptr[p], t_indptr[p + 1]):
-            i = t_indices[k]
-            if state[i] == WAITING and t_data[k] > 0.0:
+        for i in t_indices[t_indptr[p]:t_indptr[p + 1]]:
+            if state[i] == WAITING:
                 state[i] = QUEUED
                 heapq.heappush(heap, i)
     return InterwovenCertificate(
@@ -198,10 +196,8 @@ def interwoven_from_peeling(A: Matrix, tol: float = 0.0) -> InterwovenCertificat
             leftover = batch.pop()  # drop the largest; nothing pairs into it
         for p in batch:
             # smallest companion in the previous batch
-            q = next(
-                (j for j, v in zip(*A.pattern.row(p)) if stage[j] == k - 1 and v > 0.0),
-                None,
-            )
+            cols, _ = A.pattern.row(p)
+            q = next((j for j in cols if stage[j] == k - 1), None)
             if q is None:
                 return None
             p_seq.append(p)

@@ -32,8 +32,12 @@ def _tokens(raw_line: str) -> list[str]:
     return raw_line.strip().split()
 
 
-def parse_matrix_market(text) -> Matrix:
-    """Parse Matrix Market coordinate text (str or bytes) into a Matrix."""
+def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
+    """Parse Matrix Market coordinate text (str or bytes) into a Matrix.
+
+    A declared order above ``max_order`` is refused at the size line,
+    before the dense storage is allocated.
+    """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8", errors="replace")
     lines = text.splitlines()
@@ -76,6 +80,8 @@ def parse_matrix_market(text) -> Matrix:
         raise ParseError(f"matrix must be square, got {rows}x{cols}", lineno)
     if rows < 1:
         raise ParseError("matrix order must be at least 1", lineno)
+    if max_order is not None and rows > max_order:
+        raise ParseError(f"order {rows} exceeds the maximum order {max_order}", lineno)
     if nnz < 0:
         raise ParseError("nonzero count must be nonnegative", lineno)
 
@@ -148,6 +154,6 @@ def write_matrix_market(A: Matrix, comments: tuple[str, ...] = ()) -> str:
     return "\n".join(out) + "\n"
 
 
-def read_matrix_file(path) -> Matrix:
+def read_matrix_file(path, max_order: int | None = None) -> Matrix:
     with open(path, "rb") as fh:
-        return parse_matrix_market(fh.read())
+        return parse_matrix_market(fh.read(), max_order)

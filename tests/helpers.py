@@ -121,6 +121,11 @@ def brute_force_interwoven(A: Matrix, S: IndexSet) -> bool:
     return feasible((), frozenset(S.members))
 
 
+def pattern_rows(A: Matrix) -> tuple[tuple[int, ...], ...]:
+    """Out-neighbours of every vertex, read from the rows of ``A.pattern``."""
+    return tuple(tuple(A.pattern.row(i)[0]) for i in range(A.n))
+
+
 def floyd_warshall_dist_to_set(A: Matrix, targets: IndexSet) -> list[float]:
     """Shortest unweighted distance from each vertex into ``targets``."""
     n = A.n

@@ -5,7 +5,7 @@ code in ``ddh`` replaces with sparse worklist kernels:
 
 * the dense deleted row sums (``cumsum`` over a zero-diagonal copy) and
   the partial row sum scanning every column of the subset;
-* the sparsity graph built by scanning every dense entry;
+* the sparsity graph's adjacency found by scanning every dense entry;
 * the recursive peel that copies the principal submatrix at every stage
   (``is_h_dd`` and ``interwoven_from_peeling``);
 * the greedy interwoven closure that rescans every remaining member at
@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from ddh import (
-    DirectedGraph,
     DominanceClass,
     HVerdict,
     IndexSet,
@@ -59,14 +58,13 @@ def partial_row_sum(A: Matrix, i: int, S: IndexSet) -> float:
     return total
 
 
-def build_graph(A: Matrix) -> DirectedGraph:
-    """Digraph of the off-diagonal nonzero pattern, from every dense entry."""
+def adjacency(A: Matrix) -> tuple[tuple[int, ...], ...]:
+    """Out-neighbours of every vertex of the sparsity graph, from every dense entry."""
     mod = A.modulus
-    adjacency = tuple(
+    return tuple(
         tuple(int(j) for j in range(A.n) if j != i and mod[i, j] > 0.0)
         for i in range(A.n)
     )
-    return DirectedGraph(A.n, adjacency)
 
 
 def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:

@@ -1,11 +1,17 @@
+import copy
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ddh import IndexSet, Matrix, ParseError, parse_matrix_market, write_matrix_market
 from ddh.cli import analyze_matrix, emit_json, main, real_from_json, verify_report
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 LADDER_MM = """%%MatrixMarket matrix coordinate real general
 3 3 5
@@ -167,6 +173,35 @@ class TestAnalyzeCommand:
         rc = main(["analyze", str(path), "--max-n", "2"])
         assert rc == 2
         assert "exceeds" in capsys.readouterr().err
+
+    def test_max_n_refuses_at_the_size_line(self, tmp_path, capsys):
+        # dense storage of order 10^9 would need 8 EB; nothing may be allocated
+        path = self._write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n1000000000 1000000000 1\n1 1 1.0\n",
+        )
+        rc = main(["analyze", str(path)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "line 2: order 1000000000 exceeds" in err
+
+    def test_chain_and_peel_disagreement_exits_3(self, tmp_path, capsys):
+        # row 1 reaches the strict row 3 through its 1e-20 entry, but that
+        # entry is absorbed by the row sum, so the peel never makes row 1
+        # strict: the report would hold chain true and is_h false
+        path = self._write(
+            tmp_path,
+            "%%MatrixMarket matrix coordinate real general\n3 3 6\n"
+            "1 1 1\n1 2 1\n1 3 1e-20\n2 1 1\n2 2 1\n3 3 1\n",
+        )
+        rc = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["chain"]["holds"] is True and report["is_h"] is False
+        assert rc == 3
+        assert "chain condition and peel verdict disagree" in captured.err
+        # at tol > 0 the peel's T sets differ from the chain's levels legitimately
+        assert main(["analyze", str(path), "--tol", "1e-3"]) == 0
 
     def test_subset_override(self, tmp_path, capsys):
         path = self._write(
@@ -406,3 +441,76 @@ class TestAnalyzeNonCli:
         for A, kwargs in cases:
             report, _ = analyze_matrix(A, **kwargs)
             jsonschema.validate(json.loads(emit_json(report)), schema)
+
+
+def _fixture_report(name: str):
+    A = parse_matrix_market((FIXTURES / f"{name}.mtx").read_text())
+    report, problems = analyze_matrix(A)
+    assert not problems
+    return A, json.loads(emit_json(report))
+
+
+def _replace(report: dict, path: tuple, value) -> dict:
+    tampered = copy.deepcopy(report)
+    obj = tampered
+    for key in path[:-1]:
+        obj = obj[key]
+    obj[path[-1]] = value
+    return tampered
+
+
+class TestMalformedReports:
+    @pytest.mark.parametrize(
+        "path, value, failed",
+        [
+            (("chain", "paths"), 5, "chain: FAIL (malformed chain: TypeError"),
+            (("witness",), 7, "witness: FAIL (malformed witness: TypeError"),
+            (("tolerance",), "nan", "report-shape: FAIL"),
+            (("tolerance",), -1, "report-shape: FAIL"),
+            (("interwoven",), [1], "interwoven: FAIL (malformed interwoven: AttributeError"),
+            (("ssdd_set",), 3, "ssdd: FAIL (malformed ssdd: TypeError"),
+            (("chain", "paths", 0, 0), math.inf, "chain: FAIL (malformed chain: OverflowError"),
+            (("ssdd_set",), [0], "ssdd: FAIL (malformed ssdd: ValueError: members out of range"),
+        ],
+    )
+    def test_verify_fails_instead_of_raising(self, tmp_path, capsys, path, value, failed):
+        _, report = _fixture_report("ladder")
+        report_path = tmp_path / "report.json"
+        report_path.write_text(json.dumps(_replace(report, path, value)))
+        rc = main(["verify", str(report_path), str(FIXTURES / "ladder.mtx")])
+        assert rc == 4
+        assert failed in capsys.readouterr().out
+
+
+_JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=4)
+    | st.sampled_from(["Infinity", "-Infinity", "NaN", math.inf, -math.inf, math.nan, 10**400]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+def _field_paths(obj, prefix=()):
+    """Every key path below the root of a JSON object."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield prefix + (key,)
+        yield from _field_paths(value, prefix + (key,))
+
+
+_REPORTS = {name: _fixture_report(name) for name in ("ladder", "isolated_pair", "identity2")}
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data())
+def test_verify_report_never_raises_on_a_replaced_field(data):
+    A, report = _REPORTS[data.draw(st.sampled_from(sorted(_REPORTS)))]
+    path = data.draw(st.sampled_from(list(_field_paths(report))))
+    results = verify_report(_replace(report, path, data.draw(_JSON_VALUES)), A)
+    assert results
+    for name, ok, detail in results:
+        assert isinstance(name, str) and isinstance(ok, bool) and isinstance(detail, str)

@@ -43,6 +43,18 @@ class TestMatrix:
         A = Matrix([[2, 1], [1, 2]])
         assert A.entries.dtype == np.float64
 
+    @pytest.mark.parametrize("entry", [np.nan, complex(1.0, np.nan), complex(np.nan, 0.0)])
+    def test_rejects_nan(self, entry):
+        with pytest.raises(ValueError, match="NaN"):
+            Matrix([[1, entry], [0, 1]])
+
+    def test_keeps_infinite_entries(self):
+        # an infinite modulus is a legitimate edge; its comparison entry is -inf
+        A = Matrix([[1, 1.5e308 + 1.5e308j], [0, np.inf]])
+        assert A.modulus[0, 1] == np.inf and A.modulus[1, 1] == np.inf
+        assert comparison_matrix(A).entries[0, 1] == -np.inf
+        assert A.pattern.indices.tolist() == [1]
+
 
 class TestIndexSet:
     def test_orders_and_dedups(self):
@@ -56,6 +68,10 @@ class TestIndexSet:
     def test_rejects_unsorted(self):
         with pytest.raises(ValueError):
             IndexSet((2, 1), 5)
+
+    def test_negative_member_is_out_of_range(self):
+        with pytest.raises(ValueError, match="out of range"):
+            IndexSet((-1,), 3)
 
     def test_complement_partitions(self):
         S = IndexSet((0, 2), 4)

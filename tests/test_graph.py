@@ -1,56 +1,36 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from ddh import (
     DominanceClass,
     IndexSet,
     Matrix,
-    build_graph,
     chain_condition,
     classify_dominance,
     frobenius_normal_form,
     inverse_nonneg_oracle,
     is_irreducible,
     non_sdd_rows,
-    reaches_target_set,
     taussky_test,
 )
-from helpers import dd_matrices, floyd_warshall_dist_to_set, jacobi_in_band, pattern_matrices
+from helpers import (
+    dd_matrices,
+    floyd_warshall_dist_to_set,
+    jacobi_in_band,
+    pattern_matrices,
+    pattern_rows,
+)
 
 
-class TestBuildGraph:
+class TestPatternGraph:
     def test_reads_pattern(self):
-        G = build_graph(Matrix([[1, 1], [0, 1]]))
-        assert G.adjacency == ((1,), ())
+        assert pattern_rows(Matrix([[1, 1], [0, 1]])) == ((1,), ())
 
     def test_identity_has_no_edges(self):
-        G = build_graph(Matrix(np.eye(3)))
-        assert G.adjacency == ((), (), ())
+        assert pattern_rows(Matrix(np.eye(3))) == ((), (), ())
 
     def test_two_cycle_block(self):
-        G = build_graph(Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))
-        assert G.adjacency == ((1,), (0,), ())
-
-
-class TestReachesTargetSet:
-    def test_path_chain(self):
-        G = build_graph(Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]]))
-        assert reaches_target_set(G, IndexSet((2,), 3)).members == (0, 1, 2)
-
-    def test_no_edges(self):
-        G = build_graph(Matrix(np.eye(2)))
-        assert reaches_target_set(G, IndexSet((0,), 2)).members == (0,)
-
-    def test_isolated_component(self):
-        G = build_graph(Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))
-        assert reaches_target_set(G, IndexSet((2,), 3)).members == (2,)
-
-    def test_universe_mismatch(self):
-        G = build_graph(Matrix(np.eye(2)))
-        with pytest.raises(ValueError):
-            reaches_target_set(G, IndexSet((0,), 3))
+        assert pattern_rows(Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]])) == ((1,), (0,), ())
 
 
 class TestChainCondition:
@@ -137,26 +117,13 @@ class TestIrreducibleAndTaussky:
         assert not taussky_test(Matrix([[0]]))
 
 
-@settings(max_examples=120, deadline=None)
-@given(data=st.data(), A=dd_matrices(max_n=6))
-def test_reaches_is_monotone_in_targets(A, data):
-    G = build_graph(A)
-    small = data.draw(st.lists(st.integers(0, A.n - 1), unique=True, max_size=A.n))
-    extra = data.draw(st.lists(st.integers(0, A.n - 1), unique=True, max_size=A.n))
-    S1 = IndexSet.from_indices(small, A.n)
-    S2 = IndexSet.from_indices(small + extra, A.n)
-    assert reaches_target_set(G, S1).member_set <= reaches_target_set(G, S2).member_set
-
-
 @settings(max_examples=150, deadline=None)
 @given(A=dd_matrices(max_n=6))
 def test_chain_condition_matches_reachability_and_shortest_distances(A):
     T = non_sdd_rows(A)
-    G = build_graph(A)
-    reach = reaches_target_set(G, T.complement())
     rep = chain_condition(A)
-    assert rep.holds == (T.member_set <= reach.member_set)
     dists = floyd_warshall_dist_to_set(A, T.complement())
+    assert rep.holds == all(dists[i] < float("inf") for i in T.members)
     for i in T.members:
         if i in rep.paths:
             assert len(rep.paths[i]) - 1 == dists[i]
@@ -177,9 +144,9 @@ def test_frobenius_form_invariants(A):
         if len(idx) < 2:
             continue
         sub = Matrix(np.asarray(A.entries)[np.ix_(idx, idx)] + np.eye(len(idx)))
-        G = build_graph(sub)
         for v in range(len(idx)):
-            assert len(reaches_target_set(G, IndexSet((v,), len(idx)))) == len(idx)
+            dists = floyd_warshall_dist_to_set(sub, IndexSet((v,), len(idx)))
+            assert max(dists) < float("inf")
     if A.n >= 2:
         assert (len(form.blocks) == 1) == is_irreducible(A)
 
