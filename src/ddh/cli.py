@@ -179,15 +179,15 @@ def analyze_matrix(
     }
 
     alternates = {"chains": None, "peeling": None}
+    verdict = is_h_dd(A, tol) if dom.is_dd else None
     is_h = None
     peel_trace = None
     peel_reason = None
     witness = None
     scaling = None
-    if dom.is_dd:
+    if verdict is not None:
         alternates["chains"] = _certificate_dict(interwoven_from_chains(chain))
-        alternates["peeling"] = _certificate_dict(interwoven_from_peeling(A, tol))
-        verdict = is_h_dd(A, tol)
+        alternates["peeling"] = _certificate_dict(interwoven_from_peeling(A, verdict.peel))
         is_h = verdict.is_h
         peel_trace = [_one_based(t.members) for t in verdict.peel_trace]
         peel_reason = verdict.reason.value
@@ -214,7 +214,7 @@ def analyze_matrix(
         ssdd_set = subset if s_sdd_check(A, subset) else None
         sh_subset = subset
     else:
-        ssdd_set = find_ssdd_set_dd(A, tol) if dom.is_dd else None
+        ssdd_set = None if verdict is None else find_ssdd_set_dd(verdict.peel)
         sh_subset = T if (len(T) > 0 and not T.is_full) else None
     sh = s_h_check(A, sh_subset, tol) if sh_subset is not None else None
 
@@ -286,9 +286,11 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     """Re-check every certificate in ``report`` against ``A``.
 
     Returns (name, passed, detail) triples; an empty detail means no
-    commentary.  Structural surprises (wrong order, missing keys, fields
-    of the wrong type) are reported as failures of the check that reads
-    them rather than raised.
+    commentary.  The dominance class is recomputed, and for a dominant
+    matrix the report must carry a verdict with exactly the certificate
+    it implies.  Structural surprises (wrong order, missing keys, fields
+    of the wrong type) and numerical failures inside a recomputation are
+    reported as failures of the check that meets them rather than raised.
     """
     results: list[tuple[str, bool, str]] = []
 
@@ -301,6 +303,8 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             yield
         except _MALFORMED as exc:
             check(name, False, f"malformed {name}: {type(exc).__name__}: {exc}")
+        except InconsistencyError as exc:
+            check(name, False, f"numerical failure in {name}: {exc}")
 
     try:
         tol = float(report["tolerance"])
@@ -312,6 +316,9 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     if n != A.n:
         return [("report-shape", False, f"report order {n} != matrix order {A.n}")]
 
+    dom = classify_dominance(A, tol)
+    check("dominance", report.get("dominance_class") == dom.value,
+          f"recomputed class is {dom.value}")
     T = non_sdd_rows(A, tol)
     check("t-set", report.get("t_set") == _one_based(T.members), "recomputed T differs")
 
@@ -418,9 +425,11 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     if is_h is True:
         check("h-consistency", scaling is not None and witness is None,
               "H verdict must carry a scaling and no witness")
-    elif is_h is False and report.get("dominance_class") != DominanceClass.NOT_DD.value:
+    elif is_h is False and dom.is_dd:
         check("h-consistency", witness is not None and scaling is None,
               "non-H verdict must carry a witness and no scaling")
+    elif dom.is_dd:
+        check("h-consistency", False, "a dominant matrix needs is_h true or false")
 
     ssdd = report.get("ssdd_set")
     if ssdd is not None:
@@ -522,8 +531,12 @@ def _cmd_verify(args) -> int:
     except json.JSONDecodeError as exc:
         print(f"ddh: bad report JSON: {exc}", file=sys.stderr)
         return 2
+    # the file may not be larger than the report it is checked against
+    order = report.get("order") if isinstance(report, dict) else None
+    if type(order) is not int or order < 1:  # bool is no order
+        order = DEFAULT_MAX_ORDER
     try:
-        A = read_matrix_file(args.matrix)
+        A = read_matrix_file(args.matrix, max_order=order)
     except (ParseError, OSError) as exc:
         print(f"ddh: cannot read {args.matrix}: {exc}", file=sys.stderr)
         return 2

@@ -368,11 +368,11 @@ def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
     return Peel(t_set=T, levels=tuple(levels), stalled=left > 0)
 
 
-def comparison_matrix(A: Matrix) -> Matrix:
-    """Real matrix with diagonal |a_ii| and off-diagonal -|a_ij|."""
+def comparison_matrix(A: Matrix) -> np.ndarray:
+    """Real array with diagonal |a_ii| and off-diagonal -|a_ij|."""
     comp = 0.0 - A.modulus  # one allocation; 0.0 - 0.0 is +0.0, so no -0.0
     np.fill_diagonal(comp, A.diagonal_modulus)
-    return Matrix(comp)
+    return comp
 
 
 def principal_submatrix(A: Matrix, S: IndexSet) -> Matrix:

@@ -10,12 +10,14 @@ either empties T (H-matrix; a strictly dominance-inducing positive
 scaling is then computed and checked), hits a zero diagonal entry, or
 stalls with T equal to the whole current block (a restriction that is
 dominant with no strict row).  The latter two produce a witness set
-whose principal submatrix certifies non-H-status by inspection.
+whose principal submatrix certifies non-H-status by inspection.  The
+verdict keeps its ``Peel`` so that an analysis peels A once:
+``interwoven.interwoven_from_peeling`` pairs its levels, and
+``find_ssdd_set_dd`` reads its first level.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite);
-``s_h_check`` decides a dominant inner block by the peel alone, and
-``find_ssdd_set_dd`` reads row sums over T instead of copying a block.
+``s_h_check`` decides a dominant inner block by the peel alone.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from .core import (
     InconsistencyError,
     IndexSet,
     Matrix,
+    Peel,
     classify_dominance,
     comparison_matrix,
-    non_sdd_rows,
     partial_row_sum,
     peel_levels,
     principal_submatrix,
@@ -65,10 +67,11 @@ class ScalingCertificate:
 class HVerdict:
     """Outcome of the recursive peel with its full trace.
 
+    ``peel`` is the level structure the verdict was read from.
     ``peel_trace`` lists the successive non-strict row sets in original
     indices (strictly shrinking, empty only when the input is already
-    strictly dominant).  Exactly one of ``scaling`` (H) and ``witness``
-    (non-H) is present.
+    strictly dominant; only T itself on a zero diagonal).  Exactly one
+    of ``scaling`` (H) and ``witness`` (non-H) is present.
     """
 
     is_h: bool
@@ -76,11 +79,12 @@ class HVerdict:
     reason: PeelReason
     scaling: ScalingCertificate | None
     witness: IndexSet | None
+    peel: Peel
 
 
 def scaling_margin(A: Matrix, d: np.ndarray) -> float:
     """Smallest dominance gap of A after scaling column j by d_j."""
-    comp = comparison_matrix(A).entries
+    comp = comparison_matrix(A)
     return float(np.min(comp @ np.asarray(d, dtype=np.float64)))
 
 
@@ -91,41 +95,37 @@ def scaling_certificate(A: Matrix, tol: float = 0.0) -> ScalingCertificate:
     a nonpositive component or a nonpositive recomputed margin signals
     that claim was wrong and raises InconsistencyError.
     """
-    comp = comparison_matrix(A).entries
+    comp = comparison_matrix(A)
     d = lu_solve(comp, np.ones(A.n))
     if d is None:
         raise InconsistencyError("comparison matrix is singular; input is not H")
     if (d <= 0.0).any():
         raise InconsistencyError("scaling vector has a nonpositive component")
     d = d / float(np.max(d))
-    margin = scaling_margin(A, d)
+    margin = float(np.min(comp @ d))  # scaling_margin, on the matrix solved with
     if not margin > 0.0:
         raise InconsistencyError(f"scaling margin {margin!r} is not positive")
-    d = d.copy()
     d.setflags(write=False)
     return ScalingCertificate(d=d, margin=margin)
 
 
-def _require_dd(A: Matrix, tol: float, what: str):
-    if classify_dominance(A, tol) is DominanceClass.NOT_DD:
-        raise ValueError(f"{what} requires a diagonally dominant matrix")
-
-
 def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
     """Recursive peel deciding H-status of a diagonally dominant matrix."""
-    _require_dd(A, tol, "is_h_dd")
+    if classify_dominance(A, tol) is DominanceClass.NOT_DD:
+        raise ValueError("is_h_dd requires a diagonally dominant matrix")
+    peel = peel_levels(A, tol)
     zero_rows = np.flatnonzero(A.diagonal_modulus == 0.0)
     if zero_rows.size:
         # dominance leaves such a row at most tol off the diagonal: it sits
         # in T and can never peel
         return HVerdict(
             is_h=False,
-            peel_trace=(non_sdd_rows(A, tol),),
+            peel_trace=(peel.t_set,),
             reason=PeelReason.ZERO_DIAGONAL,
             scaling=None,
             witness=IndexSet((int(zero_rows[0]),), A.n),
+            peel=peel,
         )
-    peel = peel_levels(A, tol)
     trace = peel.active_sets()
     if peel.stalled:
         # the last restriction is dominant with no strict row
@@ -135,6 +135,7 @@ def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
             reason=PeelReason.STAGNANT_PEEL,
             scaling=None,
             witness=trace[-1],
+            peel=peel,
         )
     return HVerdict(
         is_h=True,
@@ -142,6 +143,7 @@ def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
         reason=PeelReason.SDD_REACHED,
         scaling=scaling_certificate(A, tol),
         witness=None,
+        peel=peel,
     )
 
 
@@ -180,21 +182,22 @@ def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
     return bool((np.outer(gap_s, gap_sbar) > np.outer(cross_s, cross_sbar)).all())
 
 
-def find_ssdd_set_dd(A: Matrix, tol: float = 0.0) -> IndexSet | None:
+def find_ssdd_set_dd(peel: Peel) -> IndexSet | None:
     """Subset passing ``s_sdd_check`` for a diagonally dominant matrix.
 
-    For dominant matrices the search collapses: the non-strict rows T
-    work iff their principal submatrix is strictly dominant, read off
-    each row's sum over T; when T is empty any singleton works ({0} by
-    convention).  Returns None when no subset exists (including order 1,
-    which has no proper nonempty subset at all).
+    ``peel`` is the matrix's ``peel_levels`` (``HVerdict.peel``); the
+    caller guarantees dominance.  The search collapses: the non-strict
+    rows T work iff their principal submatrix is strictly dominant,
+    which is iff the first level peels all of T (a row of T that no
+    column outside T touches keeps its full, non-strict sum); when T is
+    empty any singleton works ({0} by convention).  Returns None when no
+    subset exists (including order 1, which has no proper nonempty
+    subset at all).
     """
-    _require_dd(A, tol, "find_ssdd_set_dd")
-    T = non_sdd_rows(A, tol)
+    T = peel.t_set
     if len(T) == 0:
-        return IndexSet((0,), A.n) if A.n >= 2 else None
-    diag = A.diagonal_modulus
-    if not T.is_full and all(diag[i] - partial_row_sum(A, i, T) > tol for i in T.members):
+        return IndexSet((0,), T.universe_size) if T.universe_size >= 2 else None
+    if peel.levels and len(peel.levels[0]) == len(T):
         return T
     return None
 
@@ -247,8 +250,7 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
 
     outside_sums = np.array([partial_row_sum(A, i, sbar) for i in S.members])
-    comp = comparison_matrix(sub).entries
-    x = lu_solve(comp, outside_sums)
+    x = lu_solve(comparison_matrix(sub), outside_sums)
     if x is None:
         return SHReport(
             subset=S,

@@ -15,8 +15,10 @@ maximal chosen set; S is interwoven iff that closure has at least
 pattern: a member is pushed once, when it first becomes addable, and
 the smallest is popped, so the decision costs O(nnz + |S| log |S|).
 The brute-force equivalence over all small patterns is part of the
-acceptance suite.  The constructions for T reuse the analysis: one
-orders a ``ChainReport``'s paths, the other pairs ``peel_levels``.
+acceptance suite.  The constructions for T reuse the analysis instead
+of recomputing it: one orders the paths of the ``ChainReport`` from
+``graph.chain_condition``, the other pairs the levels of the ``Peel``
+that ``hmatrix.is_h_dd`` decided with (``HVerdict.peel``).
 """
 
 from __future__ import annotations
@@ -24,13 +26,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-from .core import (
-    DominanceClass,
-    IndexSet,
-    Matrix,
-    classify_dominance,
-    peel_levels,
-)
+from .core import IndexSet, Matrix, Peel
 from .graph import ChainReport
 
 
@@ -161,28 +157,22 @@ def interwoven_from_chains(chain: ChainReport) -> InterwovenCertificate | None:
     )
 
 
-def interwoven_from_peeling(A: Matrix, tol: float = 0.0) -> InterwovenCertificate | None:
+def interwoven_from_peeling(A: Matrix, peel: Peel) -> InterwovenCertificate | None:
     """Build a certificate for the non-strict rows by recursive peeling.
 
-    Restricting A to its non-strict rows T and recomputing T there peels
-    off a batch of indices per stage: rows that became strict inside the
-    restriction (``core.peel_levels``).  A freshly peeled row gained its
-    strictness from a column dropped in the previous stage, so it always
-    has a companion in the previous batch (stage one pairs into the
-    strict rows of A).  Succeeds iff the peel shrinks to at most one
-    index; stalls (no row becomes strict) mean T is not interwoven and
-    yield None.
-
-    Requires a diagonally dominant input.
+    ``peel`` is A's ``core.peel_levels`` (``HVerdict.peel``); the caller
+    guarantees that A is diagonally dominant.  Restricting A to its
+    non-strict rows T and recomputing T there peels off a batch of
+    indices per stage: rows that became strict inside the restriction.
+    A freshly peeled row gained its strictness from a column dropped in
+    the previous stage, so it always has a companion in the previous
+    batch (stage one pairs into the strict rows of A).  Succeeds iff the
+    peel shrinks to at most one index; stalls (no row becomes strict,
+    as when T is everything) mean T is not interwoven and yield None.
     """
-    if classify_dominance(A, tol) is DominanceClass.NOT_DD:
-        raise ValueError("peeling construction requires a diagonally dominant matrix")
-    peel = peel_levels(A, tol)
     T = peel.t_set
     if len(T) <= 1:
         return _trivial_certificate(T)
-    if T.is_full:
-        return None
     stage = [0 if i not in T else -1 for i in range(A.n)]  # -1: not yet peeled
     p_seq: list[int] = []
     q_seq: list[int] = []

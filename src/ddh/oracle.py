@@ -119,7 +119,7 @@ def inverse_nonneg_oracle(A: Matrix) -> bool:
     """H-status via the comparison matrix: nonsingular with inverse >= 0."""
     if (A.diagonal_modulus == 0.0).any():
         return False
-    comp = comparison_matrix(A).entries
+    comp = comparison_matrix(A)
     inv = lu_solve(comp, np.eye(A.n))
     if inv is None:
         return False

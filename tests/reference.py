@@ -7,7 +7,8 @@ code in ``ddh`` replaces with sparse worklist kernels:
   the partial row sum scanning every column of the subset;
 * the sparsity graph's adjacency found by scanning every dense entry;
 * the recursive peel that copies the principal submatrix at every stage
-  (``is_h_dd`` and ``interwoven_from_peeling``);
+  (``is_h_dd``, whose ``HVerdict.peel`` is assembled from those copied
+  stages, and ``interwoven_from_peeling``);
 * the greedy interwoven closure that rescans every remaining member at
   every step;
 * the subset checks that analyze a copied block a second time: the
@@ -15,8 +16,12 @@ code in ``ddh`` replaces with sparse worklist kernels:
   ``is_h_dd`` (scaling solve included), and the SSDD search classifying
   the copied block on T.
 
-They are slow (the peel is O(n^3) on a chain) and exist only so that the
-tests can compare the product functions against them, bit for bit.
+The references keep the old signatures: each takes the matrix (and the
+tolerance), checks dominance itself and raises ``ValueError`` without
+it, where the product ``interwoven_from_peeling`` and
+``find_ssdd_set_dd`` read the caller's ``Peel``.  They are slow (the
+peel is O(n^3) on a chain) and exist only so that the tests can compare
+the product functions against them, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from ddh import (
     IndexSet,
     InterwovenCertificate,
     Matrix,
+    Peel,
     PeelReason,
     SHReport,
     classify_dominance,
@@ -71,41 +77,49 @@ def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
     """Recursive peel that restricts to a copied submatrix at every stage."""
     if classify_dominance(A, tol) is DominanceClass.NOT_DD:
         raise ValueError("is_h_dd requires a diagonally dominant matrix")
-    active = IndexSet.full(A.n)
-    sub = A
-    trace: list[IndexSet] = []
-    while True:
-        t_rel = non_sdd_rows(sub, tol)
-        t_orig = IndexSet(tuple(active.members[k] for k in t_rel.members), A.n)
-        if len(t_orig) == 0:
-            return HVerdict(
-                is_h=True,
-                peel_trace=tuple(trace),
-                reason=PeelReason.SDD_REACHED,
-                scaling=scaling_certificate(A, tol),
-                witness=None,
-            )
-        if not trace or len(t_orig) < len(trace[-1]):
-            trace.append(t_orig)
-        zero_rows = [i for i in active.members if A.modulus[i, i] == 0.0]
-        if zero_rows:
-            return HVerdict(
-                is_h=False,
-                peel_trace=tuple(trace),
-                reason=PeelReason.ZERO_DIAGONAL,
-                scaling=None,
-                witness=IndexSet((zero_rows[0],), A.n),
-            )
-        if len(t_orig) == len(active):
-            return HVerdict(
-                is_h=False,
-                peel_trace=tuple(trace),
-                reason=PeelReason.STAGNANT_PEEL,
-                scaling=None,
-                witness=active,
-            )
-        active = t_orig
-        sub = principal_submatrix(A, active)
+    # T_0, then T_{k+1}: the non-strict rows of the copied block on T_k
+    stages = [non_sdd_rows(A, tol)]
+    while len(stages[-1]):
+        active = stages[-1]
+        t_rel = non_sdd_rows(principal_submatrix(A, active), tol)
+        if len(t_rel) == len(active):
+            break
+        stages.append(IndexSet(tuple(active.members[k] for k in t_rel.members), A.n))
+    stalled = len(stages[-1]) > 0
+    peel = Peel(
+        t_set=stages[0],
+        levels=tuple(
+            tuple(i for i in a.members if i not in b) for a, b in zip(stages, stages[1:])
+        ),
+        stalled=stalled,
+    )
+    zero_rows = [i for i in range(A.n) if A.modulus[i, i] == 0.0]
+    if zero_rows:
+        return HVerdict(
+            is_h=False,
+            peel_trace=(stages[0],),
+            reason=PeelReason.ZERO_DIAGONAL,
+            scaling=None,
+            witness=IndexSet((zero_rows[0],), A.n),
+            peel=peel,
+        )
+    if stalled:
+        return HVerdict(
+            is_h=False,
+            peel_trace=tuple(stages),
+            reason=PeelReason.STAGNANT_PEEL,
+            scaling=None,
+            witness=stages[-1],
+            peel=peel,
+        )
+    return HVerdict(
+        is_h=True,
+        peel_trace=tuple(stages[:-1]),
+        reason=PeelReason.SDD_REACHED,
+        scaling=scaling_certificate(A, tol),
+        witness=None,
+        peel=peel,
+    )
 
 
 def _trivial_certificate(S: IndexSet) -> InterwovenCertificate:
@@ -230,7 +244,7 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     b2 = min(ratios)
     note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
     outside_sums = np.array([partial_row_sum(A, i, sbar) for i in S.members])
-    x = lu_solve(comparison_matrix(sub).entries, outside_sums)
+    x = lu_solve(comparison_matrix(sub), outside_sums)
     if x is None:
         return SHReport(
             subset=S, lhs=None, b2=b2, satisfied=False, inner_h=False,
@@ -258,4 +272,5 @@ def verdict_key(v):
     if not isinstance(v, HVerdict):
         return v
     scaling = None if v.scaling is None else (v.scaling.d.tobytes(), v.scaling.margin.hex())
-    return (v.is_h, v.peel_trace, v.reason, v.witness, scaling)
+    peel = (v.peel.t_set, v.peel.levels, v.peel.stalled)
+    return (v.is_h, v.peel_trace, v.reason, v.witness, scaling, peel)

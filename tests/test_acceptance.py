@@ -35,6 +35,7 @@ from ddh import (
     jacobi_oracle,
     jacobi_spectral_radius,
     non_sdd_rows,
+    peel_levels,
     principal_submatrix,
     random_dd_matrix,
     read_matrix_file,
@@ -112,7 +113,7 @@ def analyzed(corpus) -> list[Entry]:
         verdict = _verdict_or_none(is_h_dd, A)
         matches_reference = reference.verdict_key(verdict) == reference.verdict_key(
             _verdict_or_none(reference.is_h_dd, A)
-        ) and interwoven_from_peeling(A) == reference.interwoven_from_peeling(A)
+        ) and interwoven_from_peeling(A, peel_levels(A)) == reference.interwoven_from_peeling(A)
         entries.append(
             Entry(
                 matrix=A,
@@ -268,7 +269,7 @@ def test_criterion_5_subset_conditions_imply_h(analyzed):
     checked = 0
     for e in analyzed[:5000]:
         A = e.matrix
-        found = find_ssdd_set_dd(A)
+        found = find_ssdd_set_dd(peel_levels(A))
         claims_h = False
         if found is not None and s_sdd_check(A, found):
             claims_h = True
@@ -290,7 +291,7 @@ def test_criterion_5_subset_conditions_imply_h(analyzed):
         )
         A = random_dd_matrix(spec)
         exhaustive = any(s_sdd_check(A, S) for S in all_proper_nonempty_subsets(A.n))
-        if exhaustive != (find_ssdd_set_dd(A) is not None):
+        if exhaustive != (find_ssdd_set_dd(peel_levels(A)) is not None):
             cross_mismatches += 1
     ok = implication_failures == 0 and cross_mismatches == 0
     _report_line(

@@ -514,3 +514,111 @@ def test_verify_report_never_raises_on_a_replaced_field(data):
     assert results
     for name, ok, detail in results:
         assert isinstance(name, str) and isinstance(ok, bool) and isinstance(detail, str)
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _golden(name: str) -> dict:
+    return json.loads((GOLDEN / f"{name}.json").read_text())
+
+
+def _verify(tmp_path, capsys, report: dict, matrix_path):
+    """Exit code and captured output of ``ddh verify`` on ``report``."""
+    report_path = tmp_path / "report.json"
+    report_path.write_text(json.dumps(report))
+    rc = main(["verify", str(report_path), str(matrix_path)])
+    return rc, capsys.readouterr()
+
+
+class TestVerifyChecksTheVerdict:
+    @pytest.mark.parametrize("name", ["ladder", "isolated_pair", "identity2"])
+    def test_goldens_verify(self, tmp_path, capsys, name):
+        rc, captured = _verify(tmp_path, capsys, _golden(name), FIXTURES / f"{name}.mtx")
+        assert rc == 0 and "FAIL" not in captured.out
+        assert captured.out.startswith("dominance: ok\n") and "h-consistency: ok" in captured.out
+
+    @pytest.mark.parametrize(
+        "forge, failed",
+        [
+            (
+                lambda r: {**r, "dominance_class": "NotDD", "is_h": False, "scaling": None},
+                ["dominance: FAIL (recomputed class is DDPlus)", "h-consistency: FAIL"],
+            ),
+            (
+                lambda r: {k: r[k] for k in ("tolerance", "order", "t_set", "chain", "interwoven")},
+                ["dominance: FAIL", "h-consistency: FAIL (a dominant matrix needs is_h"],
+            ),
+            (
+                lambda r: {k: v for k, v in r.items() if k != "is_h"},
+                ["h-consistency: FAIL (a dominant matrix needs is_h"],
+            ),
+        ],
+        ids=["forged-non-h", "stripped", "no-is-h"],
+    )
+    def test_forged_verdict_fails(self, tmp_path, capsys, forge, failed):
+        # the ladder is an H-matrix, which each forgery denies or leaves unsaid
+        rc, captured = _verify(tmp_path, capsys, forge(_golden("ladder")), FIXTURES / "ladder.mtx")
+        assert rc == 4
+        for line in failed:
+            assert line in captured.out
+
+    def test_numerical_failure_is_a_failed_check(self, tmp_path, capsys):
+        # the subset H-condition's LU on this matrix trips its residual
+        # bound (4.9e-324 against 0): a failed check, not a traceback
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 5\n"
+            "1 1 1.0\n1 2 1e-320\n2 2 3\n2 3 1e-320\n3 3 2.0\n"
+        )
+        rc, captured = _verify(tmp_path, capsys, _golden("ladder"), path)
+        assert rc == 4
+        assert "sh: FAIL (numerical failure in sh: LU residual" in captured.out
+
+    def test_order_is_bounded_by_the_report(self, tmp_path, capsys):
+        # dense storage of order 10^9 would need 8 EB; the report says 3
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n1000000000 1000000000 1\n1 1 1.0\n"
+        )
+        rc, captured = _verify(tmp_path, capsys, _golden("ladder"), path)
+        assert rc == 2 and captured.out == ""
+        assert "line 2: order 1000000000 exceeds the maximum order 3" in captured.err
+
+
+_SWAP_VALUES = ("5e-324", "1e-320", "1e-20", "0", "1e308", "-1e308", "1", "2.0", "0.5", "-3")
+
+
+@st.composite
+def _mutated_fixture(draw):
+    """A fixture's text with entry values swapped, then a few characters edited."""
+    name = draw(st.sampled_from(sorted(_REPORTS)))
+    lines = (FIXTURES / f"{name}.mtx").read_text().split("\n")
+    for k in range(2, len(lines)):  # after the header and the size line
+        toks = lines[k].split()
+        if len(toks) == 3 and draw(st.booleans()):
+            toks[2] = draw(st.sampled_from(_SWAP_VALUES))
+            lines[k] = " ".join(toks)
+    text = "\n".join(lines)
+    chars = st.sampled_from("0123456789.eE-+ %\nxinfa") | st.characters()
+    for _ in range(draw(st.integers(0, 3))):
+        pos = draw(st.integers(0, len(text)))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        ch = "" if edit == "delete" else draw(chars)
+        text = text[:pos] + ch + text[pos + (edit != "insert"):]
+    return name, text
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_mutated_fixture())
+def test_readers_never_raise_on_a_mutated_file(case):
+    name, text = case
+    try:
+        A = parse_matrix_market(text, max_order=64)
+    except ParseError:
+        return
+    assert isinstance(A, Matrix)
+    results = verify_report(_golden(name), A)
+    assert results
+    for check_name, ok, detail in results:
+        assert isinstance(check_name, str) and isinstance(ok, bool) and isinstance(detail, str)

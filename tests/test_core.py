@@ -52,7 +52,7 @@ class TestMatrix:
         # an infinite modulus is a legitimate edge; its comparison entry is -inf
         A = Matrix([[1, 1.5e308 + 1.5e308j], [0, np.inf]])
         assert A.modulus[0, 1] == np.inf and A.modulus[1, 1] == np.inf
-        assert comparison_matrix(A).entries[0, 1] == -np.inf
+        assert comparison_matrix(A)[0, 1] == -np.inf
         assert A.pattern.indices.tolist() == [1]
 
 
@@ -162,24 +162,24 @@ class TestNonSddRows:
 class TestComparisonMatrix:
     def test_sign_normalization(self):
         C = comparison_matrix(Matrix([[2, -3], [1, 4]]))
-        assert np.array_equal(C.entries, [[2, -3], [-1, 4]])
+        assert np.array_equal(C, [[2, -3], [-1, 4]])
 
     def test_complex_modulus(self):
         C = comparison_matrix(Matrix([[2, 3 + 4j], [0, 6]]))
-        assert np.array_equal(C.entries, [[2, -5], [0, 6]])
-        assert C.entries.dtype == np.float64
+        assert np.array_equal(C, [[2, -5], [0, 6]])
+        assert C.dtype == np.float64
 
     def test_identity_fixed_point(self):
         I3 = Matrix(np.eye(3))
-        assert np.array_equal(comparison_matrix(I3).entries, np.eye(3))
+        assert np.array_equal(comparison_matrix(I3), np.eye(3))
 
     def test_idempotent(self):
         C = comparison_matrix(Matrix([[2, -3 + 1j], [1, 4]]))
-        assert np.array_equal(comparison_matrix(C).entries, C.entries)
+        assert np.array_equal(comparison_matrix(Matrix(C)), C)
 
     def test_zeros_are_positive_zero(self):
         A = Matrix([[2.0, 0.0, -0.0], [-0.0, 0.0, 1.5], [-1.0, 0.0, -0.0]])
-        C = comparison_matrix(A).entries
+        C = comparison_matrix(A)
         assert not np.signbit(C[C == 0.0]).any()
         assert np.array_equal(np.signbit(C), C < 0.0)
         assert C.tobytes() == np.array(
@@ -256,4 +256,4 @@ def test_principal_submatrix_preserves_dominance(A, data):
 @given(A=dd_matrices(max_n=5))
 def test_comparison_matrix_idempotent_on_dd(A):
     C = comparison_matrix(A)
-    assert np.array_equal(comparison_matrix(C).entries, C.entries)
+    assert np.array_equal(comparison_matrix(Matrix(C)), C)

@@ -16,6 +16,7 @@ from ddh import (
     is_h_dd,
     non_h_witness,
     non_sdd_rows,
+    peel_levels,
     principal_submatrix,
     s_h_check,
     s_sdd_check,
@@ -105,25 +106,32 @@ class TestSSddCheck:
             s_sdd_check(A, IndexSet.full(2))
 
 
+def _ssdd_set(A: Matrix):
+    return find_ssdd_set_dd(peel_levels(A))
+
+
 class TestFindSsddSet:
     def test_t_block_sdd(self):
-        assert find_ssdd_set_dd(Matrix([[1, 1], [1, 2]])).members == (0,)
+        assert _ssdd_set(Matrix([[1, 1], [1, 2]])).members == (0,)
 
     def test_t_block_not_sdd(self):
-        assert find_ssdd_set_dd(TWO_CYCLE) is None
+        assert _ssdd_set(TWO_CYCLE) is None
 
     def test_sdd_convention_singleton(self):
-        assert find_ssdd_set_dd(Matrix([[2, 1], [1, 2]])).members == (0,)
+        assert _ssdd_set(Matrix([[2, 1], [1, 2]])).members == (0,)
 
     def test_order_one_has_no_subsets(self):
-        assert find_ssdd_set_dd(Matrix([[1]])) is None
+        assert _ssdd_set(Matrix([[1]])) is None
 
     def test_full_t_gives_none(self):
-        assert find_ssdd_set_dd(Matrix([[1, 1], [1, 1]])) is None
+        assert _ssdd_set(Matrix([[1, 1], [1, 1]])) is None
 
-    def test_rejects_non_dd(self):
-        with pytest.raises(ValueError):
-            find_ssdd_set_dd(Matrix([[1, 2], [2, 1]]))
+    def test_untouched_row_of_t_keeps_its_full_sum(self):
+        # row 1 is strict on T = {0, 1} but row 0 touches no column
+        # outside T, so the first level misses it and T is no SSDD set
+        A = Matrix([[1, 1, 0], [0.5, 1, 0.5], [0, 0, 1]])
+        assert peel_levels(A).levels[0] == (1,)
+        assert _ssdd_set(A) is None
 
 
 class TestSHCheck:
@@ -219,7 +227,7 @@ def test_witness_and_scaling_soundness(A):
 @settings(max_examples=150, deadline=None)
 @given(A=dd_matrices(min_n=2, max_n=6, step_bits=10))
 def test_ssdd_agrees_with_exhaustive_search(A):
-    found = find_ssdd_set_dd(A)
+    found = _ssdd_set(A)
     assert (found is not None) == exhaustive_ssdd(A)
     if found is not None:
         assert s_sdd_check(A, found)

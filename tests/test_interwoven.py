@@ -12,6 +12,7 @@ from ddh import (
     interwoven_from_peeling,
     is_interwoven,
     non_sdd_rows,
+    peel_levels,
     verify_certificate,
 )
 from helpers import brute_force_interwoven, dd_matrices, pattern_matrices, proper_subsets
@@ -89,30 +90,30 @@ class TestFromChains:
         assert interwoven_from_chains(chain_condition(TWO_CYCLE)) is None
 
 
+def _from_peeling(A: Matrix):
+    return interwoven_from_peeling(A, peel_levels(A))
+
+
 class TestFromPeeling:
     def test_peels_ladder(self):
-        cert = interwoven_from_peeling(LADDER)
+        cert = _from_peeling(LADDER)
         assert cert is not None
         assert cert.p_seq == (1,) and cert.q_seq == (2,) and cert.leftover == 0
 
     def test_empty_t_gives_trivial(self):
-        cert = interwoven_from_peeling(Matrix([[2, 1], [1, 2]]))
+        cert = _from_peeling(Matrix([[2, 1], [1, 2]]))
         assert cert is not None and cert.subset.members == ()
 
     def test_all_equality_rows_fail(self):
-        assert interwoven_from_peeling(Matrix([[1, 1], [1, 1]])) is None
+        assert _from_peeling(Matrix([[1, 1], [1, 1]])) is None
 
     def test_stalled_peel_fails(self):
-        assert interwoven_from_peeling(TWO_CYCLE) is None
-
-    def test_rejects_non_dd(self):
-        with pytest.raises(ValueError):
-            interwoven_from_peeling(Matrix([[1, 2], [2, 1]]))
+        assert _from_peeling(TWO_CYCLE) is None
 
     def test_multi_stage_peel(self):
         # 0 -> 1 -> 2 -> 3: three non-strict rows peeled one per stage
         A = Matrix([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [0, 0, 0, 2]])
-        cert = interwoven_from_peeling(A)
+        cert = _from_peeling(A)
         assert cert is not None
         assert verify_certificate(A, cert)
         assert cert.p_seq == (2, 1) and cert.q_seq == (3, 2) and cert.leftover == 0
@@ -137,7 +138,7 @@ def test_chain_equivalence_and_constructor_agreement(A):
     if not T.is_full and diag_nonzero:
         assert rep.holds == (is_interwoven(A, T) is not None)
     if rep.holds and not T.is_full:
-        for cert in (interwoven_from_chains(rep), interwoven_from_peeling(A)):
+        for cert in (interwoven_from_chains(rep), _from_peeling(A)):
             assert cert is not None
             assert cert.subset.members == T.members
             assert verify_certificate(A, cert)

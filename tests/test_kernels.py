@@ -97,9 +97,9 @@ def test_kernels_match_reference_bit_for_bit(A, data):
         T = non_sdd_rows(A, tol)
         if not (T.is_full and len(T) > 1):
             assert is_interwoven(A, T) == reference.is_interwoven(A, T)
-        assert _outcome(interwoven_from_peeling, A, tol) == _outcome(
-            reference.interwoven_from_peeling, A, tol
-        )
+        expected = _outcome(reference.interwoven_from_peeling, A, tol)
+        if expected is not ValueError:  # dominance is the caller's precondition
+            assert interwoven_from_peeling(A, peel_levels(A, tol)) == expected
         assert reference.verdict_key(_outcome(is_h_dd, A, tol)) == reference.verdict_key(
             _outcome(reference.is_h_dd, A, tol)
         )
@@ -115,9 +115,9 @@ def test_subset_checks_match_reference(A, data):
     """
     S = data.draw(proper_subsets(A.n))
     for tol in TOLERANCES:
-        assert _outcome(find_ssdd_set_dd, A, tol) == _outcome(
-            reference.find_ssdd_set_dd, A, tol
-        )
+        expected = _outcome(reference.find_ssdd_set_dd, A, tol)
+        if expected is not ValueError:  # dominance is the caller's precondition
+            assert find_ssdd_set_dd(peel_levels(A, tol)) == expected
         T = non_sdd_rows(A, tol)
         for subset in (S, T):
             got = _outcome(s_h_check, A, subset, tol)
@@ -183,7 +183,7 @@ def test_peel_retests_with_left_to_right_restricted_sums():
     assert deleted_row_sum(A, 0) == one_up
     assert peel_levels(A).levels == ((0,), (1, 2, 3))
     assert _outcome(is_h_dd, A) is _outcome(reference.is_h_dd, A) is InconsistencyError
-    cert = interwoven_from_peeling(A)
+    cert = interwoven_from_peeling(A, peel_levels(A))
     assert cert.p_seq == (0, 1, 2) and cert.leftover == 3
     assert cert == reference.interwoven_from_peeling(A)
 
@@ -247,18 +247,26 @@ def test_deep_peel_copies_no_submatrix(monkeypatch):
     T = v.peel_trace[0]
     assert len(T) == n - 1
     assert is_interwoven(A, T) is None
-    assert interwoven_from_peeling(A) is None
+    assert interwoven_from_peeling(A, v.peel) is None
 
 
 def test_analysis_reuses_its_own_structures(monkeypatch):
-    """Work gate: counted solves, chain passes and block copies on an H chain.
+    """Work gate: counted solves, peels, chain passes and block copies on an H chain.
 
     On an order-200 bidiagonal chain, ``analyze_matrix`` solves once for
-    the scaling and once for the subset H-condition, and runs the chain
+    the scaling and once for the subset H-condition, builds a comparison
+    matrix for each of those two solves, peels A once (the verdict's
+    peel, which the peeling certificate and the SSDD search read) and
+    the inner block of the subset H-condition once, and runs the chain
     BFS once; ``verify_report`` solves once, for the subset H-condition;
-    the SSDD search copies no block.
+    the peeling certificate and the SSDD search neither peel nor
+    classify again, and the SSDD search copies no block and sums no row.
     """
-    calls = {"lu_solve": 0, "chain_condition": 0, "principal_submatrix": 0}
+    calls = dict.fromkeys(
+        ("lu_solve", "chain_condition", "principal_submatrix", "peel_levels",
+         "comparison_matrix", "partial_row_sum", "classify_dominance"),
+        0,
+    )
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -269,7 +277,7 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
 
     for name in calls:
         original = getattr(ddh, name)
-        for module in (ddh, ddh.core, ddh.graph, ddh.hmatrix, ddh.interwoven, ddh.cli):
+        for module in (ddh, ddh.core, ddh.graph, ddh.hmatrix, ddh.interwoven, ddh.oracle, ddh.cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name, original))
 
@@ -279,12 +287,16 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     assert report["is_h"] is True and len(report["peel_trace"]) == n - 1
     assert report["sh"]["inner_h"] is True and problems == []
     assert calls["lu_solve"] == 2 and calls["chain_condition"] == 1
+    assert calls["peel_levels"] == 2 and calls["comparison_matrix"] == 2
 
-    calls.update(lu_solve=0, chain_condition=0, principal_submatrix=0)
+    calls.update(dict.fromkeys(calls, 0))
     results = verify_report(json.loads(emit_json(report)), A)
     assert all(ok for _, ok, _ in results)
     assert calls["lu_solve"] == 1
 
-    calls["principal_submatrix"] = 0
-    assert find_ssdd_set_dd(A) is None
-    assert calls["principal_submatrix"] == 0
+    peel = peel_levels(A)
+    calls.update(dict.fromkeys(calls, 0))
+    assert find_ssdd_set_dd(peel) is None
+    assert calls["principal_submatrix"] == 0 and calls["partial_row_sum"] == 0
+    assert interwoven_from_peeling(A, peel) is not None
+    assert calls["peel_levels"] == 0 and calls["classify_dominance"] == 0

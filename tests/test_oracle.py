@@ -214,5 +214,5 @@ def test_oracles_agree_on_ensembles():
 
 def test_comparison_matrix_of_h_matrix_solves_positively():
     A = Matrix([[1, 1], [1, 2]])
-    d = lu_solve(comparison_matrix(A).entries, np.ones(2))
+    d = lu_solve(comparison_matrix(A), np.ones(2))
     assert np.array_equal(d, [3.0, 2.0])
