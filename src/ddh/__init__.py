@@ -19,7 +19,6 @@ from .core import (
     classify_dominance,
     comparison_matrix,
     deleted_row_sum,
-    is_sdd_by_columns,
     non_sdd_rows,
     partial_row_sum,
     peel_levels,
@@ -29,6 +28,7 @@ from .graph import (
     ChainReport,
     FrobeniusForm,
     chain_condition,
+    chains_out_of,
     frobenius_normal_form,
     is_irreducible,
     taussky_test,
@@ -40,7 +40,7 @@ from .hmatrix import (
     SHReport,
     find_ssdd_set_dd,
     is_h_dd,
-    non_h_witness,
+    peel_outcome,
     s_h_check,
     s_sdd_check,
     scaling_certificate,
@@ -88,6 +88,7 @@ __all__ = [
     "ScalingCertificate",
     "SparsePattern",
     "chain_condition",
+    "chains_out_of",
     "classify_dominance",
     "comparison_matrix",
     "deleted_row_sum",
@@ -100,16 +101,15 @@ __all__ = [
     "is_h_dd",
     "is_interwoven",
     "is_irreducible",
-    "is_sdd_by_columns",
     "jacobi_oracle",
     "jacobi_spectral_radius",
     "lu_factor",
     "lu_solve",
-    "non_h_witness",
     "non_sdd_rows",
     "parse_matrix_market",
     "partial_row_sum",
     "peel_levels",
+    "peel_outcome",
     "principal_submatrix",
     "random_dd_matrix",
     "read_matrix_file",

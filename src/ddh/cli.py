@@ -29,6 +29,7 @@ from .core import (
     Matrix,
     classify_dominance,
     non_sdd_rows,
+    peel_levels,
     principal_submatrix,
 )
 from .graph import chain_condition
@@ -36,6 +37,7 @@ from .hmatrix import (
     SHReport,
     find_ssdd_set_dd,
     is_h_dd,
+    peel_outcome,
     s_h_check,
     s_sdd_check,
     scaling_certificate,
@@ -45,7 +47,6 @@ from .interwoven import (
     InterwovenCertificate,
     interwoven_from_chains,
     interwoven_from_peeling,
-    is_interwoven,
     verify_certificate,
 )
 from .mmio import ParseError, format_real, read_matrix_file, write_matrix_market
@@ -166,19 +167,17 @@ def analyze_matrix(
     dom = classify_dominance(A, tol)
     T = non_sdd_rows(A, tol)
     chain = chain_condition(A, tol)
-
-    # membership is defined for proper subsets only
-    greedy = None if T.is_full and len(T) > 1 else is_interwoven(A, T)
-    cert_dict = _certificate_dict(greedy) or {}
+    interwoven = interwoven_from_chains(chain)
+    cert_dict = _certificate_dict(interwoven) or {}
     interwoven_obj = {
-        "holds": greedy is not None,
+        "holds": interwoven is not None,
         "subset": _one_based(T.members),
         "p_seq": cert_dict.get("p_seq"),
         "q_seq": cert_dict.get("q_seq"),
         "leftover": cert_dict.get("leftover"),
     }
 
-    alternates = {"chains": None, "peeling": None}
+    alternates = {"peeling": None}
     verdict = is_h_dd(A, tol) if dom.is_dd else None
     is_h = None
     peel_trace = None
@@ -186,7 +185,6 @@ def analyze_matrix(
     witness = None
     scaling = None
     if verdict is not None:
-        alternates["chains"] = _certificate_dict(interwoven_from_chains(chain))
         alternates["peeling"] = _certificate_dict(interwoven_from_peeling(A, verdict.peel))
         is_h = verdict.is_h
         peel_trace = [_one_based(t.members) for t in verdict.peel_trace]
@@ -244,12 +242,6 @@ def analyze_matrix(
 
     problems = []
     diag_nonzero = bool((A.diagonal_modulus > 0.0).all())
-    if dom.is_dd and diag_nonzero and not T.is_full:
-        if chain.holds != (greedy is not None):
-            problems.append(
-                "chain condition and interwoven decision disagree "
-                f"(chain={chain.holds}, interwoven={greedy is not None})"
-            )
     if dom.is_dd and diag_nonzero and tol == 0.0 and chain.holds != is_h:
         # at tol > 0 the peel's T sets are not the chain's levels
         problems.append(
@@ -286,9 +278,14 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     """Re-check every certificate in ``report`` against ``A``.
 
     Returns (name, passed, detail) triples; an empty detail means no
-    commentary.  The dominance class is recomputed, and for a dominant
-    matrix the report must carry a verdict with exactly the certificate
-    it implies.  Structural surprises (wrong order, missing keys, fields
+    commentary.  The dominance class, the chain search and (for a
+    dominant matrix) the peel are recomputed once, with no solve: the
+    chain's claims, a denied interwoven certificate and the peel's trace
+    and reason are compared against them.  For a dominant matrix the
+    report must carry a verdict with exactly the certificate it implies,
+    and the peeling certificate exactly when the peel gives one; the
+    subset H-condition is required whenever T is a nonempty proper
+    subset.  Structural surprises (wrong order, missing keys, fields
     of the wrong type) and numerical failures inside a recomputation are
     reported as failures of the check that meets them rather than raised.
     """
@@ -321,33 +318,31 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
           f"recomputed class is {dom.value}")
     T = non_sdd_rows(A, tol)
     check("t-set", report.get("t_set") == _one_based(T.members), "recomputed T differs")
+    chain = chain_condition(A, tol)
+    peel = peel_levels(A, tol) if dom.is_dd else None
 
     with guarded("chain"):
         chain_obj = report.get("chain") or {}
-        paths = chain_obj.get("paths") or []
-        unreachable = chain_obj.get("unreachable") or []
-        tbar = T.complement()
         ok_paths = True
         detail = ""
+        claimed = (chain_obj.get("holds"), chain_obj.get("unreachable"))
+        if claimed != (chain.holds, _one_based(chain.unreachable.members)):
+            ok_paths, detail = False, "holds or unreachable differs from the recomputed chains"
         sources = []
-        for path in paths:
+        for path in chain_obj.get("paths") or []:
             verts = [int(v) - 1 for v in path]
             if len(verts) < 2 or any(not 0 <= v < A.n for v in verts):
                 ok_paths, detail = False, f"malformed path {path}"
                 break
             sources.append(verts[0])
-            if verts[0] not in T or verts[-1] not in tbar:
+            if verts[0] not in T or verts[-1] in T:
                 ok_paths, detail = False, f"path {path} has bad endpoints"
                 break
             if any(A.modulus[a, b] == 0.0 for a, b in zip(verts, verts[1:])):
                 ok_paths, detail = False, f"path {path} crosses a zero entry"
                 break
-        unreachable_set = set(unreachable) if len(T) else set()
-        expected_sources = [i for i in T.members if i + 1 not in unreachable_set]
-        if ok_paths and sorted(sources) != expected_sources:
+        if ok_paths and sorted(sources) != sorted(chain.reached):
             ok_paths, detail = False, "path sources do not match T minus unreachable"
-        if ok_paths and bool(chain_obj.get("holds")) != (len(unreachable) == 0):
-            ok_paths, detail = False, "holds flag inconsistent with unreachable set"
         check("chain", ok_paths, detail)
 
     def cert_from_dict(obj) -> InterwovenCertificate:
@@ -373,22 +368,31 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             ok = cert.subset.members == T.members and verify_certificate(A, cert)
             check("interwoven", ok, "" if ok else "certificate failed re-verification")
         else:
-            recomputed = None
-            if not (T.is_full and len(T) > 1):
-                recomputed = is_interwoven(A, T)
-            check(
-                "interwoven",
-                recomputed is None,
-                "" if recomputed is None else "matrix admits a certificate but report says no",
-            )
+            # T's chains decide membership exactly (graph.chains_out_of)
+            exists = interwoven_from_chains(chain) is not None
+            check("interwoven", not exists,
+                  "matrix admits a certificate but report says no" if exists else "")
 
-    for label in ("chains", "peeling"):
-        with guarded(f"interwoven-{label}"):
-            obj = (report.get("interwoven_alternates") or {}).get(label)
-            if obj is not None:
-                cert = cert_from_dict(obj)
-                ok = cert.subset.members == T.members and verify_certificate(A, cert)
-                check(f"interwoven-{label}", ok, "" if ok else "certificate failed re-verification")
+    with guarded("interwoven-peeling"):
+        obj = (report.get("interwoven_alternates") or {}).get("peeling")
+        expected = peel is not None and interwoven_from_peeling(A, peel) is not None
+        if obj is None:
+            check("interwoven-peeling", not expected,
+                  "the peel certifies T but the report has no certificate")
+        elif not expected:
+            check("interwoven-peeling", False, "the peel does not certify T")
+        else:
+            cert = cert_from_dict(obj)
+            ok = cert.subset.members == T.members and verify_certificate(A, cert)
+            check("interwoven-peeling", ok, "" if ok else "certificate failed re-verification")
+
+    if peel is None:
+        ok = report.get("peel_trace") is None and report.get("peel_reason") is None
+    else:
+        trace, reason, _ = peel_outcome(A, peel)
+        ok = report.get("peel_trace") == [_one_based(t.members) for t in trace]
+        ok = ok and report.get("peel_reason") == reason.value
+    check("peel", ok, "peel trace or reason differs from the recomputed peel")
 
     witness = report.get("witness")
     if witness is not None:
@@ -438,7 +442,9 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             check("ssdd", ok, "" if ok else "stored set fails the subset dominance test")
 
     sh = report.get("sh")
-    if sh is not None:
+    if sh is None and 0 < len(T) < A.n:
+        check("sh", False, "T is a nonempty proper subset but the subset H-condition is missing")
+    elif sh is not None:
         with guarded("sh"):
             rep = s_h_check(A, _zero_based_set(sh["subset"], A.n), tol)
             ok = bool(sh["satisfied"]) == rep.satisfied and bool(sh["inner_h"]) == rep.inner_h

@@ -151,9 +151,6 @@ class Matrix:
         diag.setflags(write=False)
         return diag
 
-    def transpose(self) -> "Matrix":
-        return Matrix(self.entries.T)
-
     def __repr__(self) -> str:
         return f"Matrix(n={self.n}, dtype={self.entries.dtype})"
 
@@ -382,8 +379,3 @@ def principal_submatrix(A: Matrix, S: IndexSet) -> Matrix:
         raise ValueError("principal submatrix requires a nonempty index set")
     idx = S.to_array()
     return Matrix(A.entries[np.ix_(idx, idx)])
-
-
-def is_sdd_by_columns(A: Matrix, tol: float = 0.0) -> bool:
-    """True iff the transpose of A is strictly diagonally dominant."""
-    return classify_dominance(A.transpose(), tol) is DominanceClass.SDD

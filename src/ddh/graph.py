@@ -7,8 +7,11 @@ traversals here read that pattern directly: its rows are the out-edges
 and its transpose the in-edges.  Two questions about the graph drive
 the dominance analysis:
 
-* can every non-strict row reach a strict row along nonzero entries
-  (``chain_condition``), and
+* which members of an index set S reach an index outside S along
+  nonzero entries (``chains_out_of``, one reverse breadth-first search).
+  With S the non-strict rows this is the chain condition
+  (``chain_condition``); the same chains decide and certify whether S
+  is interwoven (``interwoven.interwoven_from_chains``), and
 * what are the strongly connected components, ordered so that the
   permuted matrix is block upper triangular (``frobenius_normal_form``).
 
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .core import (
     DominanceClass,
@@ -34,16 +38,34 @@ from .core import (
 
 @dataclass(frozen=True, eq=False)
 class ChainReport:
-    """Outcome of the nonzero-chain reachability test.
+    """Shortest chains from the members of ``subset`` to indices outside it.
 
-    ``paths`` maps each non-strict row that can reach a strict row to a
-    shortest vertex path ending at one; ``unreachable`` collects those
-    that cannot.  ``holds`` is true exactly when ``unreachable`` is empty.
+    ``reached`` lists the members with such a chain along nonzero
+    entries, by breadth-first distance and then by index, and
+    ``next_hop`` maps each of them to its successor on a shortest chain;
+    ``unreachable`` collects the members without one.  ``holds`` is true
+    exactly when ``unreachable`` is empty.
     """
 
-    holds: bool
-    paths: dict[int, tuple[int, ...]]
+    subset: IndexSet
+    reached: tuple[int, ...]
+    next_hop: dict[int, int]
     unreachable: IndexSet
+
+    @property
+    def holds(self) -> bool:
+        return len(self.unreachable) == 0
+
+    @cached_property
+    def paths(self) -> dict[int, tuple[int, ...]]:
+        """A shortest vertex path per reached member, by increasing member."""
+        paths = {}
+        for i in sorted(self.reached):
+            path = [i]
+            while path[-1] in self.next_hop:
+                path.append(self.next_hop[path[-1]])
+            paths[i] = tuple(path)
+        return paths
 
 
 @dataclass(frozen=True)
@@ -59,23 +81,22 @@ class FrobeniusForm:
     blocks: tuple[IndexSet, ...]
 
 
-def chain_condition(A: Matrix, tol: float = 0.0) -> ChainReport:
-    """Check that every non-strict row reaches a strict row in the graph.
+def chains_out_of(A: Matrix, S: IndexSet) -> ChainReport:
+    """Shortest chains from every member of S to an index outside S.
 
-    A multi-source BFS runs from the strict rows along reversed edges:
-    column u of the pattern lists the rows with an edge into u, in
-    increasing order, and the first row to discover a vertex becomes its
-    successor.  Paths are therefore breadth-first shortest and
-    deterministic; interior vertices are non-strict rows and only the
-    final vertex is strict.
+    A multi-source BFS runs from the complement of S along reversed
+    edges: column u of the pattern lists the rows with an edge into u,
+    in increasing order, and the first row to discover a vertex becomes
+    its successor.  Chains are therefore breadth-first shortest and
+    deterministic; interior vertices are members of S and only the
+    final vertex lies outside.
     """
-    T = non_sdd_rows(A, tol)
     pat = A.pattern
     t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
-    dist = [-1] * A.n  # length of a shortest path into the strict rows
-    next_hop = [-1] * A.n
+    dist = [-1] * A.n  # length of a shortest chain out of S
+    next_hop: dict[int, int] = {}
     queue: deque[int] = deque()
-    for t in T.complement().members:  # seed in increasing index order
+    for t in S.complement().members:  # seed in increasing index order
         dist[t] = 0
         queue.append(t)
     while queue:
@@ -85,20 +106,22 @@ def chain_condition(A: Matrix, tol: float = 0.0) -> ChainReport:
                 dist[v] = dist[u] + 1
                 next_hop[v] = u
                 queue.append(v)
-    paths: dict[int, tuple[int, ...]] = {}
-    missing = []
-    for i in T.members:
-        if dist[i] == -1:
-            missing.append(i)
-            continue
-        path = [i]
-        v = i
-        while dist[v] > 0:
-            v = next_hop[v]
-            path.append(v)
-        paths[i] = tuple(path)
-    unreachable = IndexSet(tuple(missing), A.n)
-    return ChainReport(holds=not missing, paths=paths, unreachable=unreachable)
+    reached = sorted(next_hop, key=lambda i: (dist[i], i))
+    missing = tuple(i for i in S.members if dist[i] == -1)
+    return ChainReport(
+        subset=S, reached=tuple(reached), next_hop=next_hop,
+        unreachable=IndexSet(missing, A.n),
+    )
+
+
+def chain_condition(A: Matrix, tol: float = 0.0) -> ChainReport:
+    """Check that every non-strict row reaches a strict row in the graph.
+
+    These are the chains out of the non-strict rows T
+    (``chains_out_of``), so ``paths`` run through rows of T and end at
+    the first strict row.
+    """
+    return chains_out_of(A, non_sdd_rows(A, tol))
 
 
 def _tarjan_sccs(pat: SparsePattern) -> list[list[int]]:

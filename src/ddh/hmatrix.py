@@ -10,10 +10,12 @@ either empties T (H-matrix; a strictly dominance-inducing positive
 scaling is then computed and checked), hits a zero diagonal entry, or
 stalls with T equal to the whole current block (a restriction that is
 dominant with no strict row).  The latter two produce a witness set
-whose principal submatrix certifies non-H-status by inspection.  The
-verdict keeps its ``Peel`` so that an analysis peels A once:
-``interwoven.interwoven_from_peeling`` pairs its levels, and
-``find_ssdd_set_dd`` reads its first level.
+whose principal submatrix certifies non-H-status by inspection.
+``peel_outcome`` reads the trace, the reason and the witness off a
+``Peel``: the structural half of the verdict, which ``verify`` rechecks
+without a solve.  The verdict keeps its ``Peel`` so that an analysis
+peels A once: ``interwoven.interwoven_from_peeling`` pairs its levels,
+and ``find_ssdd_set_dd`` reads its first level.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite);
@@ -109,51 +111,41 @@ def scaling_certificate(A: Matrix, tol: float = 0.0) -> ScalingCertificate:
     return ScalingCertificate(d=d, margin=margin)
 
 
+def peel_outcome(
+    A: Matrix, peel: Peel
+) -> tuple[tuple[IndexSet, ...], PeelReason, IndexSet | None]:
+    """Trace, reason and witness that A's peel implies (the structural verdict).
+
+    ``peel`` is A's ``peel_levels``; the caller guarantees dominance.
+    The witness is None exactly when the reason is ``SDD_REACHED``.
+    """
+    zero_rows = np.flatnonzero(A.diagonal_modulus == 0.0)
+    if zero_rows.size:
+        # dominance leaves such a row at most tol off the diagonal: it sits
+        # in T and can never peel
+        return (peel.t_set,), PeelReason.ZERO_DIAGONAL, IndexSet((int(zero_rows[0]),), A.n)
+    trace = peel.active_sets()
+    if peel.stalled:
+        # the last restriction is dominant with no strict row
+        return tuple(trace), PeelReason.STAGNANT_PEEL, trace[-1]
+    return tuple(trace[:-1]), PeelReason.SDD_REACHED, None
+
+
 def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
     """Recursive peel deciding H-status of a diagonally dominant matrix."""
     if classify_dominance(A, tol) is DominanceClass.NOT_DD:
         raise ValueError("is_h_dd requires a diagonally dominant matrix")
     peel = peel_levels(A, tol)
-    zero_rows = np.flatnonzero(A.diagonal_modulus == 0.0)
-    if zero_rows.size:
-        # dominance leaves such a row at most tol off the diagonal: it sits
-        # in T and can never peel
-        return HVerdict(
-            is_h=False,
-            peel_trace=(peel.t_set,),
-            reason=PeelReason.ZERO_DIAGONAL,
-            scaling=None,
-            witness=IndexSet((int(zero_rows[0]),), A.n),
-            peel=peel,
-        )
-    trace = peel.active_sets()
-    if peel.stalled:
-        # the last restriction is dominant with no strict row
-        return HVerdict(
-            is_h=False,
-            peel_trace=tuple(trace),
-            reason=PeelReason.STAGNANT_PEEL,
-            scaling=None,
-            witness=trace[-1],
-            peel=peel,
-        )
+    trace, reason, witness = peel_outcome(A, peel)
+    is_h = reason is PeelReason.SDD_REACHED
     return HVerdict(
-        is_h=True,
-        peel_trace=tuple(trace[:-1]),
-        reason=PeelReason.SDD_REACHED,
-        scaling=scaling_certificate(A, tol),
-        witness=None,
+        is_h=is_h,
+        peel_trace=trace,
+        reason=reason,
+        scaling=scaling_certificate(A, tol) if is_h else None,
+        witness=witness,
         peel=peel,
     )
-
-
-def non_h_witness(A: Matrix, tol: float = 0.0) -> IndexSet:
-    """Witness set of a non-H verdict; error when A is an H-matrix."""
-    verdict = is_h_dd(A, tol)
-    if verdict.is_h:
-        raise ValueError("non_h_witness called on an H-matrix")
-    assert verdict.witness is not None
-    return verdict.witness
 
 
 def _check_proper_subset(A: Matrix, S: IndexSet, what: str):

@@ -7,27 +7,26 @@ a_{p_i q_i} != 0, q_1 lies outside S, and each later q_i lies outside S
 or among the earlier p's.  Informally: S can be unravelled one index at
 a time, each unravelled index pointing at something already outside.
 
-The decision procedure is greedy.  "p is addable" (p has a nonzero entry
-into the outside-or-already-chosen set) is monotone in the chosen set,
-so repeatedly adding the smallest addable member reaches the unique
-maximal chosen set; S is interwoven iff that closure has at least
-|S| - 1 members.  The closure runs on a min-heap over the sparse
-pattern: a member is pushed once, when it first becomes addable, and
-the smallest is popped, so the decision costs O(nnz + |S| log |S|).
-The brute-force equivalence over all small patterns is part of the
-acceptance suite.  The constructions for T reuse the analysis instead
-of recomputing it: one orders the paths of the ``ChainReport`` from
-``graph.chain_condition``, the other pairs the levels of the ``Peel``
-that ``hmatrix.is_h_dd`` decided with (``HVerdict.peel``).
+The members that can ever be unravelled are exactly those with a chain
+of nonzero entries out of S, so the decision and its certificate come
+from the one reverse breadth-first search of ``graph.chains_out_of``:
+S is interwoven iff at most one member is unreached, and listing the
+reached members by distance, each paired with its next hop, is a valid
+sequence (the Shivakumar-Chew chain condition and the interwoven
+condition are one statement).  ``is_interwoven`` decides any subset
+that way, and ``interwoven_from_chains`` reads the certificate for T off
+the analysis's own ``ChainReport``.  The second construction for T pairs
+the levels of the ``Peel`` that ``hmatrix.is_h_dd`` decided with
+(``HVerdict.peel``).  The greedy closure and a brute-force search stay
+in the test suite as references.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 from .core import IndexSet, Matrix, Peel
-from .graph import ChainReport
+from .graph import ChainReport, chains_out_of
 
 
 @dataclass(frozen=True)
@@ -82,78 +81,36 @@ def verify_certificate(A: Matrix, cert: InterwovenCertificate) -> bool:
 
 
 def is_interwoven(A: Matrix, S: IndexSet) -> InterwovenCertificate | None:
-    """Greedy decision: a certificate when S is interwoven, else None.
-
-    A member enters the heap when it first becomes addable, which
-    happens at the start (an entry outside S) or when one of its
-    columns is chosen; the heap minimum is the smallest addable member.
-    """
+    """A certificate when S is interwoven, else None (S's own chains)."""
     _check_subset(A, S)
-    s = len(S)
-    if s <= 1:
-        return _trivial_certificate(S)
-    pat = A.pattern
-    t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
-    OUTSIDE, WAITING, QUEUED, CHOSEN = 0, 1, 2, 3
-    state = [OUTSIDE] * A.n
-    for p in S.members:
-        state[p] = WAITING
-    heap = []  # filled in increasing order, so already a heap
-    for p in S.members:
-        cols, _ = pat.row(p)
-        if any(state[j] == OUTSIDE for j in cols):
-            state[p] = QUEUED
-            heap.append(p)
-    chosen: list[int] = []
-    companions: list[int] = []
-    while len(chosen) < s - 1:
-        if not heap:
-            return None
-        p = heapq.heappop(heap)
-        # smallest companion, preferring outside S over chosen members
-        q = None
-        cols, _ = pat.row(p)
-        for j in cols:
-            if state[j] == OUTSIDE:
-                q = j
-                break
-            if state[j] == CHOSEN and q is None:
-                q = j
-        state[p] = CHOSEN
-        chosen.append(p)
-        companions.append(q)
-        for i in t_indices[t_indptr[p]:t_indptr[p + 1]]:
-            if state[i] == WAITING:
-                state[i] = QUEUED
-                heapq.heappush(heap, i)
-    return InterwovenCertificate(
-        subset=S,
-        p_seq=tuple(chosen),
-        q_seq=tuple(companions),
-        leftover=next(p for p in S.members if state[p] != CHOSEN),
-    )
+    return interwoven_from_chains(chains_out_of(A, S))
 
 
 def interwoven_from_chains(chain: ChainReport) -> InterwovenCertificate | None:
-    """Build a certificate for the non-strict rows from shortest chains.
+    """Certificate for ``chain.subset`` read off its shortest chains.
 
-    ``chain`` is the matrix's ``chain_condition``; T is its path sources.
-    Members of T are grouped by breadth-first distance to the strict
-    rows; listing them in nondecreasing distance order (dropping the
-    last) makes each member's chain successor a valid companion: depth-1
-    members point outside T, deeper members point at a member one level
-    shallower, which appears earlier in the sequence.
+    Listing the reached members in nondecreasing distance order makes
+    each member's next hop a valid companion: depth-1 members point
+    outside S, deeper members at a member one level shallower, which
+    appears earlier in the sequence.  An unreached member has no chain
+    out, so it can never be unravelled: one is the leftover, two or more
+    mean S is not interwoven (as when S is everything).  With every
+    member reached, the deepest one (listed last) is the leftover.
     """
-    if not chain.holds:
+    S = chain.subset
+    if len(S) <= 1:
+        return _trivial_certificate(S)
+    if len(chain.unreachable) > 1:
         return None
-    T = IndexSet.from_indices(chain.paths, chain.unreachable.universe_size)
-    if len(T) <= 1:
-        return _trivial_certificate(T)
-    ordered = sorted(T.members, key=lambda i: (len(chain.paths[i]), i))
-    p_seq = tuple(ordered[:-1])
-    q_seq = tuple(chain.paths[p][1] for p in p_seq)
+    if chain.unreachable:
+        p_seq, leftover = chain.reached, chain.unreachable.members[0]
+    else:
+        p_seq, leftover = chain.reached[:-1], chain.reached[-1]
     return InterwovenCertificate(
-        subset=T, p_seq=p_seq, q_seq=q_seq, leftover=ordered[-1]
+        subset=S,
+        p_seq=p_seq,
+        q_seq=tuple(chain.next_hop[p] for p in p_seq),
+        leftover=leftover,
     )
 
 

@@ -8,12 +8,13 @@ every subset.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
 from hypothesis import strategies as st
 
-from ddh import IndexSet, Matrix, jacobi_spectral_radius
+from ddh import IndexSet, InterwovenCertificate, Matrix, jacobi_spectral_radius, verify_certificate
 from ddh.oracle import JACOBI_BAND
 
 DYADIC_STEP = 2.0**-30
@@ -101,24 +102,28 @@ def brute_force_interwoven(A: Matrix, S: IndexSet) -> bool:
     satisfiable iff that member has a nonzero entry into the complement
     or the earlier members (the companion choice has no later effect, so
     testing existence per position is exhaustive over q sequences too).
+    Whether the rest of an ordering can be completed depends only on the
+    set of members still unplaced, so each such set is searched once.
     """
     s = len(S)
     if s <= 1:
         return True
     mod = A.modulus
     outside = list(S.complement().members)
+    members = frozenset(S.members)
 
-    def feasible(prefix: tuple[int, ...], remaining: frozenset[int]) -> bool:
-        if len(prefix) == s - 1:
+    @functools.cache
+    def feasible(remaining: frozenset[int]) -> bool:
+        if len(remaining) == 1:
             return True
-        allowed = outside + list(prefix)
+        allowed = outside + sorted(members - remaining)
         for p in remaining:
             if any(mod[p, q] > 0.0 for q in allowed):
-                if feasible(prefix + (p,), remaining - {p}):
+                if feasible(remaining - {p}):
                     return True
         return False
 
-    return feasible((), frozenset(S.members))
+    return feasible(members)
 
 
 def pattern_rows(A: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -150,6 +155,19 @@ def floyd_warshall_dist_to_set(A: Matrix, targets: IndexSet) -> list[float]:
             best = min(best, dist[i][t])
         out.append(best)
     return out
+
+
+def is_chain_certificate(A: Matrix, cert: InterwovenCertificate) -> bool:
+    """Valid, with ``p_seq`` in nondecreasing distance out of the subset.
+
+    That order is what the breadth-first construction promises; the
+    distances come from Floyd-Warshall, not from the library's search.
+    """
+    if not verify_certificate(A, cert):
+        return False
+    dist = floyd_warshall_dist_to_set(A, cert.subset.complement())
+    steps = [dist[p] for p in cert.p_seq]
+    return steps == sorted(steps)
 
 
 def all_proper_nonempty_subsets(n: int):

@@ -21,7 +21,9 @@ tolerance), checks dominance itself and raises ``ValueError`` without
 it, where the product ``interwoven_from_peeling`` and
 ``find_ssdd_set_dd`` read the caller's ``Peel``.  They are slow (the
 peel is O(n^3) on a chain) and exist only so that the tests can compare
-the product functions against them, bit for bit.
+the product functions against them, bit for bit.  The greedy closure is
+the exception: the product decides interwoven sets from shortest chains,
+so only the decision is compared, not the order of the certificate.
 """
 
 from __future__ import annotations

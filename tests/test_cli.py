@@ -375,6 +375,24 @@ class TestVerifyCommand:
         report_path.write_text(out)
         assert main(["verify", str(report_path), str(matrix_path)]) == 0
 
+    def test_lone_row_without_a_chain_is_not_an_inconsistency(self, tmp_path, capsys):
+        # at tol 1e-3 row 1 of diag(1e-4, 1) is an equality row with no
+        # off-diagonal entry: no chain leaves it, yet T = {1} is trivially
+        # interwoven, which is no contradiction
+        matrix_path = tmp_path / "m.mtx"
+        matrix_path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e-4\n2 2 1.0\n"
+        )
+        rc = main(["analyze", str(matrix_path), "--tol", "1e-3"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["chain"] == {"holds": False, "paths": [], "unreachable": [1]}
+        assert report["interwoven"]["holds"] is True
+        report_path = tmp_path / "report.json"
+        report_path.write_text(captured.out)
+        assert main(["verify", str(report_path), str(matrix_path)]) == 0
+
 
 def test_module_entry_point(tmp_path):
     import subprocess
@@ -562,6 +580,30 @@ class TestVerifyChecksTheVerdict:
         assert rc == 4
         for line in failed:
             assert line in captured.out
+
+    @pytest.mark.parametrize(
+        "forge, failed",
+        [
+            (
+                lambda r: {**r, "chain": {"holds": False, "paths": [[2, 3]], "unreachable": [1]}},
+                ["chain: FAIL (holds or unreachable differs from the recomputed chains)"],
+            ),
+            (lambda r: {**r, "peel_trace": [[1]]}, ["peel: FAIL"]),
+            (lambda r: {**r, "peel_reason": "StagnantPeel"}, ["peel: FAIL"]),
+            (
+                lambda r: {**r, "interwoven_alternates": {"peeling": None}, "sh": None},
+                ["interwoven-peeling: FAIL (the peel certifies T", "sh: FAIL (T is a nonempty"],
+            ),
+        ],
+        ids=["unreachable-chain", "peel-trace", "peel-reason", "null-certificates"],
+    )
+    def test_forged_structure_fails(self, tmp_path, capsys, forge, failed):
+        # each forgery is self-consistent; only recomputing from A exposes it
+        rc, captured = _verify(tmp_path, capsys, forge(_golden("ladder")), FIXTURES / "ladder.mtx")
+        assert rc == 4
+        for line in failed:
+            assert line in captured.out
+        assert captured.out.count("FAIL") == len(failed)
 
     def test_numerical_failure_is_a_failed_check(self, tmp_path, capsys):
         # the subset H-condition's LU on this matrix trips its residual

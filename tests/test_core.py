@@ -10,7 +10,6 @@ from ddh import (
     classify_dominance,
     comparison_matrix,
     deleted_row_sum,
-    is_sdd_by_columns,
     non_sdd_rows,
     partial_row_sum,
     principal_submatrix,
@@ -205,17 +204,6 @@ class TestPrincipalSubmatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             principal_submatrix(self.A, IndexSet.empty(3))
-
-
-class TestSddByColumns:
-    def test_symmetric_sdd(self):
-        assert is_sdd_by_columns(Matrix([[2, 1], [1, 2]]))
-
-    def test_column_equality(self):
-        assert not is_sdd_by_columns(Matrix([[1, 0], [1, 2]]))
-
-    def test_asymmetric_true(self):
-        assert is_sdd_by_columns(Matrix([[3, 1], [2, 5]]))
 
 
 @settings(max_examples=150, deadline=None)

@@ -14,7 +14,6 @@ from ddh import (
     find_ssdd_set_dd,
     inverse_nonneg_oracle,
     is_h_dd,
-    non_h_witness,
     non_sdd_rows,
     peel_levels,
     principal_submatrix,
@@ -73,19 +72,18 @@ class TestIsHDD:
             assert b.member_set < a.member_set
 
 
-class TestNonHWitness:
+class TestWitness:
     def test_whole_matrix_witness(self):
-        assert non_h_witness(Matrix([[1, 1], [1, 1]])).members == (0, 1)
+        assert is_h_dd(Matrix([[1, 1], [1, 1]])).witness.members == (0, 1)
 
     def test_stagnant_block_witness(self):
-        assert non_h_witness(TWO_CYCLE).members == (0, 1)
+        assert is_h_dd(TWO_CYCLE).witness.members == (0, 1)
 
     def test_zero_diag_singleton(self):
-        assert non_h_witness(Matrix([[0, 0], [0, 1]])).members == (0,)
+        assert is_h_dd(Matrix([[0, 0], [0, 1]])).witness.members == (0,)
 
-    def test_rejects_h_matrix(self):
-        with pytest.raises(ValueError):
-            non_h_witness(Matrix([[2, 1], [1, 2]]))
+    def test_h_matrix_has_none(self):
+        assert is_h_dd(Matrix([[2, 1], [1, 2]])).witness is None
 
 
 class TestSSddCheck:

@@ -15,7 +15,14 @@ from ddh import (
     peel_levels,
     verify_certificate,
 )
-from helpers import brute_force_interwoven, dd_matrices, pattern_matrices, proper_subsets
+import reference
+from helpers import (
+    brute_force_interwoven,
+    dd_matrices,
+    is_chain_certificate,
+    pattern_matrices,
+    proper_subsets,
+)
 
 LADDER = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]])
 TWO_CYCLE = Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]])
@@ -54,7 +61,7 @@ class TestVerifyCertificate:
 
 
 class TestIsInterwoven:
-    def test_greedy_picks_the_connected_member(self):
+    def test_nearest_member_goes_first(self):
         cert = is_interwoven(LADDER, IndexSet((0, 1), 3))
         assert cert is not None
         assert cert.p_seq == (1,) and cert.q_seq == (2,) and cert.leftover == 0
@@ -86,8 +93,30 @@ class TestFromChains:
         cert = interwoven_from_chains(chain_condition(Matrix([[1, 1], [1, 2]])))
         assert cert is not None and cert.p_seq == () and cert.subset.members == (0,)
 
-    def test_none_when_chain_fails(self):
+    def test_none_when_two_members_are_unreachable(self):
         assert interwoven_from_chains(chain_condition(TWO_CYCLE)) is None
+
+    def test_one_unreachable_member_is_the_leftover(self):
+        # row 0 has a zero diagonal and no off-diagonal entry: no chain
+        # leaves it, yet T = {0, 1} unravels as row 1 first
+        A = Matrix([[0, 0, 0], [0, 1, 1], [0, 0, 2]])
+        rep = chain_condition(A)
+        assert not rep.holds and rep.unreachable.members == (0,)
+        cert = interwoven_from_chains(rep)
+        assert cert.p_seq == (1,) and cert.q_seq == (2,) and cert.leftover == 0
+        assert verify_certificate(A, cert)
+
+    def test_lists_members_by_distance_then_index(self):
+        # 3 -> 0 -> 4 and 1 -> 2 -> 4: rows 0 and 2 are one hop out, 1 and 3 two
+        A = Matrix([
+            [1, 0, 0, 0, 1],
+            [0, 1, 1, 0, 0],
+            [0, 0, 1, 0, 1],
+            [1, 0, 0, 1, 0],
+            [0, 0, 0, 0, 1],
+        ])
+        cert = interwoven_from_chains(chain_condition(A))
+        assert cert.p_seq == (0, 2, 1) and cert.q_seq == (4, 4, 2) and cert.leftover == 3
 
 
 def _from_peeling(A: Matrix):
@@ -121,12 +150,13 @@ class TestFromPeeling:
 
 @settings(max_examples=200, deadline=None)
 @given(data=st.data(), A=pattern_matrices(min_n=2, max_n=5))
-def test_greedy_matches_brute_force(A, data):
+def test_decision_matches_brute_force_and_greedy_closure(A, data):
     S = data.draw(proper_subsets(A.n))
     cert = is_interwoven(A, S)
     assert (cert is not None) == brute_force_interwoven(A, S)
+    assert (cert is not None) == (reference.is_interwoven(A, S) is not None)
     if cert is not None:
-        assert verify_certificate(A, cert)
+        assert is_chain_certificate(A, cert)
 
 
 @settings(max_examples=200, deadline=None)
@@ -136,7 +166,9 @@ def test_chain_equivalence_and_constructor_agreement(A):
     diag_nonzero = bool((A.diagonal_modulus > 0.0).all())
     rep = chain_condition(A)
     if not T.is_full and diag_nonzero:
-        assert rep.holds == (is_interwoven(A, T) is not None)
+        # every row of T then has an off-diagonal entry, so a lone
+        # unreachable row is impossible and the two conditions coincide
+        assert rep.holds == (reference.is_interwoven(A, T) is not None)
     if rep.holds and not T.is_full:
         for cert in (interwoven_from_chains(rep), _from_peeling(A)):
             assert cert is not None

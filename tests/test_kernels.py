@@ -5,7 +5,10 @@ submatrix-copying peel, the rescanning greedy closure, the dense graph
 scan, the dense row sums, and the subset checks that analyze a copied
 block a second time.  Inputs here are non-dyadic, so every row
 sum rounds, and rows sit within an ulp of equality; agreement is checked
-bit for bit, at tolerances from 0 to 0.2.
+bit for bit, at tolerances from 0 to 0.2.  The one exception is the
+interwoven decision: it must agree with the greedy closure and with
+exhaustive search, but its certificate lists members by distance out of
+the subset, which the closure's smallest-index-first order need not.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from ddh import (
     s_h_check,
 )
 from ddh.cli import analyze_matrix, emit_json, verify_report
-from helpers import pattern_rows, proper_subsets
+from helpers import brute_force_interwoven, is_chain_certificate, pattern_rows, proper_subsets
 
 TOLERANCES = (0.0, 1e-12, 1e-3, 0.2)
 
@@ -74,6 +77,14 @@ def rounded_matrices(draw, max_n=10):
     return Matrix(signs * mags)
 
 
+def _assert_interwoven_decision(A, S):
+    """Decision as the greedy closure and exhaustive search; a distance-ordered certificate."""
+    cert = is_interwoven(A, S)
+    assert (cert is None) == (reference.is_interwoven(A, S) is None)
+    assert (cert is None) == (not brute_force_interwoven(A, S))
+    assert cert is None or is_chain_certificate(A, cert)
+
+
 def _outcome(fn, *args):
     """Result of ``fn`` or the type of the error it raised."""
     try:
@@ -92,11 +103,11 @@ def test_kernels_match_reference_bit_for_bit(A, data):
     S = data.draw(proper_subsets(A.n))
     for i in range(A.n):
         assert partial_row_sum(A, i, S).hex() == reference.partial_row_sum(A, i, S).hex()
-    assert is_interwoven(A, S) == reference.is_interwoven(A, S)
+    _assert_interwoven_decision(A, S)
     for tol in TOLERANCES:
         T = non_sdd_rows(A, tol)
         if not (T.is_full and len(T) > 1):
-            assert is_interwoven(A, T) == reference.is_interwoven(A, T)
+            _assert_interwoven_decision(A, T)
         expected = _outcome(reference.interwoven_from_peeling, A, tol)
         if expected is not ValueError:  # dominance is the caller's precondition
             assert interwoven_from_peeling(A, peel_levels(A, tol)) == expected
@@ -258,13 +269,14 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     matrix for each of those two solves, peels A once (the verdict's
     peel, which the peeling certificate and the SSDD search read) and
     the inner block of the subset H-condition once, and runs the chain
-    BFS once; ``verify_report`` solves once, for the subset H-condition;
-    the peeling certificate and the SSDD search neither peel nor
+    BFS once; ``verify_report`` solves once, for the subset H-condition,
+    and decides the interwoven and chain claims from one chain BFS with no
+    second closure; the peeling certificate and the SSDD search neither peel nor
     classify again, and the SSDD search copies no block and sums no row.
     """
     calls = dict.fromkeys(
         ("lu_solve", "chain_condition", "principal_submatrix", "peel_levels",
-         "comparison_matrix", "partial_row_sum", "classify_dominance"),
+         "comparison_matrix", "partial_row_sum", "classify_dominance", "is_interwoven"),
         0,
     )
 
@@ -293,6 +305,7 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     results = verify_report(json.loads(emit_json(report)), A)
     assert all(ok for _, ok, _ in results)
     assert calls["lu_solve"] == 1
+    assert calls["chain_condition"] == 1 and calls["is_interwoven"] == 0
 
     peel = peel_levels(A)
     calls.update(dict.fromkeys(calls, 0))
