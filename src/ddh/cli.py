@@ -205,7 +205,7 @@ def analyze_matrix(
         if not dom.is_dd:
             is_h = oracle_obj["inverse_nonneg"]
             if is_h:
-                cert = scaling_certificate(A, tol)
+                cert = scaling_certificate(A)
                 scaling = {"d": [float(x) for x in cert.d], "margin": cert.margin}
 
     if subset is not None:

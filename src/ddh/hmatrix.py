@@ -7,15 +7,19 @@ so the peel restricts to T(A), recomputes T there, and repeats.
 (``core.peel_levels``): after each level only the rows touching a
 just-peeled column are re-tested, and no submatrix is copied.  The peel
 either empties T (H-matrix; a strictly dominance-inducing positive
-scaling is then computed and checked), hits a zero diagonal entry, or
+scaling is then found by Gauss-Seidel sweeps in peel order and
+checked, O(nnz) per sweep), hits a zero diagonal entry, or
 stalls with T equal to the whole current block (a restriction that is
 dominant with no strict row).  The latter two produce a witness set
 whose principal submatrix certifies non-H-status by inspection.
 ``peel_outcome`` reads the trace, the reason and the witness off a
 ``Peel``: the structural half of the verdict, which ``verify`` rechecks
 without a solve.  The verdict keeps its ``Peel`` so that an analysis
-peels A once: ``interwoven.interwoven_from_peeling`` pairs its levels,
-and ``find_ssdd_set_dd`` reads its first level.
+peels A once: the scaling sweeps follow its levels,
+``interwoven.interwoven_from_peeling`` pairs them, and
+``find_ssdd_set_dd`` reads the first.  A dense solve of the comparison
+system is left to the scaling's fallback (after
+``SCALING_SWEEP_CAP`` sweeps) and to ``s_h_check``'s inner block.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite);
@@ -57,8 +61,11 @@ class ScalingCertificate:
     """Positive column scaling making the matrix strictly dominant.
 
     ``margin`` is the smallest scaled dominance gap
-    min_i (|a_ii| d_i - sum_{j != i} |a_ij| d_j); positive iff the scaled
-    matrix is strictly diagonally dominant.  d is normalized to max 1.
+    min_i (|a_ii| d_i - sum_{j != i} |a_ij| d_j), as ``scaling_margin``
+    computes it; positive iff the scaled matrix is strictly diagonally
+    dominant.  d is normalized to max 1.  Any such d certifies H-status;
+    ``scaling_certificate`` returns the first its Gauss-Seidel sweeps
+    reach, not the solution of M d = 1.
     """
 
     d: np.ndarray
@@ -84,29 +91,97 @@ class HVerdict:
     peel: Peel
 
 
-def scaling_margin(A: Matrix, d: np.ndarray) -> float:
-    """Smallest dominance gap of A after scaling column j by d_j."""
-    comp = comparison_matrix(A)
-    return float(np.min(comp @ np.asarray(d, dtype=np.float64)))
+#: Gauss-Seidel sweeps ``scaling_certificate`` runs before it solves densely
+SCALING_SWEEP_CAP = 50
 
 
-def scaling_certificate(A: Matrix, tol: float = 0.0) -> ScalingCertificate:
-    """Solve the comparison system for an all-ones gap, then normalize.
+def scaling_margin(A: Matrix, d) -> float:
+    """Smallest dominance gap of A after scaling column j by d_j.
 
-    The caller must already know A is an H-matrix; a failed solve,
-    a nonpositive component or a nonpositive recomputed margin signals
-    that claim was wrong and raises InconsistencyError.
+    min_i (|a_ii| d_i - sum_{j != i} |a_ij| d_j) over the sparse pattern,
+    each row summed left to right as in ``core``: O(nnz).
     """
-    comp = comparison_matrix(A)
-    d = lu_solve(comp, np.ones(A.n))
+    d = np.asarray(d, dtype=np.float64)
+    pat = A.pattern
+    return float(np.min(A.diagonal_modulus * d - pat.row_sums(pat.data * d[pat.indices])))
+
+
+def _sweep_order(n: int, peel: Peel | None) -> list[int]:
+    """Rows in natural order, or the strict rows and then each peel level."""
+    if peel is None:
+        return list(range(n))
+    rank = np.zeros(n, dtype=np.intp)
+    rank[peel.t_set.to_array()] = len(peel.levels) + 1  # a stalled block goes last
+    for k, level in enumerate(peel.levels, 1):
+        rank[list(level)] = k
+    return np.argsort(rank, kind="stable").tolist()
+
+
+def _solved_scaling(A: Matrix) -> tuple[np.ndarray, float]:
+    """Solve M d = 1 for the comparison matrix M densely, then normalize."""
+    d = lu_solve(comparison_matrix(A), np.ones(A.n))
     if d is None:
         raise InconsistencyError("comparison matrix is singular; input is not H")
     if (d <= 0.0).any():
         raise InconsistencyError("scaling vector has a nonpositive component")
     d = d / float(np.max(d))
-    margin = float(np.min(comp @ d))  # scaling_margin, on the matrix solved with
+    margin = scaling_margin(A, d)
     if not margin > 0.0:
         raise InconsistencyError(f"scaling margin {margin!r} is not positive")
+    return d, margin
+
+
+def scaling_certificate(A: Matrix, peel: Peel | None = None) -> ScalingCertificate:
+    """Gauss-Seidel sweeps until the scaling margin is positive.
+
+    x starts at 1, which already serves a strictly dominant A.  A sweep
+    sets x_i <- 1 + (sum_{j != i} |a_ij| x_j) / |a_ii| row by row, which
+    is Gauss-Seidel on the Jacobi-scaled comparison system D^-1 M x = 1
+    (invariant to the scale of A).  After each sweep d is x normalized to
+    max 1, and the first d with a positive ``scaling_margin`` is
+    returned.  The iterate itself stays unnormalized: rescaling it every
+    sweep changes its fixed point, whose margin need not be positive.
+    On a dominant A an update adds at most 1 to the largest entry, so x
+    cannot overflow; on any other, an overflow only ends in the dense
+    solve.  With A's ``peel`` a sweep visits the strict rows
+    first and then the peel levels in turn, so each row follows the rows
+    that made it strict (one sweep serves a chain); without it, the
+    natural order.  For an H-matrix M is a nonsingular M-matrix, on
+    which Gauss-Seidel converges.  After ``SCALING_SWEEP_CAP`` sweeps the
+    dense solve of M d = 1 decides instead.
+
+    The caller must already know A is an H-matrix; when the dense solve
+    fails too (singular, a nonpositive component or a nonpositive
+    margin), that claim was wrong and InconsistencyError names the sweep
+    count and the last margin.
+    """
+    d = np.ones(A.n)
+    margin = scaling_margin(A, d)
+    sweeps = 0
+    diag = A.diagonal_modulus.tolist()
+    if not margin > 0.0 and min(diag) > 0.0:
+        pat = A.pattern
+        indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
+        order = _sweep_order(A.n, peel)
+        x = [1.0] * A.n
+        while sweeps < SCALING_SWEEP_CAP and not margin > 0.0:
+            for i in order:
+                total = 0.0
+                for k in range(indptr[i], indptr[i + 1]):
+                    total += data[k] * x[indices[k]]
+                x[i] = 1.0 + total / diag[i]
+            d = np.array(x)
+            d /= d.max()
+            margin = scaling_margin(A, d)
+            sweeps += 1
+    if not margin > 0.0:
+        try:
+            d, margin = _solved_scaling(A)
+        except InconsistencyError as exc:
+            raise InconsistencyError(
+                f"{sweeps} Gauss-Seidel sweeps left the scaling margin at {margin!r}; "
+                f"dense solve: {exc}"
+            ) from None
     d.setflags(write=False)
     return ScalingCertificate(d=d, margin=margin)
 
@@ -142,7 +217,7 @@ def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
         is_h=is_h,
         peel_trace=trace,
         reason=reason,
-        scaling=scaling_certificate(A, tol) if is_h else None,
+        scaling=scaling_certificate(A, peel) if is_h else None,
         witness=witness,
         peel=peel,
     )

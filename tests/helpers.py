@@ -14,7 +14,15 @@ import itertools
 import numpy as np
 from hypothesis import strategies as st
 
-from ddh import IndexSet, InterwovenCertificate, Matrix, jacobi_spectral_radius, verify_certificate
+from ddh import (
+    IndexSet,
+    InterwovenCertificate,
+    Matrix,
+    ScalingCertificate,
+    jacobi_spectral_radius,
+    scaling_margin,
+    verify_certificate,
+)
 from ddh.oracle import JACOBI_BAND
 
 DYADIC_STEP = 2.0**-30
@@ -180,3 +188,13 @@ def exhaustive_ssdd(A: Matrix) -> bool:
     from ddh import s_sdd_check
 
     return any(s_sdd_check(A, S) for S in all_proper_nonempty_subsets(A.n))
+
+
+def is_valid_scaling(A: Matrix, cert: ScalingCertificate) -> bool:
+    """Every d_i in (0, 1], a positive margin, and the margin ``scaling_margin`` gives, bit for bit."""
+    d = cert.d
+    return bool(
+        ((d > 0.0) & (d <= 1.0)).all()
+        and cert.margin > 0.0
+        and scaling_margin(A, d) == cert.margin
+    )

@@ -11,6 +11,8 @@ code in ``ddh`` replaces with sparse worklist kernels:
   stages, and ``interwoven_from_peeling``);
 * the greedy interwoven closure that rescans every remaining member at
   every step;
+* the scaling certificate from the exact dense solve of the comparison
+  system M d = 1, with its margin from the dense product M d;
 * the subset checks that analyze a copied block a second time: the
   subset H-condition deciding a dominant inner block with the full
   ``is_h_dd`` (scaling solve included), and the SSDD search classifying
@@ -21,9 +23,12 @@ tolerance), checks dominance itself and raises ``ValueError`` without
 it, where the product ``interwoven_from_peeling`` and
 ``find_ssdd_set_dd`` read the caller's ``Peel``.  They are slow (the
 peel is O(n^3) on a chain) and exist only so that the tests can compare
-the product functions against them, bit for bit.  The greedy closure is
-the exception: the product decides interwoven sets from shortest chains,
-so only the decision is compared, not the order of the certificate.
+the product functions against them, bit for bit.  Two are exceptions.
+The product decides interwoven sets from shortest chains, so only the
+decision is compared with the greedy closure, not the order of the
+certificate.  The product's scaling is the first vector its
+Gauss-Seidel sweeps find, so it is checked for validity
+(``helpers.is_valid_scaling``) rather than against the solve here.
 """
 
 from __future__ import annotations
@@ -33,11 +38,13 @@ import numpy as np
 from ddh import (
     DominanceClass,
     HVerdict,
+    InconsistencyError,
     IndexSet,
     InterwovenCertificate,
     Matrix,
     Peel,
     PeelReason,
+    ScalingCertificate,
     SHReport,
     classify_dominance,
     comparison_matrix,
@@ -45,8 +52,8 @@ from ddh import (
     lu_solve,
     non_sdd_rows,
     principal_submatrix,
-    scaling_certificate,
 )
+from helpers import is_valid_scaling
 
 
 def deleted_row_sums(A: Matrix) -> np.ndarray:
@@ -73,6 +80,26 @@ def adjacency(A: Matrix) -> tuple[tuple[int, ...], ...]:
         tuple(int(j) for j in range(A.n) if j != i and mod[i, j] > 0.0)
         for i in range(A.n)
     )
+
+
+def scaling_certificate(A: Matrix) -> ScalingCertificate:
+    """Solve the comparison system for an all-ones gap, then normalize.
+
+    A failed solve, a nonpositive component or a nonpositive recomputed
+    margin means A is not H (or too close to singular for the solve) and
+    raises InconsistencyError.
+    """
+    comp = comparison_matrix(A)
+    d = lu_solve(comp, np.ones(A.n))
+    if d is None:
+        raise InconsistencyError("comparison matrix is singular; input is not H")
+    if (d <= 0.0).any():
+        raise InconsistencyError("scaling vector has a nonpositive component")
+    d = d / float(np.max(d))
+    margin = float(np.min(comp @ d))
+    if not margin > 0.0:
+        raise InconsistencyError(f"scaling margin {margin!r} is not positive")
+    return ScalingCertificate(d=d, margin=margin)
 
 
 def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
@@ -118,7 +145,7 @@ def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
         is_h=True,
         peel_trace=tuple(stages[:-1]),
         reason=PeelReason.SDD_REACHED,
-        scaling=scaling_certificate(A, tol),
+        scaling=scaling_certificate(A),
         witness=None,
         peel=peel,
     )
@@ -270,9 +297,27 @@ def sh_key(rep):
 
 
 def verdict_key(v):
-    """Every field of an HVerdict, the scaling by its bits; other values as given."""
+    """Every field of an HVerdict, the scaling by its presence; other values as given."""
     if not isinstance(v, HVerdict):
         return v
-    scaling = None if v.scaling is None else (v.scaling.d.tobytes(), v.scaling.margin.hex())
     peel = (v.peel.t_set, v.peel.levels, v.peel.stalled)
-    return (v.is_h, v.peel_trace, v.reason, v.witness, scaling, peel)
+    return (v.is_h, v.peel_trace, v.reason, v.witness, v.scaling is not None, peel)
+
+
+def verdict_agrees(A: Matrix, got, expected) -> bool:
+    """The product's ``is_h_dd`` result against this module's.
+
+    Each is an HVerdict or what stands for a failure (an error type, or
+    None).  Every field must match, but the product's scaling need only
+    be valid, not equal to the solve here, since any valid scaling
+    certifies.  The product must succeed wherever the
+    reference does.  Where the reference's dense scaling solve failed,
+    the product may still find a scaling by its sweeps; it is then an H
+    verdict with a valid one.
+    """
+    if isinstance(got, HVerdict) and got.scaling is not None:
+        if not is_valid_scaling(A, got.scaling):
+            return False
+    if expected in (None, InconsistencyError) and isinstance(got, HVerdict):
+        return got.is_h
+    return verdict_key(got) == verdict_key(expected)

@@ -68,7 +68,7 @@ class Entry:
     chain_holds: bool
     interwoven_ok: bool | None  # None when T = N with |T| > 1 (undefined)
     is_h: bool | None  # None when the scaling solve failed (boundary)
-    matches_reference: bool  # peel verdict and peeling certificate, bit for bit
+    matches_reference: bool  # peel verdict and peeling certificate, bit for bit; valid scaling
     inverse_nonneg: bool
     jacobi: bool
     rho: float | None
@@ -111,8 +111,8 @@ def analyzed(corpus) -> list[Entry]:
         else:
             interwoven_ok = is_interwoven(A, T) is not None
         verdict = _verdict_or_none(is_h_dd, A)
-        matches_reference = reference.verdict_key(verdict) == reference.verdict_key(
-            _verdict_or_none(reference.is_h_dd, A)
+        matches_reference = reference.verdict_agrees(
+            A, verdict, _verdict_or_none(reference.is_h_dd, A)
         ) and interwoven_from_peeling(A, peel_levels(A)) == reference.interwoven_from_peeling(A)
         entries.append(
             Entry(

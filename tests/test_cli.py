@@ -393,6 +393,26 @@ class TestVerifyCommand:
         report_path.write_text(captured.out)
         assert main(["verify", str(report_path), str(matrix_path)]) == 0
 
+    @pytest.mark.parametrize("entries", [
+        "1 1 1.002\n1 2 1\n2 2 5e-324\n",  # strictly dominant, so d = 1
+        "1 1 1\n1 2 1\n2 2 1e-320\n",  # row 1 leans on the strict row 2
+    ])
+    def test_tiny_diagonal_h_matrix_is_certified(self, tmp_path, capsys, entries):
+        # both comparison matrices have a pivot below the LU's relative
+        # threshold, so a dense scaling solve called them singular (exit 3)
+        matrix_path = tmp_path / "m.mtx"
+        matrix_path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n2 2 3\n" + entries
+        )
+        rc = main(["analyze", str(matrix_path)])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["is_h"] is True and report["scaling"]["margin"] > 0
+        report_path = tmp_path / "report.json"
+        report_path.write_text(captured.out)
+        assert main(["verify", str(report_path), str(matrix_path)]) == 0
+
 
 def test_module_entry_point(tmp_path):
     import subprocess

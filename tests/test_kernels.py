@@ -5,10 +5,12 @@ submatrix-copying peel, the rescanning greedy closure, the dense graph
 scan, the dense row sums, and the subset checks that analyze a copied
 block a second time.  Inputs here are non-dyadic, so every row
 sum rounds, and rows sit within an ulp of equality; agreement is checked
-bit for bit, at tolerances from 0 to 0.2.  The one exception is the
-interwoven decision: it must agree with the greedy closure and with
+bit for bit, at tolerances from 0 to 0.2.  There are two exceptions.
+The interwoven decision must agree with the greedy closure and with
 exhaustive search, but its certificate lists members by distance out of
 the subset, which the closure's smallest-index-first order need not.
+The scaling certificate must be valid, not equal to the reference's
+dense solve (``reference.verdict_agrees``).
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import ddh
 import ddh.cli
 import reference
 from ddh import (
+    EnsembleSpec,
     IndexSet,
     InconsistencyError,
     Matrix,
@@ -37,10 +40,18 @@ from ddh import (
     partial_row_sum,
     peel_levels,
     principal_submatrix,
+    random_dd_matrix,
     s_h_check,
+    scaling_certificate,
 )
 from ddh.cli import analyze_matrix, emit_json, verify_report
-from helpers import brute_force_interwoven, is_chain_certificate, pattern_rows, proper_subsets
+from helpers import (
+    brute_force_interwoven,
+    is_chain_certificate,
+    is_valid_scaling,
+    pattern_rows,
+    proper_subsets,
+)
 
 TOLERANCES = (0.0, 1e-12, 1e-3, 0.2)
 
@@ -111,8 +122,8 @@ def test_kernels_match_reference_bit_for_bit(A, data):
         expected = _outcome(reference.interwoven_from_peeling, A, tol)
         if expected is not ValueError:  # dominance is the caller's precondition
             assert interwoven_from_peeling(A, peel_levels(A, tol)) == expected
-        assert reference.verdict_key(_outcome(is_h_dd, A, tol)) == reference.verdict_key(
-            _outcome(reference.is_h_dd, A, tol)
+        assert reference.verdict_agrees(
+            A, _outcome(is_h_dd, A, tol), _outcome(reference.is_h_dd, A, tol)
         )
 
 
@@ -143,18 +154,18 @@ def _assert_only_the_inner_scaling_failed(A, S, tol, got):
     """The reference's one extra failure: the scaling solve of a block the peel calls H.
 
     A nearly singular dominant block (a subnormal diagonal, say) peels
-    to H, but its scaling vector overflows and ``is_h_dd`` raises.  The
-    product reports the peel's verdict instead.
+    to H, but its dense scaling solve fails and the reference's
+    ``is_h_dd`` raises.  The product reports the peel's verdict instead.
     """
     sub = principal_submatrix(A, S)
-    assert _outcome(is_h_dd, sub, tol) is InconsistencyError
+    assert _outcome(reference.is_h_dd, sub, tol) is InconsistencyError
     assert got.inner_h and not peel_levels(sub, tol).stalled
     assert got.satisfied == (got.lhs < got.b2)
 
 
 def test_subnormal_inner_block_is_h_without_a_scaling_solve():
-    # The 1x1 block [5e-324] is nonsingular, so H; its scaling 1/5e-324
-    # overflows, which made the old inner verdict raise.
+    # The 1x1 block [5e-324] is nonsingular, so H; its dense scaling
+    # 1/5e-324 overflows, which makes the reference's inner verdict raise.
     A = Matrix([[-1.002, -1.0], [0.0, -5e-324]])
     S = IndexSet((1,), 2)
     assert _outcome(reference.s_h_check, A, S) is InconsistencyError
@@ -261,24 +272,9 @@ def test_deep_peel_copies_no_submatrix(monkeypatch):
     assert interwoven_from_peeling(A, v.peel) is None
 
 
-def test_analysis_reuses_its_own_structures(monkeypatch):
-    """Work gate: counted solves, peels, chain passes and block copies on an H chain.
-
-    On an order-200 bidiagonal chain, ``analyze_matrix`` solves once for
-    the scaling and once for the subset H-condition, builds a comparison
-    matrix for each of those two solves, peels A once (the verdict's
-    peel, which the peeling certificate and the SSDD search read) and
-    the inner block of the subset H-condition once, and runs the chain
-    BFS once; ``verify_report`` solves once, for the subset H-condition,
-    and decides the interwoven and chain claims from one chain BFS with no
-    second closure; the peeling certificate and the SSDD search neither peel nor
-    classify again, and the SSDD search copies no block and sums no row.
-    """
-    calls = dict.fromkeys(
-        ("lu_solve", "chain_condition", "principal_submatrix", "peel_levels",
-         "comparison_matrix", "partial_row_sum", "classify_dominance", "is_interwoven"),
-        0,
-    )
+def _count_calls(monkeypatch, names) -> dict[str, int]:
+    """Count the calls of each named ``ddh`` function, wherever a module imported it."""
+    calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
         def counted(*args, **kwargs):
@@ -292,14 +288,35 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
         for module in (ddh, ddh.core, ddh.graph, ddh.hmatrix, ddh.interwoven, ddh.oracle, ddh.cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name, original))
+    return calls
 
+
+def test_analysis_reuses_its_own_structures(monkeypatch):
+    """Work gate: counted solves, peels, chain passes and block copies on an H chain.
+
+    On an order-200 bidiagonal chain, ``analyze_matrix`` solves once, for
+    the subset H-condition, and builds one comparison matrix for it (the
+    scaling is one Gauss-Seidel sweep in peel order, with no solve), peels
+    A once (the verdict's peel, which the scaling sweep, the peeling
+    certificate and the SSDD search read) and the inner block of the
+    subset H-condition once, and runs the chain BFS once;
+    ``verify_report`` solves once, for the subset H-condition,
+    and decides the interwoven and chain claims from one chain BFS with no
+    second closure; the peeling certificate and the SSDD search neither peel nor
+    classify again, and the SSDD search copies no block and sums no row.
+    """
+    calls = _count_calls(
+        monkeypatch,
+        ("lu_solve", "chain_condition", "principal_submatrix", "peel_levels",
+         "comparison_matrix", "partial_row_sum", "classify_dominance", "is_interwoven"),
+    )
     n = 200
     A = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
     report, problems = analyze_matrix(A)
     assert report["is_h"] is True and len(report["peel_trace"]) == n - 1
     assert report["sh"]["inner_h"] is True and problems == []
-    assert calls["lu_solve"] == 2 and calls["chain_condition"] == 1
-    assert calls["peel_levels"] == 2 and calls["comparison_matrix"] == 2
+    assert calls["lu_solve"] == 1 and calls["chain_condition"] == 1
+    assert calls["peel_levels"] == 2 and calls["comparison_matrix"] == 1
 
     calls.update(dict.fromkeys(calls, 0))
     results = verify_report(json.loads(emit_json(report)), A)
@@ -313,3 +330,27 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     assert calls["principal_submatrix"] == 0 and calls["partial_row_sum"] == 0
     assert interwoven_from_peeling(A, peel) is not None
     assert calls["peel_levels"] == 0 and calls["classify_dominance"] == 0
+
+
+def test_scaling_sweeps_replace_the_dense_solve(monkeypatch):
+    """Work gate: an H verdict's scaling builds no comparison matrix and solves nothing.
+
+    On an order-400 ensemble matrix (density 0.01, half equality rows,
+    peel 3 levels deep) the Gauss-Seidel sweeps find the scaling.  On
+    the order-300 chain, one sweep in peel order does; in natural order
+    each sweep carries the scaling one row further, so the sweep cap is
+    hit and the dense solve takes over.
+    """
+    calls = _count_calls(monkeypatch, ("lu_solve", "comparison_matrix"))
+    A = random_dd_matrix(EnsembleSpec(n=400, density=0.01, equality_rows=0.5, seed=5))
+    v = is_h_dd(A)
+    assert v.is_h and len(v.peel.levels) == 3 and is_valid_scaling(A, v.scaling)
+    assert calls == {"lu_solve": 0, "comparison_matrix": 0}
+
+    n = 300
+    chain = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
+    v = is_h_dd(chain)
+    assert np.array_equal(v.scaling.d, np.arange(n, 0, -1) / n)  # one sweep
+    assert calls == {"lu_solve": 0, "comparison_matrix": 0}
+    assert is_valid_scaling(chain, scaling_certificate(chain))
+    assert calls == {"lu_solve": 1, "comparison_matrix": 1}
