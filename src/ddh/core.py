@@ -85,20 +85,6 @@ class SparsePattern:
         a, b = self.indptr[i], self.indptr[i + 1]
         return self.indices[a:b].tolist(), self.data[a:b].tolist()
 
-    def row_sums(self, values: np.ndarray) -> np.ndarray:
-        """Per-row sums of ``values`` (one per stored entry, aligned with ``data``).
-
-        Pass k adds every row's k-th off-diagonal nonzero, so each row is
-        summed strictly left to right, in increasing column order, and
-        matches a plain ``total += v`` loop over the row bit for bit.
-        """
-        counts = np.diff(self.indptr)
-        sums = np.zeros(len(counts))
-        for k in range(int(counts.max(initial=0))):
-            rows = np.flatnonzero(counts > k)
-            sums[rows] += values[self.indptr[rows] + k]
-        return sums
-
 
 def _pointers(keys: np.ndarray, n: int) -> np.ndarray:
     ptr = np.zeros(n + 1, dtype=np.intp)
@@ -145,10 +131,17 @@ class Matrix:
     def deleted_row_sums(self) -> np.ndarray:
         """All deleted row sums, accumulated in increasing column order.
 
-        They match a plain loop over ``modulus[i]`` bit for bit (adding the
-        skipped zeros changes no partial sum of nonnegative terms).
+        Pass k adds every row's k-th off-diagonal nonzero, so each row is
+        summed strictly left to right and matches a plain loop over
+        ``modulus[i]`` bit for bit (adding the skipped zeros changes no
+        partial sum of nonnegative terms).
         """
-        sums = self.pattern.row_sums(self.pattern.data)
+        pat = self.pattern
+        counts = np.diff(pat.indptr)
+        sums = np.zeros(self.n)
+        for k in range(int(counts.max(initial=0))):
+            rows = np.flatnonzero(counts > k)
+            sums[rows] += pat.data[pat.indptr[rows] + k]
         sums.setflags(write=False)
         return sums
 

@@ -33,6 +33,8 @@ Gauss-Seidel sweeps find, so it is checked for validity
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 
 from ddh import (
@@ -102,8 +104,11 @@ def scaling_certificate(A: Matrix) -> ScalingCertificate:
     return ScalingCertificate(d=d, margin=margin)
 
 
-def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
-    """Recursive peel that restricts to a copied submatrix at every stage."""
+def peel_verdict(A: Matrix, tol: float = 0.0) -> HVerdict:
+    """Recursive peel that restricts to a copied submatrix at every stage.
+
+    Every field of the verdict but the scaling, which is None even on H.
+    """
     if classify_dominance(A, tol) is DominanceClass.NOT_DD:
         raise ValueError("is_h_dd requires a diagonally dominant matrix")
     # T_0, then T_{k+1}: the non-strict rows of the copied block on T_k
@@ -145,10 +150,18 @@ def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
         is_h=True,
         peel_trace=tuple(stages[:-1]),
         reason=PeelReason.SDD_REACHED,
-        scaling=scaling_certificate(A),
+        scaling=None,
         witness=None,
         peel=peel,
     )
+
+
+def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
+    """``peel_verdict`` with the dense scaling solve on an H verdict."""
+    verdict = peel_verdict(A, tol)
+    if not verdict.is_h:
+        return verdict
+    return dataclasses.replace(verdict, scaling=scaling_certificate(A))
 
 
 def _trivial_certificate(S: IndexSet) -> InterwovenCertificate:
@@ -297,27 +310,29 @@ def sh_key(rep):
 
 
 def verdict_key(v):
-    """Every field of an HVerdict, the scaling by its presence; other values as given."""
+    """Every field of an HVerdict but the scaling; other values as given."""
     if not isinstance(v, HVerdict):
         return v
     peel = (v.peel.t_set, v.peel.levels, v.peel.stalled)
-    return (v.is_h, v.peel_trace, v.reason, v.witness, v.scaling is not None, peel)
+    return (v.is_h, v.peel_trace, v.reason, v.witness, peel)
 
 
-def verdict_agrees(A: Matrix, got, expected) -> bool:
-    """The product's ``is_h_dd`` result against this module's.
+def verdict_agrees(A: Matrix, got, expected, tol: float = 0.0) -> bool:
+    """The product's ``is_h_dd`` result against this module's, at ``tol``.
 
     Each is an HVerdict or what stands for a failure (an error type, or
-    None).  Every field must match, but the product's scaling need only
-    be valid, not equal to the solve here, since any valid scaling
-    certifies.  The product must succeed wherever the
-    reference does.  Where the reference's dense scaling solve failed,
-    the product may still find a scaling by its sweeps; it is then an H
-    verdict with a valid one.
+    None).  Every field but the scaling must match, and the product's
+    scaling must be present exactly on H and valid; it need not equal
+    the solve here, since any valid scaling certifies.  The product must
+    succeed wherever the reference does.  Where only the reference's
+    dense scaling solve failed, the product may still find a scaling by
+    its sweeps; its other fields must then match ``peel_verdict``.
     """
-    if isinstance(got, HVerdict) and got.scaling is not None:
-        if not is_valid_scaling(A, got.scaling):
-            return False
     if expected in (None, InconsistencyError) and isinstance(got, HVerdict):
-        return got.is_h
+        expected = peel_verdict(A, tol)
+    if isinstance(got, HVerdict):
+        if (got.scaling is not None) != got.is_h:
+            return False
+        if got.scaling is not None and not is_valid_scaling(A, got.scaling):
+            return False
     return verdict_key(got) == verdict_key(expected)

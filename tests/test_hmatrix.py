@@ -202,6 +202,16 @@ class TestScalingCertificate:
         ):
             scaling_certificate(Matrix([[1, 1], [1, 1]]))
 
+    def test_overflowing_sweeps_stop_early(self):
+        # off-diagonal ratios of 1e100: x overflows in the second sweep,
+        # the margin turns NaN, and the dense solve decides at once
+        with pytest.raises(
+            InconsistencyError,
+            match=r"^2 Gauss-Seidel sweeps left the scaling margin at nan; "
+            "dense solve: scaling vector has a nonpositive component",
+        ):
+            scaling_certificate(Matrix([[1e-100, 1], [1, 1e-100]]))
+
 
 @settings(max_examples=200, deadline=None)
 @given(A=dd_matrices(max_n=8, step_bits=10))

@@ -15,6 +15,7 @@ dense solve (``reference.verdict_agrees``).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 
@@ -123,7 +124,7 @@ def test_kernels_match_reference_bit_for_bit(A, data):
         if expected is not ValueError:  # dominance is the caller's precondition
             assert interwoven_from_peeling(A, peel_levels(A, tol)) == expected
         assert reference.verdict_agrees(
-            A, _outcome(is_h_dd, A, tol), _outcome(reference.is_h_dd, A, tol)
+            A, _outcome(is_h_dd, A, tol), _outcome(reference.is_h_dd, A, tol), tol
         )
 
 
@@ -161,6 +162,20 @@ def _assert_only_the_inner_scaling_failed(A, S, tol, got):
     assert _outcome(reference.is_h_dd, sub, tol) is InconsistencyError
     assert got.inner_h and not peel_levels(sub, tol).stalled
     assert got.satisfied == (got.lhs < got.b2)
+
+
+def test_where_only_the_reference_solve_fails_the_peel_still_decides():
+    # The reference peels [[1, 1], [0, 1e-320]] to H and then fails its
+    # dense solve; every field of the product's verdict but the scaling
+    # is still compared with that peel.
+    A = Matrix([[1.0, 1.0], [0.0, 1e-320]])
+    assert _outcome(reference.is_h_dd, A) is InconsistencyError
+    got = is_h_dd(A)
+    assert reference.verdict_agrees(A, got, InconsistencyError)
+    forged = dataclasses.replace(got, peel_trace=())
+    assert not reference.verdict_agrees(A, forged, InconsistencyError)
+    unscaled = dataclasses.replace(got, scaling=None)
+    assert not reference.verdict_agrees(A, unscaled, InconsistencyError)
 
 
 def test_subnormal_inner_block_is_h_without_a_scaling_solve():
