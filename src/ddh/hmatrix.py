@@ -156,9 +156,9 @@ def scaling_certificate(A: Matrix, peel: Peel | None = None) -> ScalingCertifica
 
     For an H-matrix M is a nonsingular M-matrix, so from the subsolution
     x = 1 the sweeps increase x monotonically towards the finite solution
-    of D^-1 M x = 1, which bounds them.  A verdict that holds only under
-    a tolerance need not be an H-matrix, and its x may grow until it
-    overflows; the margin is then NaN and the sweeps stop.  After
+    of D^-1 M x = 1, which bounds them.  Any other input (one called H
+    only under a tolerance, say) has no such bound; if its x overflows,
+    the margin is NaN and the sweeps stop.  After
     ``SCALING_SWEEP_CAP`` sweeps, or on such an overflow, the dense solve
     of M d = 1 decides instead.
 
