@@ -15,6 +15,7 @@ are encoded as the strings "Infinity" / "-Infinity".
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -40,8 +41,8 @@ from .hmatrix import (
     peel_outcome,
     s_h_check,
     s_sdd_check,
-    scaling_certificate,
     scaling_margin,
+    solved_scaling,
 )
 from .interwoven import (
     InterwovenCertificate,
@@ -205,7 +206,7 @@ def analyze_matrix(
         if not dom.is_dd:
             is_h = oracle_obj["inverse_nonneg"]
             if is_h:
-                cert = scaling_certificate(A)
+                cert = solved_scaling(A)
                 scaling = {"d": [float(x) for x in cert.d], "margin": cert.margin}
 
     if subset is not None:
@@ -500,6 +501,16 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    try:
+        spec = EnsembleSpec(
+            n=args.n, density=args.density, equality_rows=args.equality_rows, seed=args.seed
+        )
+    except ValueError as exc:
+        print(f"ddh: bad generate arguments: {exc}", file=sys.stderr)
+        return 2
+    if args.count < 0:
+        print("ddh: bad generate arguments: count must be nonnegative", file=sys.stderr)
+        return 2
     out_dir = Path(args.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -507,13 +518,7 @@ def _cmd_generate(args) -> int:
         print(f"ddh: cannot create {out_dir}: {exc}", file=sys.stderr)
         return 2
     for k in range(args.count):
-        spec = EnsembleSpec(
-            n=args.n,
-            density=args.density,
-            equality_rows=args.equality_rows,
-            seed=derive_seed(args.seed, k),
-        )
-        matrix = random_dd_matrix(spec)
+        matrix = random_dd_matrix(dataclasses.replace(spec, seed=derive_seed(args.seed, k)))
         text = write_matrix_market(
             matrix, comments=(f"ddh generate seed={args.seed} index={k}",)
         )
@@ -539,10 +544,11 @@ def _cmd_verify(args) -> int:
         return 2
     # the file may not be larger than the report it is checked against
     order = report.get("order") if isinstance(report, dict) else None
-    if type(order) is not int or order < 1:  # bool is no order
-        order = DEFAULT_MAX_ORDER
+    max_order = args.max_n
+    if type(order) is int and order >= 1:  # bool is no order
+        max_order = min(order, max_order)
     try:
-        A = read_matrix_file(args.matrix, max_order=order)
+        A = read_matrix_file(args.matrix, max_order=max_order)
     except (ParseError, OSError) as exc:
         print(f"ddh: cannot read {args.matrix}: {exc}", file=sys.stderr)
         return 2
@@ -591,6 +597,9 @@ def build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="re-check the certificates of a report against its matrix")
     v.add_argument("report", help="path to a JSON report produced by analyze")
     v.add_argument("matrix", help="path to the Matrix Market file the report describes")
+    v.add_argument("--max-n", type=int, default=DEFAULT_MAX_ORDER,
+                   help="refuse matrices larger than this order or the report's "
+                        f"(default {DEFAULT_MAX_ORDER})")
     v.set_defaults(func=_cmd_verify)
     return parser
 

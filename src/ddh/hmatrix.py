@@ -19,7 +19,8 @@ peels A once: the scaling sweeps follow its levels,
 ``interwoven.interwoven_from_peeling`` pairs them, and
 ``find_ssdd_set_dd`` reads the first.  A dense solve of the comparison
 system is left to the scaling's fallback (after
-``SCALING_SWEEP_CAP`` sweeps) and to ``s_h_check``'s inner block.
+``SCALING_SWEEP_CAP`` sweeps), to ``s_h_check``'s inner block and to
+``solved_scaling``, the scaling of a non-dominant H-matrix.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite);
@@ -116,18 +117,23 @@ def scaling_margin(A: Matrix, d) -> float:
     return float(np.min(gaps))
 
 
-def _sweep_order(n: int, peel: Peel | None) -> list[int]:
-    """Rows in natural order, or the strict rows and then each peel level."""
-    if peel is None:
-        return list(range(n))
-    rank = np.zeros(n, dtype=np.intp)
+def _sweep_order(peel: Peel) -> list[int]:
+    """The strict rows, then each peel level."""
+    rank = np.zeros(peel.t_set.universe_size, dtype=np.intp)
     for k, level in enumerate(peel.levels, 1):
         rank[list(level)] = k
     return np.argsort(rank, kind="stable").tolist()
 
 
-def _solved_scaling(A: Matrix) -> tuple[np.ndarray, float]:
-    """Solve M d = 1 for the comparison matrix M densely, then normalize."""
+def solved_scaling(A: Matrix) -> ScalingCertificate:
+    """Solve M d = 1 for the comparison matrix M densely, then normalize.
+
+    The scaling of an H-matrix with no peel to sweep in (a non-dominant
+    one, which ``analyze --oracle`` treats densely anyway) and the
+    fallback of ``scaling_certificate``.  Raises InconsistencyError when
+    A is not H after all: M singular, a nonpositive component or a
+    nonpositive margin.
+    """
     d = lu_solve(comparison_matrix(A), np.ones(A.n))
     if d is None:
         raise InconsistencyError("comparison matrix is singular; input is not H")
@@ -137,10 +143,11 @@ def _solved_scaling(A: Matrix) -> tuple[np.ndarray, float]:
     margin = scaling_margin(A, d)
     if not margin > 0.0:
         raise InconsistencyError(f"scaling margin {margin!r} is not positive")
-    return d, margin
+    d.setflags(write=False)
+    return ScalingCertificate(d=d, margin=margin)
 
 
-def scaling_certificate(A: Matrix, peel: Peel | None = None) -> ScalingCertificate:
+def scaling_certificate(A: Matrix, peel: Peel) -> ScalingCertificate:
     """Gauss-Seidel sweeps until the scaling margin is positive.
 
     x starts at 1, which already serves a strictly dominant A.  A sweep
@@ -150,9 +157,9 @@ def scaling_certificate(A: Matrix, peel: Peel | None = None) -> ScalingCertifica
     max 1, and the first d with a positive ``scaling_margin`` is
     returned.  The iterate itself stays unnormalized: rescaling it every
     sweep changes its fixed point, whose margin need not be positive.
-    With A's ``peel`` a sweep visits the strict rows first and then the
-    peel levels in turn, so each row follows the rows that made it
-    strict (one sweep serves a chain); without it, the natural order.
+    A sweep follows A's ``peel``: the strict rows first, then the peel
+    levels in turn, so each row follows the rows that made it strict
+    (one sweep serves a chain).
 
     For an H-matrix M is a nonsingular M-matrix, so from the subsolution
     x = 1 the sweeps increase x monotonically towards the finite solution
@@ -174,7 +181,7 @@ def scaling_certificate(A: Matrix, peel: Peel | None = None) -> ScalingCertifica
     if not margin > 0.0 and min(diag) > 0.0:
         pat = A.pattern
         indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
-        order = _sweep_order(A.n, peel)
+        order = _sweep_order(peel)
         x = [1.0] * A.n
         while sweeps < SCALING_SWEEP_CAP and margin <= 0.0:
             for i in order:
@@ -188,7 +195,7 @@ def scaling_certificate(A: Matrix, peel: Peel | None = None) -> ScalingCertifica
             sweeps += 1
     if not margin > 0.0:
         try:
-            d, margin = _solved_scaling(A)
+            return solved_scaling(A)
         except InconsistencyError as exc:
             raise InconsistencyError(
                 f"{sweeps} Gauss-Seidel sweeps left the scaling margin at {margin!r}; "

@@ -133,22 +133,33 @@ def format_real(x: float) -> str:
     return f"{x:.17g}"
 
 
+#: dense cells whose nonzeros ``write_matrix_market`` handles at a time
+WRITE_CHUNK = 1 << 16
+
+
 def write_matrix_market(A: Matrix, comments: tuple[str, ...] = ()) -> str:
-    """Render A in coordinate format (general symmetry, nonzeros only)."""
+    """Render A in coordinate format (general symmetry, nonzeros only).
+
+    ``np.nonzero`` lists the nonzeros of a slab of rows in row-major
+    order: O(nnz) after one pass over the dense storage.  A slab holds
+    about ``WRITE_CHUNK`` cells, so only the text grows with nnz.
+    """
     is_complex = A.entries.dtype.kind == "c"
+    body: list[str] = []
+    step = max(1, WRITE_CHUNK // A.n)
+    for top in range(0, A.n, step):
+        slab = A.entries[top : top + step]
+        rows, cols = np.nonzero(slab)
+        values = slab[rows, cols]
+        ijs = zip((rows + (top + 1)).tolist(), (cols + 1).tolist())
+        if is_complex:
+            parts = zip(ijs, values.real.tolist(), values.imag.tolist())
+            body.extend(f"{i} {j} {format_real(re)} {format_real(im)}" for (i, j), re, im in parts)
+        else:
+            body.extend(f"{i} {j} {format_real(x)}" for (i, j), x in zip(ijs, values.tolist()))
     field = "complex" if is_complex else "real"
     out = [f"%%MatrixMarket matrix coordinate {field} general"]
     out.extend(f"% {c}" for c in comments)
-    body = []
-    for i in range(A.n):
-        for j in range(A.n):
-            v = A.entries[i, j]
-            if v == 0:
-                continue
-            if is_complex:
-                body.append(f"{i + 1} {j + 1} {format_real(v.real)} {format_real(v.imag)}")
-            else:
-                body.append(f"{i + 1} {j + 1} {format_real(float(v.real))}")
     out.append(f"{A.n} {A.n} {len(body)}")
     out.extend(body)
     return "\n".join(out) + "\n"

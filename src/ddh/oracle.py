@@ -9,7 +9,9 @@ Two independent oracles decide H-status without the dominance theory:
 
 The ensemble generator uses an explicitly specified 64-bit mixing
 generator (splitmix64, constants in the README) so ensembles are
-reproducible from a seed alone.  Magnitudes are dyadic multiples of
+reproducible from a seed alone.  splitmix64 is counter-based, so the
+generator computes its stream as uint64 arrays, block by block, in the
+same draw order as ``RandomStream``.  Magnitudes are dyadic multiples of
 2^-30, which keeps every row sum, split row sum and dominance comparison
 exact in double precision.
 """
@@ -223,7 +225,38 @@ class EnsembleSpec:
             raise ValueError("equality_rows must lie in [0, 1]")
 
 
-_PHASES = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
+_PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
+#: stream positions ``random_dd_matrix`` draws at once for the inclusion scan
+STREAM_BLOCK = 1 << 16
+# the array form's uint64 constants, made once: a numpy scalar costs a call
+_U64 = {
+    c: np.uint64(c)
+    for c in (1, 3, 27, 30, 31, 34, _GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+}
+
+
+def stream_words(seed: int, positions) -> np.ndarray:
+    """splitmix64 outputs at the given 0-based stream positions, as uint64.
+
+    splitmix64 is counter-based: output k >= 1 of ``RandomStream(seed)``
+    is ``_mix64(seed + k * gamma mod 2^64)``, so position p (the
+    (p+1)-th ``next_u64``) needs no state.  uint64 array arithmetic
+    wraps modulo 2^64, as the scalar masks do.
+    """
+    z = np.asarray(positions, dtype=np.uint64) + _U64[1]
+    z *= _U64[_GAMMA]
+    z += np.uint64(int(seed) & _MASK64)
+    z ^= z >> _U64[30]
+    z *= _U64[0xBF58476D1CE4E5B9]
+    z ^= z >> _U64[27]
+    z *= _U64[0x94D049BB133111EB]
+    z ^= z >> _U64[31]
+    return z
+
+
+def _units(words: np.ndarray) -> np.ndarray:
+    """``RandomStream.next_unit`` of each word: (top-30-bits + 1) / 2^30."""
+    return ((words >> _U64[34]) + _U64[1]) / 1073741824.0
 
 
 def random_dd_matrix(spec: EnsembleSpec) -> Matrix:
@@ -242,31 +275,74 @@ def random_dd_matrix(spec: EnsembleSpec) -> Matrix:
     mode one raw word for the phase; afterwards, per row, one unit for
     the equality decision and, for strict rows only, one unit for the
     offset.
+
+    The stream is computed in blocks of about ``STREAM_BLOCK`` positions
+    by ``stream_words``.  Where a cell's inclusion draw sits depends on
+    how many cells before it were included, so one scan over each block's
+    passing draws resolves them: a passing draw at a position that the
+    last included cell's magnitude or phase took is skipped, and a cell
+    whose draws would cross the block's end starts the next block.  Each
+    block's magnitudes and phases are then read from it, so memory stays
+    bounded by the block and the dense matrix.  The per-row draws follow
+    the cells.  A row sum adds fewer than 2^23 dyadic multiples of 2^-30
+    in (0, 1], so it is exact in any order, across blocks too.
     """
-    rng = RandomStream(spec.seed)
     n = spec.n
+    extra = 2 if spec.complex_entries else 1  # slots an included cell adds
+    cells = n * (n - 1)
     dtype = np.complex128 if spec.complex_entries else np.float64
     entries = np.zeros((n, n), dtype=dtype)
-    magnitudes = np.zeros((n, n), dtype=np.float64)
+    row_sums = np.zeros(n)
+    pos = 0  # position of the next unresolved cell's inclusion draw
+    shift = 0  # slots the included cells before pos took: pos - shift is a cell
+    start = stop = 0  # the last block's positions
+    while pos - shift < cells:
+        left = cells - pos + shift
+        # the cells left at their expected density, then the per-row draws;
+        # a short guess costs one more block, and a block holds one cell's draws
+        guess = left + int(extra * spec.density * left) + 2 * n + 16
+        start = pos
+        stop = pos + max(1 + extra, min(STREAM_BLOCK, guess))
+        words = stream_words(spec.seed, np.arange(start, stop))
+        units = _units(words)
+        first = shift  # the shift at the block's first included cell
+        hits: list[int] = []  # the included cells' inclusion draws
+        resume = stop
+        for q in ((units <= spec.density).nonzero()[0] + start).tolist():
+            if q < pos:
+                continue  # a magnitude or phase draw
+            if q - shift >= cells:
+                break  # a per-row draw
+            if q + extra >= stop:
+                resume = q  # its magnitude or phase lies past the block
+                break
+            hits.append(q)
+            pos = q + 1 + extra
+            shift += extra
+        pos = max(pos, resume)  # every cell from pos up to resume failed its draw
+        if hits:
+            at = np.array(hits) - start
+            c = at + (start - first) - extra * np.arange(len(hits))  # rank among off-diagonal cells
+            flat = c + c // n + 1  # c = i (n - 1) + j - [j > i] is entry i n + j
+            magnitudes = units[at + 1]
+            if spec.complex_entries:
+                entries.flat[flat] = magnitudes * _PHASES[words[at + 2] & _U64[3]]
+            else:
+                entries.flat[flat] = magnitudes
+            row_sums += np.bincount(flat // n, weights=magnitudes, minlength=n)
+
+    rows_at = cells + shift  # position of the first per-row draw, at most 2n of them
+    if not start <= rows_at <= stop - 2 * n:
+        start = rows_at
+        units = _units(stream_words(spec.seed, np.arange(start, start + 2 * n)))
+    row_units = units[rows_at - start : rows_at - start + 2 * n].tolist()
+    offsets = [0.0] * n
+    r = 0
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            if rng.next_unit() <= spec.density:
-                m = rng.next_unit()
-                magnitudes[i, j] = m
-                if spec.complex_entries:
-                    entries[i, j] = m * _PHASES[rng.next_u64() & 3]
-                else:
-                    entries[i, j] = m
-    for i in range(n):
-        row_sum = 0.0
-        for j in range(n):  # increasing column order, matching core row sums
-            if j != i:
-                row_sum += magnitudes[i, j]
-        if rng.next_unit() <= spec.equality_rows:
-            entries[i, i] = row_sum
+        if row_units[r] <= spec.equality_rows:
+            r += 1
         else:
-            offset = round((0.1 + 0.9 * rng.next_unit()) * 1048576) / 1048576.0
-            entries[i, i] = row_sum + offset
+            offsets[i] = round((0.1 + 0.9 * row_units[r + 1]) * 1048576) / 1048576.0
+            r += 2
+    entries.flat[:: n + 1] = row_sums + offsets  # offset 0.0 keeps an equality row's sum
     return Matrix(entries)

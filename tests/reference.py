@@ -16,14 +16,17 @@ code in ``ddh`` replaces with sparse worklist kernels:
 * the subset checks that analyze a copied block a second time: the
   subset H-condition deciding a dominant inner block with the full
   ``is_h_dd`` (scaling solve included), and the SSDD search classifying
-  the copied block on T.
+  the copied block on T;
+* the ensemble generator drawing cell by cell from ``RandomStream`` and
+  the Matrix Market writer visiting every dense entry.
 
 The references keep the old signatures: each takes the matrix (and the
 tolerance), checks dominance itself and raises ``ValueError`` without
 it, where the product ``interwoven_from_peeling`` and
 ``find_ssdd_set_dd`` read the caller's ``Peel``.  They are slow (the
 peel is O(n^3) on a chain) and exist only so that the tests can compare
-the product functions against them, bit for bit.  Two are exceptions.
+the product functions against them, bit for bit (the generator and the
+writer byte for byte).  Two are exceptions.
 The product decides interwoven sets from shortest chains, so only the
 decision is compared with the greedy closure, not the order of the
 certificate.  The product's scaling is the first vector its
@@ -39,6 +42,7 @@ import numpy as np
 
 from ddh import (
     DominanceClass,
+    EnsembleSpec,
     HVerdict,
     InconsistencyError,
     IndexSet,
@@ -46,6 +50,7 @@ from ddh import (
     Matrix,
     Peel,
     PeelReason,
+    RandomStream,
     ScalingCertificate,
     SHReport,
     classify_dominance,
@@ -55,6 +60,7 @@ from ddh import (
     non_sdd_rows,
     principal_submatrix,
 )
+from ddh.mmio import format_real
 from helpers import is_valid_scaling
 
 
@@ -336,3 +342,58 @@ def verdict_agrees(A: Matrix, got, expected, tol: float = 0.0) -> bool:
         if got.scaling is not None and not is_valid_scaling(A, got.scaling):
             return False
     return verdict_key(got) == verdict_key(expected)
+
+
+_PHASES = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
+
+
+def random_dd_matrix(spec: EnsembleSpec) -> Matrix:
+    """The ensemble generator drawing every unit in turn from one ``RandomStream``."""
+    rng = RandomStream(spec.seed)
+    n = spec.n
+    dtype = np.complex128 if spec.complex_entries else np.float64
+    entries = np.zeros((n, n), dtype=dtype)
+    magnitudes = np.zeros((n, n), dtype=np.float64)
+    for i in range(n):
+        for j in range(n):
+            if i == j:
+                continue
+            if rng.next_unit() <= spec.density:
+                m = rng.next_unit()
+                magnitudes[i, j] = m
+                if spec.complex_entries:
+                    entries[i, j] = m * _PHASES[rng.next_u64() & 3]
+                else:
+                    entries[i, j] = m
+    for i in range(n):
+        row_sum = 0.0
+        for j in range(n):  # increasing column order, matching core row sums
+            if j != i:
+                row_sum += magnitudes[i, j]
+        if rng.next_unit() <= spec.equality_rows:
+            entries[i, i] = row_sum
+        else:
+            offset = round((0.1 + 0.9 * rng.next_unit()) * 1048576) / 1048576.0
+            entries[i, i] = row_sum + offset
+    return Matrix(entries)
+
+
+def write_matrix_market(A: Matrix, comments: tuple[str, ...] = ()) -> str:
+    """Coordinate text from a scan of every dense entry in row-major order."""
+    is_complex = A.entries.dtype.kind == "c"
+    field = "complex" if is_complex else "real"
+    out = [f"%%MatrixMarket matrix coordinate {field} general"]
+    out.extend(f"% {c}" for c in comments)
+    body = []
+    for i in range(A.n):
+        for j in range(A.n):
+            v = A.entries[i, j]
+            if v == 0:
+                continue
+            if is_complex:
+                body.append(f"{i + 1} {j + 1} {format_real(v.real)} {format_real(v.imag)}")
+            else:
+                body.append(f"{i + 1} {j + 1} {format_real(float(v.real))}")
+    out.append(f"{A.n} {A.n} {len(body)}")
+    out.extend(body)
+    return "\n".join(out) + "\n"

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -286,6 +287,33 @@ class TestGenerateCommand:
 
         A = read_matrix_file(tmp_path / "dd_4_0.mtx")
         assert non_sdd_rows(A).members == (0, 1, 2)
+
+    def test_ensemble_bytes_are_pinned(self, tmp_path, capsys):
+        # sha256 of the files the cell-by-cell generator wrote for these flags
+        assert main(["generate", "--n", "800", "--density", "0.01", "--equality-rows", "0.5",
+                     "--seed", "3", "--count", "3", "--out-dir", str(tmp_path)]) == 0
+        digests = [hashlib.sha256((tmp_path / f"dd_3_{k}.mtx").read_bytes()).hexdigest()
+                   for k in range(3)]
+        assert digests == [
+            "3790d40dfffbd822e200fb39b86a0b1ebe4a9d0bdf844c4a2e2edbe075d79b7c",
+            "f1627737c9115ff4fef44d7a0c53369258cb9386757d51443b174596753b6632",
+            "390501b72c3c635162a7460588a39b463e80347848dc9f95e36bdc8a3b5f955f",
+        ]
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "0"], "ensemble order must be at least 1"),
+        (["--n", "3", "--density", "2"], "density must lie in [0, 1]"),
+        (["--n", "3", "--density", "nan"], "density must lie in [0, 1]"),
+        (["--n", "3", "--equality-rows", "-0.1"], "equality_rows must lie in [0, 1]"),
+        (["--n", "3", "--count", "-1"], "count must be nonnegative"),
+    ])
+    def test_bad_arguments_exit_2(self, tmp_path, capsys, flags, message):
+        out_dir = tmp_path / "out"
+        rc = main(["generate", *flags, "--out-dir", str(out_dir)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err == f"ddh: bad generate arguments: {message}\n"
+        assert not out_dir.exists()
 
 
 class TestVerifyCommand:
@@ -646,6 +674,21 @@ class TestVerifyChecksTheVerdict:
         rc, captured = _verify(tmp_path, capsys, _golden("ladder"), path)
         assert rc == 2 and captured.out == ""
         assert "line 2: order 1000000000 exceeds the maximum order 3" in captured.err
+
+    def test_order_is_bounded_by_max_n(self, tmp_path, capsys):
+        # a report may claim the file's order 10^9; --max-n still bounds it
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n1000000000 1000000000 1\n1 1 1.0\n"
+        )
+        report = {"tolerance": 0, "order": 1000000000}
+        rc, captured = _verify(tmp_path, capsys, report, path)
+        assert rc == 2 and captured.out == ""
+        assert "line 2: order 1000000000 exceeds the maximum order 4096" in captured.err
+        report_path = tmp_path / "report.json"
+        rc = main(["verify", str(report_path), str(path), "--max-n", "10"])
+        assert rc == 2
+        assert "exceeds the maximum order 10" in capsys.readouterr().err
 
 
 _SWAP_VALUES = ("5e-324", "1e-320", "1e-20", "0", "1e308", "-1e308", "1", "2.0", "0.5", "-3")

@@ -20,6 +20,7 @@ from ddh import (
     s_h_check,
     s_sdd_check,
     scaling_certificate,
+    solved_scaling,
 )
 from ddh.hmatrix import SCALING_SWEEP_CAP
 from helpers import (
@@ -170,22 +171,25 @@ class TestSHCheck:
 
 class TestScalingCertificate:
     def test_ladder_scaling(self):
-        # any valid d serves; the exact solve of M d = 1 would be [1, 2/3]
+        # the sweeps give any valid d; the exact solve of M d = 1 gives [1, 2/3]
         A = Matrix([[1, 1], [1, 2]])
-        assert is_valid_scaling(A, scaling_certificate(A))
         assert is_valid_scaling(A, scaling_certificate(A, peel_levels(A)))
+        solved = solved_scaling(A)
+        assert is_valid_scaling(A, solved) and np.array_equal(solved.d, [1.0, 2.0 / 3.0])
 
     def test_identity(self):
-        cert = scaling_certificate(Matrix(np.eye(2)))
+        A = Matrix(np.eye(2))
+        cert = scaling_certificate(A, peel_levels(A))
         assert np.array_equal(cert.d, [1.0, 1.0]) and cert.margin == 1.0
 
     def test_symmetric_sdd(self):
-        cert = scaling_certificate(Matrix([[2, 1], [1, 2]]))
+        A = Matrix([[2, 1], [1, 2]])
+        cert = scaling_certificate(A, peel_levels(A))
         assert np.array_equal(cert.d, [1.0, 1.0]) and cert.margin == 1.0
 
     def test_margin_matches_direct_recomputation(self):
         A = LADDER
-        cert = scaling_certificate(A)
+        cert = scaling_certificate(A, peel_levels(A))
         gaps = [
             A.modulus[i, i] * cert.d[i]
             - sum(A.modulus[i, j] * cert.d[j] for j in range(A.n) if j != i)
@@ -200,7 +204,8 @@ class TestScalingCertificate:
             match=rf"^{SCALING_SWEEP_CAP} Gauss-Seidel sweeps left the scaling margin at -\S+; "
             "dense solve: comparison matrix is singular",
         ):
-            scaling_certificate(Matrix([[1, 1], [1, 1]]))
+            A = Matrix([[1, 1], [1, 1]])
+            scaling_certificate(A, peel_levels(A))
 
     def test_overflowing_sweeps_stop_early(self):
         # off-diagonal ratios of 1e100: x overflows in the second sweep,
@@ -210,7 +215,8 @@ class TestScalingCertificate:
             match=r"^2 Gauss-Seidel sweeps left the scaling margin at nan; "
             "dense solve: scaling vector has a nonpositive component",
         ):
-            scaling_certificate(Matrix([[1e-100, 1], [1, 1e-100]]))
+            A = Matrix([[1e-100, 1], [1, 1e-100]])
+            scaling_certificate(A, peel_levels(A))
 
 
 @settings(max_examples=200, deadline=None)

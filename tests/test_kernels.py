@@ -32,6 +32,7 @@ from ddh import (
     InconsistencyError,
     Matrix,
     PeelReason,
+    RandomStream,
     deleted_row_sum,
     find_ssdd_set_dd,
     interwoven_from_peeling,
@@ -43,7 +44,6 @@ from ddh import (
     principal_submatrix,
     random_dd_matrix,
     s_h_check,
-    scaling_certificate,
 )
 from ddh.cli import analyze_matrix, emit_json, verify_report
 from helpers import (
@@ -287,8 +287,8 @@ def test_deep_peel_copies_no_submatrix(monkeypatch):
     assert interwoven_from_peeling(A, v.peel) is None
 
 
-def _count_calls(monkeypatch, names) -> dict[str, int]:
-    """Count the calls of each named ``ddh`` function, wherever a module imported it."""
+def _count_calls(monkeypatch, names, home=ddh) -> dict[str, int]:
+    """Count the calls of each named function of ``home``, wherever a ``ddh`` module imported it."""
     calls = dict.fromkeys(names, 0)
 
     def counting(name, fn):
@@ -299,7 +299,7 @@ def _count_calls(monkeypatch, names) -> dict[str, int]:
         return counted
 
     for name in calls:
-        original = getattr(ddh, name)
+        original = getattr(home, name)
         for module in (ddh, ddh.core, ddh.graph, ddh.hmatrix, ddh.interwoven, ddh.oracle, ddh.cli):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name, original))
@@ -352,9 +352,9 @@ def test_scaling_sweeps_replace_the_dense_solve(monkeypatch):
 
     On an order-400 ensemble matrix (density 0.01, half equality rows,
     peel 3 levels deep) the Gauss-Seidel sweeps find the scaling.  On
-    the order-300 chain, one sweep in peel order does; in natural order
-    each sweep carries the scaling one row further, so the sweep cap is
-    hit and the dense solve takes over.
+    the order-300 chain, one sweep in peel order does.  A non-dominant
+    H-matrix has no peel to sweep in: ``analyze --oracle``, whose oracles
+    are dense anyway, solves once for its scaling and sweeps nothing.
     """
     calls = _count_calls(monkeypatch, ("lu_solve", "comparison_matrix"))
     A = random_dd_matrix(EnsembleSpec(n=400, density=0.01, equality_rows=0.5, seed=5))
@@ -367,5 +367,32 @@ def test_scaling_sweeps_replace_the_dense_solve(monkeypatch):
     v = is_h_dd(chain)
     assert np.array_equal(v.scaling.d, np.arange(n, 0, -1) / n)  # one sweep
     assert calls == {"lu_solve": 0, "comparison_matrix": 0}
-    assert is_valid_scaling(chain, scaling_certificate(chain))
-    assert calls == {"lu_solve": 1, "comparison_matrix": 1}
+
+    solves = _count_calls(monkeypatch, ("scaling_certificate", "solved_scaling"))
+    n = 40
+    # doubling every other column leaves the chain H but not dominant
+    skewed = Matrix(chain.entries[:n, :n] * (1.0 + np.arange(n) % 2))
+    report, problems = analyze_matrix(skewed, with_oracle=True)
+    assert report["dominance_class"] == "NotDD" and report["is_h"] is True and problems == []
+    assert solves == {"scaling_certificate": 0, "solved_scaling": 1}
+
+
+def test_generator_draws_no_scalar_stream(monkeypatch):
+    """Work gate: ``random_dd_matrix`` computes its stream as arrays, never word by word.
+
+    At order 400 it makes no ``RandomStream.next_u64`` call and no
+    ``_mix64`` call; the scalar stream still goes through both wrappers.
+    """
+    calls = _count_calls(monkeypatch, ("_mix64",), home=ddh.oracle)
+    original = RandomStream.next_u64
+
+    def next_u64(self):
+        calls["next_u64"] += 1
+        return original(self)
+
+    calls["next_u64"] = 0
+    monkeypatch.setattr(RandomStream, "next_u64", next_u64)
+    A = random_dd_matrix(EnsembleSpec(n=400, density=0.01, equality_rows=0.5, seed=5))
+    assert A.n == 400 and calls == {"_mix64": 0, "next_u64": 0}
+    RandomStream(5).next_u64()
+    assert calls == {"_mix64": 1, "next_u64": 1}

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from ddh import (
     DominanceClass,
     EnsembleSpec,
@@ -17,8 +20,10 @@ from ddh import (
     lu_solve,
     random_dd_matrix,
     spectral_radius,
+    write_matrix_market,
 )
-from ddh.oracle import RandomStream, derive_seed
+from ddh import mmio, oracle
+from ddh.oracle import STREAM_BLOCK, RandomStream, derive_seed, stream_words
 
 
 class TestLu:
@@ -133,6 +138,15 @@ class TestRandomStream:
             assert 0.0 < u <= 1.0
             assert (u * 2**30) == int(u * 2**30)  # multiple of 2^-30
 
+    def test_array_outputs_continue_the_scalar_stream_across_a_block(self):
+        seed = 2**64 - 5  # the counter wraps modulo 2^64 at once
+        rng = RandomStream(seed)
+        scalar = [rng.next_u64() for _ in range(STREAM_BLOCK + 8)]
+        blocks = [stream_words(seed, np.arange(0, STREAM_BLOCK)),
+                  stream_words(seed, np.arange(STREAM_BLOCK, STREAM_BLOCK + 8))]
+        assert blocks[0].dtype == np.uint64
+        assert np.concatenate(blocks).tolist() == scalar
+
     def test_derive_seed_spreads(self):
         seeds = {derive_seed(0, k) for k in range(100)}
         assert len(seeds) == 100
@@ -184,6 +198,38 @@ class TestRandomDDMatrix:
         for i in range(n):
             gap = A.diagonal_modulus[i] - deleted_row_sum(A, i)
             assert gap >= 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        density=st.sampled_from([0.0, 0.01, 0.2, 0.5, 0.9, 1.0]),
+        eq=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**64 - 1),
+        complex_entries=st.booleans(),
+        block=st.sampled_from([1, 2, 5, 16, STREAM_BLOCK]),
+    )
+    def test_matches_the_scalar_reference(self, n, density, eq, seed, complex_entries, block):
+        # small blocks put block boundaries inside every stage of the draw
+        # order, and small chunks split the writer's rows into several slabs
+        spec = EnsembleSpec(n=n, density=density, equality_rows=eq, seed=seed,
+                            complex_entries=complex_entries)
+        with mock.patch.object(oracle, "STREAM_BLOCK", block):
+            A = random_dd_matrix(spec)
+        B = reference.random_dd_matrix(spec)
+        assert A.entries.dtype == B.entries.dtype
+        assert A.entries.tobytes() == B.entries.tobytes()
+        comments = (f"ddh generate seed={seed} index=0", "second line")
+        with mock.patch.object(mmio, "WRITE_CHUNK", block):
+            text = write_matrix_market(A, comments)
+        assert text == reference.write_matrix_market(B, comments)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_matches_the_scalar_reference_over_several_blocks(self, complex_entries):
+        spec = EnsembleSpec(n=300, density=0.5, equality_rows=0.5, seed=17,
+                            complex_entries=complex_entries)
+        A, B = random_dd_matrix(spec), reference.random_dd_matrix(spec)
+        assert A.entries.tobytes() == B.entries.tobytes()
+        assert write_matrix_market(A) == reference.write_matrix_market(B)
 
     def test_complex_mode_uses_axis_phases(self):
         A = random_dd_matrix(
