@@ -7,9 +7,11 @@ certificate inside a report against the matrix it was computed from.
 
 Exit codes: 0 success, 2 parse/usage errors, 3 internal inconsistency
 (a certified quantity failed its own cross-check), 4 failed certificate
-verification.  Reports use fixed keys (schema in docs/report.schema.json),
-1-based indices, and reals rendered with 17 significant digits; infinities
-are encoded as the strings "Infinity" / "-Infinity".
+verification.  Reports use fixed keys (schema in docs/report.schema.json,
+version ``SCHEMA_VERSION``), 1-based indices, and reals rendered with 17
+significant digits; infinities are encoded as the strings "Infinity" /
+"-Infinity".  Each certificate holds O(n) indices: the chains are one
+next hop per row and the peel trace is a partition of T.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .core import (
     peel_levels,
     principal_submatrix,
 )
-from .graph import chain_condition
+from .graph import ChainReport, chain_condition
 from .hmatrix import (
     SHReport,
     find_ssdd_set_dd,
@@ -50,10 +52,12 @@ from .interwoven import (
     interwoven_from_peeling,
     verify_certificate,
 )
-from .mmio import ParseError, format_real, read_matrix_file, write_matrix_market
+from .mmio import ParseError, format_real, matrix_market_chunks, read_matrix_file
 from .oracle import EnsembleSpec, derive_seed, inverse_nonneg_oracle, jacobi_oracle, random_dd_matrix
 
 DEFAULT_MAX_ORDER = 4096
+#: the report layout ``analyze`` writes and ``verify`` reads
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +222,7 @@ def analyze_matrix(
     sh = s_h_check(A, sh_subset, tol) if sh_subset is not None else None
 
     report = {
+        "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
         "tolerance": tol,
         "order": A.n,
@@ -225,7 +230,7 @@ def analyze_matrix(
         "t_set": _one_based(T.members),
         "chain": {
             "holds": chain.holds,
-            "paths": [_one_based(chain.paths[i]) for i in sorted(chain.paths)],
+            "next": {str(i + 1): chain.next_hop[i] + 1 for i in sorted(chain.next_hop)},
             "unreachable": _one_based(chain.unreachable.members),
         },
         "interwoven": interwoven_obj,
@@ -275,14 +280,59 @@ def _close(a: float, b: float, rtol: float = 1e-9) -> bool:
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
 
 
+def _hops_problem(hops, chain: ChainReport, A: Matrix) -> str:
+    """Why ``hops``, a report's ``chain.next``, does not certify ``chain``; "" when it does.
+
+    Its keys must be exactly the rows of T with a chain out of T, as
+    canonical 1-based integers in increasing order, and each value an
+    index j with a_ij != 0 off the diagonal.  Following the hops from
+    any key must then leave T without meeting a cycle.  Colour marking
+    walks every row of T at most once, so the whole check is O(n).
+    """
+    if not isinstance(hops, dict):
+        return f"next must be an object, not {type(hops).__name__}"
+    succ: dict[int, int] = {}
+    for key, value in hops.items():
+        i = int(key) - 1
+        if str(i + 1) != key:
+            return f"next key {key!r} is not a 1-based index"
+        if type(value) is not int or not 1 <= value <= A.n:  # bool is no index
+            return f"next[{key}] = {value!r} is not a 1-based index"
+        succ[i] = value - 1
+    if list(succ) != sorted(chain.next_hop):
+        return "next keys are not the rows of T with a chain, in increasing order"
+    mod = A.modulus
+    for i, j in succ.items():
+        if i == j or mod[i, j] == 0.0:
+            return f"hop {i + 1} -> {j + 1} crosses no off-diagonal nonzero"
+    in_t = chain.subset.member_set
+    state = [0] * A.n  # 1: on the walk being followed, 2: known to leave T
+    for start in succ:
+        walk = []
+        v = start
+        while v in in_t and state[v] == 0:
+            if v not in succ:
+                return f"hops from {start + 1} stop at {v + 1}, inside T"
+            state[v] = 1
+            walk.append(v)
+            v = succ[v]
+        if v in in_t and state[v] == 1:
+            return f"hops from {start + 1} cycle through {v + 1}"
+        for u in walk:
+            state[u] = 2
+    return ""
+
+
 def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     """Re-check every certificate in ``report`` against ``A``.
 
     Returns (name, passed, detail) triples; an empty detail means no
-    commentary.  The dominance class, the chain search and (for a
-    dominant matrix) the peel are recomputed once, with no solve: the
-    chain's claims, a denied interwoven certificate and the peel's trace
-    and reason are compared against them.  For a dominant matrix the
+    commentary.  Only a report of schema version ``SCHEMA_VERSION`` is
+    read.  The dominance class, the chain search and (for a dominant
+    matrix) the peel are recomputed once, with no solve: the chain's
+    claims, its next hops, a denied interwoven certificate and the peel's
+    trace and reason are compared against them, in O(n + nnz) beyond the
+    recomputation.  For a dominant matrix the
     report must carry a verdict with exactly the certificate it implies,
     and the peeling certificate exactly when the peel gives one; the
     subset H-condition is required whenever T is a nonempty proper
@@ -304,6 +354,10 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         except InconsistencyError as exc:
             check(name, False, f"numerical failure in {name}: {exc}")
 
+    version = report.get("schema_version") if isinstance(report, dict) else None
+    if type(version) is not int or version != SCHEMA_VERSION:  # bool is no version
+        return [("report-shape", False,
+                 f"schema_version {version!r} is not the supported {SCHEMA_VERSION}")]
     try:
         tol = float(report["tolerance"])
         n = int(report["order"])
@@ -324,27 +378,12 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     with guarded("chain"):
         chain_obj = report.get("chain") or {}
-        ok_paths = True
-        detail = ""
         claimed = (chain_obj.get("holds"), chain_obj.get("unreachable"))
         if claimed != (chain.holds, _one_based(chain.unreachable.members)):
-            ok_paths, detail = False, "holds or unreachable differs from the recomputed chains"
-        sources = []
-        for path in chain_obj.get("paths") or []:
-            verts = [int(v) - 1 for v in path]
-            if len(verts) < 2 or any(not 0 <= v < A.n for v in verts):
-                ok_paths, detail = False, f"malformed path {path}"
-                break
-            sources.append(verts[0])
-            if verts[0] not in T or verts[-1] in T:
-                ok_paths, detail = False, f"path {path} has bad endpoints"
-                break
-            if any(A.modulus[a, b] == 0.0 for a, b in zip(verts, verts[1:])):
-                ok_paths, detail = False, f"path {path} crosses a zero entry"
-                break
-        if ok_paths and sorted(sources) != sorted(chain.reached):
-            ok_paths, detail = False, "path sources do not match T minus unreachable"
-        check("chain", ok_paths, detail)
+            detail = "holds or unreachable differs from the recomputed chains"
+        else:
+            detail = _hops_problem(chain_obj.get("next"), chain, A)
+        check("chain", not detail, detail)
 
     def cert_from_dict(obj) -> InterwovenCertificate:
         subset = _zero_based_set(obj["subset"], A.n)
@@ -519,12 +558,13 @@ def _cmd_generate(args) -> int:
         return 2
     for k in range(args.count):
         matrix = random_dd_matrix(dataclasses.replace(spec, seed=derive_seed(args.seed, k)))
-        text = write_matrix_market(
+        chunks = matrix_market_chunks(
             matrix, comments=(f"ddh generate seed={args.seed} index={k}",)
         )
         path = out_dir / f"dd_{args.seed}_{k}.mtx"
         try:
-            path.write_text(text)
+            with open(path, "w") as fh:
+                fh.writelines(chunks)
         except OSError as exc:
             print(f"ddh: cannot write {path}: {exc}", file=sys.stderr)
             return 2

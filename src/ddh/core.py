@@ -306,15 +306,6 @@ class Peel:
     levels: tuple[tuple[int, ...], ...]
     stalled: bool
 
-    def active_sets(self) -> list[IndexSet]:
-        """T_0, T_1, ..., ending with the empty set or the stalled block."""
-        sets = [self.t_set]
-        for batch in self.levels:
-            gone = set(batch)
-            rest = tuple(i for i in sets[-1].members if i not in gone)
-            sets.append(IndexSet(rest, self.t_set.universe_size))
-        return sets
-
 
 def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
     """Worklist form of the recursive peel (Kahn-style, one pass).

@@ -16,7 +16,7 @@ the dominance analysis:
   permuted matrix is block upper triangular (``frobenius_normal_form``).
 
 All traversals scan neighbours in increasing index order and keep the
-first discovered parent, so reported paths and block orders are
+first discovered parent, so reported next hops and block orders are
 deterministic.
 """
 
@@ -44,7 +44,9 @@ class ChainReport:
     entries, by breadth-first distance and then by index, and
     ``next_hop`` maps each of them to its successor on a shortest chain;
     ``unreachable`` collects the members without one.  ``holds`` is true
-    exactly when ``unreachable`` is empty.
+    exactly when ``unreachable`` is empty.  The next hops are the
+    certificate (the report's ``chain.next``): O(n), where the full
+    ``paths`` can hold about n^2/2 indices and are built only when read.
     """
 
     subset: IndexSet
@@ -118,8 +120,8 @@ def chain_condition(A: Matrix, tol: float = 0.0) -> ChainReport:
     """Check that every non-strict row reaches a strict row in the graph.
 
     These are the chains out of the non-strict rows T
-    (``chains_out_of``), so ``paths`` run through rows of T and end at
-    the first strict row.
+    (``chains_out_of``), so following ``next_hop`` runs through rows of
+    T and ends at the first strict row.
     """
     return chains_out_of(A, non_sdd_rows(A, tol))
 

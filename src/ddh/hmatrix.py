@@ -78,10 +78,11 @@ class HVerdict:
     """Outcome of the recursive peel with its full trace.
 
     ``peel`` is the level structure the verdict was read from.
-    ``peel_trace`` lists the successive non-strict row sets in original
-    indices (strictly shrinking, empty only when the input is already
-    strictly dominant; only T itself on a zero diagonal).  Exactly one
-    of ``scaling`` (H) and ``witness`` (non-H) is present.
+    ``peel_trace`` partitions the non-strict rows T in original indices:
+    the rows peeled at each level, then, when the peel stalls, the
+    stalled block (empty only when the input is already strictly
+    dominant; only T itself on a zero diagonal).  Exactly one of
+    ``scaling`` (H) and ``witness`` (non-H) is present.
     """
 
     is_h: bool
@@ -211,18 +212,23 @@ def peel_outcome(
     """Trace, reason and witness that A's peel implies (the structural verdict).
 
     ``peel`` is A's ``peel_levels``; the caller guarantees dominance.
-    The witness is None exactly when the reason is ``SDD_REACHED``.
+    The trace is the partition of T that ``HVerdict.peel_trace``
+    describes, so it holds |T| indices in all.  The witness is None
+    exactly when the reason is ``SDD_REACHED``.
     """
+    T = peel.t_set
     zero_rows = np.flatnonzero(A.diagonal_modulus == 0.0)
     if zero_rows.size:
         # dominance leaves such a row at most tol off the diagonal: it sits
         # in T and can never peel
-        return (peel.t_set,), PeelReason.ZERO_DIAGONAL, IndexSet((int(zero_rows[0]),), A.n)
-    trace = peel.active_sets()
+        return (T,), PeelReason.ZERO_DIAGONAL, IndexSet((int(zero_rows[0]),), A.n)
+    trace = tuple(IndexSet(level, A.n) for level in peel.levels)
     if peel.stalled:
-        # the last restriction is dominant with no strict row
-        return tuple(trace), PeelReason.STAGNANT_PEEL, trace[-1]
-    return tuple(trace[:-1]), PeelReason.SDD_REACHED, None
+        # the rows left form a dominant block with no strict row
+        peeled = {i for level in peel.levels for i in level}
+        block = IndexSet(tuple(i for i in T.members if i not in peeled), A.n)
+        return trace + (block,), PeelReason.STAGNANT_PEEL, block
+    return trace, PeelReason.SDD_REACHED, None
 
 
 def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:

@@ -133,36 +133,44 @@ def format_real(x: float) -> str:
     return f"{x:.17g}"
 
 
-#: dense cells whose nonzeros ``write_matrix_market`` handles at a time
+#: dense cells whose nonzeros ``matrix_market_chunks`` formats at a time
 WRITE_CHUNK = 1 << 16
 
 
-def write_matrix_market(A: Matrix, comments: tuple[str, ...] = ()) -> str:
-    """Render A in coordinate format (general symmetry, nonzeros only).
+def matrix_market_chunks(A: Matrix, comments: tuple[str, ...] = ()):
+    """Coordinate text of A (general symmetry, nonzeros only), piece by piece.
 
-    ``np.nonzero`` lists the nonzeros of a slab of rows in row-major
-    order: O(nnz) after one pass over the dense storage.  A slab holds
-    about ``WRITE_CHUNK`` cells, so only the text grows with nnz.
+    Yields the header lines, then the entry lines of one slab of about
+    ``WRITE_CHUNK`` dense cells at a time.  ``np.nonzero`` lists a slab's
+    nonzeros in row-major order: O(nnz) after one pass over the dense
+    storage.  A caller that writes each chunk as it comes holds the text
+    of one slab, not of the file.
     """
     is_complex = A.entries.dtype.kind == "c"
-    body: list[str] = []
+    field = "complex" if is_complex else "real"
+    header = [f"%%MatrixMarket matrix coordinate {field} general"]
+    header.extend(f"% {c}" for c in comments)
+    header.append(f"{A.n} {A.n} {np.count_nonzero(A.entries)}")
+    yield "\n".join(header) + "\n"
     step = max(1, WRITE_CHUNK // A.n)
     for top in range(0, A.n, step):
         slab = A.entries[top : top + step]
         rows, cols = np.nonzero(slab)
+        if rows.size == 0:
+            continue
         values = slab[rows, cols]
         ijs = zip((rows + (top + 1)).tolist(), (cols + 1).tolist())
         if is_complex:
             parts = zip(ijs, values.real.tolist(), values.imag.tolist())
-            body.extend(f"{i} {j} {format_real(re)} {format_real(im)}" for (i, j), re, im in parts)
+            lines = [f"{i} {j} {format_real(re)} {format_real(im)}\n" for (i, j), re, im in parts]
         else:
-            body.extend(f"{i} {j} {format_real(x)}" for (i, j), x in zip(ijs, values.tolist()))
-    field = "complex" if is_complex else "real"
-    out = [f"%%MatrixMarket matrix coordinate {field} general"]
-    out.extend(f"% {c}" for c in comments)
-    out.append(f"{A.n} {A.n} {len(body)}")
-    out.extend(body)
-    return "\n".join(out) + "\n"
+            lines = [f"{i} {j} {format_real(x)}\n" for (i, j), x in zip(ijs, values.tolist())]
+        yield "".join(lines)
+
+
+def write_matrix_market(A: Matrix, comments: tuple[str, ...] = ()) -> str:
+    """Render A in coordinate format: the ``matrix_market_chunks`` joined."""
+    return "".join(matrix_market_chunks(A, comments))
 
 
 def read_matrix_file(path, max_order: int | None = None) -> Matrix:

@@ -8,7 +8,12 @@ code in ``ddh`` replaces with sparse worklist kernels:
 * the sparsity graph's adjacency found by scanning every dense entry;
 * the recursive peel that copies the principal submatrix at every stage
   (``is_h_dd``, whose ``HVerdict.peel`` is assembled from those copied
-  stages, and ``interwoven_from_peeling``);
+  stages, and ``interwoven_from_peeling``), and the active sets
+  T_0, T_1, ... of a ``Peel`` (``active_sets``), O(n^2) on a chain,
+  whose successive differences the product's peel trace lists;
+* the chain certificate checked by walking every chain in full
+  (``hops_certify``), O(n^2) on a chain, where ``verify`` marks
+  colours;
 * the greedy interwoven closure that rescans every remaining member at
   every step;
 * the scaling certificate from the exact dense solve of the comparison
@@ -126,12 +131,12 @@ def peel_verdict(A: Matrix, tol: float = 0.0) -> HVerdict:
             break
         stages.append(IndexSet(tuple(active.members[k] for k in t_rel.members), A.n))
     stalled = len(stages[-1]) > 0
+    peeled = tuple(
+        IndexSet(tuple(i for i in a.members if i not in b), A.n)
+        for a, b in zip(stages, stages[1:])
+    )
     peel = Peel(
-        t_set=stages[0],
-        levels=tuple(
-            tuple(i for i in a.members if i not in b) for a, b in zip(stages, stages[1:])
-        ),
-        stalled=stalled,
+        t_set=stages[0], levels=tuple(level.members for level in peeled), stalled=stalled
     )
     zero_rows = [i for i in range(A.n) if A.modulus[i, i] == 0.0]
     if zero_rows:
@@ -146,7 +151,7 @@ def peel_verdict(A: Matrix, tol: float = 0.0) -> HVerdict:
     if stalled:
         return HVerdict(
             is_h=False,
-            peel_trace=tuple(stages),
+            peel_trace=peeled + (stages[-1],),
             reason=PeelReason.STAGNANT_PEEL,
             scaling=None,
             witness=stages[-1],
@@ -154,12 +159,43 @@ def peel_verdict(A: Matrix, tol: float = 0.0) -> HVerdict:
         )
     return HVerdict(
         is_h=True,
-        peel_trace=tuple(stages[:-1]),
+        peel_trace=peeled,
         reason=PeelReason.SDD_REACHED,
         scaling=None,
         witness=None,
         peel=peel,
     )
+
+
+def active_sets(peel: Peel) -> list[IndexSet]:
+    """T_0, T_1, ..., ending with the empty set or the stalled block."""
+    sets = [peel.t_set]
+    for batch in peel.levels:
+        gone = set(batch)
+        rest = tuple(i for i in sets[-1].members if i not in gone)
+        sets.append(IndexSet(rest, peel.t_set.universe_size))
+    return sets
+
+
+def hops_certify(A: Matrix, T: IndexSet, reached, hops: dict[int, int]) -> bool:
+    """True iff ``hops`` is a chain certificate for the rows ``reached`` of T.
+
+    Its keys must be exactly ``reached``, and from each key the hops,
+    walked one at a time along nonzero off-diagonal entries, must leave
+    T within |T| steps: a longer walk inside T has met a cycle.
+    """
+    if set(hops) != set(reached):
+        return False
+    for start in hops:
+        v, steps = start, 0
+        while v in T:
+            if v not in hops or steps > len(T):
+                return False
+            j = hops[v]
+            if not 0 <= j < A.n or j == v or A.modulus[v, j] == 0.0:
+                return False
+            v, steps = j, steps + 1
+    return True
 
 
 def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:

@@ -9,8 +9,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ddh import IndexSet, Matrix, ParseError, parse_matrix_market, write_matrix_market
+import reference
+from ddh import (
+    IndexSet,
+    InconsistencyError,
+    Matrix,
+    ParseError,
+    chain_condition,
+    parse_matrix_market,
+    write_matrix_market,
+)
 from ddh.cli import analyze_matrix, emit_json, main, real_from_json, verify_report
+from helpers import dd_matrices
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -147,7 +157,9 @@ class TestAnalyzeCommand:
         report = json.loads(captured.out)
         assert report["is_h"] is True
         assert report["t_set"] == [1, 2]
-        assert report["peel_trace"] == [[1, 2], [1]]
+        assert report["schema_version"] == 2
+        assert report["peel_trace"] == [[2], [1]]
+        assert report["chain"]["next"] == {"1": 2, "2": 3}
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, "not a matrix market file\n")
@@ -288,6 +300,28 @@ class TestGenerateCommand:
         A = read_matrix_file(tmp_path / "dd_4_0.mtx")
         assert non_sdd_rows(A).members == (0, 1, 2)
 
+    def test_files_are_written_slab_by_slab(self, tmp_path, capsys, monkeypatch):
+        # the text of a whole file is never built: each slab's lines go to
+        # the file as they are formatted
+        import ddh.cli
+        import ddh.mmio
+
+        chunks = ddh.cli.matrix_market_chunks
+        sizes = []
+
+        def recorded(*args, **kwargs):
+            for chunk in chunks(*args, **kwargs):
+                sizes.append(len(chunk))
+                yield chunk
+
+        monkeypatch.setattr(ddh.cli, "matrix_market_chunks", recorded)
+        monkeypatch.setattr(ddh.mmio, "WRITE_CHUNK", 64)  # 4 rows of order 16
+        assert main(["generate", "--n", "16", "--density", "1", "--seed", "5",
+                     "--out-dir", str(tmp_path)]) == 0
+        text = (tmp_path / "dd_5_0.mtx").read_text()
+        assert len(sizes) == 1 + 4 and sum(sizes) == len(text)
+        assert text.count("\n") == 3 + 16 * 16
+
     def test_ensemble_bytes_are_pinned(self, tmp_path, capsys):
         # sha256 of the files the cell-by-cell generator wrote for these flags
         assert main(["generate", "--n", "800", "--density", "0.01", "--equality-rows", "0.5",
@@ -352,19 +386,19 @@ class TestVerifyCommand:
         assert rc == 4
         assert "interwoven: FAIL" in capsys.readouterr().out
 
-    def test_tampered_chain_path_fails(self, tmp_path, capsys):
+    def test_tampered_chain_hop_fails(self, tmp_path, capsys):
         report_path, matrix_path = self._analyze_to_files(tmp_path, capsys, LADDER_MM)
         report = json.loads(report_path.read_text())
-        report["chain"]["paths"][0] = []  # malformed: must fail, not crash
+        report["chain"]["next"]["1"] = []  # malformed: must fail, not crash
         report_path.write_text(json.dumps(report))
         rc = main(["verify", str(report_path), str(matrix_path)])
         assert rc == 4
         assert "chain: FAIL" in capsys.readouterr().out
 
-    def test_out_of_range_path_vertex_fails(self, tmp_path, capsys):
+    def test_out_of_range_hop_fails(self, tmp_path, capsys):
         report_path, matrix_path = self._analyze_to_files(tmp_path, capsys, LADDER_MM)
         report = json.loads(report_path.read_text())
-        report["chain"]["paths"][0] = [1, 99]
+        report["chain"]["next"]["1"] = 99
         report_path.write_text(json.dumps(report))
         rc = main(["verify", str(report_path), str(matrix_path)])
         assert rc == 4
@@ -415,7 +449,7 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert rc == 0 and captured.err == ""
         report = json.loads(captured.out)
-        assert report["chain"] == {"holds": False, "paths": [], "unreachable": [1]}
+        assert report["chain"] == {"holds": False, "next": {}, "unreachable": [1]}
         assert report["interwoven"]["holds"] is True
         report_path = tmp_path / "report.json"
         report_path.write_text(captured.out)
@@ -529,13 +563,17 @@ class TestMalformedReports:
     @pytest.mark.parametrize(
         "path, value, failed",
         [
-            (("chain", "paths"), 5, "chain: FAIL (malformed chain: TypeError"),
+            (("chain", "next"), 5, "chain: FAIL (next must be an object, not int)"),
+            (("chain", "next", "1"), True, "chain: FAIL (next[1] = True is not a 1-based index)"),
             (("witness",), 7, "witness: FAIL (malformed witness: TypeError"),
             (("tolerance",), "nan", "report-shape: FAIL"),
             (("tolerance",), -1, "report-shape: FAIL"),
             (("interwoven",), [1], "interwoven: FAIL (malformed interwoven: AttributeError"),
             (("ssdd_set",), 3, "ssdd: FAIL (malformed ssdd: TypeError"),
-            (("chain", "paths", 0, 0), math.inf, "chain: FAIL (malformed chain: OverflowError"),
+            (("chain", "next", "1"), math.inf, "chain: FAIL (next[1] = inf is not a 1-based index)"),
+            (("chain",), [1], "chain: FAIL (malformed chain: AttributeError"),
+            (("peel_trace", 0, 0), math.inf, "peel: FAIL"),
+            (("schema_version",), 2.0, "report-shape: FAIL (schema_version 2.0 is not"),
             (("ssdd_set",), [0], "ssdd: FAIL (malformed ssdd: ValueError: members out of range"),
         ],
     )
@@ -612,7 +650,10 @@ class TestVerifyChecksTheVerdict:
                 ["dominance: FAIL (recomputed class is DDPlus)", "h-consistency: FAIL"],
             ),
             (
-                lambda r: {k: r[k] for k in ("tolerance", "order", "t_set", "chain", "interwoven")},
+                lambda r: {
+                    k: r[k]
+                    for k in ("schema_version", "tolerance", "order", "t_set", "chain", "interwoven")
+                },
                 ["dominance: FAIL", "h-consistency: FAIL (a dominant matrix needs is_h"],
             ),
             (
@@ -633,7 +674,7 @@ class TestVerifyChecksTheVerdict:
         "forge, failed",
         [
             (
-                lambda r: {**r, "chain": {"holds": False, "paths": [[2, 3]], "unreachable": [1]}},
+                lambda r: {**r, "chain": {"holds": False, "next": {"2": 3}, "unreachable": [1]}},
                 ["chain: FAIL (holds or unreachable differs from the recomputed chains)"],
             ),
             (lambda r: {**r, "peel_trace": [[1]]}, ["peel: FAIL"]),
@@ -689,6 +730,145 @@ class TestVerifyChecksTheVerdict:
         rc = main(["verify", str(report_path), str(path), "--max-n", "10"])
         assert rc == 2
         assert "exceeds the maximum order 10" in capsys.readouterr().err
+
+
+LADDER = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]])
+# rows 1 and 2 are equality rows pointing at each other; row 1 also reaches row 3
+TWO_WAY = Matrix([[2, 1, 1], [1, 1, 0], [0, 0, 1]])
+# row 1 reaches the strict row 4 and the closed pair {2, 3}, which reaches nothing
+DEAD_END = Matrix([[2, 1, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
+
+
+def _verify_lines(report: dict, A: Matrix) -> dict[str, tuple[bool, str]]:
+    return {name: (ok, detail) for name, ok, detail in verify_report(report, A)}
+
+
+class TestVerifyReadsSchemaV2:
+    """Each forged certificate is one FAIL line, never an exception."""
+
+    def test_fixtures_verify_as_analyzed(self):
+        for A in (TWO_WAY, DEAD_END):
+            report, problems = analyze_matrix(A)
+            assert problems == []
+            results = verify_report(json.loads(emit_json(report)), A)
+            assert results and all(ok for _, ok, _ in results)
+        assert analyze_matrix(TWO_WAY)[0]["chain"]["next"] == {"1": 3, "2": 1}
+        report = analyze_matrix(DEAD_END)[0]
+        assert report["chain"]["next"] == {"1": 4} and report["chain"]["unreachable"] == [2, 3]
+        assert report["peel_trace"] == [[1], [2, 3]]
+
+    @pytest.mark.parametrize(
+        "A, hops, detail",
+        [
+            (LADDER, {"1": 3, "2": 3}, "hop 1 -> 3 crosses no off-diagonal nonzero"),
+            (LADDER, {"1": 1, "2": 3}, "hop 1 -> 1 crosses no off-diagonal nonzero"),
+            (TWO_WAY, {"1": 2, "2": 1}, "hops from 1 cycle through 1"),
+            (DEAD_END, {"1": 2}, "hops from 1 stop at 2, inside T"),
+            (LADDER, {"1": 2}, "next keys are not the rows of T with a chain"),
+            (LADDER, {"1": 2, "2": 3, "3": 1}, "next keys are not the rows of T with a chain"),
+            (LADDER, {"2": 3, "1": 2}, "next keys are not the rows of T with a chain"),
+            (LADDER, {"01": 2, "2": 3}, "next key '01' is not a 1-based index"),
+            (LADDER, {"one": 2, "2": 3}, "malformed chain: ValueError"),
+            (LADDER, {"1.0": 2, "2": 3}, "malformed chain: ValueError"),
+            (LADDER, {"1": 2.0, "2": 3}, "next[1] = 2.0 is not a 1-based index"),
+            (LADDER, {"1": 0, "2": 3}, "next[1] = 0 is not a 1-based index"),
+        ],
+        ids=["zero-entry", "diagonal", "two-cycle", "dead-end", "missing-key", "extra-key",
+             "unordered-keys", "leading-zero-key", "word-key", "real-key", "real-hop", "zero-hop"],
+    )
+    def test_forged_hops_fail(self, A, hops, detail):
+        report, _ = analyze_matrix(A)
+        report = json.loads(emit_json(report))
+        report["chain"]["next"] = hops
+        lines = _verify_lines(report, A)
+        ok, got = lines["chain"]
+        assert not ok and got.startswith(detail)
+        assert [name for name, (ok, _) in lines.items() if not ok] == ["chain"]
+
+    @pytest.mark.parametrize(
+        "trace",
+        [[[1, 2], [3]], [[1, 2], [2, 3]], [[1], [3]], [[1], [2], [3]], [[1, 2, 3]], [[2, 3], [1]]],
+        ids=["moved", "duplicated", "dropped", "split", "merged", "reordered"],
+    )
+    def test_forged_peel_partition_fails(self, trace):
+        report, _ = analyze_matrix(DEAD_END)
+        report = json.loads(emit_json(report))
+        report["peel_trace"] = trace
+        lines = _verify_lines(report, DEAD_END)
+        assert [name for name, (ok, _) in lines.items() if not ok] == ["peel"]
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda r: {k: v for k, v in r.items() if k != "schema_version"},
+            lambda r: {**r, "schema_version": 1},
+            lambda r: {**r, "schema_version": True},
+            lambda r: {**r, "schema_version": "2"},
+            # the ladder's report as schema version 1 wrote it
+            lambda r: {
+                **{k: v for k, v in r.items() if k != "schema_version"},
+                "chain": {"holds": True, "paths": [[1, 2, 3], [2, 3]], "unreachable": []},
+                "peel_trace": [[1, 2], [1]],
+            },
+        ],
+        ids=["missing", "one", "bool", "string", "v1-report"],
+    )
+    def test_other_schema_versions_fail_the_shape(self, tmp_path, capsys, forge):
+        rc, captured = _verify(tmp_path, capsys, forge(_golden("ladder")), FIXTURES / "ladder.mtx")
+        assert rc == 4
+        assert captured.out.startswith("report-shape: FAIL (schema_version ")
+        assert captured.out.count("\n") == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(dd_matrices(max_n=6), st.data())
+def test_verify_judges_hops_and_partition_like_the_reference(A, data):
+    """Random edits to ``chain.next`` and ``peel_trace``; verify agrees with the slow references.
+
+    An edit points a key's hop at another neighbour of its row (which
+    can close a cycle or end inside T), sets any key to any value, or
+    deletes a key.  The chain check must pass exactly when the edited
+    hops still certify the chains by walking every chain in full
+    (``reference.hops_certify``), and the peel check exactly when the
+    trace is still the recomputed partition (moving, copying or
+    dropping a row breaks it).  Nothing raises.
+    """
+    try:
+        report, _ = analyze_matrix(A)
+    except InconsistencyError:
+        return  # a scaling at the boundary; the structure is fuzzed elsewhere
+    report = json.loads(emit_json(report))
+    hops = dict(report["chain"]["next"])
+    for _ in range(data.draw(st.integers(0, 3))):
+        edit = data.draw(st.sampled_from(["rehop", "set", "delete"]))
+        if edit == "rehop" and report["chain"]["next"]:
+            key = data.draw(st.sampled_from(sorted(report["chain"]["next"])))
+            cols, _ = A.pattern.row(int(key) - 1)
+            hops[key] = data.draw(st.sampled_from(cols)) + 1
+        elif edit == "set":
+            hops[str(data.draw(st.integers(1, A.n + 1)))] = data.draw(st.integers(-1, A.n + 1))
+        elif edit == "delete" and hops:
+            del hops[data.draw(st.sampled_from(sorted(hops)))]
+    hops = dict(sorted(hops.items(), key=lambda kv: int(kv[0])))
+    trace = copy.deepcopy(report["peel_trace"])
+    if trace and data.draw(st.booleans()):
+        rows = [(k, i) for k, part in enumerate(trace) for i in range(len(part))]
+        k, i = data.draw(st.sampled_from(rows))
+        row = trace[k][i]
+        action = data.draw(st.sampled_from(["move", "copy", "drop"]))
+        if action != "copy":
+            del trace[k][i]
+        if action != "drop":
+            trace[data.draw(st.integers(0, len(trace) - 1))].append(row)
+    forged = {**report, "chain": {**report["chain"], "next": hops}, "peel_trace": trace}
+    lines = _verify_lines(forged, A)
+    chain = chain_condition(A)
+    certified = reference.hops_certify(
+        A, chain.subset, chain.reached, {int(k) - 1: v - 1 for k, v in hops.items()}
+    )
+    assert lines["chain"][0] == certified
+    assert lines["peel"][0] == (trace == report["peel_trace"])
+    assert all(ok for name, (ok, _) in lines.items() if name not in ("chain", "peel"))
 
 
 _SWAP_VALUES = ("5e-324", "1e-320", "1e-20", "0", "1e308", "-1e308", "1", "2.0", "0.5", "-3")

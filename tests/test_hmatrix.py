@@ -44,7 +44,7 @@ class TestIsHDD:
     def test_two_stage_peel(self):
         v = is_h_dd(LADDER)
         assert v.is_h
-        assert [t.members for t in v.peel_trace] == [(0, 1), (0,)]
+        assert [t.members for t in v.peel_trace] == [(1,), (0,)]
 
     def test_stagnant_peel(self):
         v = is_h_dd(TWO_CYCLE)
@@ -68,15 +68,13 @@ class TestIsHDD:
         with pytest.raises(ValueError):
             is_h_dd(Matrix([[1, 2], [2, 1]]))
 
-    def test_trace_is_strictly_decreasing_chain(self):
-        v = is_h_dd(LADDER)
-        T = non_sdd_rows(LADDER)
-        last = T.member_set
-        for t in v.peel_trace:
-            assert t.member_set <= T.member_set
-            assert t.member_set <= last
-        for a, b in zip(v.peel_trace, v.peel_trace[1:]):
-            assert b.member_set < a.member_set
+    @pytest.mark.parametrize("A", [LADDER, TWO_CYCLE, Matrix([[0, 0], [0, 1]])])
+    def test_trace_partitions_t(self, A):
+        # one entry per level (then the stalled block): each row of T once
+        v = is_h_dd(A)
+        rows = [i for t in v.peel_trace for i in t.members]
+        assert all(len(t) > 0 for t in v.peel_trace)
+        assert sorted(rows) == list(non_sdd_rows(A).members)
 
 
 class TestWitness:

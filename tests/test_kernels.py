@@ -27,12 +27,14 @@ import ddh
 import ddh.cli
 import reference
 from ddh import (
+    ChainReport,
     EnsembleSpec,
     IndexSet,
     InconsistencyError,
     Matrix,
     PeelReason,
     RandomStream,
+    classify_dominance,
     deleted_row_sum,
     find_ssdd_set_dd,
     interwoven_from_peeling,
@@ -41,6 +43,7 @@ from ddh import (
     non_sdd_rows,
     partial_row_sum,
     peel_levels,
+    peel_outcome,
     principal_submatrix,
     random_dd_matrix,
     s_h_check,
@@ -230,12 +233,12 @@ class TestPeelLevels:
         peel = peel_levels(Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]]))
         assert peel.t_set.members == (0, 1)
         assert peel.levels == ((1,), (0,)) and not peel.stalled
-        assert [t.members for t in peel.active_sets()] == [(0, 1), (0,), ()]
+        assert [t.members for t in reference.active_sets(peel)] == [(0, 1), (0,), ()]
 
     def test_stall_keeps_the_closed_block(self):
         peel = peel_levels(Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))
         assert peel.levels == () and peel.stalled
-        assert [t.members for t in peel.active_sets()] == [(0, 1)]
+        assert [t.members for t in reference.active_sets(peel)] == [(0, 1)]
 
     def test_sdd_has_no_levels(self):
         peel = peel_levels(Matrix([[2, 1], [1, 2]]))
@@ -280,8 +283,8 @@ def test_deep_peel_copies_no_submatrix(monkeypatch):
     v = is_h_dd(A)
     assert len(v.peel_trace) == 1998
     assert v.reason is PeelReason.STAGNANT_PEEL and not v.is_h
-    assert v.witness.members == (n - 2, n - 1)
-    T = v.peel_trace[0]
+    assert v.witness.members == (n - 2, n - 1) and v.peel_trace[-1] == v.witness
+    T = v.peel.t_set
     assert len(T) == n - 1
     assert is_interwoven(A, T) is None
     assert interwoven_from_peeling(A, v.peel) is None
@@ -306,6 +309,19 @@ def _count_calls(monkeypatch, names, home=ddh) -> dict[str, int]:
     return calls
 
 
+def _count_path_views(monkeypatch) -> dict[str, int]:
+    """Count the reads of ``ChainReport.paths``, the lazy full paths (n^2/2 indices on a chain)."""
+    calls = {"paths": 0}
+    lazy = ChainReport.__dict__["paths"]
+
+    def paths(self):
+        calls["paths"] += 1
+        return lazy.func(self)
+
+    monkeypatch.setattr(ChainReport, "paths", property(paths))
+    return calls
+
+
 def test_analysis_reuses_its_own_structures(monkeypatch):
     """Work gate: counted solves, peels, chain passes and block copies on an H chain.
 
@@ -319,12 +335,15 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     and decides the interwoven and chain claims from one chain BFS with no
     second closure; the peeling certificate and the SSDD search neither peel nor
     classify again, and the SSDD search copies no block and sums no row.
+    Neither side reads the full chain paths: the report and the verifier
+    use the next hops.
     """
     calls = _count_calls(
         monkeypatch,
         ("lu_solve", "chain_condition", "principal_submatrix", "peel_levels",
          "comparison_matrix", "partial_row_sum", "classify_dominance", "is_interwoven"),
     )
+    paths = _count_path_views(monkeypatch)
     n = 200
     A = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
     report, problems = analyze_matrix(A)
@@ -332,12 +351,14 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     assert report["sh"]["inner_h"] is True and problems == []
     assert calls["lu_solve"] == 1 and calls["chain_condition"] == 1
     assert calls["peel_levels"] == 2 and calls["comparison_matrix"] == 1
+    assert paths["paths"] == 0
 
     calls.update(dict.fromkeys(calls, 0))
     results = verify_report(json.loads(emit_json(report)), A)
     assert all(ok for _, ok, _ in results)
     assert calls["lu_solve"] == 1
     assert calls["chain_condition"] == 1 and calls["is_interwoven"] == 0
+    assert paths["paths"] == 0
 
     peel = peel_levels(A)
     calls.update(dict.fromkeys(calls, 0))
@@ -345,6 +366,52 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     assert calls["principal_submatrix"] == 0 and calls["partial_row_sum"] == 0
     assert interwoven_from_peeling(A, peel) is not None
     assert calls["peel_levels"] == 0 and calls["classify_dominance"] == 0
+
+
+def test_report_is_linear_in_the_order(monkeypatch):
+    """Work gate: an order-2000 H chain's report is O(n) bytes and reads no chain path.
+
+    Its chains run n - 1 deep, so full paths, or every active set of the
+    peel, would hold about n^2/2 indices.  The report holds one next hop
+    per row of T and each row of T in one peel level.
+    """
+    paths = _count_path_views(monkeypatch)
+    n = 2000
+    A = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
+    report, problems = analyze_matrix(A)
+    assert report["is_h"] is True and problems == []
+    assert len(emit_json(report).encode()) < 200 * n
+    assert len(report["chain"]["next"]) == n - 1
+    assert len(report["peel_trace"]) == n - 1
+    assert sum(len(level) for level in report["peel_trace"]) == n - 1
+    assert paths["paths"] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounded_matrices())
+def test_peel_trace_complements_are_the_active_sets(A):
+    """The trace partitions T; removing its entries in turn gives the reference's T_0, T_1, ...
+
+    The entries are the peel's levels, then the stalled block, so the
+    sets left after each removal are the active sets of the peel and the
+    last one is empty.  On a zero diagonal the trace is T alone.
+    """
+    for tol in TOLERANCES:
+        if not classify_dominance(A, tol).is_dd:
+            continue
+        peel = peel_levels(A, tol)
+        trace, reason, _ = peel_outcome(A, peel)
+        assert sum(len(part) for part in trace) == len(peel.t_set)
+        left = peel.t_set.members
+        remaining = [peel.t_set]
+        for part in trace:
+            left = tuple(i for i in left if i not in part)
+            remaining.append(IndexSet(left, A.n))
+        assert remaining[-1] == IndexSet.empty(A.n)
+        if reason is PeelReason.ZERO_DIAGONAL:
+            assert trace == (peel.t_set,)
+        else:
+            assert remaining[: len(peel.levels) + 1] == reference.active_sets(peel)
 
 
 def test_scaling_sweeps_replace_the_dense_solve(monkeypatch):
