@@ -167,7 +167,8 @@ def analyze_matrix(
 
     Returns ``(report, problems)`` where ``problems`` lists internal
     cross-check failures (theory disagreeing with itself or, under
-    ``with_oracle``, with the inverse-nonnegativity oracle).
+    ``with_oracle``, with the inverse-nonnegativity oracle where the
+    Jacobi oracle agrees with that oracle).
     """
     dom = classify_dominance(A, tol)
     T = non_sdd_rows(A, tol)
@@ -257,7 +258,10 @@ def analyze_matrix(
         # the peel of A[T,T] is the tail of A's own peel
         problems.append(f"subset H-condition inner_h={sh.inner_h} disagrees with is_h={is_h}")
     if with_oracle and dom.is_dd and oracle_obj is not None:
-        if bool(is_h) != oracle_obj["inverse_nonneg"]:
+        # only oracles that agree with each other can outvote the peel: where
+        # they differ, one of them sits at its floating-point threshold
+        inverse = oracle_obj["inverse_nonneg"]
+        if inverse == oracle_obj["jacobi"] and bool(is_h) != inverse:
             problems.append(
                 f"peel verdict is_h={is_h} disagrees with inverse-nonnegativity "
                 f"oracle {oracle_obj['inverse_nonneg']}"
@@ -278,6 +282,27 @@ def _close(a: float, b: float, rtol: float = 1e-9) -> bool:
 
 # what reading a report field of the wrong type, size or value raises
 _MALFORMED = (KeyError, TypeError, ValueError, AttributeError, OverflowError)
+
+
+def _indices(values, n: int) -> list[int]:
+    """A report's list of 1-based indices, read strictly; raises TypeError or ValueError.
+
+    Every item must be an ``int`` (a bool, or a float such as 2.0, is no
+    index) in 1..n.
+    """
+    if not isinstance(values, list):
+        raise TypeError(f"expected a list of 1-based indices, not {type(values).__name__}")
+    for v in values:
+        if type(v) is not int:
+            raise TypeError(f"{v!r} is not an integer index")
+        if not 1 <= v <= n:
+            raise ValueError(f"members out of range: {v} is not in 1..{n}")
+    return values
+
+
+def _index_set(values, n: int) -> IndexSet:
+    """``_indices`` as a 0-based set."""
+    return _zero_based_set(_indices(values, n), n)
 
 
 def _hops_problem(hops, chain: ChainReport, A: Matrix) -> str:
@@ -301,9 +326,9 @@ def _hops_problem(hops, chain: ChainReport, A: Matrix) -> str:
         succ[i] = value - 1
     if list(succ) != sorted(chain.next_hop):
         return "next keys are not the rows of T with a chain, in increasing order"
-    mod = A.modulus
-    for i, j in succ.items():
-        if i == j or mod[i, j] == 0.0:
+    stored = A.pattern.has_edges(list(succ), list(succ.values()))
+    for (i, j), ok in zip(succ.items(), stored.tolist()):
+        if not ok:  # the pattern stores no diagonal entry
             return f"hop {i + 1} -> {j + 1} crosses no off-diagonal nonzero"
     in_t = chain.subset.member_set
     state = [0] * A.n  # 1: on the walk being followed, 2: known to leave T
@@ -372,13 +397,15 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     check("dominance", report.get("dominance_class") == dom.value,
           f"recomputed class is {dom.value}")
     T = non_sdd_rows(A, tol)
-    check("t-set", report.get("t_set") == _one_based(T.members), "recomputed T differs")
+    with guarded("t-set"):
+        ok = _indices(report.get("t_set"), A.n) == _one_based(T.members)
+        check("t-set", ok, "recomputed T differs")
     chain = chain_condition(A, tol)
     peel = peel_levels(A, tol) if dom.is_dd else None
 
     with guarded("chain"):
         chain_obj = report.get("chain") or {}
-        claimed = (chain_obj.get("holds"), chain_obj.get("unreachable"))
+        claimed = (chain_obj.get("holds"), _indices(chain_obj.get("unreachable"), A.n))
         if claimed != (chain.holds, _one_based(chain.unreachable.members)):
             detail = "holds or unreachable differs from the recomputed chains"
         else:
@@ -386,12 +413,12 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         check("chain", not detail, detail)
 
     def cert_from_dict(obj) -> InterwovenCertificate:
-        subset = _zero_based_set(obj["subset"], A.n)
+        leftover = obj["leftover"]
         return InterwovenCertificate(
-            subset=subset,
-            p_seq=tuple(int(p) - 1 for p in obj["p_seq"]),
-            q_seq=tuple(int(q) - 1 for q in obj["q_seq"]),
-            leftover=None if obj["leftover"] is None else int(obj["leftover"]) - 1,
+            subset=_index_set(obj["subset"], A.n),
+            p_seq=tuple(p - 1 for p in _indices(obj["p_seq"], A.n)),
+            q_seq=tuple(q - 1 for q in _indices(obj["q_seq"], A.n)),
+            leftover=None if leftover is None else _indices([leftover], A.n)[0] - 1,
         )
 
     with guarded("interwoven"):
@@ -400,8 +427,8 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             cert = cert_from_dict(
                 {
                     "subset": iw["subset"],
-                    "p_seq": iw["p_seq"] or [],
-                    "q_seq": iw["q_seq"] or [],
+                    "p_seq": iw["p_seq"],
+                    "q_seq": iw["q_seq"],
                     "leftover": iw["leftover"],
                 }
             )
@@ -426,18 +453,22 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             ok = cert.subset.members == T.members and verify_certificate(A, cert)
             check("interwoven-peeling", ok, "" if ok else "certificate failed re-verification")
 
-    if peel is None:
-        ok = report.get("peel_trace") is None and report.get("peel_reason") is None
-    else:
-        trace, reason, _ = peel_outcome(A, peel)
-        ok = report.get("peel_trace") == [_one_based(t.members) for t in trace]
-        ok = ok and report.get("peel_reason") == reason.value
-    check("peel", ok, "peel trace or reason differs from the recomputed peel")
+    with guarded("peel"):
+        claimed = report.get("peel_trace")
+        if peel is None:
+            ok = claimed is None and report.get("peel_reason") is None
+        else:
+            trace, reason, _ = peel_outcome(A, peel)
+            ok = isinstance(claimed, list) and (
+                [_indices(level, A.n) for level in claimed] == [_one_based(t.members) for t in trace]
+            )
+            ok = ok and report.get("peel_reason") == reason.value
+        check("peel", ok, "peel trace or reason differs from the recomputed peel")
 
     witness = report.get("witness")
     if witness is not None:
         with guarded("witness"):
-            W = _zero_based_set(witness, A.n)
+            W = _index_set(witness, A.n)
             if not W.member_set <= T.member_set or len(W) == 0:
                 check("witness", False, "witness is not a nonempty subset of T")
             else:
@@ -478,7 +509,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     ssdd = report.get("ssdd_set")
     if ssdd is not None:
         with guarded("ssdd"):
-            ok = s_sdd_check(A, _zero_based_set(ssdd, A.n))
+            ok = s_sdd_check(A, _index_set(ssdd, A.n))
             check("ssdd", ok, "" if ok else "stored set fails the subset dominance test")
 
     sh = report.get("sh")
@@ -486,7 +517,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         check("sh", False, "T is a nonempty proper subset but the subset H-condition is missing")
     elif sh is not None:
         with guarded("sh"):
-            rep = s_h_check(A, _zero_based_set(sh["subset"], A.n), tol)
+            rep = s_h_check(A, _index_set(sh["subset"], A.n), tol)
             ok = bool(sh["satisfied"]) == rep.satisfied and bool(sh["inner_h"]) == rep.inner_h
             if ok and (sh["lhs"] is None) != (rep.lhs is None):
                 ok = False

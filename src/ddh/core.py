@@ -1,12 +1,15 @@
 """Square matrices, their sparse pattern, and row-dominance primitives.
 
-Every check in this package depends on entry magnitudes only, so the
-container caches a nonnegative ``|a_ij|`` view next to the (possibly
-complex) entries, and a compressed-row view of the off-diagonal nonzeros
-of that modulus (with its transpose), which is also the sparsity graph.
-The structural kernels (row sums, the peel, the interwoven closure, the
-graph traversals) and the scaling sweeps read the sparse view, so they
-cost O(nnz); dense work is left to the LU and the oracles.
+Every check in this package depends on entry magnitudes only, and reads
+the diagonal, the row sums and the sparsity graph.  So a ``Matrix`` is
+stored sparse: its diagonal, and its off-diagonal nonzeros in compressed
+row form (with the transpose), as magnitudes (``SparsePattern``, which
+is also the sparsity graph) and as the (possibly complex) entries.  The
+structural kernels (row sums, the peel, the interwoven closure, the
+graph traversals), the scaling sweeps and the principal submatrices
+read that storage, so they cost O(n + nnz).  A dense array is built
+only on request, for the LU of a subset block, the oracles and the
+dense scaling solve.
 
 Row sums accumulate left to right in increasing column order, and all
 callers share the helpers here, so quantities that must agree (a full
@@ -66,14 +69,17 @@ class SparsePattern:
     t_indices: np.ndarray
 
     @classmethod
-    def from_modulus(cls, mod: np.ndarray) -> "SparsePattern":
-        n = mod.shape[0]
-        rows, cols = np.nonzero(mod)  # row-major: columns increase within a row
-        keep = rows != cols
-        rows, cols = rows[keep], cols[keep]
+    def from_triples(cls, n: int, rows, cols, data) -> "SparsePattern":
+        """Pattern of the entries ``(rows[k], cols[k])`` with magnitudes ``data[k]``.
+
+        The caller lists off-diagonal positions in row-major order, each
+        once, with positive magnitudes.
+        """
+        rows = np.asarray(rows, dtype=np.intp)
+        cols = np.asarray(cols, dtype=np.intp)
         by_col = np.argsort(cols, kind="stable")  # rows stay increasing per column
         arrays = (
-            _pointers(rows, n), cols, mod[rows, cols],
+            _pointers(rows, n), cols, np.asarray(data, dtype=np.float64),
             _pointers(cols, n), rows[by_col],
         )
         for arr in arrays:
@@ -85,6 +91,21 @@ class SparsePattern:
         a, b = self.indptr[i], self.indptr[i + 1]
         return self.indices[a:b].tolist(), self.data[a:b].tolist()
 
+    def rows(self) -> np.ndarray:
+        """The row of every stored entry, in storage order (``indices`` holds the columns)."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+    def has_edges(self, rows, cols) -> np.ndarray:
+        """Whether each ``(rows[k], cols[k])``, 0-based and in range, is stored.
+
+        Row-major keys ``i n + j`` of the stored entries increase, so this
+        is one sorted membership test: O((nnz + k) log), no dense lookup.
+        """
+        n = len(self.indptr) - 1
+        stored = self.rows() * n + self.indices
+        wanted = np.asarray(rows, dtype=np.intp) * n + np.asarray(cols, dtype=np.intp)
+        return np.isin(wanted, stored)
+
 
 def _pointers(keys: np.ndarray, n: int) -> np.ndarray:
     ptr = np.zeros(n + 1, dtype=np.intp)
@@ -92,40 +113,76 @@ def _pointers(keys: np.ndarray, n: int) -> np.ndarray:
     return ptr
 
 
-@dataclass(frozen=True, eq=False)
 class Matrix:
-    """Square matrix of order >= 1 with cached magnitude and sparse views.
+    """Square matrix of order >= 1, stored as its diagonal and its off-diagonal nonzeros.
 
-    NaN entries (a complex entry with a NaN part included) are rejected,
-    so every stored magnitude in ``pattern`` is positive.  Infinite
-    entries are kept.
+    ``pattern`` holds the off-diagonal nonzeros in compressed row form
+    with their magnitudes (and the transpose), ``values`` the entries
+    themselves (real or complex) at the same positions, and ``diagonal``
+    the diagonal entries, zeros included.  Every check reads these, in
+    O(n + nnz) memory.  The dense ``entries`` and ``modulus`` are views
+    built on first request (as ``comparison_matrix`` is, on each call):
+    the oracles, the dense scaling solve and the tests ask for them.
+
+    ``Matrix(dense)`` converts a square array once.  NaN entries (a
+    complex entry with a NaN part included) are rejected, so every stored
+    magnitude in ``pattern`` is positive.  Infinite entries are kept.
+    The parser and ``principal_submatrix`` build a matrix from its
+    nonzeros directly (``from_nonzeros``).
     """
 
-    entries: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_square_array(self.entries)
-        if np.isnan(arr).any():  # before the copy, so the mask and the copy never coexist
+    def __init__(self, entries):
+        arr = _as_square_array(entries)
+        if np.isnan(arr).any():
             raise ValueError("matrix entries must not be NaN")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "entries", arr)
+        rows, cols = np.nonzero(arr)  # row-major: columns increase within a row
+        off = rows != cols
+        rows, cols = rows[off], cols[off]
+        self._store(np.diagonal(arr).copy(), rows, cols, arr[rows, cols])
+
+    @classmethod
+    def from_nonzeros(cls, diagonal, rows, cols, values) -> "Matrix":
+        """Matrix with ``diagonal`` and off-diagonal entries ``values`` at ``(rows, cols)``.
+
+        The caller lists each off-diagonal nonzero once, in row-major
+        order, and guarantees that no value is NaN; ``values`` and
+        ``diagonal`` share a float64 or complex128 dtype.
+        """
+        A = cls.__new__(cls)
+        A._store(np.asarray(diagonal), rows, cols, np.asarray(values))
+        return A
+
+    def _store(self, diagonal: np.ndarray, rows, cols, values: np.ndarray):
+        if diagonal.shape[0] < 1:
+            raise ValueError("matrix order must be at least 1")
+        diagonal.setflags(write=False)
+        values.setflags(write=False)
+        self.diagonal = diagonal
+        self.values = values
+        self.pattern = SparsePattern.from_triples(diagonal.shape[0], rows, cols, np.abs(values))
 
     @property
     def n(self) -> int:
-        return self.entries.shape[0]
+        return self.diagonal.shape[0]
+
+    @property
+    def dtype(self) -> np.dtype:
+        """float64 or complex128."""
+        return self.diagonal.dtype
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """Dense entries (read-only), built on first request."""
+        dense = _dense(self, self.values, self.diagonal)
+        dense.setflags(write=False)
+        return dense
 
     @cached_property
     def modulus(self) -> np.ndarray:
-        """Entrywise ``|a_ij|`` as float64 (read-only)."""
-        mod = np.abs(self.entries).astype(np.float64, copy=False)
+        """Dense entrywise ``|a_ij|`` as float64 (read-only), built on first request."""
+        mod = _dense(self, self.pattern.data, self.diagonal_modulus)
         mod.setflags(write=False)
         return mod
-
-    @cached_property
-    def pattern(self) -> SparsePattern:
-        """Off-diagonal nonzeros of ``modulus`` in compressed row form."""
-        return SparsePattern.from_modulus(self.modulus)
 
     @cached_property
     def deleted_row_sums(self) -> np.ndarray:
@@ -147,12 +204,24 @@ class Matrix:
 
     @cached_property
     def diagonal_modulus(self) -> np.ndarray:
-        diag = np.abs(np.diagonal(self.entries)).astype(np.float64, copy=False)
+        diag = np.abs(self.diagonal).astype(np.float64, copy=False)
         diag.setflags(write=False)
         return diag
 
     def __repr__(self) -> str:
-        return f"Matrix(n={self.n}, dtype={self.entries.dtype})"
+        return f"Matrix(n={self.n}, dtype={self.dtype})"
+
+
+def _dense(A: Matrix, off: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Order-n array with ``off`` at the pattern's positions and ``diag`` on the diagonal.
+
+    Every dense view of a matrix is made here, and nowhere on the
+    structural path.
+    """
+    out = np.zeros((A.n, A.n), dtype=diag.dtype)
+    out[A.pattern.rows(), A.pattern.indices] = off
+    np.fill_diagonal(out, diag)
+    return out
 
 
 @dataclass(frozen=True)
@@ -357,16 +426,28 @@ def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
 
 
 def comparison_matrix(A: Matrix) -> np.ndarray:
-    """Real array with diagonal |a_ii| and off-diagonal -|a_ij|."""
-    comp = 0.0 - A.modulus  # one allocation; 0.0 - 0.0 is +0.0, so no -0.0
-    np.fill_diagonal(comp, A.diagonal_modulus)
-    return comp
+    """Dense real array with diagonal |a_ii| and off-diagonal -|a_ij|.
+
+    Built from the pattern on each call; unstored entries are +0.0.
+    """
+    return _dense(A, -A.pattern.data, A.diagonal_modulus)
 
 
 def principal_submatrix(A: Matrix, S: IndexSet) -> Matrix:
-    """Restriction of A to the rows and columns in S, in increasing order."""
+    """Restriction of A to the rows and columns in S, in increasing order.
+
+    Keeps the stored entries with both ends in S and renumbers them:
+    O(n + nnz), with no dense array.
+    """
     _check_universe(A, S)
     if len(S) == 0:
         raise ValueError("principal submatrix requires a nonempty index set")
-    idx = S.to_array()
-    return Matrix(A.entries[np.ix_(idx, idx)])
+    inside = np.zeros(A.n, dtype=bool)
+    inside[S.to_array()] = True
+    position = np.cumsum(inside) - 1  # of each member in S; increasing, so row-major order stays
+    pat = A.pattern
+    rows = pat.rows()
+    keep = inside[rows] & inside[pat.indices]
+    return Matrix.from_nonzeros(
+        A.diagonal[inside], position[rows[keep]], position[pat.indices[keep]], A.values[keep]
+    )

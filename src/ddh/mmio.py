@@ -1,9 +1,12 @@
 """Matrix Market coordinate files (real/integer/complex, with symmetry).
 
-Files are ingested into dense storage: unlisted entries are zero,
-duplicate coordinates are summed, symmetric storage is expanded (the
-hermitian variant conjugates the mirrored entry) and the 1-based file
-indices map to 0-based matrix indices.  Only square matrices with
+Files are read into sparse storage (``core.Matrix``) straight from
+their coordinate lines, with no n x n array: unlisted entries are zero,
+duplicate coordinates are summed in file order, symmetric storage is
+expanded (the hermitian variant conjugates the mirrored entry), the
+1-based file indices map to 0-based matrix indices, and off-diagonal
+entries that are zero (listed so, or cancelled by a duplicate) are not
+stored.  Only square matrices with
 finite entries are accepted.  Parse failures raise :class:`ParseError`
 carrying the offending 1-based line number.
 """
@@ -35,8 +38,9 @@ def _tokens(raw_line: str) -> list[str]:
 def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
     """Parse Matrix Market coordinate text (str or bytes) into a Matrix.
 
-    A declared order above ``max_order`` is refused at the size line,
-    before the dense storage is allocated.
+    A declared order above ``max_order`` is refused at the size line.
+    Memory grows with the entry lines read, never with the declared
+    order squared or the declared entry count.
     """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8", errors="replace")
@@ -86,9 +90,10 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
         raise ParseError("nonzero count must be nonnegative", lineno)
 
     n = rows
-    dtype = np.complex128 if field == "complex" else np.float64
-    entries = np.zeros((n, n), dtype=dtype)
-    want = 4 if field == "complex" else 3
+    is_complex = field == "complex"
+    want = 4 if is_complex else 3
+    zero = 0j if is_complex else 0.0
+    sums: dict[int, complex | float] = {}  # i n + j (0-based) -> running sum, in file order
     seen = 0
     while pos < len(lines):
         lineno = pos + 1
@@ -108,7 +113,7 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
         if not (1 <= i <= n and 1 <= j <= n):
             raise ParseError(f"entry ({i}, {j}) out of range for order {n}", lineno)
         try:
-            if field == "complex":
+            if is_complex:
                 value = complex(float(toks[2]), float(toks[3]))
             else:
                 value = float(toks[2])
@@ -116,16 +121,31 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
             raise ParseError("entry value must be numeric", lineno) from None
         i -= 1
         j -= 1
-        entries[i, j] += value
+        key = i * n + j
+        total = sums[key] = sums.get(key, zero) + value
+        finite = cmath.isfinite(total)
         if symmetry != "general" and i != j:
             mirrored = value.conjugate() if symmetry == "hermitian" else value
-            entries[j, i] += mirrored
-        if not (cmath.isfinite(entries[i, j]) and cmath.isfinite(entries[j, i])):
+            key = j * n + i
+            total = sums[key] = sums.get(key, zero) + mirrored
+            finite = finite and cmath.isfinite(total)
+        if not finite:
             raise ParseError("entry value must be finite, also when summed", lineno)
         seen += 1
     if seen != nnz:
         raise ParseError(f"declared {nnz} entries but found {seen}", len(lines) + 1)
-    return Matrix(entries)
+
+    dtype = np.complex128 if is_complex else np.float64
+    keys = np.fromiter(sums.keys(), dtype=np.int64, count=len(sums))
+    values = np.fromiter(sums.values(), dtype=dtype, count=len(sums))
+    order = np.argsort(keys)  # row-major
+    keys, values = keys[order], values[order]
+    rows, cols = np.divmod(keys, n)
+    diagonal = np.zeros(n, dtype=dtype)
+    on_diag = rows == cols
+    diagonal[rows[on_diag]] = values[on_diag]
+    keep = ~on_diag & (values != 0)  # entries that cancelled, or were listed as 0, are not stored
+    return Matrix.from_nonzeros(diagonal, rows[keep], cols[keep], values[keep])
 
 
 def format_real(x: float) -> str:
@@ -133,38 +153,42 @@ def format_real(x: float) -> str:
     return f"{x:.17g}"
 
 
-#: dense cells whose nonzeros ``matrix_market_chunks`` formats at a time
+#: entry lines ``matrix_market_chunks`` formats at a time
 WRITE_CHUNK = 1 << 16
 
 
 def matrix_market_chunks(A: Matrix, comments: tuple[str, ...] = ()):
     """Coordinate text of A (general symmetry, nonzeros only), piece by piece.
 
-    Yields the header lines, then the entry lines of one slab of about
-    ``WRITE_CHUNK`` dense cells at a time.  ``np.nonzero`` lists a slab's
-    nonzeros in row-major order: O(nnz) after one pass over the dense
-    storage.  A caller that writes each chunk as it comes holds the text
-    of one slab, not of the file.
+    Yields the header lines, then the entry lines in row-major order,
+    ``WRITE_CHUNK`` lines at a time.  The nonzero diagonal entries are
+    merged into the stored off-diagonal ones, row by row, in O(nnz).  A
+    caller that writes each chunk as it comes holds the text of one
+    chunk, not of the file.
     """
-    is_complex = A.entries.dtype.kind == "c"
+    is_complex = A.dtype.kind == "c"
     field = "complex" if is_complex else "real"
+    pat = A.pattern
+    rows, cols, values = pat.rows(), pat.indices, A.values
+    diag_rows = np.flatnonzero(A.diagonal)
+    # each diagonal entry goes before the first entry of its row with a larger column
+    at = np.searchsorted(rows * A.n + cols, diag_rows * (A.n + 1))
+    rows = np.insert(rows, at, diag_rows)
+    cols = np.insert(cols, at, diag_rows)
+    values = np.insert(values, at, A.diagonal[diag_rows])
     header = [f"%%MatrixMarket matrix coordinate {field} general"]
     header.extend(f"% {c}" for c in comments)
-    header.append(f"{A.n} {A.n} {np.count_nonzero(A.entries)}")
+    header.append(f"{A.n} {A.n} {rows.size}")
     yield "\n".join(header) + "\n"
-    step = max(1, WRITE_CHUNK // A.n)
-    for top in range(0, A.n, step):
-        slab = A.entries[top : top + step]
-        rows, cols = np.nonzero(slab)
-        if rows.size == 0:
-            continue
-        values = slab[rows, cols]
-        ijs = zip((rows + (top + 1)).tolist(), (cols + 1).tolist())
+    for top in range(0, rows.size, WRITE_CHUNK):
+        part = slice(top, top + WRITE_CHUNK)
+        ijs = zip((rows[part] + 1).tolist(), (cols[part] + 1).tolist())
+        chunk = values[part]
         if is_complex:
-            parts = zip(ijs, values.real.tolist(), values.imag.tolist())
+            parts = zip(ijs, chunk.real.tolist(), chunk.imag.tolist())
             lines = [f"{i} {j} {format_real(re)} {format_real(im)}\n" for (i, j), re, im in parts]
         else:
-            lines = [f"{i} {j} {format_real(x)}\n" for (i, j), x in zip(ijs, values.tolist())]
+            lines = [f"{i} {j} {format_real(x)}\n" for (i, j), x in zip(ijs, chunk.tolist())]
         yield "".join(lines)
 
 

@@ -23,7 +23,9 @@ code in ``ddh`` replaces with sparse worklist kernels:
   ``is_h_dd`` (scaling solve included), and the SSDD search classifying
   the copied block on T;
 * the ensemble generator drawing cell by cell from ``RandomStream`` and
-  the Matrix Market writer visiting every dense entry.
+  the Matrix Market writer visiting every dense entry;
+* the Matrix Market parser accumulating the entry lines into a dense
+  n x n array.
 
 The references keep the old signatures: each takes the matrix (and the
 tolerance), checks dominance itself and raises ``ValueError`` without
@@ -31,7 +33,8 @@ it, where the product ``interwoven_from_peeling`` and
 ``find_ssdd_set_dd`` read the caller's ``Peel``.  They are slow (the
 peel is O(n^3) on a chain) and exist only so that the tests can compare
 the product functions against them, bit for bit (the generator and the
-writer byte for byte).  Two are exceptions.
+writer byte for byte, the parser down to its errors).  Two are
+exceptions.
 The product decides interwoven sets from shortest chains, so only the
 decision is compared with the greedy closure, not the order of the
 certificate.  The product's scaling is the first vector its
@@ -41,6 +44,7 @@ Gauss-Seidel sweeps find, so it is checked for validity
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 
 import numpy as np
@@ -65,7 +69,7 @@ from ddh import (
     non_sdd_rows,
     principal_submatrix,
 )
-from ddh.mmio import format_real
+from ddh.mmio import _FIELDS, _SYMMETRIES, ParseError, _tokens, format_real
 from helpers import is_valid_scaling
 
 
@@ -433,3 +437,99 @@ def write_matrix_market(A: Matrix, comments: tuple[str, ...] = ()) -> str:
     out.append(f"{A.n} {A.n} {len(body)}")
     out.extend(body)
     return "\n".join(out) + "\n"
+
+
+def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
+    """The parser that accumulates every entry line into a dense n x n array.
+
+    Same checks, line numbers and messages as the product's; the dense
+    array then goes through ``Matrix(dense)``.
+    """
+    if isinstance(text, (bytes, bytearray)):
+        text = text.decode("utf-8", errors="replace")
+    lines = text.splitlines()
+    if not lines:
+        raise ParseError("empty input", 1)
+
+    header = _tokens(lines[0])
+    if len(header) != 5 or header[0] != "%%MatrixMarket":
+        raise ParseError("expected '%%MatrixMarket matrix coordinate <field> <symmetry>'", 1)
+    _, obj, fmt, field, symmetry = (header[0],) + tuple(t.lower() for t in header[1:])
+    if obj != "matrix" or fmt != "coordinate":
+        raise ParseError(f"unsupported header '{obj} {fmt}' (need 'matrix coordinate')", 1)
+    if field not in _FIELDS:
+        raise ParseError(f"unsupported field '{field}' (need one of {', '.join(_FIELDS)})", 1)
+    if symmetry not in _SYMMETRIES:
+        raise ParseError(
+            f"unsupported symmetry '{symmetry}' (need one of {', '.join(_SYMMETRIES)})", 1
+        )
+
+    lineno = 1
+    pos = 1
+    size = None
+    while pos < len(lines):
+        lineno = pos + 1
+        toks = _tokens(lines[pos])
+        pos += 1
+        if not toks or toks[0].startswith("%"):
+            continue
+        if len(toks) != 3:
+            raise ParseError("size line must be 'rows cols nonzeros'", lineno)
+        try:
+            size = tuple(int(t) for t in toks)
+        except ValueError:
+            raise ParseError("size line must contain integers", lineno) from None
+        break
+    if size is None:
+        raise ParseError("missing size line", lineno)
+    rows, cols, nnz = size
+    if rows != cols:
+        raise ParseError(f"matrix must be square, got {rows}x{cols}", lineno)
+    if rows < 1:
+        raise ParseError("matrix order must be at least 1", lineno)
+    if max_order is not None and rows > max_order:
+        raise ParseError(f"order {rows} exceeds the maximum order {max_order}", lineno)
+    if nnz < 0:
+        raise ParseError("nonzero count must be nonnegative", lineno)
+
+    n = rows
+    dtype = np.complex128 if field == "complex" else np.float64
+    entries = np.zeros((n, n), dtype=dtype)
+    want = 4 if field == "complex" else 3
+    seen = 0
+    while pos < len(lines):
+        lineno = pos + 1
+        toks = _tokens(lines[pos])
+        pos += 1
+        if not toks or toks[0].startswith("%"):
+            continue
+        if seen >= nnz:
+            raise ParseError(f"more than the declared {nnz} entries", lineno)
+        if len(toks) != want:
+            raise ParseError(f"entry line must have {want} tokens for field '{field}'", lineno)
+        try:
+            i = int(toks[0])
+            j = int(toks[1])
+        except ValueError:
+            raise ParseError("entry indices must be integers", lineno) from None
+        if not (1 <= i <= n and 1 <= j <= n):
+            raise ParseError(f"entry ({i}, {j}) out of range for order {n}", lineno)
+        try:
+            if field == "complex":
+                value = complex(float(toks[2]), float(toks[3]))
+            else:
+                value = float(toks[2])
+        except ValueError:
+            raise ParseError("entry value must be numeric", lineno) from None
+        i -= 1
+        j -= 1
+        entries[i, j] += value
+        if symmetry != "general" and i != j:
+            mirrored = value.conjugate() if symmetry == "hermitian" else value
+            entries[j, i] += mirrored
+        if not (cmath.isfinite(entries[i, j]) and cmath.isfinite(entries[j, i])):
+            raise ParseError("entry value must be finite, also when summed", lineno)
+        seen += 1
+    if seen != nnz:
+        raise ParseError(f"declared {nnz} entries but found {seen}", len(lines) + 1)
+    return Matrix(entries)

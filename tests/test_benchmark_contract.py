@@ -4,18 +4,22 @@
 ``chain`` and ``wide`` matrices, and its checks judge the analyzed
 report exactly as a benchmark run does (``inprocess.summarize`` then
 ``checks.verdict_mismatch``).  A change to the report layout that the
-benchmark cannot read fails here, not only in a benchmark run.
+benchmark cannot read fails here, not only in a benchmark run.  The
+memory gates run on the same inputs: they count dense materializations
+and ``tracemalloc`` bytes, never wall time.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from ddh import parse_matrix_market
+import ddh.core
+from ddh import comparison_matrix, parse_matrix_market
 from ddh.cli import analyze_matrix, emit_json, verify_report
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -41,3 +45,57 @@ def test_benchmark_reads_the_verdict_it_expects(make, depth):
     report = json.loads(emit_json(report))
     assert checks.verdict_mismatch(inprocess.summarize(report), expected) is None
     assert all(ok for _, ok, _ in verify_report(report, A))
+
+
+def _record_dense_orders(monkeypatch) -> list[int]:
+    """Orders of the dense arrays made from a Matrix: ``entries``, ``modulus``, ``comparison_matrix``."""
+    orders = []
+    dense = ddh.core._dense
+
+    def recorded(A, off, diag):
+        orders.append(A.n)
+        return dense(A, off, diag)
+
+    monkeypatch.setattr(ddh.core, "_dense", recorded)
+    return orders
+
+
+@pytest.mark.parametrize("make", [inputs.chain_matrix, inputs.wide_matrix], ids=["chain", "wide"])
+def test_analyze_and_verify_make_no_full_order_dense_array(monkeypatch, make):
+    """Memory gate: 0 order-n dense arrays in ``analyze_matrix`` and ``verify_report``.
+
+    Only the subset H-condition's inner block is densified, at order
+    |T| < n.  The dense views the oracles read are recorded at order n,
+    which shows that the recorder sees them.
+    """
+    orders = _record_dense_orders(monkeypatch)
+    A = parse_matrix_market(make(1)[0])
+    report, problems = analyze_matrix(A)
+    assert problems == [] and A.n not in orders
+    results = verify_report(json.loads(emit_json(report)), A)
+    assert all(ok for _, ok, _ in results) and A.n not in orders
+    assert max(orders) < A.n
+    comparison_matrix(A)
+    assert A.modulus.shape == (A.n, A.n)
+    assert orders[-2:] == [A.n, A.n]
+
+
+def test_order_20000_runs_in_bounded_memory():
+    """Memory gate: a wide-like order-20,000 matrix, 4 nonzeros per row, under 64 MB.
+
+    Parse, analyze and verify run in-process under ``tracemalloc``; one
+    dense copy of the matrix alone would take 3.2 GB.
+    """
+    text, expected = inputs.wide_matrix(1, n=20_000)
+    tracemalloc.start()
+    try:
+        A = parse_matrix_market(text)
+        report, problems = analyze_matrix(A)
+        results = verify_report(json.loads(emit_json(report)), A)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert 3.99 * A.n < A.pattern.indices.size + A.n <= 4 * A.n
+    assert problems == [] and all(ok for _, ok, _ in results)
+    assert checks.verdict_mismatch(inprocess.summarize(report), expected) is None
+    assert peak < 64 << 20

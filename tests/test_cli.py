@@ -476,6 +476,29 @@ class TestVerifyCommand:
         assert main(["verify", str(report_path), str(matrix_path)]) == 0
 
 
+    @pytest.mark.parametrize("entries", [
+        "1 1 1.002\n1 2 1\n2 2 5e-324\n",
+        "1 1 1\n1 2 1\n2 2 1e-320\n",
+    ])
+    def test_tiny_diagonal_h_matrix_passes_the_oracle_cross_check(self, tmp_path, capsys, entries):
+        # the inverse oracle's relative pivot threshold calls the comparison
+        # matrix singular while the Jacobi oracle agrees with the peel; oracles
+        # that disagree with each other outvote nothing (this exited 3)
+        matrix_path = tmp_path / "m.mtx"
+        matrix_path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n2 2 3\n" + entries
+        )
+        rc = main(["analyze", str(matrix_path), "--oracle"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["is_h"] is True
+        assert report["oracle"] == {"inverse_nonneg": False, "jacobi": True}
+        report_path = tmp_path / "report.json"
+        report_path.write_text(captured.out)
+        assert main(["verify", str(report_path), str(matrix_path)]) == 0
+
+
 def test_module_entry_point(tmp_path):
     import subprocess
     import sys
@@ -584,6 +607,53 @@ class TestMalformedReports:
         rc = main(["verify", str(report_path), str(FIXTURES / "ladder.mtx")])
         assert rc == 4
         assert failed in capsys.readouterr().out
+
+
+class TestStrictIndexLists:
+    """A float or a bool is no index: each forged index list is one FAIL line.
+
+    Python ``==`` takes 1.0 and True for 1, so a verifier that compares
+    index lists with ``==`` passes every report below.
+    """
+
+    @pytest.mark.parametrize(
+        "name, path, value, failed",
+        [
+            ("ladder", ("t_set",), [1.0, 2.0], "t-set"),
+            ("ladder", ("peel_trace",), [[2.0], [1.0]], "peel"),
+            ("ladder", ("peel_trace",), [[2], [True]], "peel"),
+            ("isolated_pair", ("chain", "unreachable"), [True, 2], "chain"),
+            ("isolated_pair", ("witness",), [1.0, 2.0], "witness"),
+            ("identity2", ("ssdd_set",), [True], "ssdd"),
+            ("ladder", ("sh", "subset"), [1, 2.0], "sh"),
+            ("ladder", ("interwoven", "subset"), [1.0, 2], "interwoven"),
+            ("ladder", ("interwoven", "p_seq"), [2.0], "interwoven"),
+            ("ladder", ("interwoven", "q_seq"), [3.0], "interwoven"),
+            ("ladder", ("interwoven", "leftover"), True, "interwoven"),
+            ("ladder", ("interwoven_alternates", "peeling", "subset"), [True, 2], "interwoven-peeling"),
+            ("ladder", ("interwoven_alternates", "peeling", "p_seq"), [2.0], "interwoven-peeling"),
+            ("ladder", ("interwoven_alternates", "peeling", "q_seq"), [3.0], "interwoven-peeling"),
+            ("ladder", ("interwoven_alternates", "peeling", "leftover"), 1.0, "interwoven-peeling"),
+        ],
+    )
+    def test_a_non_integer_index_fails_one_check(self, name, path, value, failed):
+        A, report = _fixture_report(name)
+        assert all(ok for _, ok, _ in verify_report(report, A))
+        lines = _verify_lines(_replace(report, path, value), A)
+        assert [check for check, (ok, _) in lines.items() if not ok] == [failed]
+
+    @pytest.mark.parametrize(
+        "path, value, line",
+        [
+            (("t_set",), [1.0, 2.0], "t-set: FAIL (malformed t-set: TypeError: 1.0 is not an integer index)"),
+            (("peel_trace",), [[2.0], [1.0]], "peel: FAIL (malformed peel: TypeError: 2.0 is not an integer index)"),
+            (("t_set",), [1, 4], "t-set: FAIL (malformed t-set: ValueError: members out of range: 4 is not in 1..3)"),
+        ],
+    )
+    def test_the_ladder_repros_print_a_fail_line(self, tmp_path, capsys, path, value, line):
+        rc, captured = _verify(tmp_path, capsys, _replace(_golden("ladder"), path, value),
+                               FIXTURES / "ladder.mtx")
+        assert rc == 4 and line in captured.out.splitlines()
 
 
 _JSON_VALUES = st.recursive(

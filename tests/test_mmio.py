@@ -1,0 +1,117 @@
+"""The sparse Matrix Market parser against the dense reference parser.
+
+``reference.parse_matrix_market`` accumulates every entry line into an
+n x n array; the product builds the compressed rows and the diagonal
+from the same lines.  Both must agree bit for bit on every stored
+array, and on the line and message of every ``ParseError``.
+"""
+
+from __future__ import annotations
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference
+from ddh import ParseError, parse_matrix_market
+
+# values that make duplicates cancel (1 and -1), overflow when summed
+# (1e308), underflow, or carry signed zeros; then values that fail
+_NUMBERS = ["0", "-0.0", "1", "-1", "0.5", "-0.5", "3", "1e308", "-1e308", "5e-324"]
+_BAD_NUMBERS = ["inf", "-inf", "nan", "x"]
+
+
+@st.composite
+def coordinate_texts(draw):
+    """Coordinate text of order 1..4 with every kind of line; a quarter are corrupted.
+
+    A corrupted text may hold out-of-range or non-integer indices,
+    non-finite or non-numeric values, lines with a token too many, and
+    a declared count one off.  Duplicates are frequent at these orders.
+    """
+    field = draw(st.sampled_from(["real", "integer", "complex"]))
+    symmetry = draw(st.sampled_from(["general", "symmetric", "hermitian"]))
+    n = draw(st.integers(1, 4))
+    corrupt = draw(st.integers(0, 3)) == 0
+    index = st.integers(1, n)
+    number = st.sampled_from(_NUMBERS)
+    extra = st.just(0)
+    if corrupt:
+        index = st.one_of(index, st.sampled_from([0, n + 1, "a"]))
+        number = st.one_of(number, st.sampled_from(_BAD_NUMBERS))
+        extra = st.sampled_from([0, 0, 0, 1])
+    tokens = 2 if field == "complex" else 1
+    entry = st.tuples(index, index, extra.flatmap(
+        lambda more: st.lists(number, min_size=tokens + more, max_size=tokens + more)))
+    entries = draw(st.lists(entry, max_size=12))
+    filler = st.sampled_from(["% a comment", "", "   ", "%another"])
+    lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}"]
+    lines.extend(draw(st.lists(filler, max_size=2)))
+    declared = len(entries) + (draw(st.sampled_from([0, -1, 1])) if corrupt else 0)
+    lines.append(f"{n} {n} {declared}")
+    for i, j, values in entries:
+        lines.extend(draw(st.lists(filler, max_size=1)))
+        lines.append(" ".join([str(i), str(j)] + values))
+    return "\n".join(lines) + draw(st.sampled_from(["\n", "", "\n\n"]))
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return exc.line, str(exc)
+
+
+def _bits(arr: np.ndarray):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(coordinate_texts())
+def test_parser_matches_the_dense_reference(text):
+    got = _parsed(parse_matrix_market, text)
+    expected = _parsed(reference.parse_matrix_market, text)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert not isinstance(got, tuple), got
+    assert got.dtype == expected.dtype
+    for name in ("indptr", "indices", "data", "t_indptr", "t_indices"):
+        assert _bits(getattr(got.pattern, name)) == _bits(getattr(expected.pattern, name)), name
+    assert _bits(got.diagonal_modulus) == _bits(expected.diagonal_modulus)
+    assert _bits(got.deleted_row_sums) == _bits(expected.deleted_row_sums)
+    assert _bits(got.entries) == _bits(expected.entries)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        # duplicates that cancel, and an explicit zero, store nothing off the diagonal
+        "%%MatrixMarket matrix coordinate real general\n2 2 4\n1 2 1\n1 2 -1\n2 1 0\n2 2 -0.0\n",
+        "%%MatrixMarket matrix coordinate complex hermitian\n2 2 2\n2 1 1 1\n1 2 -1 1\n",
+        "%%MatrixMarket matrix coordinate real symmetric\n3 3 2\n3 1 2\n1 3 -2\n",
+    ],
+)
+def test_cancelled_entries_are_not_stored(text):
+    A = parse_matrix_market(text)
+    B = reference.parse_matrix_market(text)
+    assert A.pattern.indices.size == 0 == B.pattern.indices.size
+    assert _bits(A.entries) == _bits(B.entries)
+
+
+def test_a_huge_declared_count_allocates_nothing():
+    """Memory gate: the declared entry count sizes nothing; the count check fails."""
+    text = "%%MatrixMarket matrix coordinate real general\n2 2 1000000000000\n1 1 1.0\n"
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as err:
+            parse_matrix_market(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert err.value.line == 4
+    assert str(err.value) == "line 4: declared 1000000000000 entries but found 1"
+    assert peak < 1 << 20
