@@ -42,6 +42,7 @@ from .hmatrix import (
     is_h_dd,
     peel_outcome,
     s_h_check,
+    s_h_from_peel,
     s_sdd_check,
     scaling_margin,
     solved_scaling,
@@ -300,6 +301,17 @@ def _indices(values, n: int) -> list[int]:
     return values
 
 
+def _flag(value, nullable: bool = False) -> bool | None:
+    """A report's boolean, read strictly; raises TypeError.
+
+    Only JSON ``true`` and ``false`` are flags (``null`` too where
+    ``nullable``): 1, "yes" and "no" are not.
+    """
+    if type(value) is bool or (nullable and value is None):
+        return value
+    raise TypeError(f"{value!r} is not a boolean")
+
+
 def _index_set(values, n: int) -> IndexSet:
     """``_indices`` as a 0-based set."""
     return _zero_based_set(_indices(values, n), n)
@@ -361,9 +373,21 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     report must carry a verdict with exactly the certificate it implies,
     and the peeling certificate exactly when the peel gives one; the
     subset H-condition is required whenever T is a nonempty proper
-    subset.  Structural surprises (wrong order, missing keys, fields
-    of the wrong type) and numerical failures inside a recomputation are
-    reported as failures of the check that meets them rather than raised.
+    subset.  On T at tol 0 it is read off the recomputed peel
+    (``s_h_from_peel``) whenever every row of T is an exact equality:
+    ``inner_h`` must be the peel's verdict, ``lhs`` null exactly on a
+    stall and otherwise 1 to rtol 1e-9, and ``b2`` the recomputed
+    value, with no LU and no dense array.  Any other subset, a positive
+    tol, or a row of T that is an equality only after rounding takes
+    the dense ``s_h_check``, and so does a report that fails the
+    no-solve comparison: ``analyze``'s own LU may stray from the exact
+    lhs on an ill-conditioned block, and what the dense check passes
+    still passes.  Either way ``satisfied`` must be ``inner_h`` and
+    lhs < b2 on the stored numbers.  Index lists
+    (``_indices``) and flags (``_flag``) are read strictly.  Structural
+    surprises (wrong order, missing keys, fields of the wrong type) and
+    numerical failures inside a recomputation are reported as failures
+    of the check that meets them rather than raised.
     """
     results: list[tuple[str, bool, str]] = []
 
@@ -405,7 +429,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     with guarded("chain"):
         chain_obj = report.get("chain") or {}
-        claimed = (chain_obj.get("holds"), _indices(chain_obj.get("unreachable"), A.n))
+        claimed = (_flag(chain_obj.get("holds")), _indices(chain_obj.get("unreachable"), A.n))
         if claimed != (chain.holds, _one_based(chain.unreachable.members)):
             detail = "holds or unreachable differs from the recomputed chains"
         else:
@@ -423,7 +447,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     with guarded("interwoven"):
         iw = report.get("interwoven") or {}
-        if iw.get("holds"):
+        if _flag(iw.get("holds")):
             cert = cert_from_dict(
                 {
                     "subset": iw["subset"],
@@ -496,15 +520,16 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
                     "" if ok else f"recomputed margin {margin!r} vs stored {stored!r}",
                 )
 
-    is_h = report.get("is_h")
-    if is_h is True:
-        check("h-consistency", scaling is not None and witness is None,
-              "H verdict must carry a scaling and no witness")
-    elif is_h is False and dom.is_dd:
-        check("h-consistency", witness is not None and scaling is None,
-              "non-H verdict must carry a witness and no scaling")
-    elif dom.is_dd:
-        check("h-consistency", False, "a dominant matrix needs is_h true or false")
+    with guarded("h-consistency"):
+        is_h = _flag(report.get("is_h"), nullable=True)
+        if is_h is True:
+            check("h-consistency", scaling is not None and witness is None,
+                  "H verdict must carry a scaling and no witness")
+        elif is_h is False and dom.is_dd:
+            check("h-consistency", witness is not None and scaling is None,
+                  "non-H verdict must carry a witness and no scaling")
+        elif dom.is_dd:
+            check("h-consistency", False, "a dominant matrix needs is_h true or false")
 
     ssdd = report.get("ssdd_set")
     if ssdd is not None:
@@ -517,14 +542,25 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         check("sh", False, "T is a nonempty proper subset but the subset H-condition is missing")
     elif sh is not None:
         with guarded("sh"):
-            rep = s_h_check(A, _index_set(sh["subset"], A.n), tol)
-            ok = bool(sh["satisfied"]) == rep.satisfied and bool(sh["inner_h"]) == rep.inner_h
-            if ok and (sh["lhs"] is None) != (rep.lhs is None):
-                ok = False
-            if ok and sh["lhs"] is not None:
-                ok = _close(real_from_json(sh["lhs"]), rep.lhs)
-            if ok:
-                ok = _close(real_from_json(sh["b2"]), rep.b2)
+            S = _index_set(sh["subset"], A.n)
+            satisfied, inner_h = _flag(sh["satisfied"]), _flag(sh["inner_h"])
+            lhs = None if sh["lhs"] is None else real_from_json(sh["lhs"])
+            b2 = real_from_json(sh["b2"])
+
+            def matches(rep: SHReport) -> bool:
+                # satisfied follows from the stored numbers, each checked against rep
+                return (
+                    inner_h == rep.inner_h
+                    and (lhs is None) == (rep.lhs is None)
+                    and (lhs is None or _close(lhs, rep.lhs))
+                    and _close(b2, rep.b2)
+                    and satisfied == (inner_h and lhs is not None and lhs < b2)
+                )
+
+            no_solve = s_h_from_peel(A, peel) if tol == 0.0 and peel is not None and S == T else None
+            # the dense check also decides where analyze's own LU strayed from
+            # the exact lhs of 1 (an ill-conditioned or graded block)
+            ok = (no_solve is not None and matches(no_solve)) or matches(s_h_check(A, S, tol))
             check("sh", ok, "" if ok else "recomputed subset H-condition differs")
 
     return results

@@ -23,12 +23,16 @@ system is left to the scaling's fallback (after
 ``solved_scaling``, the scaling of a non-dominant H-matrix.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
-subset-partitioned conditions (cross-validated in the test suite);
+subset-partitioned conditions (cross-validated in the test suite),
+reading every split row sum off one ``split_row_sums`` pass;
 ``s_h_check`` decides a dominant inner block by the peel alone.
+``s_h_from_peel`` reads the subset H-condition on T at tol 0 off A's
+peel with no solve, whenever every row of T is an exact equality.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,9 +46,9 @@ from .core import (
     Peel,
     classify_dominance,
     comparison_matrix,
-    partial_row_sum,
     peel_levels,
     principal_submatrix,
+    split_row_sums,
 )
 from .oracle import inverse_nonneg_oracle, lu_solve
 
@@ -260,18 +264,18 @@ def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
 
     Requires |a_ii| > r_i^S on S and, for every cross pair (i in S,
     j outside), (|a_ii| - r_i^S)(|a_jj| - r_j^Sbar) > r_i^Sbar r_j^S.
-    Strict float comparisons throughout.
+    Strict float comparisons throughout; every r is read off one
+    ``split_row_sums`` pass.
     """
     _check_proper_subset(A, S, "s_sdd_check")
-    sbar = S.complement()
+    in_s, out_s = split_row_sums(A, S)
+    inside, outside = S.to_array(), S.complement().to_array()
     diag = A.diagonal_modulus
-    gap_s = np.array([diag[i] - partial_row_sum(A, i, S) for i in S.members])
+    gap_s = diag[inside] - in_s[inside]
     if not (gap_s > 0.0).all():
         return False
-    cross_s = np.array([partial_row_sum(A, i, sbar) for i in S.members])
-    gap_sbar = np.array([diag[j] - partial_row_sum(A, j, sbar) for j in sbar.members])
-    cross_sbar = np.array([partial_row_sum(A, j, S) for j in sbar.members])
-    return bool((np.outer(gap_s, gap_sbar) > np.outer(cross_s, cross_sbar)).all())
+    gap_sbar = diag[outside] - out_s[outside]
+    return bool((np.outer(gap_s, gap_sbar) > np.outer(out_s[inside], in_s[outside])).all())
 
 
 def find_ssdd_set_dd(peel: Peel) -> IndexSet | None:
@@ -323,26 +327,27 @@ def _gap_ratio(num: float, den: float) -> float:
     return 0.0
 
 
+def _outside_ratios(A: Matrix, S: IndexSet) -> tuple[float, str | None, np.ndarray]:
+    """b2 over the rows outside S, its degeneracy note, and every row's sum outside S.
+
+    One ``split_row_sums`` pass gives both halves of every row.
+    """
+    in_s, out_s = split_row_sums(A, S)
+    outside = S.complement().to_array()
+    nums = (A.diagonal_modulus[outside] - out_s[outside]).tolist()
+    dens = in_s[outside].tolist()
+    b2 = min(_gap_ratio(num, den) for num, den in zip(nums, dens))
+    degenerate = any(num == 0.0 and den == 0.0 for num, den in zip(nums, dens))
+    note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
+    return b2, note, out_s
+
+
 def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     """Subset H-condition: inner block H, and scaled cross sums below b2."""
     _check_proper_subset(A, S, "s_h_check")
-    sbar = S.complement()
     sub = principal_submatrix(A, S)
-    diag = A.diagonal_modulus
-
-    ratios = []
-    degenerate = False
-    for j in sbar.members:
-        num = diag[j] - partial_row_sum(A, j, sbar)
-        den = partial_row_sum(A, j, S)
-        if num == 0.0 and den == 0.0:
-            degenerate = True
-        ratios.append(_gap_ratio(num, den))
-    b2 = min(ratios)
-    note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
-
-    outside_sums = np.array([partial_row_sum(A, i, sbar) for i in S.members])
-    x = lu_solve(comparison_matrix(sub), outside_sums)
+    b2, note, out_s = _outside_ratios(A, S)
+    x = lu_solve(comparison_matrix(sub), out_s[S.to_array()])
     if x is None:
         return SHReport(
             subset=S,
@@ -362,4 +367,60 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     satisfied = bool(inner_h and lhs < b2)
     return SHReport(
         subset=S, lhs=lhs, b2=b2, satisfied=satisfied, inner_h=inner_h, note=note
+    )
+
+
+def _exact_equality(diag: float, row: list[float]) -> bool:
+    """Whether |a_ii| equals the row's off-diagonal magnitudes summed exactly."""
+    try:
+        return math.fsum([diag, *(-v for v in row)]) == 0.0
+    except (ValueError, OverflowError):  # inf - inf, or a partial sum past the float range
+        return False
+
+
+def s_h_from_peel(A: Matrix, peel: Peel) -> SHReport | None:
+    """The subset H-condition on T at tol 0, read off A's peel with no solve.
+
+    ``peel`` is A's ``peel_levels`` at tol 0; the caller guarantees
+    dominance.  When every row of T is an exact equality (its
+    ``math.fsum`` gap |a_ii| - sum |a_ij| is 0), the comparison block
+    M_T satisfies M_T 1 = r_out exactly, r_out being the row sums
+    outside T.  A row that the peel takes is then strict in exact
+    arithmetic too (its left-to-right sum lost a nonzero term), so a
+    peel that empties T proves A[T,T] an H-matrix and lhs =
+    ||M_T^-1 r_out|| = 1.  A stall leaves a block W whose rows are
+    exact equalities; when W is closed (no row of W has an entry
+    outside W), M_W 1 = 0 and M_T, block triangular, is singular: lhs
+    is None.  b2 is ``s_h_check``'s, bit for bit, from one
+    ``split_row_sums`` pass: O(n + nnz) in all, with no dense array.
+
+    Returns None, leaving the question to ``s_h_check``, when T is not
+    a nonempty proper subset, when a row of T is an equality only
+    after rounding, or when the stalled block has an entry outside it
+    (a row the rounded sums could not peel).
+    """
+    T = peel.t_set
+    if len(T) == 0 or T.is_full:
+        return None
+    diag, pat = A.diagonal_modulus.tolist(), A.pattern
+    indptr = pat.indptr.tolist()
+    for i in T.members:
+        if not _exact_equality(diag[i], pat.data[indptr[i]:indptr[i + 1]].tolist()):
+            return None
+    inner_h = not peel.stalled
+    if not inner_h:
+        in_block = np.zeros(A.n, dtype=bool)
+        in_block[T.to_array()] = True
+        for level in peel.levels:
+            in_block[list(level)] = False
+        if not in_block[pat.indices[in_block[pat.rows()]]].all():
+            return None
+    b2, note, _ = _outside_ratios(A, T)
+    return SHReport(
+        subset=T,
+        lhs=1.0 if inner_h else None,
+        b2=b2,
+        satisfied=inner_h and 1.0 < b2,
+        inner_h=inner_h,
+        note=note or (None if inner_h else "inner comparison block is singular"),
     )

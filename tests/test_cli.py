@@ -656,6 +656,40 @@ class TestStrictIndexLists:
         assert rc == 4 and line in captured.out.splitlines()
 
 
+class TestStrictFlags:
+    """Only ``true`` and ``false`` are flags: each forged flag is one FAIL line.
+
+    A verifier that reads a flag by truthiness, ``bool()`` or ``==``
+    passes the first four forgeries on the ladder report.
+    """
+
+    @pytest.mark.parametrize(
+        "path, value, failed",
+        [
+            (("sh", "satisfied"), "yes", "sh"),
+            (("sh", "inner_h"), 1, "sh"),
+            (("chain", "holds"), 1, "chain"),
+            (("interwoven", "holds"), "no", "interwoven"),
+            (("is_h",), 1, "h-consistency"),
+            (("is_h",), "true", "h-consistency"),
+            (("is_h",), None, "h-consistency"),
+        ],
+    )
+    def test_a_non_boolean_flag_fails_one_check(self, path, value, failed):
+        A, report = _fixture_report("ladder")
+        lines = _verify_lines(_replace(report, path, value), A)
+        assert [check for check, (ok, _) in lines.items() if not ok] == [failed]
+
+    def test_a_non_dominant_matrix_may_leave_is_h_null_but_not_forged(self):
+        A = Matrix([[1.0, 2.0], [0.0, 1.0]])
+        report, problems = analyze_matrix(A)
+        report = json.loads(emit_json(report))
+        assert report["is_h"] is None and problems == []
+        assert all(ok for _, ok, _ in verify_report(report, A))
+        lines = _verify_lines(_replace(report, ("is_h",), 0), A)
+        assert [check for check, (ok, _) in lines.items() if not ok] == ["h-consistency"]
+
+
 _JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()

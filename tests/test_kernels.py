@@ -15,12 +15,15 @@ dense solve (``reference.verdict_agrees``).
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import ddh
@@ -34,6 +37,7 @@ from ddh import (
     Matrix,
     PeelReason,
     RandomStream,
+    SHReport,
     classify_dominance,
     deleted_row_sum,
     find_ssdd_set_dd,
@@ -47,10 +51,13 @@ from ddh import (
     principal_submatrix,
     random_dd_matrix,
     s_h_check,
+    s_h_from_peel,
+    split_row_sums,
 )
-from ddh.cli import analyze_matrix, emit_json, verify_report
+from ddh.cli import analyze_matrix, emit_json, real_from_json, verify_report
 from helpers import (
     brute_force_interwoven,
+    dd_matrices,
     is_chain_certificate,
     is_valid_scaling,
     pattern_rows,
@@ -152,6 +159,147 @@ def test_subset_checks_match_reference(A, data):
                 _assert_only_the_inner_scaling_failed(A, subset, tol, got)
             else:
                 assert reference.sh_key(got) == reference.sh_key(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rounded_matrices(), st.data())
+def test_split_row_sums_are_the_partial_row_sums(A, data):
+    S = data.draw(proper_subsets(A.n))
+    inside, outside = split_row_sums(A, S)
+    rest = S.complement()
+    assert [x.hex() for x in inside] == [partial_row_sum(A, i, S).hex() for i in range(A.n)]
+    assert [x.hex() for x in outside] == [partial_row_sum(A, i, rest).hex() for i in range(A.n)]
+
+
+def _sh_forgeries(sh: dict):
+    """A report's ``sh`` object, then forgeries of each of its fields."""
+    yield sh
+    if sh["lhs"] is not None:
+        yield {**sh, "lhs": sh["lhs"] + 1e-6}
+        yield {**sh, "lhs": sh["lhs"] - 1e-6}
+    yield {**sh, "lhs": None} if sh["inner_h"] else {**sh, "lhs": 1.0}
+    yield {**sh, "satisfied": not sh["satisfied"]}
+    yield {**sh, "inner_h": not sh["inner_h"]}
+    b2 = real_from_json(sh["b2"])
+    if math.isfinite(b2):
+        yield {**sh, "b2": b2 + 1e-6 * max(1.0, abs(b2))}
+
+
+def _no_match(A, S, tol=0.0) -> SHReport:
+    """A dense result that no stored ``sh`` matches: its b2 is NaN."""
+    return SHReport(subset=S, lhs=None, b2=math.nan, satisfied=False, inner_h=False)
+
+
+def _verdicts(report: dict, A, branch: str = "product") -> list[tuple[str, bool]]:
+    """``verify_report``'s pass or fail per check.
+
+    ``branch`` "dense" forces ``s_h_check``; "no-solve" lets only
+    ``s_h_from_peel`` pass ``sh``; "product" leaves both.
+    """
+    patches = {"dense": ("s_h_from_peel", lambda A, peel: None), "no-solve": ("s_h_check", _no_match)}
+    with contextlib.ExitStack() as stack:
+        if branch in patches:
+            stack.enter_context(mock.patch.object(ddh.cli, *patches[branch]))
+        return [(name, ok) for name, ok, _ in verify_report(report, A)]
+
+
+def _dominant(A: Matrix) -> Matrix:
+    """A with each violated row's diagonal set to its row sum, one of ``rounded_matrices``' own choices."""
+    entries = A.entries.copy()
+    violated = np.flatnonzero(A.diagonal_modulus < A.deleted_row_sums)
+    entries[violated, violated] = A.deleted_row_sums[violated]
+    return Matrix(entries)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(rounded_matrices().map(_dominant), dd_matrices(min_n=2)))
+def test_sh_off_the_peel_passes_and_fails_as_the_dense_check(A):
+    """The product's ``sh`` check against the dense recomputation, on reports and forgeries.
+
+    Rounded rows mostly take the dense check; dyadic ones (exact
+    equalities) mostly take the no-solve one.  The no-solve comparison
+    alone fails every forgery, and passes the report wherever
+    ``analyze``'s LU found the exact values: lhs null exactly on a
+    stall, 1 to rtol 1e-9 on H, and b2 bit for bit.  The LU strays in
+    two ways only, on H blocks: its lhs misses 1 on a graded block, or
+    its pivot threshold calls the block singular (``analyze`` then flags
+    inner_h against is_h).  The dense check passes those reports, and so
+    does the product.
+    """
+    T = non_sdd_rows(A)
+    assume(classify_dominance(A).is_dd and 0 < len(T) < A.n)
+    analyzed = _outcome(analyze_matrix, A)
+    assume(analyzed is not InconsistencyError)  # analyze emits no report then
+    report, problems = json.loads(emit_json(analyzed[0])), analyzed[1]
+    stored = report["sh"]
+    no_solve = s_h_from_peel(A, peel_levels(A))
+    exact = no_solve is not None and real_from_json(stored["b2"]) == no_solve.b2 and (
+        stored["inner_h"] == no_solve.inner_h
+        and (stored["lhs"] is None) == (no_solve.lhs is None)
+        and (stored["lhs"] is None or abs(stored["lhs"] - 1.0) <= 1e-9)
+    )
+    if no_solve is None:
+        event("dense branch")
+    elif exact:
+        event("no-solve branch")
+    elif stored["inner_h"]:
+        event("no-solve branch, analyze's lhs off 1")
+        assert abs(stored["lhs"] - 1.0) > 1e-9 and no_solve.inner_h
+    else:
+        event("no-solve branch, analyze's LU calls an H block singular")
+        assert "subset H-condition inner_h=False disagrees with is_h=True" in problems
+        assert stored["lhs"] is None and no_solve.inner_h
+    for k, sh in enumerate(_sh_forgeries(stored)):
+        forged = {**report, "sh": sh}
+        dense = _verdicts(forged, A, "dense")
+        assert _verdicts(forged, A) == dense and dict(dense)["sh"] == (k == 0)
+        if no_solve is not None:
+            assert dict(_verdicts(forged, A, "no-solve"))["sh"] == (k == 0 and exact)
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # row 1 is an equality only after rounding: 1 + 1e-20 rounds to 1
+        [[1.0, 1.0, 1e-20], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+        # an H-matrix whose row 1 rounds 0.1 + 0.2 to its diagonal
+        [[0.1 + 0.2, 0.1, 0.2], [0.7, 0.7, 0.0], [0.0, 0.0, 1.0]],
+    ],
+    ids=["rounded-equality", "non-dyadic-h"],
+)
+def test_rows_equal_only_after_rounding_take_the_dense_check(entries):
+    A = Matrix(entries)
+    T = non_sdd_rows(A)
+    assert T.members == (0, 1) and s_h_from_peel(A, peel_levels(A)) is None
+    report = json.loads(emit_json(analyze_matrix(A)[0]))
+    sh = report["sh"]
+    assert sh["subset"] == [1, 2] and sh["b2"] == "Infinity"
+    assert sh["satisfied"] is sh["inner_h"] is report["is_h"] is (sh["lhs"] is not None)
+    assert _verdicts(report, A) == _verdicts(report, A, "dense")
+    assert all(ok for _, ok in _verdicts(report, A))
+
+
+@pytest.mark.parametrize(
+    "entries, flagged",
+    [
+        # graded dyadic rows: analyze's LU puts lhs 6e-8 off its exact value 1
+        ([[2.6702880859375e-05, 0.0, 2.6702880859375e-05, 0.0],
+          [5.340576171875e-05, 7.000053822994232, 7.0, 4.172325134277344e-07],
+          [2.288818359375e-05, 0.0009765625, 0.00099945068359375, 0.0],
+          [0.0, 0.0, 0.0546875, 1.0546875]], False),
+        # the LU pivot threshold calls the H block [[0.25, 0], [-1e-20, 1e-20]] singular
+        ([[1.5, 1.0, 1e-16], [0.25, 0.25, 0.0], [0.0, 1e-20, 1e-20]], True),
+    ],
+    ids=["lhs-off-1", "h-block-called-singular"],
+)
+def test_where_the_analyze_lu_strays_verify_passes_as_before(entries, flagged):
+    A = Matrix(entries)
+    report, problems = analyze_matrix(A)
+    report = json.loads(emit_json(report))
+    assert report["is_h"] is True and s_h_from_peel(A, peel_levels(A)).lhs == 1.0
+    assert bool(problems) is flagged
+    assert not dict(_verdicts(report, A, "no-solve"))["sh"]
+    assert all(ok for _, ok in _verdicts(report, A)) and all(ok for _, ok in _verdicts(report, A, "dense"))
 
 
 def _assert_only_the_inner_scaling_failed(A, S, tol, got):
@@ -331,8 +479,9 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     A once (the verdict's peel, which the scaling sweep, the peeling
     certificate and the SSDD search read) and the inner block of the
     subset H-condition once, and runs the chain BFS once;
-    ``verify_report`` solves once, for the subset H-condition,
-    and decides the interwoven and chain claims from one chain BFS with no
+    ``verify_report`` reads the subset H-condition off its own peel, with
+    no solve and no comparison matrix (every row of T is an exact
+    equality), and decides the interwoven and chain claims from one chain BFS with no
     second closure; the peeling certificate and the SSDD search neither peel nor
     classify again, and the SSDD search copies no block and sums no row.
     Neither side reads the full chain paths: the report and the verifier
@@ -356,7 +505,7 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     results = verify_report(json.loads(emit_json(report)), A)
     assert all(ok for _, ok, _ in results)
-    assert calls["lu_solve"] == 1
+    assert calls["lu_solve"] == 0 and calls["comparison_matrix"] == 0
     assert calls["chain_condition"] == 1 and calls["is_interwoven"] == 0
     assert paths["paths"] == 0
 
