@@ -87,7 +87,7 @@ def main(argv=None) -> int:
         T = non_sdd_rows(A)
         exact = (
             chain_condition(A).holds
-            and bool((A.diagonal_modulus > 0.0).all())
+            and min(A.diagonal_modulus) > 0.0
             and not T.is_full
         )
         rho = jacobi_spectral_radius(A)

@@ -62,7 +62,7 @@ def run_cell(cfg: SweepConfig, n: int, density: float, eq: float) -> CellStats:
         stats.total += 1
         T = non_sdd_rows(A)
         chain = chain_condition(A).holds
-        diag_ok = bool((A.diagonal_modulus > 0.0).all())
+        diag_ok = min(A.diagonal_modulus) > 0.0
         structural = chain and diag_ok and not T.is_full
         stats.chain_count += chain
         try:

@@ -116,11 +116,21 @@ def emit_json(obj) -> str:
     return "".join(out) + "\n"
 
 
+_NON_FINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
+
+
 def real_from_json(value) -> float:
-    """Inverse of the emitter's number encoding (strings for infinities)."""
+    """Inverse of the emitter's number encoding (strings for infinities), read strictly.
+
+    Only a JSON number or one of the strings "Infinity", "-Infinity" and
+    "NaN" is a real: ``true``, ``false`` and "1.5" are not, and raise
+    TypeError or KeyError.
+    """
+    if type(value) in (int, float):  # bool is no real
+        return float(value)
     if isinstance(value, str):
-        return {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}[value]
-    return float(value)
+        return _NON_FINITE[value]
+    raise TypeError(f"{value!r} is not a real")
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +259,7 @@ def analyze_matrix(
         report["oracle"] = oracle_obj
 
     problems = []
-    diag_nonzero = bool((A.diagonal_modulus > 0.0).all())
+    diag_nonzero = min(A.diagonal_modulus) > 0.0
     if dom.is_dd and diag_nonzero and tol == 0.0 and chain.holds != is_h:
         # at tol > 0 the peel's T sets are not the chain's levels
         problems.append(
@@ -339,7 +349,7 @@ def _hops_problem(hops, chain: ChainReport, A: Matrix) -> str:
     if list(succ) != sorted(chain.next_hop):
         return "next keys are not the rows of T with a chain, in increasing order"
     stored = A.pattern.has_edges(list(succ), list(succ.values()))
-    for (i, j), ok in zip(succ.items(), stored.tolist()):
+    for (i, j), ok in zip(succ.items(), stored):
         if not ok:  # the pattern stores no diagonal entry
             return f"hop {i + 1} -> {j + 1} crosses no off-diagonal nonzero"
     in_t = chain.subset.member_set
@@ -383,8 +393,8 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     no-solve comparison: ``analyze``'s own LU may stray from the exact
     lhs on an ill-conditioned block, and what the dense check passes
     still passes.  Either way ``satisfied`` must be ``inner_h`` and
-    lhs < b2 on the stored numbers.  Index lists
-    (``_indices``) and flags (``_flag``) are read strictly.  Structural
+    lhs < b2 on the stored numbers.  Index lists (``_indices``), flags
+    (``_flag``) and reals (``real_from_json``) are read strictly.  Structural
     surprises (wrong order, missing keys, fields of the wrong type) and
     numerical failures inside a recomputation are reported as failures
     of the check that meets them rather than raised.
@@ -408,7 +418,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         return [("report-shape", False,
                  f"schema_version {version!r} is not the supported {SCHEMA_VERSION}")]
     try:
-        tol = float(report["tolerance"])
+        tol = real_from_json(report["tolerance"])
         n = int(report["order"])
     except _MALFORMED:
         return [("report-shape", False, "missing or malformed tolerance/order")]

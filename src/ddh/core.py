@@ -7,9 +7,18 @@ row form (with the transpose), as magnitudes (``SparsePattern``, which
 is also the sparsity graph) and as the (possibly complex) entries.  The
 structural kernels (row sums, the peel, the interwoven closure, the
 graph traversals), the scaling sweeps and the principal submatrices
-read that storage, so they cost O(n + nnz).  A dense array is built
-only on request, for the LU of a subset block, the oracles and the
-dense scaling solve.
+read that storage, so they cost O(n + nnz).
+
+The storage is standard-library ``array.array`` buffers: indices and
+row pointers as ``'q'`` (int64), reals as ``'d'`` (float64), and a
+complex entry as its real and imaginary parts side by side in a ``'d'``
+buffer, which is complex128's memory layout.  The kernels read them as
+lists (``tolist()``) and loop in plain Python, so the structural path
+never imports numpy.  numpy is imported only where a dense array is
+built: ``Matrix(dense)``, the ``entries`` and ``modulus`` views and
+``comparison_matrix`` here, and the LU of a subset block, the oracles
+and the dense scaling solve elsewhere.  ``np.asarray`` views any buffer
+without a copy (``.view(np.complex128)`` for complex entries).
 
 Row sums accumulate left to right in increasing column order, and all
 callers share the helpers here, so quantities that must agree (a full
@@ -18,35 +27,24 @@ sum inside a peel restriction versus the same row in the copied
 submatrix) are computed with one accumulation order everywhere.  Kernels
 accumulate with ``total += v``, never with ``sum()`` or ``np.sum``:
 Python 3.12's ``sum()`` and ``math.fsum`` compensate, and numpy's sum is
-pairwise, so either would change the rounding of a row sum.
+pairwise, so either would change the rounding of a row sum.  A complex
+magnitude is ``abs(complex)``, which is C ``hypot`` (``np.hypot``, not
+numpy's own complex ``abs``).
 """
 
 from __future__ import annotations
 
+import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-
-import numpy as np
+from itertools import accumulate, pairwise
 
 
 class InconsistencyError(RuntimeError):
     """A certified quantity failed its own self-check."""
-
-
-def _as_square_array(data) -> np.ndarray:
-    arr = np.asarray(data)
-    if arr.dtype.kind in "iubf":
-        arr = arr.astype(np.float64, copy=False)
-    elif arr.dtype.kind == "c":
-        arr = arr.astype(np.complex128, copy=False)
-    else:
-        raise ValueError(f"unsupported entry dtype {arr.dtype!r}")
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-        raise ValueError(f"expected a square 2-d array, got shape {arr.shape}")
-    if arr.shape[0] < 1:
-        raise ValueError("matrix order must be at least 1")
-    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,58 +57,90 @@ class SparsePattern:
     ``indices[indptr[i]:indptr[i + 1]]`` (its out-edges) in increasing
     order, with magnitudes ``data`` at the same positions.  Column j is
     touched by the rows ``t_indices[t_indptr[j]:t_indptr[j + 1]]`` (its
-    in-edges), also in increasing order.
+    in-edges), also in increasing order.  The index buffers are
+    ``array('q')`` and ``data`` is ``array('d')``.
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    t_indptr: np.ndarray
-    t_indices: np.ndarray
+    indptr: array
+    indices: array
+    data: array
+    t_indptr: array
+    t_indices: array
 
     @classmethod
     def from_triples(cls, n: int, rows, cols, data) -> "SparsePattern":
         """Pattern of the entries ``(rows[k], cols[k])`` with magnitudes ``data[k]``.
 
         The caller lists off-diagonal positions in row-major order, each
-        once, with positive magnitudes.
+        once, with positive magnitudes; ``cols`` (``array('q')``) and
+        ``data`` (``array('d')``) are kept as ``indices`` and ``data``.
+        The transpose is a counting sort by column, so rows stay
+        increasing per column: O(n + nnz).
         """
-        rows = np.asarray(rows, dtype=np.intp)
-        cols = np.asarray(cols, dtype=np.intp)
-        by_col = np.argsort(cols, kind="stable")  # rows stay increasing per column
-        arrays = (
-            _pointers(rows, n), cols, np.asarray(data, dtype=np.float64),
-            _pointers(cols, n), rows[by_col],
-        )
-        for arr in arrays:
-            arr.setflags(write=False)
-        return cls(*arrays)
+        t_indptr = _pointers(cols, n)
+        free = t_indptr.tolist()  # next free slot of each column
+        t_indices = array("q", bytes(8 * len(cols)))
+        for i, j in zip(rows, cols):
+            t_indices[free[j]] = i
+            free[j] += 1
+        return cls(_pointers(rows, n), cols, data, t_indptr, t_indices)
 
     def row(self, i: int) -> tuple[list[int], list[float]]:
         """Columns and magnitudes of row i's off-diagonal nonzeros."""
         a, b = self.indptr[i], self.indptr[i + 1]
         return self.indices[a:b].tolist(), self.data[a:b].tolist()
 
-    def rows(self) -> np.ndarray:
-        """The row of every stored entry, in storage order (``indices`` holds the columns)."""
-        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
-
-    def has_edges(self, rows, cols) -> np.ndarray:
+    def has_edges(self, rows, cols) -> list[bool]:
         """Whether each ``(rows[k], cols[k])``, 0-based and in range, is stored.
 
-        Row-major keys ``i n + j`` of the stored entries increase, so this
-        is one sorted membership test: O((nnz + k) log), no dense lookup.
+        A row's columns increase, so each pair is one ``bisect`` in its
+        row: O(k log(row length)), no dense lookup.
         """
-        n = len(self.indptr) - 1
-        stored = self.rows() * n + self.indices
-        wanted = np.asarray(rows, dtype=np.intp) * n + np.asarray(cols, dtype=np.intp)
-        return np.isin(wanted, stored)
+        indptr, indices = self.indptr, self.indices
+        found = []
+        for i, j in zip(rows, cols):
+            end = indptr[i + 1]
+            k = bisect_left(indices, j, indptr[i], end)
+            found.append(k < end and indices[k] == j)
+        return found
 
 
-def _pointers(keys: np.ndarray, n: int) -> np.ndarray:
-    ptr = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(keys, minlength=n), out=ptr[1:])
-    return ptr
+def _pointers(keys, n: int) -> array:
+    """Compressed pointers of ``keys``, each in 0..n-1: entry i + 1 counts the keys up to i."""
+    counts = [0] * (n + 1)
+    for k in keys:
+        counts[k + 1] += 1
+    return array("q", accumulate(counts))
+
+
+def _hypot(re: float, im: float) -> float:
+    """C ``hypot`` of the parts: ``abs(complex)``, with inf where that raises on overflow."""
+    try:
+        return abs(complex(re, im))
+    except OverflowError:
+        return math.inf
+
+
+def _moduli(buf: array, is_complex: bool) -> array:
+    """``|x|`` of every real, or of every interleaved (re, im) pair, as ``array('d')``."""
+    if is_complex:
+        return array("d", map(_hypot, buf[0::2], buf[1::2]))
+    return array("d", map(abs, buf))
+
+
+def _gather(buf: array, at, is_complex: bool) -> array:
+    """The entries of ``buf`` at the positions ``at`` (pairs, when complex)."""
+    if is_complex:
+        return array("d", [x for k in at for x in (buf[2 * k], buf[2 * k + 1])])
+    return array("d", [buf[k] for k in at])
+
+
+def _ndarray(buf: array, is_complex: bool = False):
+    """numpy view of a buffer, with no copy: float64, int64, or complex128 for pairs."""
+    import numpy as np
+
+    arr = np.asarray(buf)
+    return arr.view(np.complex128) if is_complex else arr
 
 
 class Matrix:
@@ -118,117 +148,135 @@ class Matrix:
 
     ``pattern`` holds the off-diagonal nonzeros in compressed row form
     with their magnitudes (and the transpose), ``values`` the entries
-    themselves (real or complex) at the same positions, and ``diagonal``
-    the diagonal entries, zeros included.  Every check reads these, in
-    O(n + nnz) memory.  The dense ``entries`` and ``modulus`` are views
-    built on first request (as ``comparison_matrix`` is, on each call):
-    the oracles, the dense scaling solve and the tests ask for them.
+    themselves at the same positions, and ``diagonal`` the diagonal
+    entries, zeros included.  Both are ``array('d')``; when
+    ``is_complex``, entry k is ``complex(values[2k], values[2k + 1])``.
+    Every check reads these, in O(n + nnz) memory; no code writes to
+    them once the matrix is built.  The dense
+    ``entries`` and ``modulus`` are numpy arrays built on first request
+    (as ``comparison_matrix`` is, on each call): the oracles, the dense
+    scaling solve and the tests ask for them.
 
     ``Matrix(dense)`` converts a square array once.  NaN entries (a
     complex entry with a NaN part included) are rejected, so every stored
     magnitude in ``pattern`` is positive.  Infinite entries are kept.
-    The parser and ``principal_submatrix`` build a matrix from its
-    nonzeros directly (``from_nonzeros``).
+    The parser, the ensemble generator and ``principal_submatrix`` build
+    a matrix from its nonzeros directly (``from_nonzeros``).
     """
 
     def __init__(self, entries):
-        arr = _as_square_array(entries)
+        import numpy as np
+
+        arr = np.asarray(entries)
+        if arr.dtype.kind in "iubf":
+            arr = arr.astype(np.float64, copy=False)
+        elif arr.dtype.kind == "c":
+            arr = arr.astype(np.complex128, copy=False)
+        else:
+            raise ValueError(f"unsupported entry dtype {arr.dtype!r}")
+        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+            raise ValueError(f"expected a square 2-d array, got shape {arr.shape}")
+        if arr.shape[0] < 1:
+            raise ValueError("matrix order must be at least 1")
         if np.isnan(arr).any():
             raise ValueError("matrix entries must not be NaN")
         rows, cols = np.nonzero(arr)  # row-major: columns increase within a row
         off = rows != cols
         rows, cols = rows[off], cols[off]
-        self._store(np.diagonal(arr).copy(), rows, cols, arr[rows, cols])
+        self._store(
+            array("d", np.diagonal(arr).tobytes()),
+            array("q", rows.astype(np.int64).tobytes()),
+            array("q", cols.astype(np.int64).tobytes()),
+            array("d", arr[rows, cols].tobytes()),
+            arr.dtype.kind == "c",
+        )
 
     @classmethod
-    def from_nonzeros(cls, diagonal, rows, cols, values) -> "Matrix":
+    def from_nonzeros(cls, diagonal, rows, cols, values, is_complex: bool = False) -> "Matrix":
         """Matrix with ``diagonal`` and off-diagonal entries ``values`` at ``(rows, cols)``.
 
         The caller lists each off-diagonal nonzero once, in row-major
-        order, and guarantees that no value is NaN; ``values`` and
-        ``diagonal`` share a float64 or complex128 dtype.
+        order, and guarantees that no value is NaN.  ``cols`` is an
+        ``array('q')``; ``diagonal`` and ``values`` are ``array('d')``
+        buffers of reals, or, when ``is_complex``, of real and imaginary
+        parts side by side.  The buffers are kept, not copied.
         """
         A = cls.__new__(cls)
-        A._store(np.asarray(diagonal), rows, cols, np.asarray(values))
+        A._store(diagonal, rows, cols, values, is_complex)
         return A
 
-    def _store(self, diagonal: np.ndarray, rows, cols, values: np.ndarray):
-        if diagonal.shape[0] < 1:
+    def _store(self, diagonal: array, rows, cols, values: array, is_complex: bool):
+        n = len(diagonal) // 2 if is_complex else len(diagonal)
+        if n < 1:
             raise ValueError("matrix order must be at least 1")
-        diagonal.setflags(write=False)
-        values.setflags(write=False)
+        self._n = n
+        self._strictness: dict[float, array] = {}  # row_strictness codes by tol
+        self.is_complex = is_complex
         self.diagonal = diagonal
         self.values = values
-        self.pattern = SparsePattern.from_triples(diagonal.shape[0], rows, cols, np.abs(values))
+        self.pattern = SparsePattern.from_triples(n, rows, cols, _moduli(values, is_complex))
 
     @property
     def n(self) -> int:
-        return self.diagonal.shape[0]
+        return self._n
 
     @property
-    def dtype(self) -> np.dtype:
-        """float64 or complex128."""
-        return self.diagonal.dtype
+    def dtype(self) -> str:
+        """The dense entries' numpy dtype name: ``"float64"`` or ``"complex128"``."""
+        return "complex128" if self.is_complex else "float64"
 
     @cached_property
-    def entries(self) -> np.ndarray:
-        """Dense entries (read-only), built on first request."""
-        dense = _dense(self, self.values, self.diagonal)
+    def entries(self):
+        """Dense entries as a read-only numpy array, built on first request."""
+        dense = _dense(
+            self, _ndarray(self.values, self.is_complex), _ndarray(self.diagonal, self.is_complex)
+        )
         dense.setflags(write=False)
         return dense
 
     @cached_property
-    def modulus(self) -> np.ndarray:
-        """Dense entrywise ``|a_ij|`` as float64 (read-only), built on first request."""
-        mod = _dense(self, self.pattern.data, self.diagonal_modulus)
+    def modulus(self):
+        """Dense entrywise ``|a_ij|`` as a read-only float64 numpy array, built on first request."""
+        mod = _dense(self, _ndarray(self.pattern.data), _ndarray(self.diagonal_modulus))
         mod.setflags(write=False)
         return mod
 
     @cached_property
-    def deleted_row_sums(self) -> np.ndarray:
-        """All deleted row sums, accumulated in increasing column order.
+    def deleted_row_sums(self) -> array:
+        """All deleted row sums, each accumulated in increasing column order.
 
-        Pass k adds every row's k-th off-diagonal nonzero, so each row is
-        summed strictly left to right and matches a plain loop over
-        ``modulus[i]`` bit for bit (adding the skipped zeros changes no
-        partial sum of nonnegative terms).
+        Matches a plain loop over ``modulus[i]`` bit for bit (adding the
+        skipped zeros changes no partial sum of nonnegative terms).
         """
-        sums = np.zeros(self.n)
-        for rows, at in _entry_passes(self.pattern):
-            sums[rows] += self.pattern.data[at]
-        sums.setflags(write=False)
+        data = self.pattern.data.tolist()
+        sums = array("d")
+        for a, b in pairwise(self.pattern.indptr):
+            total = 0.0
+            for v in data[a:b]:
+                total += v
+            sums.append(total)
         return sums
 
     @cached_property
-    def diagonal_modulus(self) -> np.ndarray:
-        diag = np.abs(self.diagonal).astype(np.float64, copy=False)
-        diag.setflags(write=False)
-        return diag
+    def diagonal_modulus(self) -> array:
+        return _moduli(self.diagonal, self.is_complex)
 
     def __repr__(self) -> str:
         return f"Matrix(n={self.n}, dtype={self.dtype})"
 
 
-def _entry_passes(pat: SparsePattern):
-    """Pass k: the rows with at least k + 1 stored entries, and the position of the k-th.
-
-    Adding pass after pass sums every row strictly left to right, in
-    increasing column order, with one vectorized step per pass.
-    """
-    counts = np.diff(pat.indptr)
-    for k in range(int(counts.max(initial=0))):
-        rows = np.flatnonzero(counts > k)
-        yield rows, pat.indptr[rows] + k
-
-
-def _dense(A: Matrix, off: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Order-n array with ``off`` at the pattern's positions and ``diag`` on the diagonal.
+def _dense(A: Matrix, off, diag):
+    """Order-n numpy array with ``off`` at the pattern's positions and ``diag`` on the diagonal.
 
     Every dense view of a matrix is made here, and nowhere on the
     structural path.
     """
+    import numpy as np
+
+    pat = A.pattern
     out = np.zeros((A.n, A.n), dtype=diag.dtype)
-    out[A.pattern.rows(), A.pattern.indices] = off
+    rows = np.repeat(np.arange(A.n), np.diff(_ndarray(pat.indptr)))
+    out[rows, _ndarray(pat.indices)] = off
     np.fill_diagonal(out, diag)
     return out
 
@@ -274,9 +322,6 @@ class IndexSet:
     @property
     def is_full(self) -> bool:
         return len(self.members) == self.universe_size
-
-    def to_array(self) -> np.ndarray:
-        return np.array(self.members, dtype=np.intp)
 
     def __contains__(self, i) -> bool:
         return int(i) in self.member_set
@@ -325,17 +370,33 @@ def _check_universe(A: Matrix, S: IndexSet):
         )
 
 
-def row_strictness(A: Matrix, tol: float = 0.0) -> np.ndarray:
-    """Per-row code: +1 strict, 0 equality (within tol), -1 dominance violated."""
+def _member_flags(S: IndexSet) -> list[bool]:
+    flags = [False] * S.universe_size
+    for i in S.members:
+        flags[i] = True
+    return flags
+
+
+def row_strictness(A: Matrix, tol: float = 0.0) -> array:
+    """Per-row code as ``array('b')``: +1 strict, 0 equality (within tol), -1 dominance violated.
+
+    An analysis asks for it several times at one tol, so the codes are
+    computed once per matrix and tol; each call returns its own copy.
+    """
     tol = _check_tol(tol)
-    gap = A.diagonal_modulus - A.deleted_row_sums
-    return np.where(gap > tol, 1, np.where(gap < -tol, -1, 0)).astype(np.int8)
+    codes = A._strictness.get(tol)
+    if codes is None:
+        codes = A._strictness[tol] = array("b", [
+            (gap > tol) - (gap < -tol)
+            for gap in map(float.__sub__, A.diagonal_modulus, A.deleted_row_sums)
+        ])
+    return array("b", codes)
 
 
 def deleted_row_sum(A: Matrix, i: int) -> float:
     """Sum of off-diagonal magnitudes in row i."""
     i = _check_index(A, i)
-    return float(A.deleted_row_sums[i])
+    return A.deleted_row_sums[i]
 
 
 def partial_row_sum(A: Matrix, i: int, S: IndexSet) -> float:
@@ -351,7 +412,7 @@ def partial_row_sum(A: Matrix, i: int, S: IndexSet) -> float:
     return total
 
 
-def split_row_sums(A: Matrix, S: IndexSet) -> tuple[np.ndarray, np.ndarray]:
+def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
     """Every row's deleted sum split over the columns in S and outside S.
 
     One O(n + nnz) pass: entry k of each half is ``partial_row_sum`` of
@@ -359,23 +420,30 @@ def split_row_sums(A: Matrix, S: IndexSet) -> tuple[np.ndarray, np.ndarray]:
     the row's nonzeros in increasing column order.
     """
     _check_universe(A, S)
+    inside = _member_flags(S)
     pat = A.pattern
-    outside = np.ones(A.n, dtype=np.intp)
-    outside[S.to_array()] = 0
-    sums = np.zeros((2, A.n))
-    for rows, at in _entry_passes(pat):
-        sums[outside[pat.indices[at]], rows] += pat.data[at]  # one entry per row and pass
-    return sums[0], sums[1]
+    indices, data = pat.indices.tolist(), pat.data.tolist()
+    in_s, out_s = array("d"), array("d")
+    for a, b in pairwise(pat.indptr):
+        s_in = s_out = 0.0
+        for k in range(a, b):
+            if inside[indices[k]]:
+                s_in += data[k]
+            else:
+                s_out += data[k]
+        in_s.append(s_in)
+        out_s.append(s_out)
+    return in_s, out_s
 
 
 def classify_dominance(A: Matrix, tol: float = 0.0) -> DominanceClass:
     """Classify A by comparing each |a_ii| against its deleted row sum."""
     s = row_strictness(A, tol)
-    if (s < 0).any():
+    if min(s) < 0:
         return DominanceClass.NOT_DD
-    if (s > 0).all():
+    if min(s) > 0:
         return DominanceClass.SDD
-    if (s > 0).any():
+    if max(s) > 0:
         return DominanceClass.DD_PLUS
     return DominanceClass.DD_EQUALITY
 
@@ -383,7 +451,7 @@ def classify_dominance(A: Matrix, tol: float = 0.0) -> DominanceClass:
 def non_sdd_rows(A: Matrix, tol: float = 0.0) -> IndexSet:
     """Indices of rows that are not strictly dominant (|a_ii| <= r_i + tol)."""
     s = row_strictness(A, tol)
-    return IndexSet(tuple(int(i) for i in np.flatnonzero(s <= 0)), A.n)
+    return IndexSet(tuple(i for i, code in enumerate(s) if code <= 0), A.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -420,9 +488,7 @@ def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
     indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
     t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
     diag = A.diagonal_modulus.tolist()
-    active = [False] * A.n
-    for i in T.members:
-        active[i] = True
+    active = _member_flags(T)
     left = len(T)
     removed = T.complement().members
     levels: list[tuple[int, ...]] = []
@@ -451,12 +517,12 @@ def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
     return Peel(t_set=T, levels=tuple(levels), stalled=left > 0)
 
 
-def comparison_matrix(A: Matrix) -> np.ndarray:
-    """Dense real array with diagonal |a_ii| and off-diagonal -|a_ij|.
+def comparison_matrix(A: Matrix):
+    """Dense real numpy array with diagonal |a_ii| and off-diagonal -|a_ij|.
 
     Built from the pattern on each call; unstored entries are +0.0.
     """
-    return _dense(A, -A.pattern.data, A.diagonal_modulus)
+    return _dense(A, -_ndarray(A.pattern.data), _ndarray(A.diagonal_modulus))
 
 
 def principal_submatrix(A: Matrix, S: IndexSet) -> Matrix:
@@ -468,12 +534,20 @@ def principal_submatrix(A: Matrix, S: IndexSet) -> Matrix:
     _check_universe(A, S)
     if len(S) == 0:
         raise ValueError("principal submatrix requires a nonempty index set")
-    inside = np.zeros(A.n, dtype=bool)
-    inside[S.to_array()] = True
-    position = np.cumsum(inside) - 1  # of each member in S; increasing, so row-major order stays
+    position = [-1] * A.n  # of each member in S; increasing, so row-major order stays
+    for p, i in enumerate(S.members):
+        position[i] = p
     pat = A.pattern
-    rows = pat.rows()
-    keep = inside[rows] & inside[pat.indices]
+    indptr, indices = pat.indptr, pat.indices.tolist()
+    rows, cols, keep = [], array("q"), []
+    for p, i in enumerate(S.members):
+        for k in range(indptr[i], indptr[i + 1]):
+            q = position[indices[k]]
+            if q >= 0:
+                rows.append(p)
+                cols.append(q)
+                keep.append(k)
     return Matrix.from_nonzeros(
-        A.diagonal[inside], position[rows[keep]], position[pat.indices[keep]], A.values[keep]
+        _gather(A.diagonal, S.members, A.is_complex), rows, cols,
+        _gather(A.values, keep, A.is_complex), A.is_complex,
     )

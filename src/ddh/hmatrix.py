@@ -33,10 +33,9 @@ peel with no solve, whenever every row of T is an exact equality.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .core import (
     DominanceClass,
@@ -70,10 +69,10 @@ class ScalingCertificate:
     computes it; positive iff the scaled matrix is strictly diagonally
     dominant.  d is normalized to max 1.  Any such d certifies H-status;
     ``scaling_certificate`` returns the first its Gauss-Seidel sweeps
-    reach, not the solution of M d = 1.
+    reach, not the solution of M d = 1.  d is an ``array('d')``.
     """
 
-    d: np.ndarray
+    d: array
     margin: float
 
 
@@ -105,29 +104,30 @@ def scaling_margin(A: Matrix, d) -> float:
     """Smallest dominance gap of A after scaling column j by d_j.
 
     min_i (|a_ii| d_i - sum_{j != i} |a_ij| d_j) over the sparse pattern,
-    each row summed left to right as in ``core``: O(nnz).  The sweeps
-    call it once each, so it is a plain loop: a few microseconds at
-    order 8, where vectorized passes cost tens; at order 800 it costs
-    about one sweep.
+    each row summed left to right as in ``core``: O(nnz).  A NaN gap
+    makes the margin NaN, wherever it occurs.
     """
-    d = np.asarray(d, dtype=np.float64).tolist()
+    d = [float(x) for x in d]
     pat = A.pattern
     indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
-    gaps = []
+    margin = math.inf
     for i, a in enumerate(A.diagonal_modulus.tolist()):
         total = 0.0
         for k in range(indptr[i], indptr[i + 1]):
             total += data[k] * d[indices[k]]
-        gaps.append(a * d[i] - total)
-    return float(np.min(gaps))
+        gap = a * d[i] - total
+        if margin == margin and not gap >= margin:  # smaller, or NaN; NaN stays
+            margin = gap
+    return margin
 
 
 def _sweep_order(peel: Peel) -> list[int]:
     """The strict rows, then each peel level."""
-    rank = np.zeros(peel.t_set.universe_size, dtype=np.intp)
+    rank = [0] * peel.t_set.universe_size
     for k, level in enumerate(peel.levels, 1):
-        rank[list(level)] = k
-    return np.argsort(rank, kind="stable").tolist()
+        for i in level:
+            rank[i] = k
+    return sorted(range(len(rank)), key=rank.__getitem__)  # stable
 
 
 def solved_scaling(A: Matrix) -> ScalingCertificate:
@@ -139,16 +139,17 @@ def solved_scaling(A: Matrix) -> ScalingCertificate:
     A is not H after all: M singular, a nonpositive component or a
     nonpositive margin.
     """
+    import numpy as np
+
     d = lu_solve(comparison_matrix(A), np.ones(A.n))
     if d is None:
         raise InconsistencyError("comparison matrix is singular; input is not H")
     if (d <= 0.0).any():
         raise InconsistencyError("scaling vector has a nonpositive component")
-    d = d / float(np.max(d))
+    d = array("d", (d / float(np.max(d))).tobytes())
     margin = scaling_margin(A, d)
     if not margin > 0.0:
         raise InconsistencyError(f"scaling margin {margin!r} is not positive")
-    d.setflags(write=False)
     return ScalingCertificate(d=d, margin=margin)
 
 
@@ -179,7 +180,7 @@ def scaling_certificate(A: Matrix, peel: Peel) -> ScalingCertificate:
     margin), that claim was wrong and InconsistencyError names the sweep
     count and the last margin.
     """
-    d = np.ones(A.n)
+    d = array("d", [1.0]) * A.n
     margin = scaling_margin(A, d)
     sweeps = 0
     diag = A.diagonal_modulus.tolist()
@@ -194,8 +195,8 @@ def scaling_certificate(A: Matrix, peel: Peel) -> ScalingCertificate:
                 for k in range(indptr[i], indptr[i + 1]):
                     total += data[k] * x[indices[k]]
                 x[i] = 1.0 + total / diag[i]
-            d = np.array(x)
-            d /= d.max()
+            top = max(x)  # x >= 1 holds no NaN
+            d = array("d", [v / top for v in x])
             margin = scaling_margin(A, d)
             sweeps += 1
     if not margin > 0.0:
@@ -206,7 +207,6 @@ def scaling_certificate(A: Matrix, peel: Peel) -> ScalingCertificate:
                 f"{sweeps} Gauss-Seidel sweeps left the scaling margin at {margin!r}; "
                 f"dense solve: {exc}"
             ) from None
-    d.setflags(write=False)
     return ScalingCertificate(d=d, margin=margin)
 
 
@@ -221,11 +221,11 @@ def peel_outcome(
     exactly when the reason is ``SDD_REACHED``.
     """
     T = peel.t_set
-    zero_rows = np.flatnonzero(A.diagonal_modulus == 0.0)
-    if zero_rows.size:
+    zero = next((i for i, a in enumerate(A.diagonal_modulus) if a == 0.0), None)
+    if zero is not None:
         # dominance leaves such a row at most tol off the diagonal: it sits
         # in T and can never peel
-        return (T,), PeelReason.ZERO_DIAGONAL, IndexSet((int(zero_rows[0]),), A.n)
+        return (T,), PeelReason.ZERO_DIAGONAL, IndexSet((zero,), A.n)
     trace = tuple(IndexSet(level, A.n) for level in peel.levels)
     if peel.stalled:
         # the rows left form a dominant block with no strict row
@@ -265,17 +265,20 @@ def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
     Requires |a_ii| > r_i^S on S and, for every cross pair (i in S,
     j outside), (|a_ii| - r_i^S)(|a_jj| - r_j^Sbar) > r_i^Sbar r_j^S.
     Strict float comparisons throughout; every r is read off one
-    ``split_row_sums`` pass.
+    ``split_row_sums`` pass.  Only the |S| x |Sbar| cross test is dense.
     """
     _check_proper_subset(A, S, "s_sdd_check")
     in_s, out_s = split_row_sums(A, S)
-    inside, outside = S.to_array(), S.complement().to_array()
+    inside, outside = S.members, S.complement().members
     diag = A.diagonal_modulus
-    gap_s = diag[inside] - in_s[inside]
-    if not (gap_s > 0.0).all():
+    gap_s = [diag[i] - in_s[i] for i in inside]
+    if not all(g > 0.0 for g in gap_s):
         return False
-    gap_sbar = diag[outside] - out_s[outside]
-    return bool((np.outer(gap_s, gap_sbar) > np.outer(out_s[inside], in_s[outside])).all())
+    import numpy as np
+
+    gap_sbar = [diag[j] - out_s[j] for j in outside]
+    cross_s, cross_sbar = [out_s[i] for i in inside], [in_s[j] for j in outside]
+    return bool((np.outer(gap_s, gap_sbar) > np.outer(cross_s, cross_sbar)).all())
 
 
 def find_ssdd_set_dd(peel: Peel) -> IndexSet | None:
@@ -327,15 +330,16 @@ def _gap_ratio(num: float, den: float) -> float:
     return 0.0
 
 
-def _outside_ratios(A: Matrix, S: IndexSet) -> tuple[float, str | None, np.ndarray]:
+def _outside_ratios(A: Matrix, S: IndexSet) -> tuple[float, str | None, array]:
     """b2 over the rows outside S, its degeneracy note, and every row's sum outside S.
 
     One ``split_row_sums`` pass gives both halves of every row.
     """
     in_s, out_s = split_row_sums(A, S)
-    outside = S.complement().to_array()
-    nums = (A.diagonal_modulus[outside] - out_s[outside]).tolist()
-    dens = in_s[outside].tolist()
+    outside = S.complement().members
+    diag = A.diagonal_modulus
+    nums = [diag[j] - out_s[j] for j in outside]
+    dens = [in_s[j] for j in outside]
     b2 = min(_gap_ratio(num, den) for num, den in zip(nums, dens))
     degenerate = any(num == 0.0 and den == 0.0 for num, den in zip(nums, dens))
     note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
@@ -343,11 +347,16 @@ def _outside_ratios(A: Matrix, S: IndexSet) -> tuple[float, str | None, np.ndarr
 
 
 def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
-    """Subset H-condition: inner block H, and scaled cross sums below b2."""
+    """Subset H-condition: inner block H, and scaled cross sums below b2.
+
+    lhs comes from a dense LU of the inner comparison block.
+    """
+    import numpy as np
+
     _check_proper_subset(A, S, "s_h_check")
     sub = principal_submatrix(A, S)
     b2, note, out_s = _outside_ratios(A, S)
-    x = lu_solve(comparison_matrix(sub), out_s[S.to_array()])
+    x = lu_solve(comparison_matrix(sub), np.array([out_s[i] for i in S.members]))
     if x is None:
         return SHReport(
             subset=S,
@@ -402,19 +411,21 @@ def s_h_from_peel(A: Matrix, peel: Peel) -> SHReport | None:
     T = peel.t_set
     if len(T) == 0 or T.is_full:
         return None
-    diag, pat = A.diagonal_modulus.tolist(), A.pattern
-    indptr = pat.indptr.tolist()
+    diag, pat = A.diagonal_modulus, A.pattern
+    indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
     for i in T.members:
-        if not _exact_equality(diag[i], pat.data[indptr[i]:indptr[i + 1]].tolist()):
+        if not _exact_equality(diag[i], data[indptr[i]:indptr[i + 1]]):
             return None
     inner_h = not peel.stalled
     if not inner_h:
-        in_block = np.zeros(A.n, dtype=bool)
-        in_block[T.to_array()] = True
-        for level in peel.levels:
-            in_block[list(level)] = False
-        if not in_block[pat.indices[in_block[pat.rows()]]].all():
-            return None
+        peeled = {i for level in peel.levels for i in level}
+        block = [i for i in T.members if i not in peeled]
+        in_block = [False] * A.n
+        for i in block:
+            in_block[i] = True
+        for i in block:
+            if not all(in_block[j] for j in indices[indptr[i]:indptr[i + 1]]):
+                return None
     b2, note, _ = _outside_ratios(A, T)
     return SHReport(
         subset=T,

@@ -77,7 +77,7 @@ def verify_certificate(A: Matrix, cert: InterwovenCertificate) -> bool:
             return False
         allowed.add(p)
     # every pair is now in range: one sparse lookup for all of them
-    return bool(A.pattern.has_edges(cert.p_seq, cert.q_seq).all())
+    return all(A.pattern.has_edges(cert.p_seq, cert.q_seq))
 
 
 def is_interwoven(A: Matrix, S: IndexSet) -> InterwovenCertificate | None:

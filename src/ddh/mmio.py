@@ -14,8 +14,8 @@ carrying the offending 1-based line number.
 from __future__ import annotations
 
 import cmath
-
-import numpy as np
+from array import array
+from bisect import bisect_left
 
 from .core import Matrix
 
@@ -135,17 +135,21 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
     if seen != nnz:
         raise ParseError(f"declared {nnz} entries but found {seen}", len(lines) + 1)
 
-    dtype = np.complex128 if is_complex else np.float64
-    keys = np.fromiter(sums.keys(), dtype=np.int64, count=len(sums))
-    values = np.fromiter(sums.values(), dtype=dtype, count=len(sums))
-    order = np.argsort(keys)  # row-major
-    keys, values = keys[order], values[order]
-    rows, cols = np.divmod(keys, n)
-    diagonal = np.zeros(n, dtype=dtype)
-    on_diag = rows == cols
-    diagonal[rows[on_diag]] = values[on_diag]
-    keep = ~on_diag & (values != 0)  # entries that cancelled, or were listed as 0, are not stored
-    return Matrix.from_nonzeros(diagonal, rows[keep], cols[keep], values[keep])
+    diagonal = [zero] * n
+    rows, cols, values = array("q"), array("q"), []
+    for key in sorted(sums):  # row-major
+        i, j = divmod(key, n)
+        value = sums[key]
+        if i == j:
+            diagonal[i] = value
+        elif value != 0:  # entries that cancelled, or were listed as 0, are not stored
+            rows.append(i)
+            cols.append(j)
+            values.append(value)
+    if is_complex:  # real and imaginary parts side by side
+        diagonal = [x for z in diagonal for x in (z.real, z.imag)]
+        values = [x for z in values for x in (z.real, z.imag)]
+    return Matrix.from_nonzeros(array("d", diagonal), rows, cols, array("d", values), is_complex)
 
 
 def format_real(x: float) -> str:
@@ -161,34 +165,37 @@ def matrix_market_chunks(A: Matrix, comments: tuple[str, ...] = ()):
     """Coordinate text of A (general symmetry, nonzeros only), piece by piece.
 
     Yields the header lines, then the entry lines in row-major order,
-    ``WRITE_CHUNK`` lines at a time.  The nonzero diagonal entries are
-    merged into the stored off-diagonal ones, row by row, in O(nnz).  A
-    caller that writes each chunk as it comes holds the text of one
-    chunk, not of the file.
+    whole rows at a time, about ``WRITE_CHUNK`` lines per piece.  Each
+    nonzero diagonal entry is merged into its row's stored off-diagonal
+    entries as the row is formatted, in O(n + nnz).  A caller that writes
+    each piece as it comes holds the text of one piece, not of the file.
     """
-    is_complex = A.dtype.kind == "c"
-    field = "complex" if is_complex else "real"
-    pat = A.pattern
-    rows, cols, values = pat.rows(), pat.indices, A.values
-    diag_rows = np.flatnonzero(A.diagonal)
-    # each diagonal entry goes before the first entry of its row with a larger column
-    at = np.searchsorted(rows * A.n + cols, diag_rows * (A.n + 1))
-    rows = np.insert(rows, at, diag_rows)
-    cols = np.insert(cols, at, diag_rows)
-    values = np.insert(values, at, A.diagonal[diag_rows])
+    width = 2 if A.is_complex else 1  # reals per value
+    field = "complex" if A.is_complex else "real"
+    pat, diag = A.pattern, A.diagonal
+    on_diag = [any(diag[width * i : width * (i + 1)]) for i in range(A.n)]
     header = [f"%%MatrixMarket matrix coordinate {field} general"]
     header.extend(f"% {c}" for c in comments)
-    header.append(f"{A.n} {A.n} {rows.size}")
+    header.append(f"{A.n} {A.n} {len(pat.indices) + sum(on_diag)}")
     yield "\n".join(header) + "\n"
-    for top in range(0, rows.size, WRITE_CHUNK):
-        part = slice(top, top + WRITE_CHUNK)
-        ijs = zip((rows[part] + 1).tolist(), (cols[part] + 1).tolist())
-        chunk = values[part]
-        if is_complex:
-            parts = zip(ijs, chunk.real.tolist(), chunk.imag.tolist())
-            lines = [f"{i} {j} {format_real(re)} {format_real(im)}\n" for (i, j), re, im in parts]
-        else:
-            lines = [f"{i} {j} {format_real(x)}\n" for (i, j), x in zip(ijs, chunk.tolist())]
+
+    def line(i: int, j: int, buf: array, k: int) -> str:
+        if width == 2:
+            return f"{i + 1} {j + 1} {format_real(buf[2 * k])} {format_real(buf[2 * k + 1])}\n"
+        return f"{i + 1} {j + 1} {format_real(buf[k])}\n"
+
+    lines: list[str] = []
+    for i, (a, b) in enumerate(zip(pat.indptr, pat.indptr[1:])):
+        # the diagonal entry goes before the first stored column above i
+        split = bisect_left(pat.indices, i, a, b)
+        lines.extend(line(i, pat.indices[k], A.values, k) for k in range(a, split))
+        if on_diag[i]:
+            lines.append(line(i, i, diag, i))
+        lines.extend(line(i, pat.indices[k], A.values, k) for k in range(split, b))
+        if len(lines) >= WRITE_CHUNK:
+            yield "".join(lines)
+            lines = []
+    if lines:
         yield "".join(lines)
 
 

@@ -14,16 +14,24 @@ generator computes its stream as uint64 arrays, block by block, in the
 same draw order as ``RandomStream``.  Magnitudes are dyadic multiples of
 2^-30, which keeps every row sum, split row sum and dominance comparison
 exact in double precision.
+
+Everything here but ``RandomStream`` and ``derive_seed`` computes with
+numpy, which each function imports when called: importing this module
+(as ``hmatrix`` and ``cli`` do) loads no numpy.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cache
+from typing import TYPE_CHECKING
 
 from .core import InconsistencyError, Matrix, comparison_matrix
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: per-column residual bound for lu_solve: ||M x - b||_inf <= RTOL ||M||_inf ||x||_inf
 LU_RESIDUAL_RTOL = 1e-9
@@ -48,6 +56,8 @@ class LuFactorization:
 
 
 def _norm_inf(M: np.ndarray) -> float:
+    import numpy as np
+
     if M.ndim == 1:
         return float(np.max(np.abs(M))) if M.size else 0.0
     return float(np.max(np.sum(np.abs(M), axis=1))) if M.size else 0.0
@@ -55,6 +65,8 @@ def _norm_inf(M: np.ndarray) -> float:
 
 def lu_factor(M) -> LuFactorization:
     """LU with partial pivoting; flags singularity instead of raising."""
+    import numpy as np
+
     a = np.array(M, dtype=np.float64, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("lu_factor expects a square real matrix")
@@ -77,6 +89,8 @@ def lu_factor(M) -> LuFactorization:
 
 
 def _solve_factored(fac: LuFactorization, B: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     n = fac.factors.shape[0]
     y = B[fac.pivots].astype(np.float64, copy=True)
     for i in range(1, n):
@@ -94,6 +108,8 @@ def lu_solve(M, B) -> np.ndarray | None:
     Every solve is residual-checked; a violated bound means the
     factorization itself is broken and raises InconsistencyError.
     """
+    import numpy as np
+
     a = np.asarray(M, dtype=np.float64)
     b = np.asarray(B, dtype=np.float64)
     one_dim = b.ndim == 1
@@ -119,7 +135,9 @@ def lu_solve(M, B) -> np.ndarray | None:
 
 def inverse_nonneg_oracle(A: Matrix) -> bool:
     """H-status via the comparison matrix: nonsingular with inverse >= 0."""
-    if (A.diagonal_modulus == 0.0).any():
+    import numpy as np
+
+    if 0.0 in A.diagonal_modulus:
         return False
     comp = comparison_matrix(A)
     inv = lu_solve(comp, np.eye(A.n))
@@ -134,6 +152,8 @@ def spectral_radius(B) -> float:
     Repeated squaring with per-step infinity-norm normalization:
     ``||B^(2^k)||_inf^(1/2^k)`` accumulated in log space for k up to 40.
     """
+    import numpy as np
+
     b = np.asarray(B, dtype=np.float64)
     if b.ndim != 2 or b.shape[0] != b.shape[1]:
         raise ValueError("spectral_radius expects a square matrix")
@@ -156,10 +176,11 @@ def spectral_radius(B) -> float:
 
 def jacobi_spectral_radius(A: Matrix) -> float | None:
     """rho of the point-Jacobi iteration matrix; None on a zero diagonal."""
-    diag = A.diagonal_modulus
-    if (diag == 0.0).any():
+    import numpy as np
+
+    if 0.0 in A.diagonal_modulus:
         return None
-    J = A.modulus / diag[:, None]
+    J = A.modulus / np.asarray(A.diagonal_modulus)[:, None]
     J = J.copy()
     np.fill_diagonal(J, 0.0)
     return spectral_radius(J)
@@ -225,14 +246,20 @@ class EnsembleSpec:
             raise ValueError("equality_rows must lie in [0, 1]")
 
 
-_PHASES = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
+_PHASES = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)
 #: stream positions ``random_dd_matrix`` draws at once for the inclusion scan
 STREAM_BLOCK = 1 << 16
-# the array form's uint64 constants, made once: a numpy scalar costs a call
-_U64 = {
-    c: np.uint64(c)
-    for c in (1, 3, 27, 30, 31, 34, _GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
-}
+
+
+@cache
+def _u64() -> dict:
+    """The array form's uint64 constants, made once: a numpy scalar costs a call."""
+    import numpy as np
+
+    return {
+        c: np.uint64(c)
+        for c in (1, 3, 27, 30, 31, 34, _GAMMA, 0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+    }
 
 
 def stream_words(seed: int, positions) -> np.ndarray:
@@ -243,20 +270,24 @@ def stream_words(seed: int, positions) -> np.ndarray:
     (p+1)-th ``next_u64``) needs no state.  uint64 array arithmetic
     wraps modulo 2^64, as the scalar masks do.
     """
-    z = np.asarray(positions, dtype=np.uint64) + _U64[1]
-    z *= _U64[_GAMMA]
+    import numpy as np
+
+    u64 = _u64()
+    z = np.asarray(positions, dtype=np.uint64) + u64[1]
+    z *= u64[_GAMMA]
     z += np.uint64(int(seed) & _MASK64)
-    z ^= z >> _U64[30]
-    z *= _U64[0xBF58476D1CE4E5B9]
-    z ^= z >> _U64[27]
-    z *= _U64[0x94D049BB133111EB]
-    z ^= z >> _U64[31]
+    z ^= z >> u64[30]
+    z *= u64[0xBF58476D1CE4E5B9]
+    z ^= z >> u64[27]
+    z *= u64[0x94D049BB133111EB]
+    z ^= z >> u64[31]
     return z
 
 
 def _units(words: np.ndarray) -> np.ndarray:
     """``RandomStream.next_unit`` of each word: (top-30-bits + 1) / 2^30."""
-    return ((words >> _U64[34]) + _U64[1]) / 1073741824.0
+    u64 = _u64()
+    return ((words >> u64[34]) + u64[1]) / 1073741824.0
 
 
 def random_dd_matrix(spec: EnsembleSpec) -> Matrix:
@@ -282,16 +313,20 @@ def random_dd_matrix(spec: EnsembleSpec) -> Matrix:
     passing draws resolves them: a passing draw at a position that the
     last included cell's magnitude or phase took is skipped, and a cell
     whose draws would cross the block's end starts the next block.  Each
-    block's magnitudes and phases are then read from it, so memory stays
-    bounded by the block and the dense matrix.  The per-row draws follow
-    the cells.  A row sum adds fewer than 2^23 dyadic multiples of 2^-30
-    in (0, 1], so it is exact in any order, across blocks too.
+    block's magnitudes and phases are then read from it, and its cells,
+    which come in row-major order, are appended to the compressed rows
+    that ``Matrix.from_nonzeros`` keeps: memory stays bounded by the
+    block and the sparse matrix.  The per-row draws follow the cells.  A
+    row sum adds fewer than 2^23 dyadic multiples of 2^-30 in (0, 1], so
+    it is exact in any order, across blocks too.
     """
+    import numpy as np
+
     n = spec.n
     extra = 2 if spec.complex_entries else 1  # slots an included cell adds
     cells = n * (n - 1)
-    dtype = np.complex128 if spec.complex_entries else np.float64
-    entries = np.zeros((n, n), dtype=dtype)
+    phases = np.array(_PHASES)
+    rows, cols, values = array("q"), array("q"), array("d")  # the included cells
     row_sums = np.zeros(n)
     pos = 0  # position of the next unresolved cell's inclusion draw
     shift = 0  # slots the included cells before pos took: pos - shift is a cell
@@ -323,13 +358,15 @@ def random_dd_matrix(spec: EnsembleSpec) -> Matrix:
         if hits:
             at = np.array(hits) - start
             c = at + (start - first) - extra * np.arange(len(hits))  # rank among off-diagonal cells
-            flat = c + c // n + 1  # c = i (n - 1) + j - [j > i] is entry i n + j
+            i, j = np.divmod(c + c // n + 1, n)  # c = i (n - 1) + j - [j > i] is entry i n + j
             magnitudes = units[at + 1]
             if spec.complex_entries:
-                entries.flat[flat] = magnitudes * _PHASES[words[at + 2] & _U64[3]]
+                values.frombytes((magnitudes * phases[words[at + 2] & _u64()[3]]).tobytes())
             else:
-                entries.flat[flat] = magnitudes
-            row_sums += np.bincount(flat // n, weights=magnitudes, minlength=n)
+                values.frombytes(magnitudes.tobytes())
+            rows.frombytes(i.astype(np.int64).tobytes())
+            cols.frombytes(j.astype(np.int64).tobytes())
+            row_sums += np.bincount(i, weights=magnitudes, minlength=n)
 
     rows_at = cells + shift  # position of the first per-row draw, at most 2n of them
     if not start <= rows_at <= stop - 2 * n:
@@ -344,5 +381,9 @@ def random_dd_matrix(spec: EnsembleSpec) -> Matrix:
         else:
             offsets[i] = round((0.1 + 0.9 * row_units[r + 1]) * 1048576) / 1048576.0
             r += 2
-    entries.flat[:: n + 1] = row_sums + offsets  # offset 0.0 keeps an equality row's sum
-    return Matrix(entries)
+    diagonal = row_sums + offsets  # offset 0.0 keeps an equality row's sum
+    if spec.complex_entries:
+        diagonal = diagonal.astype(np.complex128)
+    return Matrix.from_nonzeros(
+        array("d", diagonal.tobytes()), rows, cols, values, spec.complex_entries
+    )

@@ -192,7 +192,7 @@ def exhaustive_ssdd(A: Matrix) -> bool:
 
 def is_valid_scaling(A: Matrix, cert: ScalingCertificate) -> bool:
     """Every d_i in (0, 1], a positive margin, and the margin ``scaling_margin`` gives, bit for bit."""
-    d = cert.d
+    d = np.asarray(cert.d)
     return bool(
         ((d > 0.0) & (d <= 1.0)).all()
         and cert.margin > 0.0

@@ -5,6 +5,10 @@ code in ``ddh`` replaces with sparse worklist kernels:
 
 * the dense deleted row sums (``cumsum`` over a zero-diagonal copy) and
   the partial row sum scanning every column of the subset;
+* numpy versions of the kernels that read the storage buffers (the
+  moduli, the deleted and split row sums, the row strictness codes, the
+  principal submatrix and the edge lookup), vectorized as the product
+  was while it stored numpy arrays;
 * the sparsity graph's adjacency found by scanning every dense entry;
 * the recursive peel that copies the principal submatrix at every stage
   (``is_h_dd``, whose ``HVerdict.peel`` is assembled from those copied
@@ -97,6 +101,77 @@ def adjacency(A: Matrix) -> tuple[tuple[int, ...], ...]:
         tuple(int(j) for j in range(A.n) if j != i and mod[i, j] > 0.0)
         for i in range(A.n)
     )
+
+
+# numpy versions of the buffer kernels: each reads the matrix's storage
+# through ``np.asarray`` and vectorizes over it, as the product did while
+# it kept numpy arrays.  Row sums add pass k's k-th entry of every row,
+# which is each row left to right.
+
+
+def _stored_rows(A: Matrix) -> np.ndarray:
+    """The row of every stored entry, in storage order."""
+    return np.repeat(np.arange(A.n), np.diff(np.asarray(A.pattern.indptr)))
+
+
+def _entry_passes(A: Matrix):
+    """Pass k: the rows with at least k + 1 stored entries, and the position of the k-th."""
+    indptr = np.asarray(A.pattern.indptr)
+    counts = np.diff(indptr)
+    for k in range(int(counts.max(initial=0))):
+        rows = np.flatnonzero(counts > k)
+        yield rows, indptr[rows] + k
+
+
+def vectorized_moduli(A: Matrix) -> tuple[np.ndarray, np.ndarray]:
+    """|a_ii| and the stored |a_ij|: ``np.abs``, or ``np.hypot`` of the parts when complex."""
+    diag, values = np.asarray(A.diagonal), np.asarray(A.values)
+    if A.is_complex:
+        return np.hypot(diag[0::2], diag[1::2]), np.hypot(values[0::2], values[1::2])
+    return np.abs(diag), np.abs(values)
+
+
+def vectorized_deleted_row_sums(A: Matrix) -> np.ndarray:
+    data = np.asarray(A.pattern.data)
+    sums = np.zeros(A.n)
+    for rows, at in _entry_passes(A):
+        sums[rows] += data[at]
+    return sums
+
+
+def vectorized_split_row_sums(A: Matrix, S: IndexSet) -> tuple[np.ndarray, np.ndarray]:
+    data, indices = np.asarray(A.pattern.data), np.asarray(A.pattern.indices)
+    outside = np.ones(A.n, dtype=np.intp)
+    outside[list(S.members)] = 0
+    sums = np.zeros((2, A.n))
+    for rows, at in _entry_passes(A):
+        sums[outside[indices[at]], rows] += data[at]  # one entry per row and pass
+    return sums[0], sums[1]
+
+
+def vectorized_row_strictness(A: Matrix, tol: float) -> np.ndarray:
+    gap = vectorized_moduli(A)[0] - vectorized_deleted_row_sums(A)
+    return np.where(gap > tol, 1, np.where(gap < -tol, -1, 0)).astype(np.int8)
+
+
+def vectorized_principal_submatrix(A: Matrix, S: IndexSet):
+    """Diagonal, stored rows, stored columns and values of A[S, S] (complex128 when complex)."""
+    inside = np.zeros(A.n, dtype=bool)
+    inside[list(S.members)] = True
+    position = np.cumsum(inside) - 1  # of each member in S
+    rows, cols = _stored_rows(A), np.asarray(A.pattern.indices)
+    keep = inside[rows] & inside[cols]
+    diag, values = np.asarray(A.diagonal), np.asarray(A.values)
+    if A.is_complex:
+        diag, values = diag.view(np.complex128), values.view(np.complex128)
+    return diag[inside], position[rows[keep]], position[cols[keep]], values[keep]
+
+
+def vectorized_has_edges(A: Matrix, rows, cols) -> np.ndarray:
+    """One sorted membership test on the row-major keys i n + j."""
+    stored = _stored_rows(A) * A.n + np.asarray(A.pattern.indices)
+    wanted = np.asarray(rows, dtype=np.intp) * A.n + np.asarray(cols, dtype=np.intp)
+    return np.isin(wanted, stored)
 
 
 def scaling_certificate(A: Matrix) -> ScalingCertificate:

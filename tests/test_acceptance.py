@@ -118,7 +118,7 @@ def analyzed(corpus) -> list[Entry]:
             Entry(
                 matrix=A,
                 t=T,
-                diag_nonzero=bool((A.diagonal_modulus > 0.0).all()),
+                diag_nonzero=bool((np.asarray(A.diagonal_modulus) > 0.0).all()),
                 chain_holds=chain_condition(A).holds,
                 interwoven_ok=interwoven_ok,
                 is_h=None if verdict is None else verdict.is_h,
@@ -138,7 +138,7 @@ def test_criterion_1_chain_iff_interwoven(corpus):
     bad_certificates = 0
     for A in corpus:
         T = non_sdd_rows(A)
-        if not (A.diagonal_modulus > 0.0).all() or T.is_full:
+        if not (np.asarray(A.diagonal_modulus) > 0.0).all() or T.is_full:
             continue
         holds = chain_condition(A).holds
         cert = is_interwoven(A, T)
@@ -316,7 +316,7 @@ def test_criterion_6_subset_h_condition_matches_peel(analyzed):
         if e.is_h is None or len(e.t) == 0 or e.t.is_full:
             continue
         sub = principal_submatrix(A, e.t)
-        if (sub.diagonal_modulus == 0.0).any():
+        if (np.asarray(sub.diagonal_modulus) == 0.0).any():
             continue
         try:
             rep = s_h_check(A, e.t)

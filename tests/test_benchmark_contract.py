@@ -96,7 +96,7 @@ def test_order_20000_runs_in_bounded_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert 3.99 * A.n < A.pattern.indices.size + A.n <= 4 * A.n
+    assert 3.99 * A.n < len(A.pattern.indices) + A.n <= 4 * A.n
     assert problems == [] and all(ok for _, ok, _ in results)
     assert checks.verdict_mismatch(inprocess.summarize(report), expected) is None
     assert peak < 64 << 20

@@ -690,6 +690,36 @@ class TestStrictFlags:
         assert [check for check, (ok, _) in lines.items() if not ok] == ["h-consistency"]
 
 
+class TestStrictReals:
+    """Only a JSON number or an infinity string is a real: each forged real is one FAIL line.
+
+    A verifier that reads a real with ``float()`` takes ``true`` for 1.0
+    and ``false`` for 0.0, so it passes every forgery below on the
+    ladder report, whose lhs, tolerance and d_1 are 1, 0 and 1.
+    """
+
+    @pytest.mark.parametrize(
+        "path, value, failed",
+        [
+            (("sh", "lhs"), True, "sh"),
+            (("tolerance",), False, "report-shape"),
+            (("sh", "b2"), True, "sh"),
+            (("scaling", "d", 0), True, "scaling"),
+            (("scaling", "margin"), "0.33333333333333331", "scaling"),
+        ],
+    )
+    def test_a_non_real_fails_one_check(self, path, value, failed):
+        A, report = _fixture_report("ladder")
+        assert all(ok for _, ok, _ in verify_report(report, A))
+        lines = _verify_lines(_replace(report, path, value), A)
+        assert [check for check, (ok, _) in lines.items() if not ok] == [failed]
+
+    def test_the_lhs_repro_prints_a_fail_line(self, tmp_path, capsys):
+        rc, captured = _verify(tmp_path, capsys, _replace(_golden("ladder"), ("sh", "lhs"), True),
+                               FIXTURES / "ladder.mtx")
+        assert rc == 4 and "sh: FAIL (malformed sh: TypeError: True is not a real)" in captured.out
+
+
 _JSON_VALUES = st.recursive(
     st.none()
     | st.booleans()

@@ -1,0 +1,90 @@
+"""Import gate: the structural commands run without loading numpy.
+
+``ddh verify`` re-checks the certificates with sums and graph walks, and
+``ddh analyze`` of a strictly dominant matrix needs nothing more, so
+neither should pay for ``import numpy``.  Each command runs through
+``ddh.cli.main`` in a fresh interpreter, which then reports whether
+``numpy`` is in ``sys.modules``.  This counts modules, not time.
+``analyze`` of the chain solves the subset H-condition's inner block
+densely, so it does load numpy: that case shows the gate can fail.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from ddh import parse_matrix_market
+from ddh.cli import analyze_matrix, emit_json
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
+if str(ROOT / "perfbench") not in sys.path:
+    sys.path.append(str(ROOT / "perfbench"))
+
+import inputs  # noqa: E402  (perfbench module, found through sys.path)
+
+# prints main's exit code and whether numpy was loaded, after main's own output
+_CHILD = """
+import contextlib, io, json, sys
+from ddh import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # argparse's --version
+        code = exc.code
+print(json.dumps([code, "numpy" in sys.modules]))
+"""
+
+
+def _run_main(*argv: str) -> tuple[int, bool]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CHILD, *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, loaded = json.loads(proc.stdout.splitlines()[-1])
+    return code, loaded
+
+
+def _benchmark_input(tmp_path: Path, make) -> tuple[Path, Path]:
+    """The perfbench input of seed 1 and its report, as files."""
+    text, _ = make(1)
+    matrix = tmp_path / f"{make.__name__}.mtx"
+    matrix.write_text(text)
+    report, problems = analyze_matrix(parse_matrix_market(text))
+    assert problems == []
+    report_path = tmp_path / f"{make.__name__}.json"
+    report_path.write_text(emit_json(report))
+    return matrix, report_path
+
+
+@pytest.mark.parametrize("make", [inputs.chain_matrix, inputs.wide_matrix], ids=["chain", "wide"])
+def test_verify_of_a_benchmark_input_loads_no_numpy(tmp_path, make):
+    matrix, report = _benchmark_input(tmp_path, make)
+    assert _run_main("verify", str(report), str(matrix)) == (0, False)
+
+
+def test_verify_of_the_ladder_golden_loads_no_numpy():
+    golden = ROOT / "tests" / "golden" / "ladder.json"
+    assert _run_main("verify", str(golden), str(FIXTURES / "ladder.mtx")) == (0, False)
+
+
+def test_version_loads_no_numpy():
+    assert _run_main("--version") == (0, False)
+
+
+def test_analyze_of_a_strictly_dominant_matrix_loads_no_numpy():
+    assert _run_main("analyze", str(FIXTURES / "identity2.mtx")) == (0, False)
+
+
+def test_analyze_of_the_chain_loads_numpy_for_its_dense_solve(tmp_path):
+    matrix, _ = _benchmark_input(tmp_path, inputs.chain_matrix)
+    assert _run_main("analyze", str(matrix)) == (0, True)

@@ -163,7 +163,7 @@ def test_decision_matches_brute_force_and_greedy_closure(A, data):
 @given(A=dd_matrices(max_n=6))
 def test_chain_equivalence_and_constructor_agreement(A):
     T = non_sdd_rows(A)
-    diag_nonzero = bool((A.diagonal_modulus > 0.0).all())
+    diag_nonzero = bool((np.asarray(A.diagonal_modulus) > 0.0).all())
     rep = chain_condition(A)
     if not T.is_full and diag_nonzero:
         # every row of T then has an off-diagonal entry, so a lone

@@ -55,6 +55,7 @@ from ddh import (
     split_row_sums,
 )
 from ddh.cli import analyze_matrix, emit_json, real_from_json, verify_report
+from ddh.core import row_strictness
 from helpers import (
     brute_force_interwoven,
     dd_matrices,
@@ -171,6 +172,56 @@ def test_split_row_sums_are_the_partial_row_sums(A, data):
     assert [x.hex() for x in outside] == [partial_row_sum(A, i, rest).hex() for i in range(A.n)]
 
 
+# parts of complex entries: the real ones above, negated, and values whose
+# modulus overflows to inf, is subnormal, or is exact (3, 4, 5)
+_PART = st.one_of(
+    _OFF_DIAGONAL, _OFF_DIAGONAL.map(lambda x: -x), st.sampled_from((1.5e308, 5e-324, 3.0, 4.0))
+)
+
+
+@st.composite
+def complex_matrices(draw, max_n=8):
+    """Complex entries with independent parts, about half of them zero."""
+    n = draw(st.integers(1, max_n))
+    entries = np.array(
+        [[complex(draw(_PART), draw(_PART)) for _ in range(n)] for _ in range(n)]
+    )
+    zero = st.booleans().map(lambda keep: 1.0 if keep else 0.0)
+    return Matrix(entries * np.array([[draw(zero) for _ in range(n)] for _ in range(n)]))
+
+
+def _hexes(values) -> list[str]:
+    return [float(x).hex() for x in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rounded_matrices(), complex_matrices()), st.data())
+def test_buffer_kernels_match_numpy_bit_for_bit(A, data):
+    """The plain-loop kernels over the ``array`` buffers against numpy versions of them.
+
+    A complex modulus must be ``np.hypot`` of the parts, bit for bit.
+    """
+    diag_mod, moduli = reference.vectorized_moduli(A)
+    assert _hexes(A.diagonal_modulus) == _hexes(diag_mod)
+    assert _hexes(A.pattern.data) == _hexes(moduli)
+    assert _hexes(A.deleted_row_sums) == _hexes(reference.vectorized_deleted_row_sums(A))
+    S = data.draw(proper_subsets(A.n))
+    for got, expected in zip(split_row_sums(A, S), reference.vectorized_split_row_sums(A, S)):
+        assert _hexes(got) == _hexes(expected)
+    for tol in TOLERANCES:
+        assert row_strictness(A, tol).tolist() == reference.vectorized_row_strictness(A, tol).tolist()
+    if len(S):
+        sub = principal_submatrix(A, S)
+        diag, rows, cols, values = reference.vectorized_principal_submatrix(A, S)
+        assert np.asarray(sub.diagonal).tobytes() == diag.tobytes()
+        assert reference._stored_rows(sub).tolist() == rows.tolist()
+        assert sub.pattern.indices.tolist() == cols.tolist()
+        assert np.asarray(sub.values).tobytes() == values.tobytes()
+    pairs = [(i, j) for i in range(A.n) for j in range(A.n)]
+    rows, cols = [i for i, _ in pairs], [j for _, j in pairs]
+    assert A.pattern.has_edges(rows, cols) == reference.vectorized_has_edges(A, rows, cols).tolist()
+
+
 def _sh_forgeries(sh: dict):
     """A report's ``sh`` object, then forgeries of each of its fields."""
     yield sh
@@ -206,8 +257,9 @@ def _verdicts(report: dict, A, branch: str = "product") -> list[tuple[str, bool]
 def _dominant(A: Matrix) -> Matrix:
     """A with each violated row's diagonal set to its row sum, one of ``rounded_matrices``' own choices."""
     entries = A.entries.copy()
-    violated = np.flatnonzero(A.diagonal_modulus < A.deleted_row_sums)
-    entries[violated, violated] = A.deleted_row_sums[violated]
+    sums = np.asarray(A.deleted_row_sums)
+    violated = np.flatnonzero(np.asarray(A.diagonal_modulus) < sums)
+    entries[violated, violated] = sums[violated]
     return Matrix(entries)
 
 

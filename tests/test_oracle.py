@@ -158,7 +158,7 @@ class TestRandomDDMatrix:
         off = A.modulus.copy()
         np.fill_diagonal(off, 0.0)
         assert np.all(off == 0.0)
-        assert np.all(A.diagonal_modulus > 0.0)
+        assert np.all(np.asarray(A.diagonal_modulus) > 0.0)
         assert classify_dominance(A) is DominanceClass.SDD
 
     def test_full_density_full_equality(self):
