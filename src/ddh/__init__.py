@@ -18,21 +18,15 @@ from .core import (
     SparsePattern,
     classify_dominance,
     comparison_matrix,
-    deleted_row_sum,
     non_sdd_rows,
-    partial_row_sum,
     peel_levels,
     principal_submatrix,
     split_row_sums,
 )
 from .graph import (
     ChainReport,
-    FrobeniusForm,
     chain_condition,
     chains_out_of,
-    frobenius_normal_form,
-    is_irreducible,
-    taussky_test,
 )
 from .hmatrix import (
     HVerdict,
@@ -76,7 +70,6 @@ __all__ = [
     "ChainReport",
     "DominanceClass",
     "EnsembleSpec",
-    "FrobeniusForm",
     "HVerdict",
     "InconsistencyError",
     "IndexSet",
@@ -94,23 +87,19 @@ __all__ = [
     "chains_out_of",
     "classify_dominance",
     "comparison_matrix",
-    "deleted_row_sum",
     "derive_seed",
     "find_ssdd_set_dd",
-    "frobenius_normal_form",
     "interwoven_from_chains",
     "interwoven_from_peeling",
     "inverse_nonneg_oracle",
     "is_h_dd",
     "is_interwoven",
-    "is_irreducible",
     "jacobi_oracle",
     "jacobi_spectral_radius",
     "lu_factor",
     "lu_solve",
     "non_sdd_rows",
     "parse_matrix_market",
-    "partial_row_sum",
     "peel_levels",
     "peel_outcome",
     "principal_submatrix",
@@ -124,7 +113,6 @@ __all__ = [
     "solved_scaling",
     "spectral_radius",
     "split_row_sums",
-    "taussky_test",
     "verify_certificate",
     "write_matrix_market",
 ]

@@ -11,7 +11,8 @@ verification.  Reports use fixed keys (schema in docs/report.schema.json,
 version ``SCHEMA_VERSION``), 1-based indices, and reals rendered with 17
 significant digits; infinities are encoded as the strings "Infinity" /
 "-Infinity".  Each certificate holds O(n) indices: the chains are one
-next hop per row and the peel trace is a partition of T.
+next hop per row and the peel trace is a partition of T; the interwoven
+certificates are read off those two, so only their leftovers are stored.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from .oracle import EnsembleSpec, derive_seed, inverse_nonneg_oracle, jacobi_ora
 
 DEFAULT_MAX_ORDER = 4096
 #: the report layout ``analyze`` writes and ``verify`` reads
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 # ---------------------------------------------------------------------------
@@ -142,19 +143,9 @@ def _one_based(indices) -> list[int]:
     return [int(i) + 1 for i in indices]
 
 
-def _zero_based_set(values, n: int) -> IndexSet:
-    return IndexSet.from_indices((int(v) - 1 for v in values), n)
-
-
-def _certificate_dict(cert: InterwovenCertificate | None):
-    if cert is None:
-        return None
-    return {
-        "subset": _one_based(cert.subset.members),
-        "p_seq": _one_based(cert.p_seq),
-        "q_seq": _one_based(cert.q_seq),
-        "leftover": None if cert.leftover is None else cert.leftover + 1,
-    }
+def _leftover(cert: InterwovenCertificate | None) -> int | None:
+    """A certificate's leftover, 1-based; None without one or when |T| <= 1."""
+    return None if cert is None or cert.leftover is None else cert.leftover + 1
 
 
 def _sh_dict(rep: SHReport):
@@ -185,16 +176,8 @@ def analyze_matrix(
     T = non_sdd_rows(A, tol)
     chain = chain_condition(A, tol)
     interwoven = interwoven_from_chains(chain)
-    cert_dict = _certificate_dict(interwoven) or {}
-    interwoven_obj = {
-        "holds": interwoven is not None,
-        "subset": _one_based(T.members),
-        "p_seq": cert_dict.get("p_seq"),
-        "q_seq": cert_dict.get("q_seq"),
-        "leftover": cert_dict.get("leftover"),
-    }
 
-    alternates = {"peeling": None}
+    peeling = None
     verdict = is_h_dd(A, tol) if dom.is_dd else None
     is_h = None
     peel_trace = None
@@ -202,7 +185,7 @@ def analyze_matrix(
     witness = None
     scaling = None
     if verdict is not None:
-        alternates["peeling"] = _certificate_dict(interwoven_from_peeling(A, verdict.peel))
+        peeling = interwoven_from_peeling(A, verdict.peel)
         is_h = verdict.is_h
         peel_trace = [_one_based(t.members) for t in verdict.peel_trace]
         peel_reason = verdict.reason.value
@@ -245,8 +228,10 @@ def analyze_matrix(
             "next": {str(i + 1): chain.next_hop[i] + 1 for i in sorted(chain.next_hop)},
             "unreachable": _one_based(chain.unreachable.members),
         },
-        "interwoven": interwoven_obj,
-        "interwoven_alternates": alternates,
+        "interwoven": {"holds": interwoven is not None, "leftover": _leftover(interwoven)},
+        "interwoven_alternates": {
+            "peeling": None if peeling is None else {"leftover": _leftover(peeling)},
+        },
         "is_h": is_h,
         "peel_trace": peel_trace,
         "peel_reason": peel_reason,
@@ -323,8 +308,8 @@ def _flag(value, nullable: bool = False) -> bool | None:
 
 
 def _index_set(values, n: int) -> IndexSet:
-    """``_indices`` as a 0-based set."""
-    return _zero_based_set(_indices(values, n), n)
+    """``_indices`` as a 0-based set (duplicates merged)."""
+    return IndexSet.from_indices((v - 1 for v in _indices(values, n)), n)
 
 
 def _hops_problem(hops, chain: ChainReport, A: Matrix) -> str:
@@ -377,23 +362,19 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     commentary.  Only a report of schema version ``SCHEMA_VERSION`` is
     read.  The dominance class, the chain search and (for a dominant
     matrix) the peel are recomputed once, with no solve: the chain's
-    claims, its next hops, a denied interwoven certificate and the peel's
-    trace and reason are compared against them, in O(n + nnz) beyond the
-    recomputation.  For a dominant matrix the
-    report must carry a verdict with exactly the certificate it implies,
-    and the peeling certificate exactly when the peel gives one; the
-    subset H-condition is required whenever T is a nonempty proper
-    subset.  On T at tol 0 it is read off the recomputed peel
-    (``s_h_from_peel``) whenever every row of T is an exact equality:
-    ``inner_h`` must be the peel's verdict, ``lhs`` null exactly on a
-    stall and otherwise 1 to rtol 1e-9, and ``b2`` the recomputed
-    value, with no LU and no dense array.  Any other subset, a positive
-    tol, or a row of T that is an equality only after rounding takes
-    the dense ``s_h_check``, and so does a report that fails the
-    no-solve comparison: ``analyze``'s own LU may stray from the exact
-    lhs on an ill-conditioned block, and what the dense check passes
-    still passes.  Either way ``satisfied`` must be ``inner_h`` and
-    lhs < b2 on the stored numbers.  Index lists (``_indices``), flags
+    claims, its next hops, the peel's trace and reason, and the two
+    interwoven certificates derived from them (each checked by its
+    definition, ``verify_certificate``) are compared against them, in
+    O(n + nnz) beyond the recomputation.  For a dominant matrix the
+    report must carry a verdict with exactly the certificate it implies;
+    the subset H-condition is required whenever T is a nonempty proper
+    subset.  On T at tol 0, when every row of T is an exact equality,
+    it is read off the recomputed peel (``s_h_from_peel``) with no LU
+    and no dense array.  Any other subset or tol, and a stored ``sh``
+    that misses those values (``analyze``'s LU may stray on an
+    ill-conditioned block), takes the dense ``s_h_check``.  Either way
+    ``satisfied`` must be ``inner_h`` and lhs < b2 on the stored
+    numbers.  Index lists (``_indices``), flags
     (``_flag``) and reals (``real_from_json``) are read strictly.  Structural
     surprises (wrong order, missing keys, fields of the wrong type) and
     numerical failures inside a recomputation are reported as failures
@@ -446,46 +427,35 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             detail = _hops_problem(chain_obj.get("next"), chain, A)
         check("chain", not detail, detail)
 
-    def cert_from_dict(obj) -> InterwovenCertificate:
+    def leftover_problem(obj, cert: InterwovenCertificate | None) -> str:
+        """Why ``obj["leftover"]`` is not ``cert``'s, or ``cert`` is no certificate; "" when fine."""
         leftover = obj["leftover"]
-        return InterwovenCertificate(
-            subset=_index_set(obj["subset"], A.n),
-            p_seq=tuple(p - 1 for p in _indices(obj["p_seq"], A.n)),
-            q_seq=tuple(q - 1 for q in _indices(obj["q_seq"], A.n)),
-            leftover=None if leftover is None else _indices([leftover], A.n)[0] - 1,
-        )
+        if leftover is not None:
+            leftover = _indices([leftover], A.n)[0] - 1
+        if leftover != (None if cert is None else cert.leftover):
+            return "leftover differs from the derived certificate"
+        if cert is not None and not verify_certificate(A, cert):
+            return "derived certificate failed re-verification"
+        return ""
 
     with guarded("interwoven"):
         iw = report.get("interwoven") or {}
-        if _flag(iw.get("holds")):
-            cert = cert_from_dict(
-                {
-                    "subset": iw["subset"],
-                    "p_seq": iw["p_seq"],
-                    "q_seq": iw["q_seq"],
-                    "leftover": iw["leftover"],
-                }
-            )
-            ok = cert.subset.members == T.members and verify_certificate(A, cert)
-            check("interwoven", ok, "" if ok else "certificate failed re-verification")
+        # T's chains decide membership exactly (graph.chains_out_of)
+        cert = interwoven_from_chains(chain)
+        if _flag(iw.get("holds")) != (cert is not None):
+            detail = "holds differs from the recomputed chains"
         else:
-            # T's chains decide membership exactly (graph.chains_out_of)
-            exists = interwoven_from_chains(chain) is not None
-            check("interwoven", not exists,
-                  "matrix admits a certificate but report says no" if exists else "")
+            detail = leftover_problem(iw, cert)
+        check("interwoven", not detail, detail)
 
     with guarded("interwoven-peeling"):
         obj = (report.get("interwoven_alternates") or {}).get("peeling")
-        expected = peel is not None and interwoven_from_peeling(A, peel) is not None
+        cert = None if peel is None else interwoven_from_peeling(A, peel)
         if obj is None:
-            check("interwoven-peeling", not expected,
-                  "the peel certifies T but the report has no certificate")
-        elif not expected:
-            check("interwoven-peeling", False, "the peel does not certify T")
+            detail = "" if cert is None else "the peel certifies T but the report has no certificate"
         else:
-            cert = cert_from_dict(obj)
-            ok = cert.subset.members == T.members and verify_certificate(A, cert)
-            check("interwoven-peeling", ok, "" if ok else "certificate failed re-verification")
+            detail = "the peel does not certify T" if cert is None else leftover_problem(obj, cert)
+        check("interwoven-peeling", not detail, detail)
 
     with guarded("peel"):
         claimed = report.get("peel_trace")
@@ -594,7 +564,7 @@ def _cmd_analyze(args) -> int:
     if args.subset:
         try:
             values = [int(tok) for tok in args.subset.split(",") if tok.strip()]
-            subset = _zero_based_set(values, A.n)
+            subset = _index_set(values, A.n)
         except ValueError as exc:
             print(f"ddh: bad --subset: {exc}", file=sys.stderr)
             return 2

@@ -356,13 +356,6 @@ def _check_tol(tol: float) -> float:
     return tol
 
 
-def _check_index(A: Matrix, i: int) -> int:
-    i = int(i)
-    if not (0 <= i < A.n):
-        raise IndexError(f"row index {i} out of range for order {A.n}")
-    return i
-
-
 def _check_universe(A: Matrix, S: IndexSet):
     if S.universe_size != A.n:
         raise ValueError(
@@ -393,31 +386,12 @@ def row_strictness(A: Matrix, tol: float = 0.0) -> array:
     return array("b", codes)
 
 
-def deleted_row_sum(A: Matrix, i: int) -> float:
-    """Sum of off-diagonal magnitudes in row i."""
-    i = _check_index(A, i)
-    return A.deleted_row_sums[i]
-
-
-def partial_row_sum(A: Matrix, i: int, S: IndexSet) -> float:
-    """Part of the deleted row sum of row i over the columns in S."""
-    i = _check_index(A, i)
-    _check_universe(A, S)
-    inside = S.member_set
-    cols, vals = A.pattern.row(i)
-    total = 0.0
-    for j, v in zip(cols, vals):  # increasing column order, matching deleted_row_sum
-        if j in inside:
-            total += v
-    return total
-
-
 def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
     """Every row's deleted sum split over the columns in S and outside S.
 
-    One O(n + nnz) pass: entry k of each half is ``partial_row_sum`` of
-    row k over S and over its complement, bit for bit, since both add
-    the row's nonzeros in increasing column order.
+    One O(n + nnz) pass: entry k of each half is row k's sum over the
+    columns in S, or outside S, of its off-diagonal magnitudes, added in
+    increasing column order as ``Matrix.deleted_row_sums`` adds them.
     """
     _check_universe(A, S)
     inside = _member_flags(S)

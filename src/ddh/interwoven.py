@@ -17,8 +17,10 @@ condition are one statement).  ``is_interwoven`` decides any subset
 that way, and ``interwoven_from_chains`` reads the certificate for T off
 the analysis's own ``ChainReport``.  The second construction for T pairs
 the levels of the ``Peel`` that ``hmatrix.is_h_dd`` decided with
-(``HVerdict.peel``).  The greedy closure and a brute-force search stay
-in the test suite as references.
+(``HVerdict.peel``).  A report stores neither certificate, only whether
+each exists and its leftover: ``verify`` derives both again from its own
+chains and peel and checks them with ``verify_certificate``.  The greedy
+closure and a brute-force search stay in the test suite as references.
 """
 
 from __future__ import annotations

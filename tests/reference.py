@@ -9,7 +9,9 @@ code in ``ddh`` replaces with sparse worklist kernels:
   moduli, the deleted and split row sums, the row strictness codes, the
   principal submatrix and the edge lookup), vectorized as the product
   was while it stored numpy arrays;
-* the sparsity graph's adjacency found by scanning every dense entry;
+* the sparsity graph's adjacency found by scanning every dense entry,
+  and its strongly connected components in Frobenius normal form, with
+  the irreducibility and Taussky tests built on them;
 * the recursive peel that copies the principal submatrix at every stage
   (``is_h_dd``, whose ``HVerdict.peel`` is assembled from those copied
   stages, and ``interwoven_from_peeling``), and the active sets
@@ -66,6 +68,7 @@ from ddh import (
     RandomStream,
     ScalingCertificate,
     SHReport,
+    SparsePattern,
     classify_dominance,
     comparison_matrix,
     inverse_nonneg_oracle,
@@ -101,6 +104,112 @@ def adjacency(A: Matrix) -> tuple[tuple[int, ...], ...]:
         tuple(int(j) for j in range(A.n) if j != i and mod[i, j] > 0.0)
         for i in range(A.n)
     )
+
+
+# the block-triangular form of the sparsity graph, which the dominance
+# analysis never needs: Taussky's test (irreducible, dominant, one strict
+# row) is one sufficient condition for an H-matrix among many, kept for
+# acceptance criterion 7 and the graph tests.
+
+
+@dataclasses.dataclass(frozen=True)
+class FrobeniusForm:
+    """Permutation to block upper triangular form.
+
+    ``permutation[p]`` is the original index placed at permuted position
+    p; ``blocks`` lists the strongly connected components (original
+    indices) in the order they appear along the permuted diagonal.
+    """
+
+    permutation: tuple[int, ...]
+    blocks: tuple[IndexSet, ...]
+
+
+def _tarjan_sccs(pat: SparsePattern) -> list[list[int]]:
+    """Strongly connected components, emitted in reverse topological order.
+
+    Iterative with an explicit work stack of (vertex, next position in
+    ``pat.indices``); recursion depth is not an issue for any admissible
+    matrix order.
+    """
+    indptr, indices = pat.indptr.tolist(), pat.indices.tolist()
+    n = len(indptr) - 1
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    sccs: list[list[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] != -1:
+            continue
+        work: list[tuple[int, int]] = [(root, indptr[root])]
+        while work:
+            v, pos = work[-1]
+            if index[v] == -1:
+                index[v] = low[v] = counter
+                counter += 1
+                stack.append(v)
+                on_stack[v] = True
+            descended = False
+            for k in range(pos, indptr[v + 1]):
+                w = indices[k]
+                if index[w] == -1:
+                    work[-1] = (v, k + 1)
+                    work.append((w, indptr[w]))
+                    descended = True
+                    break
+                if on_stack[w]:
+                    low[v] = min(low[v], index[w])
+            if descended:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(comp)
+    return sccs
+
+
+def frobenius_normal_form(A: Matrix) -> FrobeniusForm:
+    """Group indices into strongly connected blocks, sources first.
+
+    With blocks listed in topological order of the condensation, every
+    nonzero a_ij has i's block at or before j's block, i.e. the permuted
+    matrix is block upper triangular with irreducible (or 1x1) diagonal
+    blocks.
+    """
+    sccs = _tarjan_sccs(A.pattern)
+    sccs.reverse()  # topological order of the condensation
+    blocks = tuple(IndexSet(tuple(sorted(comp)), A.n) for comp in sccs)
+    permutation = tuple(i for block in blocks for i in block.members)
+    return FrobeniusForm(permutation=permutation, blocks=blocks)
+
+
+def is_irreducible(A: Matrix) -> bool:
+    """True iff the sparsity graph is strongly connected (1x1: always)."""
+    if A.n == 1:
+        return True
+    return len(frobenius_normal_form(A).blocks) == 1
+
+
+def taussky_test(A: Matrix, tol: float = 0.0) -> bool:
+    """Irreducibly diagonally dominant with at least one strict row.
+
+    A true result certifies nonsingularity (and scalability to strict
+    dominance) without any arithmetic beyond row sums.
+    """
+    if classify_dominance(A, tol) not in (DominanceClass.DD_PLUS, DominanceClass.SDD):
+        return False
+    return is_irreducible(A)
 
 
 # numpy versions of the buffer kernels: each reads the matrix's storage

