@@ -74,8 +74,9 @@ class SparsePattern:
         The caller lists off-diagonal positions in row-major order, each
         once, with positive magnitudes; ``cols`` (``array('q')``) and
         ``data`` (``array('d')``) are kept as ``indices`` and ``data``.
-        The transpose is a counting sort by column, so rows stay
-        increasing per column: O(n + nnz).
+        ``rows`` is sorted, so row i starts at ``bisect_left(rows, i)``:
+        n + 1 binary searches.  The transpose is a counting sort by
+        column, so rows stay increasing per column: O(n + nnz).
         """
         t_indptr = _pointers(cols, n)
         free = t_indptr.tolist()  # next free slot of each column
@@ -83,7 +84,8 @@ class SparsePattern:
         for i, j in zip(rows, cols):
             t_indices[free[j]] = i
             free[j] += 1
-        return cls(_pointers(rows, n), cols, data, t_indptr, t_indices)
+        indptr = array("q", [bisect_left(rows, i) for i in range(n + 1)])
+        return cls(indptr, cols, data, t_indptr, t_indices)
 
     def row(self, i: int) -> tuple[list[int], list[float]]:
         """Columns and magnitudes of row i's off-diagonal nonzeros."""

@@ -64,7 +64,19 @@ def _norm_inf(M: np.ndarray) -> float:
 
 
 def lu_factor(M) -> LuFactorization:
-    """LU with partial pivoting; flags singularity instead of raising."""
+    """LU with partial pivoting; flags singularity instead of raising.
+
+    Right-looking elimination whose step k updates only the rows below
+    the pivot with a nonzero multiplier: a zero multiplier would subtract
+    zeros.  So the update work is proportional to the fill of the factors
+    (Gilbert & Peierls 1988), not n^3/3: none on a bidiagonal block, all
+    of it on a dense one.  All rows are updated in place when every
+    multiplier is nonzero, and when the pivot row's trailing part holds
+    an inf or a NaN, since 0 * inf is NaN.  The pivots, the threshold,
+    the singular flag and every factor are those of the dense loop, up
+    to the sign of a zero.  The pivot search, the swaps and the
+    multipliers cost O(n) per step, O(n^2) in all.
+    """
     import numpy as np
 
     a = np.array(M, dtype=np.float64, copy=True)
@@ -83,8 +95,16 @@ def lu_factor(M) -> LuFactorization:
         if p != k:
             a[[k, p], :] = a[[p, k], :]
             pivots[[k, p]] = pivots[[p, k]]
-        a[k + 1 :, k] /= a[k, k]
-        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+        multipliers = a[k + 1 :, k]
+        multipliers /= a[k, k]
+        trailing = a[k, k + 1 :]
+        rows = multipliers.nonzero()[0]
+        if len(rows) == n - k - 1 or not np.isfinite(trailing).all():
+            # every row, in place; with an inf or a NaN in the pivot row
+            # even a zero multiplier must update (0 * inf is NaN)
+            a[k + 1 :, k + 1 :] -= np.outer(multipliers, trailing)
+        elif len(rows):
+            a[k + 1 + rows, k + 1 :] -= np.outer(multipliers[rows], trailing)
     return LuFactorization(a, pivots, singular, threshold)
 
 

@@ -198,3 +198,19 @@ def is_valid_scaling(A: Matrix, cert: ScalingCertificate) -> bool:
         and cert.margin > 0.0
         and scaling_margin(A, d) == cert.margin
     )
+
+
+def count_updated_rows(monkeypatch) -> list[int]:
+    """Rows that each ``numpy.outer`` call updates: the length of its first argument.
+
+    Only the LU's rank-one update calls ``numpy.outer``, once per step.
+    """
+    updated = []
+    outer = np.outer
+
+    def counted(a, b, *args, **kwargs):
+        updated.append(len(a))
+        return outer(a, b, *args, **kwargs)
+
+    monkeypatch.setattr(np, "outer", counted)
+    return updated

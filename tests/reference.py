@@ -31,7 +31,10 @@ code in ``ddh`` replaces with sparse worklist kernels:
 * the ensemble generator drawing cell by cell from ``RandomStream`` and
   the Matrix Market writer visiting every dense entry;
 * the Matrix Market parser accumulating the entry lines into a dense
-  n x n array.
+  n x n array;
+* the dense LU that updates every row below the pivot at every step,
+  |T|^3/3 multiply-adds on any block, where the product skips the rows
+  whose multiplier is zero.
 
 The references keep the old signatures: each takes the matrix (and the
 tolerance), checks dominance itself and raises ``ValueError`` without
@@ -62,6 +65,7 @@ from ddh import (
     InconsistencyError,
     IndexSet,
     InterwovenCertificate,
+    LuFactorization,
     Matrix,
     Peel,
     PeelReason,
@@ -77,6 +81,7 @@ from ddh import (
     principal_submatrix,
 )
 from ddh.mmio import _FIELDS, _SYMMETRIES, ParseError, _tokens, format_real
+from ddh.oracle import PIVOT_RTOL
 from helpers import is_valid_scaling
 
 
@@ -529,6 +534,29 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
         inner_h = inverse_nonneg_oracle(sub)
     satisfied = bool(inner_h and lhs < b2)
     return SHReport(subset=S, lhs=lhs, b2=b2, satisfied=satisfied, inner_h=inner_h, note=note)
+
+
+def lu_factor(M) -> LuFactorization:
+    """LU with partial pivoting that updates the whole trailing block at every step."""
+    a = np.array(M, dtype=np.float64, copy=True)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("lu_factor expects a square real matrix")
+    n = a.shape[0]
+    pivots = np.arange(n)
+    threshold = PIVOT_RTOL * float(np.max(np.abs(a))) if a.size else 0.0
+    singular = False
+    for k in range(n):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        pivot = a[p, k]
+        if pivot == 0.0 or abs(pivot) < threshold:
+            singular = True
+            break
+        if p != k:
+            a[[k, p], :] = a[[p, k], :]
+            pivots[[k, p]] = pivots[[p, k]]
+        a[k + 1 :, k] /= a[k, k]
+        a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
+    return LuFactorization(a, pivots, singular, threshold)
 
 
 def sh_key(rep):

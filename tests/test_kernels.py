@@ -19,6 +19,7 @@ import contextlib
 import dataclasses
 import json
 import math
+from array import array
 from unittest import mock
 
 import numpy as np
@@ -38,6 +39,7 @@ from ddh import (
     PeelReason,
     RandomStream,
     SHReport,
+    SparsePattern,
     classify_dominance,
     find_ssdd_set_dd,
     interwoven_from_peeling,
@@ -53,9 +55,10 @@ from ddh import (
     split_row_sums,
 )
 from ddh.cli import analyze_matrix, emit_json, real_from_json, verify_report
-from ddh.core import row_strictness
+from ddh.core import _pointers, row_strictness
 from helpers import (
     brute_force_interwoven,
+    count_updated_rows,
     dd_matrices,
     is_chain_certificate,
     is_valid_scaling,
@@ -455,6 +458,29 @@ class TestPeelLevels:
         assert pat.t_indices.tolist() == [1, 2, 0]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda n: st.tuples(
+            st.just(n), st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))
+        )
+    )
+)
+def test_row_pointers_by_bisect_are_the_counted_pointers(case):
+    """``from_triples`` finds each row's start by bisecting the sorted rows.
+
+    Its ``indptr`` must be byte for byte the counting pass's, which the
+    transpose still uses, empty rows at either end included.
+    """
+    n, cells = case
+    cells.sort()
+    rows = array("q", [i for i, _ in cells])
+    cols = array("q", [j for _, j in cells])
+    pat = SparsePattern.from_triples(n, rows, cols, array("d", [1.0] * len(cells)))
+    assert pat.indptr.tobytes() == _pointers(rows, n).tobytes()
+    assert pat.t_indptr.tobytes() == _pointers(cols, n).tobytes()
+
+
 def _chain_with_closed_pair(n: int) -> Matrix:
     """Bidiagonal chain on rows 0..n-3 ending in a strict row, plus a closed pair."""
     m = n - 2
@@ -577,9 +603,13 @@ def test_report_is_linear_in_the_order(monkeypatch):
 
     Its chains run n - 1 deep, so full paths, or every active set of the
     peel, would hold about n^2/2 indices.  The report holds one next hop
-    per row of T and each row of T in one peel level.
+    per row of T and each row of T in one peel level.  Every multiplier
+    of the one subset LU on T, an upper bidiagonal block, is zero, so it
+    updates no row (the dense loop updated (n - 1)(n - 2)/2).
     """
     paths = _count_path_views(monkeypatch)
+    updated = count_updated_rows(monkeypatch)
+    solves = _count_calls(monkeypatch, ("lu_solve",))
     n = 2000
     A = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
     report, problems = analyze_matrix(A)
@@ -589,6 +619,7 @@ def test_report_is_linear_in_the_order(monkeypatch):
     assert len(report["peel_trace"]) == n - 1
     assert sum(len(level) for level in report["peel_trace"]) == n - 1
     assert paths["paths"] == 0
+    assert solves["lu_solve"] == 1 and sum(updated) == 0
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,3 +1,4 @@
+import math
 from unittest import mock
 
 import numpy as np
@@ -23,6 +24,7 @@ from ddh import (
 )
 from ddh import mmio, oracle
 from ddh.oracle import STREAM_BLOCK, RandomStream, derive_seed, stream_words
+from helpers import count_updated_rows
 
 
 class TestLu:
@@ -62,6 +64,83 @@ class TestLu:
     def test_near_singular_threshold(self):
         eps = 1e-14  # below the 1e-12 relative pivot threshold
         assert lu_solve([[1.0, 1.0], [1.0, 1.0 + eps]], [1.0, 1.0]) is None
+
+    def test_dense_block_updates_every_row(self, monkeypatch):
+        """Work gate: on a dense full-rank block every multiplier is nonzero.
+
+        So the elimination updates the reference's n(n - 1)/2 rows, and
+        skips only where a multiplier is zero (the order-2000 chain of
+        ``test_report_is_linear_in_the_order`` updates none).
+        """
+        updated = count_updated_rows(monkeypatch)
+        n = 30
+        M = np.random.default_rng(11).standard_normal((n, n))
+        assert not lu_factor(M).singular
+        assert sum(updated) == n * (n - 1) // 2 == 435
+        updated.clear()
+        reference.lu_factor(M)
+        assert sum(updated) == 435
+
+
+#: about half the entries are zeros of either sign, the rest span tiny, huge and non-finite
+LU_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(
+        lambda sign, x: sign * x,
+        st.sampled_from([1.0, -1.0]),
+        st.one_of(
+            st.floats(0.25, 3.0),
+            st.sampled_from([1e-20, 5e-324, 1e308, math.inf, math.nan]),
+        ),
+    ),
+)
+
+
+@st.composite
+def lu_problems(draw):
+    """A square matrix of order 1-8 and a right-hand side: a vector, or the identity."""
+    n = draw(st.integers(1, 8))
+    M = np.array(draw(st.lists(LU_ENTRIES, min_size=n * n, max_size=n * n))).reshape(n, n)
+    if draw(st.booleans()):
+        B = np.array(draw(st.lists(LU_ENTRIES, min_size=n, max_size=n)))
+    else:
+        B = np.eye(n)  # as inverse_nonneg_oracle solves
+    return M, B
+
+
+def _same_up_to_zero_sign(x, y) -> bool:
+    return np.array_equal(np.abs(x), np.abs(y), equal_nan=True)
+
+
+def _solve_outcome(M, B):
+    try:
+        return lu_solve(M, B), None
+    except Exception as exc:  # the exception type is compared
+        return None, type(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(lu_problems())
+def test_lu_factor_matches_the_dense_reference(problem):
+    """Skipping zero multipliers changes no pivot, factor or solution but a zero's sign.
+
+    Where the pivot row's trailing part holds an inf or a NaN the
+    product updates every row, as the reference does: 0 * inf is NaN.
+    """
+    M, B = problem
+    with np.errstate(all="ignore"):
+        got, want = lu_factor(M), reference.lu_factor(M)
+        x, x_error = _solve_outcome(M, B)
+        with mock.patch.object(oracle, "lu_factor", reference.lu_factor):
+            y, y_error = _solve_outcome(M, B)
+    assert got.singular == want.singular
+    assert got.pivot_threshold.hex() == want.pivot_threshold.hex()
+    assert np.array_equal(got.pivots, want.pivots)
+    assert _same_up_to_zero_sign(got.factors, want.factors)
+    assert x_error == y_error
+    assert (x is None) == (y is None)
+    if x is not None:
+        assert _same_up_to_zero_sign(x, y)
 
 
 class TestInverseNonnegOracle:
