@@ -18,6 +18,7 @@ from .core import (
     SparsePattern,
     classify_dominance,
     comparison_matrix,
+    comparison_rows,
     non_sdd_rows,
     peel_levels,
     principal_submatrix,
@@ -87,6 +88,7 @@ __all__ = [
     "chains_out_of",
     "classify_dominance",
     "comparison_matrix",
+    "comparison_rows",
     "derive_seed",
     "find_ssdd_set_dd",
     "interwoven_from_chains",

@@ -372,7 +372,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     it is read off the recomputed peel (``s_h_from_peel``) with no LU
     and no dense array.  Any other subset or tol, and a stored ``sh``
     that misses those values (``analyze``'s LU may stray on an
-    ill-conditioned block), takes the dense ``s_h_check``.  Either way
+    ill-conditioned block), takes ``s_h_check`` and its LU.  Either way
     ``satisfied`` must be ``inner_h`` and lhs < b2 on the stored
     numbers.  Index lists (``_indices``), flags
     (``_flag``) and reals (``real_from_json``) are read strictly.  Structural
@@ -538,7 +538,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
                 )
 
             no_solve = s_h_from_peel(A, peel) if tol == 0.0 and peel is not None and S == T else None
-            # the dense check also decides where analyze's own LU strayed from
+            # the LU check also decides where analyze's own LU strayed from
             # the exact lhs of 1 (an ill-conditioned or graded block)
             ok = (no_solve is not None and matches(no_solve)) or matches(s_h_check(A, S, tol))
             check("sh", ok, "" if ok else "recomputed subset H-condition differs")

@@ -16,9 +16,11 @@ buffer, which is complex128's memory layout.  The kernels read them as
 lists (``tolist()``) and loop in plain Python, so the structural path
 never imports numpy.  numpy is imported only where a dense array is
 built: ``Matrix(dense)``, the ``entries`` and ``modulus`` views and
-``comparison_matrix`` here, and the LU of a subset block, the oracles
-and the dense scaling solve elsewhere.  ``np.asarray`` views any buffer
-without a copy (``.view(np.complex128)`` for complex entries).
+``comparison_matrix`` here, and the oracles and an LU whose factors
+fill up elsewhere.  ``comparison_rows`` gives the comparison matrix as
+sparse rows, which ``oracle.lu_solve`` eliminates in pure Python while
+the fill stays small.  ``np.asarray`` views any buffer without a copy
+(``.view(np.complex128)`` for complex entries).
 
 Row sums accumulate left to right in increasing column order, and all
 callers share the helpers here, so quantities that must agree (a full
@@ -499,6 +501,22 @@ def comparison_matrix(A: Matrix):
     Built from the pattern on each call; unstored entries are +0.0.
     """
     return _dense(A, -_ndarray(A.pattern.data), _ndarray(A.diagonal_modulus))
+
+
+def comparison_rows(A: Matrix) -> list[dict[int, float]]:
+    """``comparison_matrix`` by rows: row i maps i to |a_ii| and each stored j to -|a_ij|.
+
+    The form ``oracle.lu_solve`` factors sparsely: O(n + nnz), no numpy.
+    """
+    pat = A.pattern
+    indptr, indices, data = pat.indptr, pat.indices.tolist(), pat.data.tolist()
+    rows = []
+    for i, d in enumerate(A.diagonal_modulus.tolist()):
+        a, b = indptr[i], indptr[i + 1]
+        row = {j: -v for j, v in zip(indices[a:b], data[a:b])}
+        row[i] = d
+        rows.append(row)
+    return rows
 
 
 def principal_submatrix(A: Matrix, S: IndexSet) -> Matrix:

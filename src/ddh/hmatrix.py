@@ -17,10 +17,12 @@ whose principal submatrix certifies non-H-status by inspection.
 without a solve.  The verdict keeps its ``Peel`` so that an analysis
 peels A once: the scaling sweeps follow its levels,
 ``interwoven.interwoven_from_peeling`` pairs them, and
-``find_ssdd_set_dd`` reads the first.  A dense solve of the comparison
-system is left to the scaling's fallback (after
-``SCALING_SWEEP_CAP`` sweeps), to ``s_h_check``'s inner block and to
-``solved_scaling``, the scaling of a non-dominant H-matrix.
+``find_ssdd_set_dd`` reads the first.  A solve of the comparison
+system is left to ``s_h_check``'s inner block and to ``solved_scaling``
+(the scaling's fallback after ``SCALING_SWEEP_CAP`` sweeps, and the
+scaling of a non-dominant H-matrix).  Both hand ``lu_solve`` the
+comparison rows, which it eliminates sparsely while the fill stays
+small (a chain's block, a banded matrix) and densely otherwise.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite),
@@ -44,12 +46,12 @@ from .core import (
     Matrix,
     Peel,
     classify_dominance,
-    comparison_matrix,
+    comparison_rows,
     peel_levels,
     principal_submatrix,
     split_row_sums,
 )
-from .oracle import inverse_nonneg_oracle, lu_solve
+from .oracle import _max_abs, inverse_nonneg_oracle, lu_solve
 
 
 class PeelReason(Enum):
@@ -96,7 +98,7 @@ class HVerdict:
     peel: Peel
 
 
-#: Gauss-Seidel sweeps ``scaling_certificate`` runs before it solves densely
+#: Gauss-Seidel sweeps ``scaling_certificate`` runs before it solves M d = 1
 SCALING_SWEEP_CAP = 50
 
 
@@ -131,22 +133,23 @@ def _sweep_order(peel: Peel) -> list[int]:
 
 
 def solved_scaling(A: Matrix) -> ScalingCertificate:
-    """Solve M d = 1 for the comparison matrix M densely, then normalize.
+    """Solve M d = 1 for the comparison matrix M, then normalize.
 
     The scaling of an H-matrix with no peel to sweep in (a non-dominant
     one, which ``analyze --oracle`` treats densely anyway) and the
-    fallback of ``scaling_certificate``.  Raises InconsistencyError when
-    A is not H after all: M singular, a nonpositive component or a
+    fallback of ``scaling_certificate``.  M goes to ``lu_solve`` by rows
+    (``comparison_rows``), so a banded M costs O(n + fill) with no
+    numpy, and a filling one the dense LU.  Raises InconsistencyError
+    when A is not H after all: M singular, a nonpositive component or a
     nonpositive margin.
     """
-    import numpy as np
-
-    d = lu_solve(comparison_matrix(A), np.ones(A.n))
+    d = lu_solve(comparison_rows(A), [1.0] * A.n)
     if d is None:
         raise InconsistencyError("comparison matrix is singular; input is not H")
-    if (d <= 0.0).any():
+    if any(v <= 0.0 for v in d):
         raise InconsistencyError("scaling vector has a nonpositive component")
-    d = array("d", (d / float(np.max(d))).tobytes())
+    top = _max_abs(d)  # every d_i > 0 or NaN: np.max(d)
+    d = array("d", [v / top for v in d])
     margin = scaling_margin(A, d)
     if not margin > 0.0:
         raise InconsistencyError(f"scaling margin {margin!r} is not positive")
@@ -172,10 +175,10 @@ def scaling_certificate(A: Matrix, peel: Peel) -> ScalingCertificate:
     of D^-1 M x = 1, which bounds them.  Any other input (one called H
     only under a tolerance, say) has no such bound; if its x overflows,
     the margin is NaN and the sweeps stop.  After
-    ``SCALING_SWEEP_CAP`` sweeps, or on such an overflow, the dense solve
-    of M d = 1 decides instead.
+    ``SCALING_SWEEP_CAP`` sweeps, or on such an overflow, the solve of
+    M d = 1 (``solved_scaling``) decides instead.
 
-    The caller must already know A is an H-matrix; when the dense solve
+    The caller must already know A is an H-matrix; when the solve
     fails too (singular, a nonpositive component or a nonpositive
     margin), that claim was wrong and InconsistencyError names the sweep
     count and the last margin.
@@ -349,14 +352,16 @@ def _outside_ratios(A: Matrix, S: IndexSet) -> tuple[float, str | None, array]:
 def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     """Subset H-condition: inner block H, and scaled cross sums below b2.
 
-    lhs comes from a dense LU of the inner comparison block.
+    lhs comes from one ``lu_solve`` of the inner comparison block, given
+    by rows (``comparison_rows``): a block whose factors stay sparse (a
+    chain's upper bidiagonal T, a small T) is solved in O(|S| + fill)
+    with no numpy, and one that fills up by the dense LU, with the same
+    pivots and the same x bit for bit.
     """
-    import numpy as np
-
     _check_proper_subset(A, S, "s_h_check")
     sub = principal_submatrix(A, S)
     b2, note, out_s = _outside_ratios(A, S)
-    x = lu_solve(comparison_matrix(sub), np.array([out_s[i] for i in S.members]))
+    x = lu_solve(comparison_rows(sub), [out_s[i] for i in S.members])
     if x is None:
         return SHReport(
             subset=S,
@@ -366,7 +371,7 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
             inner_h=False,
             note=note or "inner comparison block is singular",
         )
-    lhs = float(np.max(np.abs(x)))
+    lhs = _max_abs(x)
     if classify_dominance(sub, tol) is not DominanceClass.NOT_DD:
         # a dominant block is H iff its peel does not stall (a zero
         # diagonal stalls it too), so no second scaling solve is needed

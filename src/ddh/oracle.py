@@ -1,4 +1,10 @@
-"""Ground-truth machinery: dense LU, H-matrix oracles, matrix ensembles.
+"""Ground-truth machinery: LU, H-matrix oracles, matrix ensembles.
+
+``lu_solve`` factors a matrix given by its rows (``{column: value}``
+dicts) with the sparse elimination of ``sparse_lu`` while the fill
+stays small, and otherwise, like a matrix given as an array, with the
+dense ``lu_factor``.  Both find the same pivots and solve with the same
+arithmetic, so which one ran changes no result.
 
 Two independent oracles decide H-status without the dominance theory:
 
@@ -15,9 +21,10 @@ same draw order as ``RandomStream``.  Magnitudes are dyadic multiples of
 2^-30, which keeps every row sum, split row sum and dominance comparison
 exact in double precision.
 
-Everything here but ``RandomStream`` and ``derive_seed`` computes with
-numpy, which each function imports when called: importing this module
-(as ``hmatrix`` and ``cli`` do) loads no numpy.
+Everything here but ``lu_solve`` of rows that ``sparse_lu`` factors,
+``RandomStream`` and ``derive_seed`` computes with numpy, which each
+function imports when called: importing this module (as ``hmatrix`` and
+``cli`` do) loads no numpy.
 """
 
 from __future__ import annotations
@@ -37,6 +44,10 @@ if TYPE_CHECKING:
 LU_RESIDUAL_RTOL = 1e-9
 #: a pivot below PIVOT_RTOL * max |initial entry| declares singularity
 PIVOT_RTOL = 1e-12
+#: a temporary of ``lu_factor`` or ``_norm_inf`` holds at most 1/_TEMPORARY_SHARE
+#: of M's elements, or _SMALL_TEMPORARY elements, whichever is more
+_TEMPORARY_SHARE = 8
+_SMALL_TEMPORARY = 1 << 14
 #: inverse entries may undershoot zero by this fraction of ||inverse||_inf
 INVERSE_TOL = 1e-9
 #: jacobi_oracle demands rho < 1 - JACOBI_MARGIN
@@ -55,12 +66,36 @@ class LuFactorization:
     pivot_threshold: float
 
 
+def _max_abs(values) -> float:
+    """max |v| over ``values``, NaN as soon as one is NaN (as ``np.max``); 0.0 when empty."""
+    top = 0.0
+    for v in values:
+        v = abs(v)
+        if not v <= top:
+            if v != v:
+                return v
+            top = v
+    return top
+
+
+def _row_block(size: int, width: int) -> int:
+    """Rows per block of a temporary ``width`` wide, next to a matrix of ``size`` elements."""
+    return max(1, max(size // _TEMPORARY_SHARE, _SMALL_TEMPORARY) // max(1, width))
+
+
 def _norm_inf(M: np.ndarray) -> float:
+    """Largest row sum of |M|, NaN if M holds one; computed on row blocks, not on |M| at once."""
     import numpy as np
 
     if M.ndim == 1:
         return float(np.max(np.abs(M))) if M.size else 0.0
-    return float(np.max(np.sum(np.abs(M), axis=1))) if M.size else 0.0
+    if not M.size:
+        return 0.0
+    if M.size <= _SMALL_TEMPORARY:
+        return float(np.max(np.sum(np.abs(M), axis=1)))
+    step = _row_block(M.size, M.shape[1])
+    return float(np.max([np.max(np.sum(np.abs(M[s : s + step]), axis=1))
+                         for s in range(0, M.shape[0], step)]))
 
 
 def lu_factor(M) -> LuFactorization:
@@ -75,7 +110,10 @@ def lu_factor(M) -> LuFactorization:
     an inf or a NaN, since 0 * inf is NaN.  The pivots, the threshold,
     the singular flag and every factor are those of the dense loop, up
     to the sign of a zero.  The pivot search, the swaps and the
-    multipliers cost O(n) per step, O(n^2) in all.
+    multipliers cost O(n) per step, O(n^2) in all.  Besides the copy of
+    M that becomes the factors, no temporary holds more than an eighth
+    of M's elements: the threshold is a max and a min, and each update
+    runs on blocks of rows.
     """
     import numpy as np
 
@@ -84,7 +122,7 @@ def lu_factor(M) -> LuFactorization:
         raise ValueError("lu_factor expects a square real matrix")
     n = a.shape[0]
     pivots = np.arange(n)
-    threshold = PIVOT_RTOL * float(np.max(np.abs(a))) if a.size else 0.0
+    threshold = PIVOT_RTOL * abs(float(max(a.max(), -a.min()))) if a.size else 0.0
     singular = False
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))
@@ -99,39 +137,62 @@ def lu_factor(M) -> LuFactorization:
         multipliers /= a[k, k]
         trailing = a[k, k + 1 :]
         rows = multipliers.nonzero()[0]
+        block = _row_block(n * n, n - k - 1)  # rows per update
         if len(rows) == n - k - 1 or not np.isfinite(trailing).all():
             # every row, in place; with an inf or a NaN in the pivot row
             # even a zero multiplier must update (0 * inf is NaN)
-            a[k + 1 :, k + 1 :] -= np.outer(multipliers, trailing)
-        elif len(rows):
-            a[k + 1 + rows, k + 1 :] -= np.outer(multipliers[rows], trailing)
+            for s in range(k + 1, n, block):
+                a[s : s + block, k + 1 :] -= np.outer(multipliers[s - k - 1 : s - k - 1 + block], trailing)
+        else:
+            for s in range(0, len(rows), block):
+                some = rows[s : s + block]
+                a[k + 1 + some, k + 1 :] -= np.outer(multipliers[some], trailing)
     return LuFactorization(a, pivots, singular, threshold)
 
 
-def _solve_factored(fac: LuFactorization, B: np.ndarray) -> np.ndarray:
-    import numpy as np
+def _subtract_column(y: np.ndarray, column: np.ndarray, yk):
+    """y_i -= column_i * yk, leaving y_i alone where column_i is zero.
 
-    n = fac.factors.shape[0]
-    y = B[fac.pivots].astype(np.float64, copy=True)
-    for i in range(1, n):
-        y[i] -= fac.factors[i, :i] @ y[:i]
-    for i in range(n - 1, -1, -1):
-        if i + 1 < n:
-            y[i] -= fac.factors[i, i + 1 :] @ y[i + 1 :]
-        y[i] /= fac.factors[i, i]
-    return y
-
-
-def lu_solve(M, B) -> np.ndarray | None:
-    """Solve M X = B column by column; None when M is declared singular.
-
-    Every solve is residual-checked; a violated bound means the
-    factorization itself is broken and raises InconsistencyError.
+    yk is a float (one right-hand side, y a vector) or a row of y.
+    Subtracting a zero product changes no y_i (none is -0.0), so the
+    whole column is used unless yk holds an inf or a NaN (0 * inf is
+    NaN).  A row's yk @ yk is not finite then, or when yk is merely
+    huge, where skipping the zeros gives the same y.
     """
     import numpy as np
 
-    a = np.asarray(M, dtype=np.float64)
-    b = np.asarray(B, dtype=np.float64)
+    if math.isfinite(yk if isinstance(yk, float) else yk @ yk):
+        y -= np.multiply.outer(column, yk)
+    else:
+        rows = column.nonzero()[0]
+        y[rows] -= np.multiply.outer(column[rows], yk)
+
+
+def _solve_factored(fac: LuFactorization, B: np.ndarray) -> np.ndarray:
+    """Forward then back substitution, column by column: ``sparse_lu._solve_sparse``'s arithmetic."""
+    import numpy as np
+
+    n = fac.factors.shape[0]
+    a = fac.factors
+    y = B[fac.pivots].astype(np.float64, copy=True)
+    y += 0.0  # -0.0 becomes +0.0, as in ``sparse_lu._solve_sparse``
+    work = y[:, 0] if y.shape[1] == 1 else y  # one right-hand side: y[k] is a float
+    for k in range(n - 1):
+        _subtract_column(work[k + 1 :], a[k + 1 :, k], work[k])
+    for k in range(n - 1, -1, -1):
+        work[k] /= a[k, k]
+        _subtract_column(work[:k], a[:k, k], work[k])
+    return y
+
+
+def _check_residual(worst: float, bound: float):
+    if worst > bound:
+        raise InconsistencyError(f"LU residual {worst:.3e} exceeds bound {bound:.3e}")
+
+
+def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+    import numpy as np
+
     one_dim = b.ndim == 1
     if one_dim:
         b = b[:, None]
@@ -145,12 +206,31 @@ def lu_solve(M, B) -> np.ndarray | None:
     norm_m = _norm_inf(a)
     for col in range(x.shape[1]):
         bound = LU_RESIDUAL_RTOL * norm_m * float(np.max(np.abs(x[:, col])))
-        worst = float(np.max(residual[:, col])) if residual.size else 0.0
-        if worst > bound:
-            raise InconsistencyError(
-                f"LU residual {worst:.3e} exceeds bound {bound:.3e}"
-            )
+        _check_residual(float(np.max(residual[:, col])) if residual.size else 0.0, bound)
     return x[:, 0] if one_dim else x
+
+
+def lu_solve(M, B) -> np.ndarray | list[float] | None:
+    """Solve M X = B column by column; None when M is declared singular.
+
+    M is a square array, or the list of its rows as ``{column: value}``
+    dicts (``core.comparison_rows``) with B a vector.  Rows are factored
+    by ``sparse_lu.lu_factor_rows`` and give a list, with no numpy,
+    unless it hands the matrix over to ``lu_factor`` (or B holds an inf
+    or a NaN);
+    an array is factored by ``lu_factor`` and gives an array.  Both
+    paths find the same pivots and, with the same substitution order,
+    the same X bit for bit.  Every solve is residual-checked; a violated
+    bound means the factorization itself is broken and raises
+    InconsistencyError.
+    """
+    if isinstance(M, list) and M and isinstance(M[0], dict):
+        from .sparse_lu import solve_rows
+
+        return solve_rows(M, B)
+    import numpy as np
+
+    return _solve_dense(np.asarray(M, dtype=np.float64), np.asarray(B, dtype=np.float64))
 
 
 def inverse_nonneg_oracle(A: Matrix) -> bool:

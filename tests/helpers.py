@@ -203,7 +203,8 @@ def is_valid_scaling(A: Matrix, cert: ScalingCertificate) -> bool:
 def count_updated_rows(monkeypatch) -> list[int]:
     """Rows that each ``numpy.outer`` call updates: the length of its first argument.
 
-    Only the LU's rank-one update calls ``numpy.outer``, once per step.
+    The dense LU's rank-one update calls ``numpy.outer`` once per block
+    of rows it updates at a step.
     """
     updated = []
     outer = np.outer
@@ -214,3 +215,18 @@ def count_updated_rows(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(np, "outer", counted)
     return updated
+
+
+def record_sparse_factors(monkeypatch) -> list:
+    """What each ``sparse_lu.lu_factor_rows`` call returned: a ``SparseLu``, or None on a hand-over."""
+    import ddh.sparse_lu
+
+    results = []
+    factor = ddh.sparse_lu.lu_factor_rows
+
+    def recorded(rows):
+        results.append(factor(rows))
+        return results[-1]
+
+    monkeypatch.setattr(ddh.sparse_lu, "lu_factor_rows", recorded)
+    return results

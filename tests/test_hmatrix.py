@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from array import array
 
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from ddh import (
     scaling_certificate,
     solved_scaling,
 )
+import ddh.hmatrix
+import ddh.oracle
+import ddh.sparse_lu
 from ddh.hmatrix import SCALING_SWEEP_CAP
 from helpers import (
     all_proper_nonempty_subsets,
@@ -204,6 +209,45 @@ class TestScalingCertificate:
         ):
             A = Matrix([[1, 1], [1, 1]])
             scaling_certificate(A, peel_levels(A))
+
+    def test_exhausted_sweeps_solve_a_tridiagonal_matrix_by_rows(self, monkeypatch):
+        """Work and memory gate: the fallback solve of an order-2000 tridiagonal H-matrix.
+
+        Unit neighbours, diagonal 2: the interior rows are equalities and
+        the two end rows strict, so the Gauss-Seidel sweeps creep in from
+        the ends and ``SCALING_SWEEP_CAP`` of them leave the margin
+        nonpositive.  ``solved_scaling`` then hands the comparison matrix
+        to ``lu_solve`` by rows, and its factors stay tridiagonal: no
+        dense ``lu_factor`` runs and the whole certificate takes under
+        10 MB of ``tracemalloc`` (one dense copy of the matrix is 32 MB).
+        Its margin is the dense solve's, bit for bit.
+        """
+        n = 2000
+        rows, cols = array("q"), array("q")
+        for i in range(n):
+            for j in (i - 1, i + 1):
+                if 0 <= j < n:
+                    rows.append(i)
+                    cols.append(j)
+        A = Matrix.from_nonzeros(array("d", [2.0] * n), rows, cols, array("d", [1.0]) * len(rows))
+        peel = peel_levels(A)
+        dense_calls, solved = [], []
+        factor, solve = ddh.oracle.lu_factor, ddh.hmatrix.solved_scaling
+        monkeypatch.setattr(ddh.oracle, "lu_factor", lambda M: dense_calls.append(len(M)) or factor(M))
+        monkeypatch.setattr(ddh.hmatrix, "solved_scaling", lambda B: solved.append(B) or solve(B))
+        tracemalloc.start()
+        try:
+            cert = scaling_certificate(A, peel)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert solved == [A] and dense_calls == [] and peak < 10 << 20
+        assert is_valid_scaling(A, cert)
+        monkeypatch.setattr(ddh.sparse_lu, "lu_factor_rows", lambda rows: None)
+        dense = solve(A)
+        assert dense_calls == [n]
+        assert cert.margin.hex() == dense.margin.hex() == (1.998001997627341e-06).hex()
+        assert cert.d == dense.d
 
     def test_overflowing_sweeps_stop_early(self):
         # off-diagonal ratios of 1e100: x overflows in the second sweep,

@@ -2,11 +2,14 @@
 
 ``ddh verify`` re-checks the certificates with sums and graph walks, and
 ``ddh analyze`` of a strictly dominant matrix needs nothing more, so
-neither should pay for ``import numpy``.  Each command runs through
-``ddh.cli.main`` in a fresh interpreter, which then reports whether
-``numpy`` is in ``sys.modules``.  This counts modules, not time.
-``analyze`` of the chain solves the subset H-condition's inner block
-densely, so it does load numpy: that case shows the gate can fail.
+neither should pay for ``import numpy``.  ``analyze`` of the benchmark's
+``chain`` and ``wide`` inputs solves the subset H-condition's inner
+block by sparse elimination, whose factors stay small there, so it does
+not either.  Each command runs through ``ddh.cli.main`` in a fresh
+interpreter, which then reports whether ``numpy`` is in
+``sys.modules``.  This counts modules, not time.  On a ``ddh generate``
+ensemble matrix that block fills up and goes to the dense LU, so
+``analyze`` does load numpy: that case shows the gate can fail.
 """
 
 from __future__ import annotations
@@ -85,6 +88,13 @@ def test_analyze_of_a_strictly_dominant_matrix_loads_no_numpy():
     assert _run_main("analyze", str(FIXTURES / "identity2.mtx")) == (0, False)
 
 
-def test_analyze_of_the_chain_loads_numpy_for_its_dense_solve(tmp_path):
-    matrix, _ = _benchmark_input(tmp_path, inputs.chain_matrix)
-    assert _run_main("analyze", str(matrix)) == (0, True)
+@pytest.mark.parametrize("make", [inputs.chain_matrix, inputs.wide_matrix], ids=["chain", "wide"])
+def test_analyze_of_a_benchmark_input_loads_no_numpy(tmp_path, make):
+    matrix, _ = _benchmark_input(tmp_path, make)
+    assert _run_main("analyze", str(matrix)) == (0, False)
+
+
+def test_analyze_of_an_ensemble_input_loads_numpy_for_its_dense_solve(tmp_path):
+    """The first ensemble matrix of the benchmark's seed 1: its order-373 inner block fills up."""
+    assert _run_main("generate", *inputs.ENSEMBLE_FLAGS, "--seed", "3", "--out-dir", str(tmp_path)) == (0, True)
+    assert _run_main("analyze", str(tmp_path / "dd_3_0.mtx")) == (0, True)

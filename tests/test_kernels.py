@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 import ddh
 import ddh.cli
+import ddh.sparse_lu
 import reference
 from ddh import (
     ChainReport,
@@ -58,12 +59,12 @@ from ddh.cli import analyze_matrix, emit_json, real_from_json, verify_report
 from ddh.core import _pointers, row_strictness
 from helpers import (
     brute_force_interwoven,
-    count_updated_rows,
     dd_matrices,
     is_chain_certificate,
     is_valid_scaling,
     pattern_rows,
     proper_subsets,
+    record_sparse_factors,
 )
 
 TOLERANCES = (0.0, 1e-12, 1e-3, 0.2)
@@ -162,6 +163,30 @@ def test_subset_checks_match_reference(A, data):
                 _assert_only_the_inner_scaling_failed(A, subset, tol, got)
             else:
                 assert reference.sh_key(got) == reference.sh_key(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rounded_matrices(), st.data())
+def test_subset_h_condition_is_the_same_on_both_lu_paths(A, data):
+    """Every SHReport field, reals by their bits, whichever LU solves the inner block.
+
+    ``s_h_check`` hands its rows to ``lu_solve``: once eliminated by
+    ``lu_factor_rows`` with no budget, once handed straight to the
+    dense ``lu_factor``.  The pivots and the substitution order are the
+    same, so no field may differ, at tol 0 and at 1e-3, on T and on a
+    drawn subset.
+    """
+    S = data.draw(proper_subsets(A.n))
+    for tol in (0.0, 1e-3):
+        T = non_sdd_rows(A, tol)
+        for subset in (S, T):
+            if len(subset) == 0 or subset.is_full:
+                continue
+            with mock.patch.object(ddh.sparse_lu, "SPARSE_LU_BUDGET", math.inf):
+                sparse = _outcome(s_h_check, A, subset, tol)
+            with mock.patch.object(ddh.sparse_lu, "lu_factor_rows", lambda rows: None):
+                dense = _outcome(s_h_check, A, subset, tol)
+            assert reference.sh_key(sparse) == reference.sh_key(dense)
 
 
 @settings(max_examples=300, deadline=None)
@@ -555,8 +580,9 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     """Work gate: counted solves, peels, chain passes and block copies on an H chain.
 
     On an order-200 bidiagonal chain, ``analyze_matrix`` solves once, for
-    the subset H-condition, and builds one comparison matrix for it (the
-    scaling is one Gauss-Seidel sweep in peel order, with no solve), peels
+    the subset H-condition, on the comparison block's rows with no dense
+    comparison matrix (the scaling is one Gauss-Seidel sweep in peel
+    order, with no solve), peels
     A once (the verdict's peel, which the scaling sweep, the peeling
     certificate and the SSDD search read) and the inner block of the
     subset H-condition once, and runs the chain BFS once;
@@ -580,7 +606,7 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     assert report["is_h"] is True and len(report["peel_trace"]) == n - 1
     assert report["sh"]["inner_h"] is True and problems == []
     assert calls["lu_solve"] == 1 and calls["chain_condition"] == 1
-    assert calls["peel_levels"] == 2 and calls["comparison_matrix"] == 1
+    assert calls["peel_levels"] == 2 and calls["comparison_matrix"] == 0
     assert paths["paths"] == 0
 
     calls.update(dict.fromkeys(calls, 0))
@@ -603,13 +629,14 @@ def test_report_is_linear_in_the_order(monkeypatch):
 
     Its chains run n - 1 deep, so full paths, or every active set of the
     peel, would hold about n^2/2 indices.  The report holds one next hop
-    per row of T and each row of T in one peel level.  Every multiplier
-    of the one subset LU on T, an upper bidiagonal block, is zero, so it
-    updates no row (the dense loop updated (n - 1)(n - 2)/2).
+    per row of T and each row of T in one peel level.  The one subset
+    LU on T, an upper bidiagonal block, runs by rows: every multiplier
+    is zero, so it updates no entry and never hands over to the dense
+    ``lu_factor`` (whose dense loop updated (n - 1)(n - 2)/2 rows).
     """
     paths = _count_path_views(monkeypatch)
-    updated = count_updated_rows(monkeypatch)
-    solves = _count_calls(monkeypatch, ("lu_solve",))
+    factors = record_sparse_factors(monkeypatch)
+    solves = _count_calls(monkeypatch, ("lu_solve", "lu_factor"))
     n = 2000
     A = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
     report, problems = analyze_matrix(A)
@@ -619,7 +646,8 @@ def test_report_is_linear_in_the_order(monkeypatch):
     assert len(report["peel_trace"]) == n - 1
     assert sum(len(level) for level in report["peel_trace"]) == n - 1
     assert paths["paths"] == 0
-    assert solves["lu_solve"] == 1 and sum(updated) == 0
+    assert solves == {"lu_solve": 1, "lu_factor": 0}
+    assert [lu.updates for lu in factors] == [0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -22,7 +23,7 @@ from ddh import (
     spectral_radius,
     write_matrix_market,
 )
-from ddh import mmio, oracle
+from ddh import mmio, oracle, sparse_lu
 from ddh.oracle import STREAM_BLOCK, RandomStream, derive_seed, stream_words
 from helpers import count_updated_rows
 
@@ -141,6 +142,135 @@ def test_lu_factor_matches_the_dense_reference(problem):
     assert (x is None) == (y is None)
     if x is not None:
         assert _same_up_to_zero_sign(x, y)
+
+
+def test_dense_lu_temporaries_stay_small():
+    """Memory gate: an order-500 dense solve allocates little beyond the factors.
+
+    The factors are one copy of the block.  The pivot threshold and the
+    residual bound are reductions that build no |M|, and each rank-one
+    update runs on blocks of at most an eighth of the rows, so the peak
+    above the input stays under 1.25 blocks (with |M| and a full
+    ``numpy.outer`` it was about 2).
+    """
+    n = 500
+    M = np.random.default_rng(5).standard_normal((n, n)) + n * np.eye(n)
+    b = np.ones(n)
+    tracemalloc.start()
+    try:
+        x = lu_solve(M, b)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x is not None and peak <= 1.25 * M.nbytes
+
+
+#: ties, explicit zeros of either sign and values at the pivot threshold of 2.0 (2e-12)
+SPARSE_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 2e-12, -2e-12, 1.9e-12, 2.1e-12, 1e-300]),
+    st.floats(-3.0, 3.0),
+)
+RHS_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300]), st.floats(-4.0, 4.0))
+NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+@st.composite
+def sparse_lu_problems(draw):
+    """Rows of a square matrix of order 1-9 as {column: value} dicts, and a right-hand side.
+
+    A row holds a drawn set of columns (all of them in about a third of
+    the blocks, which then fill up and exhaust the sparse budget),
+    mostly a dominant diagonal.  In about a quarter of the blocks one
+    row is another times 2 (exactly singular).  About one block in ten,
+    and one right-hand side in ten, holds an inf or a NaN.
+    """
+    n = draw(st.integers(1, 9))
+    full = draw(st.integers(0, 2)) == 0
+    rows = []
+    for i in range(n):
+        cols = range(n) if full else sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
+        row = dict(zip(cols, draw(st.lists(SPARSE_ENTRIES, min_size=len(cols), max_size=len(cols)))))
+        if draw(st.integers(0, 3)):
+            row[i] = 1.0 + sum(abs(v) for v in row.values())
+        rows.append(row)
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        rows[j] = {k: 2.0 * v for k, v in rows[i].items()}
+    if draw(st.integers(0, 9)) == 0:
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(NON_FINITE)
+    b = draw(st.lists(RHS_ENTRIES, min_size=n, max_size=n))
+    if draw(st.integers(0, 9)) == 0:
+        b[draw(st.integers(0, n - 1))] = draw(NON_FINITE)
+    return rows, b
+
+
+def _dense(rows) -> np.ndarray:
+    M = np.zeros((len(rows), len(rows)))
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            M[i, j] = v
+    return M
+
+
+def _packed(lu, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sparse factors in ``lu_factor``'s packed layout, and where they are set."""
+    packed, mask = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
+    for k, step in enumerate(lu.lower):
+        mask[k + 1 :, k] = True
+        for i, m in step:
+            packed[i, k] = m
+    for k, row in enumerate(lu.upper):
+        mask[k, k:] = True
+        for j, u in row.items():
+            packed[k, j] = u
+    return packed, mask
+
+
+def _bits(x) -> list[str] | None:
+    return None if x is None else [float(v).hex() for v in x]
+
+
+@settings(max_examples=500, deadline=None)
+@given(sparse_lu_problems())
+@example(([{0: 1.0}, {1: 1e-10}], [1e300, 1e300]))  # x_1 = inf meets u_01 = 0: no NaN
+def test_sparse_lu_is_the_dense_lu(problem):
+    """``lu_factor_rows`` against ``lu_factor`` and the reference's dense loop.
+
+    Run without a budget, the sparse elimination finds the same
+    singular flag, threshold and pivot order, and every factor it sets
+    equals the dense one (a zero's sign aside).  With the budget, it
+    hands over exactly when its updates pass it.  Non-finite input
+    always hands over.  ``lu_solve`` on the rows, on the dense array
+    and on the dense array with the reference's loop gives the same
+    exception or the same x, bit for bit.
+    """
+    rows, b = problem
+    n = len(rows)
+    M = _dense(rows)
+    with mock.patch.object(sparse_lu, "SPARSE_LU_BUDGET", math.inf):
+        unbounded = sparse_lu.lu_factor_rows(rows)
+    bounded = sparse_lu.lu_factor_rows(rows)
+    with np.errstate(all="ignore"):
+        dense, loop = lu_factor(M), reference.lu_factor(M)
+        x, x_error = _solve_outcome(rows, b)
+        y, y_error = _solve_outcome(M, np.array(b))
+        with mock.patch.object(oracle, "lu_factor", reference.lu_factor):
+            z, z_error = _solve_outcome(M, np.array(b))
+    if not np.isfinite(M).all():
+        assert unbounded is None and bounded is None
+    else:
+        assert unbounded.singular == dense.singular == loop.singular
+        assert unbounded.pivot_threshold.hex() == dense.pivot_threshold.hex() == loop.pivot_threshold.hex()
+        assert unbounded.pivots == dense.pivots.tolist() == loop.pivots.tolist()
+        packed, mask = _packed(unbounded, n)
+        assert np.array_equal(packed[mask], dense.factors[mask])
+        assert np.array_equal(packed[mask], loop.factors[mask])
+        budget = sparse_lu.SPARSE_LU_BUDGET * (n + sum(map(len, rows)))
+        assert (bounded is None) == (unbounded.updates > budget)
+        if bounded is not None:
+            assert bounded.pivots == unbounded.pivots and bounded.updates == unbounded.updates
+    assert x_error == y_error == z_error
+    assert _bits(x) == _bits(y) == _bits(z)
 
 
 class TestInverseNonnegOracle:
