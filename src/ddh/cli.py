@@ -369,10 +369,10 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     report must carry a verdict with exactly the certificate it implies;
     the subset H-condition is required whenever T is a nonempty proper
     subset.  On T at tol 0, when every row of T is an exact equality,
-    it is read off the recomputed peel (``s_h_from_peel``) with no LU
-    and no dense array.  Any other subset or tol, and a stored ``sh``
-    that misses those values (``analyze``'s LU may stray on an
-    ill-conditioned block), takes ``s_h_check`` and its LU.  Either way
+    it is read off the recomputed peel (``s_h_from_peel``) with no
+    solve.  Any other subset or tol, and a stored ``sh`` that misses
+    those values (the dense LU may stray on a graded block), takes
+    ``s_h_check`` and its solve.  Either way
     ``satisfied`` must be ``inner_h`` and lhs < b2 on the stored
     numbers.  Index lists (``_indices``), flags
     (``_flag``) and reals (``real_from_json``) are read strictly.  Structural
@@ -538,8 +538,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
                 )
 
             no_solve = s_h_from_peel(A, peel) if tol == 0.0 and peel is not None and S == T else None
-            # the LU check also decides where analyze's own LU strayed from
-            # the exact lhs of 1 (an ill-conditioned or graded block)
+            # the solve also decides where a dense LU strayed from the exact lhs of 1
             ok = (no_solve is not None and matches(no_solve)) or matches(s_h_check(A, S, tol))
             check("sh", ok, "" if ok else "recomputed subset H-condition differs")
 

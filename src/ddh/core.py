@@ -16,11 +16,10 @@ buffer, which is complex128's memory layout.  The kernels read them as
 lists (``tolist()``) and loop in plain Python, so the structural path
 never imports numpy.  numpy is imported only where a dense array is
 built: ``Matrix(dense)``, the ``entries`` and ``modulus`` views and
-``comparison_matrix`` here, and the oracles and an LU whose factors
-fill up elsewhere.  ``comparison_rows`` gives the comparison matrix as
-sparse rows, which ``oracle.lu_solve`` eliminates in pure Python while
-the fill stays small.  ``np.asarray`` views any buffer without a copy
-(``.view(np.complex128)`` for complex entries).
+``comparison_matrix`` here, and the oracles and the dense LU elsewhere.
+``comparison_rows`` gives the comparison matrix as sparse rows, which
+``oracle.lu_solve`` eliminates in pure Python.  ``np.asarray`` views any
+buffer without a copy (``.view(np.complex128)`` for complex entries).
 
 Row sums accumulate left to right in increasing column order, and all
 callers share the helpers here, so quantities that must agree (a full
@@ -287,7 +286,10 @@ def _dense(A: Matrix, off, diag):
 
 @dataclass(frozen=True)
 class IndexSet:
-    """Sorted set of distinct 0-based indices over a universe {0..n-1}."""
+    """Sorted set of distinct 0-based indices over a universe {0..n-1}.
+
+    The constructor validates outside input; ``trusted`` takes sorted kernel output as is.
+    """
 
     members: tuple[int, ...]
     universe_size: int
@@ -301,6 +303,14 @@ class IndexSet:
             raise ValueError("members out of range for universe")
         if any(a >= b for a, b in zip(members, members[1:])):
             raise ValueError("members must be strictly increasing")
+
+    @classmethod
+    def trusted(cls, members: tuple[int, ...], universe_size: int) -> "IndexSet":
+        """The set of ``members``, which the caller guarantees are increasing ints in range."""
+        S = cls.__new__(cls)
+        object.__setattr__(S, "members", members)
+        object.__setattr__(S, "universe_size", universe_size)
+        return S
 
     @classmethod
     def from_indices(cls, indices, universe_size: int) -> "IndexSet":
@@ -317,7 +327,7 @@ class IndexSet:
     def complement(self) -> "IndexSet":
         inside = self.member_set
         rest = tuple(i for i in range(self.universe_size) if i not in inside)
-        return IndexSet(rest, self.universe_size)
+        return IndexSet.trusted(rest, self.universe_size)
 
     @cached_property
     def member_set(self) -> frozenset[int]:
@@ -429,7 +439,7 @@ def classify_dominance(A: Matrix, tol: float = 0.0) -> DominanceClass:
 def non_sdd_rows(A: Matrix, tol: float = 0.0) -> IndexSet:
     """Indices of rows that are not strictly dominant (|a_ii| <= r_i + tol)."""
     s = row_strictness(A, tol)
-    return IndexSet(tuple(i for i, code in enumerate(s) if code <= 0), A.n)
+    return IndexSet.trusted(tuple(i for i, code in enumerate(s) if code <= 0), A.n)
 
 
 @dataclass(frozen=True, eq=False)
@@ -506,7 +516,7 @@ def comparison_matrix(A: Matrix):
 def comparison_rows(A: Matrix) -> list[dict[int, float]]:
     """``comparison_matrix`` by rows: row i maps i to |a_ii| and each stored j to -|a_ij|.
 
-    The form ``oracle.lu_solve`` factors sparsely: O(n + nnz), no numpy.
+    The form ``oracle.lu_solve`` eliminates in pure Python: O(n + nnz), no numpy.
     """
     pat = A.pattern
     indptr, indices, data = pat.indptr, pat.indices.tolist(), pat.data.tolist()

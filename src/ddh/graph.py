@@ -87,7 +87,7 @@ def chains_out_of(A: Matrix, S: IndexSet) -> ChainReport:
     missing = tuple(i for i in S.members if dist[i] == -1)
     return ChainReport(
         subset=S, reached=tuple(reached), next_hop=next_hop,
-        unreachable=IndexSet(missing, A.n),
+        unreachable=IndexSet.trusted(missing, A.n),
     )
 
 

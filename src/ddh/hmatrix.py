@@ -21,8 +21,9 @@ peels A once: the scaling sweeps follow its levels,
 system is left to ``s_h_check``'s inner block and to ``solved_scaling``
 (the scaling's fallback after ``SCALING_SWEEP_CAP`` sweeps, and the
 scaling of a non-dominant H-matrix).  Both hand ``lu_solve`` the
-comparison rows, which it eliminates sparsely while the fill stays
-small (a chain's block, a banded matrix) and densely otherwise.
+comparison rows.  On a dominant matrix each such block is a dominant
+Z-matrix, which it solves by GTH elimination (``sparse_lu``), with no
+subtraction, no pivot threshold and no numpy.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite),
@@ -138,10 +139,10 @@ def solved_scaling(A: Matrix) -> ScalingCertificate:
     The scaling of an H-matrix with no peel to sweep in (a non-dominant
     one, which ``analyze --oracle`` treats densely anyway) and the
     fallback of ``scaling_certificate``.  M goes to ``lu_solve`` by rows
-    (``comparison_rows``), so a banded M costs O(n + fill) with no
-    numpy, and a filling one the dense LU.  Raises InconsistencyError
-    when A is not H after all: M singular, a nonpositive component or a
-    nonpositive margin.
+    (``comparison_rows``): GTH elimination, in O(n + fill) with no
+    numpy, when A is dominant, and the dense LU otherwise.  Raises
+    InconsistencyError when A is not H after all: M singular, a
+    nonpositive component or a nonpositive margin.
     """
     d = lu_solve(comparison_rows(A), [1.0] * A.n)
     if d is None:
@@ -229,11 +230,11 @@ def peel_outcome(
         # dominance leaves such a row at most tol off the diagonal: it sits
         # in T and can never peel
         return (T,), PeelReason.ZERO_DIAGONAL, IndexSet((zero,), A.n)
-    trace = tuple(IndexSet(level, A.n) for level in peel.levels)
+    trace = tuple(IndexSet.trusted(level, A.n) for level in peel.levels)
     if peel.stalled:
         # the rows left form a dominant block with no strict row
         peeled = {i for level in peel.levels for i in level}
-        block = IndexSet(tuple(i for i in T.members if i not in peeled), A.n)
+        block = IndexSet.trusted(tuple(i for i in T.members if i not in peeled), A.n)
         return trace + (block,), PeelReason.STAGNANT_PEEL, block
     return trace, PeelReason.SDD_REACHED, None
 
@@ -265,23 +266,33 @@ def _check_proper_subset(A: Matrix, S: IndexSet, what: str):
 def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
     """Two-condition strict dominance test partitioned by S.
 
-    Requires |a_ii| > r_i^S on S and, for every cross pair (i in S,
-    j outside), (|a_ii| - r_i^S)(|a_jj| - r_j^Sbar) > r_i^Sbar r_j^S.
-    Strict float comparisons throughout; every r is read off one
-    ``split_row_sums`` pass.  Only the |S| x |Sbar| cross test is dense.
+    Requires g_i = |a_ii| - r_i^S > 0 on S and g_i g_j > c_i c_j for every
+    cross pair (i in S, j outside), where g_j = |a_jj| - r_j^Sbar,
+    c_i = r_i^Sbar and c_j = r_j^S, exactly (``Fraction``) in the sums of
+    one ``split_row_sums`` pass.  With every g_i > 0 that is
+    g_j > c_j max_i (c_i / g_i): O(n + nnz), no |S| x |Sbar| array.
+    Where a sum or a diagonal entry is infinite, each pair is compared
+    as IEEE products.
     """
     _check_proper_subset(A, S, "s_sdd_check")
     in_s, out_s = split_row_sums(A, S)
-    inside, outside = S.members, S.complement().members
     diag = A.diagonal_modulus
-    gap_s = [diag[i] - in_s[i] for i in inside]
-    if not all(g > 0.0 for g in gap_s):
+    if not all(diag[i] > in_s[i] for i in S.members):
         return False
-    import numpy as np
+    outside = S.complement().members
+    if max(max(diag), max(in_s), max(out_s)) == math.inf:
+        return all(
+            (diag[i] - in_s[i]) * (diag[j] - out_s[j]) > out_s[i] * in_s[j]
+            for i in S.members for j in outside
+        )
+    from fractions import Fraction as F  # imports decimal: only where the cross test runs
 
-    gap_sbar = [diag[j] - out_s[j] for j in outside]
-    cross_s, cross_sbar = [out_s[i] for i in inside], [in_s[j] for j in outside]
-    return bool((np.outer(gap_s, gap_sbar) > np.outer(cross_s, cross_sbar)).all())
+    top = max((F(out_s[i]) / (F(diag[i]) - F(in_s[i])) for i in S.members if out_s[i]), default=0)
+    return all(
+        F(diag[j]) - F(out_s[j]) > top * F(in_s[j])
+        if in_s[j] else diag[j] > out_s[j]  # g_j > 0, which a float comparison decides
+        for j in outside
+    )
 
 
 def find_ssdd_set_dd(peel: Peel) -> IndexSet | None:
@@ -353,10 +364,12 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     """Subset H-condition: inner block H, and scaled cross sums below b2.
 
     lhs comes from one ``lu_solve`` of the inner comparison block, given
-    by rows (``comparison_rows``): a block whose factors stay sparse (a
-    chain's upper bidiagonal T, a small T) is solved in O(|S| + fill)
-    with no numpy, and one that fills up by the dense LU, with the same
-    pivots and the same x bit for bit.
+    by rows (``comparison_rows``).  A dominant block is solved by GTH
+    elimination in O(|S| + fill) with no numpy.  On T, where each row's
+    gap in the block is its sum outside (exactly, on dyadic equality
+    rows), the elimination's own arithmetic gives x = 1 bit for bit.  A
+    block that is not dominant (under ``--subset``, or a row dominant
+    only within tol) takes the dense LU.
     """
     _check_proper_subset(A, S, "s_h_check")
     sub = principal_submatrix(A, S)

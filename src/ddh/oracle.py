@@ -1,10 +1,10 @@
 """Ground-truth machinery: LU, H-matrix oracles, matrix ensembles.
 
-``lu_solve`` factors a matrix given by its rows (``{column: value}``
-dicts) with the sparse elimination of ``sparse_lu`` while the fill
-stays small, and otherwise, like a matrix given as an array, with the
-dense ``lu_factor``.  Both find the same pivots and solve with the same
-arithmetic, so which one ran changes no result.
+``lu_solve`` solves a matrix given by its rows (``{column: value}``
+dicts) by the subtraction-free GTH elimination of ``sparse_lu`` when
+the rows form a diagonally dominant Z-matrix, as every comparison block
+of a dominant matrix does, and otherwise, like a matrix given as an
+array, by the dense ``lu_factor`` with partial pivoting.
 
 Two independent oracles decide H-status without the dominance theory:
 
@@ -21,7 +21,7 @@ same draw order as ``RandomStream``.  Magnitudes are dyadic multiples of
 2^-30, which keeps every row sum, split row sum and dominance comparison
 exact in double precision.
 
-Everything here but ``lu_solve`` of rows that ``sparse_lu`` factors,
+Everything here but ``lu_solve`` of rows that ``sparse_lu`` eliminates,
 ``RandomStream`` and ``derive_seed`` computes with numpy, which each
 function imports when called: importing this module (as ``hmatrix`` and
 ``cli`` do) loads no numpy.
@@ -101,19 +101,11 @@ def _norm_inf(M: np.ndarray) -> float:
 def lu_factor(M) -> LuFactorization:
     """LU with partial pivoting; flags singularity instead of raising.
 
-    Right-looking elimination whose step k updates only the rows below
-    the pivot with a nonzero multiplier: a zero multiplier would subtract
-    zeros.  So the update work is proportional to the fill of the factors
-    (Gilbert & Peierls 1988), not n^3/3: none on a bidiagonal block, all
-    of it on a dense one.  All rows are updated in place when every
-    multiplier is nonzero, and when the pivot row's trailing part holds
-    an inf or a NaN, since 0 * inf is NaN.  The pivots, the threshold,
-    the singular flag and every factor are those of the dense loop, up
-    to the sign of a zero.  The pivot search, the swaps and the
-    multipliers cost O(n) per step, O(n^2) in all.  Besides the copy of
-    M that becomes the factors, no temporary holds more than an eighth
-    of M's elements: the threshold is a max and a min, and each update
-    runs on blocks of rows.
+    Right-looking elimination.  The pivot search, the swaps and the
+    multipliers cost O(n) per step, O(n^2) in all, and the updates
+    n^3/3 multiply-adds.  Besides the copy of M that becomes the factors,
+    no temporary holds more than an eighth of M's elements: the
+    threshold is a max and a min, and each update runs on blocks of rows.
     """
     import numpy as np
 
@@ -136,17 +128,9 @@ def lu_factor(M) -> LuFactorization:
         multipliers = a[k + 1 :, k]
         multipliers /= a[k, k]
         trailing = a[k, k + 1 :]
-        rows = multipliers.nonzero()[0]
         block = _row_block(n * n, n - k - 1)  # rows per update
-        if len(rows) == n - k - 1 or not np.isfinite(trailing).all():
-            # every row, in place; with an inf or a NaN in the pivot row
-            # even a zero multiplier must update (0 * inf is NaN)
-            for s in range(k + 1, n, block):
-                a[s : s + block, k + 1 :] -= np.outer(multipliers[s - k - 1 : s - k - 1 + block], trailing)
-        else:
-            for s in range(0, len(rows), block):
-                some = rows[s : s + block]
-                a[k + 1 + some, k + 1 :] -= np.outer(multipliers[some], trailing)
+        for s in range(k + 1, n, block):
+            a[s : s + block, k + 1 :] -= np.outer(multipliers[s - k - 1 : s - k - 1 + block], trailing)
     return LuFactorization(a, pivots, singular, threshold)
 
 
@@ -169,13 +153,13 @@ def _subtract_column(y: np.ndarray, column: np.ndarray, yk):
 
 
 def _solve_factored(fac: LuFactorization, B: np.ndarray) -> np.ndarray:
-    """Forward then back substitution, column by column: ``sparse_lu._solve_sparse``'s arithmetic."""
+    """Forward then back substitution, column by column."""
     import numpy as np
 
     n = fac.factors.shape[0]
     a = fac.factors
     y = B[fac.pivots].astype(np.float64, copy=True)
-    y += 0.0  # -0.0 becomes +0.0, as in ``sparse_lu._solve_sparse``
+    y += 0.0  # -0.0 becomes +0.0
     work = y[:, 0] if y.shape[1] == 1 else y  # one right-hand side: y[k] is a float
     for k in range(n - 1):
         _subtract_column(work[k + 1 :], a[k + 1 :, k], work[k])
@@ -214,14 +198,12 @@ def lu_solve(M, B) -> np.ndarray | list[float] | None:
     """Solve M X = B column by column; None when M is declared singular.
 
     M is a square array, or the list of its rows as ``{column: value}``
-    dicts (``core.comparison_rows``) with B a vector.  Rows are factored
-    by ``sparse_lu.lu_factor_rows`` and give a list, with no numpy,
-    unless it hands the matrix over to ``lu_factor`` (or B holds an inf
-    or a NaN);
-    an array is factored by ``lu_factor`` and gives an array.  Both
-    paths find the same pivots and, with the same substitution order,
-    the same X bit for bit.  Every solve is residual-checked; a violated
-    bound means the factorization itself is broken and raises
+    dicts (``core.comparison_rows``) with B a vector.  Rows go to
+    ``sparse_lu.solve_rows``, which gives a list, with no numpy, unless
+    it hands them to ``lu_factor`` (a row that is not diagonally
+    dominant, or an inf or a NaN); an array is factored by
+    ``lu_factor`` and gives an array.  Every solve is residual-checked;
+    a violated bound means the factorization itself is broken and raises
     InconsistencyError.
     """
     if isinstance(M, list) and M and isinstance(M[0], dict):

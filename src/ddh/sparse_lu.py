@@ -1,171 +1,166 @@
-"""LU of a matrix given by its sparse rows, in pure Python.
+"""GTH elimination of a diagonally dominant Z-matrix given by its sparse rows.
 
-``oracle.lu_solve`` hands a matrix given as a list of ``{column: value}``
-row dicts (``core.comparison_rows``) to ``solve_rows``.  ``lu_factor_rows``
-eliminates on those rows with ``oracle.lu_factor``'s rules, touching only
-stored entries, so its time follows the fill of the factors (Gilbert &
-Peierls 1988); once the fill is no longer small it hands the matrix
-over to the dense ``lu_factor``.  ``solve_rows`` substitutes with
-``oracle``'s dense solve's arithmetic, so which path ran changes no
-result.  ``oracle`` imports this module only when it is given rows, so
-a command that solves nothing does not compile it; it loads no numpy.
+``oracle.lu_solve`` hands a matrix given as ``{column: value}`` row dicts
+(``core.comparison_rows``) to ``solve_rows``.  Every comparison block of
+a dominant matrix is a Z-matrix whose exact row gaps are >= 0, and
+``gth_factor`` eliminates it with no subtraction (Grassmann, Taksar &
+Heyman 1985), so every quantity is accurate to a few ulps (Alfa, Xue &
+Ye, Math. Comp. 2002) and a zero pivot, a zero row of the remaining
+block, means the block is singular: no pivot search, no threshold.  Any
+other block goes to the dense ``oracle.lu_factor``.  ``oracle`` imports
+this module only when it is given rows; it loads no numpy unless the
+dense path runs.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
-from dataclasses import dataclass
+import sys
+from typing import NamedTuple
 
-from .oracle import LU_RESIDUAL_RTOL, PIVOT_RTOL, _check_residual, _max_abs, _solve_dense
+from .oracle import LU_RESIDUAL_RTOL, _check_residual, _max_abs, _solve_dense
 
-#: ``lu_factor_rows`` hands over to ``lu_factor`` once its entry updates
-#: pass this multiple of the order plus the stored entries
-SPARSE_LU_BUDGET = 1
+#: ``gth_factor`` hands over to the dense ``lu_factor`` once its entry
+#: updates pass this multiple of n^2, the dense LU's storage (it does n^3/3
+#: multiply-adds); the ensemble's order-400 blocks take at most 3 n^2
+GTH_BUDGET = 8
+#: smallest positive normal float: below it a product keeps fewer bits
+_TINY = sys.float_info.min
 
 
-@dataclass(frozen=True, eq=False)
-class SparseLu:
-    """L\\U factors of a matrix given by its rows, with ``lu_factor``'s pivots.
+class GthFactors(NamedTuple):
+    """L\\U factors in elimination order, each step ``(k, d_k, [(i, f_ik), ...], {j: c_kj})``.
 
-    ``lower[k]`` lists ``(i, l_ik)`` for the nonzero multipliers of step
-    k, i > k a final row position; ``upper[k]`` is the row at position k
-    of U as ``{column: u_kj}`` over columns j >= k, its diagonal
-    included.  ``pivots[k]`` is the input row at position k.  On a
-    singular matrix the factors stop at the failed step.  ``updates``
-    counts the entry updates a - l u.
+    Step k eliminates row and column k with pivot d_k; L holds -f_ik for
+    the rows i it updated and U holds -c_kj off the diagonal.  On a
+    singular matrix the steps stop at the zero pivot.  ``updates``
+    counts the products f_ik c_kj, one per entry of row k per row i.
     """
 
-    lower: list[list[tuple[int, float]]]
-    upper: list[dict[int, float]]
-    pivots: list[int]
+    steps: list[tuple[int, float, list[tuple[int, float]], dict[int, float]]]
     singular: bool
-    pivot_threshold: float
     updates: int
 
 
-def lu_factor_rows(rows: list[dict[int, float]]) -> SparseLu | None:
-    """``lu_factor`` of the matrix whose row i is ``rows[i]``, in pure Python.
+def gth_factor(rows: list[dict[int, float]]) -> GthFactors | None:
+    """GTH elimination of the matrix whose row i is ``rows[i]`` (a missing column is 0).
 
-    Each row maps a column to a float; a missing column is +0.0.  The
-    elimination follows ``lu_factor`` step for step: the same threshold
-    (``PIVOT_RTOL`` times the largest |entry|), the same pivot (the first
-    largest |entry| of the column among positions k..n-1, rows being
-    swapped as there), the same multipliers, rows with a zero multiplier
-    skipped, and each update a - l u.  Only stored entries are touched,
-    and the rows holding a column are kept per column, so the time is
-    O(n + stored entries + updates) (Gilbert & Peierls 1988).  Every
-    nonzero factor and the singular flag are ``lu_factor``'s, bit for
-    bit; a zero's sign may differ.
+    A row is kept as its off-diagonal magnitudes c_ij > 0 and its gap
+    g_i = m_ii - sum_j c_ij, summed exactly and rounded once
+    (``math.fsum``).  Eliminating pivot k takes d_k = g_k + sum_j c_kj
+    and, for each remaining row i holding k, with f = c_ik / d_k, adds
+    f c_kj to c_ij (j != i: c_ki falls on the diagonal, which g_i stands
+    for) and f g_k to g_i.  The next pivot is the remaining row with the
+    smallest Markowitz count (its entries times the remaining rows
+    holding its column; the smallest index on a tie), from a heap whose
+    stale entries are skipped: O(n log n + stored entries + updates).
 
-    Returns None, leaving the matrix to ``lu_factor``, when an entry is
-    not finite (0 * inf is NaN in the dense loop, which skips no
-    column), or before the updates pass ``SPARSE_LU_BUDGET`` times
-    (n + stored entries): the factors fill up, and the dense loop does
-    the same arithmetic faster.
+    Returns None, leaving the matrix to the dense ``lu_factor``, when a
+    row has a positive off-diagonal entry or a gap that is negative or
+    not finite (an inf or a NaN anywhere gives one), when a quotient or
+    a product falls below the normal float range, where its relative
+    error is no longer a rounding's, or once the updates pass
+    ``GTH_BUDGET`` n^2.
     """
     n = len(rows)
-    a = [dict(row) for row in rows]
-    budget = SPARSE_LU_BUDGET * (n + sum(map(len, a)))
-    threshold = PIVOT_RTOL * max(_max_abs(row.values()) for row in a) if n else 0.0
-    holders: list[list[int]] = [[] for _ in range(n)]  # the rows holding each column
-    for i, row in enumerate(a):
-        for j in row:
+    off: list[dict[int, float]] = []  # c_ij > 0 of each row, over the remaining columns
+    gap: list[float] = []
+    holders: list[list[int]] = [[] for _ in range(n)]  # the rows that held each column
+    for i, row in enumerate(rows):
+        c = {j: -v for j, v in row.items() if j != i and v}
+        try:
+            g = math.fsum(row.values())  # with every c_ij > 0, the exact gap
+        except (ValueError, OverflowError):  # inf - inf, or a partial sum past the float range
+            return None
+        if not 0.0 <= g < math.inf or (c and min(c.values()) <= 0.0):
+            return None
+        off.append(c)
+        gap.append(g)
+        for j in c:
             holders[j].append(i)
-    at, pos = list(range(n)), list(range(n))  # the row at each position, and its inverse
-    lower: list[list[tuple[int, float]]] = []
-    updates = 0
-    singular = False
-    for k in range(n):
-        live, best, top = [], -1, -1.0  # the rows below k holding column k, and the pivot
+    held = [len(h) for h in holders]  # by remaining rows
+    alive = [True] * n
+    heap = [(len(c) * held[k], k) for k, c in enumerate(off)]
+    heapq.heapify(heap)
+    steps = []
+    updates, budget = 0, GTH_BUDGET * n * n
+    while heap:
+        score, k = heapq.heappop(heap)
+        row_k = off[k]
+        if not alive[k] or score != len(row_k) * held[k]:
+            continue  # stale
+        alive[k] = False
+        g_k = d = gap[k]
+        for c in row_k.values():  # as ``_substitute`` adds c_kj x_j: x = 1 gives d / d
+            d += c
+        if not d < math.inf:
+            return None
+        if d == 0.0:  # row k of the remaining block is zero
+            return GthFactors(steps, True, updates)
+        # products are monotone, so f * low in the normal range keeps every product there
+        low = min(row_k.values(), default=g_k)
+        if g_k:
+            low = min(low, g_k)
+        items = list(row_k.items())
+        lower = []
         for i in holders[k]:
-            if pos[i] >= k:
-                live.append(i)
-                v = abs(a[i][k])
-                if v > top or (v == top and pos[i] < pos[best]):
-                    best, top = i, v
-        if best < 0 or top == 0.0 or top < threshold:
-            singular = True
-            break
-        r, p = at[k], pos[best]
-        at[k], at[p], pos[best], pos[r] = best, r, k, p
-        pivot_row = a[best]
-        pivot = pivot_row[k]
-        trailing = [(j, u) for j, u in pivot_row.items() if j != k]
-        step = []
-        for i in live:
-            if i == best:
+            if not alive[i]:
                 continue
-            row = a[i]
-            m = row.pop(k) / pivot
-            if m == 0.0:
-                continue
-            updates += len(trailing)
-            if updates > budget:
+            row_i = off[i]
+            f = row_i.pop(k) / d
+            updates += len(items)
+            if f < _TINY or f * low < _TINY or updates > budget:
                 return None
-            step.append((i, m))
-            for j, u in trailing:
-                old = row.get(j)
-                if old is None:
-                    row[j] = 0.0 - m * u
-                    holders[j].append(i)
-                else:
-                    row[j] = old - m * u
-        lower.append(step)
-    # an inf or a NaN, given or from an overflow, stays in a row or in a
-    # multiplier: inf - x, NaN - x and their quotients are not finite
-    if not all(all(map(math.isfinite, row.values())) for row in a) or not all(
-        math.isfinite(m) for step in lower for _, m in step
-    ):
-        return None
-    return SparseLu(
-        lower=[[(pos[i], m) for i, m in step] for step in lower],
-        upper=[a[i] for i in at[: len(lower)]],
-        pivots=at,
-        singular=singular,
-        pivot_threshold=threshold,
-        updates=updates,
-    )
+            lower.append((i, f))
+            if g_k:
+                gap[i] += f * g_k
+            fill = row_k.keys() - row_i.keys()
+            fill.discard(i)
+            for j in fill:
+                holders[j].append(i)
+                held[j] += 1
+            get = row_i.get
+            for j, c in items:
+                row_i[j] = get(j, 0.0) + f * c
+            row_i.pop(i, None)
+            heapq.heappush(heap, (len(row_i) * held[i], i))
+        for j in row_k:
+            held[j] -= 1
+            heapq.heappush(heap, (len(off[j]) * held[j], j))
+        steps.append((k, d, lower, row_k))
+    return GthFactors(steps, False, updates)
 
 
-def _solve_sparse(lu: SparseLu, b: list[float]) -> list[float]:
-    """Solve with ``lu_factor_rows``'s factors, doing ``oracle._solve_factored``'s arithmetic.
-
-    Forward substitution applies column k of L to every later y_i,
-    y_i -= l_ik y_k, in increasing k; back substitution sets
-    x_k = y_k / u_kk and applies column k of U, y_i -= u_ik x_k, in
-    decreasing k.  Only nonzero factors are applied, and y starts with
-    no -0.0, so each y_i sees the dense solve's operations in its order.
-    """
-    n = len(lu.pivots)
-    y = [b[i] + 0.0 for i in lu.pivots]
-    for k, step in enumerate(lu.lower):
-        yk = y[k]
-        for i, m in step:
-            y[i] -= m * yk
-    columns: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for i, row in enumerate(lu.upper):
-        for j, u in row.items():
-            if j != i and u != 0.0:
-                columns[j].append((i, u))
-    for k in range(n - 1, -1, -1):
-        xk = y[k] = y[k] / lu.upper[k][k]
-        for i, u in columns[k]:
-            y[i] -= u * xk
-    return y
+def _substitute(fac: GthFactors, b: list[float]) -> list[float]:
+    """x with L U x = b: y_i += f y_k forward, then x_k = (y_k + sum c_kj x_j) / d_k backward."""
+    x = list(b)
+    for k, _, lower, _ in fac.steps:
+        if x[k]:
+            for i, f in lower:
+                x[i] += f * x[k]
+    for k, d, _, upper in reversed(fac.steps):
+        total = x[k]
+        for j, c in upper.items():
+            total += c * x[j]
+        x[k] = total / d
+    return x
 
 
 def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | None:
     """``oracle.lu_solve`` of rows and a vector: x as a list, None when singular.
 
-    The dense path (``oracle._solve_dense``) takes the rows over when
-    ``lu_factor_rows`` hands them over or b holds an inf or a NaN.  The
-    residual is checked against ``oracle.lu_solve``'s bound either way.
+    ``oracle._solve_dense`` takes over when ``gth_factor`` hands the rows
+    over or b or x is not finite.  The residual is checked either way.
     """
     b = [float(v) for v in b]
     if len(b) != len(rows):
         raise ValueError("right-hand side length does not match matrix order")
-    lu = lu_factor_rows(rows) if all(map(math.isfinite, b)) else None
-    if lu is None:
+    fac = gth_factor(rows) if all(map(math.isfinite, b)) else None
+    if fac is not None and fac.singular:
+        return None
+    x = None if fac is None else _substitute(fac, b)
+    if x is None or not all(map(math.isfinite, x)):
         import numpy as np
 
         dense = np.zeros((len(rows), len(rows)))
@@ -174,9 +169,6 @@ def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | No
                 dense[i, j] = v
         x = _solve_dense(dense, np.array(b))
         return None if x is None else x.tolist()
-    if lu.singular:
-        return None
-    x = _solve_sparse(lu, b)
     norm_m, residual = 0.0, []
     for row, rhs in zip(rows, b):
         total = size = 0.0

@@ -217,16 +217,16 @@ def count_updated_rows(monkeypatch) -> list[int]:
     return updated
 
 
-def record_sparse_factors(monkeypatch) -> list:
-    """What each ``sparse_lu.lu_factor_rows`` call returned: a ``SparseLu``, or None on a hand-over."""
+def record_gth_factors(monkeypatch) -> list:
+    """What each ``sparse_lu.gth_factor`` call returned: a ``GthFactors``, or None on a hand-over."""
     import ddh.sparse_lu
 
     results = []
-    factor = ddh.sparse_lu.lu_factor_rows
+    factor = ddh.sparse_lu.gth_factor
 
     def recorded(rows):
         results.append(factor(rows))
         return results[-1]
 
-    monkeypatch.setattr(ddh.sparse_lu, "lu_factor_rows", recorded)
+    monkeypatch.setattr(ddh.sparse_lu, "gth_factor", recorded)
     return results

@@ -32,9 +32,14 @@ code in ``ddh`` replaces with sparse worklist kernels:
   the Matrix Market writer visiting every dense entry;
 * the Matrix Market parser accumulating the entry lines into a dense
   n x n array;
-* the dense LU that updates every row below the pivot at every step,
-  |T|^3/3 multiply-adds on any block, where the product skips the rows
-  whose multiplier is zero.
+* the dense LU that updates the whole trailing block at every step,
+  where the product updates it in blocks of rows;
+* the exact solve of a comparison block given by its rows, by
+  ``Fraction`` Gauss-Jordan elimination, which the product's GTH
+  elimination of dominant Z-matrices is compared against;
+* the subset dominance test ``s_sdd_check`` over every cross pair, in
+  ``Fraction`` arithmetic, where the product tests each outside row
+  against the inside row of the largest ratio.
 
 The references keep the old signatures: each takes the matrix (and the
 tolerance), checks dominance itself and raises ``ValueError`` without
@@ -55,6 +60,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+from fractions import Fraction
 
 import numpy as np
 
@@ -501,8 +507,12 @@ def _gap_ratio(num: float, den: float) -> float:
     return 0.0
 
 
-def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
-    """Subset H-condition deciding a dominant inner block with ``is_h_dd``."""
+def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0, exact: bool = False) -> SHReport:
+    """Subset H-condition deciding a dominant inner block with ``is_h_dd``.
+
+    The inner block is solved by the dense ``lu_solve``, or with
+    ``exact`` by ``exact_solve``, whose lhs is the exact one rounded once.
+    """
     if S.universe_size != A.n:
         raise ValueError("subset universe does not match matrix order")
     if len(S) == 0 or S.is_full:
@@ -521,7 +531,12 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     b2 = min(ratios)
     note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
     outside_sums = np.array([partial_row_sum(A, i, sbar) for i in S.members])
-    x = lu_solve(comparison_matrix(sub), outside_sums)
+    if exact:
+        rows = [dict(enumerate(row)) for row in comparison_matrix(sub).tolist()]
+        x = exact_solve(rows, outside_sums)
+        x = None if x is None else np.array([float(abs(v)) for v in x])
+    else:
+        x = lu_solve(comparison_matrix(sub), outside_sums)
     if x is None:
         return SHReport(
             subset=S, lhs=None, b2=b2, satisfied=False, inner_h=False,
@@ -557,6 +572,52 @@ def lu_factor(M) -> LuFactorization:
         a[k + 1 :, k] /= a[k, k]
         a[k + 1 :, k + 1 :] -= np.outer(a[k + 1 :, k], a[k, k + 1 :])
     return LuFactorization(a, pivots, singular, threshold)
+
+
+def exact_solve(rows: list[dict[int, float]], b) -> list[Fraction] | None:
+    """x with M x = b exactly, M given by its ``{column: value}`` rows; None when M is singular.
+
+    Gauss-Jordan elimination in ``Fraction`` arithmetic, taking as pivot
+    the first nonzero entry of each column: with no rounding, any
+    nonzero pivot serves.  Every value must be finite.
+    """
+    n = len(rows)
+    a = [[Fraction(row.get(j, 0.0)) for j in range(n)] + [Fraction(v)] for row, v in zip(rows, b)]
+    for k in range(n):
+        p = next((i for i in range(k, n) if a[i][k]), None)
+        if p is None:
+            return None
+        a[k], a[p] = a[p], a[k]
+        pivot = a[k][k]
+        a[k] = [v / pivot for v in a[k]]
+        for i in range(n):
+            if i != k and a[i][k]:
+                m = a[i][k]
+                a[i] = [v - m * w for v, w in zip(a[i], a[k])]
+    return [row[n] for row in a]
+
+
+def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
+    """The two-condition subset dominance test over every cross pair, in exact arithmetic.
+
+    The row sums are ``partial_row_sum``'s floats, taken as exact; the
+    gaps and the products are ``Fraction``s.  Where a diagonal entry or
+    a sum is infinite, each pair is compared in floats.
+    """
+    if S.universe_size != A.n or len(S) == 0 or S.is_full:
+        raise ValueError("s_sdd_check requires a nonempty proper subset")
+    sbar = S.complement()
+    diag = A.diagonal_modulus
+    r_in = [partial_row_sum(A, i, S) for i in range(A.n)]
+    r_out = [partial_row_sum(A, i, sbar) for i in range(A.n)]
+    if not all(diag[i] > r_in[i] for i in S.members):
+        return False
+    if not all(map(np.isfinite, [*diag, *r_in, *r_out])):
+        return all((diag[i] - r_in[i]) * (diag[j] - r_out[j]) > r_out[i] * r_in[j]
+                   for i in S.members for j in sbar.members)
+    F = Fraction
+    return all((F(diag[i]) - F(r_in[i])) * (F(diag[j]) - F(r_out[j])) > F(r_out[i]) * F(r_in[j])
+               for i in S.members for j in sbar.members)
 
 
 def sh_key(rep):

@@ -71,6 +71,22 @@ class TestIndexSet:
         with pytest.raises(ValueError, match="out of range"):
             IndexSet((-1,), 3)
 
+    def test_only_outside_input_is_validated(self):
+        # kernel output skips the checks and equals the validated set;
+        # ``--subset`` and a report's lists still go through them, as the
+        # constructor does (the tests above)
+        from ddh.cli import _index_set
+
+        A = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]])
+        T = non_sdd_rows(A)
+        assert T == IndexSet((0, 1), 3) and T.complement() == IndexSet((2,), 3)
+        assert IndexSet.trusted((0, 1), 3) == IndexSet((0, 1), 3)
+        assert _index_set([3, 1, 3], 3) == IndexSet((0, 2), 3)
+        with pytest.raises(ValueError, match="out of range"):
+            _index_set([4], 3)
+        with pytest.raises(ValueError, match="strictly increasing"):
+            IndexSet((0, 0), 3)
+
     def test_complement_partitions(self):
         S = IndexSet((0, 2), 4)
         C = S.complement()

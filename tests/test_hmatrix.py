@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 from array import array
@@ -26,7 +27,7 @@ from ddh import (
 )
 import ddh.hmatrix
 import ddh.oracle
-import ddh.sparse_lu
+from ddh.cli import analyze_matrix, emit_json, verify_report
 from ddh.hmatrix import SCALING_SWEEP_CAP
 from helpers import (
     all_proper_nonempty_subsets,
@@ -112,6 +113,36 @@ class TestSSddCheck:
             s_sdd_check(A, IndexSet.empty(2))
         with pytest.raises(ValueError):
             s_sdd_check(A, IndexSet.full(2))
+
+    def test_products_compare_exactly(self):
+        # g_0 g_1 and c_0 c_1 round to the same float; exactly, the first is larger
+        g0, c0, c1, g1 = 3.762556148825985, 2.4558498082097246, 5.487869330429923, 3.5819752076847147
+        assert g0 * g1 == c0 * c1
+        assert s_sdd_check(Matrix([[g0, c0], [c1, g1]]), IndexSet((0,), 2))
+
+    def test_verify_of_a_wide_ssdd_set_builds_no_cross_array(self):
+        """Memory gate: 4,000 equality rows, each pointing at its own strict row.
+
+        The first peel level takes all of T, so ``analyze`` stores T as
+        ``ssdd_set``, and ``verify`` runs ``s_sdd_check`` on it: one pass
+        over S and one over its complement, under 10 MB of ``tracemalloc``
+        (the two 4,000 x 4,000 arrays of a pairwise test took 267 MB).
+        """
+        m = 4000
+        n = 2 * m
+        A = Matrix.from_nonzeros(
+            array("d", [1.0] * n), array("q", range(m)), array("q", range(m, n)), array("d", [1.0] * m)
+        )
+        report, problems = analyze_matrix(A)
+        report = json.loads(emit_json(report))
+        assert problems == [] and report["ssdd_set"] == list(range(1, m + 1))
+        tracemalloc.start()
+        try:
+            results = verify_report(report, A)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(ok for _, ok, _ in results) and peak < 10 << 20
 
 
 def _ssdd_set(A: Matrix):
@@ -211,18 +242,18 @@ class TestScalingCertificate:
             scaling_certificate(A, peel_levels(A))
 
     def test_exhausted_sweeps_solve_a_tridiagonal_matrix_by_rows(self, monkeypatch):
-        """Work and memory gate: the fallback solve of an order-2000 tridiagonal H-matrix.
+        """Work and memory gate: the fallback solve of an order-10^4 tridiagonal H-matrix.
 
         Unit neighbours, diagonal 2: the interior rows are equalities and
         the two end rows strict, so the Gauss-Seidel sweeps creep in from
         the ends and ``SCALING_SWEEP_CAP`` of them leave the margin
         nonpositive.  ``solved_scaling`` then hands the comparison matrix
-        to ``lu_solve`` by rows, and its factors stay tridiagonal: no
-        dense ``lu_factor`` runs and the whole certificate takes under
-        10 MB of ``tracemalloc`` (one dense copy of the matrix is 32 MB).
-        Its margin is the dense solve's, bit for bit.
+        to ``lu_solve`` by rows, a dominant Z-matrix that GTH elimination
+        solves with no fill: no dense ``lu_factor`` runs, and the solve
+        peaks under 2 KB of ``tracemalloc`` per row (one dense copy of the
+        matrix would be 800 MB).
         """
-        n = 2000
+        n = 10_000
         rows, cols = array("q"), array("q")
         for i in range(n):
             for j in (i - 1, i + 1):
@@ -230,24 +261,19 @@ class TestScalingCertificate:
                     rows.append(i)
                     cols.append(j)
         A = Matrix.from_nonzeros(array("d", [2.0] * n), rows, cols, array("d", [1.0]) * len(rows))
-        peel = peel_levels(A)
         dense_calls, solved = [], []
         factor, solve = ddh.oracle.lu_factor, ddh.hmatrix.solved_scaling
         monkeypatch.setattr(ddh.oracle, "lu_factor", lambda M: dense_calls.append(len(M)) or factor(M))
         monkeypatch.setattr(ddh.hmatrix, "solved_scaling", lambda B: solved.append(B) or solve(B))
+        cert = scaling_certificate(A, peel_levels(A))
+        assert solved == [A] and dense_calls == [] and is_valid_scaling(A, cert)
         tracemalloc.start()
         try:
-            cert = scaling_certificate(A, peel)
+            again = solve(A)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert solved == [A] and dense_calls == [] and peak < 10 << 20
-        assert is_valid_scaling(A, cert)
-        monkeypatch.setattr(ddh.sparse_lu, "lu_factor_rows", lambda rows: None)
-        dense = solve(A)
-        assert dense_calls == [n]
-        assert cert.margin.hex() == dense.margin.hex() == (1.998001997627341e-06).hex()
-        assert cert.d == dense.d
+        assert peak < 2000 * n and again.d == cert.d and dense_calls == []
 
     def test_overflowing_sweeps_stop_early(self):
         # off-diagonal ratios of 1e100: x overflows in the second sweep,

@@ -1,15 +1,16 @@
-"""Import gate: the structural commands run without loading numpy.
+"""Import gate: the default commands run without loading numpy.
 
 ``ddh verify`` re-checks the certificates with sums and graph walks, and
 ``ddh analyze`` of a strictly dominant matrix needs nothing more, so
-neither should pay for ``import numpy``.  ``analyze`` of the benchmark's
-``chain`` and ``wide`` inputs solves the subset H-condition's inner
-block by sparse elimination, whose factors stay small there, so it does
-not either.  Each command runs through ``ddh.cli.main`` in a fresh
-interpreter, which then reports whether ``numpy`` is in
-``sys.modules``.  This counts modules, not time.  On a ``ddh generate``
-ensemble matrix that block fills up and goes to the dense LU, so
-``analyze`` does load numpy: that case shows the gate can fail.
+neither should pay for ``import numpy``.  ``analyze`` of a dominant
+matrix solves the subset H-condition's inner block, a dominant
+Z-matrix, by GTH elimination in pure Python, so ``analyze`` of the
+benchmark's ``chain`` and ``wide`` inputs and of a ``ddh generate``
+ensemble matrix, whose inner block fills, do not load it either.  Each
+command runs through ``ddh.cli.main`` in a fresh interpreter, which
+then reports whether ``numpy`` is in ``sys.modules``.  This counts
+modules, not time.  ``analyze --oracle``, whose oracles build dense
+arrays, does load numpy: that case shows the gate can fail.
 """
 
 from __future__ import annotations
@@ -94,7 +95,14 @@ def test_analyze_of_a_benchmark_input_loads_no_numpy(tmp_path, make):
     assert _run_main("analyze", str(matrix)) == (0, False)
 
 
-def test_analyze_of_an_ensemble_input_loads_numpy_for_its_dense_solve(tmp_path):
-    """The first ensemble matrix of the benchmark's seed 1: its order-373 inner block fills up."""
-    assert _run_main("generate", *inputs.ENSEMBLE_FLAGS, "--seed", "3", "--out-dir", str(tmp_path)) == (0, True)
-    assert _run_main("analyze", str(tmp_path / "dd_3_0.mtx")) == (0, True)
+def test_analyze_of_an_ensemble_input_loads_no_numpy(tmp_path):
+    """Three ``ddh generate`` files of the benchmark's ensemble flags; their inner blocks fill.
+
+    ``generate`` itself draws with numpy, and so does ``analyze --oracle``.
+    """
+    assert _run_main(
+        "generate", *inputs.ENSEMBLE_FLAGS, "--seed", "3", "--count", "3", "--out-dir", str(tmp_path)
+    ) == (0, True)
+    for k in range(3):
+        assert _run_main("analyze", str(tmp_path / f"dd_3_{k}.mtx")) == (0, False)
+    assert _run_main("analyze", "--oracle", str(tmp_path / "dd_3_0.mtx")) == (0, True)

@@ -42,6 +42,7 @@ from ddh import (
     SHReport,
     SparsePattern,
     classify_dominance,
+    comparison_rows,
     find_ssdd_set_dd,
     interwoven_from_peeling,
     is_h_dd,
@@ -53,6 +54,7 @@ from ddh import (
     random_dd_matrix,
     s_h_check,
     s_h_from_peel,
+    s_sdd_check,
     split_row_sums,
 )
 from ddh.cli import analyze_matrix, emit_json, real_from_json, verify_report
@@ -64,7 +66,7 @@ from helpers import (
     is_valid_scaling,
     pattern_rows,
     proper_subsets,
-    record_sparse_factors,
+    record_gth_factors,
 )
 
 TOLERANCES = (0.0, 1e-12, 1e-3, 0.2)
@@ -142,13 +144,30 @@ def test_kernels_match_reference_bit_for_bit(A, data):
         )
 
 
+def _gth_solves(A: Matrix, S: IndexSet) -> bool:
+    """Whether ``s_h_check`` solves A's inner block on S by GTH elimination, not by the dense LU."""
+    if not 0 < len(S) < A.n:
+        return False
+    fac = ddh.sparse_lu.gth_factor(comparison_rows(principal_submatrix(A, S)))
+    if fac is None:
+        return False
+    _, out_s = split_row_sums(A, S)
+    x = ddh.sparse_lu._substitute(fac, [out_s[i] for i in S.members])
+    return fac.singular or all(map(math.isfinite, x))
+
+
 @settings(max_examples=300, deadline=None)
 @given(rounded_matrices(), st.data())
 def test_subset_checks_match_reference(A, data):
     """Every SHReport field, reals by their bits, and every raised error type.
 
     Arbitrary subsets of non-H matrices are where the inner verdict is
-    not implied by A's own scaling, so the subsets are drawn freely.
+    not implied by A's own scaling, so the subsets are drawn freely.  A
+    dominant inner block, which GTH elimination solves, is compared with
+    the reference's exact solve: lhs None exactly where the block is
+    singular, and otherwise within 1e-12 of the exact lhs, relatively;
+    ``satisfied`` may then differ only where lhs and b2 are that close.
+    Any other block is compared with the reference's dense solve.
     """
     S = data.draw(proper_subsets(A.n))
     for tol in TOLERANCES:
@@ -158,35 +177,24 @@ def test_subset_checks_match_reference(A, data):
         T = non_sdd_rows(A, tol)
         for subset in (S, T):
             got = _outcome(s_h_check, A, subset, tol)
-            expected = _outcome(reference.s_h_check, A, subset, tol)
+            exact = _gth_solves(A, subset)
+            expected = _outcome(reference.s_h_check, A, subset, tol, exact)
             if expected is InconsistencyError and got is not InconsistencyError:
                 _assert_only_the_inner_scaling_failed(A, subset, tol, got)
+            elif exact:
+                event("GTH elimination")
+                same = dict(lhs=None, satisfied=False)
+                assert reference.sh_key(dataclasses.replace(got, **same)) == reference.sh_key(
+                    dataclasses.replace(expected, **same)
+                )
+                assert (got.lhs is None) == (expected.lhs is None)
+                if got.lhs is not None:
+                    assert abs(got.lhs - expected.lhs) <= 1e-12 * expected.lhs
+                    assert got.satisfied == (got.inner_h and got.lhs < got.b2)
+                    tie = abs(got.lhs - got.b2) <= 1e-12 * got.lhs
+                    assert got.satisfied == expected.satisfied or tie
             else:
                 assert reference.sh_key(got) == reference.sh_key(expected)
-
-
-@settings(max_examples=300, deadline=None)
-@given(rounded_matrices(), st.data())
-def test_subset_h_condition_is_the_same_on_both_lu_paths(A, data):
-    """Every SHReport field, reals by their bits, whichever LU solves the inner block.
-
-    ``s_h_check`` hands its rows to ``lu_solve``: once eliminated by
-    ``lu_factor_rows`` with no budget, once handed straight to the
-    dense ``lu_factor``.  The pivots and the substitution order are the
-    same, so no field may differ, at tol 0 and at 1e-3, on T and on a
-    drawn subset.
-    """
-    S = data.draw(proper_subsets(A.n))
-    for tol in (0.0, 1e-3):
-        T = non_sdd_rows(A, tol)
-        for subset in (S, T):
-            if len(subset) == 0 or subset.is_full:
-                continue
-            with mock.patch.object(ddh.sparse_lu, "SPARSE_LU_BUDGET", math.inf):
-                sparse = _outcome(s_h_check, A, subset, tol)
-            with mock.patch.object(ddh.sparse_lu, "lu_factor_rows", lambda rows: None):
-                dense = _outcome(s_h_check, A, subset, tol)
-            assert reference.sh_key(sparse) == reference.sh_key(dense)
 
 
 @settings(max_examples=300, deadline=None)
@@ -253,6 +261,40 @@ def test_buffer_kernels_match_numpy_bit_for_bit(A, data):
     assert A.pattern.has_edges(rows, cols) == reference.vectorized_has_edges(A, rows, cols).tolist()
 
 
+@st.composite
+def near_ties(draw):
+    """[[g_0, c_0], [c_1, g_1]] with g_1 within two ulps of c_0 c_1 / g_0, or g_0 infinite.
+
+    On S = {0} the cross test g_0 g_1 > c_0 c_1 then turns on the last
+    bits of the two products.
+    """
+    c0, c1, g0 = (draw(st.floats(0.1, 10.0)) for _ in range(3))
+    g1 = c0 * c1 / g0
+    for _ in range(draw(st.integers(0, 2))):
+        g1 = math.nextafter(g1, draw(st.sampled_from((math.inf, -math.inf))))
+    if draw(st.integers(0, 9)) == 0:
+        g0 = math.inf
+    return Matrix([[g0, c0], [c1, g1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rounded_matrices(max_n=8), complex_matrices(max_n=6), near_ties()), st.data())
+def test_s_sdd_check_is_the_exact_pairwise_test(A, data):
+    """``s_sdd_check``'s test against one inside row per outside row is the test over every pair.
+
+    Rounded rows and near ties put products within an ulp of each other;
+    complex entries and near ties bring infinite moduli, where the pairs
+    are compared in floats.
+    """
+    assume(A.n > 1)
+    members = data.draw(st.lists(st.integers(0, A.n - 1), min_size=1, max_size=A.n - 1, unique=True))
+    S = IndexSet((0,), 2) if A.n == 2 else IndexSet.from_indices(members, A.n)
+    passes = s_sdd_check(A, S)
+    infinite = math.inf in A.diagonal_modulus or math.inf in A.pattern.data
+    event(f"passes: {passes}, infinite modulus: {infinite}")
+    assert passes == reference.s_sdd_check(A, S)
+
+
 def _sh_forgeries(sh: dict):
     """A report's ``sh`` object, then forgeries of each of its fields."""
     yield sh
@@ -301,43 +343,30 @@ def test_sh_off_the_peel_passes_and_fails_as_the_dense_check(A):
 
     Rounded rows mostly take the dense check; dyadic ones (exact
     equalities) mostly take the no-solve one.  The no-solve comparison
-    alone fails every forgery, and passes the report wherever
-    ``analyze``'s LU found the exact values: lhs null exactly on a
-    stall, 1 to rtol 1e-9 on H, and b2 bit for bit.  The LU strays in
-    two ways only, on H blocks: its lhs misses 1 on a graded block, or
-    its pivot threshold calls the block singular (``analyze`` then flags
-    inner_h against is_h).  The dense check passes those reports, and so
-    does the product.
+    alone fails every forgery, and passes the report wherever it
+    applies: ``analyze``'s GTH elimination finds lhs null exactly on a
+    stall and 1 to rtol 1e-9 on H, and b2 is bit for bit the same.
     """
     T = non_sdd_rows(A)
     assume(classify_dominance(A).is_dd and 0 < len(T) < A.n)
     analyzed = _outcome(analyze_matrix, A)
     assume(analyzed is not InconsistencyError)  # analyze emits no report then
-    report, problems = json.loads(emit_json(analyzed[0])), analyzed[1]
+    report = json.loads(emit_json(analyzed[0]))
     stored = report["sh"]
     no_solve = s_h_from_peel(A, peel_levels(A))
-    exact = no_solve is not None and real_from_json(stored["b2"]) == no_solve.b2 and (
-        stored["inner_h"] == no_solve.inner_h
-        and (stored["lhs"] is None) == (no_solve.lhs is None)
-        and (stored["lhs"] is None or abs(stored["lhs"] - 1.0) <= 1e-9)
-    )
     if no_solve is None:
         event("dense branch")
-    elif exact:
-        event("no-solve branch")
-    elif stored["inner_h"]:
-        event("no-solve branch, analyze's lhs off 1")
-        assert abs(stored["lhs"] - 1.0) > 1e-9 and no_solve.inner_h
     else:
-        event("no-solve branch, analyze's LU calls an H block singular")
-        assert "subset H-condition inner_h=False disagrees with is_h=True" in problems
-        assert stored["lhs"] is None and no_solve.inner_h
+        event("no-solve branch")
+        assert real_from_json(stored["b2"]) == no_solve.b2 and stored["inner_h"] == no_solve.inner_h
+        assert (stored["lhs"] is None) == (no_solve.lhs is None)
+        assert stored["lhs"] is None or abs(stored["lhs"] - 1.0) <= 1e-9
     for k, sh in enumerate(_sh_forgeries(stored)):
         forged = {**report, "sh": sh}
         dense = _verdicts(forged, A, "dense")
         assert _verdicts(forged, A) == dense and dict(dense)["sh"] == (k == 0)
         if no_solve is not None:
-            assert dict(_verdicts(forged, A, "no-solve"))["sh"] == (k == 0 and exact)
+            assert dict(_verdicts(forged, A, "no-solve"))["sh"] == (k == 0)
 
 
 @pytest.mark.parametrize(
@@ -363,26 +392,27 @@ def test_rows_equal_only_after_rounding_take_the_dense_check(entries):
 
 
 @pytest.mark.parametrize(
-    "entries, flagged",
+    "entries",
     [
-        # graded dyadic rows: analyze's LU puts lhs 6e-8 off its exact value 1
-        ([[2.6702880859375e-05, 0.0, 2.6702880859375e-05, 0.0],
-          [5.340576171875e-05, 7.000053822994232, 7.0, 4.172325134277344e-07],
-          [2.288818359375e-05, 0.0009765625, 0.00099945068359375, 0.0],
-          [0.0, 0.0, 0.0546875, 1.0546875]], False),
-        # the LU pivot threshold calls the H block [[0.25, 0], [-1e-20, 1e-20]] singular
-        ([[1.5, 1.0, 1e-16], [0.25, 0.25, 0.0], [0.0, 1e-20, 1e-20]], True),
+        # graded dyadic rows: the dense LU put lhs 6e-8 off its exact value 1
+        [[2.6702880859375e-05, 0.0, 2.6702880859375e-05, 0.0],
+         [5.340576171875e-05, 7.000053822994232, 7.0, 4.172325134277344e-07],
+         [2.288818359375e-05, 0.0009765625, 0.00099945068359375, 0.0],
+         [0.0, 0.0, 0.0546875, 1.0546875]],
+        # the dense LU's pivot threshold called the H block [[0.25, 0], [-1e-20, 1e-20]] singular
+        [[1.5, 1.0, 1e-16], [0.25, 0.25, 0.0], [0.0, 1e-20, 1e-20]],
     ],
     ids=["lhs-off-1", "h-block-called-singular"],
 )
-def test_where_the_analyze_lu_strays_verify_passes_as_before(entries, flagged):
+def test_where_the_analyze_lu_strays_verify_passes_as_before(entries):
+    """Where the dense LU strayed, GTH elimination finds the exact lhs of 1; every check passes."""
     A = Matrix(entries)
     report, problems = analyze_matrix(A)
     report = json.loads(emit_json(report))
     assert report["is_h"] is True and s_h_from_peel(A, peel_levels(A)).lhs == 1.0
-    assert bool(problems) is flagged
-    assert not dict(_verdicts(report, A, "no-solve"))["sh"]
-    assert all(ok for _, ok in _verdicts(report, A)) and all(ok for _, ok in _verdicts(report, A, "dense"))
+    assert problems == [] and report["sh"]["lhs"] == 1.0
+    for branch in ("product", "dense", "no-solve"):
+        assert all(ok for _, ok in _verdicts(report, A, branch))
 
 
 def _assert_only_the_inner_scaling_failed(A, S, tol, got):
@@ -630,12 +660,12 @@ def test_report_is_linear_in_the_order(monkeypatch):
     Its chains run n - 1 deep, so full paths, or every active set of the
     peel, would hold about n^2/2 indices.  The report holds one next hop
     per row of T and each row of T in one peel level.  The one subset
-    LU on T, an upper bidiagonal block, runs by rows: every multiplier
-    is zero, so it updates no entry and never hands over to the dense
-    ``lu_factor`` (whose dense loop updated (n - 1)(n - 2)/2 rows).
+    solve on T, an upper bidiagonal block, is a GTH elimination: each
+    pivot is a row whose column no remaining row holds, so it updates no
+    entry and never hands over to the dense ``lu_factor``.
     """
     paths = _count_path_views(monkeypatch)
-    factors = record_sparse_factors(monkeypatch)
+    factors = record_gth_factors(monkeypatch)
     solves = _count_calls(monkeypatch, ("lu_solve", "lu_factor"))
     n = 2000
     A = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
@@ -647,7 +677,7 @@ def test_report_is_linear_in_the_order(monkeypatch):
     assert sum(len(level) for level in report["peel_trace"]) == n - 1
     assert paths["paths"] == 0
     assert solves == {"lu_solve": 1, "lu_factor": 0}
-    assert [lu.updates for lu in factors] == [0]
+    assert [fac.updates for fac in factors] == [0]
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,10 +1,11 @@
 import math
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -67,11 +68,9 @@ class TestLu:
         assert lu_solve([[1.0, 1.0], [1.0, 1.0 + eps]], [1.0, 1.0]) is None
 
     def test_dense_block_updates_every_row(self, monkeypatch):
-        """Work gate: on a dense full-rank block every multiplier is nonzero.
+        """Work gate: the dense LU updates every row below each pivot, n(n - 1)/2 in all.
 
-        So the elimination updates the reference's n(n - 1)/2 rows, and
-        skips only where a multiplier is zero (the order-2000 chain of
-        ``test_report_is_linear_in_the_order`` updates none).
+        It does so in blocks of rows, and the reference all at once.
         """
         updated = count_updated_rows(monkeypatch)
         n = 30
@@ -123,11 +122,7 @@ def _solve_outcome(M, B):
 @settings(max_examples=400, deadline=None)
 @given(lu_problems())
 def test_lu_factor_matches_the_dense_reference(problem):
-    """Skipping zero multipliers changes no pivot, factor or solution but a zero's sign.
-
-    Where the pivot row's trailing part holds an inf or a NaN the
-    product updates every row, as the reference does: 0 * inf is NaN.
-    """
+    """Updating in blocks of rows changes no pivot, factor or solution but a zero's sign."""
     M, B = problem
     with np.errstate(all="ignore"):
         got, want = lu_factor(M), reference.lu_factor(M)
@@ -165,43 +160,57 @@ def test_dense_lu_temporaries_stay_small():
     assert x is not None and peak <= 1.25 * M.nbytes
 
 
-#: ties, explicit zeros of either sign and values at the pivot threshold of 2.0 (2e-12)
-SPARSE_ENTRIES = st.one_of(
-    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, -2.0, 0.5, 2e-12, -2e-12, 1.9e-12, 2.1e-12, 1e-300]),
-    st.floats(-3.0, 3.0),
-)
-RHS_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e300]), st.floats(-4.0, 4.0))
-NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+#: off-diagonal magnitudes, with exact binary values among them, and the
+#: diagonal's excess over their sum: 0 makes an equality row
+Z_ENTRIES = st.one_of(st.sampled_from([1e-20, 0.1, 0.25, 1.0, 3.0]), st.floats(1e-3, 4.0))
+Z_GAPS = st.sampled_from([0.0, 1e-20, 0.5, 1.0, 2.0])
+#: values at and below the normal float range
+TINY = st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300])
+#: a change that takes a row out of the GTH path: a negative gap, a positive
+#: off-diagonal entry, an inf or a NaN
+SPOILERS = st.sampled_from(["negative gap", "positive entry", "inf", "nan"])
 
 
 @st.composite
-def sparse_lu_problems(draw):
-    """Rows of a square matrix of order 1-9 as {column: value} dicts, and a right-hand side.
+def dominant_z_blocks(draw):
+    """A dominant Z-matrix of order 1-7 by rows, a right-hand side b >= 0, a spoiler, a flag.
 
-    A row holds a drawn set of columns (all of them in about a third of
-    the blocks, which then fill up and exhaust the sparse budget),
-    mostly a dominant diagonal.  In about a quarter of the blocks one
-    row is another times 2 (exactly singular).  About one block in ten,
-    and one right-hand side in ten, holds an inf or a NaN.
+    Each row holds a drawn set of off-diagonal entries -c_ij and a
+    diagonal at least their exact sum (``math.fsum``, one ulp up where
+    that rounded down) plus a drawn gap, often 0: equality rows, closed
+    blocks and zero rows make singular blocks.  In half the blocks, which
+    the flag marks, the entries and gaps may also be ``TINY``.  In about one block in five
+    one row is spoiled (``SPOILERS``) and the block must go dense.
     """
-    n = draw(st.integers(1, 9))
-    full = draw(st.integers(0, 2)) == 0
+    n = draw(st.integers(1, 7))
+    entries, gaps = Z_ENTRIES, Z_GAPS
+    tiny = draw(st.booleans())
+    if tiny:
+        entries, gaps = st.one_of(entries, TINY), st.one_of(gaps, TINY)
     rows = []
     for i in range(n):
-        cols = range(n) if full else sorted(draw(st.sets(st.integers(0, n - 1), max_size=n)))
-        row = dict(zip(cols, draw(st.lists(SPARSE_ENTRIES, min_size=len(cols), max_size=len(cols)))))
-        if draw(st.integers(0, 3)):
-            row[i] = 1.0 + sum(abs(v) for v in row.values())
+        others = [j for j in range(n) if j != i]
+        cols = sorted(draw(st.sets(st.sampled_from(others)))) if others else []
+        cs = draw(st.lists(entries, min_size=len(cols), max_size=len(cols)))
+        diag = math.fsum(cs)
+        if Fraction(diag) < sum(map(Fraction, cs)):
+            diag = math.nextafter(diag, math.inf)
+        row = {j: -c for j, c in zip(cols, cs)}
+        row[i] = diag + draw(gaps)
         rows.append(row)
-    if n > 1 and draw(st.integers(0, 3)) == 0:
-        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
-        rows[j] = {k: 2.0 * v for k, v in rows[i].items()}
-    if draw(st.integers(0, 9)) == 0:
-        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(NON_FINITE)
-    b = draw(st.lists(RHS_ENTRIES, min_size=n, max_size=n))
-    if draw(st.integers(0, 9)) == 0:
-        b[draw(st.integers(0, n - 1))] = draw(NON_FINITE)
-    return rows, b
+    b = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.25, 4.0)), min_size=n, max_size=n))
+    spoiler = draw(st.one_of(st.none(), st.none(), st.none(), st.none(), SPOILERS))
+    if spoiler is not None:
+        i = draw(st.integers(0, n - 1))
+        if spoiler == "negative gap":
+            rows[i][i] = math.nextafter(-sum(v for j, v in rows[i].items() if j != i), -math.inf)
+        elif spoiler == "positive entry" and n > 1:
+            rows[i][(i + 1) % n] = 0.5
+        elif spoiler in ("inf", "nan"):
+            rows[i][draw(st.integers(0, n - 1))] = math.inf if spoiler == "inf" else math.nan
+        else:
+            spoiler = None
+    return rows, b, spoiler, tiny
 
 
 def _dense(rows) -> np.ndarray:
@@ -212,65 +221,62 @@ def _dense(rows) -> np.ndarray:
     return M
 
 
-def _packed(lu, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The sparse factors in ``lu_factor``'s packed layout, and where they are set."""
-    packed, mask = np.zeros((n, n)), np.zeros((n, n), dtype=bool)
-    for k, step in enumerate(lu.lower):
-        mask[k + 1 :, k] = True
-        for i, m in step:
-            packed[i, k] = m
-    for k, row in enumerate(lu.upper):
-        mask[k, k:] = True
-        for j, u in row.items():
-            packed[k, j] = u
-    return packed, mask
-
-
 def _bits(x) -> list[str] | None:
     return None if x is None else [float(v).hex() for v in x]
 
 
-@settings(max_examples=500, deadline=None)
-@given(sparse_lu_problems())
-@example(([{0: 1.0}, {1: 1e-10}], [1e300, 1e300]))  # x_1 = inf meets u_01 = 0: no NaN
-def test_sparse_lu_is_the_dense_lu(problem):
-    """``lu_factor_rows`` against ``lu_factor`` and the reference's dense loop.
+# row 0 has gap 2^-1074 and pivot 2^-1022 + 2^-1074, so f g_0 for row 1
+# rounds to 0: without the hand-over, row 1 would be left a zero row and
+# this block, whose determinant is 2^-1074 * 1e-310, called singular
+@example(([{0: math.nextafter(2.2250738585072014e-308, 1.0), 1: -2.2250738585072014e-308},
+           {0: -1e-310, 1: 1e-310}], [1.0, 1.0], None, True))
+# an H block that ``lu_factor``'s pivot threshold calls singular
+@example(([{0: 0.25}, {0: -1e-20, 1: 1e-20}], [0.25, 1e-20], None, False))
+@settings(max_examples=300, deadline=None)
+@given(dominant_z_blocks())
+def test_gth_elimination_matches_the_exact_solve(problem):
+    """``sparse_lu.gth_factor`` against the exact ``Fraction`` solve.
 
-    Run without a budget, the sparse elimination finds the same
-    singular flag, threshold and pivot order, and every factor it sets
-    equals the dense one (a zero's sign aside).  With the budget, it
-    hands over exactly when its updates pass it.  Non-finite input
-    always hands over.  ``lu_solve`` on the rows, on the dense array
-    and on the dense array with the reference's loop gives the same
-    exception or the same x, bit for bit.
+    A block it eliminates is singular exactly when the exact solve finds
+    it singular: a zero pivot is a zero row, which an underflow cannot
+    fake, since a product below the normal range hands the block to the
+    dense LU.  Only such a product hands a dominant block over, so only
+    a block with ``TINY`` values (the budget is 8 n^2 updates, and order
+    7 needs at most n^3 / 3).  Elsewhere each x_i is within 1e-12 of the
+    exact value, relatively.  ``lu_solve`` returns the elimination's x
+    unless it overflows.  A spoiled row goes to the dense LU, and
+    ``lu_solve`` of the rows is then ``lu_solve`` of the dense array,
+    bit for bit, or raises the same error.
     """
-    rows, b = problem
-    n = len(rows)
-    M = _dense(rows)
-    with mock.patch.object(sparse_lu, "SPARSE_LU_BUDGET", math.inf):
-        unbounded = sparse_lu.lu_factor_rows(rows)
-    bounded = sparse_lu.lu_factor_rows(rows)
+    rows, b, spoiler, tiny = problem
+    fac = sparse_lu.gth_factor(rows)
     with np.errstate(all="ignore"):
-        dense, loop = lu_factor(M), reference.lu_factor(M)
         x, x_error = _solve_outcome(rows, b)
-        y, y_error = _solve_outcome(M, np.array(b))
-        with mock.patch.object(oracle, "lu_factor", reference.lu_factor):
-            z, z_error = _solve_outcome(M, np.array(b))
-    if not np.isfinite(M).all():
-        assert unbounded is None and bounded is None
-    else:
-        assert unbounded.singular == dense.singular == loop.singular
-        assert unbounded.pivot_threshold.hex() == dense.pivot_threshold.hex() == loop.pivot_threshold.hex()
-        assert unbounded.pivots == dense.pivots.tolist() == loop.pivots.tolist()
-        packed, mask = _packed(unbounded, n)
-        assert np.array_equal(packed[mask], dense.factors[mask])
-        assert np.array_equal(packed[mask], loop.factors[mask])
-        budget = sparse_lu.SPARSE_LU_BUDGET * (n + sum(map(len, rows)))
-        assert (bounded is None) == (unbounded.updates > budget)
-        if bounded is not None:
-            assert bounded.pivots == unbounded.pivots and bounded.updates == unbounded.updates
-    assert x_error == y_error == z_error
-    assert _bits(x) == _bits(y) == _bits(z)
+        if fac is None:
+            y, y_error = _solve_outcome(_dense(rows), np.array(b))
+            assert x_error == y_error and _bits(x) == _bits(y)
+    if spoiler is not None:
+        event("spoiled: dense")
+        assert fac is None
+        return
+    if fac is None:
+        event("a product below the normal range: dense")
+        assert tiny
+        return
+    exact = reference.exact_solve(rows, b)
+    assert fac.singular == (exact is None) and x_error is None
+    if fac.singular:
+        event("singular")
+        assert x is None
+        return
+    event("solved, TINY values" if tiny else "solved")
+    substituted = sparse_lu._substitute(fac, b)
+    if not all(map(math.isfinite, substituted)):
+        return  # x past the float range: ``solve_rows`` hands it to the dense LU
+    assert _bits(x) == _bits(substituted)
+    if not tiny:
+        for got, want in zip(x, exact):
+            assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
 
 
 class TestInverseNonnegOracle:
