@@ -18,7 +18,6 @@ certificates are read off those two, so only their leftovers are stored.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
@@ -603,7 +602,9 @@ def _cmd_generate(args) -> int:
         print(f"ddh: cannot create {out_dir}: {exc}", file=sys.stderr)
         return 2
     for k in range(args.count):
-        matrix = random_dd_matrix(dataclasses.replace(spec, seed=derive_seed(args.seed, k)))
+        matrix = random_dd_matrix(
+            EnsembleSpec(spec.n, spec.density, spec.equality_rows, derive_seed(args.seed, k))
+        )
         chunks = matrix_market_chunks(
             matrix, comments=(f"ddh generate seed={args.seed} index={k}",)
         )

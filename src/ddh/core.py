@@ -38,18 +38,17 @@ from __future__ import annotations
 import math
 from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, pairwise
+from typing import NamedTuple
 
 
 class InconsistencyError(RuntimeError):
     """A certified quantity failed its own self-check."""
 
 
-@dataclass(frozen=True, eq=False)
-class SparsePattern:
+class SparsePattern(NamedTuple):
     """Off-diagonal nonzeros of a matrix modulus, by rows and by columns.
 
     This is the sparsity graph of the matrix, the only one the package
@@ -284,33 +283,51 @@ def _dense(A: Matrix, off, diag):
     return out
 
 
-@dataclass(frozen=True)
-class IndexSet:
+class _Frozen:
+    """Base of the records a ``NamedTuple`` cannot hold: fields set once, in the constructor.
+
+    Assigning or deleting a field raises ``AttributeError``; a
+    ``cached_property`` still fills the instance dictionary.
+    """
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class IndexSet(_Frozen):
     """Sorted set of distinct 0-based indices over a universe {0..n-1}.
 
     The constructor validates outside input; ``trusted`` takes sorted kernel output as is.
+    Two sets are equal, and hash alike, when their members and universes are.
     """
 
-    members: tuple[int, ...]
-    universe_size: int
-
-    def __post_init__(self):
-        members = tuple(int(m) for m in self.members)
-        object.__setattr__(self, "members", members)
-        if self.universe_size < 0:
+    def __init__(self, members: tuple[int, ...], universe_size: int):
+        members = tuple(int(m) for m in members)
+        if universe_size < 0:
             raise ValueError("universe_size must be nonnegative")
-        if any(not 0 <= m < self.universe_size for m in members):
+        if any(not 0 <= m < universe_size for m in members):
             raise ValueError("members out of range for universe")
         if any(a >= b for a, b in zip(members, members[1:])):
             raise ValueError("members must be strictly increasing")
+        self.__dict__.update(members=members, universe_size=universe_size)
 
     @classmethod
     def trusted(cls, members: tuple[int, ...], universe_size: int) -> "IndexSet":
         """The set of ``members``, which the caller guarantees are increasing ints in range."""
         S = cls.__new__(cls)
-        object.__setattr__(S, "members", members)
-        object.__setattr__(S, "universe_size", universe_size)
+        S.__dict__.update(members=members, universe_size=universe_size)
         return S
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.members == other.members and self.universe_size == other.universe_size
+
+    def __hash__(self) -> int:
+        return hash((self.members, self.universe_size))
 
     @classmethod
     def from_indices(cls, indices, universe_size: int) -> "IndexSet":
@@ -442,8 +459,7 @@ def non_sdd_rows(A: Matrix, tol: float = 0.0) -> IndexSet:
     return IndexSet.trusted(tuple(i for i, code in enumerate(s) if code <= 0), A.n)
 
 
-@dataclass(frozen=True, eq=False)
-class Peel:
+class Peel(NamedTuple):
     """Level structure of the recursive peel onto the non-strict rows.
 
     With T_0 = ``t_set`` and T_{k+1} = T_k minus ``levels[k]``, each

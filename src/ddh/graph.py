@@ -18,14 +18,12 @@ first discovered parent, so the reported next hops are deterministic.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 
-from .core import IndexSet, Matrix, non_sdd_rows
+from .core import IndexSet, Matrix, _Frozen, non_sdd_rows
 
 
-@dataclass(frozen=True, eq=False)
-class ChainReport:
+class ChainReport(_Frozen):
     """Shortest chains from the members of ``subset`` to indices outside it.
 
     ``reached`` lists the members with such a chain along nonzero
@@ -41,6 +39,11 @@ class ChainReport:
     reached: tuple[int, ...]
     next_hop: dict[int, int]
     unreachable: IndexSet
+
+    def __init__(self, subset: IndexSet, reached: tuple[int, ...], next_hop: dict[int, int],
+                 unreachable: IndexSet):
+        self.__dict__.update(subset=subset, reached=reached, next_hop=next_hop,
+                             unreachable=unreachable)
 
     @property
     def holds(self) -> bool:

@@ -37,8 +37,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .core import (
     DominanceClass,
@@ -63,8 +63,7 @@ class PeelReason(Enum):
     STAGNANT_PEEL = "StagnantPeel"
 
 
-@dataclass(frozen=True, eq=False)
-class ScalingCertificate:
+class ScalingCertificate(NamedTuple):
     """Positive column scaling making the matrix strictly dominant.
 
     ``margin`` is the smallest scaled dominance gap
@@ -79,8 +78,7 @@ class ScalingCertificate:
     margin: float
 
 
-@dataclass(frozen=True, eq=False)
-class HVerdict:
+class HVerdict(NamedTuple):
     """Outcome of the recursive peel with its full trace.
 
     ``peel`` is the level structure the verdict was read from.
@@ -315,8 +313,7 @@ def find_ssdd_set_dd(peel: Peel) -> IndexSet | None:
     return None
 
 
-@dataclass(frozen=True, eq=False)
-class SHReport:
+class SHReport(NamedTuple):
     """Outcome of the subset H-condition on ``subset``.
 
     ``lhs`` is the infinity norm of the inner comparison block's inverse

@@ -25,14 +25,13 @@ closure and a brute-force search stay in the test suite as references.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import IndexSet, Matrix, Peel
 from .graph import ChainReport, chains_out_of
 
 
-@dataclass(frozen=True)
-class InterwovenCertificate:
+class InterwovenCertificate(NamedTuple):
     """Sequences witnessing that ``subset`` is interwoven.
 
     ``p_seq`` holds |S|-1 distinct members of S, ``q_seq`` their

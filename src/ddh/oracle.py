@@ -31,11 +31,10 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
-from .core import InconsistencyError, Matrix, comparison_matrix
+from .core import InconsistencyError, Matrix, _Frozen, comparison_matrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,8 +55,7 @@ JACOBI_MARGIN = 1e-9
 JACOBI_BAND = 1e-6
 
 
-@dataclass(frozen=True, eq=False)
-class LuFactorization:
+class LuFactorization(NamedTuple):
     """Packed L\\U factors with the row permutation applied during pivoting."""
 
     factors: np.ndarray
@@ -169,7 +167,18 @@ def _solve_factored(fac: LuFactorization, B: np.ndarray) -> np.ndarray:
     return y
 
 
-def _check_residual(worst: float, bound: float):
+def _check_residual(worst: float, norm_m: float, top: float):
+    """Raise unless the largest |x_i| ``top`` and the residual ``worst`` are finite and in bound.
+
+    The bound is ``LU_RESIDUAL_RTOL * norm_m * top``.  An inf or a NaN
+    in x makes the bound inf or NaN too, which no ``>`` test fails, so a
+    non-finite x or residual is rejected on its own, by name.
+    """
+    if not math.isfinite(top):
+        raise InconsistencyError(f"LU solution is not finite: max |x_i| is {top}")
+    if not math.isfinite(worst):
+        raise InconsistencyError(f"LU residual {worst} is not finite")
+    bound = LU_RESIDUAL_RTOL * norm_m * top
     if worst > bound:
         raise InconsistencyError(f"LU residual {worst:.3e} exceeds bound {bound:.3e}")
 
@@ -189,8 +198,8 @@ def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
     residual = np.abs(a @ x - b)
     norm_m = _norm_inf(a)
     for col in range(x.shape[1]):
-        bound = LU_RESIDUAL_RTOL * norm_m * float(np.max(np.abs(x[:, col])))
-        _check_residual(float(np.max(residual[:, col])) if residual.size else 0.0, bound)
+        top = float(np.max(np.abs(x[:, col])))
+        _check_residual(float(np.max(residual[:, col])) if residual.size else 0.0, norm_m, top)
     return x[:, 0] if one_dim else x
 
 
@@ -309,23 +318,31 @@ def derive_seed(seed: int, k: int) -> int:
     return _mix64((int(seed) + int(k) * _GAMMA) & _MASK64)
 
 
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Parameters of one random diagonally dominant matrix."""
+class EnsembleSpec(_Frozen):
+    """Parameters of one random diagonally dominant matrix; equal when every parameter is."""
 
-    n: int
-    density: float
-    equality_rows: float
-    seed: int
-    complex_entries: bool = False
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, density: float, equality_rows: float, seed: int,
+                 complex_entries: bool = False):
+        if n < 1:
             raise ValueError("ensemble order must be at least 1")
-        if not (0.0 <= self.density <= 1.0):
+        if not (0.0 <= density <= 1.0):
             raise ValueError("density must lie in [0, 1]")
-        if not (0.0 <= self.equality_rows <= 1.0):
+        if not (0.0 <= equality_rows <= 1.0):
             raise ValueError("equality_rows must lie in [0, 1]")
+        self.__dict__.update(n=n, density=density, equality_rows=equality_rows, seed=seed,
+                             complex_entries=complex_entries)
+
+    def _key(self) -> tuple:
+        return (self.n, self.density, self.equality_rows, self.seed, self.complex_entries)
+
+    def __eq__(self, other):
+        return self._key() == other._key() if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "EnsembleSpec(" + ", ".join(f"{k}={v!r}" for k, v in self.__dict__.items()) + ")"
 
 
 _PHASES = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)

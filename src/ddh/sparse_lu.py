@@ -19,7 +19,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .oracle import LU_RESIDUAL_RTOL, _check_residual, _max_abs, _solve_dense
+from .oracle import _check_residual, _max_abs, _solve_dense
 
 #: ``gth_factor`` hands over to the dense ``lu_factor`` once its entry
 #: updates pass this multiple of n^2, the dense LU's storage (it does n^3/3
@@ -177,5 +177,5 @@ def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | No
             size += abs(v)
         residual.append(total - rhs)
         norm_m = max(norm_m, size)
-    _check_residual(_max_abs(residual), LU_RESIDUAL_RTOL * norm_m * _max_abs(x))
+    _check_residual(_max_abs(residual), norm_m, _max_abs(x))
     return x

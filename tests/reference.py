@@ -402,7 +402,7 @@ def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
     verdict = peel_verdict(A, tol)
     if not verdict.is_h:
         return verdict
-    return dataclasses.replace(verdict, scaling=scaling_certificate(A))
+    return verdict._replace(scaling=scaling_certificate(A))
 
 
 def _trivial_certificate(S: IndexSet) -> InterwovenCertificate:

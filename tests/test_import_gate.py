@@ -1,4 +1,4 @@
-"""Import gate: the default commands run without loading numpy.
+"""Import gate: the default commands run without loading numpy, dataclasses or inspect.
 
 ``ddh verify`` re-checks the certificates with sums and graph walks, and
 ``ddh analyze`` of a strictly dominant matrix needs nothing more, so
@@ -6,9 +6,12 @@ neither should pay for ``import numpy``.  ``analyze`` of a dominant
 matrix solves the subset H-condition's inner block, a dominant
 Z-matrix, by GTH elimination in pure Python, so ``analyze`` of the
 benchmark's ``chain`` and ``wide`` inputs and of a ``ddh generate``
-ensemble matrix, whose inner block fills, do not load it either.  Each
+ensemble matrix, whose inner block fills, do not load it either.  The
+package's records are ``NamedTuple``s and small classes, not
+dataclasses, so no command pays for ``import dataclasses`` and the
+``inspect``, ``ast``, ``dis`` and ``tokenize`` it pulls in.  Each
 command runs through ``ddh.cli.main`` in a fresh interpreter, which
-then reports whether ``numpy`` is in ``sys.modules``.  This counts
+then reports which of ``WATCHED`` are in ``sys.modules``.  This counts
 modules, not time.  ``analyze --oracle``, whose oracles build dense
 arrays, does load numpy: that case shows the gate can fail.
 """
@@ -33,8 +36,11 @@ if str(ROOT / "perfbench") not in sys.path:
 
 import inputs  # noqa: E402  (perfbench module, found through sys.path)
 
-# prints main's exit code and whether numpy was loaded, after main's own output
-_CHILD = """
+#: the modules the child reports: numpy, and dataclasses with inspect, the largest it imports
+WATCHED = ("numpy", "dataclasses", "inspect")
+
+# prints main's exit code and which WATCHED modules were loaded, after main's own output
+_CHILD = f"""
 import contextlib, io, json, sys
 from ddh import cli
 with contextlib.redirect_stdout(io.StringIO()):
@@ -42,11 +48,11 @@ with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
     except SystemExit as exc:  # argparse's --version
         code = exc.code
-print(json.dumps([code, "numpy" in sys.modules]))
+print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))
 """
 
 
-def _run_main(*argv: str) -> tuple[int, bool]:
+def _run_main(*argv: str) -> tuple[int, set[str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -55,7 +61,7 @@ def _run_main(*argv: str) -> tuple[int, bool]:
     )
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
-    return code, loaded
+    return code, set(loaded)
 
 
 def _benchmark_input(tmp_path: Path, make) -> tuple[Path, Path]:
@@ -73,26 +79,26 @@ def _benchmark_input(tmp_path: Path, make) -> tuple[Path, Path]:
 @pytest.mark.parametrize("make", [inputs.chain_matrix, inputs.wide_matrix], ids=["chain", "wide"])
 def test_verify_of_a_benchmark_input_loads_no_numpy(tmp_path, make):
     matrix, report = _benchmark_input(tmp_path, make)
-    assert _run_main("verify", str(report), str(matrix)) == (0, False)
+    assert _run_main("verify", str(report), str(matrix)) == (0, set())
 
 
 def test_verify_of_the_ladder_golden_loads_no_numpy():
     golden = ROOT / "tests" / "golden" / "ladder.json"
-    assert _run_main("verify", str(golden), str(FIXTURES / "ladder.mtx")) == (0, False)
+    assert _run_main("verify", str(golden), str(FIXTURES / "ladder.mtx")) == (0, set())
 
 
 def test_version_loads_no_numpy():
-    assert _run_main("--version") == (0, False)
+    assert _run_main("--version") == (0, set())
 
 
 def test_analyze_of_a_strictly_dominant_matrix_loads_no_numpy():
-    assert _run_main("analyze", str(FIXTURES / "identity2.mtx")) == (0, False)
+    assert _run_main("analyze", str(FIXTURES / "identity2.mtx")) == (0, set())
 
 
 @pytest.mark.parametrize("make", [inputs.chain_matrix, inputs.wide_matrix], ids=["chain", "wide"])
 def test_analyze_of_a_benchmark_input_loads_no_numpy(tmp_path, make):
     matrix, _ = _benchmark_input(tmp_path, make)
-    assert _run_main("analyze", str(matrix)) == (0, False)
+    assert _run_main("analyze", str(matrix)) == (0, set())
 
 
 def test_analyze_of_an_ensemble_input_loads_no_numpy(tmp_path):
@@ -100,9 +106,11 @@ def test_analyze_of_an_ensemble_input_loads_no_numpy(tmp_path):
 
     ``generate`` itself draws with numpy, and so does ``analyze --oracle``.
     """
-    assert _run_main(
+    code, loaded = _run_main(
         "generate", *inputs.ENSEMBLE_FLAGS, "--seed", "3", "--count", "3", "--out-dir", str(tmp_path)
-    ) == (0, True)
+    )
+    assert code == 0 and "numpy" in loaded
     for k in range(3):
-        assert _run_main("analyze", str(tmp_path / f"dd_3_{k}.mtx")) == (0, False)
-    assert _run_main("analyze", "--oracle", str(tmp_path / "dd_3_0.mtx")) == (0, True)
+        assert _run_main("analyze", str(tmp_path / f"dd_3_{k}.mtx")) == (0, set())
+    code, loaded = _run_main("analyze", "--oracle", str(tmp_path / "dd_3_0.mtx"))
+    assert code == 0 and "numpy" in loaded

@@ -16,7 +16,6 @@ dense solve (``reference.verdict_agrees``).
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import math
 from array import array
@@ -184,8 +183,8 @@ def test_subset_checks_match_reference(A, data):
             elif exact:
                 event("GTH elimination")
                 same = dict(lhs=None, satisfied=False)
-                assert reference.sh_key(dataclasses.replace(got, **same)) == reference.sh_key(
-                    dataclasses.replace(expected, **same)
+                assert reference.sh_key(got._replace(**same)) == reference.sh_key(
+                    expected._replace(**same)
                 )
                 assert (got.lhs is None) == (expected.lhs is None)
                 if got.lhs is not None:
@@ -436,9 +435,9 @@ def test_where_only_the_reference_solve_fails_the_peel_still_decides():
     assert _outcome(reference.is_h_dd, A) is InconsistencyError
     got = is_h_dd(A)
     assert reference.verdict_agrees(A, got, InconsistencyError)
-    forged = dataclasses.replace(got, peel_trace=())
+    forged = got._replace(peel_trace=())
     assert not reference.verdict_agrees(A, forged, InconsistencyError)
-    unscaled = dataclasses.replace(got, scaling=None)
+    unscaled = got._replace(scaling=None)
     assert not reference.verdict_agrees(A, unscaled, InconsistencyError)
 
 

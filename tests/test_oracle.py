@@ -12,6 +12,7 @@ import reference
 from ddh import (
     DominanceClass,
     EnsembleSpec,
+    InconsistencyError,
     Matrix,
     classify_dominance,
     comparison_matrix,
@@ -66,6 +67,16 @@ class TestLu:
     def test_near_singular_threshold(self):
         eps = 1e-14  # below the 1e-12 relative pivot threshold
         assert lu_solve([[1.0, 1.0], [1.0, 1.0 + eps]], [1.0, 1.0]) is None
+
+    def test_a_non_finite_solution_raises(self):
+        # x = 1e300 / 1e-300 overflows to inf, and so does the residual bound
+        with np.errstate(over="ignore"), pytest.raises(InconsistencyError, match="not finite"):
+            lu_solve(np.array([[1e-300]]), np.array([1e300]))
+
+    def test_a_non_finite_solution_of_rows_raises(self):
+        # GTH elimination overflows, and hands the block to the dense LU
+        with np.errstate(over="ignore"), pytest.raises(InconsistencyError, match="not finite"):
+            lu_solve([{0: 1e-300}], [1e300])
 
     def test_dense_block_updates_every_row(self, monkeypatch):
         """Work gate: the dense LU updates every row below each pivot, n(n - 1)/2 in all.
@@ -264,15 +275,21 @@ def test_gth_elimination_matches_the_exact_solve(problem):
         assert tiny
         return
     exact = reference.exact_solve(rows, b)
-    assert fac.singular == (exact is None) and x_error is None
+    assert fac.singular == (exact is None)
     if fac.singular:
         event("singular")
-        assert x is None
+        assert x is None and x_error is None
         return
-    event("solved, TINY values" if tiny else "solved")
     substituted = sparse_lu._substitute(fac, b)
     if not all(map(math.isfinite, substituted)):
-        return  # x past the float range: ``solve_rows`` hands it to the dense LU
+        # x past the float range: ``solve_rows`` hands it to the dense LU,
+        # which raises on a non-finite x rather than return it
+        event("x past the float range")
+        assert x_error in (None, InconsistencyError)
+        assert x is None or all(map(math.isfinite, x))
+        return
+    event("solved, TINY values" if tiny else "solved")
+    assert x_error is None
     assert _bits(x) == _bits(substituted)
     if not tiny:
         for got, want in zip(x, exact):
