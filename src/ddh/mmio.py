@@ -93,11 +93,17 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
     is_complex = field == "complex"
     want = 4 if is_complex else 3
     zero = 0j if is_complex else 0.0
-    sums: dict[int, complex | float] = {}  # i n + j (0-based) -> running sum, in file order
+    diagonal = [zero] * n
+    rows, cols, values = array("q"), array("q"), []
+    # i n + j (0-based) -> running sum, in file order; None while a general
+    # file lists each entry once in row-major order, which goes straight
+    # into diagonal, rows, cols and values
+    sums: dict[int, complex | float] | None = None if symmetry == "general" else {}
+    last = -1  # the key of the last entry read while sums is None
     seen = 0
     while pos < len(lines):
         lineno = pos + 1
-        toks = _tokens(lines[pos])
+        toks = lines[pos].split()  # ``_tokens``, inlined: split() drops the outer blanks
         pos += 1
         if not toks or toks[0].startswith("%"):
             continue
@@ -122,6 +128,24 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
         i -= 1
         j -= 1
         key = i * n + j
+        if sums is None:
+            if key > last:
+                last = key
+                total = zero + value  # as the first sum below: no negative zero
+                if not cmath.isfinite(total):
+                    raise ParseError("entry value must be finite, also when summed", lineno)
+                if i == j:
+                    diagonal[i] = total
+                elif total != 0:
+                    rows.append(i)
+                    cols.append(j)
+                    values.append(total)
+                seen += 1
+                continue
+            # a repeated or out-of-order key: sum from here on.  A zero left
+            # out above is missing from sums, whose default is that same zero
+            sums = {r * n + c: v for r, c, v in zip(rows, cols, values)}
+            sums.update((r * (n + 1), d) for r, d in enumerate(diagonal))
         total = sums[key] = sums.get(key, zero) + value
         finite = cmath.isfinite(total)
         if symmetry != "general" and i != j:
@@ -135,17 +159,18 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
     if seen != nnz:
         raise ParseError(f"declared {nnz} entries but found {seen}", len(lines) + 1)
 
-    diagonal = [zero] * n
-    rows, cols, values = array("q"), array("q"), []
-    for key in sorted(sums):  # row-major
-        i, j = divmod(key, n)
-        value = sums[key]
-        if i == j:
-            diagonal[i] = value
-        elif value != 0:  # entries that cancelled, or were listed as 0, are not stored
-            rows.append(i)
-            cols.append(j)
-            values.append(value)
+    if sums is not None:
+        diagonal = [zero] * n
+        rows, cols, values = array("q"), array("q"), []
+        for key in sorted(sums):  # row-major
+            i, j = divmod(key, n)
+            value = sums[key]
+            if i == j:
+                diagonal[i] = value
+            elif value != 0:  # entries that cancelled, or were listed as 0, are not stored
+                rows.append(i)
+                cols.append(j)
+                values.append(value)
     if is_complex:  # real and imaginary parts side by side
         diagonal = [x for z in diagonal for x in (z.real, z.imag)]
         values = [x for z in values for x in (z.real, z.imag)]

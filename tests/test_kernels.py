@@ -676,7 +676,26 @@ def test_report_is_linear_in_the_order(monkeypatch):
     assert sum(len(level) for level in report["peel_trace"]) == n - 1
     assert paths["paths"] == 0
     assert solves == {"lu_solve": 1, "lu_factor": 0}
-    assert [fac.updates for fac in factors] == [0]
+    assert [(fac.updates, fac.dense_order) for fac in factors] == [(0, 0)]
+
+
+def test_ensemble_subset_solve_finishes_on_dense_rows(monkeypatch):
+    """Work gate: the subset solve on an order-800 ensemble matrix's T turns dense, within budget.
+
+    T's block starts sparse, at density 0.01, and fills up in a trailing
+    block that ``gth_factor`` finishes on list rows.  It hands nothing
+    over to the dense ``lu_factor`` and stays under ``GTH_BUDGET`` n^2
+    updates; the fill leaves the dense tail an order of 50 or more.
+    """
+    factors = record_gth_factors(monkeypatch)
+    A = random_dd_matrix(EnsembleSpec(n=800, density=0.01, equality_rows=0.5, seed=4))
+    T = non_sdd_rows(A)
+    report = s_h_check(A, T)
+    assert report.inner_h and report.lhs == 1.0
+    [fac] = factors
+    assert fac is not None and not fac.singular
+    assert fac.dense_order >= 50
+    assert fac.updates < ddh.sparse_lu.GTH_BUDGET * len(T) ** 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -87,6 +87,59 @@ def test_parser_matches_the_dense_reference(text):
     assert _bits(got.entries) == _bits(expected.entries)
 
 
+@st.composite
+def row_major_texts(draw):
+    """Coordinate text of order 1-8 listed in row-major order, then disturbed from a drawn line on.
+
+    Up to that line a general file takes the parser's row-major path; the
+    disturbance is one of: none, the rest shuffled, an earlier entry
+    listed again, and either of those followed by a malformed line.
+    Values include zeros of both signs, values that cancel when listed
+    again, and complex ones; symmetric and hermitian files sum throughout.
+    """
+    field = draw(st.sampled_from(["real", "integer", "complex"]))
+    symmetry = draw(st.sampled_from(["general", "general", "symmetric", "hermitian"]))
+    n = draw(st.integers(1, 8))
+    keys = sorted(draw(st.sets(st.integers(0, n * n - 1), max_size=3 * n)))
+    tokens = 2 if field == "complex" else 1
+    values = st.lists(st.sampled_from(_NUMBERS), min_size=tokens, max_size=tokens)
+    entries = [[str(k // n + 1), str(k % n + 1), *draw(values)] for k in keys]
+    cut = draw(st.integers(0, len(entries)))
+    disturbance = draw(st.sampled_from(["none", "shuffled", "repeated"]))
+    if disturbance == "shuffled":
+        entries[cut:] = draw(st.permutations(entries[cut:]))
+    elif disturbance == "repeated" and cut:
+        i, j, *_ = draw(st.sampled_from(entries[:cut]))
+        entries.insert(cut, [i, j, *draw(values)])
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from([["0", "1"], ["1", str(n + 1)], ["1", "1", "x"], ["1", "1", "inf"]]))
+        entries.insert(draw(st.integers(cut, len(entries))), bad + ["1"] * (2 + tokens - len(bad)))
+    lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}", f"{n} {n} {len(entries)}"]
+    lines.extend(" ".join(entry) for entry in entries)
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=400, deadline=None)
+@given(row_major_texts())
+def test_row_major_entries_parse_as_summed_ones(text):
+    """The row-major path and the summing one leave the dense reference's buffers, byte for byte.
+
+    An error, also on a line after the first out-of-order entry, has the
+    reference's line number and message.
+    """
+    got = _parsed(parse_matrix_market, text)
+    expected = _parsed(reference.parse_matrix_market, text)
+    if isinstance(expected, tuple):
+        assert got == expected
+        return
+    assert not isinstance(got, tuple), got
+    assert got.is_complex == expected.is_complex
+    for name in ("diagonal", "values"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    for name in ("indptr", "indices", "data", "t_indptr", "t_indices"):
+        assert _bits(getattr(got.pattern, name)) == _bits(getattr(expected.pattern, name)), name
+
+
 @pytest.mark.parametrize(
     "text",
     [

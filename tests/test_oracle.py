@@ -296,6 +296,59 @@ def test_gth_elimination_matches_the_exact_solve(problem):
             assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
 
 
+@st.composite
+def sparse_dominant_z_blocks(draw):
+    """A dominant Z-matrix of order 12-40 with 2-4 off-diagonal entries per row, and b >= 0.
+
+    The rows are built as in ``dominant_z_blocks``, from ``Z_ENTRIES`` of
+    at least 1e-3 and ``Z_GAPS``, so that no product leaves the normal
+    range: at most 4 n stored entries, under half of n^2, make the
+    elimination start sparse, and its fill decides where it turns dense.
+    """
+    n = draw(st.integers(12, 40))
+    entries = st.one_of(st.sampled_from([0.1, 0.25, 1.0, 3.0]), st.floats(1e-3, 4.0))
+    rows = []
+    for i in range(n):
+        others = st.sampled_from([j for j in range(n) if j != i])
+        cols = sorted(draw(st.sets(others, min_size=2, max_size=4)))
+        cs = draw(st.lists(entries, min_size=len(cols), max_size=len(cols)))
+        diag = math.fsum(cs)
+        if Fraction(diag) < sum(map(Fraction, cs)):
+            diag = math.nextafter(diag, math.inf)
+        row = {j: -c for j, c in zip(cols, cs)}
+        row[i] = diag + draw(Z_GAPS)
+        rows.append(row)
+    b = draw(st.lists(st.one_of(st.just(0.0), st.floats(0.25, 4.0)), min_size=n, max_size=n))
+    return rows, b
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_dominant_z_blocks())
+def test_gth_elimination_turns_dense_partway(problem):
+    """``sparse_lu.gth_factor`` across its switch to dense rows, against the exact solve.
+
+    The block starts sparse, so the dense tail, when there is one, is a
+    proper part of it.  The singular verdict is the exact solve's, each
+    x_i is within 1e-12 of the exact value, relatively, and b equal to
+    the rows' gaps (``math.fsum``) gives x = 1 bit for bit.
+    """
+    rows, b = problem
+    n = len(rows)
+    fac = sparse_lu.gth_factor(rows)
+    assert fac is not None
+    assert fac.dense_order < n
+    event("dense tail" if fac.dense_order else "sparse throughout")
+    exact = reference.exact_solve(rows, b)
+    assert fac.singular == (exact is None)
+    if fac.singular:
+        event("singular")
+        return
+    for got, want in zip(sparse_lu._substitute(fac, b), exact):
+        assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
+    gaps = [math.fsum(row.values()) for row in rows]
+    assert sparse_lu._substitute(fac, gaps) == [1.0] * n
+
+
 class TestInverseNonnegOracle:
     def test_h_matrix(self):
         assert inverse_nonneg_oracle(Matrix([[1, 1], [1, 2]]))
