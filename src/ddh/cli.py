@@ -10,7 +10,8 @@ Exit codes: 0 success, 2 parse/usage errors, 3 internal inconsistency
 verification.  Reports use fixed keys (schema in docs/report.schema.json,
 version ``SCHEMA_VERSION``), 1-based indices, and reals rendered with 17
 significant digits; infinities are encoded as the strings "Infinity" /
-"-Infinity".  Each certificate holds O(n) indices: the chains are one
+"-Infinity".  Each list, and each object of scalars only, is written on
+one line.  Each certificate holds O(n) indices: the chains are one
 next hop per row and the peel trace is a partition of T; the interwoven
 certificates are read off those two, so only their leftovers are stored.
 """
@@ -66,54 +67,45 @@ SCHEMA_VERSION = 3
 # ---------------------------------------------------------------------------
 
 
-def _emit(value, indent: int, out: list[str]):
-    pad = "  " * indent
+def _one_line(value) -> str:
+    """``value`` as JSON on one line, items separated by ", " and keys by ": "."""
     if value is None:
-        out.append("null")
-    elif value is True:
-        out.append("true")
-    elif value is False:
-        out.append("false")
-    elif isinstance(value, int):
-        out.append(str(value))
-    elif isinstance(value, float):
-        if math.isinf(value):
-            out.append('"Infinity"' if value > 0 else '"-Infinity"')
-        elif math.isnan(value):
-            out.append('"NaN"')
-        else:
-            out.append(format_real(value))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for k, item in enumerate(value):
-            out.append(pad + "  ")
-            _emit(item, indent + 1, out)
-            out.append(",\n" if k + 1 < len(value) else "\n")
-        out.append(pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(value.items())
-        for k, (key, item) in enumerate(items):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _emit(item, indent + 1, out)
-            out.append(",\n" if k + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
+        return "null"
+    if value is True or value is False:
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        if math.isfinite(value):
+            return format_real(value)
+        return '"NaN"' if math.isnan(value) else '"Infinity"' if value > 0 else '"-Infinity"'
+    if isinstance(value, str):
+        return json.dumps(value)
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(map(_one_line, value)) + "]"
+    if isinstance(value, dict):
+        return "{" + ", ".join(
+            f"{json.dumps(str(key))}: {_one_line(item)}" for key, item in value.items()
+        ) + "}"
+    raise TypeError(f"cannot serialize {type(value)!r}")
+
+
+def _render(value, pad: str) -> str:
+    """A list, and an object of scalars only, on one line; any other object
+    with one key per line, indented two spaces more than ``pad``."""
+    if not isinstance(value, dict) or not any(
+        isinstance(item, (dict, list, tuple)) for item in value.values()
+    ):
+        return _one_line(value)
+    inner = pad + "  "
+    body = ",\n".join(
+        f"{inner}{json.dumps(str(key))}: {_render(item, inner)}" for key, item in value.items()
+    )
+    return "{\n" + body + "\n" + pad + "}"
 
 
 def emit_json(obj) -> str:
-    out: list[str] = []
-    _emit(obj, 0, out)
-    return "".join(out) + "\n"
+    return _render(obj, "") + "\n"
 
 
 _NON_FINITE = {"Infinity": math.inf, "-Infinity": -math.inf, "NaN": math.nan}
@@ -650,6 +642,17 @@ def _cmd_verify(args) -> int:
     return 4 if failed else 0
 
 
+def _tolerance(text: str) -> float:
+    """The ``--tol`` type: a finite real >= 0, as ``core`` and ``verify`` require."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite nonnegative real")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ddh",
@@ -660,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     a = sub.add_parser("analyze", help="analyze a Matrix Market file, print a JSON report")
     a.add_argument("matrix", help="path to a coordinate Matrix Market file")
-    a.add_argument("--tol", type=float, default=0.0,
+    a.add_argument("--tol", type=_tolerance, default=0.0,
                    help="treat |diag - row sum| <= tol as an equality row (default 0)")
     a.add_argument("--oracle", action="store_true",
                    help="also run the inverse-nonnegativity and Jacobi oracles")

@@ -7,7 +7,8 @@ expanded (the hermitian variant conjugates the mirrored entry), the
 1-based file indices map to 0-based matrix indices, and off-diagonal
 entries that are zero (listed so, or cancelled by a duplicate) are not
 stored.  Only square matrices with
-finite entries are accepted.  Parse failures raise :class:`ParseError`
+finite entries are accepted, and their size and entry lines must be
+ASCII with no ``_`` (comment lines may hold any text).  Parse failures raise :class:`ParseError`
 carrying the offending 1-based line number.
 """
 
@@ -35,6 +36,22 @@ def _tokens(raw_line: str) -> list[str]:
     return raw_line.strip().split()
 
 
+def _check_plain_text(lines: list[str]) -> None:
+    """Refuse a size or entry line that is not ASCII or holds an underscore.
+
+    ``int`` and ``float`` read ``1_0`` as 10 and non-ASCII digits as
+    digits; Matrix Market numbers have neither.  Comment lines may hold
+    any text.
+    """
+    for pos in range(1, len(lines)):
+        line = lines[pos]
+        if line.isascii() and "_" not in line:
+            continue
+        toks = line.split()
+        if toks and not toks[0].startswith("%"):
+            raise ParseError("size and entry lines must be ASCII, with no '_'", pos + 1)
+
+
 def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
     """Parse Matrix Market coordinate text (str or bytes) into a Matrix.
 
@@ -60,6 +77,8 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
         raise ParseError(
             f"unsupported symmetry '{symmetry}' (need one of {', '.join(_SYMMETRIES)})", 1
         )
+    if not text.isascii() or "_" in text:  # one test of the whole text keeps the loops lean
+        _check_plain_text(lines)
 
     lineno = 1
     pos = 1

@@ -736,6 +736,12 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
         raise ParseError(
             f"unsupported symmetry '{symmetry}' (need one of {', '.join(_SYMMETRIES)})", 1
         )
+    # Matrix Market numbers are ASCII with no '_'; the first size or entry
+    # line that is not is refused before any other line is read
+    for lineno, line in enumerate(lines[1:], start=2):
+        toks = _tokens(line)
+        if toks and not toks[0].startswith("%") and (not line.isascii() or "_" in line):
+            raise ParseError("size and entry lines must be ASCII, with no '_'", lineno)
 
     lineno = 1
     pos = 1

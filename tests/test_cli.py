@@ -131,12 +131,46 @@ class TestEmitJson:
             "c": "text",
             "d": [],
             "e": {},
+            "nested": [[2], [1, 3], [], [[4]]],
+            "flat": {"x": 1, "y": None, "z": "s"},
+            "mixed": {"x": 1, "list": [1, 2], "obj": {"k": -0.5}},
+            "reals": [0.1, math.inf, -math.inf, math.nan, 1e-300],
+            "strings": ['say "hi"', "back\\slash", "caf\u00e9 \u0662", "tab\t", ""],
+            'key "quoted" \\ \u00e9': [{"in": [1]}, {}],
         }
         loaded = json.loads(emit_json(obj))
         assert loaded["a"] == [1, 2.5, None, True, False]
         assert loaded["b"]["inf"] == "Infinity"
         assert real_from_json(loaded["b"]["inf"]) == math.inf
         assert loaded["d"] == [] and loaded["e"] == {}
+        assert loaded["nested"] == obj["nested"]
+        assert loaded["flat"] == obj["flat"] and loaded["mixed"] == obj["mixed"]
+        assert loaded["reals"][:3] == [0.1, "Infinity", "-Infinity"]
+        assert loaded["reals"][3:] == ["NaN", 1e-300]
+        assert loaded["strings"] == obj["strings"]
+        assert loaded['key "quoted" \\ \u00e9'] == [{"in": [1]}, {}]
+        assert list(loaded) == list(obj)
+
+    def test_lists_and_scalar_objects_take_one_line(self):
+        obj = {
+            "t_set": [1, 2],
+            "peel_trace": [[2], [1]],
+            "next": {"1": 2, "2": 3},
+            "chain": {"holds": True, "unreachable": []},
+            "empty": {},
+        }
+        assert emit_json(obj) == (
+            '{\n'
+            '  "t_set": [1, 2],\n'
+            '  "peel_trace": [[2], [1]],\n'
+            '  "next": {"1": 2, "2": 3},\n'
+            '  "chain": {\n'
+            '    "holds": true,\n'
+            '    "unreachable": []\n'
+            '  },\n'
+            '  "empty": {}\n'
+            '}\n'
+        )
 
     def test_seventeen_digit_reals_round_trip(self):
         for x in (0.1, 1 / 3, 0.39999999999999997, 1e-300, 12345.6789):
@@ -170,6 +204,32 @@ class TestAnalyzeCommand:
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["analyze", str(tmp_path / "nope.mtx")])
         assert rc == 2
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf", "x"])
+    def test_bad_tolerance_exits_2(self, capsys, tol):
+        # -1 and nan used to end in a traceback, inf in a report failing its own verify
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", str(FIXTURES / "ladder.mtx"), f"--tol={tol}"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert errors == [
+            f"ddh analyze: error: argument --tol: {tol!r} is not a finite nonnegative real"
+        ]
+
+    @pytest.mark.parametrize("tol", ["0", "1e-3", "-0.0"])
+    def test_finite_nonnegative_tolerance_is_taken(self, capsys, tol):
+        assert main(["analyze", str(FIXTURES / "ladder.mtx"), "--tol", tol]) == 0
+        assert json.loads(capsys.readouterr().out)["tolerance"] == float(tol)
+
+    @pytest.mark.parametrize("entry", ["1 1 1_0.5", "\u0662 2 1.0"])
+    def test_non_ascii_or_underscore_number_exits_2(self, tmp_path, capsys, entry):
+        # both used to read as numbers (10.5, and the Arabic-Indic digit as 2)
+        path = self._write(tmp_path, LADDER_MM.replace("2 2 1.0", entry))
+        rc = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "line 5: size and entry lines must be ASCII" in captured.err
 
     @pytest.mark.parametrize("diagonal", ["nan", "inf"])
     def test_non_finite_entry_exits_2(self, tmp_path, capsys, diagonal):

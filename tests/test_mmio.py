@@ -21,7 +21,7 @@ from ddh import ParseError, parse_matrix_market
 # values that make duplicates cancel (1 and -1), overflow when summed
 # (1e308), underflow, or carry signed zeros; then values that fail
 _NUMBERS = ["0", "-0.0", "1", "-1", "0.5", "-0.5", "3", "1e308", "-1e308", "5e-324"]
-_BAD_NUMBERS = ["inf", "-inf", "nan", "x"]
+_BAD_NUMBERS = ["inf", "-inf", "nan", "x", "1_0", "\u0663"]
 
 
 @st.composite
@@ -29,8 +29,9 @@ def coordinate_texts(draw):
     """Coordinate text of order 1..4 with every kind of line; a quarter are corrupted.
 
     A corrupted text may hold out-of-range or non-integer indices,
-    non-finite or non-numeric values, lines with a token too many, and
-    a declared count one off.  Duplicates are frequent at these orders.
+    non-finite or non-numeric values, numbers with ``_`` or non-ASCII
+    digits, lines with a token too many, and a declared count one off.
+    Any text may hold a comment with non-ASCII text and ``_``.  Duplicates are frequent at these orders.
     """
     field = draw(st.sampled_from(["real", "integer", "complex"]))
     symmetry = draw(st.sampled_from(["general", "symmetric", "hermitian"]))
@@ -40,14 +41,14 @@ def coordinate_texts(draw):
     number = st.sampled_from(_NUMBERS)
     extra = st.just(0)
     if corrupt:
-        index = st.one_of(index, st.sampled_from([0, n + 1, "a"]))
+        index = st.one_of(index, st.sampled_from([0, n + 1, "a", "\u0661"]))
         number = st.one_of(number, st.sampled_from(_BAD_NUMBERS))
         extra = st.sampled_from([0, 0, 0, 1])
     tokens = 2 if field == "complex" else 1
     entry = st.tuples(index, index, extra.flatmap(
         lambda more: st.lists(number, min_size=tokens + more, max_size=tokens + more)))
     entries = draw(st.lists(entry, max_size=12))
-    filler = st.sampled_from(["% a comment", "", "   ", "%another"])
+    filler = st.sampled_from(["% a comment", "", "   ", "%another", "% caf\u00e9 \u0662 1_0"])
     lines = [f"%%MatrixMarket matrix coordinate {field} {symmetry}"]
     lines.extend(draw(st.lists(filler, max_size=2)))
     declared = len(entries) + (draw(st.sampled_from([0, -1, 1])) if corrupt else 0)
@@ -169,3 +170,33 @@ def test_a_huge_declared_count_allocates_nothing():
     assert err.value.line == 4
     assert str(err.value) == "line 4: declared 1000000000000 entries but found 1"
     assert peak < 1 << 20
+
+
+@pytest.mark.parametrize(
+    "line, lineno",
+    [
+        ("1 1 1_0.5", 4),  # float() reads 10.5
+        ("1_0 1 1.0", 4),
+        ("\u0662 2 1.0", 4),  # an Arabic-Indic 2, which int() reads as 2
+        ("1 1 \u0661.5", 4),
+        ("1 1\u00a01.5", 4),  # a no-break space between the tokens
+    ],
+)
+def test_numbers_must_be_plain_ascii(line, lineno):
+    text = f"%%MatrixMarket matrix coordinate real general\n2 2 2\n2 2 1.0\n{line}\n"
+    with pytest.raises(ParseError) as err:
+        parse_matrix_market(text)
+    assert err.value.line == lineno
+    assert str(err.value) == f"line {lineno}: size and entry lines must be ASCII, with no '_'"
+    with pytest.raises(ParseError) as err:
+        parse_matrix_market(text.replace("2 2 2", "2 2 \u0662"))
+    assert err.value.line == 2  # the size line is checked too
+
+
+def test_a_non_ascii_comment_still_parses():
+    text = (
+        "%%MatrixMarket matrix coordinate real general\n"
+        "% caf\u00e9 \u0662 written_by_hand\n2 2 2\n  %\u00e9 \n1 1 1.5\n2 2 2.0\n"
+    )
+    A = parse_matrix_market(text.encode())
+    assert _bits(A.entries) == _bits([[1.5, 0.0], [0.0, 2.0]])
