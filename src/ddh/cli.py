@@ -77,7 +77,8 @@ def _one_line(value) -> str:
         return str(value)
     if isinstance(value, float):
         if math.isfinite(value):
-            return format_real(value)
+            text = format_real(value)
+            return "-0.0" if text == "-0" else text  # "-0" loads as the integer 0
         return '"NaN"' if math.isnan(value) else '"Infinity"' if value > 0 else '"-Infinity"'
     if isinstance(value, str):
         return json.dumps(value)
@@ -553,6 +554,9 @@ def _cmd_analyze(args) -> int:
     subset = None
     if args.subset:
         try:
+            if not args.subset.isascii() or "_" in args.subset:
+                # int() would read "1_0" as 10 and an Arabic-Indic digit as its value
+                raise ValueError("indices must be ASCII, with no '_'")
             values = [int(tok) for tok in args.subset.split(",") if tok.strip()]
             subset = _index_set(values, A.n)
         except ValueError as exc:

@@ -22,8 +22,10 @@ system is left to ``s_h_check``'s inner block and to ``solved_scaling``
 (the scaling's fallback after ``SCALING_SWEEP_CAP`` sweeps, and the
 scaling of a non-dominant H-matrix).  Both hand ``lu_solve`` the
 comparison rows.  On a dominant matrix each such block is a dominant
-Z-matrix, which it solves by GTH elimination (``sparse_lu``), with no
-subtraction, no pivot threshold and no numpy.
+Z-matrix, which ``sparse_lu`` solves with no numpy: by one reachability
+pass when the right-hand side is the block's gap vector (T at tol 0),
+and by GTH elimination, with no subtraction and no pivot threshold,
+otherwise.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite),
@@ -361,10 +363,12 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     """Subset H-condition: inner block H, and scaled cross sums below b2.
 
     lhs comes from one ``lu_solve`` of the inner comparison block, given
-    by rows (``comparison_rows``).  A dominant block is solved by GTH
-    elimination in O(|S| + fill) with no numpy.  On T, where each row's
-    gap in the block is its sum outside (exactly, on dyadic equality
-    rows), the elimination's own arithmetic gives x = 1 bit for bit.  A
+    by rows (``comparison_rows``), with no numpy for a dominant block.
+    On T at tol 0, r_out is the block's own gap vector wherever each
+    row's rounded sums agree, bit for bit.  Then M 1 = r_out (exactly,
+    on dyadic rows), and one reachability pass decides x = 1 or a
+    singular block in O(|S| + nnz).  A dominant block with any other
+    right-hand side is solved by GTH elimination in O(|S| + fill).  A
     block that is not dominant (under ``--subset``, or a row dominant
     only within tol) takes the dense LU.
     """

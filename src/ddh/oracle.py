@@ -1,10 +1,12 @@
 """Ground-truth machinery: LU, H-matrix oracles, matrix ensembles.
 
 ``lu_solve`` solves a matrix given by its rows (``{column: value}``
-dicts) by the subtraction-free GTH elimination of ``sparse_lu`` when
-the rows form a diagonally dominant Z-matrix, as every comparison block
-of a dominant matrix does, and otherwise, like a matrix given as an
-array, by the dense ``lu_factor`` with partial pivoting.
+dicts) with ``sparse_lu`` when the rows form a diagonally dominant
+Z-matrix, as every comparison block of a dominant matrix does (by one
+reachability pass when the right-hand side is the rows' gap vector, by
+the subtraction-free GTH elimination otherwise), and otherwise, like a
+matrix given as an array, by the dense ``lu_factor`` with partial
+pivoting.
 
 Two independent oracles decide H-status without the dominance theory:
 

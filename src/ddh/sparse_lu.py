@@ -2,17 +2,22 @@
 
 ``oracle.lu_solve`` hands a matrix given as ``{column: value}`` row dicts
 (``core.comparison_rows``) to ``solve_rows``.  Every comparison block of
-a dominant matrix is a Z-matrix whose exact row gaps are >= 0, and
-``gth_factor`` eliminates it with no subtraction (Grassmann, Taksar &
-Heyman 1985), so every quantity is accurate to a few ulps (Alfa, Xue &
-Ye, Math. Comp. 2002) and a zero pivot, a zero row of the remaining
-block, means the block is singular: no pivot search, no threshold.  The
+a dominant matrix is a Z-matrix whose exact row gaps are >= 0
+(``_admit`` tests this in one pass).  When the right-hand side is that
+gap vector, as on T at tol 0, M 1 = b and the solve is decided by one
+reachability pass in O(n + nnz): x = 1 when every row chains to a row
+with a positive gap, and the block is singular otherwise (the
+Shivakumar-Chew-Farid condition, which the source paper shows
+necessary).  Any other right-hand side goes to ``gth_factor``, which
+eliminates the block with no subtraction (Grassmann, Taksar & Heyman
+1985), so every quantity is accurate to a few ulps (Alfa, Xue & Ye,
+Math. Comp. 2002) and a zero pivot, a zero row of the remaining block,
+means the block is singular: no pivot search, no threshold.  The
 elimination touches only stored entries until the remaining block is
 half full (``DENSE_FILL``), and then finishes that block on list rows,
 where an update is one list comprehension.  Any other block goes to the
-dense ``oracle.lu_factor``.  ``oracle`` imports
-this module only when it is given rows; it loads no numpy unless the
-dense path runs.
+dense ``oracle.lu_factor``.  ``oracle`` imports this module only when it
+is given rows; it loads no numpy unless the dense path runs.
 """
 
 from __future__ import annotations
@@ -35,6 +40,8 @@ GTH_BUDGET = 8
 DENSE_FILL = 0.5
 #: smallest positive normal float: below it a product keeps fewer bits
 _TINY = sys.float_info.min
+#: ``_admit``'s off-diagonal magnitudes, gaps and column holders of each row
+_Admitted = tuple[list[dict[int, float]], list[float], list[list[int]]]
 
 
 class GthFactors(NamedTuple):
@@ -54,33 +61,22 @@ class GthFactors(NamedTuple):
     dense_order: int = 0
 
 
-def gth_factor(rows: list[dict[int, float]]) -> GthFactors | None:
-    """GTH elimination of the matrix whose row i is ``rows[i]`` (a missing column is 0).
+def _admit(rows: list[dict[int, float]]) -> _Admitted | None:
+    """``(off, gap, holders)`` of a dominant Z-matrix given by its rows, or None for any other.
 
-    A row is kept as its off-diagonal magnitudes c_ij > 0 and its gap
-    g_i = m_ii - sum_j c_ij, summed exactly and rounded once
-    (``math.fsum``).  Eliminating pivot k takes d_k = g_k + sum_j c_kj
-    and, for each remaining row i holding k, with f = c_ik / d_k, adds
-    f c_kj to c_ij (j != i: c_ki falls on the diagonal, which g_i stands
-    for) and f g_k to g_i.  The next pivot is the remaining row with the
-    smallest Markowitz count (its entries times the remaining rows
-    holding its column; the smallest index on a tie), from a heap whose
-    stale entries are skipped: O(n log n + stored entries + updates).
-    Once the remaining block of order r > 1 stores ``DENSE_FILL`` r^2
-    entries, ``_dense_tail`` finishes it on list rows, in the Markowitz
-    order of that moment.
-
-    Returns None, leaving the matrix to the dense ``lu_factor``, when a
-    row has a positive off-diagonal entry or a gap that is negative or
-    not finite (an inf or a NaN anywhere gives one), when a quotient or
-    a product falls below the normal float range, where its relative
-    error is no longer a rounding's, or once the updates pass
-    ``GTH_BUDGET`` n^2.
+    The one pass over the rows that ``solve_rows`` and ``gth_factor``
+    share.  ``off[i]`` maps each column j != i with m_ij != 0 to
+    c_ij = -m_ij, ``gap[i]`` is g_i = m_ii - sum_j c_ij, summed exactly
+    and rounded once (``math.fsum``), and ``holders[j]`` lists the rows
+    i, increasing, with c_ij > 0.  A sum of doubles is a multiple of
+    2^-1074 and ``fsum`` rounds it correctly, so the sign of each g_i is
+    exact.  Returns None when a row has a positive off-diagonal entry or
+    a gap that is negative or not finite (an inf or a NaN anywhere gives
+    one).
     """
-    n = len(rows)
-    off: list[dict[int, float]] = []  # c_ij > 0 of each row, over the remaining columns
+    off: list[dict[int, float]] = []
     gap: list[float] = []
-    holders: list[list[int]] = [[] for _ in range(n)]  # the rows that held each column
+    holders: list[list[int]] = [[] for _ in rows]
     for i, row in enumerate(rows):
         c = {j: -v for j, v in row.items() if j != i and v}
         try:
@@ -93,6 +89,55 @@ def gth_factor(rows: list[dict[int, float]]) -> GthFactors | None:
         gap.append(g)
         for j in c:
             holders[j].append(i)
+    return off, gap, holders
+
+
+def _all_reach_a_gap(gap: list[float], holders: list[list[int]]) -> bool:
+    """Whether every row of the matrix ``_admit`` read chains to a row with a positive gap.
+
+    One reverse breadth-first search from the rows with g > 0 along the
+    stored entries (row i reaches row j when c_ij > 0): O(n + entries).
+    Rows it misses form a block W whose rows have gap 0 and no entry
+    outside W, so M_W 1 = 0 and M, block triangular, is singular; when it
+    misses none, M is a weakly chained dominant M-matrix and nonsingular.
+    """
+    reached = [g > 0.0 for g in gap]
+    queue = [i for i, hit in enumerate(reached) if hit]
+    for k in queue:
+        for i in holders[k]:
+            if not reached[i]:
+                reached[i] = True
+                queue.append(i)
+    return len(queue) == len(gap)
+
+
+def gth_factor(rows: list[dict[int, float]], admitted: _Admitted | None = None) -> GthFactors | None:
+    """GTH elimination of the matrix whose row i is ``rows[i]`` (a missing column is 0).
+
+    ``admitted`` is ``_admit(rows)`` when the caller has taken it, and is
+    used up.  A row is kept as its off-diagonal magnitudes c_ij > 0 and
+    its gap g_i.  Eliminating pivot k takes d_k = g_k + sum_j c_kj
+    and, for each remaining row i holding k, with f = c_ik / d_k, adds
+    f c_kj to c_ij (j != i: c_ki falls on the diagonal, which g_i stands
+    for) and f g_k to g_i.  The next pivot is the remaining row with the
+    smallest Markowitz count (its entries times the remaining rows
+    holding its column; the smallest index on a tie), from a heap whose
+    stale entries are skipped: O(n log n + stored entries + updates).
+    Once the remaining block of order r > 1 stores ``DENSE_FILL`` r^2
+    entries, ``_dense_tail`` finishes it on list rows, in the Markowitz
+    order of that moment.
+
+    Returns None, leaving the matrix to the dense ``lu_factor``, when
+    ``_admit`` refuses the rows, when a quotient or a product falls below
+    the normal float range, where its relative error is no longer a
+    rounding's, or once the updates pass ``GTH_BUDGET`` n^2.
+    """
+    if admitted is None:
+        admitted = _admit(rows)
+        if admitted is None:
+            return None
+    off, gap, holders = admitted  # off: c_ij > 0 over the remaining columns
+    n = len(rows)
     held = [len(h) for h in holders]  # by remaining rows
     alive = [True] * n
     heap = [(len(c) * held[k], k) for k, c in enumerate(off)]
@@ -230,16 +275,28 @@ def _substitute(fac: GthFactors, b: list[float]) -> list[float]:
 def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | None:
     """``oracle.lu_solve`` of rows and a vector: x as a list, None when singular.
 
-    ``oracle._solve_dense`` takes over when ``gth_factor`` hands the rows
-    over or b or x is not finite.  The residual is checked either way.
+    When ``_admit`` takes the rows and b is their gap vector, bit for bit,
+    M 1 = b up to the one rounding of each gap, so x = 1 if M is
+    nonsingular, which ``_all_reach_a_gap`` decides: no elimination.
+    Where ``gth_factor`` completes on such a b, its x is 1 bit for bit
+    too, or it finds M singular.  Any other b goes to
+    ``gth_factor``, and ``oracle._solve_dense`` takes over when that
+    hands the rows over or b or x is not finite.  The residual is
+    checked either way.
     """
     b = [float(v) for v in b]
     if len(b) != len(rows):
         raise ValueError("right-hand side length does not match matrix order")
-    fac = gth_factor(rows) if all(map(math.isfinite, b)) else None
-    if fac is not None and fac.singular:
-        return None
-    x = None if fac is None else _substitute(fac, b)
+    admitted = _admit(rows) if all(map(math.isfinite, b)) else None
+    if admitted is not None and admitted[1] == b:
+        if not _all_reach_a_gap(admitted[1], admitted[2]):
+            return None
+        x = [1.0] * len(b)
+    else:
+        fac = None if admitted is None else gth_factor(rows, admitted)
+        if fac is not None and fac.singular:
+            return None
+        x = None if fac is None else _substitute(fac, b)
     if x is None or not all(map(math.isfinite, x)):
         import numpy as np
 
@@ -249,6 +306,20 @@ def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | No
                 dense[i, j] = v
         x = _solve_dense(dense, np.array(b))
         return None if x is None else x.tolist()
+    worst, norm_m = _residual(rows, x, b)
+    top = _max_abs(x)
+    if not math.isfinite(worst) and top:
+        # a finite x whose products overflow: the same test on x and b scaled
+        # by the power of 2 that brings max |x_i| into [0.5, 1)
+        scale = math.ldexp(1.0, -math.frexp(top)[1])
+        worst, _ = _residual(rows, [v * scale for v in x], [v * scale for v in b])
+        top *= scale
+    _check_residual(worst, norm_m, top)
+    return x
+
+
+def _residual(rows: list[dict[int, float]], x: list[float], b: list[float]) -> tuple[float, float]:
+    """max_i |(M x - b)_i| and ||M||_inf, each row summed left to right."""
     norm_m, residual = 0.0, []
     for row, rhs in zip(rows, b):
         total = size = 0.0
@@ -257,5 +328,4 @@ def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | No
             size += abs(v)
         residual.append(total - rhs)
         norm_m = max(norm_m, size)
-    _check_residual(_max_abs(residual), norm_m, _max_abs(x))
-    return x
+    return _max_abs(residual), norm_m

@@ -224,8 +224,8 @@ def record_gth_factors(monkeypatch) -> list:
     results = []
     factor = ddh.sparse_lu.gth_factor
 
-    def recorded(rows):
-        results.append(factor(rows))
+    def recorded(*args):
+        results.append(factor(*args))
         return results[-1]
 
     monkeypatch.setattr(ddh.sparse_lu, "gth_factor", recorded)

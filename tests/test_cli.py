@@ -176,6 +176,14 @@ class TestEmitJson:
         for x in (0.1, 1 / 3, 0.39999999999999997, 1e-300, 12345.6789):
             assert json.loads(emit_json({"x": x}))["x"] == x
 
+    def test_negative_zero_loads_as_a_float(self):
+        # "-0" used to be written, which json.loads reads as the integer 0
+        text = emit_json({"x": -0.0, "list": [-0.0, 0.0]})
+        assert text == '{\n  "x": -0.0,\n  "list": [-0.0, 0]\n}\n'
+        loaded = json.loads(text)
+        for value in (loaded["x"], loaded["list"][0]):
+            assert type(value) is float and math.copysign(1.0, value) == -1.0
+
 
 class TestAnalyzeCommand:
     def _write(self, tmp_path, text, name="m.mtx"):
@@ -220,7 +228,9 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("tol", ["0", "1e-3", "-0.0"])
     def test_finite_nonnegative_tolerance_is_taken(self, capsys, tol):
         assert main(["analyze", str(FIXTURES / "ladder.mtx"), "--tol", tol]) == 0
-        assert json.loads(capsys.readouterr().out)["tolerance"] == float(tol)
+        tolerance = json.loads(capsys.readouterr().out)["tolerance"]
+        assert tolerance == float(tol)
+        assert math.copysign(1.0, tolerance) == math.copysign(1.0, float(tol))
 
     @pytest.mark.parametrize("entry", ["1 1 1_0.5", "\u0662 2 1.0"])
     def test_non_ascii_or_underscore_number_exits_2(self, tmp_path, capsys, entry):
@@ -292,6 +302,18 @@ class TestAnalyzeCommand:
         path = self._write(tmp_path, LADDER_MM)
         assert main(["analyze", str(path), "--subset", "1,2,3"]) == 2
         assert main(["analyze", str(path), "--subset", "7"]) == 2
+
+    @pytest.mark.parametrize("subset", ["1_0,\u0662", "1_0", "\u0662", "\uff11"])
+    def test_non_ascii_or_underscore_subset_exits_2(self, tmp_path, capsys, subset):
+        # "1_0,\u0662" used to be read as the subset [2, 10]
+        matrix = "\n".join(f"{i} {i} 2.0" for i in range(1, 12))
+        path = self._write(
+            tmp_path, f"%%MatrixMarket matrix coordinate real general\n11 11 11\n{matrix}\n"
+        )
+        rc = main(["analyze", str(path), "--subset", subset])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert "bad --subset: indices must be ASCII, with no '_'" in captured.err
 
     def test_oracle_flag_adds_section(self, tmp_path, capsys):
         path = self._write(tmp_path, LADDER_MM)

@@ -143,15 +143,24 @@ def test_kernels_match_reference_bit_for_bit(A, data):
         )
 
 
-def _gth_solves(A: Matrix, S: IndexSet) -> bool:
-    """Whether ``s_h_check`` solves A's inner block on S by GTH elimination, not by the dense LU."""
+def _sparse_lu_solves(A: Matrix, S: IndexSet) -> bool:
+    """Whether ``s_h_check`` solves A's inner block on S with ``sparse_lu``, not by the dense LU.
+
+    That is by the reachability pass, when the right-hand side is the
+    block's gap vector, and otherwise by GTH elimination.
+    """
     if not 0 < len(S) < A.n:
         return False
-    fac = ddh.sparse_lu.gth_factor(comparison_rows(principal_submatrix(A, S)))
+    rows = comparison_rows(principal_submatrix(A, S))
+    _, out_s = split_row_sums(A, S)
+    b = [out_s[i] for i in S.members]
+    admitted = ddh.sparse_lu._admit(rows)
+    if admitted is not None and admitted[1] == b:
+        return True
+    fac = ddh.sparse_lu.gth_factor(rows)
     if fac is None:
         return False
-    _, out_s = split_row_sums(A, S)
-    x = ddh.sparse_lu._substitute(fac, [out_s[i] for i in S.members])
+    x = ddh.sparse_lu._substitute(fac, b)
     return fac.singular or all(map(math.isfinite, x))
 
 
@@ -162,9 +171,10 @@ def test_subset_checks_match_reference(A, data):
 
     Arbitrary subsets of non-H matrices are where the inner verdict is
     not implied by A's own scaling, so the subsets are drawn freely.  A
-    dominant inner block, which GTH elimination solves, is compared with
-    the reference's exact solve: lhs None exactly where the block is
-    singular, and otherwise within 1e-12 of the exact lhs, relatively;
+    dominant inner block, which the reachability pass or GTH elimination
+    solves, is compared with the reference's exact solve: lhs None
+    exactly where the block is singular, and otherwise within 1e-12 of
+    the exact lhs, relatively;
     ``satisfied`` may then differ only where lhs and b2 are that close.
     Any other block is compared with the reference's dense solve.
     """
@@ -176,12 +186,12 @@ def test_subset_checks_match_reference(A, data):
         T = non_sdd_rows(A, tol)
         for subset in (S, T):
             got = _outcome(s_h_check, A, subset, tol)
-            exact = _gth_solves(A, subset)
+            exact = _sparse_lu_solves(A, subset)
             expected = _outcome(reference.s_h_check, A, subset, tol, exact)
             if expected is InconsistencyError and got is not InconsistencyError:
                 _assert_only_the_inner_scaling_failed(A, subset, tol, got)
             elif exact:
-                event("GTH elimination")
+                event("sparse_lu")
                 same = dict(lhs=None, satisfied=False)
                 assert reference.sh_key(got._replace(**same)) == reference.sh_key(
                     expected._replace(**same)
@@ -660,9 +670,9 @@ def test_report_is_linear_in_the_order(monkeypatch):
     peel, would hold about n^2/2 indices.  The report holds one next hop
     per row of T and each row of T in one peel level, every list on one
     line, so about 50 bytes per row.  The one subset
-    solve on T, an upper bidiagonal block, is a GTH elimination: each
-    pivot is a row whose column no remaining row holds, so it updates no
-    entry and never hands over to the dense ``lu_factor``.
+    solve on T, an upper bidiagonal block whose right-hand side is its
+    own gap vector, is one reachability pass: no GTH elimination, and
+    no dense ``lu_factor``.
     """
     paths = _count_path_views(monkeypatch)
     factors = record_gth_factors(monkeypatch)
@@ -677,26 +687,36 @@ def test_report_is_linear_in_the_order(monkeypatch):
     assert sum(len(level) for level in report["peel_trace"]) == n - 1
     assert paths["paths"] == 0
     assert solves == {"lu_solve": 1, "lu_factor": 0}
-    assert [(fac.updates, fac.dense_order) for fac in factors] == [(0, 0)]
+    assert factors == []
 
 
 def test_ensemble_subset_solve_finishes_on_dense_rows(monkeypatch):
-    """Work gate: the subset solve on an order-800 ensemble matrix's T turns dense, within budget.
+    """Work gate: a solve on an order-800 ensemble matrix's T block turns dense, within budget.
 
-    T's block starts sparse, at density 0.01, and fills up in a trailing
-    block that ``gth_factor`` finishes on list rows.  It hands nothing
-    over to the dense ``lu_factor`` and stays under ``GTH_BUDGET`` n^2
-    updates; the fill leaves the dense tail an order of 50 or more.
+    With a right-hand side other than its gap vector (here all ones),
+    T's block is eliminated.  It starts sparse, at density 0.01, and
+    fills up in a trailing block that ``gth_factor`` finishes on list
+    rows.  It hands nothing over to the dense ``lu_factor`` and stays
+    under ``GTH_BUDGET`` n^2 updates; the fill leaves the dense tail an
+    order of 50 or more.  The subset solve on T itself, whose right-hand
+    side r_out is that gap vector, makes one ``lu_solve`` and no
+    elimination.
     """
     factors = record_gth_factors(monkeypatch)
     A = random_dd_matrix(EnsembleSpec(n=800, density=0.01, equality_rows=0.5, seed=4))
     T = non_sdd_rows(A)
-    report = s_h_check(A, T)
-    assert report.inner_h and report.lhs == 1.0
+    rows = comparison_rows(principal_submatrix(A, T))
+    x = ddh.sparse_lu.solve_rows(rows, [1.0] * len(T))
+    assert x is not None and min(x) > 0.0  # M^-1 >= 0 has no zero row
     [fac] = factors
     assert fac is not None and not fac.singular
     assert fac.dense_order >= 50
     assert fac.updates < ddh.sparse_lu.GTH_BUDGET * len(T) ** 2
+    factors.clear()
+    solves = _count_calls(monkeypatch, ("lu_solve",))
+    report = s_h_check(A, T)
+    assert report.inner_h and report.lhs == 1.0
+    assert solves == {"lu_solve": 1} and factors == []
 
 
 @settings(max_examples=200, deadline=None)

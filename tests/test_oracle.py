@@ -241,6 +241,11 @@ def _bits(x) -> list[str] | None:
 # this block, whose determinant is 2^-1074 * 1e-310, called singular
 @example(([{0: math.nextafter(2.2250738585072014e-308, 1.0), 1: -2.2250738585072014e-308},
            {0: -1e-310, 1: 1e-310}], [1.0, 1.0], None, True))
+# x is about 4.5e307 in every row, and row 4's left-to-right residual sum
+# overflowed, so ``solve_rows`` raised on a correct x
+@example(([{0: 2.2250738585072014e-308}, {0: -1e-20, 4: -1e-20, 1: 2e-20},
+           {0: -1e-20, 2: 1e-20}, {0: -1e-20, 3: 1e-20}, {0: -1.0, 1: -3.0, 4: 4.0}],
+          [1.0, 0.0, 0.0, 0.0, 0.0], None, True))
 # an H block that ``lu_factor``'s pivot threshold calls singular
 @example(([{0: 0.25}, {0: -1e-20, 1: 1e-20}], [0.25, 1e-20], None, False))
 @settings(max_examples=300, deadline=None)
@@ -257,13 +262,16 @@ def test_gth_elimination_matches_the_exact_solve(problem):
     exact value, relatively.  ``lu_solve`` returns the elimination's x
     unless it overflows.  A spoiled row goes to the dense LU, and
     ``lu_solve`` of the rows is then ``lu_solve`` of the dense array,
-    bit for bit, or raises the same error.
+    bit for bit, or raises the same error; so does a hand-over, unless
+    b is the rows' gap vector, which ``solve_rows`` decides with no
+    elimination (``test_gap_right_hand_side_takes_no_elimination``).
     """
     rows, b, spoiler, tiny = problem
     fac = sparse_lu.gth_factor(rows)
+    admitted = sparse_lu._admit(rows)
     with np.errstate(all="ignore"):
         x, x_error = _solve_outcome(rows, b)
-        if fac is None:
+        if fac is None and (admitted is None or admitted[1] != b):
             y, y_error = _solve_outcome(_dense(rows), np.array(b))
             assert x_error == y_error and _bits(x) == _bits(y)
     if spoiler is not None:
@@ -347,6 +355,97 @@ def test_gth_elimination_turns_dense_partway(problem):
         assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
     gaps = [math.fsum(row.values()) for row in rows]
     assert sparse_lu._substitute(fac, gaps) == [1.0] * n
+
+
+#: dyadic magnitudes: a chain of equality rows built from them is exact
+DYADIC = st.sampled_from([0.125, 0.25, 0.5, 1.0, 2.0, 3.0])
+
+
+@st.composite
+def gap_rhs_blocks(draw):
+    """A dominant Z-matrix of order 1-7 by rows, b its gap vector, and whether b was nudged.
+
+    A third of the blocks are dyadic chains of equality rows, row i
+    holding c_i on the diagonal and -c_i at column i + 1; the last row
+    is strict, zero, or closes the cycle back to row 0 (a closed
+    equality block, singular).  In the others each row is a zero row
+    (no entry, or a 0.0 diagonal), an isolated row (a positive diagonal
+    alone), or drawn as in ``dominant_z_blocks`` with a gap that is
+    often 0, so closed equality blocks come up there too.  No value is
+    ``TINY``, so the elimination never hands over.  b is the gaps
+    (``math.fsum`` of each row); in about half the blocks one positive
+    gap of b is moved one ulp, so b misses them.
+    """
+    n = draw(st.integers(1, 7))
+    if draw(st.integers(0, 2)) == 0:
+        cs = draw(st.lists(DYADIC, min_size=n, max_size=n))
+        rows = [{i: cs[i], i + 1: -cs[i]} for i in range(n - 1)]
+        end = draw(st.sampled_from(["strict", "zero", "closed"]))
+        if end == "closed" and n > 1:
+            rows.append({0: -cs[-1], n - 1: cs[-1]})
+        else:
+            rows.append({n - 1: cs[-1] if end == "strict" else 0.0})
+    else:
+        rows = []
+        for i in range(n):
+            shape = draw(st.sampled_from(["zero", "isolated", "drawn", "drawn", "drawn", "drawn"]))
+            if shape == "zero":
+                rows.append(draw(st.sampled_from([{}, {i: 0.0}])))
+                continue
+            if shape == "isolated":
+                rows.append({i: draw(st.one_of(DYADIC, st.floats(1e-3, 4.0)))})
+                continue
+            others = [j for j in range(n) if j != i]
+            cols = sorted(draw(st.sets(st.sampled_from(others)))) if others else []
+            cs = draw(st.lists(Z_ENTRIES, min_size=len(cols), max_size=len(cols)))
+            diag = math.fsum(cs)
+            if Fraction(diag) < sum(map(Fraction, cs)):
+                diag = math.nextafter(diag, math.inf)
+            row = {j: -c for j, c in zip(cols, cs)}
+            row[i] = diag + draw(st.sampled_from([0.0, 0.0, 1e-20, 0.5, 1.0]))
+            rows.append(row)
+    b = [math.fsum(row.values()) for row in rows]
+    positive = [i for i, g in enumerate(b) if g > 0.0]
+    nudged = bool(positive) and draw(st.booleans())
+    if nudged:
+        i = draw(st.sampled_from(positive))
+        b[i] = math.nextafter(b[i], draw(st.sampled_from([math.inf, -math.inf])))
+    return rows, b, nudged
+
+
+@settings(max_examples=300, deadline=None)
+@given(gap_rhs_blocks())
+def test_gap_right_hand_side_takes_no_elimination(problem):
+    """``sparse_lu.solve_rows`` of a dominant Z-block and its own gap vector: no elimination.
+
+    Such a b is decided by the reachability pass alone, with no
+    ``gth_factor`` call: x is ``_substitute(gth_factor(rows), b)`` bit
+    for bit, which is 1 everywhere, or None on both where the
+    elimination finds the block singular.  The exact ``Fraction`` solve
+    is singular on the same blocks, and otherwise within 1e-12 of x,
+    relatively: each gap is the exact one rounded once, and M^-1 >= 0
+    keeps the exact solve within an ulp of 1.  A b one ulp off the gaps
+    takes one ``gth_factor`` call and keeps that accuracy.
+    """
+    rows, b, nudged = problem
+    fac = sparse_lu.gth_factor(rows)
+    assert fac is not None
+    with mock.patch.object(sparse_lu, "gth_factor", wraps=sparse_lu.gth_factor) as spy:
+        x = sparse_lu.solve_rows(rows, b)
+    assert spy.call_count == (1 if nudged else 0)
+    exact = reference.exact_solve(rows, b)
+    assert (x is None) == fac.singular == (exact is None)
+    if x is None:
+        event("singular, one ulp off" if nudged else "singular")
+        return
+    assert _bits(x) == _bits(sparse_lu._substitute(fac, b))
+    if nudged:
+        event("one ulp off: GTH")
+    else:
+        event("x = 1, exactly" if exact == [1] * len(rows) else "x = 1, gaps rounded")
+        assert x == [1.0] * len(rows)
+    for got, want in zip(x, exact):
+        assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
 
 
 class TestInverseNonnegOracle:
