@@ -359,8 +359,10 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     definition, ``verify_certificate``) are compared against them, in
     O(n + nnz) beyond the recomputation.  For a dominant matrix the
     report must carry a verdict with exactly the certificate it implies;
-    the subset H-condition is required whenever T is a nonempty proper
-    subset.  On T at tol 0, when every row of T is an exact equality,
+    a non-H verdict on any other matrix must carry none and agree with
+    ``inverse_nonneg_oracle``, the rule ``analyze --oracle`` decides it
+    by, recomputed densely.  The subset H-condition is required whenever
+    T is a nonempty proper subset.  On T at tol 0, when every row of T is an exact equality,
     it is read off the recomputed peel (``s_h_from_peel``) with no
     solve.  Any other subset or tol, and a stored ``sh`` that misses
     those values (the dense LU may stray on a graded block), takes
@@ -500,6 +502,10 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         elif is_h is False and dom.is_dd:
             check("h-consistency", witness is not None and scaling is None,
                   "non-H verdict must carry a witness and no scaling")
+        elif is_h is False:  # analyze --oracle decides a non-dominant matrix by this oracle
+            check("h-consistency",
+                  witness is None and scaling is None and not inverse_nonneg_oracle(A),
+                  "non-H verdict must carry no certificate and fail the inverse oracle")
         elif dom.is_dd:
             check("h-consistency", False, "a dominant matrix needs is_h true or false")
 

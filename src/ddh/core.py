@@ -401,6 +401,21 @@ def _member_flags(S: IndexSet) -> list[bool]:
     return flags
 
 
+def exact_sum(values) -> float | None:
+    """``math.fsum`` of ``values``, the exact sum rounded once, or None where it raises.
+
+    ``fsum`` raises on inf - inf and on a partial sum past the float
+    range.  A sum of doubles is a multiple of 2^-1074, so the rounded sum
+    has the exact sum's sign: a row's exact gap decides its class.  Row
+    sums that other kernels must reproduce are accumulated left to right
+    instead.
+    """
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return None
+
+
 def row_strictness(A: Matrix, tol: float = 0.0) -> array:
     """Per-row code as ``array('b')``: +1 strict, 0 equality (within tol), -1 dominance violated.
 

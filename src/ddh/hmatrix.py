@@ -24,8 +24,8 @@ scaling of a non-dominant H-matrix).  Both hand ``lu_solve`` the
 comparison rows.  On a dominant matrix each such block is a dominant
 Z-matrix, which ``sparse_lu`` solves with no numpy: by one reachability
 pass when the right-hand side is the block's gap vector (T at tol 0),
-and by GTH elimination, with no subtraction and no pivot threshold,
-otherwise.
+and otherwise by one sparse GTH elimination, with no subtraction and no
+pivot threshold, which touches only stored entries and their fill.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite),
@@ -50,6 +50,7 @@ from .core import (
     Peel,
     classify_dominance,
     comparison_rows,
+    exact_sum,
     peel_levels,
     principal_submatrix,
     split_row_sums,
@@ -139,10 +140,10 @@ def solved_scaling(A: Matrix) -> ScalingCertificate:
     The scaling of an H-matrix with no peel to sweep in (a non-dominant
     one, which ``analyze --oracle`` treats densely anyway) and the
     fallback of ``scaling_certificate``.  M goes to ``lu_solve`` by rows
-    (``comparison_rows``): GTH elimination, in O(n + fill) with no
-    numpy, when A is dominant, and the dense LU otherwise.  Raises
-    InconsistencyError when A is not H after all: M singular, a
-    nonpositive component or a nonpositive margin.
+    (``comparison_rows``): sparse GTH elimination over the stored
+    entries and their fill, with no numpy, when A is dominant, and the
+    dense LU otherwise.  Raises InconsistencyError when A is not H after
+    all: M singular, a nonpositive component or a nonpositive margin.
     """
     d = lu_solve(comparison_rows(A), [1.0] * A.n)
     if d is None:
@@ -368,9 +369,10 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     row's rounded sums agree, bit for bit.  Then M 1 = r_out (exactly,
     on dyadic rows), and one reachability pass decides x = 1 or a
     singular block in O(|S| + nnz).  A dominant block with any other
-    right-hand side is solved by GTH elimination in O(|S| + fill).  A
-    block that is not dominant (under ``--subset``, or a row dominant
-    only within tol) takes the dense LU.
+    right-hand side is solved by sparse GTH elimination, which touches
+    only the stored entries and their fill.  A block that is not
+    dominant (under ``--subset``, or a row dominant only within tol)
+    takes the dense LU.
     """
     _check_proper_subset(A, S, "s_h_check")
     sub = principal_submatrix(A, S)
@@ -398,20 +400,12 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     )
 
 
-def _exact_equality(diag: float, row: list[float]) -> bool:
-    """Whether |a_ii| equals the row's off-diagonal magnitudes summed exactly."""
-    try:
-        return math.fsum([diag, *(-v for v in row)]) == 0.0
-    except (ValueError, OverflowError):  # inf - inf, or a partial sum past the float range
-        return False
-
-
 def s_h_from_peel(A: Matrix, peel: Peel) -> SHReport | None:
     """The subset H-condition on T at tol 0, read off A's peel with no solve.
 
     ``peel`` is A's ``peel_levels`` at tol 0; the caller guarantees
     dominance.  When every row of T is an exact equality (its
-    ``math.fsum`` gap |a_ii| - sum |a_ij| is 0), the comparison block
+    ``core.exact_sum`` gap |a_ii| - sum |a_ij| is 0), the comparison block
     M_T satisfies M_T 1 = r_out exactly, r_out being the row sums
     outside T.  A row that the peel takes is then strict in exact
     arithmetic too (its left-to-right sum lost a nonzero term), so a
@@ -433,7 +427,7 @@ def s_h_from_peel(A: Matrix, peel: Peel) -> SHReport | None:
     diag, pat = A.diagonal_modulus, A.pattern
     indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
     for i in T.members:
-        if not _exact_equality(diag[i], data[indptr[i]:indptr[i + 1]]):
+        if exact_sum([diag[i], *(-v for v in data[indptr[i]:indptr[i + 1]])]) != 0.0:
             return None
     inner_h = not peel.stalled
     if not inner_h:

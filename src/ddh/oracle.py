@@ -4,7 +4,7 @@
 dicts) with ``sparse_lu`` when the rows form a diagonally dominant
 Z-matrix, as every comparison block of a dominant matrix does (by one
 reachability pass when the right-hand side is the rows' gap vector, by
-the subtraction-free GTH elimination otherwise), and otherwise, like a
+the subtraction-free sparse GTH elimination otherwise), and otherwise, like a
 matrix given as an array, by the dense ``lu_factor`` with partial
 pivoting.
 

@@ -13,11 +13,10 @@ eliminates the block with no subtraction (Grassmann, Taksar & Heyman
 1985), so every quantity is accurate to a few ulps (Alfa, Xue & Ye,
 Math. Comp. 2002) and a zero pivot, a zero row of the remaining block,
 means the block is singular: no pivot search, no threshold.  The
-elimination touches only stored entries until the remaining block is
-half full (``DENSE_FILL``), and then finishes that block on list rows,
-where an update is one list comprehension.  Any other block goes to the
-dense ``oracle.lu_factor``.  ``oracle`` imports this module only when it
-is given rows; it loads no numpy unless the dense path runs.
+elimination touches only stored entries, in a dynamic Markowitz order.
+Any other block goes to the dense ``oracle.lu_factor``.  ``oracle``
+imports this module only when it is given rows; it loads no numpy
+unless the dense path runs.
 """
 
 from __future__ import annotations
@@ -27,17 +26,14 @@ import math
 import sys
 from typing import NamedTuple
 
+from .core import exact_sum
 from .oracle import _check_residual, _max_abs, _solve_dense
 
 #: ``gth_factor`` hands over to the dense ``lu_factor`` once its entry
 #: updates pass this multiple of n^2, the dense LU's storage (it does n^3/3
-#: multiply-adds); the ensemble's order-400 blocks take at most 3.75 n^2
-#: (median 2.24 n^2 over 200 seeds)
+#: multiply-adds); the ensemble's order-400 blocks take at most 2.98 n^2
+#: (median 1.88 n^2 over 200 seeds)
 GTH_BUDGET = 8
-#: ``gth_factor`` finishes on dense rows once the remaining block stores this
-#: share of its order squared: a list update costs about a third of a dict's
-#: per entry, so adding the zeros of a half-full row is cheaper than skipping them
-DENSE_FILL = 0.5
 #: smallest positive normal float: below it a product keeps fewer bits
 _TINY = sys.float_info.min
 #: ``_admit``'s off-diagonal magnitudes, gaps and column holders of each row
@@ -50,15 +46,12 @@ class GthFactors(NamedTuple):
     Step k eliminates row and column k with pivot d_k; L holds -f_ik for
     the rows i it updated and U holds -c_kj != 0 off the diagonal.  On a
     singular matrix the steps stop at the zero pivot.  ``updates``
-    counts the products f_ik c_kj, one per nonzero of row k per row i;
-    ``dense_order`` is the order of the block finished on dense rows, 0
-    when the elimination stayed sparse.
+    counts the products f_ik c_kj, one per nonzero of row k per row i.
     """
 
     steps: list[tuple[int, float, list[tuple[int, float]], dict[int, float]]]
     singular: bool
     updates: int
-    dense_order: int = 0
 
 
 def _admit(rows: list[dict[int, float]]) -> _Admitted | None:
@@ -67,23 +60,18 @@ def _admit(rows: list[dict[int, float]]) -> _Admitted | None:
     The one pass over the rows that ``solve_rows`` and ``gth_factor``
     share.  ``off[i]`` maps each column j != i with m_ij != 0 to
     c_ij = -m_ij, ``gap[i]`` is g_i = m_ii - sum_j c_ij, summed exactly
-    and rounded once (``math.fsum``), and ``holders[j]`` lists the rows
-    i, increasing, with c_ij > 0.  A sum of doubles is a multiple of
-    2^-1074 and ``fsum`` rounds it correctly, so the sign of each g_i is
-    exact.  Returns None when a row has a positive off-diagonal entry or
-    a gap that is negative or not finite (an inf or a NaN anywhere gives
-    one).
+    and rounded once (``core.exact_sum``), so its sign is exact, and
+    ``holders[j]`` lists the rows i, increasing, with c_ij > 0.  Returns
+    None when a row has a positive off-diagonal entry or a gap that is
+    negative or not finite (an inf or a NaN anywhere gives one).
     """
     off: list[dict[int, float]] = []
     gap: list[float] = []
     holders: list[list[int]] = [[] for _ in rows]
     for i, row in enumerate(rows):
         c = {j: -v for j, v in row.items() if j != i and v}
-        try:
-            g = math.fsum(row.values())  # with every c_ij > 0, the exact gap
-        except (ValueError, OverflowError):  # inf - inf, or a partial sum past the float range
-            return None
-        if not 0.0 <= g < math.inf or (c and min(c.values()) <= 0.0):
+        g = exact_sum(row.values())  # with every c_ij > 0, the exact gap
+        if g is None or not 0.0 <= g < math.inf or (c and min(c.values()) <= 0.0):
             return None
         off.append(c)
         gap.append(g)
@@ -116,16 +104,14 @@ def gth_factor(rows: list[dict[int, float]], admitted: _Admitted | None = None) 
 
     ``admitted`` is ``_admit(rows)`` when the caller has taken it, and is
     used up.  A row is kept as its off-diagonal magnitudes c_ij > 0 and
-    its gap g_i.  Eliminating pivot k takes d_k = g_k + sum_j c_kj
+    its gap g_i.  Eliminating pivot k takes d_k = g_k + sum_j c_kj, added
+    in the order ``_substitute`` adds c_kj x_j, so x = 1 gives d_k / d_k,
     and, for each remaining row i holding k, with f = c_ik / d_k, adds
     f c_kj to c_ij (j != i: c_ki falls on the diagonal, which g_i stands
     for) and f g_k to g_i.  The next pivot is the remaining row with the
     smallest Markowitz count (its entries times the remaining rows
     holding its column; the smallest index on a tie), from a heap whose
     stale entries are skipped: O(n log n + stored entries + updates).
-    Once the remaining block of order r > 1 stores ``DENSE_FILL`` r^2
-    entries, ``_dense_tail`` finishes it on list rows, in the Markowitz
-    order of that moment.
 
     Returns None, leaving the matrix to the dense ``lu_factor``, when
     ``_admit`` refuses the rows, when a quotient or a product falls below
@@ -144,24 +130,24 @@ def gth_factor(rows: list[dict[int, float]], admitted: _Admitted | None = None) 
     heapq.heapify(heap)
     steps = []
     updates, budget = 0, GTH_BUDGET * n * n
-    stored = sum(held)  # entries of the remaining block, off the diagonal
     while heap:
-        left = n - len(steps)
-        if left > 1 and stored >= DENSE_FILL * left * left:
-            order = sorted((len(off[k]) * held[k], k) for k in range(n) if alive[k])
-            return _dense_tail([k for _, k in order], off, gap, steps, updates, budget)
         score, k = heapq.heappop(heap)
         row_k = off[k]
         if not alive[k] or score != len(row_k) * held[k]:
             continue  # stale
         alive[k] = False
-        stored -= len(row_k)
-        g_k = gap[k]
-        d, low = _pivot(g_k, row_k)
+        g_k = d = gap[k]
+        for c in row_k.values():
+            d += c
         if not d < math.inf:
             return None
         if d == 0.0:  # row k of the remaining block is zero
             return GthFactors(steps, True, updates)
+        # low, the smallest nonzero of g_k and the c_kj: products are monotone,
+        # so an f with f * low in the normal range keeps every product of the step there
+        low = min(row_k.values(), default=g_k)
+        if g_k:
+            low = min(low, g_k)
         items = list(row_k.items())
         lower = []
         for i in holders[k]:
@@ -175,12 +161,9 @@ def gth_factor(rows: list[dict[int, float]], admitted: _Admitted | None = None) 
             lower.append((i, f))
             if g_k:
                 gap[i] += f * g_k
-            fill = row_k.keys() - row_i.keys()
-            fill.discard(i)
-            for j in fill:
+            for j in row_k.keys() - row_i.keys() - {i}:
                 holders[j].append(i)
                 held[j] += 1
-            stored += len(fill) - 1
             get = row_i.get
             for j, c in items:
                 row_i[j] = get(j, 0.0) + f * c
@@ -191,70 +174,6 @@ def gth_factor(rows: list[dict[int, float]], admitted: _Admitted | None = None) 
             heapq.heappush(heap, (len(off[j]) * held[j], j))
         steps.append((k, d, lower, row_k))
     return GthFactors(steps, False, updates)
-
-
-def _pivot(g_k: float, row_k: dict[int, float]) -> tuple[float, float]:
-    """d_k = g_k + sum_j c_kj, and the smallest nonzero of g_k and the c_kj (g_k when all are 0).
-
-    The c_kj are added in the order ``_substitute`` adds c_kj x_j, so x = 1
-    gives d_k / d_k.  Products are monotone, so an f with f * low in the
-    normal range keeps every product of the step there.
-    """
-    d = g_k
-    for c in row_k.values():
-        d += c
-    low = min(row_k.values(), default=g_k)
-    if g_k:
-        low = min(low, g_k)
-    return d, low
-
-
-def _dense_tail(order, off, gap, steps, updates, budget) -> GthFactors | None:
-    """``gth_factor``'s elimination of the remaining rows ``order``, in that order, on list rows.
-
-    Row i becomes c_i, a list over the remaining columns with the next
-    pivot's column last, so that deleting it is a ``pop``.  Each update
-    adds f c_kj to every c_ij, where adding f * 0.0 changes nothing, so
-    every value is the sparse loop's at the same pivot.  The products
-    f c_ki that fall on row i's own column, which g_i stands for, are
-    never read: that slot is the one popped when i is the pivot.  The
-    step tuples, the pivot sum, the hand-overs and the update count are
-    as in the sparse loop.
-    """
-    cols = order[::-1]
-    slot = {j: p for p, j in enumerate(cols)}
-    dense = {}
-    for i in order:
-        c_i = dense[i] = [0.0] * len(cols)
-        for j, c in off[i].items():
-            c_i[slot[j]] = c
-        off[i] = None
-    for k in order:
-        c_k = dense.pop(k)
-        c_k.pop()  # the diagonal slot
-        cols.pop()
-        upper = {j: c for j, c in zip(cols, c_k) if c}
-        g_k = gap[k]
-        d, low = _pivot(g_k, upper)
-        if not d < math.inf:
-            return None
-        if d == 0.0:
-            return GthFactors(steps, True, updates, len(order))
-        lower = []
-        for i, c_i in dense.items():
-            c_ik = c_i.pop()
-            if not c_ik:
-                continue
-            f = c_ik / d
-            updates += len(upper)
-            if f < _TINY or f * low < _TINY or updates > budget:
-                return None
-            lower.append((i, f))
-            if g_k:
-                gap[i] += f * g_k
-            dense[i] = [a + f * b for a, b in zip(c_i, c_k)]
-        steps.append((k, d, lower, upper))
-    return GthFactors(steps, False, updates, len(order))
 
 
 def _substitute(fac: GthFactors, b: list[float]) -> list[float]:

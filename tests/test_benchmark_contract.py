@@ -5,8 +5,9 @@
 report exactly as a benchmark run does (``inprocess.summarize`` then
 ``checks.verdict_mismatch``).  A change to the report layout that the
 benchmark cannot read fails here, not only in a benchmark run.  The
-memory gates run on the same inputs: they count dense materializations
-and ``tracemalloc`` bytes, never wall time.
+memory and work gates run on the same inputs and on an ``ensemble``
+matrix: they count dense materializations, eliminations and
+``tracemalloc`` bytes, never wall time.
 """
 
 from __future__ import annotations
@@ -19,8 +20,16 @@ from pathlib import Path
 import pytest
 
 import ddh.core
-from ddh import comparison_matrix, parse_matrix_market
+from ddh import (
+    EnsembleSpec,
+    comparison_matrix,
+    derive_seed,
+    parse_matrix_market,
+    random_dd_matrix,
+)
 from ddh.cli import analyze_matrix, emit_json, verify_report
+from ddh.mmio import matrix_market_chunks
+from helpers import record_gth_factors
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(BENCH) not in sys.path:
@@ -47,7 +56,7 @@ def test_benchmark_reads_the_verdict_it_expects(make, depth):
     assert all(ok for _, ok, _ in verify_report(report, A))
 
 
-def _record_dense_orders(monkeypatch) -> list[int]:
+def _record_dense_arrays(monkeypatch) -> list[int]:
     """Orders of the dense arrays made from a Matrix: ``entries``, ``modulus``, ``comparison_matrix``."""
     orders = []
     dense = ddh.core._dense
@@ -60,22 +69,37 @@ def _record_dense_orders(monkeypatch) -> list[int]:
     return orders
 
 
-@pytest.mark.parametrize("make", [inputs.chain_matrix, inputs.wide_matrix], ids=["chain", "wide"])
+def _ensemble_matrix(seed: int) -> tuple[str, None]:
+    """Matrix Market text of the first matrix ``ddh generate`` writes for a benchmark ensemble seed."""
+    flags = dict(zip(inputs.ENSEMBLE_FLAGS[::2], inputs.ENSEMBLE_FLAGS[1::2]))
+    spec = EnsembleSpec(int(flags["--n"]), float(flags["--density"]), float(flags["--equality-rows"]),
+                        derive_seed(inputs.ensemble_seeds(seed)[0], 0))
+    return "".join(matrix_market_chunks(random_dd_matrix(spec))), None
+
+
+@pytest.mark.parametrize(
+    "make",
+    [inputs.chain_matrix, inputs.wide_matrix, _ensemble_matrix],
+    ids=["chain", "wide", "ensemble"],
+)
 def test_analyze_and_verify_make_no_full_order_dense_array(monkeypatch, make):
-    """Memory gate: no dense array at all in ``analyze_matrix`` or ``verify_report``.
+    """Memory and work gate: no dense array and no GTH elimination in analyze or verify.
 
     ``analyze_matrix`` solves the subset H-condition's inner block by
-    rows (``comparison_rows``), which stay sparse on these inputs;
+    rows (``comparison_rows``), which stay sparse on these inputs, and
+    its right-hand side there is the block's gap vector, so the solve
+    is one reachability pass with no ``sparse_lu.gth_factor`` call;
     ``verify_report`` reads that condition off the peel.  The dense
     views the oracles read are recorded at order n, which shows that
     the recorder sees them.
     """
-    orders = _record_dense_orders(monkeypatch)
+    orders = _record_dense_arrays(monkeypatch)
+    factors = record_gth_factors(monkeypatch)
     A = parse_matrix_market(make(1)[0])
     report, problems = analyze_matrix(A)
-    assert problems == [] and orders == []
+    assert problems == [] and orders == [] and factors == []
     results = verify_report(json.loads(emit_json(report)), A)
-    assert all(ok for _, ok, _ in results) and orders == []
+    assert all(ok for _, ok, _ in results) and orders == [] and factors == []
     comparison_matrix(A)
     assert A.modulus.shape == (A.n, A.n)
     assert orders[-2:] == [A.n, A.n]

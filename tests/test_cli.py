@@ -751,6 +751,7 @@ class TestStrictFlags:
         assert [check for check, (ok, _) in lines.items() if not ok] == [failed]
 
     def test_a_non_dominant_matrix_may_leave_is_h_null_but_not_forged(self):
+        """A non-dominant matrix's non-H verdict must agree with the oracle analyze decides by."""
         A = Matrix([[1.0, 2.0], [0.0, 1.0]])
         report, problems = analyze_matrix(A)
         report = json.loads(emit_json(report))
@@ -758,6 +759,22 @@ class TestStrictFlags:
         assert all(ok for _, ok, _ in verify_report(report, A))
         lines = _verify_lines(_replace(report, ("is_h",), 0), A)
         assert [check for check, (ok, _) in lines.items() if not ok] == ["h-consistency"]
+        # an H-matrix whose report is edited to a non-H verdict with no oracle object
+        A = Matrix([[1.0, 2.0], [0.1, 1.0]])
+        report, problems = analyze_matrix(A, with_oracle=True)
+        report = json.loads(emit_json(report))
+        assert report["is_h"] is True and problems == []
+        forged = _replace(_replace(report, ("is_h",), False), ("scaling",), None)
+        del forged["oracle"]
+        lines = _verify_lines(forged, A)
+        assert [check for check, (ok, _) in lines.items() if not ok] == ["h-consistency"]
+        # an honest non-H verdict
+        A = Matrix([[1.0, 2.0], [1.0, 1.0]])
+        report, problems = analyze_matrix(A, with_oracle=True)
+        report = json.loads(emit_json(report))
+        assert report["is_h"] is False and problems == []
+        lines = _verify_lines(report, A)
+        assert lines["h-consistency"][0] and all(ok for ok, _ in lines.values())
 
 
 class TestStrictReals:
