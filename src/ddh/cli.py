@@ -8,12 +8,15 @@ certificate inside a report against the matrix it was computed from.
 Exit codes: 0 success, 2 parse/usage errors, 3 internal inconsistency
 (a certified quantity failed its own cross-check), 4 failed certificate
 verification.  Reports use fixed keys (schema in docs/report.schema.json,
-version ``SCHEMA_VERSION``), 1-based indices, and reals rendered with 17
-significant digits; infinities are encoded as the strings "Infinity" /
-"-Infinity".  Each list, and each object of scalars only, is written on
-one line.  Each certificate holds O(n) indices: the chains are one
-next hop per row and the peel trace is a partition of T; the interwoven
-certificates are read off those two, so only their leftovers are stored.
+version ``SCHEMA_VERSION``), 1-based indices, and each real as the shortest
+text that reads back to it (an integral one as ``mmio.format_real``
+writes it: "1", not "1.0"); infinities are encoded as the strings
+"Infinity" / "-Infinity".  The scaling vector is rounded to the fewest
+significant digits that keep it a certificate (``hmatrix.rounded_scaling``).
+Each list, and each object of scalars only, is written on one line.
+Each certificate holds O(n) indices: the chains are one next hop per
+row and the peel trace is a partition of T; the interwoven certificates
+are read off those two, so only their leftovers are stored.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .hmatrix import (
     find_ssdd_set_dd,
     is_h_dd,
     peel_outcome,
+    rounded_scaling,
     s_h_check,
     s_h_from_peel,
     s_sdd_check,
@@ -77,7 +81,9 @@ def _one_line(value) -> str:
         return str(value)
     if isinstance(value, float):
         if math.isfinite(value):
-            text = format_real(value)
+            # the shortest text that reads back to value; an integral value as
+            # format_real writes it ("1", not "1.0")
+            text = format_real(value) if value.is_integer() else repr(value)
             return "-0.0" if text == "-0" else text  # "-0" loads as the integer 0
         return '"NaN"' if math.isnan(value) else '"Infinity"' if value > 0 else '"-Infinity"'
     if isinstance(value, str):
@@ -175,18 +181,14 @@ def analyze_matrix(
     peel_trace = None
     peel_reason = None
     witness = None
-    scaling = None
+    cert = None
     if verdict is not None:
         peeling = interwoven_from_peeling(A, verdict.peel)
         is_h = verdict.is_h
         peel_trace = [_one_based(t.members) for t in verdict.peel_trace]
         peel_reason = verdict.reason.value
         witness = None if verdict.witness is None else _one_based(verdict.witness.members)
-        if verdict.scaling is not None:
-            scaling = {
-                "d": [float(x) for x in verdict.scaling.d],
-                "margin": verdict.scaling.margin,
-            }
+        cert = verdict.scaling
 
     oracle_obj = None
     if with_oracle:
@@ -198,7 +200,8 @@ def analyze_matrix(
             is_h = oracle_obj["inverse_nonneg"]
             if is_h:
                 cert = solved_scaling(A)
-                scaling = {"d": [float(x) for x in cert.d], "margin": cert.margin}
+    # any d with a positive margin certifies H: write the shortest that keeps half of it
+    short = None if cert is None else rounded_scaling(A, cert)
 
     if subset is not None:
         ssdd_set = subset if s_sdd_check(A, subset) else None
@@ -228,7 +231,7 @@ def analyze_matrix(
         "peel_trace": peel_trace,
         "peel_reason": peel_reason,
         "witness": witness,
-        "scaling": scaling,
+        "scaling": None if short is None else {"d": short.d.tolist(), "margin": short.margin},
         "ssdd_set": None if ssdd_set is None else _one_based(ssdd_set.members),
         "sh": None if sh is None else _sh_dict(sh),
     }

@@ -26,6 +26,9 @@ Z-matrix, which ``sparse_lu`` solves with no numpy: by one reachability
 pass when the right-hand side is the block's gap vector (T at tol 0),
 and otherwise by one sparse GTH elimination, with no subtraction and no
 pivot threshold, which touches only stored entries and their fill.
+``rounded_scaling`` shortens a certificate's d for the report: the
+fewest significant digits, one count for the whole vector, that keep
+at least half its margin.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite),
@@ -123,6 +126,32 @@ def scaling_margin(A: Matrix, d) -> float:
         if margin == margin and not gap >= margin:  # smaller, or NaN; NaN stays
             margin = gap
     return margin
+
+
+def rounded_scaling(A: Matrix, cert: ScalingCertificate) -> ScalingCertificate:
+    """``cert`` with d rounded to the fewest significant digits that still certify it.
+
+    One digit count k serves the whole vector: d_k[i] = float(f"{d[i]:.{k}g}").
+    A k passes when every d_k[i] lies in (0, 1] and
+    ``scaling_margin(A, d_k) >= cert.margin / 2``, so d_k keeps at least
+    half the slack of d.  k = 17 gives d back bit for bit and always
+    passes.  The search doubles k (1, 2, 4, 8, 16), then bisects the last
+    bracket: at most 8 margin passes, each O(nnz).  The bisection takes
+    the test as monotone in k, which rounding does not promise, so the k
+    returned passes but a smaller one might too.  The margin returned is
+    d_k's own.
+    """
+    floor = cert.margin / 2
+    lo, hi, best = 0, 17, cert  # k = lo failed (0: none tried); k = hi passes
+    while hi - lo > 1:
+        k = max(2 * lo, 1) if best is cert else (lo + hi) // 2
+        d = array("d", [float(f"{x:.{k}g}") for x in cert.d])
+        margin = scaling_margin(A, d) if all(0.0 < x <= 1.0 for x in d) else -math.inf
+        if margin >= floor:
+            hi, best = k, ScalingCertificate(d=d, margin=margin)
+        else:
+            lo = k
+    return best
 
 
 def _sweep_order(peel: Peel) -> list[int]:

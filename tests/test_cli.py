@@ -2,6 +2,8 @@ import copy
 import hashlib
 import json
 import math
+import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +25,13 @@ from ddh.cli import analyze_matrix, emit_json, main, real_from_json, verify_repo
 from helpers import dd_matrices
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+#: where a real's text changes form: zeros, subnormals, the fixed/scientific
+#: switches of "%.17g" and repr, and the integers a double still holds exactly
+_REAL_EDGES = [
+    0.0, -0.0, 5e-324, math.nextafter(sys.float_info.min, 0.0), sys.float_info.min,
+    1e-5, 1e-4, 0.1, 1.0, -3.0, 1e15, 1e16, 1e17, 2.0**53, 1e22, 1e23, sys.float_info.max,
+]
 
 LADDER_MM = """%%MatrixMarket matrix coordinate real general
 3 3 5
@@ -172,9 +181,31 @@ class TestEmitJson:
             '}\n'
         )
 
-    def test_seventeen_digit_reals_round_trip(self):
+    def test_reals_round_trip(self):
         for x in (0.1, 1 / 3, 0.39999999999999997, 1e-300, 12345.6789):
             assert json.loads(emit_json({"x": x}))["x"] == x
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from(_REAL_EDGES),
+            st.sampled_from(_REAL_EDGES).map(lambda x: math.nextafter(x, -math.inf)),
+            st.integers(-(2**70), 2**70).map(float),
+        )
+    )
+    def test_reals_take_the_shortest_text_that_reads_back(self, x):
+        """Same bits back, never longer than before, integral values as before."""
+        text = emit_json(x)[:-1]
+        assert struct.pack("<d", float(json.loads(text))) == struct.pack("<d", x)
+        before = f"{x:.17g}"
+        before = "-0.0" if before == "-0" else before  # the writer's text until now
+        assert len(text) <= len(before)
+        if x.is_integer():
+            assert text == before
+        else:  # one significant digit fewer no longer reads back
+            digits = text.split("e")[0].lstrip("-").replace(".", "").strip("0")
+            assert len(digits) == 1 or float(f"{x:.{len(digits) - 1}g}") != x
 
     def test_negative_zero_loads_as_a_float(self):
         # "-0" used to be written, which json.loads reads as the integer 0

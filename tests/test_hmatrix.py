@@ -1,33 +1,41 @@
 import json
 import math
+import random
 import tracemalloc
 from array import array
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ddh import (
     DominanceClass,
+    EnsembleSpec,
     InconsistencyError,
     IndexSet,
     Matrix,
     PeelReason,
+    ScalingCertificate,
     classify_dominance,
+    derive_seed,
     find_ssdd_set_dd,
     inverse_nonneg_oracle,
     is_h_dd,
     non_sdd_rows,
     peel_levels,
     principal_submatrix,
+    random_dd_matrix,
+    rounded_scaling,
     s_h_check,
     s_sdd_check,
     scaling_certificate,
+    scaling_margin,
     solved_scaling,
 )
 import ddh.hmatrix
 import ddh.oracle
-from ddh.cli import analyze_matrix, emit_json, verify_report
+from ddh.cli import analyze_matrix, emit_json, real_from_json, verify_report
 from ddh.hmatrix import SCALING_SWEEP_CAP
 from helpers import (
     all_proper_nonempty_subsets,
@@ -356,3 +364,89 @@ def test_any_passing_subset_implies_h(A):
         if s_sdd_check(A, S):
             assert inverse_nonneg_oracle(A)
             break
+
+
+def _chain(n: int) -> Matrix:
+    """Upper-bidiagonal chain of order n: equality rows pointing at i + 1, the last row strict."""
+    rng = random.Random(n)
+    mags = [rng.randint(512, 1024) / 1024 for _ in range(n)]
+    rows, cols = array("q", range(n - 1)), array("q", range(1, n))
+    return Matrix.from_nonzeros(array("d", mags), rows, cols, array("d", mags[:-1]))
+
+
+#: margin passes ``rounded_scaling`` may make: k = 1, 2, 4, 8, 16, then bisecting (8, 16)
+ROUNDING_PASSES = 8
+
+
+class TestRoundedScaling:
+    """The report's scaling: the library certificate rounded to one digit count."""
+
+    def _check(self, A: Matrix, cert, with_oracle: bool = False):
+        """Verified, its margin its own, at least half of ``cert``'s, within the pass bound."""
+        passes = []
+        margin_of = ddh.hmatrix.scaling_margin
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ddh.hmatrix, "scaling_margin", lambda B, d: passes.append(B) or margin_of(B, d))
+            short = rounded_scaling(A, cert)
+        assert 1 <= len(passes) <= ROUNDING_PASSES
+        report, problems = analyze_matrix(A, with_oracle=with_oracle)
+        assert problems == []
+        parsed = json.loads(emit_json(report))
+        assert all(ok for _, ok, _ in verify_report(parsed, A))
+        d = [real_from_json(x) for x in parsed["scaling"]["d"]]
+        stored = real_from_json(parsed["scaling"]["margin"])
+        assert d == short.d.tolist() and all(0.0 < x <= 1.0 for x in d)
+        assert stored.hex() == scaling_margin(A, d).hex() == short.margin.hex()
+        assert stored >= cert.margin / 2
+        return d
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 30),
+        density=st.floats(0.1, 1.0),
+        equality_rows=st.sampled_from([0.0, 0.3, 0.6, 0.9]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_random_dominant_h_matrices(self, n, density, equality_rows, seed):
+        A = random_dd_matrix(EnsembleSpec(n, density, equality_rows, seed))
+        verdict = is_h_dd(A)
+        assume(verdict.is_h)
+        self._check(A, verdict.scaling)
+
+    @pytest.mark.parametrize("n", [2, 30, 300])
+    def test_chains(self, n):
+        A = _chain(n)
+        self._check(A, is_h_dd(A).scaling)
+
+    def test_oracle_scaling_of_a_non_dominant_h_matrix(self):
+        A = Matrix([[1, 2], [0.1, 1]])
+        assert classify_dominance(A) is DominanceClass.NOT_DD
+        self._check(A, solved_scaling(A), with_oracle=True)
+
+    @pytest.mark.parametrize(
+        "tail, passes, same",
+        [(1 / 3, ROUNDING_PASSES, False), (0.1 + 0.2, 5, True)],
+        ids=["16-digits", "17-digits"],
+    )
+    def test_search_passes(self, monkeypatch, tail, passes, same):
+        """Doubling, then bisection: the first k that gives d back costs at most 8 passes.
+
+        1/3 reads back from 16 digits: k = 1, 2, 4, 8 fail, 16 passes, then
+        12, 14 and 15 fail.  0.1 + 0.2 needs 17: k = 1 to 16 fail and
+        ``cert`` itself comes back.
+        """
+        cert = ScalingCertificate(d=array("d", [1.0, tail]), margin=1.0)
+        tried = []
+        exact = lambda B, d: tried.append(d) or (1.0 if d == cert.d else -1.0)  # noqa: E731
+        monkeypatch.setattr(ddh.hmatrix, "scaling_margin", exact)
+        short = rounded_scaling(Matrix(np.eye(2)), cert)
+        assert short.d == cert.d and (short is cert) == same and len(tried) == passes
+
+    def test_scaling_text_averages_at_most_8_bytes_per_entry(self):
+        """Byte gate: a default report writes d in a few digits, not 17."""
+        # the first matrix ``ddh generate --n 800 --density 0.01 --equality-rows 0.5 --seed 21`` writes
+        ensemble = random_dd_matrix(EnsembleSpec(800, 0.01, 0.5, derive_seed(21, 0)))
+        for A in (_chain(300), ensemble):
+            report, _ = analyze_matrix(A)
+            text = emit_json(report["scaling"]["d"])[:-1]
+            assert len(text.encode()) <= 8 * A.n, (A.n, len(text))

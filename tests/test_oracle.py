@@ -305,7 +305,7 @@ def test_gth_elimination_matches_the_exact_solve(problem):
 
 
 @st.composite
-def sparse_dominant_z_blocks(draw):
+def filling_z_blocks(draw):
     """A dominant Z-matrix of order 12-40 with 2-4 off-diagonal entries per row, and b >= 0.
 
     The rows are built as in ``dominant_z_blocks``, from ``Z_ENTRIES`` of
@@ -331,8 +331,8 @@ def sparse_dominant_z_blocks(draw):
 
 
 @settings(max_examples=40, deadline=None)
-@given(sparse_dominant_z_blocks())
-def test_gth_elimination_turns_dense_partway(problem):
+@given(filling_z_blocks())
+def test_gth_elimination_on_blocks_that_fill_in(problem):
     """``sparse_lu.gth_factor`` on a block that starts sparse and fills in, against exact solves.
 
     The singular verdict is the exact solve's, each x_i is within 1e-12
