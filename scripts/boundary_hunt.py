@@ -14,6 +14,7 @@ ever point in different directions there.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass
 
@@ -29,6 +30,7 @@ from ddh import (
     non_sdd_rows,
     random_dd_matrix,
 )
+from ddh.core import exact_gap, row_strictness
 from ddh.oracle import RandomStream, derive_seed
 
 
@@ -46,7 +48,10 @@ def graded_matrix(cfg: HuntConfig, k: int) -> Matrix:
     Start from the standard ensemble and shrink each off-diagonal by a
     random power of two, then re-balance the diagonal; wide grading makes
     tiny dominance margins (and hence boundary instances) far more likely
-    than the plain ensemble does.
+    than the plain ensemble does.  A row strict in the ensemble, by the
+    product's exact rule, stays strict; any other row gets the smallest
+    diagonal that keeps it dominant (an equality wherever the exact sum is a
+    float).
     """
     base = random_dd_matrix(
         EnsembleSpec(n=cfg.order, density=0.7, equality_rows=0.8,
@@ -55,17 +60,17 @@ def graded_matrix(cfg: HuntConfig, k: int) -> Matrix:
     rng = RandomStream(derive_seed(cfg.seed ^ 0xBEEF, k))
     entries = base.entries.copy()
     n = cfg.order
+    strict = row_strictness(base)  # the product's exact rule
     for i in range(n):
         for j in range(n):
             if i != j and entries[i, j] != 0.0:
                 entries[i, j] *= 2.0 ** -(rng.next_u64() % 31)
     for i in range(n):
-        row = 0.0
-        for j in range(n):
-            if j != i:
-                row += abs(entries[i, j])
-        strict = (base.diagonal_modulus[i] - base.deleted_row_sums[i]) > 0.0
-        entries[i, i] = row + (2.0 ** -(rng.next_u64() % 31) if strict else 0.0)
+        off = [abs(entries[i, j]) for j in range(n) if j != i]
+        row = math.fsum(off)
+        if exact_gap(row, off) < 0.0:  # the sum rounded down: the next float keeps the row dominant
+            row = math.nextafter(row, math.inf)
+        entries[i, i] = row + (2.0 ** -(rng.next_u64() % 31) if strict[i] > 0 else 0.0)
     return Matrix(entries)
 
 

@@ -208,6 +208,8 @@ def analyze_matrix(
         sh_subset = subset
     else:
         ssdd_set = None if verdict is None else find_ssdd_set_dd(verdict.peel)
+        if tol and ssdd_set is not None and not s_sdd_check(A, ssdd_set):
+            ssdd_set = None  # a row of T violated within tol can spoil the cross test
         sh_subset = T if (len(T) > 0 and not T.is_full) else None
     sh = s_h_check(A, sh_subset, tol) if sh_subset is not None else None
 
@@ -239,12 +241,6 @@ def analyze_matrix(
         report["oracle"] = oracle_obj
 
     problems = []
-    diag_nonzero = min(A.diagonal_modulus) > 0.0
-    if dom.is_dd and diag_nonzero and tol == 0.0 and chain.holds != is_h:
-        # at tol > 0 the peel's T sets are not the chain's levels
-        problems.append(
-            f"chain condition and peel verdict disagree (chain={chain.holds}, is_h={is_h})"
-        )
     if subset is None and dom.is_dd and sh is not None and sh.inner_h != is_h:
         # the peel of A[T,T] is the tail of A's own peel
         problems.append(f"subset H-condition inner_h={sh.inner_h} disagrees with is_h={is_h}")
@@ -365,17 +361,18 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     a non-H verdict on any other matrix must carry none and agree with
     ``inverse_nonneg_oracle``, the rule ``analyze --oracle`` decides it
     by, recomputed densely.  The subset H-condition is required whenever
-    T is a nonempty proper subset.  On T at tol 0, when every row of T is an exact equality,
-    it is read off the recomputed peel (``s_h_from_peel``) with no
-    solve.  Any other subset or tol, and a stored ``sh`` that misses
-    those values (the dense LU may stray on a graded block), takes
-    ``s_h_check`` and its solve.  Either way
-    ``satisfied`` must be ``inner_h`` and lhs < b2 on the stored
-    numbers.  Index lists (``_indices``), flags
-    (``_flag``) and reals (``real_from_json``) are read strictly.  Structural
-    surprises (wrong order, missing keys, fields of the wrong type) and
-    numerical failures inside a recomputation are reported as failures
-    of the check that meets them rather than raised.
+    T is a nonempty proper subset.  On T at tol 0 it is read off the
+    recomputed peel (``s_h_from_peel``) with no solve: with exact
+    dominance signs every row of T is an exact equality.  Any other
+    subset or tol, and a stored ``sh`` that misses those values (the
+    dense LU may stray on a graded block), takes ``s_h_check`` and its
+    solve.  Either way ``satisfied`` must be ``inner_h`` and lhs < b2 on
+    the stored numbers.  The order must be an ``int``; index lists
+    (``_indices``), flags (``_flag``) and reals (``real_from_json``) are
+    read strictly too.  Structural surprises (wrong order, missing keys,
+    fields of the wrong type) and numerical failures inside a
+    recomputation are reported as failures of the check that meets them
+    rather than raised.
     """
     results: list[tuple[str, bool, str]] = []
 
@@ -397,13 +394,13 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
                  f"schema_version {version!r} is not the supported {SCHEMA_VERSION}")]
     try:
         tol = real_from_json(report["tolerance"])
-        n = int(report["order"])
+        n = report["order"]
     except _MALFORMED:
         return [("report-shape", False, "missing or malformed tolerance/order")]
     if not 0.0 <= tol < math.inf:
         return [("report-shape", False, f"tolerance {tol!r} is not a finite nonnegative real")]
-    if n != A.n:
-        return [("report-shape", False, f"report order {n} != matrix order {A.n}")]
+    if type(n) is not int or n != A.n:  # bool, "3" and 3.0 are no order
+        return [("report-shape", False, f"report order {n!r} != matrix order {A.n}")]
 
     dom = classify_dominance(A, tol)
     check("dominance", report.get("dominance_class") == dom.value,

@@ -21,16 +21,13 @@ built: ``Matrix(dense)``, the ``entries`` and ``modulus`` views and
 ``oracle.lu_solve`` eliminates in pure Python.  ``np.asarray`` views any
 buffer without a copy (``.view(np.complex128)`` for complex entries).
 
-Row sums accumulate left to right in increasing column order, and all
-callers share the helpers here, so quantities that must agree (a full
-deleted row sum versus its two halves over a column split, or a row's
-sum inside a peel restriction versus the same row in the copied
-submatrix) are computed with one accumulation order everywhere.  Kernels
-accumulate with ``total += v``, never with ``sum()`` or ``np.sum``:
-Python 3.12's ``sum()`` and ``math.fsum`` compensate, and numpy's sum is
-pairwise, so either would change the rounding of a row sum.  A complex
-magnitude is ``abs(complex)``, which is C ``hypot`` (``np.hypot``, not
-numpy's own complex ``abs``).
+Every dominance sign is exact with respect to the float moduli: only
+``exact_gap`` decides one, so a row's class, a peel re-test and the same
+row in a copied submatrix always agree.  Reported row sums
+(``split_row_sums``) add left to right in increasing column order with
+``total += v``, never ``sum()`` (compensated from Python 3.12 on) or
+``np.sum`` (pairwise).  A complex magnitude is ``abs(complex)``, C
+``hypot`` (``np.hypot``, not numpy's own complex ``abs``).
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ from array import array
 from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, repeat
 from typing import NamedTuple
 
 
@@ -244,22 +241,6 @@ class Matrix:
         return mod
 
     @cached_property
-    def deleted_row_sums(self) -> array:
-        """All deleted row sums, each accumulated in increasing column order.
-
-        Matches a plain loop over ``modulus[i]`` bit for bit (adding the
-        skipped zeros changes no partial sum of nonnegative terms).
-        """
-        data = self.pattern.data.tolist()
-        sums = array("d")
-        for a, b in pairwise(self.pattern.indptr):
-            total = 0.0
-            for v in data[a:b]:
-                total += v
-            sums.append(total)
-        return sums
-
-    @cached_property
     def diagonal_modulus(self) -> array:
         return _moduli(self.diagonal, self.is_complex)
 
@@ -401,34 +382,49 @@ def _member_flags(S: IndexSet) -> list[bool]:
     return flags
 
 
-def exact_sum(values) -> float | None:
-    """``math.fsum`` of ``values``, the exact sum rounded once, or None where it raises.
+def exact_gap(diagonal: float, off: list[float], shift: float = 0.0) -> float:
+    """``diagonal - sum(off) + shift`` computed exactly and rounded once.
 
-    ``fsum`` raises on inf - inf and on a partial sum past the float
-    range.  A sum of doubles is a multiple of 2^-1074, so the rounded sum
-    has the exact sum's sign: a row's exact gap decides its class.  Row
-    sums that other kernels must reproduce are accumulated left to right
-    instead.
+    The one place a dominance sign is decided (row codes, peel re-tests,
+    ``s_sdd_check``'s row test, ``sparse_lu``'s admission): a sum of
+    doubles is a multiple of 2^-1074 that ``math.fsum`` rounds correctly
+    (Shewchuk 1997), so the result has the exact sign, in any term order.
+    Where partial sums of finite terms overflow, the terms are added as
+    ``Fraction``s (a total past the float range gives +-inf).  Infinite
+    terms decide alone, and inf - inf gives NaN, as in IEEE arithmetic.
     """
+    terms = off + [-diagonal, -shift]  # the gap, negated
     try:
-        return math.fsum(values)
-    except (ValueError, OverflowError):
-        return None
+        return 0.0 - math.fsum(terms)
+    except ValueError:  # inf - inf
+        return math.nan
+    except OverflowError:
+        if math.inf in terms or -math.inf in terms:  # the infinite terms decide alone
+            return exact_gap(0.0, [x for x in terms if math.isinf(x)])
+    from fractions import Fraction  # imports decimal: only on this rare path
+
+    total = -sum(map(Fraction, terms))
+    try:
+        return float(total)
+    except OverflowError:
+        return math.inf if total > 0 else -math.inf
 
 
 def row_strictness(A: Matrix, tol: float = 0.0) -> array:
     """Per-row code as ``array('b')``: +1 strict, 0 equality (within tol), -1 dominance violated.
 
-    An analysis asks for it several times at one tol, so the codes are
+    The signs of |a_ii| - r_i -+ tol, exactly (``exact_gap``).  An
+    analysis asks for the codes several times at one tol, so they are
     computed once per matrix and tol; each call returns its own copy.
     """
     tol = _check_tol(tol)
     codes = A._strictness.get(tol)
     if codes is None:
-        codes = A._strictness[tol] = array("b", [
-            (gap > tol) - (gap < -tol)
-            for gap in map(float.__sub__, A.diagonal_modulus, A.deleted_row_sums)
-        ])
+        data, diag = A.pattern.data.tolist(), A.diagonal_modulus
+        rows = [data[a:b] for a, b in pairwise(A.pattern.indptr)]
+        high = list(map(exact_gap, diag, rows, repeat(-tol)))
+        low = list(map(exact_gap, diag, rows, repeat(tol))) if tol else high
+        codes = A._strictness[tol] = array("b", [(h > 0.0) - (g < 0.0) for h, g in zip(high, low)])
     return array("b", codes)
 
 
@@ -436,8 +432,8 @@ def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
     """Every row's deleted sum split over the columns in S and outside S.
 
     One O(n + nnz) pass: entry k of each half is row k's sum over the
-    columns in S, or outside S, of its off-diagonal magnitudes, added in
-    increasing column order as ``Matrix.deleted_row_sums`` adds them.
+    columns in S, or outside S, of its off-diagonal magnitudes, added left
+    to right in increasing column order: reported reals, never a sign.
     """
     _check_universe(A, S)
     inside = _member_flags(S)
@@ -495,11 +491,14 @@ def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
     A row's sum inside T_k changes only when a column it touches leaves,
     so only those rows are re-tested after each level: each row at most
     once per column it loses, which is O(nnz) work for bounded row
-    degrees and O(sum of squared row degrees) at worst.  A re-tested row's
-    sum is re-accumulated over its nonzeros still in T_k in increasing
-    column order, which is exactly the deleted row sum of the copied
-    submatrix, so every decision matches ``row_strictness`` on it bit for
-    bit at any ``tol``.
+    degrees and O(sum of squared row degrees) at worst.  A re-test is the
+    exact sign of the row's gap over its nonzeros still in T_k
+    (``exact_gap``), so every decision matches ``row_strictness`` on the
+    copied submatrix at any ``tol``.  On a dominant matrix at tol 0 every
+    row of T is an exact equality, so a row of T_k is strict exactly when
+    it has a nonzero outside T_k: the levels are the distance layers of
+    the chains out of T (``graph.chain_condition``), and the peel stalls
+    exactly when some row of T has no chain.
     """
     tol = _check_tol(tol)
     T = non_sdd_rows(A, tol)
@@ -520,11 +519,8 @@ def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
         }
         batch = []
         for i in sorted(touched):
-            total = 0.0
-            for k in range(indptr[i], indptr[i + 1]):
-                if active[indices[k]]:
-                    total += data[k]
-            if diag[i] - total > tol:
+            inside = [data[k] for k in range(indptr[i], indptr[i + 1]) if active[indices[k]]]
+            if exact_gap(diag[i], inside, -tol) > 0.0:
                 batch.append(i)
         if not batch:
             break

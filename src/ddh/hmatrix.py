@@ -31,11 +31,10 @@ fewest significant digits, one count for the whole vector, that keep
 at least half its margin.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
-subset-partitioned conditions (cross-validated in the test suite),
-reading every split row sum off one ``split_row_sums`` pass;
-``s_h_check`` decides a dominant inner block by the peel alone.
+subset-partitioned conditions (cross-validated in the test suite);
+``s_h_check`` decides a dominant inner block by the peel alone, and
 ``s_h_from_peel`` reads the subset H-condition on T at tol 0 off A's
-peel with no solve, whenever every row of T is an exact equality.
+peel with no solve.
 """
 
 from __future__ import annotations
@@ -51,9 +50,10 @@ from .core import (
     IndexSet,
     Matrix,
     Peel,
+    _member_flags,
     classify_dominance,
     comparison_rows,
-    exact_sum,
+    exact_gap,
     peel_levels,
     principal_submatrix,
     split_row_sums,
@@ -114,18 +114,27 @@ def scaling_margin(A: Matrix, d) -> float:
     each row summed left to right as in ``core``: O(nnz).  A NaN gap
     makes the margin NaN, wherever it occurs.
     """
-    d = [float(x) for x in d]
+    return _margins(A)([float(x) for x in d])
+
+
+def _margins(A: Matrix):
+    """``scaling_margin`` of A as a function of d, with the pattern copied to lists once."""
     pat = A.pattern
     indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
-    margin = math.inf
-    for i, a in enumerate(A.diagonal_modulus.tolist()):
-        total = 0.0
-        for k in range(indptr[i], indptr[i + 1]):
-            total += data[k] * d[indices[k]]
-        gap = a * d[i] - total
-        if margin == margin and not gap >= margin:  # smaller, or NaN; NaN stays
-            margin = gap
-    return margin
+    diag = A.diagonal_modulus.tolist()
+
+    def margin_of(d) -> float:
+        margin = math.inf
+        for i, a in enumerate(diag):
+            total = 0.0
+            for k in range(indptr[i], indptr[i + 1]):
+                total += data[k] * d[indices[k]]
+            gap = a * d[i] - total
+            if margin == margin and not gap >= margin:  # smaller, or NaN; NaN stays
+                margin = gap
+        return margin
+
+    return margin_of
 
 
 def rounded_scaling(A: Matrix, cert: ScalingCertificate) -> ScalingCertificate:
@@ -136,19 +145,21 @@ def rounded_scaling(A: Matrix, cert: ScalingCertificate) -> ScalingCertificate:
     ``scaling_margin(A, d_k) >= cert.margin / 2``, so d_k keeps at least
     half the slack of d.  k = 17 gives d back bit for bit and always
     passes.  The search doubles k (1, 2, 4, 8, 16), then bisects the last
-    bracket: at most 8 margin passes, each O(nnz).  The bisection takes
+    bracket: at most 8 margin passes, each O(nnz) over one copy of the
+    pattern.  The bisection takes
     the test as monotone in k, which rounding does not promise, so the k
     returned passes but a smaller one might too.  The margin returned is
     d_k's own.
     """
+    margin_of = _margins(A)
     floor = cert.margin / 2
     lo, hi, best = 0, 17, cert  # k = lo failed (0: none tried); k = hi passes
     while hi - lo > 1:
         k = max(2 * lo, 1) if best is cert else (lo + hi) // 2
-        d = array("d", [float(f"{x:.{k}g}") for x in cert.d])
-        margin = scaling_margin(A, d) if all(0.0 < x <= 1.0 for x in d) else -math.inf
+        d = [float(f"{x:.{k}g}") for x in cert.d]
+        margin = margin_of(d) if all(0.0 < x <= 1.0 for x in d) else -math.inf
         if margin >= floor:
-            hi, best = k, ScalingCertificate(d=d, margin=margin)
+            hi, best = k, ScalingCertificate(d=array("d", d), margin=margin)
         else:
             lo = k
     return best
@@ -215,7 +226,8 @@ def scaling_certificate(A: Matrix, peel: Peel) -> ScalingCertificate:
     count and the last margin.
     """
     d = array("d", [1.0]) * A.n
-    margin = scaling_margin(A, d)
+    margin_of = _margins(A)
+    margin = margin_of(d)
     sweeps = 0
     diag = A.diagonal_modulus.tolist()
     if not margin > 0.0 and min(diag) > 0.0:
@@ -231,7 +243,7 @@ def scaling_certificate(A: Matrix, peel: Peel) -> ScalingCertificate:
                 x[i] = 1.0 + total / diag[i]
             top = max(x)  # x >= 1 holds no NaN
             d = array("d", [v / top for v in x])
-            margin = scaling_margin(A, d)
+            margin = margin_of(d)
             sweeps += 1
     if not margin > 0.0:
         try:
@@ -298,44 +310,51 @@ def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
 
     Requires g_i = |a_ii| - r_i^S > 0 on S and g_i g_j > c_i c_j for every
     cross pair (i in S, j outside), where g_j = |a_jj| - r_j^Sbar,
-    c_i = r_i^Sbar and c_j = r_j^S, exactly (``Fraction``) in the sums of
-    one ``split_row_sums`` pass.  With every g_i > 0 that is
-    g_j > c_j max_i (c_i / g_i): O(n + nnz), no |S| x |Sbar| array.
-    Where a sum or a diagonal entry is infinite, each pair is compared
-    as IEEE products.
+    c_i = r_i^Sbar and c_j = r_j^S, exactly: the row test by
+    ``core.exact_gap``, the cross test in ``Fraction`` sums.  With every
+    g_i > 0 that is g_j > c_j max_i (c_i / g_i): O(n + nnz), no
+    |S| x |Sbar| array.  Where a modulus is infinite, each pair is
+    compared as IEEE products of the ``split_row_sums``.
     """
     _check_proper_subset(A, S, "s_sdd_check")
-    in_s, out_s = split_row_sums(A, S)
-    diag = A.diagonal_modulus
-    if not all(diag[i] > in_s[i] for i in S.members):
+    inside = _member_flags(S)
+    pat, diag = A.pattern, A.diagonal_modulus
+    indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
+    in_off, out_off = [], []  # each row's magnitudes in the columns of S, and outside S
+    for ks in map(range, indptr, indptr[1:]):
+        in_off.append([data[k] for k in ks if inside[indices[k]]])
+        out_off.append([data[k] for k in ks if not inside[indices[k]]])
+    if not all(exact_gap(diag[i], in_off[i]) > 0.0 for i in S.members):
         return False
     outside = S.complement().members
-    if max(max(diag), max(in_s), max(out_s)) == math.inf:
+    if math.inf in diag or math.inf in pat.data:
+        in_s, out_s = split_row_sums(A, S)
         return all(
             (diag[i] - in_s[i]) * (diag[j] - out_s[j]) > out_s[i] * in_s[j]
             for i in S.members for j in outside
         )
     from fractions import Fraction as F  # imports decimal: only where the cross test runs
 
-    top = max((F(out_s[i]) / (F(diag[i]) - F(in_s[i])) for i in S.members if out_s[i]), default=0)
-    return all(
-        F(diag[j]) - F(out_s[j]) > top * F(in_s[j])
-        if in_s[j] else diag[j] > out_s[j]  # g_j > 0, which a float comparison decides
-        for j in outside
-    )
+    def exact(values):
+        return sum(map(F, values), F(0))
+
+    top = max(exact(out_off[i]) / (F(diag[i]) - exact(in_off[i])) for i in S.members)
+    return all(F(diag[j]) - exact(out_off[j]) > top * exact(in_off[j]) for j in outside)
 
 
 def find_ssdd_set_dd(peel: Peel) -> IndexSet | None:
     """Subset passing ``s_sdd_check`` for a diagonally dominant matrix.
 
     ``peel`` is the matrix's ``peel_levels`` (``HVerdict.peel``); the
-    caller guarantees dominance.  The search collapses: the non-strict
-    rows T work iff their principal submatrix is strictly dominant,
-    which is iff the first level peels all of T (a row of T that no
-    column outside T touches keeps its full, non-strict sum); when T is
-    empty any singleton works ({0} by convention).  Returns None when no
-    subset exists (including order 1, which has no proper nonempty
-    subset at all).
+    caller guarantees dominance.  At tol 0 the search collapses: the
+    non-strict rows T work iff their principal submatrix is strictly
+    dominant, which is iff the first level peels all of T (a row of T
+    that no column outside T touches keeps its full, non-strict sum);
+    when T is empty any singleton works ({0} by convention).  Returns
+    None when no subset exists (including order 1, which has no proper
+    nonempty subset at all).  At tol > 0 a row of T may violate
+    dominance by up to tol, so a T returned from such a peel may still
+    fail the cross test: ``analyze`` checks it with ``s_sdd_check``.
     """
     T = peel.t_set
     if len(T) == 0:
@@ -394,10 +413,11 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
 
     lhs comes from one ``lu_solve`` of the inner comparison block, given
     by rows (``comparison_rows``), with no numpy for a dominant block.
-    On T at tol 0, r_out is the block's own gap vector wherever each
-    row's rounded sums agree, bit for bit.  Then M 1 = r_out (exactly,
-    on dyadic rows), and one reachability pass decides x = 1 or a
-    singular block in O(|S| + nnz).  A dominant block with any other
+    On T at tol 0 each row's exact gap in the block is its sum outside T,
+    so r_out, added left to right, is the block's own gap vector
+    wherever it rounds as that exact sum (on dyadic rows, always).  Then
+    M 1 = r_out, and one reachability pass decides x = 1 or a singular
+    block in O(|S| + nnz).  A dominant block with any other
     right-hand side is solved by sparse GTH elimination, which touches
     only the stored entries and their fill.  A block that is not
     dominant (under ``--subset``, or a row dominant only within tol)
@@ -433,41 +453,24 @@ def s_h_from_peel(A: Matrix, peel: Peel) -> SHReport | None:
     """The subset H-condition on T at tol 0, read off A's peel with no solve.
 
     ``peel`` is A's ``peel_levels`` at tol 0; the caller guarantees
-    dominance.  When every row of T is an exact equality (its
-    ``core.exact_sum`` gap |a_ii| - sum |a_ij| is 0), the comparison block
-    M_T satisfies M_T 1 = r_out exactly, r_out being the row sums
-    outside T.  A row that the peel takes is then strict in exact
-    arithmetic too (its left-to-right sum lost a nonzero term), so a
-    peel that empties T proves A[T,T] an H-matrix and lhs =
-    ||M_T^-1 r_out|| = 1.  A stall leaves a block W whose rows are
-    exact equalities; when W is closed (no row of W has an entry
-    outside W), M_W 1 = 0 and M_T, block triangular, is singular: lhs
-    is None.  b2 is ``s_h_check``'s, bit for bit, from one
-    ``split_row_sums`` pass: O(n + nnz) in all, with no dense array.
+    dominance.  Dominance signs are exact (``core.exact_gap``), so every
+    row of T is an exact equality and the comparison block M_T satisfies
+    M_T 1 = r_out exactly, r_out being the row sums outside T.  A row
+    the peel takes is strict in A[T_k, T_k], so a peel that empties T
+    proves A[T,T] an H-matrix and lhs = ||M_T^-1 r_out|| = 1.  A stall
+    leaves a block W whose rows are exact equalities with no strict row,
+    so W is closed (no row of W has an entry outside W): M_W 1 = 0 and
+    M_T, block triangular, is singular, so lhs is None.  b2 is
+    ``s_h_check``'s, bit for bit, from one ``split_row_sums`` pass:
+    O(n + nnz) in all, with no dense array.
 
-    Returns None, leaving the question to ``s_h_check``, when T is not
-    a nonempty proper subset, when a row of T is an equality only
-    after rounding, or when the stalled block has an entry outside it
-    (a row the rounded sums could not peel).
+    Returns None, leaving the question to ``s_h_check``, when T is not a
+    nonempty proper subset.
     """
     T = peel.t_set
     if len(T) == 0 or T.is_full:
         return None
-    diag, pat = A.diagonal_modulus, A.pattern
-    indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
-    for i in T.members:
-        if exact_sum([diag[i], *(-v for v in data[indptr[i]:indptr[i + 1]])]) != 0.0:
-            return None
     inner_h = not peel.stalled
-    if not inner_h:
-        peeled = {i for level in peel.levels for i in level}
-        block = [i for i in T.members if i not in peeled]
-        in_block = [False] * A.n
-        for i in block:
-            in_block[i] = True
-        for i in block:
-            if not all(in_block[j] for j in indices[indptr[i]:indptr[i + 1]]):
-                return None
     b2, note, _ = _outside_ratios(A, T)
     return SHReport(
         subset=T,

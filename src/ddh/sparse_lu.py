@@ -26,7 +26,7 @@ import math
 import sys
 from typing import NamedTuple
 
-from .core import exact_sum
+from .core import exact_gap
 from .oracle import _check_residual, _max_abs, _solve_dense
 
 #: ``gth_factor`` hands over to the dense ``lu_factor`` once its entry
@@ -60,7 +60,7 @@ def _admit(rows: list[dict[int, float]]) -> _Admitted | None:
     The one pass over the rows that ``solve_rows`` and ``gth_factor``
     share.  ``off[i]`` maps each column j != i with m_ij != 0 to
     c_ij = -m_ij, ``gap[i]`` is g_i = m_ii - sum_j c_ij, summed exactly
-    and rounded once (``core.exact_sum``), so its sign is exact, and
+    and rounded once (``core.exact_gap``), so its sign is exact, and
     ``holders[j]`` lists the rows i, increasing, with c_ij > 0.  Returns
     None when a row has a positive off-diagonal entry or a gap that is
     negative or not finite (an inf or a NaN anywhere gives one).
@@ -70,8 +70,8 @@ def _admit(rows: list[dict[int, float]]) -> _Admitted | None:
     holders: list[list[int]] = [[] for _ in rows]
     for i, row in enumerate(rows):
         c = {j: -v for j, v in row.items() if j != i and v}
-        g = exact_sum(row.values())  # with every c_ij > 0, the exact gap
-        if g is None or not 0.0 <= g < math.inf or (c and min(c.values()) <= 0.0):
+        g = exact_gap(row.get(i, 0.0), list(c.values()))
+        if not 0.0 <= g < math.inf or (c and min(c.values()) <= 0.0):
             return None
         off.append(c)
         gap.append(g)

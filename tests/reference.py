@@ -6,9 +6,9 @@ code in ``ddh`` replaces with sparse worklist kernels:
 * the dense deleted row sums (``cumsum`` over a zero-diagonal copy) and
   the partial row sum scanning every column of the subset;
 * numpy versions of the kernels that read the storage buffers (the
-  moduli, the deleted and split row sums, the row strictness codes, the
-  principal submatrix and the edge lookup), vectorized as the product
-  was while it stored numpy arrays;
+  moduli, the deleted and split row sums, the principal submatrix and
+  the edge lookup), vectorized as the product was while it stored numpy
+  arrays;
 * the sparsity graph's adjacency found by scanning every dense entry,
   and its strongly connected components in Frobenius normal form, with
   the irreducibility and Taussky tests built on them;
@@ -39,7 +39,11 @@ code in ``ddh`` replaces with sparse worklist kernels:
   elimination of dominant Z-matrices is compared against;
 * the subset dominance test ``s_sdd_check`` over every cross pair, in
   ``Fraction`` arithmetic, where the product tests each outside row
-  against the inside row of the largest ratio.
+  against the inside row of the largest ratio;
+* the dominance classification (``classify_dominance``,
+  ``non_sdd_rows``) from each row's gap in ``Fraction`` arithmetic
+  (``exact_row_codes``), which every reference above classifies and
+  peels with, where the product adds with ``math.fsum``.
 
 The references keep the old signatures: each takes the matrix (and the
 tolerance), checks dominance itself and raises ``ValueError`` without
@@ -79,16 +83,51 @@ from ddh import (
     ScalingCertificate,
     SHReport,
     SparsePattern,
-    classify_dominance,
     comparison_matrix,
     inverse_nonneg_oracle,
     lu_solve,
-    non_sdd_rows,
     principal_submatrix,
 )
 from ddh.mmio import _FIELDS, _SYMMETRIES, ParseError, _tokens, format_real
 from ddh.oracle import PIVOT_RTOL
 from helpers import is_valid_scaling
+
+
+def fraction_gap(diagonal: float, off) -> Fraction | float:
+    """``diagonal - sum(off)`` exactly: a ``Fraction``, or +-inf / NaN with an infinite modulus.
+
+    An infinite modulus on one side decides alone; on both sides the
+    gap is IEEE inf - inf, NaN, which is neither positive nor negative.
+    """
+    up, down = diagonal == np.inf, np.inf in off
+    if up or down:
+        return np.nan if up and down else np.inf if up else -np.inf
+    return Fraction(diagonal) - sum(map(Fraction, off), Fraction(0))
+
+
+def exact_row_codes(A: Matrix, tol: float = 0.0) -> list[int]:
+    """+1 strict, 0 equality within tol, -1 violated: each row's gap in ``Fraction`` arithmetic."""
+    mod = A.modulus
+    codes = []
+    for i in range(A.n):
+        gap = fraction_gap(float(mod[i, i]), [float(v) for j, v in enumerate(mod[i]) if j != i and v])
+        codes.append(int(gap > Fraction(tol)) - int(gap < -Fraction(tol)))
+    return codes
+
+
+def classify_dominance(A: Matrix, tol: float = 0.0) -> DominanceClass:
+    """The dominance class from ``exact_row_codes``."""
+    codes = exact_row_codes(A, tol)
+    if min(codes) < 0:
+        return DominanceClass.NOT_DD
+    if min(codes) > 0:
+        return DominanceClass.SDD
+    return DominanceClass.DD_PLUS if max(codes) > 0 else DominanceClass.DD_EQUALITY
+
+
+def non_sdd_rows(A: Matrix, tol: float = 0.0) -> IndexSet:
+    """The rows that ``exact_row_codes`` calls not strict."""
+    return IndexSet(tuple(i for i, code in enumerate(exact_row_codes(A, tol)) if code <= 0), A.n)
 
 
 def deleted_row_sums(A: Matrix) -> np.ndarray:
@@ -267,11 +306,6 @@ def vectorized_split_row_sums(A: Matrix, S: IndexSet) -> tuple[np.ndarray, np.nd
     for rows, at in _entry_passes(A):
         sums[outside[indices[at]], rows] += data[at]  # one entry per row and pass
     return sums[0], sums[1]
-
-
-def vectorized_row_strictness(A: Matrix, tol: float) -> np.ndarray:
-    gap = vectorized_moduli(A)[0] - vectorized_deleted_row_sums(A)
-    return np.where(gap > tol, 1, np.where(gap < -tol, -1, 0)).astype(np.int8)
 
 
 def vectorized_principal_submatrix(A: Matrix, S: IndexSet):
@@ -600,23 +634,31 @@ def exact_solve(rows: list[dict[int, float]], b) -> list[Fraction] | None:
 def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
     """The two-condition subset dominance test over every cross pair, in exact arithmetic.
 
-    The row sums are ``partial_row_sum``'s floats, taken as exact; the
-    gaps and the products are ``Fraction``s.  Where a diagonal entry or
-    a sum is infinite, each pair is compared in floats.
+    The gaps, the split row sums and the products are ``Fraction``s of
+    the moduli (``fraction_gap`` for the row test).  Where a modulus is
+    infinite, each pair is compared in floats, on ``partial_row_sum``'s
+    sums.
     """
     if S.universe_size != A.n or len(S) == 0 or S.is_full:
         raise ValueError("s_sdd_check requires a nonempty proper subset")
     sbar = S.complement()
+    mod = A.modulus
     diag = A.diagonal_modulus
-    r_in = [partial_row_sum(A, i, S) for i in range(A.n)]
-    r_out = [partial_row_sum(A, i, sbar) for i in range(A.n)]
-    if not all(diag[i] > r_in[i] for i in S.members):
+
+    def part(i, cols):
+        return [float(mod[i, j]) for j in cols.members if j != i and mod[i, j]]
+
+    if not all(fraction_gap(diag[i], part(i, S)) > 0 for i in S.members):
         return False
-    if not all(map(np.isfinite, [*diag, *r_in, *r_out])):
+    if not np.isfinite(mod).all():
+        r_in = [partial_row_sum(A, i, S) for i in range(A.n)]
+        r_out = [partial_row_sum(A, i, sbar) for i in range(A.n)]
         return all((diag[i] - r_in[i]) * (diag[j] - r_out[j]) > r_out[i] * r_in[j]
                    for i in S.members for j in sbar.members)
+    r_in = [-fraction_gap(0.0, part(i, S)) for i in range(A.n)]
+    r_out = [-fraction_gap(0.0, part(i, sbar)) for i in range(A.n)]
     F = Fraction
-    return all((F(diag[i]) - F(r_in[i])) * (F(diag[j]) - F(r_out[j])) > F(r_out[i]) * F(r_in[j])
+    return all((F(diag[i]) - r_in[i]) * (F(diag[j]) - r_out[j]) > r_out[i] * r_in[j]
                for i in S.members for j in sbar.members)
 
 

@@ -299,10 +299,10 @@ class TestAnalyzeCommand:
         assert rc == 2
         assert "line 2: order 1000000000 exceeds" in err
 
-    def test_chain_and_peel_disagreement_exits_3(self, tmp_path, capsys):
-        # row 1 reaches the strict row 3 through its 1e-20 entry, but that
-        # entry is absorbed by the row sum, so the peel never makes row 1
-        # strict: the report would hold chain true and is_h false
+    def test_rounding_repro_is_not_dominant(self, tmp_path, capsys):
+        # row 1's sum 1 + 1e-20 rounds to its diagonal 1, but exactly it
+        # exceeds it: the row violates dominance, so no verdict is due.
+        # (Decided on rounded sums, the chain held while the peel stalled.)
         path = self._write(
             tmp_path,
             "%%MatrixMarket matrix coordinate real general\n3 3 6\n"
@@ -311,11 +311,16 @@ class TestAnalyzeCommand:
         rc = main(["analyze", str(path)])
         captured = capsys.readouterr()
         report = json.loads(captured.out)
-        assert report["chain"]["holds"] is True and report["is_h"] is False
-        assert rc == 3
-        assert "chain condition and peel verdict disagree" in captured.err
-        # at tol > 0 the peel's T sets differ from the chain's levels legitimately
+        assert rc == 0 and captured.err == ""
+        assert report["dominance_class"] == "NotDD" and report["t_set"] == [1, 2]
+        assert report["is_h"] is None and report["peel_trace"] is None
+        report_path = tmp_path / "report.json"
+        report_path.write_text(captured.out)
+        assert main(["verify", str(report_path), str(path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+        # within tol 1e-3 row 1 is an equality, and 1e-20 does not make it strict
         assert main(["analyze", str(path), "--tol", "1e-3"]) == 0
+        assert json.loads(capsys.readouterr().out)["is_h"] is False
 
     def test_subset_override(self, tmp_path, capsys):
         path = self._write(
@@ -705,6 +710,9 @@ class TestMalformedReports:
             (("schema_version",), 2.0, "report-shape: FAIL (schema_version 2.0 is not"),
             (("ssdd_set",), [0], "ssdd: FAIL (malformed ssdd: ValueError: members out of range"),
             (("schema_version",), 3.0, "report-shape: FAIL (schema_version 3.0 is not"),
+            (("order",), "3", "report-shape: FAIL (report order '3' != matrix order 3)"),
+            (("order",), 3.9, "report-shape: FAIL (report order 3.9 != matrix order 3)"),
+            (("order",), 3.0, "report-shape: FAIL (report order 3.0 != matrix order 3)"),
         ],
     )
     def test_verify_fails_instead_of_raising(self, tmp_path, capsys, path, value, failed):

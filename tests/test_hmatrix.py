@@ -382,13 +382,22 @@ class TestRoundedScaling:
     """The report's scaling: the library certificate rounded to one digit count."""
 
     def _check(self, A: Matrix, cert, with_oracle: bool = False):
-        """Verified, its margin its own, at least half of ``cert``'s, within the pass bound."""
-        passes = []
-        margin_of = ddh.hmatrix.scaling_margin
+        """Verified, its margin its own, at least half of ``cert``'s, within the pass bound.
+
+        The search copies A's pattern once, for all of its margin passes.
+        """
+        copies, passes = [], []
+        margins = ddh.hmatrix._margins
+
+        def counted(B):
+            copies.append(B)
+            margin_of = margins(B)
+            return lambda d: passes.append(d) or margin_of(d)
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ddh.hmatrix, "scaling_margin", lambda B, d: passes.append(B) or margin_of(B, d))
+            mp.setattr(ddh.hmatrix, "_margins", counted)
             short = rounded_scaling(A, cert)
-        assert 1 <= len(passes) <= ROUNDING_PASSES
+        assert copies == [A] and 1 <= len(passes) <= ROUNDING_PASSES
         report, problems = analyze_matrix(A, with_oracle=with_oracle)
         assert problems == []
         parsed = json.loads(emit_json(report))
@@ -437,8 +446,8 @@ class TestRoundedScaling:
         """
         cert = ScalingCertificate(d=array("d", [1.0, tail]), margin=1.0)
         tried = []
-        exact = lambda B, d: tried.append(d) or (1.0 if d == cert.d else -1.0)  # noqa: E731
-        monkeypatch.setattr(ddh.hmatrix, "scaling_margin", exact)
+        exact = lambda d: tried.append(d) or (1.0 if d == cert.d.tolist() else -1.0)  # noqa: E731
+        monkeypatch.setattr(ddh.hmatrix, "_margins", lambda B: exact)
         short = rounded_scaling(Matrix(np.eye(2)), cert)
         assert short.d == cert.d and (short is cert) == same and len(tried) == passes
 

@@ -18,12 +18,13 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import sys
 from array import array
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import ddh
@@ -32,6 +33,7 @@ import ddh.sparse_lu
 import reference
 from ddh import (
     ChainReport,
+    DominanceClass,
     EnsembleSpec,
     IndexSet,
     InconsistencyError,
@@ -55,6 +57,7 @@ from ddh import (
     s_h_from_peel,
     s_sdd_check,
     split_row_sums,
+    chain_condition,
 )
 from ddh.cli import analyze_matrix, emit_json, real_from_json, verify_report
 from ddh.core import _pointers, row_strictness
@@ -122,9 +125,7 @@ def _outcome(fn, *args):
 @settings(max_examples=300, deadline=None)
 @given(rounded_matrices(), st.data())
 def test_kernels_match_reference_bit_for_bit(A, data):
-    assert [x.hex() for x in A.deleted_row_sums] == [
-        x.hex() for x in reference.deleted_row_sums(A)
-    ]
+    assert _hexes(split_row_sums(A, IndexSet.full(A.n))[0]) == _hexes(reference.deleted_row_sums(A))
     assert pattern_rows(A) == reference.adjacency(A)
     S = data.draw(proper_subsets(A.n))
     inside, _ = split_row_sums(A, S)
@@ -252,12 +253,11 @@ def test_buffer_kernels_match_numpy_bit_for_bit(A, data):
     diag_mod, moduli = reference.vectorized_moduli(A)
     assert _hexes(A.diagonal_modulus) == _hexes(diag_mod)
     assert _hexes(A.pattern.data) == _hexes(moduli)
-    assert _hexes(A.deleted_row_sums) == _hexes(reference.vectorized_deleted_row_sums(A))
+    whole = split_row_sums(A, IndexSet.full(A.n))[0]
+    assert _hexes(whole) == _hexes(reference.vectorized_deleted_row_sums(A))
     S = data.draw(proper_subsets(A.n))
     for got, expected in zip(split_row_sums(A, S), reference.vectorized_split_row_sums(A, S)):
         assert _hexes(got) == _hexes(expected)
-    for tol in TOLERANCES:
-        assert row_strictness(A, tol).tolist() == reference.vectorized_row_strictness(A, tol).tolist()
     if len(S):
         sub = principal_submatrix(A, S)
         diag, rows, cols, values = reference.vectorized_principal_submatrix(A, S)
@@ -337,11 +337,17 @@ def _verdicts(report: dict, A, branch: str = "product") -> list[tuple[str, bool]
 
 
 def _dominant(A: Matrix) -> Matrix:
-    """A with each violated row's diagonal set to its row sum, one of ``rounded_matrices``' own choices."""
+    """A with each violated row's diagonal raised to the smallest float not below its exact row sum.
+
+    That row is an exact equality wherever its sum is a float, and
+    strict by less than an ulp otherwise.
+    """
     entries = A.entries.copy()
-    sums = np.asarray(A.deleted_row_sums)
-    violated = np.flatnonzero(np.asarray(A.diagonal_modulus) < sums)
-    entries[violated, violated] = sums[violated]
+    for i, code in enumerate(reference.exact_row_codes(A)):
+        if code < 0:
+            total = -reference.fraction_gap(0.0, [float(v) for j, v in enumerate(A.modulus[i]) if j != i and v])
+            d = float(total)
+            entries[i, i] = d if d >= total else math.nextafter(d, math.inf)
     return Matrix(entries)
 
 
@@ -379,23 +385,35 @@ def test_sh_off_the_peel_passes_and_fails_as_the_dense_check(A):
 
 
 @pytest.mark.parametrize(
-    "entries",
+    "entries, t_set, is_h",
     [
-        # row 1 is an equality only after rounding: 1 + 1e-20 rounds to 1
-        [[1.0, 1.0, 1e-20], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-        # an H-matrix whose row 1 rounds 0.1 + 0.2 to its diagonal
-        [[0.1 + 0.2, 0.1, 0.2], [0.7, 0.7, 0.0], [0.0, 0.0, 1.0]],
+        # row 1 is an equality only after rounding: 1 + 1e-20 rounds to 1, and
+        # exactly it exceeds its diagonal
+        ([[1.0, 1.0, 1e-20], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]], (0, 1), None),
+        # row 1 rounds 0.1 + 0.2 to its diagonal, which exactly exceeds the sum
+        ([[0.1 + 0.2, 0.1, 0.2], [0.7, 0.7, 0.0], [0.0, 0.0, 1.0]], (1,), True),
     ],
     ids=["rounded-equality", "non-dyadic-h"],
 )
-def test_rows_equal_only_after_rounding_take_the_dense_check(entries):
+def test_rows_equal_only_after_rounding_are_classified_exactly(entries, t_set, is_h):
+    """A row whose left-to-right sum equals its diagonal takes its exact class.
+
+    The first matrix is then not dominant, so its ``sh`` comes from the
+    solve; the second is an H-matrix whose ``sh`` is read off the peel.
+    Either report passes every check, on every branch of the ``sh`` check.
+    """
     A = Matrix(entries)
-    T = non_sdd_rows(A)
-    assert T.members == (0, 1) and s_h_from_peel(A, peel_levels(A)) is None
-    report = json.loads(emit_json(analyze_matrix(A)[0]))
-    sh = report["sh"]
-    assert sh["subset"] == [1, 2] and sh["b2"] == "Infinity"
-    assert sh["satisfied"] is sh["inner_h"] is report["is_h"] is (sh["lhs"] is not None)
+    assert non_sdd_rows(A).members == t_set
+    report, problems = analyze_matrix(A)
+    report = json.loads(emit_json(report))
+    assert problems == [] and report["is_h"] is is_h
+    if is_h is None:
+        assert report["dominance_class"] == "NotDD"
+        assert report["sh"] == {"subset": [1, 2], "lhs": None, "b2": "Infinity", "satisfied": False,
+                                "inner_h": False, "note": "inner comparison block is singular"}
+    else:
+        assert s_h_from_peel(A, peel_levels(A)) == s_h_check(A, non_sdd_rows(A))
+        assert report["sh"]["lhs"] == 1.0 and report["sh"]["satisfied"] is True
     assert _verdicts(report, A) == _verdicts(report, A, "dense")
     assert all(ok for _, ok in _verdicts(report, A))
 
@@ -467,35 +485,146 @@ def test_row_sums_accumulate_left_to_right():
     # (math.fsum, Python >= 3.12 sum()) carries them into the last place.
     assert math.fsum([1.0, 1e-16, 1e-16]) == 1.0000000000000002
     A = Matrix([[2.0, 1.0, 1e-16, 1e-16], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert A.deleted_row_sums[0] == 1.0
+    assert split_row_sums(A, IndexSet.full(4))[0][0] == 1.0
     assert split_row_sums(A, IndexSet((1, 2, 3), 4))[0][0] == 1.0
     # From eight terms on, numpy's pairwise sum regroups them as well.
     row = [0.0, 1.0] + [1e-16] * 8
     assert np.sum(row) > 1.0
     B = Matrix(np.diag([2.0] * 10) + np.array([row] + [[0.0] * 10] * 9))
-    assert B.deleted_row_sums[0] == 1.0
     assert split_row_sums(B, IndexSet.full(10))[0][0] == 1.0
 
 
-def test_peel_retests_with_left_to_right_restricted_sums():
-    # Row 0 sums to 1 + ulp only through its last entry, in the strict
-    # column 4; without it, 1.0 absorbs both 1e-16 terms and row 0 turns
-    # strict.  Any other order keeps the 1e-16 terms and stalls the peel.
-    # (The margin is one ulp, so the scaling solve rightly calls it singular.)
+def test_peel_retests_with_exact_restricted_sums():
+    # Row 0 is an exact equality: 1 + 3 2^-54 + 2^-54 is one_up.  Over the
+    # columns of T its sum, 1 + 3 2^-54, rounds up to one_up, so a
+    # left-to-right re-test never made it strict and the peel stalled with
+    # the chain condition holding.  Its exact gap there is 2^-54 > 0, so
+    # it peels first and rows 1 and 2 follow along their chains.  (The
+    # margin is below an ulp, so the scaling solve rightly fails.)
     one_up = math.nextafter(1.0, math.inf)
     A = Matrix([
-        [one_up, 1.0, 1e-16, 1e-16, 2.5e-16],
-        [1.0, 1.0, 0.0, 0.0, 0.0],
-        [1.0, 0.0, 1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 1.0],
+        [one_up, 1.0, 3 * 2.0**-54, 2.0**-54],
+        [1.0, 1.0, 0.0, 0.0],
+        [0.0, 1.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
     ])
-    assert A.deleted_row_sums[0] == one_up
-    assert peel_levels(A).levels == ((0,), (1, 2, 3))
+    assert split_row_sums(A, IndexSet((0, 1, 2), 4))[0][0] == one_up
+    assert non_sdd_rows(A).members == (0, 1, 2) and chain_condition(A).holds
+    assert peel_levels(A).levels == ((0,), (1,), (2,))
     assert _outcome(is_h_dd, A) is _outcome(reference.is_h_dd, A) is InconsistencyError
+    assert reference.peel_verdict(A).peel == peel_levels(A)
     cert = interwoven_from_peeling(A, peel_levels(A))
-    assert cert.p_seq == (0, 1, 2) and cert.leftover == 3
+    assert cert.p_seq == (0, 1) and cert.leftover == 2
     assert cert == reference.interwoven_from_peeling(A)
+
+
+#: the rounding repro, [[1, 1, 1e-20], ...]: chain true, peel stalled under left-to-right sums
+ROUNDING_REPRO = [[1.0, 1.0, 1e-20], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+#: row 0 is an exact equality whose sum over T = {0, 1, 2} exceeds its diagonal by 2^-54
+#: exactly, while left to right it rounds to 1: the exact peel takes all of T at level 1
+WHOLE_T_AT_LEVEL_ONE = [
+    [1.0, 0.5, 0.5 - 2.0**-54, 2.0**-54], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1],
+]
+
+
+@st.composite
+def overflowing_matrices(draw, max_n=5):
+    """Rows of large finite moduli, whose partial sums pass the float range, and infinite diagonals."""
+    n = draw(st.integers(2, max_n))
+    big = st.sampled_from((0.0, 0.0, 1.0, 1e308, 1.5e308, sys.float_info.max, 2.0**1023))
+    mags = np.array([[draw(big) for _ in range(n)] for _ in range(n)])
+    for i in range(n):
+        mags[i, i] = draw(st.sampled_from((0.0, 1.0, 1e308, sys.float_info.max, math.inf)))
+    return Matrix(mags)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rounded_matrices(), complex_matrices(), overflowing_matrices()))
+@example(Matrix(ROUNDING_REPRO))
+@example(Matrix(WHOLE_T_AT_LEVEL_ONE))
+def test_row_strictness_is_the_exact_classification(A):
+    """Every row code at every tol is the sign of the row's ``Fraction`` gap.
+
+    Rounded rows sit within an ulp of equality, complex moduli are
+    ``hypot``'s and may be infinite, and overflowing rows take the
+    ``Fraction`` path of ``core.exact_gap``.  A row with infinite moduli
+    on both sides is an equality (IEEE inf - inf is NaN).
+    """
+    for tol in TOLERANCES:
+        assert row_strictness(A, tol).tolist() == reference.exact_row_codes(A, tol)
+        assert classify_dominance(A, tol) is reference.classify_dominance(A, tol)
+
+
+def _chain_layers(chain: ChainReport) -> tuple[tuple[int, ...], ...]:
+    """The members ``chain`` reaches, grouped by the length of their chains out of T."""
+    depth: dict[int, int] = {}
+    for i in chain.reached:  # by distance: each next hop is known first, or outside T
+        depth[i] = depth.get(chain.next_hop[i], 0) + 1
+    layers: list[list[int]] = []
+    for i in chain.reached:
+        if depth[i] > len(layers):
+            layers.append([])
+        layers[depth[i] - 1].append(i)
+    return tuple(tuple(layer) for layer in layers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(rounded_matrices().map(_dominant), dd_matrices(max_n=8)))
+@example(Matrix(WHOLE_T_AT_LEVEL_ONE))
+def test_exact_peel_is_the_chain_layering_at_tol_0(A):
+    """On dominant input at tol 0 the peel's levels are the chains' distance layers.
+
+    So the peel stalls exactly when the chain condition fails: the
+    verdict and the chain certificate cannot disagree.
+    """
+    assert classify_dominance(A).is_dd
+    peel, chain = peel_levels(A), chain_condition(A)
+    assert peel.t_set == chain.subset
+    assert peel.levels == _chain_layers(chain)
+    assert peel.stalled == (not chain.holds)
+
+
+#: at tol 1e-3 row 2 is 1e-3 short of dominance and T = {1, 2} peels in one level, yet the
+#: cross test fails: the report may not name T as its SSDD set
+SSDD_SPOILED_WITHIN_TOL = [
+    [1.3019463731920935, 1.0, 0.30294637319209333],
+    [0.31893734537306534, 0.6581114830748297, 0.3391741377017645],
+    [0.9948371008305866, 0.28959972035800446, 1.286436821188591],
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rounded_matrices())
+@example(Matrix(ROUNDING_REPRO))
+@example(Matrix(WHOLE_T_AT_LEVEL_ONE))
+@example(Matrix(SSDD_SPOILED_WITHIN_TOL))
+def test_verify_passes_every_report_analyze_writes(A):
+    """Wherever ``analyze_matrix`` writes a report with no problem, ``verify_report`` passes it."""
+    for tol in TOLERANCES:
+        analyzed = _outcome(analyze_matrix, A, tol)
+        if analyzed is InconsistencyError or analyzed[1]:
+            continue
+        report = json.loads(emit_json(analyzed[0]))
+        failed = [(name, detail) for name, ok, detail in verify_report(report, A) if not ok]
+        assert failed == [], (tol, failed)
+
+
+def test_exact_peel_takes_all_of_t_at_level_one():
+    """The 4 x 4 matrix whose left-to-right sum over T rounded row 0 back to equality.
+
+    Exactly, row 0 is strict inside T, so the first level takes all of T
+    and T is the SSDD set; ``s_sdd_check`` must agree, on the same exact
+    sums, or ``verify`` would fail the report.
+    """
+    A = Matrix(WHOLE_T_AT_LEVEL_ONE)
+    T = non_sdd_rows(A)
+    assert T.members == (0, 1, 2) and split_row_sums(A, T)[0][0] == 1.0
+    assert peel_levels(A).levels == ((0, 1, 2),)
+    assert s_sdd_check(A, T) and reference.s_sdd_check(A, T)
+    report, problems = analyze_matrix(A)
+    report = json.loads(emit_json(report))
+    assert problems == [] and report["ssdd_set"] == [1, 2, 3] and report["is_h"] is True
+    assert all(ok for _, ok, _ in verify_report(report, A))
 
 
 class TestPeelLevels:

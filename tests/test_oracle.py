@@ -575,8 +575,9 @@ class TestRandomDDMatrix:
         )
         assert classify_dominance(A).is_dd
         # every row is exactly an equality row or exactly strict
+        sums = reference.deleted_row_sums(A)
         for i in range(n):
-            gap = A.diagonal_modulus[i] - A.deleted_row_sums[i]
+            gap = A.diagonal_modulus[i] - sums[i]
             assert gap >= 0.0
 
     @settings(max_examples=300, deadline=None)
