@@ -207,9 +207,7 @@ def analyze_matrix(
         ssdd_set = subset if s_sdd_check(A, subset) else None
         sh_subset = subset
     else:
-        ssdd_set = None if verdict is None else find_ssdd_set_dd(verdict.peel)
-        if tol and ssdd_set is not None and not s_sdd_check(A, ssdd_set):
-            ssdd_set = None  # a row of T violated within tol can spoil the cross test
+        ssdd_set = None if verdict is None else find_ssdd_set_dd(A, verdict.peel)
         sh_subset = T if (len(T) > 0 and not T.is_full) else None
     sh = s_h_check(A, sh_subset, tol) if sh_subset is not None else None
 
@@ -364,12 +362,11 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     T is a nonempty proper subset.  On T at tol 0 it is read off the
     recomputed peel (``s_h_from_peel``) with no solve: with exact
     dominance signs every row of T is an exact equality.  Any other
-    subset or tol, and a stored ``sh`` that misses those values (the
-    dense LU may stray on a graded block), takes ``s_h_check`` and its
-    solve.  Either way ``satisfied`` must be ``inner_h`` and lhs < b2 on
-    the stored numbers.  The order must be an ``int``; index lists
-    (``_indices``), flags (``_flag``) and reals (``real_from_json``) are
-    read strictly too.  Structural surprises (wrong order, missing keys,
+    subset or tol takes ``s_h_check`` and its solve.  Either way
+    ``satisfied`` must be ``inner_h`` and lhs < b2 on the stored
+    numbers.  The order must be an ``int``; index lists (``_indices``),
+    flags (``_flag``) and reals (``real_from_json``) are read strictly
+    too.  Structural surprises (wrong order, missing keys,
     fields of the wrong type) and numerical failures inside a
     recomputation are reported as failures of the check that meets them
     rather than raised.
@@ -524,20 +521,17 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             satisfied, inner_h = _flag(sh["satisfied"]), _flag(sh["inner_h"])
             lhs = None if sh["lhs"] is None else real_from_json(sh["lhs"])
             b2 = real_from_json(sh["b2"])
-
-            def matches(rep: SHReport) -> bool:
-                # satisfied follows from the stored numbers, each checked against rep
-                return (
-                    inner_h == rep.inner_h
-                    and (lhs is None) == (rep.lhs is None)
-                    and (lhs is None or _close(lhs, rep.lhs))
-                    and _close(b2, rep.b2)
-                    and satisfied == (inner_h and lhs is not None and lhs < b2)
-                )
-
-            no_solve = s_h_from_peel(A, peel) if tol == 0.0 and peel is not None and S == T else None
-            # the solve also decides where a dense LU strayed from the exact lhs of 1
-            ok = (no_solve is not None and matches(no_solve)) or matches(s_h_check(A, S, tol))
+            on_t = tol == 0.0 and peel is not None and S == T
+            # None off the peel only for an empty or full T, which s_h_check refuses
+            rep = (s_h_from_peel(A, peel) if on_t else None) or s_h_check(A, S, tol)
+            # satisfied follows from the stored numbers, each checked against rep
+            ok = (
+                inner_h == rep.inner_h
+                and (lhs is None) == (rep.lhs is None)
+                and (lhs is None or _close(lhs, rep.lhs))
+                and _close(b2, rep.b2)
+                and satisfied == (inner_h and lhs is not None and lhs < b2)
+            )
             check("sh", ok, "" if ok else "recomputed subset H-condition differs")
 
     return results

@@ -21,13 +21,13 @@ built: ``Matrix(dense)``, the ``entries`` and ``modulus`` views and
 ``oracle.lu_solve`` eliminates in pure Python.  ``np.asarray`` views any
 buffer without a copy (``.view(np.complex128)`` for complex entries).
 
-Every dominance sign is exact with respect to the float moduli: only
-``exact_gap`` decides one, so a row's class, a peel re-test and the same
-row in a copied submatrix always agree.  Reported row sums
-(``split_row_sums``) add left to right in increasing column order with
-``total += v``, never ``sum()`` (compensated from Python 3.12 on) or
-``np.sum`` (pairwise).  A complex magnitude is ``abs(complex)``, C
-``hypot`` (``np.hypot``, not numpy's own complex ``abs``).
+Every dominance sign and every reported row sum is exact with respect to
+the float moduli, rounded once: only ``exact_gap`` decides a sign, so a
+row's class, a peel re-test and the same row in a copied submatrix
+always agree, and ``split_row_sums`` adds each half by ``exact_sum``, so
+the sum outside T of a row of T at tol 0 is its gap in A[T, T] bit for
+bit.  A complex magnitude is ``abs(complex)``, C ``hypot``
+(``np.hypot``, not numpy's own complex ``abs``).
 """
 
 from __future__ import annotations
@@ -382,32 +382,40 @@ def _member_flags(S: IndexSet) -> list[bool]:
     return flags
 
 
-def exact_gap(diagonal: float, off: list[float], shift: float = 0.0) -> float:
-    """``diagonal - sum(off) + shift`` computed exactly and rounded once.
+def exact_sum(terms: list[float]) -> float:
+    """``sum(terms)`` computed exactly and rounded once; +0.0 for no terms.
 
-    The one place a dominance sign is decided (row codes, peel re-tests,
-    ``s_sdd_check``'s row test, ``sparse_lu``'s admission): a sum of
-    doubles is a multiple of 2^-1074 that ``math.fsum`` rounds correctly
-    (Shewchuk 1997), so the result has the exact sign, in any term order.
-    Where partial sums of finite terms overflow, the terms are added as
-    ``Fraction``s (a total past the float range gives +-inf).  Infinite
-    terms decide alone, and inf - inf gives NaN, as in IEEE arithmetic.
+    A sum of doubles is a multiple of 2^-1074 that ``math.fsum`` rounds
+    correctly (Shewchuk 1997), so the result is the same in any term
+    order.  Where partial sums of finite terms overflow, the terms are
+    added as ``Fraction``s (a total past the float range gives +-inf).
+    Infinite terms decide alone, and inf - inf gives NaN, as in IEEE
+    arithmetic.
     """
-    terms = off + [-diagonal, -shift]  # the gap, negated
     try:
-        return 0.0 - math.fsum(terms)
+        return math.fsum(terms)
     except ValueError:  # inf - inf
         return math.nan
     except OverflowError:
         if math.inf in terms or -math.inf in terms:  # the infinite terms decide alone
-            return exact_gap(0.0, [x for x in terms if math.isinf(x)])
+            return exact_sum([x for x in terms if math.isinf(x)])
     from fractions import Fraction  # imports decimal: only on this rare path
 
-    total = -sum(map(Fraction, terms))
+    total = sum(map(Fraction, terms))
     try:
         return float(total)
     except OverflowError:
         return math.inf if total > 0 else -math.inf
+
+
+def exact_gap(diagonal: float, off: list[float], shift: float = 0.0) -> float:
+    """``diagonal - sum(off) + shift`` computed exactly and rounded once (``exact_sum``).
+
+    The one place a dominance sign is decided (row codes, peel re-tests,
+    ``s_sdd_check``'s row test, ``sparse_lu``'s admission), so the sign
+    is exact, in any term order.
+    """
+    return 0.0 - exact_sum(off + [-diagonal, -shift])  # the gap, negated
 
 
 def row_strictness(A: Matrix, tol: float = 0.0) -> array:
@@ -431,9 +439,9 @@ def row_strictness(A: Matrix, tol: float = 0.0) -> array:
 def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
     """Every row's deleted sum split over the columns in S and outside S.
 
-    One O(n + nnz) pass: entry k of each half is row k's sum over the
-    columns in S, or outside S, of its off-diagonal magnitudes, added left
-    to right in increasing column order: reported reals, never a sign.
+    One O(n + nnz) pass: entry k of each half is the exact sum of row k's
+    off-diagonal magnitudes over the columns in S, or outside S, rounded
+    once (``exact_sum``), and +0.0 where the row has none there.
     """
     _check_universe(A, S)
     inside = _member_flags(S)
@@ -441,14 +449,11 @@ def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
     indices, data = pat.indices.tolist(), pat.data.tolist()
     in_s, out_s = array("d"), array("d")
     for a, b in pairwise(pat.indptr):
-        s_in = s_out = 0.0
+        row_in, row_out = [], []
         for k in range(a, b):
-            if inside[indices[k]]:
-                s_in += data[k]
-            else:
-                s_out += data[k]
-        in_s.append(s_in)
-        out_s.append(s_out)
+            (row_in if inside[indices[k]] else row_out).append(data[k])
+        in_s.append(exact_sum(row_in))
+        out_s.append(exact_sum(row_out))
     return in_s, out_s
 
 

@@ -56,6 +56,7 @@ from .core import (
     exact_gap,
     peel_levels,
     principal_submatrix,
+    row_strictness,
     split_row_sums,
 )
 from .oracle import _max_abs, inverse_nonneg_oracle, lu_solve
@@ -111,7 +112,7 @@ def scaling_margin(A: Matrix, d) -> float:
     """Smallest dominance gap of A after scaling column j by d_j.
 
     min_i (|a_ii| d_i - sum_{j != i} |a_ij| d_j) over the sparse pattern,
-    each row summed left to right as in ``core``: O(nnz).  A NaN gap
+    each row summed left to right: O(nnz).  A NaN gap
     makes the margin NaN, wherever it occurs.
     """
     return _margins(A)([float(x) for x in d])
@@ -342,26 +343,25 @@ def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
     return all(F(diag[j]) - exact(out_off[j]) > top * exact(in_off[j]) for j in outside)
 
 
-def find_ssdd_set_dd(peel: Peel) -> IndexSet | None:
+def find_ssdd_set_dd(A: Matrix, peel: Peel) -> IndexSet | None:
     """Subset passing ``s_sdd_check`` for a diagonally dominant matrix.
 
-    ``peel`` is the matrix's ``peel_levels`` (``HVerdict.peel``); the
-    caller guarantees dominance.  At tol 0 the search collapses: the
-    non-strict rows T work iff their principal submatrix is strictly
-    dominant, which is iff the first level peels all of T (a row of T
-    that no column outside T touches keeps its full, non-strict sum);
-    when T is empty any singleton works ({0} by convention).  Returns
-    None when no subset exists (including order 1, which has no proper
-    nonempty subset at all).  At tol > 0 a row of T may violate
-    dominance by up to tol, so a T returned from such a peel may still
-    fail the cross test: ``analyze`` checks it with ``s_sdd_check``.
+    ``peel`` is A's ``peel_levels`` (``HVerdict.peel``); the caller
+    guarantees dominance.  The candidate is T when the first level peels
+    all of it (a row of T that no column outside T touches keeps its
+    full, non-strict sum), or {0} when T is empty; it is returned only
+    when it passes ``s_sdd_check``, else None (always at order 1, which
+    has no proper nonempty subset).  Where every row is exactly dominant
+    and every modulus finite the cross test provably passes, so it is
+    skipped; at tol > 0 a row of T short of dominance can spoil it.
     """
     T = peel.t_set
-    if len(T) == 0:
-        return IndexSet((0,), T.universe_size) if T.universe_size >= 2 else None
-    if peel.levels and len(peel.levels[0]) == len(T):
-        return T
-    return None
+    if len(T) == 0 and A.n >= 2:
+        T = IndexSet.trusted((0,), A.n)  # every row is strict: any singleton works
+    elif not (peel.levels and len(peel.levels[0]) == len(T)):
+        return None
+    finite = math.inf not in A.diagonal_modulus and math.inf not in A.pattern.data
+    return T if (finite and min(row_strictness(A)) >= 0) or s_sdd_check(A, T) else None
 
 
 class SHReport(NamedTuple):
@@ -413,15 +413,15 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
 
     lhs comes from one ``lu_solve`` of the inner comparison block, given
     by rows (``comparison_rows``), with no numpy for a dominant block.
-    On T at tol 0 each row's exact gap in the block is its sum outside T,
-    so r_out, added left to right, is the block's own gap vector
-    wherever it rounds as that exact sum (on dyadic rows, always).  Then
+    On T at tol 0 of a dominant matrix each row's exact gap in the block
+    is its sum outside T, so r_out (``split_row_sums``, each sum exact
+    and rounded once) is the block's own gap vector bit for bit.  Then
     M 1 = r_out, and one reachability pass decides x = 1 or a singular
-    block in O(|S| + nnz).  A dominant block with any other
-    right-hand side is solved by sparse GTH elimination, which touches
-    only the stored entries and their fill.  A block that is not
-    dominant (under ``--subset``, or a row dominant only within tol)
-    takes the dense LU.
+    block in O(|S| + nnz): ``s_h_from_peel``'s answer.  A dominant
+    block with any other right-hand side is solved by sparse GTH
+    elimination, which touches only the stored entries and their fill.
+    A block that is not dominant (under ``--subset``, or a row dominant
+    only within tol) takes the dense LU.
     """
     _check_proper_subset(A, S, "s_h_check")
     sub = principal_submatrix(A, S)
@@ -460,8 +460,8 @@ def s_h_from_peel(A: Matrix, peel: Peel) -> SHReport | None:
     proves A[T,T] an H-matrix and lhs = ||M_T^-1 r_out|| = 1.  A stall
     leaves a block W whose rows are exact equalities with no strict row,
     so W is closed (no row of W has an entry outside W): M_W 1 = 0 and
-    M_T, block triangular, is singular, so lhs is None.  b2 is
-    ``s_h_check``'s, bit for bit, from one ``split_row_sums`` pass:
+    M_T, block triangular, is singular, so lhs is None.  The report is
+    ``s_h_check``'s field for field, b2 from one ``split_row_sums`` pass:
     O(n + nnz) in all, with no dense array.
 
     Returns None, leaving the question to ``s_h_check``, when T is not a

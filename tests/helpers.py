@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
+import random
+from fractions import Fraction
 
 import numpy as np
 from hypothesis import strategies as st
@@ -26,6 +29,17 @@ from ddh import (
 from ddh.oracle import JACOBI_BAND
 
 DYADIC_STEP = 2.0**-30
+#: non-dyadic moduli: a sum of three or more of them is a float only now and then
+NON_DYADIC = (0.1, 0.37, 1 / 3, 0.7, 2 / 3, 0.2, 0.3, 1.1)
+#: T = {2} (0-based): row 2 is an exact equality whose sum outside T, added left to right,
+#: missed its exact value by an ulp, so the subset solve on T eliminated a block of order 1
+#: and wrote lhs 0.9999999999999999
+NON_DYADIC_EQUALITY = [
+    [1.102, -0.001, -0.001, 0.1],
+    [-0.3333333333333333, 1.6666666666666665, 0.3333333333333333, 0],
+    [-0.7, 0.37, 1.7366666666666666, -0.6666666666666666],
+    [0.001, 0.1, -0.37, 0.971],
+]
 
 
 def jacobi_in_band(A: Matrix) -> bool:
@@ -230,3 +244,37 @@ def record_gth_factors(monkeypatch) -> list:
 
     monkeypatch.setattr(ddh.sparse_lu, "gth_factor", recorded)
     return results
+
+
+def non_dyadic_equality_matrix(seed: int, n: int) -> Matrix:
+    """A dominant order-n matrix whose exact-equality rows sum three or more non-dyadic moduli.
+
+    Each row draws its off-diagonal nonzeros (each column with
+    probability 0.6) from ``NON_DYADIC``, with random signs.  About half
+    the rows aim at equality: they redraw, up to 20 times, until they
+    hold three or more nonzeros whose exact sum is a float, and take
+    that sum as diagonal.  Every other row is strict: its diagonal is
+    the smallest float not below its exact sum, plus a ``NON_DYADIC``
+    margin.  A left-to-right sum of an equality row's entries outside
+    some set can then miss the exact one by an ulp.
+    """
+    rng = random.Random(seed)
+    entries = np.zeros((n, n))
+    for i in range(n):
+        equality = rng.random() < 0.5
+        for _ in range(20 if equality else 1):
+            cols = [j for j in range(n) if j != i and rng.random() < 0.6]
+            mags = [rng.choice(NON_DYADIC) for _ in cols]
+            total = sum(map(Fraction, mags), Fraction(0))
+            exact = len(cols) >= 3 and float(total) == total
+            if exact:
+                break
+        d = float(total)
+        if d < total:
+            d = math.nextafter(d, math.inf)
+        if not (equality and exact):
+            d += rng.choice(NON_DYADIC)
+        for j, m in zip(cols, mags):
+            entries[i, j] = m if rng.random() < 0.5 else -m
+        entries[i, i] = d if rng.random() < 0.5 else -d
+    return Matrix(entries)

@@ -3,12 +3,14 @@
 These are the direct transcriptions of the definitions that the product
 code in ``ddh`` replaces with sparse worklist kernels:
 
-* the dense deleted row sums (``cumsum`` over a zero-diagonal copy) and
-  the partial row sum scanning every column of the subset;
+* the dense deleted row sums (every off-diagonal entry of a dense row)
+  and the partial row sum scanning every column of the subset, each the
+  exact ``Fraction`` sum of the moduli rounded once (``rounded_sum``),
+  where the product adds with ``math.fsum``;
 * numpy versions of the kernels that read the storage buffers (the
   moduli, the deleted and split row sums, the principal submatrix and
   the edge lookup), vectorized as the product was while it stored numpy
-  arrays;
+  arrays, with each row sum ``rounded_sum`` of the entries numpy selects;
 * the sparsity graph's adjacency found by scanning every dense entry,
   and its strongly connected components in Frobenius normal form, with
   the irreducibility and Taussky tests built on them;
@@ -27,7 +29,7 @@ code in ``ddh`` replaces with sparse worklist kernels:
 * the subset checks that analyze a copied block a second time: the
   subset H-condition deciding a dominant inner block with the full
   ``is_h_dd`` (scaling solve included), and the SSDD search classifying
-  the copied block on T;
+  the copied block on T and confirming it with ``s_sdd_check``;
 * the ensemble generator drawing cell by cell from ``RandomStream`` and
   the Matrix Market writer visiting every dense entry;
 * the Matrix Market parser accumulating the entry lines into a dense
@@ -130,21 +132,31 @@ def non_sdd_rows(A: Matrix, tol: float = 0.0) -> IndexSet:
     return IndexSet(tuple(i for i, code in enumerate(exact_row_codes(A, tol)) if code <= 0), A.n)
 
 
+def rounded_sum(values) -> float:
+    """The sum of nonnegative moduli in ``Fraction`` arithmetic, rounded once.
+
+    inf when a modulus is infinite or the sum passes the float range;
+    +0.0 for no values.
+    """
+    values = [float(v) for v in values]
+    if np.inf in values:
+        return np.inf
+    total = sum(map(Fraction, values), Fraction(0))
+    try:
+        return float(total)  # a quotient of integers, correctly rounded
+    except OverflowError:
+        return np.inf
+
+
 def deleted_row_sums(A: Matrix) -> np.ndarray:
-    """All deleted row sums by a sequential ``cumsum`` over each dense row."""
-    off = A.modulus.copy()
-    np.fill_diagonal(off, 0.0)
-    return np.cumsum(off, axis=1)[:, -1].copy()
+    """All deleted row sums, each over every off-diagonal entry of its dense row."""
+    mod = A.modulus
+    return np.array([rounded_sum(np.delete(mod[i], i)) for i in range(A.n)])
 
 
 def partial_row_sum(A: Matrix, i: int, S: IndexSet) -> float:
     """Part of row i's deleted sum over S, scanning every member of S."""
-    row = A.modulus[i]
-    total = 0.0
-    for j in S.members:  # increasing column order
-        if j != i:
-            total += float(row[j])
-    return total
+    return rounded_sum(A.modulus[i, j] for j in S.members if j != i)
 
 
 def adjacency(A: Matrix) -> tuple[tuple[int, ...], ...]:
@@ -264,22 +276,13 @@ def taussky_test(A: Matrix, tol: float = 0.0) -> bool:
 
 # numpy versions of the buffer kernels: each reads the matrix's storage
 # through ``np.asarray`` and vectorizes over it, as the product did while
-# it kept numpy arrays.  Row sums add pass k's k-th entry of every row,
-# which is each row left to right.
+# it kept numpy arrays.  Row sums select each row's entries by mask and
+# add them with ``rounded_sum``.
 
 
 def _stored_rows(A: Matrix) -> np.ndarray:
     """The row of every stored entry, in storage order."""
     return np.repeat(np.arange(A.n), np.diff(np.asarray(A.pattern.indptr)))
-
-
-def _entry_passes(A: Matrix):
-    """Pass k: the rows with at least k + 1 stored entries, and the position of the k-th."""
-    indptr = np.asarray(A.pattern.indptr)
-    counts = np.diff(indptr)
-    for k in range(int(counts.max(initial=0))):
-        rows = np.flatnonzero(counts > k)
-        yield rows, indptr[rows] + k
 
 
 def vectorized_moduli(A: Matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -291,21 +294,19 @@ def vectorized_moduli(A: Matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def vectorized_deleted_row_sums(A: Matrix) -> np.ndarray:
-    data = np.asarray(A.pattern.data)
-    sums = np.zeros(A.n)
-    for rows, at in _entry_passes(A):
-        sums[rows] += data[at]
-    return sums
+    data, rows = np.asarray(A.pattern.data), _stored_rows(A)
+    return np.array([rounded_sum(data[rows == i]) for i in range(A.n)])
 
 
 def vectorized_split_row_sums(A: Matrix, S: IndexSet) -> tuple[np.ndarray, np.ndarray]:
     data, indices = np.asarray(A.pattern.data), np.asarray(A.pattern.indices)
-    outside = np.ones(A.n, dtype=np.intp)
-    outside[list(S.members)] = 0
-    sums = np.zeros((2, A.n))
-    for rows, at in _entry_passes(A):
-        sums[outside[indices[at]], rows] += data[at]  # one entry per row and pass
-    return sums[0], sums[1]
+    inside = np.zeros(A.n, dtype=bool)
+    inside[list(S.members)] = True
+    rows, in_s = _stored_rows(A), inside[indices]
+    return tuple(
+        np.array([rounded_sum(data[(rows == i) & (in_s == side)]) for i in range(A.n)])
+        for side in (True, False)
+    )
 
 
 def vectorized_principal_submatrix(A: Matrix, S: IndexSet):
@@ -518,17 +519,17 @@ def interwoven_from_peeling(A: Matrix, tol: float = 0.0) -> InterwovenCertificat
 
 
 def find_ssdd_set_dd(A: Matrix, tol: float = 0.0) -> IndexSet | None:
-    """SSDD search that classifies the copied block on T."""
+    """SSDD search that classifies the copied block on T, then confirms it with ``s_sdd_check``."""
     if classify_dominance(A, tol) is DominanceClass.NOT_DD:
         raise ValueError("find_ssdd_set_dd requires a diagonally dominant matrix")
     T = non_sdd_rows(A, tol)
     if len(T) == 0:
-        return IndexSet((0,), A.n) if A.n >= 2 else None
-    if T.is_full:
-        return None
-    if classify_dominance(principal_submatrix(A, T), tol) is DominanceClass.SDD:
-        return T
-    return None
+        S = IndexSet((0,), A.n) if A.n >= 2 else None
+    elif not T.is_full and classify_dominance(principal_submatrix(A, T), tol) is DominanceClass.SDD:
+        S = T
+    else:
+        S = None
+    return S if S is not None and s_sdd_check(A, S) else None
 
 
 def _gap_ratio(num: float, den: float) -> float:

@@ -273,7 +273,7 @@ def test_criterion_5_subset_conditions_imply_h(analyzed):
     checked = 0
     for e in analyzed[:5000]:
         A = e.matrix
-        found = find_ssdd_set_dd(peel_levels(A))
+        found = find_ssdd_set_dd(A, peel_levels(A))
         claims_h = False
         if found is not None and s_sdd_check(A, found):
             claims_h = True
@@ -295,7 +295,7 @@ def test_criterion_5_subset_conditions_imply_h(analyzed):
         )
         A = random_dd_matrix(spec)
         exhaustive = any(s_sdd_check(A, S) for S in all_proper_nonempty_subsets(A.n))
-        if exhaustive != (find_ssdd_set_dd(peel_levels(A)) is not None):
+        if exhaustive != (find_ssdd_set_dd(A, peel_levels(A)) is not None):
             cross_mismatches += 1
     ok = implication_failures == 0 and cross_mismatches == 0
     _report_line(

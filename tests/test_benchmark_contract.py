@@ -22,6 +22,7 @@ import pytest
 import ddh.core
 from ddh import (
     EnsembleSpec,
+    Matrix,
     comparison_matrix,
     derive_seed,
     parse_matrix_market,
@@ -29,7 +30,7 @@ from ddh import (
 )
 from ddh.cli import analyze_matrix, emit_json, verify_report
 from ddh.mmio import matrix_market_chunks
-from helpers import record_gth_factors
+from helpers import NON_DYADIC_EQUALITY, non_dyadic_equality_matrix, record_gth_factors
 
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(BENCH) not in sys.path:
@@ -77,21 +78,30 @@ def _ensemble_matrix(seed: int) -> tuple[str, None]:
     return "".join(matrix_market_chunks(random_dd_matrix(spec))), None
 
 
+def _text(A: Matrix) -> tuple[str, None]:
+    return "".join(matrix_market_chunks(A)), None
+
+
 @pytest.mark.parametrize(
     "make",
-    [inputs.chain_matrix, inputs.wide_matrix, _ensemble_matrix],
-    ids=["chain", "wide", "ensemble"],
+    [
+        inputs.chain_matrix, inputs.wide_matrix, _ensemble_matrix,
+        lambda seed: _text(Matrix(NON_DYADIC_EQUALITY)),
+        lambda seed: _text(non_dyadic_equality_matrix(seed, 40)),
+    ],
+    ids=["chain", "wide", "ensemble", "non-dyadic-4", "non-dyadic-40"],
 )
 def test_analyze_and_verify_make_no_full_order_dense_array(monkeypatch, make):
     """Memory and work gate: no dense array and no GTH elimination in analyze or verify.
 
     ``analyze_matrix`` solves the subset H-condition's inner block by
     rows (``comparison_rows``), which stay sparse on these inputs, and
-    its right-hand side there is the block's gap vector, so the solve
-    is one reachability pass with no ``sparse_lu.gth_factor`` call;
-    ``verify_report`` reads that condition off the peel.  The dense
-    views the oracles read are recorded at order n, which shows that
-    the recorder sees them.
+    its right-hand side there is the block's gap vector, bit for bit,
+    since each row sum is exact and rounded once, dyadic or not: the
+    solve is one reachability pass with no ``sparse_lu.gth_factor``
+    call.  ``verify_report`` reads that condition off the peel.  The
+    dense views the oracles read are recorded at order n, which shows
+    that the recorder sees them.
     """
     orders = _record_dense_arrays(monkeypatch)
     factors = record_gth_factors(monkeypatch)

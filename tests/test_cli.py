@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ddh.cli
 import reference
 from ddh import (
     IndexSet,
@@ -22,7 +23,7 @@ from ddh import (
     write_matrix_market,
 )
 from ddh.cli import analyze_matrix, emit_json, main, real_from_json, verify_report
-from helpers import dd_matrices
+from helpers import NON_DYADIC_EQUALITY, dd_matrices
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -321,6 +322,40 @@ class TestAnalyzeCommand:
         # within tol 1e-3 row 1 is an equality, and 1e-20 does not make it strict
         assert main(["analyze", str(path), "--tol", "1e-3"]) == 0
         assert json.loads(capsys.readouterr().out)["is_h"] is False
+
+    def test_non_dyadic_equality_row_gives_lhs_1(self, tmp_path, capsys):
+        # row 3's sum outside T = {3}, added left to right, missed its exact
+        # value, and the report said "lhs": 0.9999999999999999
+        path = self._write(tmp_path, write_matrix_market(Matrix(NON_DYADIC_EQUALITY)))
+        assert main(["analyze", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert '"lhs": 1,' in out and json.loads(out)["sh"]["subset"] == [3]
+        report_path = tmp_path / "report.json"
+        report_path.write_text(out)
+        assert main(["verify", str(report_path), str(path)]) == 0
+        assert "FAIL" not in capsys.readouterr().out
+
+    def test_analysis_that_raises_exits_3(self, monkeypatch, capsys):
+        def raising(*args, **kwargs):
+            raise InconsistencyError("scaling margin -0.5 is not positive")
+
+        monkeypatch.setattr(ddh.cli, "analyze_matrix", raising)
+        rc = main(["analyze", str(FIXTURES / "ladder.mtx")])
+        captured = capsys.readouterr()
+        assert rc == 3 and captured.out == ""
+        assert captured.err == "ddh: internal inconsistency: scaling margin -0.5 is not positive\n"
+
+    def test_analysis_with_a_problem_exits_3_after_its_report(self, monkeypatch, capsys):
+        analyze = ddh.cli.analyze_matrix
+
+        def with_problem(*args, **kwargs):
+            return analyze(*args, **kwargs)[0], ["inner_h=False disagrees with is_h=True"]
+
+        monkeypatch.setattr(ddh.cli, "analyze_matrix", with_problem)
+        rc = main(["analyze", str(FIXTURES / "ladder.mtx")])
+        captured = capsys.readouterr()
+        assert rc == 3 and json.loads(captured.out)["is_h"] is True
+        assert captured.err == "ddh: internal inconsistency: inner_h=False disagrees with is_h=True\n"
 
     def test_subset_override(self, tmp_path, capsys):
         path = self._write(

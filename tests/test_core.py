@@ -1,3 +1,6 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,6 +16,7 @@ from ddh import (
     principal_submatrix,
     split_row_sums,
 )
+from ddh.core import exact_gap, exact_sum, row_strictness
 import reference
 from helpers import dd_matrices, dyadic_units, proper_subsets
 
@@ -167,6 +171,34 @@ class TestClassify:
     def test_negative_tol_rejected(self):
         with pytest.raises(ValueError):
             classify_dominance(Matrix([[1]]), tol=-1e-9)
+
+    def test_infinite_moduli_on_both_sides_are_an_equality(self):
+        # row 0's gap is inf - inf, NaN as in IEEE arithmetic: neither
+        # positive nor negative, so the row is an equality at every tol
+        assert math.isnan(exact_gap(math.inf, [math.inf]))
+        A = Matrix([[np.inf, np.inf], [0, 1]])
+        for tol in (0.0, 1e-3):
+            assert row_strictness(A, tol).tolist() == [0, 1]
+        assert classify_dominance(A) is DominanceClass.DD_PLUS
+
+
+class TestExactSum:
+    def test_no_terms_give_positive_zero(self):
+        assert math.copysign(1.0, exact_sum([])) == 1.0
+
+    def test_rounds_once(self):
+        # left to right, 1.0 absorbs each 1e-16; exactly they reach its last place
+        assert exact_sum([1.0, 1e-16, 1e-16]) == math.nextafter(1.0, math.inf)
+
+    def test_overflowing_partial_sums_are_added_as_fractions(self):
+        big = sys.float_info.max
+        assert exact_sum([big, big, -big]) == big
+        assert exact_sum([big, big]) == math.inf and exact_sum([-big, -big]) == -math.inf
+
+    def test_infinite_terms_decide_alone(self):
+        big = sys.float_info.max
+        assert exact_sum([big, big, math.inf]) == math.inf
+        assert math.isnan(exact_sum([big, big, math.inf, -math.inf]))
 
 
 class TestNonSddRows:

@@ -154,7 +154,7 @@ class TestSSddCheck:
 
 
 def _ssdd_set(A: Matrix):
-    return find_ssdd_set_dd(peel_levels(A))
+    return find_ssdd_set_dd(A, peel_levels(A))
 
 
 class TestFindSsddSet:

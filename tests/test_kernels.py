@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from array import array
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -29,6 +30,7 @@ from hypothesis import strategies as st
 
 import ddh
 import ddh.cli
+import ddh.hmatrix
 import ddh.sparse_lu
 import reference
 from ddh import (
@@ -62,10 +64,12 @@ from ddh import (
 from ddh.cli import analyze_matrix, emit_json, real_from_json, verify_report
 from ddh.core import _pointers, row_strictness
 from helpers import (
+    NON_DYADIC_EQUALITY,
     brute_force_interwoven,
     dd_matrices,
     is_chain_certificate,
     is_valid_scaling,
+    non_dyadic_equality_matrix,
     pattern_rows,
     proper_subsets,
     record_gth_factors,
@@ -88,8 +92,8 @@ _OFF_DIAGONAL = st.one_of(
 def rounded_matrices(draw, max_n=10):
     """Non-dyadic magnitudes whose rows sit on, near or across equality.
 
-    A diagonal one ulp above the left-to-right row sum is strict only
-    under that accumulation order, so any other order changes a verdict.
+    A diagonal one ulp off the left-to-right row sum sits where that
+    sum and the exact one can give different verdicts.
     """
     n = draw(st.integers(1, max_n))
     mags = np.array([[draw(_OFF_DIAGONAL) for _ in range(n)] for _ in range(n)])
@@ -183,7 +187,7 @@ def test_subset_checks_match_reference(A, data):
     for tol in TOLERANCES:
         expected = _outcome(reference.find_ssdd_set_dd, A, tol)
         if expected is not ValueError:  # dominance is the caller's precondition
-            assert find_ssdd_set_dd(peel_levels(A, tol)) == expected
+            assert find_ssdd_set_dd(A, peel_levels(A, tol)) == expected
         T = non_sdd_rows(A, tol)
         for subset in (S, T):
             got = _outcome(s_h_check, A, subset, tol)
@@ -239,16 +243,29 @@ def complex_matrices(draw, max_n=8):
     return Matrix(entries * np.array([[draw(zero) for _ in range(n)] for _ in range(n)]))
 
 
+@st.composite
+def overflowing_matrices(draw, max_n=5):
+    """Rows of large finite moduli, whose partial sums pass the float range, and infinite diagonals."""
+    n = draw(st.integers(2, max_n))
+    big = st.sampled_from((0.0, 0.0, 1.0, 1e308, 1.5e308, sys.float_info.max, 2.0**1023))
+    mags = np.array([[draw(big) for _ in range(n)] for _ in range(n)])
+    for i in range(n):
+        mags[i, i] = draw(st.sampled_from((0.0, 1.0, 1e308, sys.float_info.max, math.inf)))
+    return Matrix(mags)
+
+
 def _hexes(values) -> list[str]:
     return [float(x).hex() for x in values]
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(rounded_matrices(), complex_matrices()), st.data())
+@given(st.one_of(rounded_matrices(), complex_matrices(), overflowing_matrices()), st.data())
 def test_buffer_kernels_match_numpy_bit_for_bit(A, data):
     """The plain-loop kernels over the ``array`` buffers against numpy versions of them.
 
     A complex modulus must be ``np.hypot`` of the parts, bit for bit.
+    Each row sum is the exact sum of the entries numpy selects, rounded
+    once: rows past the float range give inf, and an empty half +0.0.
     """
     diag_mod, moduli = reference.vectorized_moduli(A)
     assert _hexes(A.diagonal_modulus) == _hexes(diag_mod)
@@ -327,7 +344,7 @@ def _verdicts(report: dict, A, branch: str = "product") -> list[tuple[str, bool]
     """``verify_report``'s pass or fail per check.
 
     ``branch`` "dense" forces ``s_h_check``; "no-solve" lets only
-    ``s_h_from_peel`` pass ``sh``; "product" leaves both.
+    ``s_h_from_peel`` pass ``sh``; "product" patches neither.
     """
     patches = {"dense": ("s_h_from_peel", lambda A, peel: None), "no-solve": ("s_h_check", _no_match)}
     with contextlib.ExitStack() as stack:
@@ -356,11 +373,9 @@ def _dominant(A: Matrix) -> Matrix:
 def test_sh_off_the_peel_passes_and_fails_as_the_dense_check(A):
     """The product's ``sh`` check against the dense recomputation, on reports and forgeries.
 
-    Rounded rows mostly take the dense check; dyadic ones (exact
-    equalities) mostly take the no-solve one.  The no-solve comparison
-    alone fails every forgery, and passes the report wherever it
-    applies: ``analyze``'s GTH elimination finds lhs null exactly on a
-    stall and 1 to rtol 1e-9 on H, and b2 is bit for bit the same.
+    On T at tol 0 the product's check is the no-solve one.  It must fail
+    every forgery and pass the report, as the dense check does:
+    ``analyze`` writes ``s_h_from_peel``'s fields, reals bit for bit.
     """
     T = non_sdd_rows(A)
     assume(classify_dominance(A).is_dd and 0 < len(T) < A.n)
@@ -368,20 +383,12 @@ def test_sh_off_the_peel_passes_and_fails_as_the_dense_check(A):
     assume(analyzed is not InconsistencyError)  # analyze emits no report then
     report = json.loads(emit_json(analyzed[0]))
     stored = report["sh"]
-    no_solve = s_h_from_peel(A, peel_levels(A))
-    if no_solve is None:
-        event("dense branch")
-    else:
-        event("no-solve branch")
-        assert real_from_json(stored["b2"]) == no_solve.b2 and stored["inner_h"] == no_solve.inner_h
-        assert (stored["lhs"] is None) == (no_solve.lhs is None)
-        assert stored["lhs"] is None or abs(stored["lhs"] - 1.0) <= 1e-9
+    assert stored == json.loads(emit_json(ddh.cli._sh_dict(s_h_from_peel(A, peel_levels(A)))))
     for k, sh in enumerate(_sh_forgeries(stored)):
         forged = {**report, "sh": sh}
         dense = _verdicts(forged, A, "dense")
-        assert _verdicts(forged, A) == dense and dict(dense)["sh"] == (k == 0)
-        if no_solve is not None:
-            assert dict(_verdicts(forged, A, "no-solve"))["sh"] == (k == 0)
+        assert _verdicts(forged, A) == _verdicts(forged, A, "no-solve") == dense
+        assert dict(dense)["sh"] == (k == 0)
 
 
 @pytest.mark.parametrize(
@@ -432,7 +439,7 @@ def test_rows_equal_only_after_rounding_are_classified_exactly(entries, t_set, i
     ids=["lhs-off-1", "h-block-called-singular"],
 )
 def test_where_the_analyze_lu_strays_verify_passes_as_before(entries):
-    """Where the dense LU strayed, GTH elimination finds the exact lhs of 1; every check passes."""
+    """Where the dense LU strayed, the reachability pass finds the exact lhs of 1; every check passes."""
     A = Matrix(entries)
     report, problems = analyze_matrix(A)
     report = json.loads(emit_json(report))
@@ -480,18 +487,25 @@ def test_subnormal_inner_block_is_h_without_a_scaling_solve():
     assert rep.lhs == 0.0 and rep.b2 == 1.002
 
 
-def test_row_sums_accumulate_left_to_right():
-    # Added left to right, 1.0 absorbs each 1e-16; compensated summation
-    # (math.fsum, Python >= 3.12 sum()) carries them into the last place.
-    assert math.fsum([1.0, 1e-16, 1e-16]) == 1.0000000000000002
+def test_row_sums_are_exact_sums_rounded_once():
+    # Added left to right, 1.0 absorbs each 1e-16; exactly, the two reach
+    # its last place.  Each half is its Fraction sum, rounded once.
+    one_up = math.nextafter(1.0, math.inf)
     A = Matrix([[2.0, 1.0, 1e-16, 1e-16], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    assert split_row_sums(A, IndexSet.full(4))[0][0] == 1.0
-    assert split_row_sums(A, IndexSet((1, 2, 3), 4))[0][0] == 1.0
-    # From eight terms on, numpy's pairwise sum regroups them as well.
+    assert split_row_sums(A, IndexSet.full(4))[0][0] == one_up
+    inside, outside = split_row_sums(A, IndexSet((1,), 4))
+    assert (inside[0], outside[0]) == (1.0, 2 * 1e-16)  # doubling is exact
+    assert math.copysign(1.0, split_row_sums(A, IndexSet.full(4))[1][0]) == 1.0  # empty: +0.0
+    # numpy's pairwise sum regroups eight or more terms; the exact sum has no order
     row = [0.0, 1.0] + [1e-16] * 8
-    assert np.sum(row) > 1.0
     B = Matrix(np.diag([2.0] * 10) + np.array([row] + [[0.0] * 10] * 9))
-    assert split_row_sums(B, IndexSet.full(10))[0][0] == 1.0
+    assert split_row_sums(B, IndexSet.full(10))[0][0] == float(sum(map(Fraction, row))) > 1.0
+    # partial sums past the float range are added as Fractions
+    big = sys.float_info.max
+    C = Matrix([[1.0, big, 2.0**970], [0, 1, 0], [0, 0, 1]])
+    assert split_row_sums(C, IndexSet.full(3))[0][0] == math.inf  # a tie, rounded to even
+    D = Matrix([[1.0, big, 2.0**969], [0, 1, 0], [0, 0, 1]])
+    assert split_row_sums(D, IndexSet.full(3))[0][0] == big
 
 
 def test_peel_retests_with_exact_restricted_sums():
@@ -525,17 +539,6 @@ ROUNDING_REPRO = [[1.0, 1.0, 1e-20], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 WHOLE_T_AT_LEVEL_ONE = [
     [1.0, 0.5, 0.5 - 2.0**-54, 2.0**-54], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1],
 ]
-
-
-@st.composite
-def overflowing_matrices(draw, max_n=5):
-    """Rows of large finite moduli, whose partial sums pass the float range, and infinite diagonals."""
-    n = draw(st.integers(2, max_n))
-    big = st.sampled_from((0.0, 0.0, 1.0, 1e308, 1.5e308, sys.float_info.max, 2.0**1023))
-    mags = np.array([[draw(big) for _ in range(n)] for _ in range(n)])
-    for i in range(n):
-        mags[i, i] = draw(st.sampled_from((0.0, 1.0, 1e308, sys.float_info.max, math.inf)))
-    return Matrix(mags)
 
 
 @settings(max_examples=300, deadline=None)
@@ -593,6 +596,46 @@ SSDD_SPOILED_WITHIN_TOL = [
 ]
 
 
+def test_ssdd_search_confirms_its_set():
+    """``find_ssdd_set_dd`` returns no set that fails ``s_sdd_check``, with no confirm by its caller."""
+    A = Matrix(SSDD_SPOILED_WITHIN_TOL)
+    peel = peel_levels(A, 1e-3)
+    T = peel.t_set
+    assert T.members == (0, 1) and peel.levels == ((0, 1),)
+    assert not s_sdd_check(A, T) and not reference.s_sdd_check(A, T)
+    assert find_ssdd_set_dd(A, peel) is None and reference.find_ssdd_set_dd(A, 1e-3) is None
+    assert analyze_matrix(A, 1e-3)[0]["ssdd_set"] is None
+    # dominant at tol 0, but with infinite moduli the cross test compares IEEE
+    # products, and inf * 0 is NaN: the search asks it rather than skip it
+    B = Matrix([[math.inf, math.inf], [0.0, 1.0]])
+    peel = peel_levels(B)
+    assert peel.levels == ((0,),) and not s_sdd_check(B, peel.t_set)
+    assert find_ssdd_set_dd(B, peel) is None and reference.find_ssdd_set_dd(B) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.builds(non_dyadic_equality_matrix, st.integers(0, 2**32 - 1), st.integers(4, 10)))
+@example(Matrix(NON_DYADIC_EQUALITY))
+def test_sh_on_t_is_read_off_the_peel_with_no_elimination(A):
+    """On T at tol 0 the subset H-condition is ``s_h_from_peel``'s, field for field.
+
+    Exact-equality rows sum three or more non-dyadic moduli, so a
+    left-to-right r_out could miss the block's gap vector by an ulp; the
+    solve then eliminated, and lhs came out an ulp or two off 1.  With
+    each sum exact and rounded once, r_out is the gap vector bit for bit
+    and the solve is the reachability pass.  ``verify`` passes the report.
+    """
+    T = non_sdd_rows(A)
+    assume(0 < len(T) < A.n)
+    no_solve = s_h_from_peel(A, peel_levels(A))
+    with mock.patch.object(ddh.sparse_lu, "gth_factor", side_effect=AssertionError("eliminated")):
+        assert reference.sh_key(s_h_check(A, T)) == reference.sh_key(no_solve)
+    report, problems = analyze_matrix(A)
+    report = json.loads(emit_json(report))
+    assert problems == [] and report["sh"] == json.loads(emit_json(ddh.cli._sh_dict(no_solve)))
+    assert all(ok for _, ok, _ in verify_report(report, A))
+
+
 @settings(max_examples=200, deadline=None)
 @given(rounded_matrices())
 @example(Matrix(ROUNDING_REPRO))
@@ -610,17 +653,21 @@ def test_verify_passes_every_report_analyze_writes(A):
 
 
 def test_exact_peel_takes_all_of_t_at_level_one():
-    """The 4 x 4 matrix whose left-to-right sum over T rounded row 0 back to equality.
+    """The 4 x 4 matrix whose rounded sum over T brings row 0 back to equality.
 
     Exactly, row 0 is strict inside T, so the first level takes all of T
     and T is the SSDD set; ``s_sdd_check`` must agree, on the same exact
-    sums, or ``verify`` would fail the report.
+    sums, or ``verify`` would fail the report.  Every row is exactly
+    dominant, so the SSDD search skips the cross test, which provably
+    passes.
     """
     A = Matrix(WHOLE_T_AT_LEVEL_ONE)
     T = non_sdd_rows(A)
     assert T.members == (0, 1, 2) and split_row_sums(A, T)[0][0] == 1.0
     assert peel_levels(A).levels == ((0, 1, 2),)
     assert s_sdd_check(A, T) and reference.s_sdd_check(A, T)
+    with mock.patch.object(ddh.hmatrix, "s_sdd_check", side_effect=AssertionError("cross test")):
+        assert find_ssdd_set_dd(A, peel_levels(A)) == T
     report, problems = analyze_matrix(A)
     report = json.loads(emit_json(report))
     assert problems == [] and report["ssdd_set"] == [1, 2, 3] and report["is_h"] is True
@@ -786,7 +833,7 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
 
     peel = peel_levels(A)
     calls.update(dict.fromkeys(calls, 0))
-    assert find_ssdd_set_dd(peel) is None
+    assert find_ssdd_set_dd(A, peel) is None
     assert calls["principal_submatrix"] == 0
     assert interwoven_from_peeling(A, peel) is not None
     assert calls["peel_levels"] == 0 and calls["classify_dominance"] == 0
