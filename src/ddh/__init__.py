@@ -37,7 +37,6 @@ from .hmatrix import (
     find_ssdd_set_dd,
     is_h_dd,
     peel_outcome,
-    rounded_scaling,
     s_h_check,
     s_h_from_peel,
     s_sdd_check,
@@ -108,7 +107,6 @@ __all__ = [
     "principal_submatrix",
     "random_dd_matrix",
     "read_matrix_file",
-    "rounded_scaling",
     "s_h_check",
     "s_h_from_peel",
     "s_sdd_check",

@@ -11,12 +11,12 @@ verification.  Reports use fixed keys (schema in docs/report.schema.json,
 version ``SCHEMA_VERSION``), 1-based indices, and each real as the shortest
 text that reads back to it (an integral one as ``mmio.format_real``
 writes it: "1", not "1.0"); infinities are encoded as the strings
-"Infinity" / "-Infinity".  The scaling vector is rounded to the fewest
-significant digits that keep it a certificate (``hmatrix.rounded_scaling``).
-Each list, and each object of scalars only, is written on one line.
-Each certificate holds O(n) indices: the chains are one next hop per
-row and the peel trace is a partition of T; the interwoven certificates
-are read off those two, so only their leftovers are stored.
+"Infinity" / "-Infinity".  Each list, and each object of scalars only,
+is written on one line.  Each certificate holds O(n) indices: the chains
+are one next hop per row and the peel trace is a partition of T; the
+interwoven certificates are read off those two, so only their leftovers
+are stored.  A scaling is written only for an H verdict on a matrix that
+is not exactly dominant, where no chain proves it.
 """
 
 from __future__ import annotations
@@ -41,14 +41,15 @@ from .core import (
 )
 from .graph import ChainReport, chain_condition
 from .hmatrix import (
+    PeelReason,
     SHReport,
     find_ssdd_set_dd,
     is_h_dd,
     peel_outcome,
-    rounded_scaling,
     s_h_check,
     s_h_from_peel,
     s_sdd_check,
+    scaling_certificate,
     scaling_margin,
     solved_scaling,
 )
@@ -63,7 +64,7 @@ from .oracle import EnsembleSpec, derive_seed, inverse_nonneg_oracle, jacobi_ora
 
 DEFAULT_MAX_ORDER = 4096
 #: the report layout ``analyze`` writes and ``verify`` reads
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +182,12 @@ def analyze_matrix(
     peel_trace = None
     peel_reason = None
     witness = None
-    cert = None
     if verdict is not None:
         peeling = interwoven_from_peeling(A, verdict.peel)
         is_h = verdict.is_h
         peel_trace = [_one_based(t.members) for t in verdict.peel_trace]
         peel_reason = verdict.reason.value
         witness = None if verdict.witness is None else _one_based(verdict.witness.members)
-        cert = verdict.scaling
 
     oracle_obj = None
     if with_oracle:
@@ -198,10 +197,11 @@ def analyze_matrix(
         }
         if not dom.is_dd:
             is_h = oracle_obj["inverse_nonneg"]
-            if is_h:
-                cert = solved_scaling(A)
-    # any d with a positive margin certifies H: write the shortest that keeps half of it
-    short = None if cert is None else rounded_scaling(A, cert)
+    cert = None
+    if is_h and classify_dominance(A) is DominanceClass.NOT_DD:
+        # no chain proves H: a row dominant only within tol, where the peel can call a
+        # non-H matrix H (the sweeps then raise), or --oracle's verdict on NotDD input
+        cert = solved_scaling(A) if verdict is None else scaling_certificate(A, verdict.peel)
 
     if subset is not None:
         ssdd_set = subset if s_sdd_check(A, subset) else None
@@ -231,7 +231,7 @@ def analyze_matrix(
         "peel_trace": peel_trace,
         "peel_reason": peel_reason,
         "witness": witness,
-        "scaling": None if short is None else {"d": short.d.tolist(), "margin": short.margin},
+        "scaling": None if cert is None else {"d": cert.d.tolist(), "margin": cert.margin},
         "ssdd_set": None if ssdd_set is None else _one_based(ssdd_set.members),
         "sh": None if sh is None else _sh_dict(sh),
     }
@@ -354,17 +354,17 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     claims, its next hops, the peel's trace and reason, and the two
     interwoven certificates derived from them (each checked by its
     definition, ``verify_certificate``) are compared against them, in
-    O(n + nnz) beyond the recomputation.  For a dominant matrix the
-    report must carry a verdict with exactly the certificate it implies;
-    a non-H verdict on any other matrix must carry none and agree with
-    ``inverse_nonneg_oracle``, the rule ``analyze --oracle`` decides it
-    by, recomputed densely.  The subset H-condition is required whenever
+    O(n + nnz) beyond the recomputation.  On a dominant matrix the verdict
+    must be the peel's, with a witness iff non-H and a scaling iff H on a
+    matrix not exactly dominant; on any other, H needs a scaling, and
+    non-H none and the dense ``inverse_nonneg_oracle``'s agreement (the
+    rule of ``analyze --oracle``).  The subset H-condition is required whenever
     T is a nonempty proper subset.  On T at tol 0 it is read off the
     recomputed peel (``s_h_from_peel``) with no solve: with exact
     dominance signs every row of T is an exact equality.  Any other
     subset or tol takes ``s_h_check`` and its solve.  Either way
-    ``satisfied`` must be ``inner_h`` and lhs < b2 on the stored
-    numbers.  The order must be an ``int``; index lists (``_indices``),
+    ``satisfied`` and ``inner_h`` must be the recomputed ones.  The order
+    must be an ``int``; index lists (``_indices``),
     flags (``_flag``) and reals (``real_from_json``) are read strictly
     too.  Structural surprises (wrong order, missing keys,
     fields of the wrong type) and numerical failures inside a
@@ -493,18 +493,21 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     with guarded("h-consistency"):
         is_h = _flag(report.get("is_h"), nullable=True)
-        if is_h is True:
+        if dom.is_dd:
+            # the chains prove H where every row is exactly dominant; elsewhere a scaling must
+            h = peel_outcome(A, peel)[1] is PeelReason.SDD_REACHED
+            scaled = h and classify_dominance(A) is DominanceClass.NOT_DD
+            check("h-consistency",
+                  is_h is h and (witness is None) == h and (scaling is not None) == scaled,
+                  f"a dominant matrix needs is_h {str(h).lower()}, with {'no' if h else 'a'} "
+                  f"witness and {'a' if scaled else 'no'} scaling")
+        elif is_h is True:
             check("h-consistency", scaling is not None and witness is None,
                   "H verdict must carry a scaling and no witness")
-        elif is_h is False and dom.is_dd:
-            check("h-consistency", witness is not None and scaling is None,
-                  "non-H verdict must carry a witness and no scaling")
         elif is_h is False:  # analyze --oracle decides a non-dominant matrix by this oracle
             check("h-consistency",
                   witness is None and scaling is None and not inverse_nonneg_oracle(A),
                   "non-H verdict must carry no certificate and fail the inverse oracle")
-        elif dom.is_dd:
-            check("h-consistency", False, "a dominant matrix needs is_h true or false")
 
     ssdd = report.get("ssdd_set")
     if ssdd is not None:
@@ -524,13 +527,12 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             on_t = tol == 0.0 and peel is not None and S == T
             # None off the peel only for an empty or full T, which s_h_check refuses
             rep = (s_h_from_peel(A, peel) if on_t else None) or s_h_check(A, S, tol)
-            # satisfied follows from the stored numbers, each checked against rep
+            # satisfied against the exact ratios, which the stored b2 may round onto lhs
             ok = (
-                inner_h == rep.inner_h
+                (satisfied, inner_h) == (rep.satisfied, rep.inner_h)
                 and (lhs is None) == (rep.lhs is None)
                 and (lhs is None or _close(lhs, rep.lhs))
                 and _close(b2, rep.b2)
-                and satisfied == (inner_h and lhs is not None and lhs < b2)
             )
             check("sh", ok, "" if ok else "recomputed subset H-condition differs")
 

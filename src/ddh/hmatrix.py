@@ -6,29 +6,28 @@ so the peel restricts to T(A), recomputes T there, and repeats.
 ``is_h_dd`` runs it as one worklist pass over the sparse pattern
 (``core.peel_levels``): after each level only the rows touching a
 just-peeled column are re-tested, and no submatrix is copied.  The peel
-either empties T (H-matrix; a strictly dominance-inducing positive
-scaling is then found by Gauss-Seidel sweeps in peel order and
-checked, O(nnz) per sweep), hits a zero diagonal entry, or
-stalls with T equal to the whole current block (a restriction that is
-dominant with no strict row).  The latter two produce a witness set
-whose principal submatrix certifies non-H-status by inspection.
-``peel_outcome`` reads the trace, the reason and the witness off a
-``Peel``: the structural half of the verdict, which ``verify`` rechecks
+either empties T (H-matrix), hits a zero diagonal entry, or stalls with
+T equal to the whole current block (a restriction that is dominant with
+no strict row).  The latter two produce a witness set whose principal
+submatrix certifies non-H-status by inspection.  On an exactly dominant
+matrix each row a level removes has an entry in a column removed
+before it, so every non-strict row has a chain to a strict row, which
+proves H (Shivakumar & Chew 1974).  ``peel_outcome`` reads the trace,
+the reason and the witness off a ``Peel``, which ``verify`` rechecks
 without a solve.  The verdict keeps its ``Peel`` so that an analysis
-peels A once: the scaling sweeps follow its levels,
-``interwoven.interwoven_from_peeling`` pairs them, and
-``find_ssdd_set_dd`` reads the first.  A solve of the comparison
-system is left to ``s_h_check``'s inner block and to ``solved_scaling``
-(the scaling's fallback after ``SCALING_SWEEP_CAP`` sweeps, and the
-scaling of a non-dominant H-matrix).  Both hand ``lu_solve`` the
-comparison rows.  On a dominant matrix each such block is a dominant
-Z-matrix, which ``sparse_lu`` solves with no numpy: by one reachability
-pass when the right-hand side is the block's gap vector (T at tol 0),
-and otherwise by one sparse GTH elimination, with no subtraction and no
-pivot threshold, which touches only stored entries and their fill.
-``rounded_scaling`` shortens a certificate's d for the report: the
-fewest significant digits, one count for the whole vector, that keep
-at least half its margin.
+peels A once: ``scaling_certificate`` sweeps in its order,
+``interwoven.interwoven_from_peeling`` pairs its levels, and
+``find_ssdd_set_dd`` reads the first.  A scaling, the certificate where
+no chain proves H (a row dominant only within tol), comes from
+Gauss-Seidel sweeps; a solve of the comparison system is left to
+``s_h_check``'s inner block and to ``solved_scaling`` (the sweeps'
+fallback after ``SCALING_SWEEP_CAP`` of them, and the scaling of a
+non-dominant H-matrix).  Both hand ``lu_solve`` the comparison rows.
+On a dominant matrix each such block is a dominant Z-matrix, which
+``sparse_lu`` solves with no numpy: by one reachability pass when the
+right-hand side is the block's gap vector (T at tol 0), and otherwise
+by one sparse GTH elimination, with no subtraction and no pivot
+threshold, which touches only stored entries and their fill.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite);
@@ -54,6 +53,7 @@ from .core import (
     classify_dominance,
     comparison_rows,
     exact_gap,
+    exact_sum,
     peel_levels,
     principal_submatrix,
     row_strictness,
@@ -92,14 +92,13 @@ class HVerdict(NamedTuple):
     ``peel_trace`` partitions the non-strict rows T in original indices:
     the rows peeled at each level, then, when the peel stalls, the
     stalled block (empty only when the input is already strictly
-    dominant; only T itself on a zero diagonal).  Exactly one of
-    ``scaling`` (H) and ``witness`` (non-H) is present.
+    dominant; only T itself on a zero diagonal).  ``witness`` is present
+    exactly on a non-H verdict.
     """
 
     is_h: bool
     peel_trace: tuple[IndexSet, ...]
     reason: PeelReason
-    scaling: ScalingCertificate | None
     witness: IndexSet | None
     peel: Peel
 
@@ -136,34 +135,6 @@ def _margins(A: Matrix):
         return margin
 
     return margin_of
-
-
-def rounded_scaling(A: Matrix, cert: ScalingCertificate) -> ScalingCertificate:
-    """``cert`` with d rounded to the fewest significant digits that still certify it.
-
-    One digit count k serves the whole vector: d_k[i] = float(f"{d[i]:.{k}g}").
-    A k passes when every d_k[i] lies in (0, 1] and
-    ``scaling_margin(A, d_k) >= cert.margin / 2``, so d_k keeps at least
-    half the slack of d.  k = 17 gives d back bit for bit and always
-    passes.  The search doubles k (1, 2, 4, 8, 16), then bisects the last
-    bracket: at most 8 margin passes, each O(nnz) over one copy of the
-    pattern.  The bisection takes
-    the test as monotone in k, which rounding does not promise, so the k
-    returned passes but a smaller one might too.  The margin returned is
-    d_k's own.
-    """
-    margin_of = _margins(A)
-    floor = cert.margin / 2
-    lo, hi, best = 0, 17, cert  # k = lo failed (0: none tried); k = hi passes
-    while hi - lo > 1:
-        k = max(2 * lo, 1) if best is cert else (lo + hi) // 2
-        d = [float(f"{x:.{k}g}") for x in cert.d]
-        margin = margin_of(d) if all(0.0 < x <= 1.0 for x in d) else -math.inf
-        if margin >= floor:
-            hi, best = k, ScalingCertificate(d=array("d", d), margin=margin)
-        else:
-            lo = k
-    return best
 
 
 def _sweep_order(peel: Peel) -> list[int]:
@@ -283,17 +254,15 @@ def peel_outcome(
 
 
 def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
-    """Recursive peel deciding H-status of a diagonally dominant matrix."""
+    """Recursive peel deciding H-status of a diagonally dominant matrix: no solve, no scaling."""
     if classify_dominance(A, tol) is DominanceClass.NOT_DD:
         raise ValueError("is_h_dd requires a diagonally dominant matrix")
     peel = peel_levels(A, tol)
     trace, reason, witness = peel_outcome(A, peel)
-    is_h = reason is PeelReason.SDD_REACHED
     return HVerdict(
-        is_h=is_h,
+        is_h=reason is PeelReason.SDD_REACHED,
         peel_trace=trace,
         reason=reason,
-        scaling=scaling_certificate(A, peel) if is_h else None,
         witness=witness,
         peel=peel,
     )
@@ -369,9 +338,9 @@ class SHReport(NamedTuple):
 
     ``lhs`` is the infinity norm of the inner comparison block's inverse
     applied to the outside row sums (None when that block is singular);
-    ``b2`` the smallest outside dominance-gap ratio, computed with the
-    conventions a/0 = +-inf (sign of a) and 0/0 = 0.  ``satisfied``
-    requires the inner block to be an H-matrix and lhs < b2.
+    ``b2`` the smallest outside dominance-gap ratio of exact sums rounded
+    once, with the conventions a/0 = +-inf (sign of a) and 0/0 = 0.
+    ``satisfied`` requires an H inner block and lhs below the exact b2.
     """
 
     subset: IndexSet
@@ -392,20 +361,49 @@ def _gap_ratio(num: float, den: float) -> float:
     return 0.0
 
 
-def _outside_ratios(A: Matrix, S: IndexSet) -> tuple[float, str | None, array]:
-    """b2 over the rows outside S, its degeneracy note, and every row's sum outside S.
+def _outside_ratios(A: Matrix, S: IndexSet):
+    """b2 over the rows outside S, a test of lhs < the exact b2, its degeneracy note, r_out on S.
 
-    One ``split_row_sums`` pass gives both halves of every row.
+    Row j's ratio (|a_jj| - r_j^out) / r_j^S (``_gap_ratio``) divides its
+    exact gap over the columns outside S by its exact sum over S, each
+    rounded once (exact where subnormal), so every sign and the "zero
+    gap" note are exact, and a ratio of at least 2^-1000 is within 2^-51
+    of the exact one, relatively.  ``below(lhs)`` forms the exact ratio as
+    a ``Fraction`` only below that or within 2^-40 of lhs.  r_out: each
+    member of S's exact sum outside S, rounded once.  One O(n + nnz) pass.
     """
-    in_s, out_s = split_row_sums(A, S)
-    outside = S.complement().members
-    diag = A.diagonal_modulus
-    nums = [diag[j] - out_s[j] for j in outside]
-    dens = [in_s[j] for j in outside]
-    b2 = min(_gap_ratio(num, den) for num, den in zip(nums, dens))
-    degenerate = any(num == 0.0 and den == 0.0 for num, den in zip(nums, dens))
+    inside = _member_flags(S)
+    pat, diag = A.pattern, A.diagonal_modulus
+    indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
+    r_out, outside, nums, dens = [], [], [], []
+    for i, ks in enumerate(map(range, indptr, indptr[1:])):
+        row_in, row_out = [], []
+        for k in ks:
+            (row_in if inside[indices[k]] else row_out).append(data[k])
+        if inside[i]:
+            r_out.append(exact_sum(row_out))
+        else:
+            outside.append(i)
+            nums.append(exact_gap(diag[i], row_out))
+            dens.append(exact_sum(row_in))
+    ratios = list(map(_gap_ratio, nums, dens))
+
+    def below(lhs: float) -> bool:
+        for i, num, den, ratio in zip(outside, nums, dens, ratios):
+            finite = num and den and abs(num) < math.inf and den < math.inf and lhs < math.inf
+            if finite and (ratio < 2.0**-1000 or abs(ratio - lhs) <= ratio * 2.0**-40):
+                from fractions import Fraction as F  # imports decimal: only where lhs nearly ties
+
+                ks = range(indptr[i], indptr[i + 1])
+                gap = F(diag[i]) - sum(F(data[k]) for k in ks if not inside[indices[k]])
+                ratio = gap / sum(F(data[k]) for k in ks if inside[indices[k]])
+            if not lhs < ratio:  # elsewhere the float ratio is on the exact one's side of lhs
+                return False
+        return True
+
+    degenerate = any(num == den == 0.0 for num, den in zip(nums, dens))
     note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
-    return b2, note, out_s
+    return min(ratios), below, note, r_out
 
 
 def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
@@ -414,7 +412,7 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     lhs comes from one ``lu_solve`` of the inner comparison block, given
     by rows (``comparison_rows``), with no numpy for a dominant block.
     On T at tol 0 of a dominant matrix each row's exact gap in the block
-    is its sum outside T, so r_out (``split_row_sums``, each sum exact
+    is its sum outside T, so r_out (``_outside_ratios``, each sum exact
     and rounded once) is the block's own gap vector bit for bit.  Then
     M 1 = r_out, and one reachability pass decides x = 1 or a singular
     block in O(|S| + nnz): ``s_h_from_peel``'s answer.  A dominant
@@ -425,8 +423,8 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     """
     _check_proper_subset(A, S, "s_h_check")
     sub = principal_submatrix(A, S)
-    b2, note, out_s = _outside_ratios(A, S)
-    x = lu_solve(comparison_rows(sub), [out_s[i] for i in S.members])
+    b2, below, note, r_out = _outside_ratios(A, S)
+    x = lu_solve(comparison_rows(sub), r_out)
     if x is None:
         return SHReport(
             subset=S,
@@ -443,7 +441,7 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
         inner_h = not peel_levels(sub, tol).stalled
     else:
         inner_h = inverse_nonneg_oracle(sub)
-    satisfied = bool(inner_h and lhs < b2)
+    satisfied = bool(inner_h and below(lhs))
     return SHReport(
         subset=S, lhs=lhs, b2=b2, satisfied=satisfied, inner_h=inner_h, note=note
     )
@@ -461,8 +459,9 @@ def s_h_from_peel(A: Matrix, peel: Peel) -> SHReport | None:
     leaves a block W whose rows are exact equalities with no strict row,
     so W is closed (no row of W has an entry outside W): M_W 1 = 0 and
     M_T, block triangular, is singular, so lhs is None.  The report is
-    ``s_h_check``'s field for field, b2 from one ``split_row_sums`` pass:
-    O(n + nnz) in all, with no dense array.
+    ``s_h_check``'s field for field, b2 from one ``_outside_ratios`` pass:
+    O(n + nnz) in all, with no dense array.  Every row outside T is
+    strict, so the exact b2 exceeds 1 and ``satisfied`` is ``inner_h``.
 
     Returns None, leaving the question to ``s_h_check``, when T is not a
     nonempty proper subset.
@@ -471,12 +470,12 @@ def s_h_from_peel(A: Matrix, peel: Peel) -> SHReport | None:
     if len(T) == 0 or T.is_full:
         return None
     inner_h = not peel.stalled
-    b2, note, _ = _outside_ratios(A, T)
+    b2, _, note, _ = _outside_ratios(A, T)
     return SHReport(
         subset=T,
         lhs=1.0 if inner_h else None,
         b2=b2,
-        satisfied=inner_h and 1.0 < b2,
+        satisfied=inner_h,
         inner_h=inner_h,
         note=note or (None if inner_h else "inner comparison block is singular"),
     )

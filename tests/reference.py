@@ -24,12 +24,13 @@ code in ``ddh`` replaces with sparse worklist kernels:
   colours;
 * the greedy interwoven closure that rescans every remaining member at
   every step;
-* the scaling certificate from the exact dense solve of the comparison
+* the scaling certificate from the dense solve of the comparison
   system M d = 1, with its margin from the dense product M d;
 * the subset checks that analyze a copied block a second time: the
   subset H-condition deciding a dominant inner block with the full
-  ``is_h_dd`` (scaling solve included), and the SSDD search classifying
-  the copied block on T and confirming it with ``s_sdd_check``;
+  ``is_h_dd`` and its b2 from ``Fraction`` ratios, and the SSDD search
+  classifying the copied block on T and confirming it with
+  ``s_sdd_check``;
 * the ensemble generator drawing cell by cell from ``RandomStream`` and
   the Matrix Market writer visiting every dense entry;
 * the Matrix Market parser accumulating the entry lines into a dense
@@ -59,7 +60,7 @@ The product decides interwoven sets from shortest chains, so only the
 decision is compared with the greedy closure, not the order of the
 certificate.  The product's scaling is the first vector its
 Gauss-Seidel sweeps find, so it is checked for validity
-(``helpers.is_valid_scaling``) rather than against the solve here.
+(``helpers.is_valid_scaling``), not against the solve here.
 """
 
 from __future__ import annotations
@@ -92,7 +93,6 @@ from ddh import (
 )
 from ddh.mmio import _FIELDS, _SYMMETRIES, ParseError, _tokens, format_real
 from ddh.oracle import PIVOT_RTOL
-from helpers import is_valid_scaling
 
 
 def fraction_gap(diagonal: float, off) -> Fraction | float:
@@ -349,11 +349,8 @@ def scaling_certificate(A: Matrix) -> ScalingCertificate:
     return ScalingCertificate(d=d, margin=margin)
 
 
-def peel_verdict(A: Matrix, tol: float = 0.0) -> HVerdict:
-    """Recursive peel that restricts to a copied submatrix at every stage.
-
-    Every field of the verdict but the scaling, which is None even on H.
-    """
+def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
+    """Recursive peel that restricts to a copied submatrix at every stage."""
     if classify_dominance(A, tol) is DominanceClass.NOT_DD:
         raise ValueError("is_h_dd requires a diagonally dominant matrix")
     # T_0, then T_{k+1}: the non-strict rows of the copied block on T_k
@@ -378,7 +375,6 @@ def peel_verdict(A: Matrix, tol: float = 0.0) -> HVerdict:
             is_h=False,
             peel_trace=(stages[0],),
             reason=PeelReason.ZERO_DIAGONAL,
-            scaling=None,
             witness=IndexSet((zero_rows[0],), A.n),
             peel=peel,
         )
@@ -387,7 +383,6 @@ def peel_verdict(A: Matrix, tol: float = 0.0) -> HVerdict:
             is_h=False,
             peel_trace=peeled + (stages[-1],),
             reason=PeelReason.STAGNANT_PEEL,
-            scaling=None,
             witness=stages[-1],
             peel=peel,
         )
@@ -395,7 +390,6 @@ def peel_verdict(A: Matrix, tol: float = 0.0) -> HVerdict:
         is_h=True,
         peel_trace=peeled,
         reason=PeelReason.SDD_REACHED,
-        scaling=None,
         witness=None,
         peel=peel,
     )
@@ -430,14 +424,6 @@ def hops_certify(A: Matrix, T: IndexSet, reached, hops: dict[int, int]) -> bool:
                 return False
             v, steps = j, steps + 1
     return True
-
-
-def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
-    """``peel_verdict`` with the dense scaling solve on an H verdict."""
-    verdict = peel_verdict(A, tol)
-    if not verdict.is_h:
-        return verdict
-    return verdict._replace(scaling=scaling_certificate(A))
 
 
 def _trivial_certificate(S: IndexSet) -> InterwovenCertificate:
@@ -542,11 +528,44 @@ def _gap_ratio(num: float, den: float) -> float:
     return 0.0
 
 
+def _rounded(q) -> float:
+    """``float(q)``, or +-inf where a ``Fraction`` q is past the float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return np.inf if q > 0 else -np.inf
+
+
+def outside_ratios(A: Matrix, S: IndexSet):
+    """b2 of the subset H-condition on S, every outside ratio exactly, and the degeneracy note.
+
+    Each row's gap over the columns outside S and its sum over S are
+    formed in ``Fraction`` arithmetic.  Its exact ratio is their quotient
+    where both, rounded once, are finite and nonzero, and otherwise the
+    IEEE quotient of the rounded sums; b2 is the smallest quotient of the
+    rounded sums.
+    """
+    diag, mod = A.diagonal_modulus, A.modulus
+    exact, rounded = [], []
+    degenerate = False
+    for j in S.complement().members:
+        num = fraction_gap(diag[j], [float(mod[j, k]) for k in range(A.n) if k != j and k not in S])
+        den = -fraction_gap(0.0, [float(mod[j, k]) for k in S.members])
+        degenerate = degenerate or (num == 0 and den == 0)
+        sums = _rounded(num), _rounded(den)
+        rounded.append(_gap_ratio(*sums))
+        exact.append(num / den if all(x and abs(x) < np.inf for x in sums) else rounded[-1])
+    note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
+    return min(rounded), exact, note
+
+
 def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0, exact: bool = False) -> SHReport:
     """Subset H-condition deciding a dominant inner block with ``is_h_dd``.
 
-    The inner block is solved by the dense ``lu_solve``, or with
-    ``exact`` by ``exact_solve``, whose lhs is the exact one rounded once.
+    b2 is ``outside_ratios``', and ``satisfied`` compares lhs with every
+    exact ratio.  The inner block is solved by the dense ``lu_solve``,
+    or with ``exact`` by ``exact_solve``, whose lhs is the exact one
+    rounded once.
     """
     if S.universe_size != A.n:
         raise ValueError("subset universe does not match matrix order")
@@ -554,17 +573,7 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0, exact: bool = False) -> 
         raise ValueError("s_h_check requires a nonempty proper subset")
     sbar = S.complement()
     sub = principal_submatrix(A, S)
-    diag = A.diagonal_modulus
-    ratios = []
-    degenerate = False
-    for j in sbar.members:
-        num = diag[j] - partial_row_sum(A, j, sbar)
-        den = partial_row_sum(A, j, S)
-        if num == 0.0 and den == 0.0:
-            degenerate = True
-        ratios.append(_gap_ratio(num, den))
-    b2 = min(ratios)
-    note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
+    b2, exact_ratios, note = outside_ratios(A, S)
     outside_sums = np.array([partial_row_sum(A, i, sbar) for i in S.members])
     if exact:
         rows = [dict(enumerate(row)) for row in comparison_matrix(sub).tolist()]
@@ -582,7 +591,7 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0, exact: bool = False) -> 
         inner_h = is_h_dd(sub, tol).is_h
     else:
         inner_h = inverse_nonneg_oracle(sub)
-    satisfied = bool(inner_h and lhs < b2)
+    satisfied = bool(inner_h and all(lhs < v for v in exact_ratios))
     return SHReport(subset=S, lhs=lhs, b2=b2, satisfied=satisfied, inner_h=inner_h, note=note)
 
 
@@ -672,32 +681,11 @@ def sh_key(rep):
 
 
 def verdict_key(v):
-    """Every field of an HVerdict but the scaling; other values as given."""
+    """Every field of an HVerdict; other values (an error type, say) as given."""
     if not isinstance(v, HVerdict):
         return v
     peel = (v.peel.t_set, v.peel.levels, v.peel.stalled)
     return (v.is_h, v.peel_trace, v.reason, v.witness, peel)
-
-
-def verdict_agrees(A: Matrix, got, expected, tol: float = 0.0) -> bool:
-    """The product's ``is_h_dd`` result against this module's, at ``tol``.
-
-    Each is an HVerdict or what stands for a failure (an error type, or
-    None).  Every field but the scaling must match, and the product's
-    scaling must be present exactly on H and valid; it need not equal
-    the solve here, since any valid scaling certifies.  The product must
-    succeed wherever the reference does.  Where only the reference's
-    dense scaling solve failed, the product may still find a scaling by
-    its sweeps; its other fields must then match ``peel_verdict``.
-    """
-    if expected in (None, InconsistencyError) and isinstance(got, HVerdict):
-        expected = peel_verdict(A, tol)
-    if isinstance(got, HVerdict):
-        if (got.scaling is not None) != got.is_h:
-            return False
-        if got.scaling is not None and not is_valid_scaling(A, got.scaling):
-            return False
-    return verdict_key(got) == verdict_key(expected)
 
 
 _PHASES = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)

@@ -67,8 +67,8 @@ class Entry:
     diag_nonzero: bool
     chain_holds: bool
     interwoven_ok: bool | None  # None when T = N with |T| > 1 (undefined)
-    is_h: bool | None  # None when the scaling solve failed (boundary)
-    matches_reference: bool  # peel verdict and peeling certificate, bit for bit; valid scaling
+    is_h: bool
+    matches_reference: bool  # peel verdict and peeling certificate, bit for bit
     inverse_nonneg: bool
     jacobi: bool
     rho: float | None
@@ -93,14 +93,6 @@ def corpus() -> list[Matrix]:
     return mats
 
 
-def _verdict_or_none(peel, A: Matrix):
-    """Peel verdict, or None when the scaling solve failed (boundary)."""
-    try:
-        return peel(A)
-    except InconsistencyError:
-        return None
-
-
 @pytest.fixture(scope="module")
 def analyzed(corpus) -> list[Entry]:
     entries = []
@@ -110,9 +102,9 @@ def analyzed(corpus) -> list[Entry]:
             interwoven_ok = None
         else:
             interwoven_ok = is_interwoven(A, T) is not None
-        verdict = _verdict_or_none(is_h_dd, A)
-        matches_reference = reference.verdict_agrees(
-            A, verdict, _verdict_or_none(reference.is_h_dd, A)
+        verdict = is_h_dd(A)
+        matches_reference = reference.verdict_key(verdict) == reference.verdict_key(
+            reference.is_h_dd(A)
         ) and interwoven_from_peeling(A, peel_levels(A)) == reference.interwoven_from_peeling(A)
         entries.append(
             Entry(
@@ -121,7 +113,7 @@ def analyzed(corpus) -> list[Entry]:
                 diag_nonzero=bool((np.asarray(A.diagonal_modulus) > 0.0).all()),
                 chain_holds=chain_condition(A).holds,
                 interwoven_ok=interwoven_ok,
-                is_h=None if verdict is None else verdict.is_h,
+                is_h=verdict.is_h,
                 matches_reference=matches_reference,
                 inverse_nonneg=inverse_nonneg_oracle(A),
                 jacobi=jacobi_oracle(A),
@@ -164,17 +156,10 @@ def test_criterion_2_h_characterization(analyzed):
     exact_mismatch = 0
     oracle_mismatch = 0
     band_logged = []
-    crashes_outside_band = 0
+    missing = sum(not isinstance(e.is_h, bool) for e in analyzed)
     reference_mismatch = sum(not e.matches_reference for e in analyzed)
     for idx, e in enumerate(analyzed):
         structural = e.chain_holds and e.diag_nonzero and not e.t.is_full
-        if e.is_h is None:
-            # scaling solve failed; only excusable inside the band
-            if e.in_band:
-                band_logged.append(idx)
-            else:
-                crashes_outside_band += 1
-            continue
         if e.is_h != structural:
             exact_mismatch += 1
         if e.in_band:
@@ -182,11 +167,10 @@ def test_criterion_2_h_characterization(analyzed):
             continue
         if e.is_h != e.inverse_nonneg:
             oracle_mismatch += 1
-    ok = (exact_mismatch == 0 and oracle_mismatch == 0 and crashes_outside_band == 0
-          and reference_mismatch == 0)
+    ok = exact_mismatch == 0 and oracle_mismatch == 0 and missing == 0 and reference_mismatch == 0
     _report_line(
         2, "peel verdict iff chain form iff inverse oracle", ok,
-        f"{len(analyzed)} matrices, {exact_mismatch} structural and "
+        f"{len(analyzed)} matrices, {missing} without a verdict, {exact_mismatch} structural and "
         f"{oracle_mismatch} oracle mismatches, {reference_mismatch} differing from "
         f"the reference peel, {len(band_logged)} band-excluded "
         f"(first few: {band_logged[:5]})",
@@ -194,7 +178,7 @@ def test_criterion_2_h_characterization(analyzed):
     assert reference_mismatch == 0
     assert exact_mismatch == 0
     assert oracle_mismatch == 0
-    assert crashes_outside_band == 0
+    assert missing == 0
 
 
 def test_criterion_3_greedy_completeness():
@@ -236,20 +220,9 @@ def test_criterion_3_greedy_completeness():
 
 def test_criterion_4_certificates_survive_verification(corpus):
     failures = 0
-    skipped_boundary = []
     first_failure = ""
     for idx, A in enumerate(corpus):
-        try:
-            report, problems = analyze_matrix(A)
-        except InconsistencyError:
-            if jacobi_spectral_radius(A) is not None and abs(
-                jacobi_spectral_radius(A) - 1.0
-            ) <= JACOBI_BAND:
-                skipped_boundary.append(idx)
-                continue
-            failures += 1
-            first_failure = first_failure or f"matrix {idx}: analysis crashed"
-            continue
+        report, problems = analyze_matrix(A)  # writes no scaling, so no solve can fail
         if problems:
             failures += 1
             first_failure = first_failure or f"matrix {idx}: {problems[0]}"
@@ -262,8 +235,7 @@ def test_criterion_4_certificates_survive_verification(corpus):
     ok = failures == 0
     _report_line(
         4, "all emitted certificates re-verify", ok,
-        f"{len(corpus)} matrices, {failures} failures, "
-        f"{len(skipped_boundary)} boundary-skipped{'; ' + first_failure if first_failure else ''}",
+        f"{len(corpus)} matrices, {failures} failures{'; ' + first_failure if first_failure else ''}",
     )
     assert failures == 0
 
@@ -313,7 +285,7 @@ def test_criterion_6_subset_h_condition_matches_peel(analyzed):
     checked = 0
     for idx, e in enumerate(analyzed):
         A = e.matrix
-        if e.is_h is None or len(e.t) == 0 or e.t.is_full:
+        if len(e.t) == 0 or e.t.is_full:
             continue
         sub = principal_submatrix(A, e.t)
         if (np.asarray(sub.diagonal_modulus) == 0.0).any():
@@ -414,12 +386,12 @@ def test_criterion_9_cli_fixtures_and_roundtrip(tmp_path, capsys):
     ladder = json.loads((TESTS_DIR / "golden" / "ladder.json").read_text())
     assert ladder["is_h"] is True and ladder["t_set"] == [1, 2]
     assert ladder["peel_trace"] == [[2], [1]] and ladder["chain"]["holds"] is True
-    assert ladder["schema_version"] == 3 and ladder["chain"]["next"] == {"1": 2, "2": 3}
+    assert ladder["schema_version"] == 4 and ladder["chain"]["next"] == {"1": 2, "2": 3}
     pair = json.loads((TESTS_DIR / "golden" / "isolated_pair.json").read_text())
     assert pair["is_h"] is False and pair["witness"] == [1, 2]
     ident = json.loads((TESTS_DIR / "golden" / "identity2.json").read_text())
     assert ident["dominance_class"] == "SDD" and ident["t_set"] == []
-    assert ident["is_h"] is True and ident["scaling"]["margin"] == 1
+    assert ident["is_h"] is True and ident["scaling"] is None
 
     roundtrip_failures = 0
     rc = main(["generate", "--n", "6", "--density", "0.5", "--equality-rows", "0.5",

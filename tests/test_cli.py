@@ -43,6 +43,15 @@ LADDER_MM = """%%MatrixMarket matrix coordinate real general
 3 3 2.0
 """
 
+#: [[2, 2.5], [0, 0.75]]: row 1 falls short of dominance by 0.5, so at tol 0.6 it is an
+#: equality row, and H only with a scaling
+TOLERATED_MM = """%%MatrixMarket matrix coordinate real general
+2 2 3
+1 1 2.0
+1 2 2.5
+2 2 0.75
+"""
+
 
 class TestParser:
     def test_direct_transcription(self):
@@ -231,7 +240,7 @@ class TestAnalyzeCommand:
         report = json.loads(captured.out)
         assert report["is_h"] is True
         assert report["t_set"] == [1, 2]
-        assert report["schema_version"] == 3
+        assert report["schema_version"] == 4
         assert report["peel_trace"] == [[2], [1]]
         assert report["chain"]["next"] == {"1": 2, "2": 3}
 
@@ -504,10 +513,10 @@ class TestGenerateCommand:
 
 
 class TestVerifyCommand:
-    def _analyze_to_files(self, tmp_path, capsys, mm_text):
+    def _analyze_to_files(self, tmp_path, capsys, mm_text, *options):
         matrix_path = tmp_path / "m.mtx"
         matrix_path.write_text(mm_text)
-        rc = main(["analyze", str(matrix_path)])
+        rc = main(["analyze", str(matrix_path), *options])
         assert rc == 0
         report_path = tmp_path / "report.json"
         report_path.write_text(capsys.readouterr().out)
@@ -547,7 +556,8 @@ class TestVerifyCommand:
         assert rc == 4
 
     def test_tampered_scaling_fails(self, tmp_path, capsys):
-        report_path, matrix_path = self._analyze_to_files(tmp_path, capsys, LADDER_MM)
+        # row 1 is dominant only within tol, so the report carries a scaling
+        report_path, matrix_path = self._analyze_to_files(tmp_path, capsys, TOLERATED_MM, "--tol", "0.6")
         report = json.loads(report_path.read_text())
         report["scaling"]["d"][1] = -report["scaling"]["d"][1]
         report_path.write_text(json.dumps(report))
@@ -613,7 +623,7 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert rc == 0 and captured.err == ""
         report = json.loads(captured.out)
-        assert report["is_h"] is True and report["scaling"]["margin"] > 0
+        assert report["is_h"] is True and report["scaling"] is None
         report_path = tmp_path / "report.json"
         report_path.write_text(captured.out)
         assert main(["verify", str(report_path), str(matrix_path)]) == 0
@@ -668,7 +678,7 @@ class TestAnalyzeNonCli:
     def test_n1_identity(self):
         report, problems = analyze_matrix(Matrix([[5.0]]))
         assert report["is_h"] is True
-        assert report["scaling"]["d"] == [1.0]
+        assert report["scaling"] is None
         assert not problems
 
     def test_full_t_interwoven_is_false(self):
@@ -748,6 +758,7 @@ class TestMalformedReports:
             (("order",), "3", "report-shape: FAIL (report order '3' != matrix order 3)"),
             (("order",), 3.9, "report-shape: FAIL (report order 3.9 != matrix order 3)"),
             (("order",), 3.0, "report-shape: FAIL (report order 3.0 != matrix order 3)"),
+            (("schema_version",), 4.0, "report-shape: FAIL (schema_version 4.0 is not"),
         ],
     )
     def test_verify_fails_instead_of_raising(self, tmp_path, capsys, path, value, failed):
@@ -855,8 +866,10 @@ class TestStrictReals:
     """Only a JSON number or an infinity string is a real: each forged real is one FAIL line.
 
     A verifier that reads a real with ``float()`` takes ``true`` for 1.0
-    and ``false`` for 0.0, so it passes every forgery below on the
-    ladder report, whose lhs, tolerance and d_1 are 1, 0 and 1.
+    and ``false`` for 0.0, so it passes every forgery below: on the
+    ladder report, whose lhs and tolerance are 1 and 0, and on the
+    report of [[2, 2.5], [0, 0.75]] at tol 0.6, whose d_1 and margin are
+    1 and the double nearest 0.33333333333333331.
     """
 
     @pytest.mark.parametrize(
@@ -871,6 +884,9 @@ class TestStrictReals:
     )
     def test_a_non_real_fails_one_check(self, path, value, failed):
         A, report = _fixture_report("ladder")
+        if path[0] == "scaling":  # the ladder's chains prove H, so it carries none
+            A = parse_matrix_market(TOLERATED_MM)
+            report = json.loads(emit_json(analyze_matrix(A, tol=0.6)[0]))
         assert all(ok for _, ok, _ in verify_report(report, A))
         lines = _verify_lines(_replace(report, path, value), A)
         assert [check for check, (ok, _) in lines.items() if not ok] == [failed]
@@ -1048,6 +1064,72 @@ TWO_WAY = Matrix([[2, 1, 1], [1, 1, 0], [0, 0, 1]])
 DEAD_END = Matrix([[2, 1, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
 
 
+#: H with T = {1, 2, 3}, one row per peel level; row 1 is an exact equality,
+#: 1 + 3 2^-54 + 2^-54 = 1 + 2^-52, so no float scaling has a positive margin
+SUB_ULP = [[1 + 2.0**-52, 1.0, 3 * 2.0**-54, 2.0**-54], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
+#: row 1 falls short of dominance by 5e-4: an equality row at tol 1e-3, and H
+TOLERATED = [[1.0, 1.0005], [0.0, 1.0]]
+#: dominant within tol 0.05, and its peel at that tol ends in H, but it is not H
+TOLERATED_NON_H = [
+    [1.125, 0.125, 0, 0, 1],
+    [0.25, 2.5, 0.625, 1, 0.625],
+    [0, 0, 0.36761936389129013, 0.25, 0],
+    [0, 0.125, 0, 0.21144786266318258, 0.125],
+    [0, 0, 0, 0.125, 0.125],
+]
+
+
+class TestEachProofOnce:
+    """A report carries a scaling exactly where the chains cannot prove its H verdict.
+
+    On an exactly dominant matrix the chains prove H and the witness
+    non-H.  Only an H verdict on a matrix that is not exactly dominant (a
+    row dominant only within tol) needs the scaling, which also catches a
+    peel at tol that called a non-H matrix H.
+    """
+
+    def _analyze(self, tmp_path, capsys, entries, *options):
+        """Exit code, captured output and matrix path of ``ddh analyze``."""
+        matrix_path = tmp_path / "m.mtx"
+        matrix_path.write_text(write_matrix_market(Matrix(entries)))
+        rc = main(["analyze", str(matrix_path), *options])
+        return rc, capsys.readouterr(), matrix_path
+
+    def test_an_h_matrix_below_every_float_scaling_is_proved_by_its_chains(self, tmp_path, capsys):
+        rc, captured, matrix_path = self._analyze(tmp_path, capsys, SUB_ULP)
+        assert rc == 0 and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["is_h"] is True and report["scaling"] is None
+        assert report["peel_trace"] == [[1], [2], [3]] and report["chain"]["holds"] is True
+        rc, captured = _verify(tmp_path, capsys, report, matrix_path)
+        assert rc == 0 and "FAIL" not in captured.out
+
+    def test_a_row_dominant_within_tol_carries_a_scaling(self, tmp_path, capsys):
+        rc, captured, matrix_path = self._analyze(tmp_path, capsys, TOLERATED, "--tol", "1e-3")
+        assert rc == 0 and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["is_h"] is True and report["scaling"]["margin"] > 0
+        rc, captured = _verify(tmp_path, capsys, report, matrix_path)
+        assert rc == 0 and "scaling: ok" in captured.out
+
+    def test_a_tolerated_non_h_matrix_still_exits_3(self, tmp_path, capsys):
+        rc, captured, _ = self._analyze(tmp_path, capsys, TOLERATED_NON_H, "--tol", "0.05")
+        assert rc == 3 and captured.out == ""
+        assert captured.err.startswith("ddh: internal inconsistency: ")
+
+    def test_a_second_proof_or_a_missing_one_fails_h_consistency(self):
+        A, report = _fixture_report("ladder")
+        # a valid scaling, but the ladder's chains already prove H
+        added = _replace(report, ("scaling",), {"d": [1, 0.7, 0.3], "margin": 0.30000000000000004})
+        lines = _verify_lines(added, A)
+        assert [name for name, (ok, _) in lines.items() if not ok] == ["h-consistency"]
+        B = Matrix(TOLERATED)
+        report = json.loads(emit_json(analyze_matrix(B, tol=1e-3)[0]))
+        assert all(ok for _, ok, _ in verify_report(report, B))
+        lines = _verify_lines(_replace(report, ("scaling",), None), B)
+        assert [name for name, (ok, _) in lines.items() if not ok] == ["h-consistency"]
+
+
 def _verify_lines(report: dict, A: Matrix) -> dict[str, tuple[bool, str]]:
     return {name: (ok, detail) for name, ok, detail in verify_report(report, A)}
 
@@ -1112,7 +1194,7 @@ class TestVerifyReadsSchemaV2:
             lambda r: {k: v for k, v in r.items() if k != "schema_version"},
             lambda r: {**r, "schema_version": 1},
             lambda r: {**r, "schema_version": True},
-            lambda r: {**r, "schema_version": "3"},
+            lambda r: {**r, "schema_version": "4"},
             # the ladder's report as schema version 1 wrote it
             lambda r: {
                 **{k: v for k, v in r.items() if k != "schema_version"},
@@ -1130,8 +1212,14 @@ class TestVerifyReadsSchemaV2:
                     "peeling": {"subset": [1, 2], "p_seq": [2], "q_seq": [3], "leftover": 1},
                 },
             },
+            # the ladder's report as schema version 3 wrote it, with a scaling on every H verdict
+            lambda r: {
+                **r,
+                "schema_version": 3,
+                "scaling": {"d": [1, 0.7, 0.3], "margin": 0.30000000000000004},
+            },
         ],
-        ids=["missing", "one", "bool", "string", "v1-report", "v2-report"],
+        ids=["missing", "one", "bool", "string", "v1-report", "v2-report", "v3-report"],
     )
     def test_other_schema_versions_fail_the_shape(self, tmp_path, capsys, forge):
         rc, captured = _verify(tmp_path, capsys, forge(_golden("ladder")), FIXTURES / "ladder.mtx")
@@ -1153,11 +1241,7 @@ def test_verify_judges_hops_and_partition_like_the_reference(A, data):
     trace is still the recomputed partition (moving, copying or
     dropping a row breaks it).  Nothing raises.
     """
-    try:
-        report, _ = analyze_matrix(A)
-    except InconsistencyError:
-        return  # a scaling at the boundary; the structure is fuzzed elsewhere
-    report = json.loads(emit_json(report))
+    report = json.loads(emit_json(analyze_matrix(A)[0]))
     hops = dict(report["chain"]["next"])
     for _ in range(data.draw(st.integers(0, 3))):
         edit = data.draw(st.sampled_from(["rehop", "set", "delete"]))

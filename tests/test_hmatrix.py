@@ -11,14 +11,13 @@ from hypothesis import strategies as st
 
 from ddh import (
     DominanceClass,
+    chain_condition,
     EnsembleSpec,
     InconsistencyError,
     IndexSet,
     Matrix,
     PeelReason,
-    ScalingCertificate,
     classify_dominance,
-    derive_seed,
     find_ssdd_set_dd,
     inverse_nonneg_oracle,
     is_h_dd,
@@ -26,7 +25,6 @@ from ddh import (
     peel_levels,
     principal_submatrix,
     random_dd_matrix,
-    rounded_scaling,
     s_h_check,
     s_sdd_check,
     scaling_certificate,
@@ -53,7 +51,7 @@ class TestIsHDD:
     def test_sdd_short_circuit(self):
         v = is_h_dd(Matrix([[2, 1], [1, 2]]))
         assert v.is_h and v.peel_trace == () and v.reason is PeelReason.SDD_REACHED
-        assert v.witness is None and v.scaling is not None
+        assert v.witness is None
 
     def test_two_stage_peel(self):
         v = is_h_dd(LADDER)
@@ -65,7 +63,6 @@ class TestIsHDD:
         assert not v.is_h and v.reason is PeelReason.STAGNANT_PEEL
         assert v.witness.members == (0, 1)
         assert [t.members for t in v.peel_trace] == [(0, 1)]
-        assert v.scaling is None
 
     def test_all_equality_is_not_h(self):
         v = is_h_dd(Matrix([[1, 1], [1, 1]]))
@@ -306,18 +303,14 @@ def test_peel_verdict_matches_inverse_oracle(A):
 @settings(max_examples=200, deadline=None)
 @given(A=dd_matrices(max_n=7, step_bits=10))
 def test_witness_and_scaling_soundness(A):
-    try:
-        v = is_h_dd(A)
-    except InconsistencyError:
-        # H in exact arithmetic but too close to singular for the float
-        # scaling solve; only reachable inside the boundary band
-        assert jacobi_in_band(A)
-        assume(False)
+    v = is_h_dd(A)
     if v.is_h:
-        assert v.scaling is not None and v.witness is None
-        assert is_valid_scaling(A, v.scaling)
+        # the chains prove H; outside the boundary band the sweeps also find a scaling
+        assert v.witness is None and chain_condition(A).holds
+        if not jacobi_in_band(A):
+            assert is_valid_scaling(A, scaling_certificate(A, v.peel))
     else:
-        assert v.witness is not None and v.scaling is None
+        assert v.witness is not None
         T = non_sdd_rows(A)
         assert v.witness.member_set <= T.member_set
         sub = principal_submatrix(A, v.witness)
@@ -374,40 +367,25 @@ def _chain(n: int) -> Matrix:
     return Matrix.from_nonzeros(array("d", mags), rows, cols, array("d", mags[:-1]))
 
 
-#: margin passes ``rounded_scaling`` may make: k = 1, 2, 4, 8, 16, then bisecting (8, 16)
-ROUNDING_PASSES = 8
-
-
 class TestRoundedScaling:
-    """The report's scaling: the library certificate rounded to one digit count."""
+    """The scaling a report writes: none where the chains prove H, else the library's, unrounded.
 
-    def _check(self, A: Matrix, cert, with_oracle: bool = False):
-        """Verified, its margin its own, at least half of ``cert``'s, within the pass bound.
+    A written d is the certificate itself, with every digit ``repr``
+    gives, so its stored margin is ``scaling_margin``'s bit for bit.
+    """
 
-        The search copies A's pattern once, for all of its margin passes.
-        """
-        copies, passes = [], []
-        margins = ddh.hmatrix._margins
-
-        def counted(B):
-            copies.append(B)
-            margin_of = margins(B)
-            return lambda d: passes.append(d) or margin_of(d)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ddh.hmatrix, "_margins", counted)
-            short = rounded_scaling(A, cert)
-        assert copies == [A] and 1 <= len(passes) <= ROUNDING_PASSES
+    def _check(self, A: Matrix, cert=None, with_oracle: bool = False):
         report, problems = analyze_matrix(A, with_oracle=with_oracle)
         assert problems == []
         parsed = json.loads(emit_json(report))
         assert all(ok for _, ok, _ in verify_report(parsed, A))
+        if cert is None:
+            assert parsed["is_h"] is True and parsed["scaling"] is None
+            return
         d = [real_from_json(x) for x in parsed["scaling"]["d"]]
         stored = real_from_json(parsed["scaling"]["margin"])
-        assert d == short.d.tolist() and all(0.0 < x <= 1.0 for x in d)
-        assert stored.hex() == scaling_margin(A, d).hex() == short.margin.hex()
-        assert stored >= cert.margin / 2
-        return d
+        assert d == cert.d.tolist()
+        assert stored.hex() == scaling_margin(A, d).hex() == cert.margin.hex()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -418,44 +396,14 @@ class TestRoundedScaling:
     )
     def test_random_dominant_h_matrices(self, n, density, equality_rows, seed):
         A = random_dd_matrix(EnsembleSpec(n, density, equality_rows, seed))
-        verdict = is_h_dd(A)
-        assume(verdict.is_h)
-        self._check(A, verdict.scaling)
+        assume(is_h_dd(A).is_h)
+        self._check(A)
 
     @pytest.mark.parametrize("n", [2, 30, 300])
     def test_chains(self, n):
-        A = _chain(n)
-        self._check(A, is_h_dd(A).scaling)
+        self._check(_chain(n))
 
     def test_oracle_scaling_of_a_non_dominant_h_matrix(self):
         A = Matrix([[1, 2], [0.1, 1]])
         assert classify_dominance(A) is DominanceClass.NOT_DD
         self._check(A, solved_scaling(A), with_oracle=True)
-
-    @pytest.mark.parametrize(
-        "tail, passes, same",
-        [(1 / 3, ROUNDING_PASSES, False), (0.1 + 0.2, 5, True)],
-        ids=["16-digits", "17-digits"],
-    )
-    def test_search_passes(self, monkeypatch, tail, passes, same):
-        """Doubling, then bisection: the first k that gives d back costs at most 8 passes.
-
-        1/3 reads back from 16 digits: k = 1, 2, 4, 8 fail, 16 passes, then
-        12, 14 and 15 fail.  0.1 + 0.2 needs 17: k = 1 to 16 fail and
-        ``cert`` itself comes back.
-        """
-        cert = ScalingCertificate(d=array("d", [1.0, tail]), margin=1.0)
-        tried = []
-        exact = lambda d: tried.append(d) or (1.0 if d == cert.d.tolist() else -1.0)  # noqa: E731
-        monkeypatch.setattr(ddh.hmatrix, "_margins", lambda B: exact)
-        short = rounded_scaling(Matrix(np.eye(2)), cert)
-        assert short.d == cert.d and (short is cert) == same and len(tried) == passes
-
-    def test_scaling_text_averages_at_most_8_bytes_per_entry(self):
-        """Byte gate: a default report writes d in a few digits, not 17."""
-        # the first matrix ``ddh generate --n 800 --density 0.01 --equality-rows 0.5 --seed 21`` writes
-        ensemble = random_dd_matrix(EnsembleSpec(800, 0.01, 0.5, derive_seed(21, 0)))
-        for A in (_chain(300), ensemble):
-            report, _ = analyze_matrix(A)
-            text = emit_json(report["scaling"]["d"])[:-1]
-            assert len(text.encode()) <= 8 * A.n, (A.n, len(text))

@@ -5,12 +5,10 @@ submatrix-copying peel, the rescanning greedy closure, the dense graph
 scan, the dense row sums, and the subset checks that analyze a copied
 block a second time.  Inputs here are non-dyadic, so every row
 sum rounds, and rows sit within an ulp of equality; agreement is checked
-bit for bit, at tolerances from 0 to 0.2.  There are two exceptions.
+bit for bit, at tolerances from 0 to 0.2.  There is one exception.
 The interwoven decision must agree with the greedy closure and with
 exhaustive search, but its certificate lists members by distance out of
 the subset, which the closure's smallest-index-first order need not.
-The scaling certificate must be valid, not equal to the reference's
-dense solve (``reference.verdict_agrees``).
 """
 
 from __future__ import annotations
@@ -143,8 +141,8 @@ def test_kernels_match_reference_bit_for_bit(A, data):
         expected = _outcome(reference.interwoven_from_peeling, A, tol)
         if expected is not ValueError:  # dominance is the caller's precondition
             assert interwoven_from_peeling(A, peel_levels(A, tol)) == expected
-        assert reference.verdict_agrees(
-            A, _outcome(is_h_dd, A, tol), _outcome(reference.is_h_dd, A, tol), tol
+        assert reference.verdict_key(_outcome(is_h_dd, A, tol)) == reference.verdict_key(
+            _outcome(reference.is_h_dd, A, tol)
         )
 
 
@@ -193,9 +191,7 @@ def test_subset_checks_match_reference(A, data):
             got = _outcome(s_h_check, A, subset, tol)
             exact = _sparse_lu_solves(A, subset)
             expected = _outcome(reference.s_h_check, A, subset, tol, exact)
-            if expected is InconsistencyError and got is not InconsistencyError:
-                _assert_only_the_inner_scaling_failed(A, subset, tol, got)
-            elif exact:
+            if exact:
                 event("sparse_lu")
                 same = dict(lhs=None, satisfied=False)
                 assert reference.sh_key(got._replace(**same)) == reference.sh_key(
@@ -204,7 +200,8 @@ def test_subset_checks_match_reference(A, data):
                 assert (got.lhs is None) == (expected.lhs is None)
                 if got.lhs is not None:
                     assert abs(got.lhs - expected.lhs) <= 1e-12 * expected.lhs
-                    assert got.satisfied == (got.inner_h and got.lhs < got.b2)
+                    if got.lhs != got.b2:  # only a b2 rounded onto lhs hides the exact order
+                        assert got.satisfied == (got.inner_h and got.lhs < got.b2)
                     tie = abs(got.lhs - got.b2) <= 1e-12 * got.lhs
                     assert got.satisfied == expected.satisfied or tie
             else:
@@ -252,6 +249,41 @@ def overflowing_matrices(draw, max_n=5):
     for i in range(n):
         mags[i, i] = draw(st.sampled_from((0.0, 1.0, 1e308, sys.float_info.max, math.inf)))
     return Matrix(mags)
+
+
+@st.composite
+def graded_matrices(draw, max_n=6):
+    """Moduli from subnormal to near overflow, so gap ratios leave the normal range."""
+    n = draw(st.integers(2, max_n))
+    scale = st.sampled_from((0.0, 5e-324, 1e-310, 2.0**-1000, 1e-300, 1.0, 2.0**1000, 1e300))
+    return Matrix(np.array(
+        [[draw(scale) * draw(st.floats(0.5, 2.0)) for _ in range(n)] for _ in range(n)]
+    ))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(rounded_matrices(), complex_matrices(), overflowing_matrices(), graded_matrices()),
+    st.data(),
+)
+def test_satisfied_is_decided_against_every_exact_ratio(A, data):
+    """b2 and the note as the reference's, and ``below(lhs)`` iff lhs is below every exact ratio.
+
+    The product forms a ``Fraction`` only for a ratio below 2^-1000 or
+    within 2^-40 of lhs; the reference forms every one.  Each lhs tried
+    is 0, 1, inf, NaN, or a float ratio or one of its neighbours.
+    """
+    S = data.draw(proper_subsets(A.n))
+    assume(0 < len(S) < A.n)
+    b2, below, note, _ = ddh.hmatrix._outside_ratios(A, S)
+    expected_b2, exact, expected_note = reference.outside_ratios(A, S)
+    assert (b2.hex(), note) == (expected_b2.hex(), expected_note)
+    tried = {0.0, 1.0, math.inf, math.nan}
+    for v in map(reference._rounded, exact):
+        tried |= {v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)}
+    for lhs in tried:
+        if lhs >= 0.0 or math.isnan(lhs):  # lhs is a largest modulus
+            assert below(lhs) == all(lhs < v for v in exact), lhs
 
 
 def _hexes(values) -> list[str]:
@@ -449,42 +481,28 @@ def test_where_the_analyze_lu_strays_verify_passes_as_before(entries):
         assert all(ok for _, ok in _verdicts(report, A, branch))
 
 
-def _assert_only_the_inner_scaling_failed(A, S, tol, got):
-    """The reference's one extra failure: the scaling solve of a block the peel calls H.
-
-    A nearly singular dominant block (a subnormal diagonal, say) peels
-    to H, but its dense scaling solve fails and the reference's
-    ``is_h_dd`` raises.  The product reports the peel's verdict instead.
-    """
-    sub = principal_submatrix(A, S)
-    assert _outcome(reference.is_h_dd, sub, tol) is InconsistencyError
-    assert got.inner_h and not peel_levels(sub, tol).stalled
-    assert got.satisfied == (got.lhs < got.b2)
-
-
 def test_where_only_the_reference_solve_fails_the_peel_still_decides():
-    # The reference peels [[1, 1], [0, 1e-320]] to H and then fails its
-    # dense solve; every field of the product's verdict but the scaling
-    # is still compared with that peel.
+    # [[1, 1], [0, 1e-320]] peels to H, while the reference's dense solve of
+    # M d = 1 fails; the verdict needs no solve and matches the reference
+    # peel field for field.
     A = Matrix([[1.0, 1.0], [0.0, 1e-320]])
-    assert _outcome(reference.is_h_dd, A) is InconsistencyError
-    got = is_h_dd(A)
-    assert reference.verdict_agrees(A, got, InconsistencyError)
+    assert _outcome(reference.scaling_certificate, A) is InconsistencyError
+    got, expected = is_h_dd(A), reference.is_h_dd(A)
+    assert got.is_h and reference.verdict_key(got) == reference.verdict_key(expected)
     forged = got._replace(peel_trace=())
-    assert not reference.verdict_agrees(A, forged, InconsistencyError)
-    unscaled = got._replace(scaling=None)
-    assert not reference.verdict_agrees(A, unscaled, InconsistencyError)
+    assert reference.verdict_key(forged) != reference.verdict_key(expected)
 
 
 def test_subnormal_inner_block_is_h_without_a_scaling_solve():
-    # The 1x1 block [5e-324] is nonsingular, so H; its dense scaling
-    # 1/5e-324 overflows, which makes the reference's inner verdict raise.
+    # The 1x1 block [5e-324] is nonsingular, so H, though its dense
+    # scaling 1/5e-324 overflows: the peel decides it, as in the reference.
     A = Matrix([[-1.002, -1.0], [0.0, -5e-324]])
     S = IndexSet((1,), 2)
-    assert _outcome(reference.s_h_check, A, S) is InconsistencyError
+    assert _outcome(reference.scaling_certificate, principal_submatrix(A, S)) is InconsistencyError
     rep = s_h_check(A, S)
     assert rep.inner_h and rep.satisfied
     assert rep.lhs == 0.0 and rep.b2 == 1.002
+    assert reference.sh_key(rep) == reference.sh_key(reference.s_h_check(A, S))
 
 
 def test_row_sums_are_exact_sums_rounded_once():
@@ -513,8 +531,8 @@ def test_peel_retests_with_exact_restricted_sums():
     # columns of T its sum, 1 + 3 2^-54, rounds up to one_up, so a
     # left-to-right re-test never made it strict and the peel stalled with
     # the chain condition holding.  Its exact gap there is 2^-54 > 0, so
-    # it peels first and rows 1 and 2 follow along their chains.  (The
-    # margin is below an ulp, so the scaling solve rightly fails.)
+    # it peels first and rows 1 and 2 follow along their chains, which
+    # prove H.  (The margin is below an ulp, so a scaling solve fails.)
     one_up = math.nextafter(1.0, math.inf)
     A = Matrix([
         [one_up, 1.0, 3 * 2.0**-54, 2.0**-54],
@@ -525,8 +543,8 @@ def test_peel_retests_with_exact_restricted_sums():
     assert split_row_sums(A, IndexSet((0, 1, 2), 4))[0][0] == one_up
     assert non_sdd_rows(A).members == (0, 1, 2) and chain_condition(A).holds
     assert peel_levels(A).levels == ((0,), (1,), (2,))
-    assert _outcome(is_h_dd, A) is _outcome(reference.is_h_dd, A) is InconsistencyError
-    assert reference.peel_verdict(A).peel == peel_levels(A)
+    assert is_h_dd(A).is_h and reference.is_h_dd(A).peel == peel_levels(A)
+    assert _outcome(reference.scaling_certificate, A) is InconsistencyError
     cert = interwoven_from_peeling(A, peel_levels(A))
     assert cert.p_seq == (0, 1) and cert.leftover == 2
     assert cert == reference.interwoven_from_peeling(A)
@@ -633,6 +651,41 @@ def test_sh_on_t_is_read_off_the_peel_with_no_elimination(A):
     report, problems = analyze_matrix(A)
     report = json.loads(emit_json(report))
     assert problems == [] and report["sh"] == json.loads(emit_json(ddh.cli._sh_dict(no_solve)))
+    assert all(ok for _, ok, _ in verify_report(report, A))
+
+
+#: 0.25 - 2^-55: an outside row of T = {0} with 0.5, 0.25 and E beside a diagonal of 1 has the
+#: exact gap 2^-55, which ``diag - r_out`` rounded to 0
+E = 0.25 - 2.0**-55
+
+
+@pytest.mark.parametrize(
+    "entries, b2",
+    [
+        # row 1 has no entry in T: its ratio 2^-55 / 0 is +inf, not the degenerate 0 / 0
+        ([[1, 1, 0, 0, 0], [0, 1, 0.5, 0.25, E], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
+         math.inf),
+        # row 1's ratio is (0.5 + 2^-55) / 0.5 = 1 + 2^-54, which rounds to 1 = lhs
+        ([[1, 1, 0, 0], [0.5, 1, 0.25, E], [0, 0, 1, 0], [0, 0, 0, 1]], 1.0),
+    ],
+    ids=["zero-gap-noted", "b2-rounded-onto-lhs"],
+)
+def test_satisfied_is_decided_exactly(entries, b2):
+    """On T at tol 0 every outside row is strict, so each exact ratio exceeds 1 = lhs: ``satisfied``.
+
+    A numerator ``diag - r_out`` rounded twice gave b2 = 0, with the
+    degenerate note, on the first matrix, and ``satisfied`` false on
+    both; on the second the written b2 ties lhs.
+    """
+    A = Matrix(entries)
+    assert non_sdd_rows(A).members == (0,)
+    rep = s_h_check(A, non_sdd_rows(A))
+    assert (rep.lhs, rep.b2, rep.satisfied, rep.note) == (1.0, b2, True, None)
+    assert reference.sh_key(rep) == reference.sh_key(s_h_from_peel(A, peel_levels(A)))
+    assert reference.sh_key(rep) == reference.sh_key(reference.s_h_check(A, non_sdd_rows(A)))
+    report, problems = analyze_matrix(A)
+    report = json.loads(emit_json(report))
+    assert problems == [] and report["sh"]["satisfied"] is True
     assert all(ok for _, ok, _ in verify_report(report, A))
 
 
@@ -920,33 +973,47 @@ def test_peel_trace_complements_are_the_active_sets(A):
 
 
 def test_scaling_sweeps_replace_the_dense_solve(monkeypatch):
-    """Work gate: an H verdict's scaling builds no comparison matrix and solves nothing.
+    """Work gate: a scaling is computed only where the chains prove nothing, and then by sweeps.
 
-    On an order-400 ensemble matrix (density 0.01, half equality rows,
-    peel 3 levels deep) the Gauss-Seidel sweeps find the scaling.  On
-    the order-300 chain, one sweep in peel order does.  A non-dominant
+    A default analysis of an exactly dominant H-matrix (the order-300
+    chain; an order-400 ensemble matrix, density 0.01, half equality
+    rows, peel 3 levels deep) sweeps nothing, solves for no scaling and
+    makes no margin pass, and its verification makes none either: the
+    chains prove H.  At tol 1e-3, [[1, 1.0005], [0, 1]] is dominant only
+    within tol, so the sweeps certify it, with no solve.  A non-dominant
     H-matrix has no peel to sweep in: ``analyze --oracle``, whose oracles
     are dense anyway, solves once for its scaling and sweeps nothing.
     """
-    calls = _count_calls(monkeypatch, ("lu_solve", "comparison_matrix"))
-    A = random_dd_matrix(EnsembleSpec(n=400, density=0.01, equality_rows=0.5, seed=5))
-    v = is_h_dd(A)
-    assert v.is_h and len(v.peel.levels) == 3 and is_valid_scaling(A, v.scaling)
-    assert calls == {"lu_solve": 0, "comparison_matrix": 0}
-
+    calls = _count_calls(monkeypatch, ("scaling_certificate", "solved_scaling", "scaling_margin"))
+    margins = _count_calls(monkeypatch, ("_margins",), home=ddh.hmatrix)
     n = 300
     chain = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
-    v = is_h_dd(chain)
-    assert np.array_equal(v.scaling.d, np.arange(n, 0, -1) / n)  # one sweep
-    assert calls == {"lu_solve": 0, "comparison_matrix": 0}
+    ensemble = random_dd_matrix(EnsembleSpec(n=400, density=0.01, equality_rows=0.5, seed=5))
+    for A, depth in ((chain, n - 1), (ensemble, 3)):
+        report, problems = analyze_matrix(A)
+        assert report["is_h"] is True and len(report["peel_trace"]) == depth and problems == []
+        assert report["scaling"] is None and margins == {"_margins": 0}
+        assert calls == {"scaling_certificate": 0, "solved_scaling": 0, "scaling_margin": 0}
+        assert all(ok for _, ok, _ in verify_report(json.loads(emit_json(report)), A))
+        assert calls["scaling_margin"] == 0
 
-    solves = _count_calls(monkeypatch, ("scaling_certificate", "solved_scaling"))
+    tolerated = Matrix([[1.0, 1.0005], [0.0, 1.0]])
+    report, problems = analyze_matrix(tolerated, tol=1e-3)
+    assert report["is_h"] is True and problems == []
+    assert calls == {"scaling_certificate": 1, "solved_scaling": 0, "scaling_margin": 0}
+    assert is_valid_scaling(tolerated, ddh.ScalingCertificate(
+        array("d", report["scaling"]["d"]), report["scaling"]["margin"]))
+
+    calls.update(dict.fromkeys(calls, 0))
     n = 40
     # doubling every other column leaves the chain H but not dominant
     skewed = Matrix(chain.entries[:n, :n] * (1.0 + np.arange(n) % 2))
     report, problems = analyze_matrix(skewed, with_oracle=True)
     assert report["dominance_class"] == "NotDD" and report["is_h"] is True and problems == []
-    assert solves == {"scaling_certificate": 0, "solved_scaling": 1}
+    assert calls == {"scaling_certificate": 0, "solved_scaling": 1, "scaling_margin": 1}
+    # a library caller still gets the sweeps: one, in peel order, serves the chain
+    d = ddh.scaling_certificate(chain, peel_levels(chain)).d
+    assert np.array_equal(d, np.arange(chain.n, 0, -1) / chain.n)
 
 
 def test_generator_draws_no_scalar_stream(monkeypatch):

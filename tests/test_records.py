@@ -20,6 +20,7 @@ from ddh import (
     lu_factor,
     non_sdd_rows,
     s_h_check,
+    scaling_certificate,
 )
 from ddh.cli import main
 from ddh.interwoven import interwoven_from_chains
@@ -53,7 +54,7 @@ def _records() -> dict[str, object]:
         "members": T,
         "indptr": LADDER.pattern,
         "t_set": verdict.peel,
-        "d": verdict.scaling,
+        "d": scaling_certificate(LADDER, verdict.peel),
         "is_h": verdict,
         "subset": s_h_check(LADDER, T),
         "factors": lu_factor([[2.0, 1.0], [1.0, 3.0]]),
