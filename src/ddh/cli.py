@@ -12,11 +12,12 @@ version ``SCHEMA_VERSION``), 1-based indices, and each real as the shortest
 text that reads back to it (an integral one as ``mmio.format_real``
 writes it: "1", not "1.0"); infinities are encoded as the strings
 "Infinity" / "-Infinity".  Each list, and each object of scalars only,
-is written on one line.  Each certificate holds O(n) indices: the chains
-are one next hop per row and the peel trace is a partition of T; the
-interwoven certificates are read off those two, so only their leftovers
-are stored.  A scaling is written only for an H verdict on a matrix that
-is not exactly dominant, where no chain proves it.
+is written on one line.  T is listed once, in ``t_set``: the chains are
+one next hop per row of T (null where the row has none), aligned with
+it, and the peel trace is a partition of T, so each certificate holds
+O(n) indices; the interwoven certificates are read off those two, so
+only their leftovers are stored.  A scaling is written only for an H
+verdict on a matrix that is not exactly dominant, where no chain proves it.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from .core import (
 from .graph import ChainReport, chain_condition
 from .hmatrix import (
     PeelReason,
-    SHReport,
     find_ssdd_set_dd,
     is_h_dd,
     peel_outcome,
@@ -64,7 +64,7 @@ from .oracle import EnsembleSpec, derive_seed, inverse_nonneg_oracle, jacobi_ora
 
 DEFAULT_MAX_ORDER = 4096
 #: the report layout ``analyze`` writes and ``verify`` reads
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -147,17 +147,6 @@ def _leftover(cert: InterwovenCertificate | None) -> int | None:
     return None if cert is None or cert.leftover is None else cert.leftover + 1
 
 
-def _sh_dict(rep: SHReport):
-    return {
-        "subset": _one_based(rep.subset.members),
-        "lhs": rep.lhs,
-        "b2": rep.b2,
-        "satisfied": rep.satisfied,
-        "inner_h": rep.inner_h,
-        "note": rep.note,
-    }
-
-
 def analyze_matrix(
     A: Matrix,
     tol: float = 0.0,
@@ -220,8 +209,7 @@ def analyze_matrix(
         "t_set": _one_based(T.members),
         "chain": {
             "holds": chain.holds,
-            "next": {str(i + 1): chain.next_hop[i] + 1 for i in sorted(chain.next_hop)},
-            "unreachable": _one_based(chain.unreachable.members),
+            "next": [chain.next_hop[i] + 1 if i in chain.next_hop else None for i in T.members],
         },
         "interwoven": {"holds": interwoven is not None, "leftover": _leftover(interwoven)},
         "interwoven_alternates": {
@@ -233,7 +221,11 @@ def analyze_matrix(
         "witness": witness,
         "scaling": None if cert is None else {"d": cert.d.tolist(), "margin": cert.margin},
         "ssdd_set": None if ssdd_set is None else _one_based(ssdd_set.members),
-        "sh": None if sh is None else _sh_dict(sh),
+        "sh": None if sh is None else {
+            "subset": None if subset is None else _one_based(subset.members),  # null: T
+            "lhs": sh.lhs, "b2": sh.b2, "satisfied": sh.satisfied, "inner_h": sh.inner_h,
+            "note": sh.note,
+        },
     }
     if oracle_obj is not None:
         report["oracle"] = oracle_obj
@@ -304,24 +296,24 @@ def _index_set(values, n: int) -> IndexSet:
 def _hops_problem(hops, chain: ChainReport, A: Matrix) -> str:
     """Why ``hops``, a report's ``chain.next``, does not certify ``chain``; "" when it does.
 
-    Its keys must be exactly the rows of T with a chain out of T, as
-    canonical 1-based integers in increasing order, and each value an
-    index j with a_ij != 0 off the diagonal.  Following the hops from
-    any key must then leave T without meeting a cycle.  Colour marking
-    walks every row of T at most once, so the whole check is O(n).
+    It must hold one item per row of T, in the order of T: ``null``
+    exactly on the rows with no chain out of T, and on every other row
+    i an index j with a_ij != 0 off the diagonal.  Following the hops
+    from any row must then leave T without meeting a cycle.  Colour
+    marking walks every row of T at most once, so the whole check is O(n).
     """
-    if not isinstance(hops, dict):
-        return f"next must be an object, not {type(hops).__name__}"
+    rows = chain.subset.members
+    if not isinstance(hops, list) or len(hops) != len(rows):
+        return f"next must be a list of {len(rows)} items, one per row of T"
     succ: dict[int, int] = {}
-    for key, value in hops.items():
-        i = int(key) - 1
-        if str(i + 1) != key:
-            return f"next key {key!r} is not a 1-based index"
+    for i, value in zip(rows, hops):
+        if value is None:
+            continue
         if type(value) is not int or not 1 <= value <= A.n:  # bool is no index
-            return f"next[{key}] = {value!r} is not a 1-based index"
+            return f"next hop {value!r} of row {i + 1} is not a 1-based index"
         succ[i] = value - 1
-    if list(succ) != sorted(chain.next_hop):
-        return "next keys are not the rows of T with a chain, in increasing order"
+    if succ.keys() != chain.next_hop.keys():
+        return "next is null on other rows than those with no chain out of T"
     stored = A.pattern.has_edges(list(succ), list(succ.values()))
     for (i, j), ok in zip(succ.items(), stored):
         if not ok:  # the pattern stores no diagonal entry
@@ -358,16 +350,16 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     must be the peel's, with a witness iff non-H and a scaling iff H on a
     matrix not exactly dominant; on any other, H needs a scaling, and
     non-H none and the dense ``inverse_nonneg_oracle``'s agreement (the
-    rule of ``analyze --oracle``).  The subset H-condition is required whenever
-    T is a nonempty proper subset.  On T at tol 0 it is read off the
-    recomputed peel (``s_h_from_peel``) with no solve: with exact
-    dominance signs every row of T is an exact equality.  Any other
-    subset or tol takes ``s_h_check`` and its solve.  Either way
-    ``satisfied`` and ``inner_h`` must be the recomputed ones.  The order
-    must be an ``int``; index lists (``_indices``),
-    flags (``_flag``) and reals (``real_from_json``) are read strictly
-    too.  Structural surprises (wrong order, missing keys,
-    fields of the wrong type) and numerical failures inside a
+    rule of ``analyze --oracle``).  The subset H-condition is required
+    whenever T is a nonempty proper subset; a null subset means T.  On T
+    at tol 0 it is read off the recomputed peel (``s_h_from_peel``) with
+    no solve: with exact dominance signs every row of T is an exact
+    equality.  Any other subset or tol takes ``s_h_check`` and its solve.
+    Either way ``satisfied`` and ``inner_h`` must be the recomputed ones.
+    The order must be an ``int``; index lists (``_indices``), hops
+    (``_hops_problem``), flags (``_flag``) and reals (``real_from_json``)
+    are read strictly too.  Structural surprises (wrong order, missing
+    keys, fields of the wrong type) and numerical failures inside a
     recomputation are reported as failures of the check that meets them
     rather than raised.
     """
@@ -411,9 +403,8 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     with guarded("chain"):
         chain_obj = report.get("chain") or {}
-        claimed = (_flag(chain_obj.get("holds")), _indices(chain_obj.get("unreachable"), A.n))
-        if claimed != (chain.holds, _one_based(chain.unreachable.members)):
-            detail = "holds or unreachable differs from the recomputed chains"
+        if _flag(chain_obj.get("holds")) != chain.holds:
+            detail = "holds differs from the recomputed chains"
         else:
             detail = _hops_problem(chain_obj.get("next"), chain, A)
         check("chain", not detail, detail)
@@ -520,7 +511,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         check("sh", False, "T is a nonempty proper subset but the subset H-condition is missing")
     elif sh is not None:
         with guarded("sh"):
-            S = _index_set(sh["subset"], A.n)
+            S = T if sh["subset"] is None else _index_set(sh["subset"], A.n)
             satisfied, inner_h = _flag(sh["satisfied"]), _flag(sh["inner_h"])
             lhs = None if sh["lhs"] is None else real_from_json(sh["lhs"])
             b2 = real_from_json(sh["b2"])

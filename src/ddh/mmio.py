@@ -6,19 +6,20 @@ duplicate coordinates are summed in file order, symmetric storage is
 expanded (the hermitian variant conjugates the mirrored entry), the
 1-based file indices map to 0-based matrix indices, and off-diagonal
 entries that are zero (listed so, or cancelled by a duplicate) are not
-stored.  Only square matrices with
-finite entries are accepted, and their size and entry lines must be
-ASCII with no ``_`` (comment lines may hold any text).  Parse failures raise :class:`ParseError`
-carrying the offending 1-based line number.
+stored.  Only square matrices with finite entries and moduli are
+accepted, and their size and entry lines must be ASCII with no ``_``
+(comment lines may hold any text).  Parse failures raise
+:class:`ParseError` carrying the offending 1-based line number.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 from array import array
 from bisect import bisect_left
 
-from .core import Matrix
+from .core import Matrix, _hypot
 
 _FIELDS = ("real", "integer", "complex")
 _SYMMETRIES = ("general", "symmetric", "hermitian")
@@ -30,6 +31,14 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int):
         super().__init__(f"line {line}: {message}")
         self.line = line
+
+
+def _check_finite(total: complex | float, line: int) -> None:
+    """Refuse an entry, as summed so far, that is not finite or whose modulus overflows."""
+    if not cmath.isfinite(total):
+        raise ParseError("entry value must be finite, also when summed", line)
+    if type(total) is complex and _hypot(total.real, total.imag) == math.inf:
+        raise ParseError("entry modulus must be finite", line)
 
 
 def _tokens(raw_line: str) -> list[str]:
@@ -151,8 +160,7 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
             if key > last:
                 last = key
                 total = zero + value  # as the first sum below: no negative zero
-                if not cmath.isfinite(total):
-                    raise ParseError("entry value must be finite, also when summed", lineno)
+                _check_finite(total, lineno)
                 if i == j:
                     diagonal[i] = total
                 elif total != 0:
@@ -166,14 +174,12 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
             sums = {r * n + c: v for r, c, v in zip(rows, cols, values)}
             sums.update((r * (n + 1), d) for r, d in enumerate(diagonal))
         total = sums[key] = sums.get(key, zero) + value
-        finite = cmath.isfinite(total)
+        _check_finite(total, lineno)
         if symmetry != "general" and i != j:
             mirrored = value.conjugate() if symmetry == "hermitian" else value
             key = j * n + i
             total = sums[key] = sums.get(key, zero) + mirrored
-            finite = finite and cmath.isfinite(total)
-        if not finite:
-            raise ParseError("entry value must be finite, also when summed", lineno)
+            _check_finite(total, lineno)
         seen += 1
     if seen != nnz:
         raise ParseError(f"declared {nnz} entries but found {seen}", len(lines) + 1)

@@ -837,8 +837,13 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
         if symmetry != "general" and i != j:
             mirrored = value.conjugate() if symmetry == "hermitian" else value
             entries[j, i] += mirrored
-        if not (cmath.isfinite(entries[i, j]) and cmath.isfinite(entries[j, i])):
-            raise ParseError("entry value must be finite, also when summed", lineno)
+        for z in (complex(entries[i, j]), complex(entries[j, i])):
+            if not cmath.isfinite(z):
+                raise ParseError("entry value must be finite, also when summed", lineno)
+            try:
+                abs(z)
+            except OverflowError:
+                raise ParseError("entry modulus must be finite", lineno) from None
         seen += 1
     if seen != nnz:
         raise ParseError(f"declared {nnz} entries but found {seen}", len(lines) + 1)

@@ -26,6 +26,11 @@ from ddh.cli import analyze_matrix, emit_json, main, real_from_json, verify_repo
 from helpers import NON_DYADIC_EQUALITY, dd_matrices
 
 FIXTURES = Path(__file__).parent / "fixtures"
+#: every part is finite, but |1.5e308 + 1.5e308 i| is past the float range
+OVERFLOWING_MODULUS_MM = (
+    "%%MatrixMarket matrix coordinate complex general\n2 2 3\n"
+    "1 1 1.5e308 1.5e308\n1 2 1.5e308 1.5e308\n2 2 1 0\n"
+)
 
 #: where a real's text changes form: zeros, subnormals, the fixed/scientific
 #: switches of "%.17g" and repr, and the integers a double still holds exactly
@@ -123,6 +128,10 @@ class TestParser:
             ("%%MatrixMarket matrix coordinate real general\n2 2 1\n1 2 -inf\n", 3),
             ("%%MatrixMarket matrix coordinate complex general\n2 2 1\n1 1 1.0 inf\n", 3),
             ("%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e308\n1 1 1e308\n", 4),
+            # finite parts whose modulus overflows: read, summed, mirrored
+            (OVERFLOWING_MODULUS_MM, 3),
+            ("%%MatrixMarket matrix coordinate complex general\n2 2 2\n1 1 1.5e308 0\n1 1 0 1.5e308\n", 4),
+            ("%%MatrixMarket matrix coordinate complex hermitian\n2 2 2\n1 1 1 0\n2 1 1.5e308 -1.5e308\n", 4),
         ],
     )
     def test_errors_carry_line_numbers(self, text, line):
@@ -174,18 +183,18 @@ class TestEmitJson:
         obj = {
             "t_set": [1, 2],
             "peel_trace": [[2], [1]],
-            "next": {"1": 2, "2": 3},
-            "chain": {"holds": True, "unreachable": []},
+            "sh": {"subset": None, "lhs": 1},
+            "chain": {"holds": True, "next": [2, None]},
             "empty": {},
         }
         assert emit_json(obj) == (
             '{\n'
             '  "t_set": [1, 2],\n'
             '  "peel_trace": [[2], [1]],\n'
-            '  "next": {"1": 2, "2": 3},\n'
+            '  "sh": {"subset": null, "lhs": 1},\n'
             '  "chain": {\n'
             '    "holds": true,\n'
-            '    "unreachable": []\n'
+            '    "next": [2, null]\n'
             '  },\n'
             '  "empty": {}\n'
             '}\n'
@@ -240,9 +249,9 @@ class TestAnalyzeCommand:
         report = json.loads(captured.out)
         assert report["is_h"] is True
         assert report["t_set"] == [1, 2]
-        assert report["schema_version"] == 4
+        assert report["schema_version"] == 5
         assert report["peel_trace"] == [[2], [1]]
-        assert report["chain"]["next"] == {"1": 2, "2": 3}
+        assert report["chain"]["next"] == [2, 3]
 
     def test_parse_error_exits_2(self, tmp_path, capsys):
         path = self._write(tmp_path, "not a matrix market file\n")
@@ -292,6 +301,14 @@ class TestAnalyzeCommand:
         assert rc == 2 and captured.out == ""
         assert "line 7: entry value must be finite" in captured.err
 
+    def test_overflowing_complex_modulus_exits_2(self, tmp_path, capsys):
+        # the file used to parse, and analyze exited 3 on a NaN in the LU solution
+        path = self._write(tmp_path, OVERFLOWING_MODULUS_MM)
+        rc = main(["analyze", str(path)])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.endswith("line 3: entry modulus must be finite\n")
+
     def test_max_n_guard(self, tmp_path, capsys):
         path = self._write(tmp_path, LADDER_MM)
         rc = main(["analyze", str(path), "--max-n", "2"])
@@ -338,7 +355,8 @@ class TestAnalyzeCommand:
         path = self._write(tmp_path, write_matrix_market(Matrix(NON_DYADIC_EQUALITY)))
         assert main(["analyze", str(path)]) == 0
         out = capsys.readouterr().out
-        assert '"lhs": 1,' in out and json.loads(out)["sh"]["subset"] == [3]
+        report = json.loads(out)
+        assert '"lhs": 1,' in out and report["t_set"] == [3] and report["sh"]["subset"] is None
         report_path = tmp_path / "report.json"
         report_path.write_text(out)
         assert main(["verify", str(report_path), str(path)]) == 0
@@ -541,7 +559,7 @@ class TestVerifyCommand:
     def test_tampered_chain_hop_fails(self, tmp_path, capsys):
         report_path, matrix_path = self._analyze_to_files(tmp_path, capsys, LADDER_MM)
         report = json.loads(report_path.read_text())
-        report["chain"]["next"]["1"] = []  # malformed: must fail, not crash
+        report["chain"]["next"][0] = []  # malformed: must fail, not crash
         report_path.write_text(json.dumps(report))
         rc = main(["verify", str(report_path), str(matrix_path)])
         assert rc == 4
@@ -550,7 +568,7 @@ class TestVerifyCommand:
     def test_out_of_range_hop_fails(self, tmp_path, capsys):
         report_path, matrix_path = self._analyze_to_files(tmp_path, capsys, LADDER_MM)
         report = json.loads(report_path.read_text())
-        report["chain"]["next"]["1"] = 99
+        report["chain"]["next"][0] = 99
         report_path.write_text(json.dumps(report))
         rc = main(["verify", str(report_path), str(matrix_path)])
         assert rc == 4
@@ -602,7 +620,7 @@ class TestVerifyCommand:
         captured = capsys.readouterr()
         assert rc == 0 and captured.err == ""
         report = json.loads(captured.out)
-        assert report["chain"] == {"holds": False, "next": {}, "unreachable": [1]}
+        assert report["chain"] == {"holds": False, "next": [None]}
         assert report["interwoven"]["holds"] is True
         report_path = tmp_path / "report.json"
         report_path.write_text(captured.out)
@@ -717,9 +735,17 @@ class TestAnalyzeNonCli:
             (Matrix([[1.0005, 1, 0], [0, 1, 1], [0, 0, 2]]), {"tol": 1e-3}),
             (Matrix([[2, 1], [1, 2]]), {"subset": IndexSet((1,), 2)}),
         ]
+        # an order-300 upper-bidiagonal chain: 299 rows of T, each with a hop
+        n = 300
+        cases.append((Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0])), {}))
         for A, kwargs in cases:
             report, _ = analyze_matrix(A, **kwargs)
             jsonschema.validate(json.loads(emit_json(report)), schema)
+        for name in ("ladder", "isolated_pair", "identity2"):
+            jsonschema.validate(_golden(name), schema)
+        v4_chain = {"holds": True, "next": {"1": 2, "2": 3}, "unreachable": []}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate({**_golden("ladder"), "chain": v4_chain}, schema)
 
 
 def _fixture_report(name: str):
@@ -742,14 +768,14 @@ class TestMalformedReports:
     @pytest.mark.parametrize(
         "path, value, failed",
         [
-            (("chain", "next"), 5, "chain: FAIL (next must be an object, not int)"),
-            (("chain", "next", "1"), True, "chain: FAIL (next[1] = True is not a 1-based index)"),
+            (("chain", "next"), 5, "chain: FAIL (next must be a list of 2 items, one per row of T)"),
+            (("chain", "next", 0), True, "chain: FAIL (next hop True of row 1 is not a 1-based index)"),
             (("witness",), 7, "witness: FAIL (malformed witness: TypeError"),
             (("tolerance",), "nan", "report-shape: FAIL"),
             (("tolerance",), -1, "report-shape: FAIL"),
             (("interwoven",), [1], "interwoven: FAIL (malformed interwoven: AttributeError"),
             (("ssdd_set",), 3, "ssdd: FAIL (malformed ssdd: TypeError"),
-            (("chain", "next", "1"), math.inf, "chain: FAIL (next[1] = inf is not a 1-based index)"),
+            (("chain", "next", 0), math.inf, "chain: FAIL (next hop inf of row 1 is not a 1-based index)"),
             (("chain",), [1], "chain: FAIL (malformed chain: AttributeError"),
             (("peel_trace", 0, 0), math.inf, "peel: FAIL"),
             (("schema_version",), 2.0, "report-shape: FAIL (schema_version 2.0 is not"),
@@ -783,7 +809,7 @@ class TestStrictIndexLists:
             ("ladder", ("t_set",), [1.0, 2.0], "t-set"),
             ("ladder", ("peel_trace",), [[2.0], [1.0]], "peel"),
             ("ladder", ("peel_trace",), [[2], [True]], "peel"),
-            ("isolated_pair", ("chain", "unreachable"), [True, 2], "chain"),
+            ("isolated_pair", ("chain", "next"), [True, None], "chain"),
             ("isolated_pair", ("witness",), [1.0, 2.0], "witness"),
             ("identity2", ("ssdd_set",), [True], "ssdd"),
             ("ladder", ("sh", "subset"), [1, 2.0], "sh"),
@@ -985,8 +1011,8 @@ class TestVerifyChecksTheVerdict:
         "forge, failed",
         [
             (
-                lambda r: {**r, "chain": {"holds": False, "next": {"2": 3}, "unreachable": [1]}},
-                ["chain: FAIL (holds or unreachable differs from the recomputed chains)"],
+                lambda r: {**r, "chain": {"holds": False, "next": [None, 3]}},
+                ["chain: FAIL (holds differs from the recomputed chains)"],
             ),
             (lambda r: {**r, "peel_trace": [[1]]}, ["peel: FAIL"]),
             (lambda r: {**r, "peel_reason": "StagnantPeel"}, ["peel: FAIL"]),
@@ -1027,7 +1053,9 @@ class TestVerifyChecksTheVerdict:
             "%%MatrixMarket matrix coordinate real general\n3 3 5\n"
             "1 1 1.0\n1 2 1e-320\n2 2 3\n2 3 1e-320\n3 3 2.0\n"
         )
-        rc, captured = _verify(tmp_path, capsys, _golden("ladder"), path)
+        # this matrix is SDD, so the ladder's subset {1, 2} must be named: T is empty
+        report = _replace(_golden("ladder"), ("sh", "subset"), [1, 2])
+        rc, captured = _verify(tmp_path, capsys, report, path)
         assert rc == 4
         assert "sh: FAIL (numerical failure in sh: LU residual" in captured.out
 
@@ -1143,29 +1171,37 @@ class TestVerifyReadsSchemaV2:
             assert problems == []
             results = verify_report(json.loads(emit_json(report)), A)
             assert results and all(ok for _, ok, _ in results)
-        assert analyze_matrix(TWO_WAY)[0]["chain"]["next"] == {"1": 3, "2": 1}
+        assert analyze_matrix(TWO_WAY)[0]["chain"]["next"] == [3, 1]
         report = analyze_matrix(DEAD_END)[0]
-        assert report["chain"]["next"] == {"1": 4} and report["chain"]["unreachable"] == [2, 3]
+        assert report["chain"]["next"] == [4, None, None]
         assert report["peel_trace"] == [[1], [2, 3]]
 
     @pytest.mark.parametrize(
         "A, hops, detail",
         [
-            (LADDER, {"1": 3, "2": 3}, "hop 1 -> 3 crosses no off-diagonal nonzero"),
-            (LADDER, {"1": 1, "2": 3}, "hop 1 -> 1 crosses no off-diagonal nonzero"),
-            (TWO_WAY, {"1": 2, "2": 1}, "hops from 1 cycle through 1"),
-            (DEAD_END, {"1": 2}, "hops from 1 stop at 2, inside T"),
-            (LADDER, {"1": 2}, "next keys are not the rows of T with a chain"),
-            (LADDER, {"1": 2, "2": 3, "3": 1}, "next keys are not the rows of T with a chain"),
-            (LADDER, {"2": 3, "1": 2}, "next keys are not the rows of T with a chain"),
-            (LADDER, {"01": 2, "2": 3}, "next key '01' is not a 1-based index"),
-            (LADDER, {"one": 2, "2": 3}, "malformed chain: ValueError"),
-            (LADDER, {"1.0": 2, "2": 3}, "malformed chain: ValueError"),
-            (LADDER, {"1": 2.0, "2": 3}, "next[1] = 2.0 is not a 1-based index"),
-            (LADDER, {"1": 0, "2": 3}, "next[1] = 0 is not a 1-based index"),
+            (LADDER, [3, 3], "hop 1 -> 3 crosses no off-diagonal nonzero"),
+            (LADDER, [1, 3], "hop 1 -> 1 crosses no off-diagonal nonzero"),
+            (TWO_WAY, [2, 1], "hops from 1 cycle through 1"),
+            (DEAD_END, [2, None, None], "hops from 1 stop at 2, inside T"),
+            # the ladder's hops are [2, 3] for T = {1, 2}: one row short, one too many
+            (LADDER, [2], "next must be a list of 2 items, one per row of T"),
+            (LADDER, [2, 3, 1], "next must be a list of 2 items, one per row of T"),
+            # the hops of rows 2 and 1, in that order
+            (LADDER, [3, 2], "hop 1 -> 3 crosses no off-diagonal nonzero"),
+            (LADDER, [2.0, 3], "next hop 2.0 of row 1 is not a 1-based index"),
+            (LADDER, [0, 3], "next hop 0 of row 1 is not a 1-based index"),
+            # the ladder's chain.next as schema version 4 wrote it
+            (LADDER, {"1": 2, "2": 3}, "next must be a list of 2 items, one per row of T"),
+            (LADDER, [None, 3], "next is null on other rows than those with no chain out of T"),
+            # rows 2 and 3 of DEAD_END form a closed pair, with no chain out of T
+            (DEAD_END, [4, 3, None], "next is null on other rows than those with no chain out of T"),
+            (LADDER, [True, 3], "next hop True of row 1 is not a 1-based index"),
+            (LADDER, ["2", 3], "next hop '2' of row 1 is not a 1-based index"),
+            (LADDER, [2, 4], "next hop 4 of row 2 is not a 1-based index"),
         ],
         ids=["zero-entry", "diagonal", "two-cycle", "dead-end", "missing-key", "extra-key",
-             "unordered-keys", "leading-zero-key", "word-key", "real-key", "real-hop", "zero-hop"],
+             "unordered-keys", "real-hop", "zero-hop", "v4-object", "null-on-a-chain",
+             "hop-without-a-chain", "bool-hop", "string-hop", "out-of-range-hop"],
     )
     def test_forged_hops_fail(self, A, hops, detail):
         report, _ = analyze_matrix(A)
@@ -1194,7 +1230,7 @@ class TestVerifyReadsSchemaV2:
             lambda r: {k: v for k, v in r.items() if k != "schema_version"},
             lambda r: {**r, "schema_version": 1},
             lambda r: {**r, "schema_version": True},
-            lambda r: {**r, "schema_version": "4"},
+            lambda r: {**r, "schema_version": "5"},
             # the ladder's report as schema version 1 wrote it
             lambda r: {
                 **{k: v for k, v in r.items() if k != "schema_version"},
@@ -1218,8 +1254,16 @@ class TestVerifyReadsSchemaV2:
                 "schema_version": 3,
                 "scaling": {"d": [1, 0.7, 0.3], "margin": 0.30000000000000004},
             },
+            # the ladder's report as schema version 4 wrote it, with T in three more places
+            lambda r: {
+                **r,
+                "schema_version": 4,
+                "chain": {"holds": True, "next": {"1": 2, "2": 3}, "unreachable": []},
+                "sh": {**r["sh"], "subset": [1, 2]},
+            },
         ],
-        ids=["missing", "one", "bool", "string", "v1-report", "v2-report", "v3-report"],
+        ids=["missing", "one", "bool", "string", "v1-report", "v2-report", "v3-report",
+             "v4-report"],
     )
     def test_other_schema_versions_fail_the_shape(self, tmp_path, capsys, forge):
         rc, captured = _verify(tmp_path, capsys, forge(_golden("ladder")), FIXTURES / "ladder.mtx")
@@ -1233,27 +1277,32 @@ class TestVerifyReadsSchemaV2:
 def test_verify_judges_hops_and_partition_like_the_reference(A, data):
     """Random edits to ``chain.next`` and ``peel_trace``; verify agrees with the slow references.
 
-    An edit points a key's hop at another neighbour of its row (which
-    can close a cycle or end inside T), sets any key to any value, or
-    deletes a key.  The chain check must pass exactly when the edited
-    hops still certify the chains by walking every chain in full
+    An edit points a row's hop at another neighbour of the row (which
+    can close a cycle or end inside T), sets any item to null or to any
+    integer, appends an item or drops the last one.  The chain check
+    must pass exactly when the edited list still has one item per row
+    of T and its hops certify the chains by walking every chain in full
     (``reference.hops_certify``), and the peel check exactly when the
     trace is still the recomputed partition (moving, copying or
     dropping a row breaks it).  Nothing raises.
     """
     report = json.loads(emit_json(analyze_matrix(A)[0]))
-    hops = dict(report["chain"]["next"])
+    t_set = report["t_set"]
+    hops = list(report["chain"]["next"])
     for _ in range(data.draw(st.integers(0, 3))):
-        edit = data.draw(st.sampled_from(["rehop", "set", "delete"]))
-        if edit == "rehop" and report["chain"]["next"]:
-            key = data.draw(st.sampled_from(sorted(report["chain"]["next"])))
-            cols, _ = A.pattern.row(int(key) - 1)
-            hops[key] = data.draw(st.sampled_from(cols)) + 1
-        elif edit == "set":
-            hops[str(data.draw(st.integers(1, A.n + 1)))] = data.draw(st.integers(-1, A.n + 1))
-        elif edit == "delete" and hops:
-            del hops[data.draw(st.sampled_from(sorted(hops)))]
-    hops = dict(sorted(hops.items(), key=lambda kv: int(kv[0])))
+        edit = data.draw(st.sampled_from(["rehop", "set", "append", "pop"]))
+        if edit == "rehop" and hops and t_set:
+            k = data.draw(st.integers(0, min(len(hops), len(t_set)) - 1))
+            cols, _ = A.pattern.row(t_set[k] - 1)
+            if cols:
+                hops[k] = data.draw(st.sampled_from(cols)) + 1
+        elif edit == "set" and hops:
+            k = data.draw(st.integers(0, len(hops) - 1))
+            hops[k] = data.draw(st.none() | st.integers(-1, A.n + 1))
+        elif edit == "append":
+            hops.append(data.draw(st.none() | st.integers(1, A.n)))
+        elif edit == "pop" and hops:
+            hops.pop()
     trace = copy.deepcopy(report["peel_trace"])
     if trace and data.draw(st.booleans()):
         rows = [(k, i) for k, part in enumerate(trace) for i in range(len(part))]
@@ -1267,12 +1316,34 @@ def test_verify_judges_hops_and_partition_like_the_reference(A, data):
     forged = {**report, "chain": {**report["chain"], "next": hops}, "peel_trace": trace}
     lines = _verify_lines(forged, A)
     chain = chain_condition(A)
-    certified = reference.hops_certify(
-        A, chain.subset, chain.reached, {int(k) - 1: v - 1 for k, v in hops.items()}
+    certified = len(hops) == len(t_set) and reference.hops_certify(
+        A, chain.subset, chain.reached, {t - 1: v - 1 for t, v in zip(t_set, hops) if v is not None}
     )
     assert lines["chain"][0] == certified
     assert lines["peel"][0] == (trace == report["peel_trace"])
     assert all(ok for name, (ok, _) in lines.items() if name not in ("chain", "peel"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(dd_matrices(max_n=6), st.data())
+def test_null_hops_are_the_rows_without_a_chain(A, data):
+    """``chain.next`` is null exactly on the unreachable rows of T, and the report verifies.
+
+    Halving a diagonal entry (exact on dyadic moduli) takes an equality
+    row with off-diagonal entries, or a strict row with a small gap,
+    below its sum, so the matrices are dominant or not.
+    """
+    if data.draw(st.booleans()):
+        mags = A.modulus.copy()
+        i = data.draw(st.integers(0, A.n - 1))
+        mags[i, i] /= 2
+        A = Matrix(mags)
+    report = json.loads(emit_json(analyze_matrix(A)[0]))
+    chain = chain_condition(A)
+    nulls = [t for t, hop in zip(report["t_set"], report["chain"]["next"]) if hop is None]
+    assert len(report["chain"]["next"]) == len(report["t_set"])
+    assert nulls == [i + 1 for i in chain.unreachable.members]
+    assert all(ok for _, ok, _ in verify_report(report, A))
 
 
 _SWAP_VALUES = ("5e-324", "1e-320", "1e-20", "0", "1e308", "-1e308", "1", "2.0", "0.5", "-3")

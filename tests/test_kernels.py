@@ -367,6 +367,12 @@ def _sh_forgeries(sh: dict):
         yield {**sh, "b2": b2 + 1e-6 * max(1.0, abs(b2))}
 
 
+def _sh_on_t(rep: SHReport) -> dict:
+    """``rep`` as a report's ``sh`` on T reads back: its subset is null, meaning T."""
+    fields = {k: getattr(rep, k) for k in ("lhs", "b2", "satisfied", "inner_h", "note")}
+    return json.loads(emit_json({"subset": None, **fields}))
+
+
 def _no_match(A, S, tol=0.0) -> SHReport:
     """A dense result that no stored ``sh`` matches: its b2 is NaN."""
     return SHReport(subset=S, lhs=None, b2=math.nan, satisfied=False, inner_h=False)
@@ -415,7 +421,7 @@ def test_sh_off_the_peel_passes_and_fails_as_the_dense_check(A):
     assume(analyzed is not InconsistencyError)  # analyze emits no report then
     report = json.loads(emit_json(analyzed[0]))
     stored = report["sh"]
-    assert stored == json.loads(emit_json(ddh.cli._sh_dict(s_h_from_peel(A, peel_levels(A)))))
+    assert stored == _sh_on_t(s_h_from_peel(A, peel_levels(A)))
     for k, sh in enumerate(_sh_forgeries(stored)):
         forged = {**report, "sh": sh}
         dense = _verdicts(forged, A, "dense")
@@ -448,7 +454,7 @@ def test_rows_equal_only_after_rounding_are_classified_exactly(entries, t_set, i
     assert problems == [] and report["is_h"] is is_h
     if is_h is None:
         assert report["dominance_class"] == "NotDD"
-        assert report["sh"] == {"subset": [1, 2], "lhs": None, "b2": "Infinity", "satisfied": False,
+        assert report["sh"] == {"subset": None, "lhs": None, "b2": "Infinity", "satisfied": False,
                                 "inner_h": False, "note": "inner comparison block is singular"}
     else:
         assert s_h_from_peel(A, peel_levels(A)) == s_h_check(A, non_sdd_rows(A))
@@ -650,7 +656,7 @@ def test_sh_on_t_is_read_off_the_peel_with_no_elimination(A):
         assert reference.sh_key(s_h_check(A, T)) == reference.sh_key(no_solve)
     report, problems = analyze_matrix(A)
     report = json.loads(emit_json(report))
-    assert problems == [] and report["sh"] == json.loads(emit_json(ddh.cli._sh_dict(no_solve)))
+    assert problems == [] and report["sh"] == _sh_on_t(no_solve)
     assert all(ok for _, ok, _ in verify_report(report, A))
 
 
@@ -896,9 +902,9 @@ def test_report_is_linear_in_the_order(monkeypatch):
     """Work gate: an order-2000 H chain's report is O(n) bytes and reads no chain path.
 
     Its chains run n - 1 deep, so full paths, or every active set of the
-    peel, would hold about n^2/2 indices.  The report holds one next hop
-    per row of T and each row of T in one peel level, every list on one
-    line, so about 50 bytes per row.  The one subset
+    peel, would hold about n^2/2 indices.  The report lists T once in
+    ``t_set``, then one next hop per row of T and each row of T in one
+    peel level, every list on one line: about 19 bytes per row.  The one subset
     solve on T, an upper bidiagonal block whose right-hand side is its
     own gap vector, is one reachability pass: no GTH elimination, and
     no dense ``lu_factor``.
@@ -910,7 +916,7 @@ def test_report_is_linear_in_the_order(monkeypatch):
     A = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
     report, problems = analyze_matrix(A)
     assert report["is_h"] is True and problems == []
-    assert len(emit_json(report).encode()) < 60 * n
+    assert len(emit_json(report).encode()) < 25 * n
     assert len(report["chain"]["next"]) == n - 1
     assert len(report["peel_trace"]) == n - 1
     assert sum(len(level) for level in report["peel_trace"]) == n - 1

@@ -26,6 +26,7 @@ from ddh import (
     write_matrix_market,
 )
 from ddh import mmio, oracle, sparse_lu
+from ddh.core import exact_gap
 from ddh.oracle import STREAM_BLOCK, RandomStream, derive_seed, stream_words
 from helpers import count_updated_rows
 
@@ -182,6 +183,19 @@ TINY = st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300])
 SPOILERS = st.sampled_from(["negative gap", "positive entry", "inf", "nan"])
 
 
+def _below_the_sum(magnitudes: list[float]) -> float:
+    """The largest float below the exact sum of ``magnitudes``: a diagonal with a negative gap.
+
+    One ulp below the left-to-right sum is not enough: for the
+    magnitudes 0.1, 1.0, 0.1, 0.1 that sum is 1.3000000000000003, and
+    one ulp below it, 1.3, still has the exact gap +2.8e-17.
+    """
+    diag = math.fsum(magnitudes)
+    while exact_gap(diag, magnitudes) >= 0.0:
+        diag = math.nextafter(diag, -math.inf)
+    return diag
+
+
 @st.composite
 def dominant_z_blocks(draw):
     """A dominant Z-matrix of order 1-7 by rows, a right-hand side b >= 0, a spoiler, a flag.
@@ -214,7 +228,7 @@ def dominant_z_blocks(draw):
     if spoiler is not None:
         i = draw(st.integers(0, n - 1))
         if spoiler == "negative gap":
-            rows[i][i] = math.nextafter(-sum(v for j, v in rows[i].items() if j != i), -math.inf)
+            rows[i][i] = _below_the_sum([-v for j, v in rows[i].items() if j != i])
         elif spoiler == "positive entry" and n > 1:
             rows[i][(i + 1) % n] = 0.5
         elif spoiler in ("inf", "nan"):
@@ -248,6 +262,11 @@ def _bits(x) -> list[str] | None:
           [1.0, 0.0, 0.0, 0.0, 0.0], None, True))
 # an H block that ``lu_factor``'s pivot threshold calls singular
 @example(([{0: 0.25}, {0: -1e-20, 1: 1e-20}], [0.25, 1e-20], None, False))
+# row 2, spoiled to 1.3, one ulp below its left-to-right sum, kept the exact
+# gap +2.8e-17, so ``sparse_lu`` eliminated a block labelled "negative gap"
+@example(([{0: 1.0}, {1: 1.0},
+           {0: -0.1, 1: -1.0, 3: -0.1, 4: -0.1, 2: _below_the_sum([0.1, 1.0, 0.1, 0.1])},
+           {3: 1.0}, {4: 1.0}], [1.0] * 5, "negative gap", False))
 @settings(max_examples=300, deadline=None)
 @given(dominant_z_blocks())
 def test_gth_elimination_matches_the_exact_solve(problem):
