@@ -19,6 +19,7 @@ from .core import (
     classify_dominance,
     comparison_matrix,
     comparison_rows,
+    layers_out_of,
     non_sdd_rows,
     peel_levels,
     principal_submatrix,
@@ -98,6 +99,7 @@ __all__ = [
     "is_interwoven",
     "jacobi_oracle",
     "jacobi_spectral_radius",
+    "layers_out_of",
     "lu_factor",
     "lu_solve",
     "non_sdd_rows",

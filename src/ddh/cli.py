@@ -172,7 +172,7 @@ def analyze_matrix(
     peel_reason = None
     witness = None
     if verdict is not None:
-        peeling = interwoven_from_peeling(A, verdict.peel)
+        peeling = interwoven_from_peeling(verdict.peel)
         is_h = verdict.is_h
         peel_trace = [_one_based(t.members) for t in verdict.peel_trace]
         peel_reason = verdict.reason.value
@@ -432,7 +432,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     with guarded("interwoven-peeling"):
         obj = (report.get("interwoven_alternates") or {}).get("peeling")
-        cert = None if peel is None else interwoven_from_peeling(A, peel)
+        cert = None if peel is None else interwoven_from_peeling(peel)
         if obj is None:
             detail = "" if cert is None else "the peel certifies T but the report has no certificate"
         else:
@@ -503,8 +503,12 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     ssdd = report.get("ssdd_set")
     if ssdd is not None:
         with guarded("ssdd"):
-            ok = s_sdd_check(A, _index_set(ssdd, A.n))
-            check("ssdd", ok, "" if ok else "stored set fails the subset dominance test")
+            S = _index_set(ssdd, A.n)
+            if len(S) == 0 or S.is_full:
+                check("ssdd", False, "stored set is empty or the whole index set")
+            else:
+                ok = s_sdd_check(A, S)
+                check("ssdd", ok, "" if ok else "stored set fails the subset dominance test")
 
     sh = report.get("sh")
     if sh is None and 0 < len(T) < A.n:
@@ -515,17 +519,21 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             satisfied, inner_h = _flag(sh["satisfied"]), _flag(sh["inner_h"])
             lhs = None if sh["lhs"] is None else real_from_json(sh["lhs"])
             b2 = real_from_json(sh["b2"])
-            on_t = tol == 0.0 and peel is not None and S == T
-            # None off the peel only for an empty or full T, which s_h_check refuses
-            rep = (s_h_from_peel(A, peel) if on_t else None) or s_h_check(A, S, tol)
-            # satisfied against the exact ratios, which the stored b2 may round onto lhs
-            ok = (
-                (satisfied, inner_h) == (rep.satisfied, rep.inner_h)
-                and (lhs is None) == (rep.lhs is None)
-                and (lhs is None or _close(lhs, rep.lhs))
-                and _close(b2, rep.b2)
-            )
-            check("sh", ok, "" if ok else "recomputed subset H-condition differs")
+            if len(S) == 0 or S.is_full:
+                what = "T" if sh["subset"] is None else "the stored subset"
+                check("sh", False,
+                      f"{what} is empty or the whole index set, so no subset H-condition applies")
+            else:
+                on_t = tol == 0.0 and peel is not None and S == T
+                rep = s_h_from_peel(A, peel) if on_t else s_h_check(A, S, tol)
+                # satisfied against the exact ratios, which the stored b2 may round onto lhs
+                ok = (
+                    (satisfied, inner_h) == (rep.satisfied, rep.inner_h)
+                    and (lhs is None) == (rep.lhs is None)
+                    and (lhs is None or _close(lhs, rep.lhs))
+                    and _close(b2, rep.b2)
+                )
+                check("sh", ok, "" if ok else "recomputed subset H-condition differs")
 
     return results
 
@@ -615,7 +623,7 @@ def _cmd_verify(args) -> int:
     except OSError as exc:
         print(f"ddh: cannot read {args.report}: {exc}", file=sys.stderr)
         return 2
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a decode error, a huge integer, deep nesting
         print(f"ddh: bad report JSON: {exc}", file=sys.stderr)
         return 2
     # the file may not be larger than the report it is checked against

@@ -5,9 +5,10 @@ the diagonal, the row sums and the sparsity graph.  So a ``Matrix`` is
 stored sparse: its diagonal, and its off-diagonal nonzeros in compressed
 row form (with the transpose), as magnitudes (``SparsePattern``, which
 is also the sparsity graph) and as the (possibly complex) entries.  The
-structural kernels (row sums, the peel, the interwoven closure, the
-graph traversals), the scaling sweeps and the principal submatrices
-read that storage, so they cost O(n + nnz).
+structural kernels (row sums, and ``layers_out_of``, the one traversal
+out of an index set, which gives the chains with no re-test and the peel
+with one), the scaling sweeps and the principal submatrices read that
+storage, so they cost O(n + nnz).
 
 The storage is standard-library ``array.array`` buffers: indices and
 row pointers as ``'q'`` (int64), reals as ``'d'`` (float64), and a
@@ -83,11 +84,6 @@ class SparsePattern(NamedTuple):
             free[j] += 1
         indptr = array("q", [bisect_left(rows, i) for i in range(n + 1)])
         return cls(indptr, cols, data, t_indptr, t_indices)
-
-    def row(self, i: int) -> tuple[list[int], list[float]]:
-        """Columns and magnitudes of row i's off-diagonal nonzeros."""
-        a, b = self.indptr[i], self.indptr[i + 1]
-        return self.indices[a:b].tolist(), self.data[a:b].tolist()
 
     def has_edges(self, rows, cols) -> list[bool]:
         """Whether each ``(rows[k], cols[k])``, 0-based and in range, is stored.
@@ -475,66 +471,90 @@ def non_sdd_rows(A: Matrix, tol: float = 0.0) -> IndexSet:
     return IndexSet.trusted(tuple(i for i, code in enumerate(s) if code <= 0), A.n)
 
 
+def layers_out_of(A: Matrix, S: IndexSet, tol: float | None = None):
+    """``(levels, next_hop)``: the layers of S out of its complement, and each layered row's hop.
+
+    Level one holds the rows of S with a nonzero in a column outside S,
+    level k + 1 the rows still in S with one in a column of level k,
+    found through the transposes of those columns.  Each level is
+    increasing, and a row's next hop is the smallest such column.  With
+    ``tol`` None every touched row joins, so the levels are the distance
+    layers of the shortest chains out of S (``graph.chains_out_of``).
+    With a ``tol`` a touched row joins only when the exact gap of its
+    nonzeros still in S, shifted by ``tol``, is positive (``exact_gap``):
+    the recursive peel (``peel_levels``).  Rows never layered have no
+    hop.  A row is touched at most once per column it loses: O(nnz)
+    work with no re-test, O(sum of squared row degrees) at worst with one.
+    """
+    pat = A.pattern
+    t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
+    if tol is not None:
+        indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
+        diag = A.diagonal_modulus.tolist()
+    active = _member_flags(S)
+    left = len(S)
+    removed = S.complement().members
+    levels: list[tuple[int, ...]] = []
+    next_hop: dict[int, int] = {}
+    while left:
+        # columns in decreasing order: the smallest one a row touches is written last
+        touched = {i: j for j in reversed(removed)
+                   for i in t_indices[t_indptr[j]:t_indptr[j + 1]] if active[i]}
+        level = sorted(touched)
+        if tol is not None:
+            level = [i for i in level if exact_gap(
+                diag[i], [data[k] for k in range(indptr[i], indptr[i + 1]) if active[indices[k]]],
+                -tol) > 0.0]
+        if not level:
+            break
+        for i in level:
+            active[i] = False
+            next_hop[i] = touched[i]
+        levels.append(tuple(level))
+        left -= len(level)
+        removed = level
+    return tuple(levels), next_hop
+
+
 class Peel(NamedTuple):
     """Level structure of the recursive peel onto the non-strict rows.
 
     With T_0 = ``t_set`` and T_{k+1} = T_k minus ``levels[k]``, each
     ``levels[k]`` lists (increasingly) the rows of T_k that are strict in
-    the principal submatrix of A on T_k, and is never empty.  The peel
-    ends when T_k is empty or when no row of a nonempty T_k is strict;
-    ``stalled`` tells the two apart.
+    the principal submatrix of A on T_k, and is never empty.  A row of
+    ``levels[k]`` owes its strictness to a column that left T before it,
+    and ``next_hop`` maps it to the smallest such column of the previous
+    level (outside T for ``levels[0]``).  The peel ends when T_k is empty
+    or when no row of a nonempty T_k is strict; in the latter case it is
+    ``stalled``, and the rows of T with no next hop are that block.
     """
 
     t_set: IndexSet
     levels: tuple[tuple[int, ...], ...]
-    stalled: bool
+    next_hop: dict[int, int]
+
+    @property
+    def stalled(self) -> bool:
+        return len(self.next_hop) < len(self.t_set)
 
 
 def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
-    """Worklist form of the recursive peel (Kahn-style, one pass).
+    """The recursive peel as one worklist pass: ``layers_out_of`` T at ``tol``.
 
     A row's sum inside T_k changes only when a column it touches leaves,
-    so only those rows are re-tested after each level: each row at most
-    once per column it loses, which is O(nnz) work for bounded row
-    degrees and O(sum of squared row degrees) at worst.  A re-test is the
+    so only those rows are re-tested after each level.  A re-test is the
     exact sign of the row's gap over its nonzeros still in T_k
     (``exact_gap``), so every decision matches ``row_strictness`` on the
     copied submatrix at any ``tol``.  On a dominant matrix at tol 0 every
     row of T is an exact equality, so a row of T_k is strict exactly when
-    it has a nonzero outside T_k: the levels are the distance layers of
+    it has a nonzero outside T_k: the levels and next hops are those of
     the chains out of T (``graph.chain_condition``), and the peel stalls
     exactly when some row of T has no chain.
     """
     tol = _check_tol(tol)
     T = non_sdd_rows(A, tol)
-    pat = A.pattern
-    indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
-    t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
-    diag = A.diagonal_modulus.tolist()
-    active = _member_flags(T)
-    left = len(T)
-    removed = T.complement().members
-    levels: list[tuple[int, ...]] = []
-    while left:
-        touched = {
-            i
-            for j in removed
-            for i in t_indices[t_indptr[j]:t_indptr[j + 1]]
-            if active[i]
-        }
-        batch = []
-        for i in sorted(touched):
-            inside = [data[k] for k in range(indptr[i], indptr[i + 1]) if active[indices[k]]]
-            if exact_gap(diag[i], inside, -tol) > 0.0:
-                batch.append(i)
-        if not batch:
-            break
-        for i in batch:
-            active[i] = False
-        levels.append(tuple(batch))
-        left -= len(batch)
-        removed = batch
-    return Peel(t_set=T, levels=tuple(levels), stalled=left > 0)
+    levels, next_hop = layers_out_of(A, T, tol)
+    return Peel(t_set=T, levels=levels, next_hop=next_hop)
 
 
 def comparison_matrix(A: Matrix):

@@ -6,29 +6,33 @@ a_ij != 0, which is exactly an entry stored in ``Matrix.pattern``
 search here reads that pattern directly: its rows are the out-edges
 and its transpose the in-edges.  One question about the graph drives
 the dominance analysis: which members of an index set S reach an index
-outside S along nonzero entries (``chains_out_of``, one reverse
-breadth-first search).  With S the non-strict rows this is the chain
-condition (``chain_condition``); the same chains decide and certify
-whether S is interwoven (``interwoven.interwoven_from_chains``).
+outside S along nonzero entries (``chains_out_of``).  Its answer is
+``core.layers_out_of`` with no re-test, the traversal that with the
+exact-gap re-test is the recursive peel.  With S the non-strict rows
+this is the chain condition (``chain_condition``); the same chains
+decide and certify whether S is interwoven
+(``interwoven.interwoven_from_chains``).
 
-The search scans neighbours in increasing index order and keeps the
-first discovered parent, so the reported next hops are deterministic.
+A member's next hop is the smallest index one level closer to the
+outside of S, so the reported next hops are deterministic, and on a
+dominant matrix at tol 0 they are the peel's.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 
-from .core import IndexSet, Matrix, _Frozen, non_sdd_rows
+from .core import IndexSet, Matrix, _Frozen, layers_out_of, non_sdd_rows
 
 
 class ChainReport(_Frozen):
     """Shortest chains from the members of ``subset`` to indices outside it.
 
     ``reached`` lists the members with such a chain along nonzero
-    entries, by breadth-first distance and then by index, and
-    ``next_hop`` maps each of them to its successor on a shortest chain;
+    entries, by chain length and then by index, and ``next_hop`` maps
+    each of them to its successor on a shortest chain: the smallest
+    column in its row whose own chain is one step shorter (outside S,
+    for a chain of one step);
     ``unreachable`` collects the members without one.  ``holds`` is true
     exactly when ``unreachable`` is empty.  The next hops are the
     certificate (the report's ``chain.next``): O(n), where the full
@@ -64,33 +68,15 @@ class ChainReport(_Frozen):
 def chains_out_of(A: Matrix, S: IndexSet) -> ChainReport:
     """Shortest chains from every member of S to an index outside S.
 
-    A multi-source BFS runs from the complement of S along reversed
-    edges: column u of the pattern lists the rows with an edge into u,
-    in increasing order, and the first row to discover a vertex becomes
-    its successor.  Chains are therefore breadth-first shortest and
-    deterministic; interior vertices are members of S and only the
-    final vertex lies outside.
+    These are the layers out of S with no re-test (``core.layers_out_of``):
+    a member's chain is as long as its level is deep, and its next hop is
+    the smallest column one level down.  Interior vertices are members
+    of S and only the final vertex lies outside.
     """
-    pat = A.pattern
-    t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
-    dist = [-1] * A.n  # length of a shortest chain out of S
-    next_hop: dict[int, int] = {}
-    queue: deque[int] = deque()
-    for t in S.complement().members:  # seed in increasing index order
-        dist[t] = 0
-        queue.append(t)
-    while queue:
-        u = queue.popleft()
-        for v in t_indices[t_indptr[u]:t_indptr[u + 1]]:
-            if dist[v] == -1:
-                dist[v] = dist[u] + 1
-                next_hop[v] = u
-                queue.append(v)
-    reached = sorted(next_hop, key=lambda i: (dist[i], i))
-    missing = tuple(i for i in S.members if dist[i] == -1)
+    levels, next_hop = layers_out_of(A, S)
     return ChainReport(
-        subset=S, reached=tuple(reached), next_hop=next_hop,
-        unreachable=IndexSet.trusted(missing, A.n),
+        subset=S, reached=tuple(i for level in levels for i in level), next_hop=next_hop,
+        unreachable=IndexSet.trusted(tuple(i for i in S.members if i not in next_hop), A.n),
     )
 
 

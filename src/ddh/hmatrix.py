@@ -4,7 +4,8 @@ The decision algorithm is a recursive peel: a diagonally dominant matrix
 is an H-matrix exactly when its restriction to the non-strict rows is,
 so the peel restricts to T(A), recomputes T there, and repeats.
 ``is_h_dd`` runs it as one worklist pass over the sparse pattern
-(``core.peel_levels``): after each level only the rows touching a
+(``core.peel_levels``, the traversal ``core.layers_out_of`` of T with an
+exact-gap re-test): after each level only the rows touching a
 just-peeled column are re-tested, and no submatrix is copied.  The peel
 either empties T (H-matrix), hits a zero diagonal entry, or stalls with
 T equal to the whole current block (a restriction that is dominant with
@@ -13,10 +14,11 @@ submatrix certifies non-H-status by inspection.  On an exactly dominant
 matrix each row a level removes has an entry in a column removed
 before it, so every non-strict row has a chain to a strict row, which
 proves H (Shivakumar & Chew 1974).  ``peel_outcome`` reads the trace,
-the reason and the witness off a ``Peel``, which ``verify`` rechecks
-without a solve.  The verdict keeps its ``Peel`` so that an analysis
-peels A once: ``scaling_certificate`` sweeps in its order,
-``interwoven.interwoven_from_peeling`` pairs its levels, and
+the reason and the witness off a ``Peel`` (a stalled block is the rows
+of T with no next hop), which ``verify`` rechecks without a solve.  The
+verdict keeps its ``Peel`` so that an analysis peels A once:
+``scaling_certificate`` sweeps in its order,
+``interwoven.interwoven_from_peeling`` reads its next hops, and
 ``find_ssdd_set_dd`` reads the first.  A scaling, the certificate where
 no chain proves H (a row dominant only within tol), comes from
 Gauss-Seidel sweeps; a solve of the comparison system is left to
@@ -246,9 +248,8 @@ def peel_outcome(
         return (T,), PeelReason.ZERO_DIAGONAL, IndexSet((zero,), A.n)
     trace = tuple(IndexSet.trusted(level, A.n) for level in peel.levels)
     if peel.stalled:
-        # the rows left form a dominant block with no strict row
-        peeled = {i for level in peel.levels for i in level}
-        block = IndexSet.trusted(tuple(i for i in T.members if i not in peeled), A.n)
+        # the rows never peeled, those with no next hop, form a dominant block with no strict row
+        block = IndexSet.trusted(tuple(i for i in T.members if i not in peel.next_hop), A.n)
         return trace + (block,), PeelReason.STAGNANT_PEEL, block
     return trace, PeelReason.SDD_REACHED, None
 

@@ -9,18 +9,21 @@ a time, each unravelled index pointing at something already outside.
 
 The members that can ever be unravelled are exactly those with a chain
 of nonzero entries out of S, so the decision and its certificate come
-from the one reverse breadth-first search of ``graph.chains_out_of``:
-S is interwoven iff at most one member is unreached, and listing the
-reached members by distance, each paired with its next hop, is a valid
-sequence (the Shivakumar-Chew chain condition and the interwoven
-condition are one statement).  ``is_interwoven`` decides any subset
-that way, and ``interwoven_from_chains`` reads the certificate for T off
-the analysis's own ``ChainReport``.  The second construction for T pairs
-the levels of the ``Peel`` that ``hmatrix.is_h_dd`` decided with
-(``HVerdict.peel``).  A report stores neither certificate, only whether
-each exists and its leftover: ``verify`` derives both again from its own
-chains and peel and checks them with ``verify_certificate``.  The greedy
-closure and a brute-force search stay in the test suite as references.
+from the layers out of S (``core.layers_out_of``): S is interwoven iff
+at most one member is never layered, and listing the layered members
+level by level, each paired with its next hop one level down, is a
+valid sequence (the Shivakumar-Chew chain condition and the interwoven
+condition are one statement).  One helper reads a certificate off
+layers and next hops, so both constructions for T are that reading:
+``interwoven_from_chains`` of the analysis's own ``ChainReport`` (also
+how ``is_interwoven`` decides any subset), and ``interwoven_from_peeling``
+of the ``Peel`` that ``hmatrix.is_h_dd`` decided with
+(``HVerdict.peel``), the same traversal with the exact-gap re-test.  On
+a dominant matrix at tol 0 the two certificates are equal.  A report
+stores neither certificate, only whether each exists and its leftover:
+``verify`` derives both again from its own chains and peel and checks
+them with ``verify_certificate``.  The greedy closure and a brute-force
+search stay in the test suite as references.
 """
 
 from __future__ import annotations
@@ -87,73 +90,46 @@ def is_interwoven(A: Matrix, S: IndexSet) -> InterwovenCertificate | None:
     return interwoven_from_chains(chains_out_of(A, S))
 
 
-def interwoven_from_chains(chain: ChainReport) -> InterwovenCertificate | None:
-    """Certificate for ``chain.subset`` read off its shortest chains.
+def _from_layers(S: IndexSet, reached, next_hop: dict[int, int]) -> InterwovenCertificate | None:
+    """Certificate for S read off the layers out of it (``core.layers_out_of``).
 
-    Listing the reached members in nondecreasing distance order makes
-    each member's next hop a valid companion: depth-1 members point
-    outside S, deeper members at a member one level shallower, which
-    appears earlier in the sequence.  An unreached member has no chain
-    out, so it can never be unravelled: one is the leftover, two or more
+    ``reached`` lists the layered members level by level, and
+    ``next_hop`` maps each to a column one level down.  In that order
+    each member's next hop is a valid companion: level-one members point
+    outside S, deeper members at a member listed earlier.  A member with
+    no hop can never be unravelled: one is the leftover, two or more
     mean S is not interwoven (as when S is everything).  With every
-    member reached, the deepest one (listed last) is the leftover.
+    member layered, the last one listed is the leftover.
     """
-    S = chain.subset
     if len(S) <= 1:
         return _trivial_certificate(S)
-    if len(chain.unreachable) > 1:
+    missing = len(S) - len(next_hop)
+    if missing > 1:
         return None
-    if chain.unreachable:
-        p_seq, leftover = chain.reached, chain.unreachable.members[0]
+    p_seq = tuple(reached)
+    if missing:
+        leftover = next(i for i in S.members if i not in next_hop)
     else:
-        p_seq, leftover = chain.reached[:-1], chain.reached[-1]
+        p_seq, leftover = p_seq[:-1], p_seq[-1]
     return InterwovenCertificate(
-        subset=S,
-        p_seq=p_seq,
-        q_seq=tuple(chain.next_hop[p] for p in p_seq),
-        leftover=leftover,
+        subset=S, p_seq=p_seq, q_seq=tuple(next_hop[p] for p in p_seq), leftover=leftover
     )
 
 
-def interwoven_from_peeling(A: Matrix, peel: Peel) -> InterwovenCertificate | None:
-    """Build a certificate for the non-strict rows by recursive peeling.
+def interwoven_from_chains(chain: ChainReport) -> InterwovenCertificate | None:
+    """Certificate for ``chain.subset`` read off its shortest chains."""
+    return _from_layers(chain.subset, chain.reached, chain.next_hop)
 
-    ``peel`` is A's ``core.peel_levels`` (``HVerdict.peel``); the caller
-    guarantees that A is diagonally dominant.  Restricting A to its
-    non-strict rows T and recomputing T there peels off a batch of
-    indices per stage: rows that became strict inside the restriction.
-    A freshly peeled row gained its strictness from a column dropped in
-    the previous stage, so it always has a companion in the previous
-    batch (stage one pairs into the strict rows of A).  Succeeds iff the
-    peel shrinks to at most one index; stalls (no row becomes strict,
-    as when T is everything) mean T is not interwoven and yield None.
+
+def interwoven_from_peeling(peel: Peel) -> InterwovenCertificate | None:
+    """Certificate for the non-strict rows read off the recursive peel.
+
+    ``peel`` is a dominant matrix's ``core.peel_levels``
+    (``HVerdict.peel``).  A peeled row became strict when a column of the
+    previous level left T, and its next hop is the smallest such column
+    (for the first level, outside T): its companion.  Succeeds iff at
+    most one row of T is never peeled; a stall on two or more (as when T
+    is everything) means T is not interwoven and yields None.  Reads the
+    peel only, no entry of the matrix.
     """
-    T = peel.t_set
-    if len(T) <= 1:
-        return _trivial_certificate(T)
-    stage = [0 if i not in T else -1 for i in range(A.n)]  # -1: not yet peeled
-    p_seq: list[int] = []
-    q_seq: list[int] = []
-    left = len(T)
-    for k, batch in enumerate(peel.levels, start=1):
-        for i in batch:
-            stage[i] = k
-        left -= len(batch)
-        batch = list(batch)
-        if left == 0:
-            leftover = batch.pop()  # drop the largest; nothing pairs into it
-        for p in batch:
-            # smallest companion in the previous batch
-            cols, _ = A.pattern.row(p)
-            q = next((j for j in cols if stage[j] == k - 1), None)
-            if q is None:
-                return None
-            p_seq.append(p)
-            q_seq.append(q)
-        if left <= 1:
-            if left == 1:
-                leftover = next(i for i in T.members if stage[i] == -1)
-            return InterwovenCertificate(
-                subset=T, p_seq=tuple(p_seq), q_seq=tuple(q_seq), leftover=leftover
-            )
-    return None  # peel stalled on two or more rows
+    return _from_layers(peel.t_set, (i for level in peel.levels for i in level), peel.next_hop)

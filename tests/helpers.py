@@ -150,7 +150,8 @@ def brute_force_interwoven(A: Matrix, S: IndexSet) -> bool:
 
 def pattern_rows(A: Matrix) -> tuple[tuple[int, ...], ...]:
     """Out-neighbours of every vertex, read from the rows of ``A.pattern``."""
-    return tuple(tuple(A.pattern.row(i)[0]) for i in range(A.n))
+    indptr, indices = A.pattern.indptr, A.pattern.indices
+    return tuple(tuple(indices[indptr[i]:indptr[i + 1]]) for i in range(A.n))
 
 
 def floyd_warshall_dist_to_set(A: Matrix, targets: IndexSet) -> list[float]:

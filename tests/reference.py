@@ -16,7 +16,8 @@ code in ``ddh`` replaces with sparse worklist kernels:
   the irreducibility and Taussky tests built on them;
 * the recursive peel that copies the principal submatrix at every stage
   (``is_h_dd``, whose ``HVerdict.peel`` is assembled from those copied
-  stages, and ``interwoven_from_peeling``), and the active sets
+  stages, each peeled row's next hop scanned from its dense row, and
+  ``interwoven_from_peeling``, which scans for companions), and the active sets
   T_0, T_1, ... of a ``Peel`` (``active_sets``), O(n^2) on a chain,
   whose successive differences the product's peel trace lists;
 * the chain certificate checked by walking every chain in full
@@ -366,8 +367,13 @@ def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
         IndexSet(tuple(i for i in a.members if i not in b), A.n)
         for a, b in zip(stages, stages[1:])
     )
+    # each peeled row's smallest nonzero column in the previous stage (outside T_0 first)
+    next_hop = {}
+    for previous, level in zip((stages[0].complement(),) + peeled, peeled):
+        for i in level.members:
+            next_hop[i] = next(j for j in previous.members if A.modulus[i, j] > 0.0)
     peel = Peel(
-        t_set=stages[0], levels=tuple(level.members for level in peeled), stalled=stalled
+        t_set=stages[0], levels=tuple(level.members for level in peeled), next_hop=next_hop
     )
     zero_rows = [i for i in range(A.n) if A.modulus[i, i] == 0.0]
     if zero_rows:
@@ -684,8 +690,7 @@ def verdict_key(v):
     """Every field of an HVerdict; other values (an error type, say) as given."""
     if not isinstance(v, HVerdict):
         return v
-    peel = (v.peel.t_set, v.peel.levels, v.peel.stalled)
-    return (v.is_h, v.peel_trace, v.reason, v.witness, peel)
+    return (v.is_h, v.peel_trace, v.reason, v.witness, v.peel)
 
 
 _PHASES = (1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j)

@@ -105,7 +105,7 @@ def analyzed(corpus) -> list[Entry]:
         verdict = is_h_dd(A)
         matches_reference = reference.verdict_key(verdict) == reference.verdict_key(
             reference.is_h_dd(A)
-        ) and interwoven_from_peeling(A, peel_levels(A)) == reference.interwoven_from_peeling(A)
+        ) and interwoven_from_peeling(peel_levels(A)) == reference.interwoven_from_peeling(A)
         entries.append(
             Entry(
                 matrix=A,

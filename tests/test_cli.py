@@ -1059,6 +1059,40 @@ class TestVerifyChecksTheVerdict:
         assert rc == 4
         assert "sh: FAIL (numerical failure in sh: LU residual" in captured.out
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 200_000 + "]" * 200_000,  # nesting past the recursion limit
+            '{"order": ' + "9" * 5_000 + "}",  # past the integer string-conversion limit
+        ],
+        ids=["deep-nesting", "huge-integer"],
+    )
+    def test_unreadable_report_json_exits_2(self, tmp_path, capsys, text):
+        report_path = tmp_path / "report.json"
+        report_path.write_text(text)
+        rc = main(["verify", str(report_path), str(FIXTURES / "ladder.mtx")])
+        captured = capsys.readouterr()
+        assert rc == 2 and captured.out == ""
+        assert captured.err.startswith("ddh: bad report JSON: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+
+    def test_sh_on_an_empty_t_fails_plainly(self, tmp_path, capsys):
+        # diag(2, 2, 2) is SDD: T is empty, so the ladder's sh on T names no subset
+        path = tmp_path / "m.mtx"
+        path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 3\n1 1 2\n2 2 2\n3 3 2\n"
+        )
+        rc, captured = _verify(tmp_path, capsys, _golden("ladder"), path)
+        assert rc == 4 and "malformed" not in captured.out
+        assert ("sh: FAIL (T is empty or the whole index set, so no subset H-condition applies)"
+                in captured.out)
+
+    def test_whole_ssdd_set_fails_plainly(self, tmp_path, capsys):
+        report = _replace(_golden("ladder"), ("ssdd_set",), [1, 2, 3])
+        rc, captured = _verify(tmp_path, capsys, report, FIXTURES / "ladder.mtx")
+        assert rc == 4 and "malformed" not in captured.out
+        assert "ssdd: FAIL (stored set is empty or the whole index set)" in captured.out
+
     def test_order_is_bounded_by_the_report(self, tmp_path, capsys):
         # dense storage of order 10^9 would need 8 EB; the report says 3
         path = tmp_path / "m.mtx"
@@ -1293,7 +1327,8 @@ def test_verify_judges_hops_and_partition_like_the_reference(A, data):
         edit = data.draw(st.sampled_from(["rehop", "set", "append", "pop"]))
         if edit == "rehop" and hops and t_set:
             k = data.draw(st.integers(0, min(len(hops), len(t_set)) - 1))
-            cols, _ = A.pattern.row(t_set[k] - 1)
+            i = t_set[k] - 1
+            cols = A.pattern.indices[A.pattern.indptr[i]:A.pattern.indptr[i + 1]].tolist()
             if cols:
                 hops[k] = data.draw(st.sampled_from(cols)) + 1
         elif edit == "set" and hops:

@@ -16,6 +16,7 @@ from ddh import (
     verify_certificate,
 )
 import reference
+from ddh.cli import analyze_matrix
 from helpers import (
     brute_force_interwoven,
     dd_matrices,
@@ -120,7 +121,7 @@ class TestFromChains:
 
 
 def _from_peeling(A: Matrix):
-    return interwoven_from_peeling(A, peel_levels(A))
+    return interwoven_from_peeling(peel_levels(A))
 
 
 class TestFromPeeling:
@@ -146,6 +147,35 @@ class TestFromPeeling:
         assert cert is not None
         assert verify_certificate(A, cert)
         assert cert.p_seq == (2, 1) and cert.q_seq == (3, 2) and cert.leftover == 0
+
+
+#: row 2 (0-based) touches rows 0 and 1, both one step from the strict rows 4 and 5
+TIED_HOPS = Matrix([
+    [1, 0, 0, 0, 0, 1],
+    [0, 1, 0, 0, 1, 0],
+    [1, 1, 2, 0, 0, 0],
+    [0, 0, 1, 1, 0, 0],
+    [0, 0, 0, 0, 1, 0],
+    [0, 0, 0, 0, 0, 1],
+])
+
+
+def test_next_hop_is_the_smallest_column_one_level_down():
+    """The chains and the peel both name row 2's smaller neighbour, 0, not 1.
+
+    Row 1 is met first from outside T (its column 4 precedes column 5),
+    so a breadth-first search keeping the first parent would name 1.
+    The report's ``chain.next`` is 1-based and aligned with T = {0, 1, 2, 3}.
+    """
+    chain, peel = chain_condition(TIED_HOPS), peel_levels(TIED_HOPS)
+    assert peel.levels == ((0, 1), (2,), (3,))
+    assert chain.next_hop == peel.next_hop == {0: 5, 1: 4, 2: 0, 3: 2}
+    from_chains, from_peeling = interwoven_from_chains(chain), interwoven_from_peeling(peel)
+    assert from_chains == from_peeling
+    assert from_chains.p_seq == (0, 1, 2) and from_chains.q_seq == (5, 4, 0)
+    assert from_chains.leftover == 3
+    report, _ = analyze_matrix(TIED_HOPS)
+    assert report["chain"]["next"] == [6, 5, 1, 3]
 
 
 @settings(max_examples=200, deadline=None)

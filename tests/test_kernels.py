@@ -45,6 +45,7 @@ from ddh import (
     classify_dominance,
     comparison_rows,
     find_ssdd_set_dd,
+    interwoven_from_chains,
     interwoven_from_peeling,
     is_h_dd,
     is_interwoven,
@@ -140,7 +141,7 @@ def test_kernels_match_reference_bit_for_bit(A, data):
             _assert_interwoven_decision(A, T)
         expected = _outcome(reference.interwoven_from_peeling, A, tol)
         if expected is not ValueError:  # dominance is the caller's precondition
-            assert interwoven_from_peeling(A, peel_levels(A, tol)) == expected
+            assert interwoven_from_peeling(peel_levels(A, tol)) == expected
         assert reference.verdict_key(_outcome(is_h_dd, A, tol)) == reference.verdict_key(
             _outcome(reference.is_h_dd, A, tol)
         )
@@ -381,10 +382,13 @@ def _no_match(A, S, tol=0.0) -> SHReport:
 def _verdicts(report: dict, A, branch: str = "product") -> list[tuple[str, bool]]:
     """``verify_report``'s pass or fail per check.
 
-    ``branch`` "dense" forces ``s_h_check``; "no-solve" lets only
+    ``branch`` "dense" forces ``s_h_check``, also on T; "no-solve" lets only
     ``s_h_from_peel`` pass ``sh``; "product" patches neither.
     """
-    patches = {"dense": ("s_h_from_peel", lambda A, peel: None), "no-solve": ("s_h_check", _no_match)}
+    patches = {
+        "dense": ("s_h_from_peel", lambda A, peel: s_h_check(A, peel.t_set)),
+        "no-solve": ("s_h_check", _no_match),
+    }
     with contextlib.ExitStack() as stack:
         if branch in patches:
             stack.enter_context(mock.patch.object(ddh.cli, *patches[branch]))
@@ -551,7 +555,7 @@ def test_peel_retests_with_exact_restricted_sums():
     assert peel_levels(A).levels == ((0,), (1,), (2,))
     assert is_h_dd(A).is_h and reference.is_h_dd(A).peel == peel_levels(A)
     assert _outcome(reference.scaling_certificate, A) is InconsistencyError
-    cert = interwoven_from_peeling(A, peel_levels(A))
+    cert = interwoven_from_peeling(peel_levels(A))
     assert cert.p_seq == (0, 1) and cert.leftover == 2
     assert cert == reference.interwoven_from_peeling(A)
 
@@ -602,13 +606,17 @@ def test_exact_peel_is_the_chain_layering_at_tol_0(A):
     """On dominant input at tol 0 the peel's levels are the chains' distance layers.
 
     So the peel stalls exactly when the chain condition fails: the
-    verdict and the chain certificate cannot disagree.
+    verdict and the chain certificate cannot disagree.  Both name the
+    smallest column one level down as a row's next hop, so the two
+    interwoven certificates are equal too.
     """
     assert classify_dominance(A).is_dd
     peel, chain = peel_levels(A), chain_condition(A)
     assert peel.t_set == chain.subset
     assert peel.levels == _chain_layers(chain)
     assert peel.stalled == (not chain.holds)
+    assert peel.next_hop == chain.next_hop
+    assert interwoven_from_chains(chain) == interwoven_from_peeling(peel)
 
 
 #: at tol 1e-3 row 2 is 1e-3 short of dominance and T = {1, 2} peels in one level, yet the
@@ -815,7 +823,7 @@ def test_deep_peel_copies_no_submatrix(monkeypatch):
     T = v.peel.t_set
     assert len(T) == n - 1
     assert is_interwoven(A, T) is None
-    assert interwoven_from_peeling(A, v.peel) is None
+    assert interwoven_from_peeling(v.peel) is None
 
 
 def _count_calls(monkeypatch, names, home=ddh) -> dict[str, int]:
@@ -859,19 +867,21 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     order, with no solve), peels
     A once (the verdict's peel, which the scaling sweep, the peeling
     certificate and the SSDD search read) and the inner block of the
-    subset H-condition once, and runs the chain BFS once;
-    ``verify_report`` reads the subset H-condition off its own peel, with
-    no solve and no comparison matrix (every row of T is an exact
-    equality), and decides the interwoven and chain claims from one chain BFS with no
-    second closure; the peeling certificate and the SSDD search neither peel nor
-    classify again, and the SSDD search copies no block.
+    subset H-condition once, and finds the chains once: three traversals
+    out of T (``layers_out_of``) in all.  ``verify_report`` reads the
+    subset H-condition off its own peel, with no solve and no comparison
+    matrix (every row of T is an exact equality), and decides the
+    interwoven and chain claims from one chain search with no second
+    closure: two traversals.  The peeling certificate reads the peel's
+    next hops and no entry of A, and neither it nor the SSDD search
+    peels or classifies again; the SSDD search copies no block.
     Neither side reads the full chain paths: the report and the verifier
     use the next hops.
     """
     calls = _count_calls(
         monkeypatch,
         ("lu_solve", "chain_condition", "principal_submatrix", "peel_levels",
-         "comparison_matrix", "classify_dominance", "is_interwoven"),
+         "comparison_matrix", "classify_dominance", "is_interwoven", "layers_out_of"),
     )
     paths = _count_path_views(monkeypatch)
     n = 200
@@ -881,6 +891,8 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     assert report["sh"]["inner_h"] is True and problems == []
     assert calls["lu_solve"] == 1 and calls["chain_condition"] == 1
     assert calls["peel_levels"] == 2 and calls["comparison_matrix"] == 0
+    # the traversal out of T: the chains, A's peel, the peel of the sh inner block
+    assert calls["layers_out_of"] == 3
     assert paths["paths"] == 0
 
     calls.update(dict.fromkeys(calls, 0))
@@ -888,14 +900,17 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     assert all(ok for _, ok, _ in results)
     assert calls["lu_solve"] == 0 and calls["comparison_matrix"] == 0
     assert calls["chain_condition"] == 1 and calls["is_interwoven"] == 0
+    assert calls["layers_out_of"] == 2  # the chains and the peel
     assert paths["paths"] == 0
 
     peel = peel_levels(A)
     calls.update(dict.fromkeys(calls, 0))
     assert find_ssdd_set_dd(A, peel) is None
     assert calls["principal_submatrix"] == 0
-    assert interwoven_from_peeling(A, peel) is not None
+    monkeypatch.setattr(A, "pattern", None)  # the peeling certificate reads no entry of A
+    assert interwoven_from_peeling(peel) is not None
     assert calls["peel_levels"] == 0 and calls["classify_dominance"] == 0
+    assert calls["layers_out_of"] == 0
 
 
 def test_report_is_linear_in_the_order(monkeypatch):
