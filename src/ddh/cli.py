@@ -346,7 +346,8 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     claims, its next hops, the peel's trace and reason, and the two
     interwoven certificates derived from them (each checked by its
     definition, ``verify_certificate``) are compared against them, in
-    O(n + nnz) beyond the recomputation.  On a dominant matrix the verdict
+    O(n) beyond the recomputation, whose stages after the row codes read
+    only T and the rows coupled to it.  On a dominant matrix the verdict
     must be the peel's, with a witness iff non-H and a scaling iff H on a
     matrix not exactly dominant; on any other, H needs a scaling, and
     non-H none and the dense ``inverse_nonneg_oracle``'s agreement (the
@@ -400,6 +401,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         check("t-set", ok, "recomputed T differs")
     chain = chain_condition(A, tol)
     peel = peel_levels(A, tol) if dom.is_dd else None
+    trace, reason, _ = (None, None, None) if peel is None else peel_outcome(A, peel)
 
     with guarded("chain"):
         chain_obj = report.get("chain") or {}
@@ -444,7 +446,6 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         if peel is None:
             ok = claimed is None and report.get("peel_reason") is None
         else:
-            trace, reason, _ = peel_outcome(A, peel)
             ok = isinstance(claimed, list) and (
                 [_indices(level, A.n) for level in claimed] == [_one_based(t.members) for t in trace]
             )
@@ -486,7 +487,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         is_h = _flag(report.get("is_h"), nullable=True)
         if dom.is_dd:
             # the chains prove H where every row is exactly dominant; elsewhere a scaling must
-            h = peel_outcome(A, peel)[1] is PeelReason.SDD_REACHED
+            h = reason is PeelReason.SDD_REACHED
             scaled = h and classify_dominance(A) is DominanceClass.NOT_DD
             check("h-consistency",
                   is_h is h and (witness is None) == h and (scaling is not None) == scaled,

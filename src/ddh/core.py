@@ -5,22 +5,23 @@ the diagonal, the row sums and the sparsity graph.  So a ``Matrix`` is
 stored sparse: its diagonal, and its off-diagonal nonzeros in compressed
 row form (with the transpose), as magnitudes (``SparsePattern``, which
 is also the sparsity graph) and as the (possibly complex) entries.  The
-structural kernels (row sums, and ``layers_out_of``, the one traversal
-out of an index set, which gives the chains with no re-test and the peel
-with one), the scaling sweeps and the principal submatrices read that
-storage, so they cost O(n + nnz).
+row codes (kept per tol, with T and the class), the row sums and the
+scaling sweeps read that storage in O(n + nnz).  ``layers_out_of`` (the
+one traversal out of a set S: the chains, and with a re-test the peel)
+and ``principal_submatrix`` read only S's rows and columns.
 
 The storage is standard-library ``array.array`` buffers: indices and
 row pointers as ``'q'`` (int64), reals as ``'d'`` (float64), and a
 complex entry as its real and imaginary parts side by side in a ``'d'``
-buffer, which is complex128's memory layout.  The kernels read them as
-lists (``tolist()``) and loop in plain Python, so the structural path
-never imports numpy.  numpy is imported only where a dense array is
-built: ``Matrix(dense)``, the ``entries`` and ``modulus`` views and
-``comparison_matrix`` here, and the oracles and the dense LU elsewhere.
-``comparison_rows`` gives the comparison matrix as sparse rows, which
-``oracle.lu_solve`` eliminates in pure Python.  ``np.asarray`` views any
-buffer without a copy (``.view(np.complex128)`` for complex entries).
+buffer, which is complex128's memory layout.  The kernels loop over
+them (or a whole-pass ``tolist()`` copy) in plain Python, so the
+structural path never imports numpy.  numpy is imported only where a
+dense array is built: ``Matrix(dense)``, the ``entries`` and ``modulus``
+views and ``comparison_matrix`` here, and the oracles and the dense LU
+elsewhere.  ``comparison_rows`` gives the comparison matrix as sparse
+rows, which ``oracle.lu_solve`` eliminates in pure Python.
+``np.asarray`` views any buffer without a copy (``.view(np.complex128)``
+for complex entries).
 
 Every dominance sign and every reported row sum is exact with respect to
 the float moduli, rounded once: only ``exact_gap`` decides a sign, so a
@@ -38,7 +39,7 @@ from array import array
 from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate, pairwise, repeat
+from itertools import accumulate, compress, pairwise, repeat
 from typing import NamedTuple
 
 
@@ -205,7 +206,7 @@ class Matrix:
         if n < 1:
             raise ValueError("matrix order must be at least 1")
         self._n = n
-        self._strictness: dict[float, array] = {}  # row_strictness codes by tol
+        self._strictness: dict[float, tuple[array, IndexSet, DominanceClass]] = {}  # by tol
         self.is_complex = is_complex
         self.diagonal = diagonal
         self.values = values
@@ -371,13 +372,6 @@ def _check_universe(A: Matrix, S: IndexSet):
         )
 
 
-def _member_flags(S: IndexSet) -> list[bool]:
-    flags = [False] * S.universe_size
-    for i in S.members:
-        flags[i] = True
-    return flags
-
-
 def exact_sum(terms: list[float]) -> float:
     """``sum(terms)`` computed exactly and rounded once; +0.0 for no terms.
 
@@ -414,6 +408,23 @@ def exact_gap(diagonal: float, off: list[float], shift: float = 0.0) -> float:
     return 0.0 - exact_sum(off + [-diagonal, -shift])  # the gap, negated
 
 
+def _classified(A: Matrix, tol: float) -> tuple[array, IndexSet, DominanceClass]:
+    """Row codes, non-strict rows and class at ``tol``: one pass per matrix and tol, then cached."""
+    tol = _check_tol(tol)
+    if tol not in A._strictness:
+        data, diag = A.pattern.data.tolist(), A.diagonal_modulus
+        rows = [data[a:b] for a, b in pairwise(A.pattern.indptr)]
+        high = list(map(exact_gap, diag, rows, repeat(-tol)))
+        low = list(map(exact_gap, diag, rows, repeat(tol))) if tol else high
+        codes = array("b", [(h > 0.0) - (g < 0.0) for h, g in zip(high, low)])
+        T = IndexSet.trusted(tuple(compress(range(A.n), map((0).__ge__, codes))), A.n)
+        least, most = min(codes), max(codes)
+        A._strictness[tol] = codes, T, (
+            DominanceClass.NOT_DD if least < 0 else DominanceClass.SDD if least > 0
+            else DominanceClass.DD_PLUS if most > 0 else DominanceClass.DD_EQUALITY)
+    return A._strictness[tol]
+
+
 def row_strictness(A: Matrix, tol: float = 0.0) -> array:
     """Per-row code as ``array('b')``: +1 strict, 0 equality (within tol), -1 dominance violated.
 
@@ -421,15 +432,7 @@ def row_strictness(A: Matrix, tol: float = 0.0) -> array:
     analysis asks for the codes several times at one tol, so they are
     computed once per matrix and tol; each call returns its own copy.
     """
-    tol = _check_tol(tol)
-    codes = A._strictness.get(tol)
-    if codes is None:
-        data, diag = A.pattern.data.tolist(), A.diagonal_modulus
-        rows = [data[a:b] for a, b in pairwise(A.pattern.indptr)]
-        high = list(map(exact_gap, diag, rows, repeat(-tol)))
-        low = list(map(exact_gap, diag, rows, repeat(tol))) if tol else high
-        codes = A._strictness[tol] = array("b", [(h > 0.0) - (g < 0.0) for h, g in zip(high, low)])
-    return array("b", codes)
+    return array("b", _classified(A, tol)[0])
 
 
 def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
@@ -440,79 +443,69 @@ def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
     once (``exact_sum``), and +0.0 where the row has none there.
     """
     _check_universe(A, S)
-    inside = _member_flags(S)
+    inside = S.member_set
     pat = A.pattern
     indices, data = pat.indices.tolist(), pat.data.tolist()
     in_s, out_s = array("d"), array("d")
     for a, b in pairwise(pat.indptr):
         row_in, row_out = [], []
         for k in range(a, b):
-            (row_in if inside[indices[k]] else row_out).append(data[k])
+            (row_in if indices[k] in inside else row_out).append(data[k])
         in_s.append(exact_sum(row_in))
         out_s.append(exact_sum(row_out))
     return in_s, out_s
 
 
 def classify_dominance(A: Matrix, tol: float = 0.0) -> DominanceClass:
-    """Classify A by comparing each |a_ii| against its deleted row sum."""
-    s = row_strictness(A, tol)
-    if min(s) < 0:
-        return DominanceClass.NOT_DD
-    if min(s) > 0:
-        return DominanceClass.SDD
-    if max(s) > 0:
-        return DominanceClass.DD_PLUS
-    return DominanceClass.DD_EQUALITY
+    """Classify A by comparing each |a_ii| against its deleted row sum (kept with the codes)."""
+    return _classified(A, tol)[2]
 
 
 def non_sdd_rows(A: Matrix, tol: float = 0.0) -> IndexSet:
-    """Indices of rows that are not strictly dominant (|a_ii| <= r_i + tol)."""
-    s = row_strictness(A, tol)
-    return IndexSet.trusted(tuple(i for i, code in enumerate(s) if code <= 0), A.n)
+    """Indices of rows that are not strictly dominant (|a_ii| <= r_i + tol), kept with the codes."""
+    return _classified(A, tol)[1]
 
 
 def layers_out_of(A: Matrix, S: IndexSet, tol: float | None = None):
     """``(levels, next_hop)``: the layers of S out of its complement, and each layered row's hop.
 
-    Level one holds the rows of S with a nonzero in a column outside S,
-    level k + 1 the rows still in S with one in a column of level k,
-    found through the transposes of those columns.  Each level is
-    increasing, and a row's next hop is the smallest such column.  With
-    ``tol`` None every touched row joins, so the levels are the distance
+    Level one holds the rows of S with a nonzero in a column outside S
+    (a scan of S's rows), level k + 1 the rows still in S with one in a
+    column of level k (through the transposes of those columns).  Each
+    level is increasing, and a row's next hop is the smallest such
+    column.  With ``tol`` None every touched row joins: the distance
     layers of the shortest chains out of S (``graph.chains_out_of``).
     With a ``tol`` a touched row joins only when the exact gap of its
     nonzeros still in S, shifted by ``tol``, is positive (``exact_gap``):
     the recursive peel (``peel_levels``).  Rows never layered have no
-    hop.  A row is touched at most once per column it loses: O(nnz)
-    work with no re-test, O(sum of squared row degrees) at worst with one.
+    hop.  Only S's rows and columns are read: O(|S| + their nonzeros)
+    with no re-test, O(sum of squared row degrees over S) with one.
     """
-    pat = A.pattern
-    t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
-    if tol is not None:
-        indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
-        diag = A.diagonal_modulus.tolist()
-    active = _member_flags(S)
-    left = len(S)
-    removed = S.complement().members
+    indptr, indices, data, t_indptr, t_indices = A.pattern
+    diag, active = A.diagonal_modulus, set(S.members)
+    touched = {}  # row -> the smallest column that left before it
+    for i in S.members:
+        for j in indices[indptr[i]:indptr[i + 1]]:
+            if j not in active:
+                touched[i] = j
+                break
     levels: list[tuple[int, ...]] = []
     next_hop: dict[int, int] = {}
-    while left:
-        # columns in decreasing order: the smallest one a row touches is written last
-        touched = {i: j for j in reversed(removed)
-                   for i in t_indices[t_indptr[j]:t_indptr[j + 1]] if active[i]}
+    while touched:
         level = sorted(touched)
         if tol is not None:
             level = [i for i in level if exact_gap(
-                diag[i], [data[k] for k in range(indptr[i], indptr[i + 1]) if active[indices[k]]],
+                diag[i], [data[k] for k in range(indptr[i], indptr[i + 1]) if indices[k] in active],
                 -tol) > 0.0]
-        if not level:
-            break
+            if not level:
+                break
         for i in level:
-            active[i] = False
+            active.discard(i)
             next_hop[i] = touched[i]
         levels.append(tuple(level))
-        left -= len(level)
-        removed = level
+        # columns in decreasing order: the smallest one a row touches is written last
+        touched = {i: j for j in reversed(level)
+                   for i in t_indices[t_indptr[j]:t_indptr[j + 1]] if i in active}
     return tuple(levels), next_hop
 
 
@@ -541,11 +534,12 @@ class Peel(NamedTuple):
 def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
     """The recursive peel as one worklist pass: ``layers_out_of`` T at ``tol``.
 
-    A row's sum inside T_k changes only when a column it touches leaves,
-    so only those rows are re-tested after each level.  A re-test is the
-    exact sign of the row's gap over its nonzeros still in T_k
-    (``exact_gap``), so every decision matches ``row_strictness`` on the
-    copied submatrix at any ``tol``.  On a dominant matrix at tol 0 every
+    T is cached with the row codes.  A row's sum inside T_k changes only
+    when a column it touches leaves, so only those rows are re-tested
+    after each level, each by the exact sign of its gap over its
+    nonzeros still in T_k (``exact_gap``): every decision matches
+    ``row_strictness`` on the copied submatrix at any ``tol``, and only
+    T's rows and columns are read.  On a dominant matrix at tol 0 every
     row of T is an exact equality, so a row of T_k is strict exactly when
     it has a nonzero outside T_k: the levels and next hops are those of
     the chains out of T (``graph.chain_condition``), and the peel stalls
@@ -585,20 +579,17 @@ def principal_submatrix(A: Matrix, S: IndexSet) -> Matrix:
     """Restriction of A to the rows and columns in S, in increasing order.
 
     Keeps the stored entries with both ends in S and renumbers them:
-    O(n + nnz), with no dense array.
+    O(|S| + the nonzeros of S's rows), with no dense array.
     """
     _check_universe(A, S)
     if len(S) == 0:
         raise ValueError("principal submatrix requires a nonempty index set")
-    position = [-1] * A.n  # of each member in S; increasing, so row-major order stays
-    for p, i in enumerate(S.members):
-        position[i] = p
-    pat = A.pattern
-    indptr, indices = pat.indptr, pat.indices.tolist()
+    position = {i: p for p, i in enumerate(S.members)}  # increasing: row-major order stays
+    indptr, indices = A.pattern.indptr, A.pattern.indices
     rows, cols, keep = [], array("q"), []
     for p, i in enumerate(S.members):
         for k in range(indptr[i], indptr[i + 1]):
-            q = position[indices[k]]
+            q = position.get(indices[k], -1)
             if q >= 0:
                 rows.append(p)
                 cols.append(q)

@@ -51,14 +51,13 @@ from .core import (
     IndexSet,
     Matrix,
     Peel,
-    _member_flags,
     classify_dominance,
     comparison_rows,
     exact_gap,
     exact_sum,
+    non_sdd_rows,
     peel_levels,
     principal_submatrix,
-    row_strictness,
     split_row_sums,
 )
 from .oracle import _max_abs, inverse_nonneg_oracle, lu_solve
@@ -241,10 +240,9 @@ def peel_outcome(
     exactly when the reason is ``SDD_REACHED``.
     """
     T = peel.t_set
-    zero = next((i for i, a in enumerate(A.diagonal_modulus) if a == 0.0), None)
+    # a zero diagonal leaves a row's gap at most 0: it sits in T and can never peel
+    zero = next((i for i in T.members if A.diagonal_modulus[i] == 0.0), None)
     if zero is not None:
-        # dominance leaves such a row at most tol off the diagonal: it sits
-        # in T and can never peel
         return (T,), PeelReason.ZERO_DIAGONAL, IndexSet((zero,), A.n)
     trace = tuple(IndexSet.trusted(level, A.n) for level in peel.levels)
     if peel.stalled:
@@ -288,13 +286,13 @@ def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
     compared as IEEE products of the ``split_row_sums``.
     """
     _check_proper_subset(A, S, "s_sdd_check")
-    inside = _member_flags(S)
+    inside = S.member_set
     pat, diag = A.pattern, A.diagonal_modulus
     indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
     in_off, out_off = [], []  # each row's magnitudes in the columns of S, and outside S
     for ks in map(range, indptr, indptr[1:]):
-        in_off.append([data[k] for k in ks if inside[indices[k]]])
-        out_off.append([data[k] for k in ks if not inside[indices[k]]])
+        in_off.append([data[k] for k in ks if indices[k] in inside])
+        out_off.append([data[k] for k in ks if indices[k] not in inside])
     if not all(exact_gap(diag[i], in_off[i]) > 0.0 for i in S.members):
         return False
     outside = S.complement().members
@@ -331,7 +329,7 @@ def find_ssdd_set_dd(A: Matrix, peel: Peel) -> IndexSet | None:
     elif not (peel.levels and len(peel.levels[0]) == len(T)):
         return None
     finite = math.inf not in A.diagonal_modulus and math.inf not in A.pattern.data
-    return T if (finite and min(row_strictness(A)) >= 0) or s_sdd_check(A, T) else None
+    return T if (finite and classify_dominance(A).is_dd) or s_sdd_check(A, T) else None
 
 
 class SHReport(NamedTuple):
@@ -371,40 +369,49 @@ def _outside_ratios(A: Matrix, S: IndexSet):
     gap" note are exact, and a ratio of at least 2^-1000 is within 2^-51
     of the exact one, relatively.  ``below(lhs)`` forms the exact ratio as
     a ``Fraction`` only below that or within 2^-40 of lhs.  r_out: each
-    member of S's exact sum outside S, rounded once.  One O(n + nnz) pass.
+    member of S's exact sum outside S, rounded once.  Only the rows found
+    through the transposes of S's columns and the rows not strict at tol
+    0 are summed: any other has r_j^S = 0 and a positive gap, ratio +inf.
+    After the cached row codes: O(|S| + nnz of those rows and S's columns).
     """
-    inside = _member_flags(S)
-    pat, diag = A.pattern, A.diagonal_modulus
-    indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
-    r_out, outside, nums, dens = [], [], [], []
-    for i, ks in enumerate(map(range, indptr, indptr[1:])):
+    inside, diag = S.member_set, A.diagonal_modulus
+    indptr, indices, data, t_indptr, t_indices = A.pattern
+
+    def split(i: int) -> tuple[list[float], list[float]]:  # row i in S's columns, and outside
         row_in, row_out = [], []
-        for k in ks:
-            (row_in if inside[indices[k]] else row_out).append(data[k])
-        if inside[i]:
-            r_out.append(exact_sum(row_out))
-        else:
-            outside.append(i)
-            nums.append(exact_gap(diag[i], row_out))
-            dens.append(exact_sum(row_in))
+        for k in range(indptr[i], indptr[i + 1]):
+            (row_in if indices[k] in inside else row_out).append(data[k])
+        return row_in, row_out
+
+    r_out = [exact_sum(split(i)[1]) for i in S.members]
+    coupled = {j for i in S.members for j in t_indices[t_indptr[i]:t_indptr[i + 1]]}
+    outside = sorted(coupled.union(non_sdd_rows(A).members).difference(inside))
+    halves = list(map(split, outside))
+    nums = [exact_gap(diag[j], row_out) for j, (_, row_out) in zip(outside, halves)]
+    dens = [exact_sum(row_in) for row_in, _ in halves]
     ratios = list(map(_gap_ratio, nums, dens))
+    strict = [math.inf] if len(outside) < A.n - len(S) else []  # the rows uncoupled to S
+    # min keeps a NaN ratio only from the first row outside S, so +inf stands where that row does
+    first = next(j for j in range(A.n) if j not in inside)
+    b2 = min(ratios + strict if outside[:1] == [first] else strict + ratios)
 
     def below(lhs: float) -> bool:
+        if strict and not lhs < math.inf:
+            return False
         for i, num, den, ratio in zip(outside, nums, dens, ratios):
             finite = num and den and abs(num) < math.inf and den < math.inf and lhs < math.inf
             if finite and (ratio < 2.0**-1000 or abs(ratio - lhs) <= ratio * 2.0**-40):
                 from fractions import Fraction as F  # imports decimal: only where lhs nearly ties
 
-                ks = range(indptr[i], indptr[i + 1])
-                gap = F(diag[i]) - sum(F(data[k]) for k in ks if not inside[indices[k]])
-                ratio = gap / sum(F(data[k]) for k in ks if inside[indices[k]])
+                row_in, row_out = split(i)
+                ratio = (F(diag[i]) - sum(map(F, row_out))) / sum(map(F, row_in))
             if not lhs < ratio:  # elsewhere the float ratio is on the exact one's side of lhs
                 return False
         return True
 
     degenerate = any(num == den == 0.0 for num, den in zip(nums, dens))
     note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
-    return min(ratios), below, note, r_out
+    return b2, below, note, r_out
 
 
 def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
@@ -416,7 +423,7 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     is its sum outside T, so r_out (``_outside_ratios``, each sum exact
     and rounded once) is the block's own gap vector bit for bit.  Then
     M 1 = r_out, and one reachability pass decides x = 1 or a singular
-    block in O(|S| + nnz): ``s_h_from_peel``'s answer.  A dominant
+    block in O(|S| + its nonzeros): ``s_h_from_peel``'s answer.  A dominant
     block with any other right-hand side is solved by sparse GTH
     elimination, which touches only the stored entries and their fill.
     A block that is not dominant (under ``--subset``, or a row dominant
@@ -460,9 +467,10 @@ def s_h_from_peel(A: Matrix, peel: Peel) -> SHReport | None:
     leaves a block W whose rows are exact equalities with no strict row,
     so W is closed (no row of W has an entry outside W): M_W 1 = 0 and
     M_T, block triangular, is singular, so lhs is None.  The report is
-    ``s_h_check``'s field for field, b2 from one ``_outside_ratios`` pass:
-    O(n + nnz) in all, with no dense array.  Every row outside T is
-    strict, so the exact b2 exceeds 1 and ``satisfied`` is ``inner_h``.
+    ``s_h_check``'s field for field, b2 from ``_outside_ratios``: past the
+    row codes, O(|T| + nnz of T's rows and columns and of the rows
+    coupled to T).  Every row outside T is strict, so the exact b2
+    exceeds 1 and ``satisfied`` is ``inner_h``.
 
     Returns None, leaving the question to ``s_h_check``, when T is not a
     nonempty proper subset.

@@ -75,11 +75,11 @@ def verify_certificate(A: Matrix, cert: InterwovenCertificate) -> bool:
         return False
     if cert.leftover is None or cert.leftover not in members or cert.leftover in p_set:
         return False
-    allowed = set(S.complement().members)
+    unravelled = set()  # companions may lie outside S or among the earlier p's
     for p, q in zip(cert.p_seq, cert.q_seq):
-        if q not in allowed:
+        if not 0 <= q < A.n or (q in members and q not in unravelled):
             return False
-        allowed.add(p)
+        unravelled.add(p)
     # every pair is now in range: one sparse lookup for all of them
     return all(A.pattern.has_edges(cert.p_seq, cert.q_seq))
 

@@ -14,6 +14,8 @@ code in ``ddh`` replaces with sparse worklist kernels:
 * the sparsity graph's adjacency found by scanning every dense entry,
   and its strongly connected components in Frobenius normal form, with
   the irreducibility and Taussky tests built on them;
+* the traversal out of an index set seeded from every column outside it
+  (``layers_out_of``), where the product scans the set's own rows;
 * the recursive peel that copies the principal submatrix at every stage
   (``is_h_dd``, whose ``HVerdict.peel`` is assembled from those copied
   stages, each peeled row's next hop scanned from its dense row, and
@@ -399,6 +401,42 @@ def is_h_dd(A: Matrix, tol: float = 0.0) -> HVerdict:
         witness=None,
         peel=peel,
     )
+
+
+def layers_out_of(A: Matrix, S: IndexSet, tol: float | None = None):
+    """``(levels, next_hop)`` seeded from every column outside S, as the product was.
+
+    Level one is found through the transposes of all n - |S| columns
+    outside S, each later level through those of the previous level; a
+    touched row's next hop is the smallest column that touched it.  With
+    ``tol`` a touched row joins only when its ``fraction_gap`` over the
+    columns still in S exceeds tol.
+    """
+    pat = A.pattern
+    indptr, indices, data = pat.indptr.tolist(), pat.indices.tolist(), pat.data.tolist()
+    t_indptr, t_indices = pat.t_indptr.tolist(), pat.t_indices.tolist()
+    diag = A.diagonal_modulus.tolist()
+    active = [i in S for i in range(A.n)]
+    removed = S.complement().members
+    levels, next_hop = [], {}
+    while True:
+        touched = {}
+        for j in removed:
+            for i in t_indices[t_indptr[j]:t_indptr[j + 1]]:
+                if active[i] and i not in touched:
+                    touched[i] = j
+        level = sorted(touched)
+        if tol is not None:
+            level = [i for i in level if fraction_gap(
+                diag[i], [data[k] for k in range(indptr[i], indptr[i + 1]) if active[indices[k]]]
+            ) > Fraction(tol)]
+        if not level:
+            return tuple(levels), next_hop
+        for i in level:
+            active[i] = False
+            next_hop[i] = touched[i]
+        levels.append(tuple(level))
+        removed = level
 
 
 def active_sets(peel: Peel) -> list[IndexSet]:

@@ -6,8 +6,8 @@ report exactly as a benchmark run does (``inprocess.summarize`` then
 ``checks.verdict_mismatch``).  A change to the report layout that the
 benchmark cannot read fails here, not only in a benchmark run.  The
 memory and work gates run on the same inputs and on an ``ensemble``
-matrix: they count dense materializations, eliminations and
-``tracemalloc`` bytes, never wall time.
+matrix: they count dense materializations, eliminations, row sums,
+complements and ``tracemalloc`` bytes, never wall time.
 """
 
 from __future__ import annotations
@@ -20,8 +20,12 @@ from pathlib import Path
 import pytest
 
 import ddh.core
+import ddh.hmatrix
+import ddh.oracle
+import ddh.sparse_lu
 from ddh import (
     EnsembleSpec,
+    IndexSet,
     Matrix,
     comparison_matrix,
     derive_seed,
@@ -29,6 +33,7 @@ from ddh import (
     random_dd_matrix,
 )
 from ddh.cli import analyze_matrix, emit_json, verify_report
+from ddh.core import row_strictness
 from ddh.mmio import matrix_market_chunks
 from helpers import NON_DYADIC_EQUALITY, non_dyadic_equality_matrix, record_gth_factors
 
@@ -113,6 +118,41 @@ def test_analyze_and_verify_make_no_full_order_dense_array(monkeypatch, make):
     comparison_matrix(A)
     assert A.modulus.shape == (A.n, A.n)
     assert orders[-2:] == [A.n, A.n]
+
+
+@pytest.mark.parametrize("n", [2_000, 20_000])
+def test_analysis_after_the_row_codes_reads_only_rows_near_t(monkeypatch, n):
+    """Work gate: once the row codes exist, analyze and verify cost O(|T|), not O(n).
+
+    The wide input has |T| = 7 at any order.  Past the classification
+    pass neither side builds a complement (an O(n) index set) nor adds
+    more than 100 row sums (``exact_sum``, counted through ``exact_gap``
+    too): the rows of T and the rows with an entry in a column of T.
+    Seeding the traversals from T's complement and summing every row
+    outside T cost two complements and about 2n sums on each side.
+    """
+    A = parse_matrix_market(inputs.wide_matrix(1, n=n)[0])
+    row_strictness(A)
+    calls = {"exact_sum": 0, "complement": 0}
+
+    def counting(name, fn):
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return counted
+
+    exact_sum = ddh.core.exact_sum
+    for module in (ddh.core, ddh.hmatrix, ddh.sparse_lu, ddh.oracle, ddh.cli):
+        if getattr(module, "exact_sum", None) is exact_sum:
+            monkeypatch.setattr(module, "exact_sum", counting("exact_sum", exact_sum))
+    monkeypatch.setattr(IndexSet, "complement", counting("complement", IndexSet.complement))
+    report, problems = analyze_matrix(A)
+    assert problems == [] and calls["complement"] == 0 and calls["exact_sum"] <= 100, calls
+    calls.update(exact_sum=0)
+    results = verify_report(json.loads(emit_json(report)), A)
+    assert all(ok for _, ok, _ in results)
+    assert calls["complement"] == 0 and calls["exact_sum"] <= 100, calls
 
 
 def test_order_20000_runs_in_bounded_memory():

@@ -52,6 +52,11 @@ class TestVerifyCertificate:
         cert = InterwovenCertificate(IndexSet((0, 1), 3), (0,), (1,), 1)
         assert not verify_certificate(LADDER, cert)
 
+    @pytest.mark.parametrize("q", [3, -1])
+    def test_out_of_range_companion_rejected(self, q):
+        cert = InterwovenCertificate(IndexSet((0, 1), 3), (1,), (q,), 0)
+        assert not verify_certificate(LADDER, cert)
+
     def test_wrong_leftover_rejected(self):
         cert = InterwovenCertificate(IndexSet((0, 1), 3), (1,), (2,), 1)
         assert not verify_certificate(LADDER, cert)

@@ -49,6 +49,7 @@ from ddh import (
     interwoven_from_peeling,
     is_h_dd,
     is_interwoven,
+    layers_out_of,
     non_sdd_rows,
     peel_levels,
     peel_outcome,
@@ -262,9 +263,42 @@ def graded_matrices(draw, max_n=6):
     ))
 
 
+@st.composite
+def sparse_matrices(draw, max_n=12):
+    """At most two off-diagonals per row, each row's gap positive, zero or negative.
+
+    Most rows then touch no column of a small subset, where the
+    product reads a row's ratio off its tol-0 row code, and most members
+    of a subset have no entry outside it.
+    """
+    n = draw(st.integers(1, max_n))
+    mags = np.zeros((n, n))
+    for i in range(n):
+        for j in draw(st.lists(st.integers(0, n - 1), unique=True, max_size=2)):
+            if j != i:
+                mags[i, j] = draw(_OFF_DIAGONAL.filter(bool))
+        r = mags[i].sum()
+        mags[i, i] = draw(st.sampled_from((r, r, r + 0.5, 0.5 * r, math.nextafter(r, -math.inf))))
+    return Matrix(mags)
+
+
+def _small_subsets(n: int):
+    """Nonempty subsets of at most a third of {0..n-1}: most rows outside touch none of them."""
+    members = st.sets(st.integers(0, n - 1), min_size=1, max_size=max(1, n // 3))
+    return members.map(lambda m: IndexSet.from_indices(m, n))
+
+
+def _uncoupled_gaps(A: Matrix, S: IndexSet) -> set[int]:
+    """The tol-0 row codes of the rows outside S with no entry in a column of S."""
+    mod = A.modulus
+    codes = row_strictness(A)
+    return {codes[j] for j in range(A.n) if j not in S and not any(mod[j, i] for i in S)}
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    st.one_of(rounded_matrices(), complex_matrices(), overflowing_matrices(), graded_matrices()),
+    st.one_of(rounded_matrices(), complex_matrices(), overflowing_matrices(), graded_matrices(),
+              sparse_matrices()),
     st.data(),
 )
 def test_satisfied_is_decided_against_every_exact_ratio(A, data):
@@ -272,10 +306,17 @@ def test_satisfied_is_decided_against_every_exact_ratio(A, data):
 
     The product forms a ``Fraction`` only for a ratio below 2^-1000 or
     within 2^-40 of lhs; the reference forms every one.  Each lhs tried
-    is 0, 1, inf, NaN, or a float ratio or one of its neighbours.
+    is 0, 1, inf, NaN, or a float ratio or one of its neighbours.  S is
+    T or any proper subset, strict rows included.  A row outside S that
+    touches no column of S has ratio +inf, 0 or -inf by its gap's sign,
+    which the product takes from the row codes: the sparse matrices
+    make such rows common, with each sign.
     """
-    S = data.draw(proper_subsets(A.n))
+    T = non_sdd_rows(A)
+    S = data.draw(st.one_of(st.just(T), proper_subsets(A.n), _small_subsets(A.n)))
     assume(0 < len(S) < A.n)
+    for code in _uncoupled_gaps(A, S):
+        event(f"an outside row touches no column of S, row code {code}")
     b2, below, note, _ = ddh.hmatrix._outside_ratios(A, S)
     expected_b2, exact, expected_note = reference.outside_ratios(A, S)
     assert (b2.hex(), note) == (expected_b2.hex(), expected_note)
@@ -285,6 +326,30 @@ def test_satisfied_is_decided_against_every_exact_ratio(A, data):
     for lhs in tried:
         if lhs >= 0.0 or math.isnan(lhs):  # lhs is a largest modulus
             assert below(lhs) == all(lhs < v for v in exact), lhs
+
+
+@pytest.mark.parametrize(
+    "entries, b2, note",
+    [
+        ([[1.0, 1.0], [0.0, 2.0]], math.inf, None),
+        ([[1.0, 1.0], [0.0, 0.0]], 0.0, "b2 degenerate: some outside row has zero gap and zero coupling"),
+        ([[1.0, 1.0, 0.0], [0.0, 0.5, 1.0], [0.0, 0.0, 1.0]], -math.inf, None),
+        ([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, math.inf, math.inf]], math.inf, None),
+    ],
+    ids=["strict", "zero-gap", "violated", "nan-after-strict"],
+)
+def test_uncoupled_rows_take_their_ratio_from_the_row_code(entries, b2, note):
+    """S = {0}; row 1 touches no column of S, so its ratio is its gap's sign over 0.
+
+    In the last case row 2's ratio is inf - inf over 1, NaN.  ``min``
+    keeps a NaN only in first place, and row 1's +inf stands before it.
+    """
+    A = Matrix(entries)
+    S = IndexSet((0,), A.n)
+    got, below, got_note, _ = ddh.hmatrix._outside_ratios(A, S)
+    expected_b2, exact, expected_note = reference.outside_ratios(A, S)
+    assert (got.hex(), got_note) == (b2.hex(), note) == (expected_b2.hex(), expected_note)
+    assert below(1.0) == all(1.0 < v for v in exact)
 
 
 def _hexes(values) -> list[str]:
@@ -584,6 +649,26 @@ def test_row_strictness_is_the_exact_classification(A):
     for tol in TOLERANCES:
         assert row_strictness(A, tol).tolist() == reference.exact_row_codes(A, tol)
         assert classify_dominance(A, tol) is reference.classify_dominance(A, tol)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_matrices(), rounded_matrices()), st.data())
+def test_traversal_is_the_complement_seeded_reference(A, data):
+    """``layers_out_of`` against the traversal seeded from every column outside S.
+
+    The product finds level one by scanning S's own rows; the reference
+    through the transposes of the complement.  Levels and next hops must
+    match bit for bit with no re-test and with the exact-gap re-test at
+    tol 0 and above, on T and on any proper subset, including members
+    with no entry outside S.
+    """
+    tol = data.draw(st.sampled_from((None,) + TOLERANCES))
+    S = data.draw(st.one_of(st.just(non_sdd_rows(A, tol or 0.0)), proper_subsets(A.n)))
+    assume(not S.is_full)
+    mod = A.modulus
+    if any(not any(mod[i, j] for j in range(A.n) if j not in S and j != i) for i in S):
+        event("a member of S has no entry outside S")
+    assert layers_out_of(A, S, tol) == reference.layers_out_of(A, S, tol)
 
 
 def _chain_layers(chain: ChainReport) -> tuple[tuple[int, ...], ...]:
