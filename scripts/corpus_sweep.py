@@ -4,7 +4,10 @@
 For each (order, density, equality fraction) cell this draws matrices,
 runs the structural tests (chain condition, interwoven set, recursive
 peel) and the two numerical oracles, and prints agreement counts plus
-how often each verdict occurs.  Useful for eyeballing how the share of
+how often each verdict occurs.  At tol 0 ``is_h_dd`` reads its verdict
+off the chains out of T, so the structural verdict it is checked
+against comes from the peel that re-tests each touched row by its exact
+gap (``layers_out_of`` at tol 0).  Useful for eyeballing how the share of
 H-matrices moves with the ensemble parameters.
 
     python3 scripts/corpus_sweep.py --per-cell 200 --seed 7
@@ -20,11 +23,13 @@ from dataclasses import dataclass, field
 from ddh import (
     EnsembleSpec,
     InconsistencyError,
+    Peel,
     chain_condition,
     inverse_nonneg_oracle,
     is_h_dd,
     is_interwoven,
     jacobi_spectral_radius,
+    layers_out_of,
     non_sdd_rows,
     random_dd_matrix,
 )
@@ -61,9 +66,10 @@ def run_cell(cfg: SweepConfig, n: int, density: float, eq: float) -> CellStats:
         A = random_dd_matrix(spec)
         stats.total += 1
         T = non_sdd_rows(A)
-        chain = chain_condition(A).holds
+        chain = not chain_condition(A).stalled
+        retested = not Peel(T, *layers_out_of(A, T, 0.0)).stalled
         diag_ok = min(A.diagonal_modulus) > 0.0
-        structural = chain and diag_ok and not T.is_full
+        structural = retested and diag_ok and not T.is_full
         stats.chain_count += chain
         try:
             verdict = is_h_dd(A).is_h
@@ -72,7 +78,7 @@ def run_cell(cfg: SweepConfig, n: int, density: float, eq: float) -> CellStats:
             continue
         stats.h_count += verdict
         if verdict != structural:
-            stats.disagreements.append(f"n={n} seed={spec.seed}: peel vs structure")
+            stats.disagreements.append(f"n={n} seed={spec.seed}: peel vs re-tested peel")
         rho = jacobi_spectral_radius(A)
         if rho is not None and abs(rho - 1.0) <= JACOBI_BAND:
             stats.band_count += 1

@@ -26,7 +26,6 @@ from .core import (
     split_row_sums,
 )
 from .graph import (
-    ChainReport,
     chain_condition,
     chains_out_of,
 )
@@ -47,7 +46,6 @@ from .hmatrix import (
 )
 from .interwoven import (
     InterwovenCertificate,
-    interwoven_from_chains,
     interwoven_from_peeling,
     is_interwoven,
     verify_certificate,
@@ -69,7 +67,6 @@ from .oracle import (
 
 __all__ = [
     "__version__",
-    "ChainReport",
     "DominanceClass",
     "EnsembleSpec",
     "HVerdict",
@@ -92,7 +89,6 @@ __all__ = [
     "comparison_rows",
     "derive_seed",
     "find_ssdd_set_dd",
-    "interwoven_from_chains",
     "interwoven_from_peeling",
     "inverse_nonneg_oracle",
     "is_h_dd",

@@ -35,12 +35,13 @@ from .core import (
     InconsistencyError,
     IndexSet,
     Matrix,
+    Peel,
     classify_dominance,
     non_sdd_rows,
     peel_levels,
     principal_submatrix,
 )
-from .graph import ChainReport, chain_condition
+from .graph import chain_condition
 from .hmatrix import (
     PeelReason,
     find_ssdd_set_dd,
@@ -55,7 +56,6 @@ from .hmatrix import (
 )
 from .interwoven import (
     InterwovenCertificate,
-    interwoven_from_chains,
     interwoven_from_peeling,
     verify_certificate,
 )
@@ -163,7 +163,7 @@ def analyze_matrix(
     dom = classify_dominance(A, tol)
     T = non_sdd_rows(A, tol)
     chain = chain_condition(A, tol)
-    interwoven = interwoven_from_chains(chain)
+    interwoven = interwoven_from_peeling(chain)
 
     peeling = None
     verdict = is_h_dd(A, tol) if dom.is_dd else None
@@ -208,7 +208,7 @@ def analyze_matrix(
         "dominance_class": dom.value,
         "t_set": _one_based(T.members),
         "chain": {
-            "holds": chain.holds,
+            "holds": not chain.stalled,
             "next": [chain.next_hop[i] + 1 if i in chain.next_hop else None for i in T.members],
         },
         "interwoven": {"holds": interwoven is not None, "leftover": _leftover(interwoven)},
@@ -293,7 +293,7 @@ def _index_set(values, n: int) -> IndexSet:
     return IndexSet.from_indices((v - 1 for v in _indices(values, n)), n)
 
 
-def _hops_problem(hops, chain: ChainReport, A: Matrix) -> str:
+def _hops_problem(hops, chain: Peel, A: Matrix) -> str:
     """Why ``hops``, a report's ``chain.next``, does not certify ``chain``; "" when it does.
 
     It must hold one item per row of T, in the order of T: ``null``
@@ -302,7 +302,7 @@ def _hops_problem(hops, chain: ChainReport, A: Matrix) -> str:
     from any row must then leave T without meeting a cycle.  Colour
     marking walks every row of T at most once, so the whole check is O(n).
     """
-    rows = chain.subset.members
+    rows = chain.t_set.members
     if not isinstance(hops, list) or len(hops) != len(rows):
         return f"next must be a list of {len(rows)} items, one per row of T"
     succ: dict[int, int] = {}
@@ -318,7 +318,7 @@ def _hops_problem(hops, chain: ChainReport, A: Matrix) -> str:
     for (i, j), ok in zip(succ.items(), stored):
         if not ok:  # the pattern stores no diagonal entry
             return f"hop {i + 1} -> {j + 1} crosses no off-diagonal nonzero"
-    in_t = chain.subset.member_set
+    in_t = chain.t_set.member_set
     state = [0] * A.n  # 1: on the walk being followed, 2: known to leave T
     for start in succ:
         walk = []
@@ -342,7 +342,8 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     Returns (name, passed, detail) triples; an empty detail means no
     commentary.  Only a report of schema version ``SCHEMA_VERSION`` is
     read.  The dominance class, the chain search and (for a dominant
-    matrix) the peel are recomputed once, with no solve: the chain's
+    matrix) the peel are recomputed once, with no solve (at tol 0 on
+    finite dominant input the peel is the chains, one walk): the chain's
     claims, its next hops, the peel's trace and reason, and the two
     interwoven certificates derived from them (each checked by its
     definition, ``verify_certificate``) are compared against them, in
@@ -405,7 +406,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     with guarded("chain"):
         chain_obj = report.get("chain") or {}
-        if _flag(chain_obj.get("holds")) != chain.holds:
+        if _flag(chain_obj.get("holds")) == chain.stalled:
             detail = "holds differs from the recomputed chains"
         else:
             detail = _hops_problem(chain_obj.get("next"), chain, A)
@@ -425,7 +426,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     with guarded("interwoven"):
         iw = report.get("interwoven") or {}
         # T's chains decide membership exactly (graph.chains_out_of)
-        cert = interwoven_from_chains(chain)
+        cert = interwoven_from_peeling(chain)
         if _flag(iw.get("holds")) != (cert is not None):
             detail = "holds differs from the recomputed chains"
         else:

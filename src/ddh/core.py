@@ -5,10 +5,11 @@ the diagonal, the row sums and the sparsity graph.  So a ``Matrix`` is
 stored sparse: its diagonal, and its off-diagonal nonzeros in compressed
 row form (with the transpose), as magnitudes (``SparsePattern``, which
 is also the sparsity graph) and as the (possibly complex) entries.  The
-row codes (kept per tol, with T and the class), the row sums and the
-scaling sweeps read that storage in O(n + nnz).  ``layers_out_of`` (the
-one traversal out of a set S: the chains, and with a re-test the peel)
-and ``principal_submatrix`` read only S's rows and columns.
+row codes (kept per tol, with T, the class and the chains out of T), the
+row sums and the scaling sweeps read that storage in O(n + nnz).
+``layers_out_of`` (the one traversal out of a set S: the chains, and
+with a re-test the peel) and ``principal_submatrix`` read only S's rows
+and columns.
 
 The storage is standard-library ``array.array`` buffers: indices and
 row pointers as ``'q'`` (int64), reals as ``'d'`` (float64), and a
@@ -40,7 +41,8 @@ from bisect import bisect_left
 from enum import Enum
 from functools import cached_property
 from itertools import accumulate, compress, pairwise, repeat
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple
 
 
 class InconsistencyError(RuntimeError):
@@ -206,7 +208,7 @@ class Matrix:
         if n < 1:
             raise ValueError("matrix order must be at least 1")
         self._n = n
-        self._strictness: dict[float, tuple[array, IndexSet, DominanceClass]] = {}  # by tol
+        self._strictness: dict[float, _Rows] = {}  # by tol
         self.is_complex = is_complex
         self.diagonal = diagonal
         self.values = values
@@ -408,8 +410,18 @@ def exact_gap(diagonal: float, off: list[float], shift: float = 0.0) -> float:
     return 0.0 - exact_sum(off + [-diagonal, -shift])  # the gap, negated
 
 
-def _classified(A: Matrix, tol: float) -> tuple[array, IndexSet, DominanceClass]:
-    """Row codes, non-strict rows and class at ``tol``: one pass per matrix and tol, then cached."""
+class _Rows(NamedTuple):
+    """One classification pass at one tol; ``chains`` holds T's ``Peel`` once asked for."""
+
+    codes: array
+    t_set: IndexSet
+    dom: DominanceClass
+    finite: bool  # every modulus of the matrix is finite
+    chains: list
+
+
+def _classified(A: Matrix, tol: float) -> _Rows:
+    """Row codes, non-strict rows, class and finiteness at ``tol``: one pass per matrix and tol."""
     tol = _check_tol(tol)
     if tol not in A._strictness:
         data, diag = A.pattern.data.tolist(), A.diagonal_modulus
@@ -419,10 +431,16 @@ def _classified(A: Matrix, tol: float) -> tuple[array, IndexSet, DominanceClass]
         codes = array("b", [(h > 0.0) - (g < 0.0) for h, g in zip(high, low)])
         T = IndexSet.trusted(tuple(compress(range(A.n), map((0).__ge__, codes))), A.n)
         least, most = min(codes), max(codes)
-        A._strictness[tol] = codes, T, (
+        A._strictness[tol] = _Rows(codes, T, (
             DominanceClass.NOT_DD if least < 0 else DominanceClass.SDD if least > 0
-            else DominanceClass.DD_PLUS if most > 0 else DominanceClass.DD_EQUALITY)
+            else DominanceClass.DD_PLUS if most > 0 else DominanceClass.DD_EQUALITY),
+            math.inf not in diag and math.inf not in data, [])
     return A._strictness[tol]
+
+
+def _peel_is_chains(A: Matrix, tol: float) -> bool:
+    """Whether the peel's re-test cannot fire: tol 0, dominant input, every modulus finite."""
+    return not tol and _classified(A, 0.0).dom.is_dd and _classified(A, 0.0).finite
 
 
 def row_strictness(A: Matrix, tol: float = 0.0) -> array:
@@ -432,7 +450,7 @@ def row_strictness(A: Matrix, tol: float = 0.0) -> array:
     analysis asks for the codes several times at one tol, so they are
     computed once per matrix and tol; each call returns its own copy.
     """
-    return array("b", _classified(A, tol)[0])
+    return array("b", _classified(A, tol).codes)
 
 
 def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
@@ -458,12 +476,12 @@ def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
 
 def classify_dominance(A: Matrix, tol: float = 0.0) -> DominanceClass:
     """Classify A by comparing each |a_ii| against its deleted row sum (kept with the codes)."""
-    return _classified(A, tol)[2]
+    return _classified(A, tol).dom
 
 
 def non_sdd_rows(A: Matrix, tol: float = 0.0) -> IndexSet:
     """Indices of rows that are not strictly dominant (|a_ii| <= r_i + tol), kept with the codes."""
-    return _classified(A, tol)[1]
+    return _classified(A, tol).t_set
 
 
 def layers_out_of(A: Matrix, S: IndexSet, tol: float | None = None):
@@ -478,8 +496,9 @@ def layers_out_of(A: Matrix, S: IndexSet, tol: float | None = None):
     With a ``tol`` a touched row joins only when the exact gap of its
     nonzeros still in S, shifted by ``tol``, is positive (``exact_gap``):
     the recursive peel (``peel_levels``).  Rows never layered have no
-    hop.  Only S's rows and columns are read: O(|S| + their nonzeros)
-    with no re-test, O(sum of squared row degrees over S) with one.
+    hop, and ``next_hop`` is a read-only mapping.  Only S's rows and
+    columns are read: O(|S| + their nonzeros) with no re-test, O(sum of
+    squared row degrees over S) with one.
     """
     indptr, indices, data, t_indptr, t_indices = A.pattern
     diag, active = A.diagonal_modulus, set(S.members)
@@ -506,29 +525,51 @@ def layers_out_of(A: Matrix, S: IndexSet, tol: float | None = None):
         # columns in decreasing order: the smallest one a row touches is written last
         touched = {i: j for j in reversed(level)
                    for i in t_indices[t_indptr[j]:t_indptr[j + 1]] if i in active}
-    return tuple(levels), next_hop
+    return tuple(levels), MappingProxyType(next_hop)
 
 
 class Peel(NamedTuple):
-    """Level structure of the recursive peel onto the non-strict rows.
+    """The layers out of a set S = ``t_set``: its chains, or with the re-test its recursive peel.
 
-    With T_0 = ``t_set`` and T_{k+1} = T_k minus ``levels[k]``, each
-    ``levels[k]`` lists (increasingly) the rows of T_k that are strict in
-    the principal submatrix of A on T_k, and is never empty.  A row of
-    ``levels[k]`` owes its strictness to a column that left T before it,
-    and ``next_hop`` maps it to the smallest such column of the previous
-    level (outside T for ``levels[0]``).  The peel ends when T_k is empty
-    or when no row of a nonempty T_k is strict; in the latter case it is
-    ``stalled``, and the rows of T with no next hop are that block.
+    With S_0 = S and S_{k+1} = S_k minus ``levels[k]``, each ``levels[k]``
+    lists (increasingly) the rows of S_k with a nonzero in a column
+    outside S_k, and for the peel onto T only those strict in A[T_k, T_k];
+    it is never empty.  ``next_hop`` maps each layered row to the
+    smallest such column of the previous level (outside S for
+    ``levels[0]``), read-only, since one ``Peel`` can serve several
+    readers.  The layering ends when S_k is empty or when no row of a
+    nonempty S_k joins; then it is ``stalled``, and the rows with no next
+    hop are that block.  As chains, a row's level is the length of its
+    shortest chain out of S, and the chain condition holds iff no stall.
     """
 
     t_set: IndexSet
     levels: tuple[tuple[int, ...], ...]
-    next_hop: dict[int, int]
+    next_hop: Mapping[int, int]
 
     @property
     def stalled(self) -> bool:
         return len(self.next_hop) < len(self.t_set)
+
+    @property
+    def paths(self) -> dict[int, tuple[int, ...]]:
+        """A shortest vertex path per layered row, by increasing row: about n^2/2 indices on a chain."""
+        paths = {}
+        for i in sorted(self.next_hop):
+            path = [i]
+            while path[-1] in self.next_hop:
+                path.append(self.next_hop[path[-1]])
+            paths[i] = tuple(path)
+        return paths
+
+
+def _chains_out_of_t(A: Matrix, tol: float) -> Peel:
+    """The chains out of T at ``tol`` (no re-test): walked once per matrix and tol, then kept."""
+    T = non_sdd_rows(A, tol)
+    kept = _classified(A, tol).chains
+    if not kept:
+        kept.append(Peel(T, *layers_out_of(A, T)))
+    return kept[0]
 
 
 def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
@@ -539,16 +580,18 @@ def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
     after each level, each by the exact sign of its gap over its
     nonzeros still in T_k (``exact_gap``): every decision matches
     ``row_strictness`` on the copied submatrix at any ``tol``, and only
-    T's rows and columns are read.  On a dominant matrix at tol 0 every
-    row of T is an exact equality, so a row of T_k is strict exactly when
-    it has a nonzero outside T_k: the levels and next hops are those of
-    the chains out of T (``graph.chain_condition``), and the peel stalls
-    exactly when some row of T has no chain.
+    T's rows and columns are read.  On a dominant matrix at tol 0 with
+    every modulus finite each row of T is an exact equality, so a row of
+    T_k is strict exactly when it has a nonzero outside T_k: the re-test
+    cannot fail, and the peel is ``graph.chain_condition``'s very
+    ``Peel`` (Shivakumar & Chew 1974), which stalls exactly when some row
+    of T has no chain.
     """
     tol = _check_tol(tol)
+    if _peel_is_chains(A, tol):
+        return _chains_out_of_t(A, tol)
     T = non_sdd_rows(A, tol)
-    levels, next_hop = layers_out_of(A, T, tol)
-    return Peel(t_set=T, levels=levels, next_hop=next_hop)
+    return Peel(T, *layers_out_of(A, T, tol))
 
 
 def comparison_matrix(A: Matrix):

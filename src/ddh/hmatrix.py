@@ -5,12 +5,13 @@ is an H-matrix exactly when its restriction to the non-strict rows is,
 so the peel restricts to T(A), recomputes T there, and repeats.
 ``is_h_dd`` runs it as one worklist pass over the sparse pattern
 (``core.peel_levels``, the traversal ``core.layers_out_of`` of T with an
-exact-gap re-test): after each level only the rows touching a
-just-peeled column are re-tested, and no submatrix is copied.  The peel
-either empties T (H-matrix), hits a zero diagonal entry, or stalls with
-T equal to the whole current block (a restriction that is dominant with
-no strict row).  The latter two produce a witness set whose principal
-submatrix certifies non-H-status by inspection.  On an exactly dominant
+exact-gap re-test, skipped at tol 0 on finite dominant input, where it
+cannot fail and the peel is the chains): after each level only the rows
+touching a just-peeled column are re-tested, and no submatrix is copied.
+The peel either empties T (H-matrix), hits a zero diagonal entry, or
+stalls with T equal to the whole current block (a restriction that is
+dominant with no strict row).  The latter two produce a witness set
+whose principal submatrix certifies non-H-status by inspection.  On an exactly dominant
 matrix each row a level removes has an entry in a column removed
 before it, so every non-strict row has a chain to a strict row, which
 proves H (Shivakumar & Chew 1974).  ``peel_outcome`` reads the trace,
@@ -51,6 +52,7 @@ from .core import (
     IndexSet,
     Matrix,
     Peel,
+    _peel_is_chains,
     classify_dominance,
     comparison_rows,
     exact_gap,
@@ -320,16 +322,16 @@ def find_ssdd_set_dd(A: Matrix, peel: Peel) -> IndexSet | None:
     full, non-strict sum), or {0} when T is empty; it is returned only
     when it passes ``s_sdd_check``, else None (always at order 1, which
     has no proper nonempty subset).  Where every row is exactly dominant
-    and every modulus finite the cross test provably passes, so it is
-    skipped; at tol > 0 a row of T short of dominance can spoil it.
+    and every modulus finite (one fact of the tol-0 classification pass,
+    which also skips the peel's re-test) the cross test provably passes,
+    so it is skipped; at tol > 0 a row of T short of dominance can spoil it.
     """
     T = peel.t_set
     if len(T) == 0 and A.n >= 2:
         T = IndexSet.trusted((0,), A.n)  # every row is strict: any singleton works
     elif not (peel.levels and len(peel.levels[0]) == len(T)):
         return None
-    finite = math.inf not in A.diagonal_modulus and math.inf not in A.pattern.data
-    return T if (finite and classify_dominance(A).is_dd) or s_sdd_check(A, T) else None
+    return T if _peel_is_chains(A, 0.0) or s_sdd_check(A, T) else None
 
 
 class SHReport(NamedTuple):

@@ -13,17 +13,16 @@ from the layers out of S (``core.layers_out_of``): S is interwoven iff
 at most one member is never layered, and listing the layered members
 level by level, each paired with its next hop one level down, is a
 valid sequence (the Shivakumar-Chew chain condition and the interwoven
-condition are one statement).  One helper reads a certificate off
-layers and next hops, so both constructions for T are that reading:
-``interwoven_from_chains`` of the analysis's own ``ChainReport`` (also
-how ``is_interwoven`` decides any subset), and ``interwoven_from_peeling``
-of the ``Peel`` that ``hmatrix.is_h_dd`` decided with
-(``HVerdict.peel``), the same traversal with the exact-gap re-test.  On
-a dominant matrix at tol 0 the two certificates are equal.  A report
-stores neither certificate, only whether each exists and its leftover:
-``verify`` derives both again from its own chains and peel and checks
-them with ``verify_certificate``.  The greedy closure and a brute-force
-search stay in the test suite as references.
+condition are one statement).  One reader, ``interwoven_from_peeling``,
+reads a certificate off any ``core.Peel``: the analysis's chains out of
+T (``graph.chain_condition``), S's own chains (how ``is_interwoven``
+decides any subset), and the peel that ``hmatrix.is_h_dd`` decided with
+(``HVerdict.peel``).  On a dominant matrix at tol 0 with every modulus
+finite the peel is the chains, so the two certificates for T are one.
+A report stores neither certificate, only whether each exists and its
+leftover: ``verify`` derives both again from its own chains and peel
+and checks them with ``verify_certificate``.  The greedy closure and a
+brute-force search stay in the test suite as references.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .core import IndexSet, Matrix, Peel
-from .graph import ChainReport, chains_out_of
+from .graph import chains_out_of
 
 
 class InterwovenCertificate(NamedTuple):
@@ -87,26 +86,30 @@ def verify_certificate(A: Matrix, cert: InterwovenCertificate) -> bool:
 def is_interwoven(A: Matrix, S: IndexSet) -> InterwovenCertificate | None:
     """A certificate when S is interwoven, else None (S's own chains)."""
     _check_subset(A, S)
-    return interwoven_from_chains(chains_out_of(A, S))
+    return interwoven_from_peeling(chains_out_of(A, S))
 
 
-def _from_layers(S: IndexSet, reached, next_hop: dict[int, int]) -> InterwovenCertificate | None:
-    """Certificate for S read off the layers out of it (``core.layers_out_of``).
+def interwoven_from_peeling(peel: Peel) -> InterwovenCertificate | None:
+    """Certificate for ``peel.t_set`` read off its layers (``core.layers_out_of``).
 
-    ``reached`` lists the layered members level by level, and
-    ``next_hop`` maps each to a column one level down.  In that order
-    each member's next hop is a valid companion: level-one members point
-    outside S, deeper members at a member listed earlier.  A member with
-    no hop can never be unravelled: one is the leftover, two or more
-    mean S is not interwoven (as when S is everything).  With every
-    member layered, the last one listed is the leftover.
+    ``peel`` is any ``core.Peel``: the chains out of a set, or a
+    dominant matrix's recursive peel onto T (``HVerdict.peel``).  Listed
+    level by level, each layered member's next hop is a valid companion:
+    level-one members point outside the set, deeper members at a member
+    listed earlier (a peeled row became strict when that column left T).
+    A member with no hop can never be unravelled: one is the leftover,
+    a stall on two or more (as when the set is everything) means the set
+    is not interwoven and yields None.  With every member layered, the
+    last one listed is the leftover.  Reads the peel only, no entry of
+    the matrix.
     """
+    S, next_hop = peel.t_set, peel.next_hop
     if len(S) <= 1:
         return _trivial_certificate(S)
     missing = len(S) - len(next_hop)
     if missing > 1:
         return None
-    p_seq = tuple(reached)
+    p_seq = tuple(i for level in peel.levels for i in level)
     if missing:
         leftover = next(i for i in S.members if i not in next_hop)
     else:
@@ -114,22 +117,3 @@ def _from_layers(S: IndexSet, reached, next_hop: dict[int, int]) -> InterwovenCe
     return InterwovenCertificate(
         subset=S, p_seq=p_seq, q_seq=tuple(next_hop[p] for p in p_seq), leftover=leftover
     )
-
-
-def interwoven_from_chains(chain: ChainReport) -> InterwovenCertificate | None:
-    """Certificate for ``chain.subset`` read off its shortest chains."""
-    return _from_layers(chain.subset, chain.reached, chain.next_hop)
-
-
-def interwoven_from_peeling(peel: Peel) -> InterwovenCertificate | None:
-    """Certificate for the non-strict rows read off the recursive peel.
-
-    ``peel`` is a dominant matrix's ``core.peel_levels``
-    (``HVerdict.peel``).  A peeled row became strict when a column of the
-    previous level left T, and its next hop is the smallest such column
-    (for the first level, outside T): its companion.  Succeeds iff at
-    most one row of T is never peeled; a stall on two or more (as when T
-    is everything) means T is not interwoven and yields None.  Reads the
-    peel only, no entry of the matrix.
-    """
-    return _from_layers(peel.t_set, (i for level in peel.levels for i in level), peel.next_hop)

@@ -111,7 +111,7 @@ def analyzed(corpus) -> list[Entry]:
                 matrix=A,
                 t=T,
                 diag_nonzero=bool((np.asarray(A.diagonal_modulus) > 0.0).all()),
-                chain_holds=chain_condition(A).holds,
+                chain_holds=not chain_condition(A).stalled,
                 interwoven_ok=interwoven_ok,
                 is_h=verdict.is_h,
                 matches_reference=matches_reference,
@@ -132,7 +132,7 @@ def test_criterion_1_chain_iff_interwoven(corpus):
         T = non_sdd_rows(A)
         if not (np.asarray(A.diagonal_modulus) > 0.0).all() or T.is_full:
             continue
-        holds = chain_condition(A).holds
+        holds = not chain_condition(A).stalled
         cert = is_interwoven(A, T)
         checked += 1
         # the greedy closure decides independently of the chains

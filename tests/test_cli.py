@@ -1352,7 +1352,8 @@ def test_verify_judges_hops_and_partition_like_the_reference(A, data):
     lines = _verify_lines(forged, A)
     chain = chain_condition(A)
     certified = len(hops) == len(t_set) and reference.hops_certify(
-        A, chain.subset, chain.reached, {t - 1: v - 1 for t, v in zip(t_set, hops) if v is not None}
+        A, chain.t_set, chain.next_hop.keys(),
+        {t - 1: v - 1 for t, v in zip(t_set, hops) if v is not None},
     )
     assert lines["chain"][0] == certified
     assert lines["peel"][0] == (trace == report["peel_trace"])
@@ -1377,7 +1378,7 @@ def test_null_hops_are_the_rows_without_a_chain(A, data):
     chain = chain_condition(A)
     nulls = [t for t, hop in zip(report["t_set"], report["chain"]["next"]) if hop is None]
     assert len(report["chain"]["next"]) == len(report["t_set"])
-    assert nulls == [i + 1 for i in chain.unreachable.members]
+    assert nulls == [i + 1 for i in chain.t_set.members if i not in chain.next_hop]
     assert all(ok for _, ok, _ in verify_report(report, A))
 
 

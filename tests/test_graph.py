@@ -34,18 +34,17 @@ class TestPatternGraph:
 class TestChainCondition:
     def test_holds_with_single_hop(self):
         rep = chain_condition(Matrix([[1, 1], [1, 2]]))
-        assert rep.holds and rep.paths == {0: (0, 1)}
-        assert rep.unreachable.members == ()
+        assert not rep.stalled and rep.paths == {0: (0, 1)}
+        assert rep.next_hop == {0: 1}
 
     def test_fails_on_isolated_block(self):
         rep = chain_condition(Matrix([[1, 1, 0], [1, 1, 0], [0, 0, 2]]))
-        assert not rep.holds
-        assert rep.unreachable.members == (0, 1)
-        assert rep.paths == {}
+        assert rep.stalled and rep.t_set.members == (0, 1)
+        assert rep.next_hop == {} and rep.paths == {}
 
     def test_sdd_trivially_holds(self):
         rep = chain_condition(Matrix([[2, 1], [1, 2]]))
-        assert rep.holds and rep.paths == {} and rep.unreachable.members == ()
+        assert not rep.stalled and rep.paths == {} and rep.t_set.members == ()
 
     def test_interior_vertices_stay_inside_t(self):
         A = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]])
@@ -121,7 +120,7 @@ def test_chain_condition_matches_reachability_and_shortest_distances(A):
     T = non_sdd_rows(A)
     rep = chain_condition(A)
     dists = floyd_warshall_dist_to_set(A, T.complement())
-    assert rep.holds == all(dists[i] < float("inf") for i in T.members)
+    assert (not rep.stalled) == all(dists[i] < float("inf") for i in T.members)
     for i in T.members:
         if i in rep.paths:
             assert len(rep.paths[i]) - 1 == dists[i]

@@ -8,9 +8,9 @@ from ddh import (
     InterwovenCertificate,
     Matrix,
     chain_condition,
-    interwoven_from_chains,
     interwoven_from_peeling,
     is_interwoven,
+    layers_out_of,
     non_sdd_rows,
     peel_levels,
     verify_certificate,
@@ -91,24 +91,24 @@ class TestIsInterwoven:
 
 class TestFromChains:
     def test_levels_of_ladder(self):
-        cert = interwoven_from_chains(chain_condition(LADDER))
+        cert = interwoven_from_peeling(chain_condition(LADDER))
         assert cert is not None
         assert cert.p_seq == (1,) and cert.q_seq == (2,) and cert.leftover == 0
 
     def test_trivial_when_one_nonstrict_row(self):
-        cert = interwoven_from_chains(chain_condition(Matrix([[1, 1], [1, 2]])))
+        cert = interwoven_from_peeling(chain_condition(Matrix([[1, 1], [1, 2]])))
         assert cert is not None and cert.p_seq == () and cert.subset.members == (0,)
 
     def test_none_when_two_members_are_unreachable(self):
-        assert interwoven_from_chains(chain_condition(TWO_CYCLE)) is None
+        assert interwoven_from_peeling(chain_condition(TWO_CYCLE)) is None
 
     def test_one_unreachable_member_is_the_leftover(self):
         # row 0 has a zero diagonal and no off-diagonal entry: no chain
         # leaves it, yet T = {0, 1} unravels as row 1 first
         A = Matrix([[0, 0, 0], [0, 1, 1], [0, 0, 2]])
         rep = chain_condition(A)
-        assert not rep.holds and rep.unreachable.members == (0,)
-        cert = interwoven_from_chains(rep)
+        assert rep.stalled and rep.next_hop == {1: 2}
+        cert = interwoven_from_peeling(rep)
         assert cert.p_seq == (1,) and cert.q_seq == (2,) and cert.leftover == 0
         assert verify_certificate(A, cert)
 
@@ -121,7 +121,7 @@ class TestFromChains:
             [1, 0, 0, 1, 0],
             [0, 0, 0, 0, 1],
         ])
-        cert = interwoven_from_chains(chain_condition(A))
+        cert = interwoven_from_peeling(chain_condition(A))
         assert cert.p_seq == (0, 2, 1) and cert.q_seq == (4, 4, 2) and cert.leftover == 3
 
 
@@ -166,19 +166,21 @@ TIED_HOPS = Matrix([
 
 
 def test_next_hop_is_the_smallest_column_one_level_down():
-    """The chains and the peel both name row 2's smaller neighbour, 0, not 1.
+    """The chains and the re-tested peel both name row 2's smaller neighbour, 0, not 1.
 
     Row 1 is met first from outside T (its column 4 precedes column 5),
     so a breadth-first search keeping the first parent would name 1.
     The report's ``chain.next`` is 1-based and aligned with T = {0, 1, 2, 3}.
+    At tol 0 the peel is the chains, one ``Peel``.
     """
-    chain, peel = chain_condition(TIED_HOPS), peel_levels(TIED_HOPS)
-    assert peel.levels == ((0, 1), (2,), (3,))
-    assert chain.next_hop == peel.next_hop == {0: 5, 1: 4, 2: 0, 3: 2}
-    from_chains, from_peeling = interwoven_from_chains(chain), interwoven_from_peeling(peel)
-    assert from_chains == from_peeling
-    assert from_chains.p_seq == (0, 1, 2) and from_chains.q_seq == (5, 4, 0)
-    assert from_chains.leftover == 3
+    chain = chain_condition(TIED_HOPS)
+    assert chain is peel_levels(TIED_HOPS)
+    assert layers_out_of(TIED_HOPS, chain.t_set, 0.0) == (chain.levels, chain.next_hop)
+    assert chain.levels == ((0, 1), (2,), (3,))
+    assert chain.next_hop == {0: 5, 1: 4, 2: 0, 3: 2}
+    cert = interwoven_from_peeling(chain)
+    assert cert.p_seq == (0, 1, 2) and cert.q_seq == (5, 4, 0)
+    assert cert.leftover == 3
     report, _ = analyze_matrix(TIED_HOPS)
     assert report["chain"]["next"] == [6, 5, 1, 3]
 
@@ -203,9 +205,9 @@ def test_chain_equivalence_and_constructor_agreement(A):
     if not T.is_full and diag_nonzero:
         # every row of T then has an off-diagonal entry, so a lone
         # unreachable row is impossible and the two conditions coincide
-        assert rep.holds == (reference.is_interwoven(A, T) is not None)
-    if rep.holds and not T.is_full:
-        for cert in (interwoven_from_chains(rep), _from_peeling(A)):
+        assert (not rep.stalled) == (reference.is_interwoven(A, T) is not None)
+    if not rep.stalled and not T.is_full:
+        for cert in (interwoven_from_peeling(rep), _from_peeling(A)):
             assert cert is not None
             assert cert.subset.members == T.members
             assert verify_certificate(A, cert)

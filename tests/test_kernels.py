@@ -32,12 +32,12 @@ import ddh.hmatrix
 import ddh.sparse_lu
 import reference
 from ddh import (
-    ChainReport,
     DominanceClass,
     EnsembleSpec,
     IndexSet,
     InconsistencyError,
     Matrix,
+    Peel,
     PeelReason,
     RandomStream,
     SHReport,
@@ -45,7 +45,6 @@ from ddh import (
     classify_dominance,
     comparison_rows,
     find_ssdd_set_dd,
-    interwoven_from_chains,
     interwoven_from_peeling,
     is_h_dd,
     is_interwoven,
@@ -616,8 +615,9 @@ def test_peel_retests_with_exact_restricted_sums():
         [0.0, 0.0, 0.0, 1.0],
     ])
     assert split_row_sums(A, IndexSet((0, 1, 2), 4))[0][0] == one_up
-    assert non_sdd_rows(A).members == (0, 1, 2) and chain_condition(A).holds
+    assert non_sdd_rows(A).members == (0, 1, 2) and not chain_condition(A).stalled
     assert peel_levels(A).levels == ((0,), (1,), (2,))
+    assert layers_out_of(A, non_sdd_rows(A), 0.0) == peel_levels(A)[1:]  # the re-tested walk
     assert is_h_dd(A).is_h and reference.is_h_dd(A).peel == peel_levels(A)
     assert _outcome(reference.scaling_certificate, A) is InconsistencyError
     cert = interwoven_from_peeling(peel_levels(A))
@@ -632,6 +632,14 @@ ROUNDING_REPRO = [[1.0, 1.0, 1e-20], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
 WHOLE_T_AT_LEVEL_ONE = [
     [1.0, 0.5, 0.5 - 2.0**-54, 2.0**-54], [0, 1, 0, 1], [0, 0, 1, 1], [0, 0, 0, 1],
 ]
+#: 0.25 - 2^-55: an outside row of T = {0} with 0.5, 0.25 and E beside a diagonal of 1 has the
+#: exact gap 2^-55, which ``diag - r_out`` rounded to 0
+E = 0.25 - 2.0**-55
+#: row 1 has no entry in T = {0}: its ratio 2^-55 / 0 is +inf, not the degenerate 0 / 0
+ZERO_GAP_NOTED = [[1, 1, 0, 0, 0], [0, 1, 0.5, 0.25, E], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0],
+                  [0, 0, 0, 0, 1]]
+#: row 1's ratio is (0.5 + 2^-55) / 0.5 = 1 + 2^-54, which rounds to 1 = lhs
+B2_ROUNDED_ONTO_LHS = [[1, 1, 0, 0], [0.5, 1, 0.25, E], [0, 0, 1, 0], [0, 0, 0, 1]]
 
 
 @settings(max_examples=300, deadline=None)
@@ -671,13 +679,14 @@ def test_traversal_is_the_complement_seeded_reference(A, data):
     assert layers_out_of(A, S, tol) == reference.layers_out_of(A, S, tol)
 
 
-def _chain_layers(chain: ChainReport) -> tuple[tuple[int, ...], ...]:
+def _chain_layers(chain: Peel) -> tuple[tuple[int, ...], ...]:
     """The members ``chain`` reaches, grouped by the length of their chains out of T."""
+    reached = [i for level in chain.levels for i in level]
     depth: dict[int, int] = {}
-    for i in chain.reached:  # by distance: each next hop is known first, or outside T
+    for i in reached:  # by distance: each next hop is known first, or outside T
         depth[i] = depth.get(chain.next_hop[i], 0) + 1
     layers: list[list[int]] = []
-    for i in chain.reached:
+    for i in reached:
         if depth[i] > len(layers):
             layers.append([])
         layers[depth[i] - 1].append(i)
@@ -687,21 +696,49 @@ def _chain_layers(chain: ChainReport) -> tuple[tuple[int, ...], ...]:
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(rounded_matrices().map(_dominant), dd_matrices(max_n=8)))
 @example(Matrix(WHOLE_T_AT_LEVEL_ONE))
+@example(Matrix(ZERO_GAP_NOTED))
+@example(Matrix(B2_ROUNDED_ONTO_LHS))
+@example(Matrix(NON_DYADIC_EQUALITY))
+@example(non_dyadic_equality_matrix(7, 10))
 def test_exact_peel_is_the_chain_layering_at_tol_0(A):
-    """On dominant input at tol 0 the peel's levels are the chains' distance layers.
+    """On dominant input at tol 0 the re-tested peel's levels are the chains' distance layers.
 
-    So the peel stalls exactly when the chain condition fails: the
-    verdict and the chain certificate cannot disagree.  Both name the
-    smallest column one level down as a row's next hop, so the two
-    interwoven certificates are equal too.
+    ``peel_levels`` skips its re-test there and returns the chains' own
+    ``Peel``, so the theorem is checked on the traversal that re-tests
+    every touched row by its exact gap (``layers_out_of`` at tol 0): it
+    stalls exactly when the chain condition fails, so the verdict and
+    the chain certificate cannot disagree.  Both name the smallest
+    column one level down as a row's next hop, so the two interwoven
+    certificates are equal too.
     """
     assert classify_dominance(A).is_dd
-    peel, chain = peel_levels(A), chain_condition(A)
-    assert peel.t_set == chain.subset
-    assert peel.levels == _chain_layers(chain)
-    assert peel.stalled == (not chain.holds)
-    assert peel.next_hop == chain.next_hop
-    assert interwoven_from_chains(chain) == interwoven_from_peeling(peel)
+    chain = chain_condition(A)
+    assert peel_levels(A) is chain
+    retested = Peel(chain.t_set, *layers_out_of(A, chain.t_set, 0.0))
+    assert retested.levels == chain.levels == _chain_layers(chain)
+    assert retested.stalled == chain.stalled
+    assert retested.next_hop == chain.next_hop
+    assert interwoven_from_peeling(retested) == interwoven_from_peeling(chain)
+
+
+#: row 0's gap inf - (inf + inf) is NaN, so it sits in T as an equality that is not exact
+INFINITE_MODULUS = [[math.inf, math.inf, math.inf, 0], [0, 1, 0, 1], [0, 1, 1, 0], [0, 0, 0, 1]]
+
+
+def test_an_infinite_modulus_keeps_the_peel_retest():
+    """Where a modulus is infinite, ``peel_levels`` re-tests, and its levels are not the chains'.
+
+    The chains reach rows 0 and 2 together, through row 1.  Over
+    T_1 = {0, 2} row 0's gap is inf - inf again, so the peel takes row
+    2 first and row 0 only once column 2 has left.
+    """
+    A = Matrix(INFINITE_MODULUS)
+    T = non_sdd_rows(A)
+    assert T.members == (0, 1, 2) and classify_dominance(A).is_dd
+    assert layers_out_of(A, T, 0.0)[0] == ((1,), (2,), (0,))
+    chain, peel = chain_condition(A), peel_levels(A)
+    assert chain.levels == ((1,), (0, 2)) and chain.next_hop == {1: 3, 0: 1, 2: 1}
+    assert peel.levels == ((1,), (2,), (0,)) and peel.next_hop == {1: 3, 2: 1, 0: 2}
 
 
 #: at tol 1e-3 row 2 is 1e-3 short of dominance and T = {1, 2} peels in one level, yet the
@@ -753,20 +790,9 @@ def test_sh_on_t_is_read_off_the_peel_with_no_elimination(A):
     assert all(ok for _, ok, _ in verify_report(report, A))
 
 
-#: 0.25 - 2^-55: an outside row of T = {0} with 0.5, 0.25 and E beside a diagonal of 1 has the
-#: exact gap 2^-55, which ``diag - r_out`` rounded to 0
-E = 0.25 - 2.0**-55
-
-
 @pytest.mark.parametrize(
     "entries, b2",
-    [
-        # row 1 has no entry in T: its ratio 2^-55 / 0 is +inf, not the degenerate 0 / 0
-        ([[1, 1, 0, 0, 0], [0, 1, 0.5, 0.25, E], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]],
-         math.inf),
-        # row 1's ratio is (0.5 + 2^-55) / 0.5 = 1 + 2^-54, which rounds to 1 = lhs
-        ([[1, 1, 0, 0], [0.5, 1, 0.25, E], [0, 0, 1, 0], [0, 0, 0, 1]], 1.0),
-    ],
+    [(ZERO_GAP_NOTED, math.inf), (B2_ROUNDED_ONTO_LHS, 1.0)],
     ids=["zero-gap-noted", "b2-rounded-onto-lhs"],
 )
 def test_satisfied_is_decided_exactly(entries, b2):
@@ -931,35 +957,37 @@ def _count_calls(monkeypatch, names, home=ddh) -> dict[str, int]:
 
 
 def _count_path_views(monkeypatch) -> dict[str, int]:
-    """Count the reads of ``ChainReport.paths``, the lazy full paths (n^2/2 indices on a chain)."""
+    """Count the reads of ``Peel.paths``, the full chains built on read (n^2/2 indices on a chain)."""
     calls = {"paths": 0}
-    lazy = ChainReport.__dict__["paths"]
+    built = Peel.paths.fget
 
     def paths(self):
         calls["paths"] += 1
-        return lazy.func(self)
+        return built(self)
 
-    monkeypatch.setattr(ChainReport, "paths", property(paths))
+    monkeypatch.setattr(Peel, "paths", property(paths))
     return calls
 
 
 def test_analysis_reuses_its_own_structures(monkeypatch):
     """Work gate: counted solves, peels, chain passes and block copies on an H chain.
 
-    On an order-200 bidiagonal chain, ``analyze_matrix`` solves once, for
-    the subset H-condition, on the comparison block's rows with no dense
-    comparison matrix (the scaling is one Gauss-Seidel sweep in peel
-    order, with no solve), peels
-    A once (the verdict's peel, which the scaling sweep, the peeling
-    certificate and the SSDD search read) and the inner block of the
-    subset H-condition once, and finds the chains once: three traversals
-    out of T (``layers_out_of``) in all.  ``verify_report`` reads the
-    subset H-condition off its own peel, with no solve and no comparison
-    matrix (every row of T is an exact equality), and decides the
-    interwoven and chain claims from one chain search with no second
-    closure: two traversals.  The peeling certificate reads the peel's
-    next hops and no entry of A, and neither it nor the SSDD search
-    peels or classifies again; the SSDD search copies no block.
+    On an order-200 bidiagonal chain every row is exactly dominant, so
+    the chains prove H and no scaling is computed.  ``analyze_matrix``
+    solves once, for the subset H-condition, on the comparison block's
+    rows with no dense comparison matrix.  It walks out of T
+    (``layers_out_of``) twice: A's chains, which at tol 0 are A's peel
+    too (one ``Peel``, which the verdict, both interwoven certificates
+    and the SSDD search read), and the peel of the subset H-condition's
+    inner block.  ``verify_report`` on a freshly built copy, as
+    ``ddh verify`` meets the matrix, walks once: it decides the chain,
+    the interwoven certificates and the peel from that one ``Peel``, with
+    no second closure, and reads the subset H-condition off it with no
+    solve and no comparison matrix (every row of T is an exact
+    equality).  On the analyzed matrix itself it walks none, since the
+    chains are kept with the row codes.  The peeling certificate reads
+    the peel's next hops and no entry of A, and neither it nor the SSDD
+    search peels or classifies again; the SSDD search copies no block.
     Neither side reads the full chain paths: the report and the verifier
     use the next hops.
     """
@@ -970,23 +998,25 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     )
     paths = _count_path_views(monkeypatch)
     n = 200
-    A = Matrix(np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0]))
+    entries = np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0])
+    A = Matrix(entries)
     report, problems = analyze_matrix(A)
     assert report["is_h"] is True and len(report["peel_trace"]) == n - 1
     assert report["sh"]["inner_h"] is True and problems == []
     assert calls["lu_solve"] == 1 and calls["chain_condition"] == 1
     assert calls["peel_levels"] == 2 and calls["comparison_matrix"] == 0
-    # the traversal out of T: the chains, A's peel, the peel of the sh inner block
-    assert calls["layers_out_of"] == 3
+    # the walks out of T: A's chains (also its peel), the peel of the sh inner block
+    assert calls["layers_out_of"] == 2
     assert paths["paths"] == 0
 
-    calls.update(dict.fromkeys(calls, 0))
-    results = verify_report(json.loads(emit_json(report)), A)
-    assert all(ok for _, ok, _ in results)
-    assert calls["lu_solve"] == 0 and calls["comparison_matrix"] == 0
-    assert calls["chain_condition"] == 1 and calls["is_interwoven"] == 0
-    assert calls["layers_out_of"] == 2  # the chains and the peel
-    assert paths["paths"] == 0
+    for matrix, walks in ((Matrix(entries), 1), (A, 0)):  # a fresh copy, then the kept chains
+        calls.update(dict.fromkeys(calls, 0))
+        results = verify_report(json.loads(emit_json(report)), matrix)
+        assert all(ok for _, ok, _ in results)
+        assert calls["lu_solve"] == 0 and calls["comparison_matrix"] == 0
+        assert calls["chain_condition"] == 1 and calls["is_interwoven"] == 0
+        assert calls["layers_out_of"] == walks  # the chains, which are the peel
+        assert paths["paths"] == 0
 
     peel = peel_levels(A)
     calls.update(dict.fromkeys(calls, 0))

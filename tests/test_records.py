@@ -1,8 +1,8 @@
 """The package's records: value semantics, frozen fields, keyword construction.
 
-The plain records are ``typing.NamedTuple``s; ``IndexSet``,
-``ChainReport`` and ``EnsembleSpec`` are small classes that set their
-fields once, in the constructor.  Either way a field cannot be assigned.
+The plain records are ``typing.NamedTuple``s; ``IndexSet`` and
+``EnsembleSpec`` are small classes that set their fields once, in the
+constructor.  Either way a field cannot be assigned.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from ddh import (
     is_h_dd,
     lu_factor,
     non_sdd_rows,
+    peel_levels,
     s_h_check,
     scaling_certificate,
 )
 from ddh.cli import main
-from ddh.interwoven import interwoven_from_chains
+from ddh.interwoven import interwoven_from_peeling
 
 # an H-matrix with non-strict rows {0, 1}, so every record below is built
 LADDER = Matrix([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [0.0, 0.0, 2.0]])
@@ -48,7 +49,6 @@ def test_index_set_keywords_and_universe_check():
 def _records() -> dict[str, object]:
     """One instance of every record, with the name of its first field."""
     verdict = is_h_dd(LADDER)
-    chains = chain_condition(LADDER)
     T = non_sdd_rows(LADDER)
     return {
         "members": T,
@@ -59,8 +59,7 @@ def _records() -> dict[str, object]:
         "subset": s_h_check(LADDER, T),
         "factors": lu_factor([[2.0, 1.0], [1.0, 3.0]]),
         "n": EnsembleSpec(n=3, density=0.5, equality_rows=0.5, seed=1),
-        "reached": chains,
-        "p_seq": interwoven_from_chains(chains),
+        "p_seq": interwoven_from_peeling(verdict.peel),
     }
 
 
@@ -73,12 +72,15 @@ def test_records_reject_field_assignment(field):
     assert getattr(record, field) is before
 
 
-def test_chain_report_paths_stay_lazy_and_cached():
+def test_peel_paths_are_read_off_hops_that_stay_read_only():
+    # the chains are kept with the row codes: one Peel, also the peel at tol 0
     chains = chain_condition(LADDER)
-    assert "paths" not in vars(chains)
+    assert chains is chain_condition(LADDER) is peel_levels(LADDER)
+    assert chains._fields == ("t_set", "levels", "next_hop")  # no stored paths
     assert chains.paths == {0: (0, 1, 2), 1: (1, 2)}
-    assert chains.paths is chains.paths
-    assert chains == chains and chains != chain_condition(LADDER)  # compared by identity
+    with pytest.raises(TypeError):
+        chains.next_hop[0] = 2
+    assert chains.next_hop == {0: 1, 1: 2}
 
 
 def test_ensemble_spec_builds_from_keywords_and_validates():
