@@ -23,7 +23,6 @@ from .core import (
     non_sdd_rows,
     peel_levels,
     principal_submatrix,
-    split_row_sums,
 )
 from .graph import (
     chain_condition,
@@ -112,7 +111,6 @@ __all__ = [
     "scaling_margin",
     "solved_scaling",
     "spectral_radius",
-    "split_row_sums",
     "verify_certificate",
     "write_matrix_market",
 ]

@@ -343,7 +343,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     commentary.  Only a report of schema version ``SCHEMA_VERSION`` is
     read.  The dominance class, the chain search and (for a dominant
     matrix) the peel are recomputed once, with no solve (at tol 0 on
-    finite dominant input the peel is the chains, one walk): the chain's
+    dominant input the peel is the chains, one walk): the chain's
     claims, its next hops, the peel's trace and reason, and the two
     interwoven certificates derived from them (each checked by its
     definition, ``verify_certificate``) are compared against them, in

@@ -24,17 +24,20 @@ rows, which ``oracle.lu_solve`` eliminates in pure Python.
 ``np.asarray`` views any buffer without a copy (``.view(np.complex128)``
 for complex entries).
 
+Every entry and every modulus is finite: ``Matrix(dense)`` refuses any
+other entry as the parser does, by the one rule ``_refusal``.
 Every dominance sign and every reported row sum is exact with respect to
 the float moduli, rounded once: only ``exact_gap`` decides a sign, so a
 row's class, a peel re-test and the same row in a copied submatrix
-always agree, and ``split_row_sums`` adds each half by ``exact_sum``, so
-the sum outside T of a row of T at tol 0 is its gap in A[T, T] bit for
-bit.  A complex magnitude is ``abs(complex)``, C ``hypot``
-(``np.hypot``, not numpy's own complex ``abs``).
+always agree, and a row sum is ``exact_sum``, so the sum outside T of a
+row of T at tol 0 is its gap in A[T, T] bit for bit.  A complex
+magnitude is ``abs(complex)``, C ``hypot`` (``np.hypot``, not numpy's
+own complex ``abs``).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from array import array
 from bisect import bisect_left
@@ -111,18 +114,28 @@ def _pointers(keys, n: int) -> array:
     return array("q", accumulate(counts))
 
 
-def _hypot(re: float, im: float) -> float:
-    """C ``hypot`` of the parts: ``abs(complex)``, with inf where that raises on overflow."""
-    try:
-        return abs(complex(re, im))
-    except OverflowError:
-        return math.inf
+def _refusal(z: complex | float) -> str | None:
+    """Why the entry z is refused, or None: the one numeric rule of input.
+
+    A part that is NaN or infinite is refused, and so are finite parts
+    whose modulus, ``abs(complex)``, overflows (it raises).
+    ``Matrix(dense)`` and the parser both apply it, so they refuse the
+    same entries in the same words.
+    """
+    if not cmath.isfinite(z):
+        return "entry value must be finite"
+    if type(z) is complex:  # a real entry's modulus is finite with it
+        try:
+            abs(z)
+        except OverflowError:
+            return "entry modulus must be finite"
+    return None
 
 
 def _moduli(buf: array, is_complex: bool) -> array:
     """``|x|`` of every real, or of every interleaved (re, im) pair, as ``array('d')``."""
     if is_complex:
-        return array("d", map(_hypot, buf[0::2], buf[1::2]))
+        return array("d", map(abs, map(complex, buf[0::2], buf[1::2])))
     return array("d", map(abs, buf))
 
 
@@ -155,11 +168,12 @@ class Matrix:
     (as ``comparison_matrix`` is, on each call): the oracles, the dense
     scaling solve and the tests ask for them.
 
-    ``Matrix(dense)`` converts a square array once.  NaN entries (a
-    complex entry with a NaN part included) are rejected, so every stored
-    magnitude in ``pattern`` is positive.  Infinite entries are kept.
-    The parser, the ensemble generator and ``principal_submatrix`` build
-    a matrix from its nonzeros directly (``from_nonzeros``).
+    ``Matrix(dense)`` converts a square array once, and raises
+    ``ValueError`` on an entry that ``_refusal`` refuses (NaN or
+    infinite, or of infinite modulus), so every stored magnitude in
+    ``pattern`` is positive and finite.  The parser, the ensemble
+    generator and ``principal_submatrix`` build a matrix from its
+    nonzeros directly (``from_nonzeros``).
     """
 
     def __init__(self, entries):
@@ -176,16 +190,19 @@ class Matrix:
             raise ValueError(f"expected a square 2-d array, got shape {arr.shape}")
         if arr.shape[0] < 1:
             raise ValueError("matrix order must be at least 1")
-        if np.isnan(arr).any():
-            raise ValueError("matrix entries must not be NaN")
-        rows, cols = np.nonzero(arr)  # row-major: columns increase within a row
+        rows, cols = np.nonzero(arr)  # row-major: columns increase within a row; NaN is nonzero
         off = rows != cols
         rows, cols = rows[off], cols[off]
+        diagonal, values = np.diagonal(arr), arr[rows, cols]
+        for z in (*diagonal.tolist(), *values.tolist()):  # every entry that is not zero
+            problem = _refusal(z)
+            if problem:
+                raise ValueError(problem)
         self._store(
-            array("d", np.diagonal(arr).tobytes()),
+            array("d", diagonal.tobytes()),
             array("q", rows.astype(np.int64).tobytes()),
             array("q", cols.astype(np.int64).tobytes()),
-            array("d", arr[rows, cols].tobytes()),
+            array("d", values.tobytes()),
             arr.dtype.kind == "c",
         )
 
@@ -194,8 +211,8 @@ class Matrix:
         """Matrix with ``diagonal`` and off-diagonal entries ``values`` at ``(rows, cols)``.
 
         The caller lists each off-diagonal nonzero once, in row-major
-        order, and guarantees that no value is NaN.  ``cols`` is an
-        ``array('q')``; ``diagonal`` and ``values`` are ``array('d')``
+        order, and guarantees that ``_refusal`` refuses none.  ``cols``
+        is an ``array('q')``; ``diagonal`` and ``values`` are ``array('d')``
         buffers of reals, or, when ``is_complex``, of real and imaginary
         parts side by side.  The buffers are kept, not copied.
         """
@@ -379,18 +396,14 @@ def exact_sum(terms: list[float]) -> float:
 
     A sum of doubles is a multiple of 2^-1074 that ``math.fsum`` rounds
     correctly (Shewchuk 1997), so the result is the same in any term
-    order.  Where partial sums of finite terms overflow, the terms are
-    added as ``Fraction``s (a total past the float range gives +-inf).
-    Infinite terms decide alone, and inf - inf gives NaN, as in IEEE
-    arithmetic.
+    order.  The terms are finite; where their partial sums overflow,
+    they are added as ``Fraction``s (a total past the float range gives
+    +-inf).
     """
     try:
         return math.fsum(terms)
-    except ValueError:  # inf - inf
-        return math.nan
     except OverflowError:
-        if math.inf in terms or -math.inf in terms:  # the infinite terms decide alone
-            return exact_sum([x for x in terms if math.isinf(x)])
+        pass
     from fractions import Fraction  # imports decimal: only on this rare path
 
     total = sum(map(Fraction, terms))
@@ -416,12 +429,11 @@ class _Rows(NamedTuple):
     codes: array
     t_set: IndexSet
     dom: DominanceClass
-    finite: bool  # every modulus of the matrix is finite
     chains: list
 
 
 def _classified(A: Matrix, tol: float) -> _Rows:
-    """Row codes, non-strict rows, class and finiteness at ``tol``: one pass per matrix and tol."""
+    """Row codes, non-strict rows and class at ``tol``: one pass per matrix and tol."""
     tol = _check_tol(tol)
     if tol not in A._strictness:
         data, diag = A.pattern.data.tolist(), A.diagonal_modulus
@@ -433,14 +445,13 @@ def _classified(A: Matrix, tol: float) -> _Rows:
         least, most = min(codes), max(codes)
         A._strictness[tol] = _Rows(codes, T, (
             DominanceClass.NOT_DD if least < 0 else DominanceClass.SDD if least > 0
-            else DominanceClass.DD_PLUS if most > 0 else DominanceClass.DD_EQUALITY),
-            math.inf not in diag and math.inf not in data, [])
+            else DominanceClass.DD_PLUS if most > 0 else DominanceClass.DD_EQUALITY), [])
     return A._strictness[tol]
 
 
 def _peel_is_chains(A: Matrix, tol: float) -> bool:
-    """Whether the peel's re-test cannot fire: tol 0, dominant input, every modulus finite."""
-    return not tol and _classified(A, 0.0).dom.is_dd and _classified(A, 0.0).finite
+    """Whether the peel's re-test cannot fire: tol 0 and dominant input."""
+    return not tol and _classified(A, 0.0).dom.is_dd
 
 
 def row_strictness(A: Matrix, tol: float = 0.0) -> array:
@@ -451,27 +462,6 @@ def row_strictness(A: Matrix, tol: float = 0.0) -> array:
     computed once per matrix and tol; each call returns its own copy.
     """
     return array("b", _classified(A, tol).codes)
-
-
-def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
-    """Every row's deleted sum split over the columns in S and outside S.
-
-    One O(n + nnz) pass: entry k of each half is the exact sum of row k's
-    off-diagonal magnitudes over the columns in S, or outside S, rounded
-    once (``exact_sum``), and +0.0 where the row has none there.
-    """
-    _check_universe(A, S)
-    inside = S.member_set
-    pat = A.pattern
-    indices, data = pat.indices.tolist(), pat.data.tolist()
-    in_s, out_s = array("d"), array("d")
-    for a, b in pairwise(pat.indptr):
-        row_in, row_out = [], []
-        for k in range(a, b):
-            (row_in if indices[k] in inside else row_out).append(data[k])
-        in_s.append(exact_sum(row_in))
-        out_s.append(exact_sum(row_out))
-    return in_s, out_s
 
 
 def classify_dominance(A: Matrix, tol: float = 0.0) -> DominanceClass:
@@ -580,12 +570,11 @@ def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
     after each level, each by the exact sign of its gap over its
     nonzeros still in T_k (``exact_gap``): every decision matches
     ``row_strictness`` on the copied submatrix at any ``tol``, and only
-    T's rows and columns are read.  On a dominant matrix at tol 0 with
-    every modulus finite each row of T is an exact equality, so a row of
-    T_k is strict exactly when it has a nonzero outside T_k: the re-test
-    cannot fail, and the peel is ``graph.chain_condition``'s very
-    ``Peel`` (Shivakumar & Chew 1974), which stalls exactly when some row
-    of T has no chain.
+    T's rows and columns are read.  On a dominant matrix at tol 0 each
+    row of T is an exact equality, so a row of T_k is strict exactly
+    when it has a nonzero outside T_k: the re-test cannot fail, and the
+    peel is ``graph.chain_condition``'s very ``Peel`` (Shivakumar & Chew
+    1974), which stalls exactly when some row of T has no chain.
     """
     tol = _check_tol(tol)
     if _peel_is_chains(A, tol):

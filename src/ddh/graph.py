@@ -2,7 +2,7 @@
 
 The graph of a matrix has an edge i -> j exactly when i != j and
 a_ij != 0, which is exactly an entry stored in ``Matrix.pattern``
-(``Matrix`` rejects NaN, so every stored magnitude is positive).  The
+(``Matrix`` refuses NaN, so every stored magnitude is positive).  The
 search here reads that pattern directly: its rows are the out-edges
 and its transpose the in-edges.  One question about the graph drives
 the dominance analysis: which members of an index set S reach an index
@@ -15,8 +15,7 @@ the same chains decide and certify whether S is interwoven
 
 A member's next hop is the smallest index one level closer to the
 outside of S, so the reported next hops are deterministic, and on a
-dominant matrix at tol 0 with every modulus finite the chains out of T
-are the peel itself.
+dominant matrix at tol 0 the chains out of T are the peel itself.
 """
 
 from __future__ import annotations
@@ -43,7 +42,6 @@ def chain_condition(A: Matrix, tol: float = 0.0) -> Peel:
     walked once per matrix and tol and kept with the row codes, so
     following ``next_hop`` runs through rows of T and ends at the first
     strict row.  Where the peel's re-test cannot fire (tol 0, dominant
-    input, every modulus finite) ``core.peel_levels`` returns this same
-    ``Peel``.
+    input) ``core.peel_levels`` returns this same ``Peel``.
     """
     return _chains_out_of_t(A, tol)

@@ -5,8 +5,8 @@ is an H-matrix exactly when its restriction to the non-strict rows is,
 so the peel restricts to T(A), recomputes T there, and repeats.
 ``is_h_dd`` runs it as one worklist pass over the sparse pattern
 (``core.peel_levels``, the traversal ``core.layers_out_of`` of T with an
-exact-gap re-test, skipped at tol 0 on finite dominant input, where it
-cannot fail and the peel is the chains): after each level only the rows
+exact-gap re-test, skipped at tol 0 on dominant input, where it cannot
+fail and the peel is the chains): after each level only the rows
 touching a just-peeled column are re-tested, and no submatrix is copied.
 The peel either empties T (H-matrix), hits a zero diagonal entry, or
 stalls with T equal to the whole current block (a restriction that is
@@ -60,7 +60,6 @@ from .core import (
     non_sdd_rows,
     peel_levels,
     principal_submatrix,
-    split_row_sums,
 )
 from .oracle import _max_abs, inverse_nonneg_oracle, lu_solve
 
@@ -284,8 +283,7 @@ def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
     c_i = r_i^Sbar and c_j = r_j^S, exactly: the row test by
     ``core.exact_gap``, the cross test in ``Fraction`` sums.  With every
     g_i > 0 that is g_j > c_j max_i (c_i / g_i): O(n + nnz), no
-    |S| x |Sbar| array.  Where a modulus is infinite, each pair is
-    compared as IEEE products of the ``split_row_sums``.
+    |S| x |Sbar| array.
     """
     _check_proper_subset(A, S, "s_sdd_check")
     inside = S.member_set
@@ -297,20 +295,15 @@ def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
         out_off.append([data[k] for k in ks if indices[k] not in inside])
     if not all(exact_gap(diag[i], in_off[i]) > 0.0 for i in S.members):
         return False
-    outside = S.complement().members
-    if math.inf in diag or math.inf in pat.data:
-        in_s, out_s = split_row_sums(A, S)
-        return all(
-            (diag[i] - in_s[i]) * (diag[j] - out_s[j]) > out_s[i] * in_s[j]
-            for i in S.members for j in outside
-        )
     from fractions import Fraction as F  # imports decimal: only where the cross test runs
 
     def exact(values):
         return sum(map(F, values), F(0))
 
     top = max(exact(out_off[i]) / (F(diag[i]) - exact(in_off[i])) for i in S.members)
-    return all(F(diag[j]) - exact(out_off[j]) > top * exact(in_off[j]) for j in outside)
+    return all(
+        F(diag[j]) - exact(out_off[j]) > top * exact(in_off[j]) for j in S.complement().members
+    )
 
 
 def find_ssdd_set_dd(A: Matrix, peel: Peel) -> IndexSet | None:
@@ -322,9 +315,9 @@ def find_ssdd_set_dd(A: Matrix, peel: Peel) -> IndexSet | None:
     full, non-strict sum), or {0} when T is empty; it is returned only
     when it passes ``s_sdd_check``, else None (always at order 1, which
     has no proper nonempty subset).  Where every row is exactly dominant
-    and every modulus finite (one fact of the tol-0 classification pass,
-    which also skips the peel's re-test) the cross test provably passes,
-    so it is skipped; at tol > 0 a row of T short of dominance can spoil it.
+    (the tol-0 class, which also skips the peel's re-test) the cross test
+    provably passes, so it is skipped; at tol > 0 a row of T short of
+    dominance can spoil it.
     """
     T = peel.t_set
     if len(T) == 0 and A.n >= 2:
@@ -363,18 +356,17 @@ def _gap_ratio(num: float, den: float) -> float:
 
 
 def _outside_ratios(A: Matrix, S: IndexSet):
-    """b2 over the rows outside S, a test of lhs < the exact b2, its degeneracy note, r_out on S.
+    """b2 over the rows outside S, a test of lhs < the exact b2, and its degeneracy note.
 
     Row j's ratio (|a_jj| - r_j^out) / r_j^S (``_gap_ratio``) divides its
     exact gap over the columns outside S by its exact sum over S, each
     rounded once (exact where subnormal), so every sign and the "zero
     gap" note are exact, and a ratio of at least 2^-1000 is within 2^-51
     of the exact one, relatively.  ``below(lhs)`` forms the exact ratio as
-    a ``Fraction`` only below that or within 2^-40 of lhs.  r_out: each
-    member of S's exact sum outside S, rounded once.  Only the rows found
-    through the transposes of S's columns and the rows not strict at tol
-    0 are summed: any other has r_j^S = 0 and a positive gap, ratio +inf.
-    After the cached row codes: O(|S| + nnz of those rows and S's columns).
+    a ``Fraction`` only below that or within 2^-40 of lhs.  Only the rows
+    found through the transposes of S's columns and the rows not strict
+    at tol 0 are summed: any other has r_j^S = 0 and a positive gap,
+    ratio +inf.  After the cached row codes: O(|S| + nnz of those rows and S's columns).
     """
     inside, diag = S.member_set, A.diagonal_modulus
     indptr, indices, data, t_indptr, t_indices = A.pattern
@@ -385,7 +377,6 @@ def _outside_ratios(A: Matrix, S: IndexSet):
             (row_in if indices[k] in inside else row_out).append(data[k])
         return row_in, row_out
 
-    r_out = [exact_sum(split(i)[1]) for i in S.members]
     coupled = {j for i in S.members for j in t_indices[t_indptr[i]:t_indptr[i + 1]]}
     outside = sorted(coupled.union(non_sdd_rows(A).members).difference(inside))
     halves = list(map(split, outside))
@@ -413,7 +404,7 @@ def _outside_ratios(A: Matrix, S: IndexSet):
 
     degenerate = any(num == den == 0.0 for num, den in zip(nums, dens))
     note = "b2 degenerate: some outside row has zero gap and zero coupling" if degenerate else None
-    return b2, below, note, r_out
+    return b2, below, note
 
 
 def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
@@ -421,11 +412,12 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
 
     lhs comes from one ``lu_solve`` of the inner comparison block, given
     by rows (``comparison_rows``), with no numpy for a dominant block.
-    On T at tol 0 of a dominant matrix each row's exact gap in the block
-    is its sum outside T, so r_out (``_outside_ratios``, each sum exact
-    and rounded once) is the block's own gap vector bit for bit.  Then
-    M 1 = r_out, and one reachability pass decides x = 1 or a singular
-    block in O(|S| + its nonzeros): ``s_h_from_peel``'s answer.  A dominant
+    r_out holds each member's sum outside S, exact and rounded once
+    (``exact_sum``).  On T at tol 0 of a dominant matrix each row's exact
+    gap in the block is its sum outside T, so r_out is the block's own
+    gap vector bit for bit.  Then M 1 = r_out, and one reachability pass
+    decides x = 1 or a singular block in O(|S| + its nonzeros):
+    ``s_h_from_peel``'s answer.  A dominant
     block with any other right-hand side is solved by sparse GTH
     elimination, which touches only the stored entries and their fill.
     A block that is not dominant (under ``--subset``, or a row dominant
@@ -433,7 +425,13 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     """
     _check_proper_subset(A, S, "s_h_check")
     sub = principal_submatrix(A, S)
-    b2, below, note, r_out = _outside_ratios(A, S)
+    b2, below, note = _outside_ratios(A, S)
+    indptr, indices, data, _, _ = A.pattern
+    inside = S.member_set
+    r_out = [
+        exact_sum([data[k] for k in range(indptr[i], indptr[i + 1]) if indices[k] not in inside])
+        for i in S.members
+    ]
     x = lu_solve(comparison_rows(sub), r_out)
     if x is None:
         return SHReport(
@@ -481,7 +479,7 @@ def s_h_from_peel(A: Matrix, peel: Peel) -> SHReport | None:
     if len(T) == 0 or T.is_full:
         return None
     inner_h = not peel.stalled
-    b2, _, note, _ = _outside_ratios(A, T)
+    b2, _, note = _outside_ratios(A, T)
     return SHReport(
         subset=T,
         lhs=1.0 if inner_h else None,

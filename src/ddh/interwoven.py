@@ -17,8 +17,8 @@ condition are one statement).  One reader, ``interwoven_from_peeling``,
 reads a certificate off any ``core.Peel``: the analysis's chains out of
 T (``graph.chain_condition``), S's own chains (how ``is_interwoven``
 decides any subset), and the peel that ``hmatrix.is_h_dd`` decided with
-(``HVerdict.peel``).  On a dominant matrix at tol 0 with every modulus
-finite the peel is the chains, so the two certificates for T are one.
+(``HVerdict.peel``).  On a dominant matrix at tol 0 the peel is the
+chains, so the two certificates for T are one.
 A report stores neither certificate, only whether each exists and its
 leftover: ``verify`` derives both again from its own chains and peel
 and checks them with ``verify_certificate``.  The greedy closure and a

@@ -6,20 +6,19 @@ duplicate coordinates are summed in file order, symmetric storage is
 expanded (the hermitian variant conjugates the mirrored entry), the
 1-based file indices map to 0-based matrix indices, and off-diagonal
 entries that are zero (listed so, or cancelled by a duplicate) are not
-stored.  Only square matrices with finite entries and moduli are
-accepted, and their size and entry lines must be ASCII with no ``_``
-(comment lines may hold any text).  Parse failures raise
-:class:`ParseError` carrying the offending 1-based line number.
+stored.  Only square matrices are accepted, with every entry and
+modulus finite, also when summed (the rule ``Matrix`` applies), and
+their size and entry lines must be ASCII with no ``_`` (comment lines
+may hold any text).  Parse failures raise :class:`ParseError` carrying
+the offending 1-based line number.
 """
 
 from __future__ import annotations
 
-import cmath
-import math
 from array import array
 from bisect import bisect_left
 
-from .core import Matrix, _hypot
+from .core import Matrix, _refusal
 
 _FIELDS = ("real", "integer", "complex")
 _SYMMETRIES = ("general", "symmetric", "hermitian")
@@ -34,11 +33,10 @@ class ParseError(ValueError):
 
 
 def _check_finite(total: complex | float, line: int) -> None:
-    """Refuse an entry, as summed so far, that is not finite or whose modulus overflows."""
-    if not cmath.isfinite(total):
-        raise ParseError("entry value must be finite, also when summed", line)
-    if type(total) is complex and _hypot(total.real, total.imag) == math.inf:
-        raise ParseError("entry modulus must be finite", line)
+    """Refuse an entry, as summed so far, by ``Matrix``'s rule (``core._refusal``)."""
+    problem = _refusal(total)
+    if problem:
+        raise ParseError(problem, line)
 
 
 def _tokens(raw_line: str) -> list[str]:

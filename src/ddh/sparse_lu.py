@@ -62,16 +62,19 @@ def _admit(rows: list[dict[int, float]]) -> _Admitted | None:
     c_ij = -m_ij, ``gap[i]`` is g_i = m_ii - sum_j c_ij, summed exactly
     and rounded once (``core.exact_gap``), so its sign is exact, and
     ``holders[j]`` lists the rows i, increasing, with c_ij > 0.  Returns
-    None when a row has a positive off-diagonal entry or a gap that is
-    negative or not finite (an inf or a NaN anywhere gives one).
+    None when a value is not finite, or a row has a positive off-diagonal
+    entry or a negative gap.
     """
     off: list[dict[int, float]] = []
     gap: list[float] = []
     holders: list[list[int]] = [[] for _ in rows]
     for i, row in enumerate(rows):
         c = {j: -v for j, v in row.items() if j != i and v}
-        g = exact_gap(row.get(i, 0.0), list(c.values()))
-        if not 0.0 <= g < math.inf or (c and min(c.values()) <= 0.0):
+        d = row.get(i, 0.0)
+        if not (math.isfinite(d) and all(0.0 < v < math.inf for v in c.values())):
+            return None  # a value that is not finite, or a positive off-diagonal entry
+        g = exact_gap(d, list(c.values()))
+        if not g >= 0.0:
             return None
         off.append(c)
         gap.append(g)

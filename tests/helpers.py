@@ -12,6 +12,7 @@ import functools
 import itertools
 import math
 import random
+from array import array
 from fractions import Fraction
 
 import numpy as np
@@ -26,6 +27,7 @@ from ddh import (
     scaling_margin,
     verify_certificate,
 )
+from ddh.core import exact_sum
 from ddh.oracle import JACOBI_BAND
 
 DYADIC_STEP = 2.0**-30
@@ -152,6 +154,24 @@ def pattern_rows(A: Matrix) -> tuple[tuple[int, ...], ...]:
     """Out-neighbours of every vertex, read from the rows of ``A.pattern``."""
     indptr, indices = A.pattern.indptr, A.pattern.indices
     return tuple(tuple(indices[indptr[i]:indptr[i + 1]]) for i in range(A.n))
+
+
+def split_row_sums(A: Matrix, S: IndexSet) -> tuple[array, array]:
+    """Every row's deleted sum split over the columns in S and outside S, as the product sums.
+
+    Each half is ``core.exact_sum`` of the row's stored magnitudes on that
+    side (exact, rounded once, +0.0 where the row has none there), as
+    ``hmatrix`` forms r_out and the outside ratios.
+    """
+    if S.universe_size != A.n:
+        raise ValueError("index set universe does not match matrix order")
+    indptr, indices, data = A.pattern.indptr, A.pattern.indices, A.pattern.data
+    in_s, out_s = array("d"), array("d")
+    for i in range(A.n):
+        ks = range(indptr[i], indptr[i + 1])
+        in_s.append(exact_sum([data[k] for k in ks if indices[k] in S]))
+        out_s.append(exact_sum([data[k] for k in ks if indices[k] not in S]))
+    return in_s, out_s
 
 
 def floyd_warshall_dist_to_set(A: Matrix, targets: IndexSet) -> list[float]:

@@ -98,15 +98,8 @@ from ddh.mmio import _FIELDS, _SYMMETRIES, ParseError, _tokens, format_real
 from ddh.oracle import PIVOT_RTOL
 
 
-def fraction_gap(diagonal: float, off) -> Fraction | float:
-    """``diagonal - sum(off)`` exactly: a ``Fraction``, or +-inf / NaN with an infinite modulus.
-
-    An infinite modulus on one side decides alone; on both sides the
-    gap is IEEE inf - inf, NaN, which is neither positive nor negative.
-    """
-    up, down = diagonal == np.inf, np.inf in off
-    if up or down:
-        return np.nan if up and down else np.inf if up else -np.inf
+def fraction_gap(diagonal: float, off) -> Fraction:
+    """``diagonal - sum(off)`` of finite moduli exactly, as a ``Fraction``."""
     return Fraction(diagonal) - sum(map(Fraction, off), Fraction(0))
 
 
@@ -136,15 +129,11 @@ def non_sdd_rows(A: Matrix, tol: float = 0.0) -> IndexSet:
 
 
 def rounded_sum(values) -> float:
-    """The sum of nonnegative moduli in ``Fraction`` arithmetic, rounded once.
+    """The sum of nonnegative finite moduli in ``Fraction`` arithmetic, rounded once.
 
-    inf when a modulus is infinite or the sum passes the float range;
-    +0.0 for no values.
+    inf when the sum passes the float range; +0.0 for no values.
     """
-    values = [float(v) for v in values]
-    if np.inf in values:
-        return np.inf
-    total = sum(map(Fraction, values), Fraction(0))
+    total = sum(map(Fraction, map(float, values)), Fraction(0))
     try:
         return float(total)  # a quotient of integers, correctly rounded
     except OverflowError:
@@ -689,9 +678,7 @@ def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
     """The two-condition subset dominance test over every cross pair, in exact arithmetic.
 
     The gaps, the split row sums and the products are ``Fraction``s of
-    the moduli (``fraction_gap`` for the row test).  Where a modulus is
-    infinite, each pair is compared in floats, on ``partial_row_sum``'s
-    sums.
+    the moduli (``fraction_gap`` for the row test).
     """
     if S.universe_size != A.n or len(S) == 0 or S.is_full:
         raise ValueError("s_sdd_check requires a nonempty proper subset")
@@ -704,11 +691,6 @@ def s_sdd_check(A: Matrix, S: IndexSet) -> bool:
 
     if not all(fraction_gap(diag[i], part(i, S)) > 0 for i in S.members):
         return False
-    if not np.isfinite(mod).all():
-        r_in = [partial_row_sum(A, i, S) for i in range(A.n)]
-        r_out = [partial_row_sum(A, i, sbar) for i in range(A.n)]
-        return all((diag[i] - r_in[i]) * (diag[j] - r_out[j]) > r_out[i] * r_in[j]
-                   for i in S.members for j in sbar.members)
     r_in = [-fraction_gap(0.0, part(i, S)) for i in range(A.n)]
     r_out = [-fraction_gap(0.0, part(i, sbar)) for i in range(A.n)]
     F = Fraction
@@ -882,7 +864,7 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
             entries[j, i] += mirrored
         for z in (complex(entries[i, j]), complex(entries[j, i])):
             if not cmath.isfinite(z):
-                raise ParseError("entry value must be finite, also when summed", lineno)
+                raise ParseError("entry value must be finite", lineno)
             try:
                 abs(z)
             except OverflowError:

@@ -14,11 +14,10 @@ from ddh import (
     comparison_matrix,
     non_sdd_rows,
     principal_submatrix,
-    split_row_sums,
 )
-from ddh.core import exact_gap, exact_sum, row_strictness
+from ddh.core import exact_sum
 import reference
-from helpers import dd_matrices, dyadic_units, proper_subsets
+from helpers import dd_matrices, dyadic_units, proper_subsets, split_row_sums
 
 
 class TestMatrix:
@@ -48,15 +47,18 @@ class TestMatrix:
 
     @pytest.mark.parametrize("entry", [np.nan, complex(1.0, np.nan), complex(np.nan, 0.0)])
     def test_rejects_nan(self, entry):
-        with pytest.raises(ValueError, match="NaN"):
+        with pytest.raises(ValueError, match="^entry value must be finite$"):
             Matrix([[1, entry], [0, 1]])
 
-    def test_keeps_infinite_entries(self):
-        # an infinite modulus is a legitimate edge; its comparison entry is -inf
-        A = Matrix([[1, 1.5e308 + 1.5e308j], [0, np.inf]])
-        assert A.modulus[0, 1] == np.inf and A.modulus[1, 1] == np.inf
-        assert comparison_matrix(A)[0, 1] == -np.inf
-        assert A.pattern.indices.tolist() == [1]
+    def test_refuses_infinite_entries_and_moduli(self):
+        # each reached the dense LU of ``analyze_matrix``, which raised InconsistencyError
+        for entries, problem in [
+            ([[np.inf, np.inf], [0, 1]], "entry value must be finite"),
+            ([[1, np.inf], [0, 1]], "entry value must be finite"),
+            ([[2, 1.5e308 + 1.5e308j], [0, 1]], "entry modulus must be finite"),
+        ]:
+            with pytest.raises(ValueError, match=f"^{problem}$"):
+                Matrix(entries)
 
 
 class TestIndexSet:
@@ -172,15 +174,6 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify_dominance(Matrix([[1]]), tol=-1e-9)
 
-    def test_infinite_moduli_on_both_sides_are_an_equality(self):
-        # row 0's gap is inf - inf, NaN as in IEEE arithmetic: neither
-        # positive nor negative, so the row is an equality at every tol
-        assert math.isnan(exact_gap(math.inf, [math.inf]))
-        A = Matrix([[np.inf, np.inf], [0, 1]])
-        for tol in (0.0, 1e-3):
-            assert row_strictness(A, tol).tolist() == [0, 1]
-        assert classify_dominance(A) is DominanceClass.DD_PLUS
-
 
 class TestExactSum:
     def test_no_terms_give_positive_zero(self):
@@ -194,11 +187,6 @@ class TestExactSum:
         big = sys.float_info.max
         assert exact_sum([big, big, -big]) == big
         assert exact_sum([big, big]) == math.inf and exact_sum([-big, -big]) == -math.inf
-
-    def test_infinite_terms_decide_alone(self):
-        big = sys.float_info.max
-        assert exact_sum([big, big, math.inf]) == math.inf
-        assert math.isnan(exact_sum([big, big, math.inf, -math.inf]))
 
 
 class TestNonSddRows:

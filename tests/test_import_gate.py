@@ -9,24 +9,31 @@ benchmark's ``chain`` and ``wide`` inputs and of a ``ddh generate``
 ensemble matrix, whose inner block fills, do not load it either.  The
 package's records are ``NamedTuple``s and small classes, not
 dataclasses, so no command pays for ``import dataclasses`` and the
-``inspect``, ``ast``, ``dis`` and ``tokenize`` it pulls in.  Each
-command runs through ``ddh.cli.main`` in a fresh interpreter, which
-then reports which of ``WATCHED`` are in ``sys.modules``.  This counts
-modules, not time.  ``analyze --oracle``, whose oracles build dense
-arrays, does load numpy: that case shows the gate can fail.
+``inspect``, ``ast``, ``dis`` and ``tokenize`` it pulls in.  ``verify``
+of a benchmark report solves nothing and forms no ``Fraction``, so it
+loads neither ``ddh.sparse_lu`` nor ``fractions`` and the ``decimal``
+that imports (``SOLVERS``): in the short children the benchmark times,
+start-up is most of the cost.  Each command runs through
+``ddh.cli.main`` in a fresh interpreter, which then reports which of
+the watched modules are in ``sys.modules``.  This counts modules, not
+time.  ``analyze --oracle``, whose oracles build dense arrays, does
+load numpy: that case shows the gate can fail.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 
-from ddh import parse_matrix_market
+from ddh import cli, parse_matrix_market
 from ddh.cli import analyze_matrix, emit_json
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -38,30 +45,42 @@ import inputs  # noqa: E402  (perfbench module, found through sys.path)
 
 #: the modules the child reports: numpy, and dataclasses with inspect, the largest it imports
 WATCHED = ("numpy", "dataclasses", "inspect")
+#: the solver and exact arithmetic that ``verify`` of a benchmark report does without
+SOLVERS = ("ddh.sparse_lu", "fractions", "decimal")
 
-# prints main's exit code and which WATCHED modules were loaded, after main's own output
-_CHILD = f"""
+# argv: the watched modules as JSON, then main's arguments; prints main's
+# exit code and which watched modules were loaded, after main's own output
+_CHILD = """
 import contextlib, io, json, sys
 from ddh import cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
-        code = cli.main(sys.argv[1:])
+        code = cli.main(sys.argv[2:])
     except SystemExit as exc:  # argparse's --version
         code = exc.code
-print(json.dumps([code, [m for m in {WATCHED!r} if m in sys.modules]]))
+print(json.dumps([code, [m for m in json.loads(sys.argv[1]) if m in sys.modules]]))
 """
 
 
-def _run_main(*argv: str) -> tuple[int, set[str]]:
+def _run_main(*argv: str, watched: tuple[str, ...] = WATCHED) -> tuple[int, set[str]]:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _CHILD, *argv],
+        [sys.executable, "-c", _CHILD, json.dumps(watched), *argv],
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     code, loaded = json.loads(proc.stdout.splitlines()[-1])
     return code, set(loaded)
+
+
+def ensemble_matrix(seed: int) -> tuple[str, None]:
+    """The first ``ddh generate`` file of ``seed`` with the benchmark's ensemble flags."""
+    with tempfile.TemporaryDirectory() as out:
+        flags = [*inputs.ENSEMBLE_FLAGS, "--seed", str(seed), "--count", "1", "--out-dir", out]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["generate", *flags]) == 0
+        return (Path(out) / f"dd_{seed}_0.mtx").read_text(), None
 
 
 def _benchmark_input(tmp_path: Path, make) -> tuple[Path, Path]:
@@ -80,6 +99,14 @@ def _benchmark_input(tmp_path: Path, make) -> tuple[Path, Path]:
 def test_verify_of_a_benchmark_input_loads_no_numpy(tmp_path, make):
     matrix, report = _benchmark_input(tmp_path, make)
     assert _run_main("verify", str(report), str(matrix)) == (0, set())
+
+
+@pytest.mark.parametrize(
+    "make", [inputs.chain_matrix, inputs.wide_matrix, ensemble_matrix], ids=["chain", "wide", "ensemble"]
+)
+def test_verify_of_a_benchmark_input_loads_no_solver_or_fractions(tmp_path, make):
+    matrix, report = _benchmark_input(tmp_path, make)
+    assert _run_main("verify", str(report), str(matrix), watched=SOLVERS) == (0, set())
 
 
 def test_verify_of_the_ladder_golden_loads_no_numpy():

@@ -8,6 +8,7 @@ array, and on the line and message of every ``ParseError``.
 
 from __future__ import annotations
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -16,7 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference
-from ddh import IndexSet, ParseError, parse_matrix_market, split_row_sums
+from ddh import IndexSet, Matrix, ParseError, parse_matrix_market
+from helpers import split_row_sums
 
 # values that make duplicates cancel (1 and -1), overflow when summed
 # (1e308), underflow, or carry signed zeros; then values that fail
@@ -201,3 +203,36 @@ def test_a_non_ascii_comment_still_parses():
     )
     A = parse_matrix_market(text.encode())
     assert _bits(A.entries) == _bits([[1.5, 0.0], [0.0, 2.0]])
+
+
+@pytest.mark.parametrize("position", ["diagonal", "off-diagonal"])
+@pytest.mark.parametrize(
+    "entry, tokens",
+    [
+        (math.nan, "nan 0"),
+        (math.inf, "inf 0"),
+        (-math.inf, "-inf 0"),
+        (complex(1.0, math.inf), "1 inf"),
+        (complex(1.5e308, 1.5e308), "1.5e308 1.5e308"),
+        (complex(1e308, 1e308), "1e308 1e308"),  # |1e308 + 1e308 i| is finite: accepted
+    ],
+    ids=["nan", "inf", "-inf", "infinite-imaginary-part", "infinite-modulus", "finite-modulus"],
+)
+def test_parser_and_matrix_refuse_the_same_entries_in_the_same_words(entry, tokens, position):
+    """One numeric rule: the parser and ``Matrix(dense)`` refuse an entry alike, or both accept it."""
+    dense = np.eye(2, dtype=complex)
+    lines = ["1 1 1 0", "1 2 0 0", "2 2 1 0"]  # the entry goes on line 3 or 4 of the file
+    k = 0 if position == "diagonal" else 1
+    dense[0, k], lines[k] = entry, f"1 {k + 1} {tokens}"
+    text = "\n".join(["%%MatrixMarket matrix coordinate complex general", "2 2 3", *lines]) + "\n"
+    try:
+        A = Matrix(dense)
+    except ValueError as exc:
+        with pytest.raises(ParseError) as parsed:
+            parse_matrix_market(text)
+        assert str(parsed.value) == f"line {k + 3}: {exc}"
+        return
+    parsed = parse_matrix_market(text)
+    assert math.isfinite(abs(entry))
+    assert _bits(parsed.pattern.data) == _bits(A.pattern.data)
+    assert _bits(parsed.diagonal_modulus) == _bits(A.diagonal_modulus)
