@@ -15,8 +15,8 @@ writes it: "1", not "1.0"); infinities are encoded as the strings
 is written on one line.  T is listed once, in ``t_set``: the chains are
 one next hop per row of T (null where the row has none), aligned with
 it, and the peel trace is a partition of T, so each certificate holds
-O(n) indices; the interwoven certificates are read off those two, so
-only their leftovers are stored.  A scaling is written only for an H
+O(n) indices; T's interwoven certificate is read off the chains, so
+only its leftover is stored.  A scaling is written only for an H
 verdict on a matrix that is not exactly dominant, where no chain proves it.
 """
 
@@ -64,7 +64,7 @@ from .oracle import EnsembleSpec, derive_seed, inverse_nonneg_oracle, jacobi_ora
 
 DEFAULT_MAX_ORDER = 4096
 #: the report layout ``analyze`` writes and ``verify`` reads
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 
 # ---------------------------------------------------------------------------
@@ -165,14 +165,12 @@ def analyze_matrix(
     chain = chain_condition(A, tol)
     interwoven = interwoven_from_peeling(chain)
 
-    peeling = None
     verdict = is_h_dd(A, tol) if dom.is_dd else None
     is_h = None
     peel_trace = None
     peel_reason = None
     witness = None
     if verdict is not None:
-        peeling = interwoven_from_peeling(verdict.peel)
         is_h = verdict.is_h
         peel_trace = [_one_based(t.members) for t in verdict.peel_trace]
         peel_reason = verdict.reason.value
@@ -212,9 +210,6 @@ def analyze_matrix(
             "next": [chain.next_hop[i] + 1 if i in chain.next_hop else None for i in T.members],
         },
         "interwoven": {"holds": interwoven is not None, "leftover": _leftover(interwoven)},
-        "interwoven_alternates": {
-            "peeling": None if peeling is None else {"leftover": _leftover(peeling)},
-        },
         "is_h": is_h,
         "peel_trace": peel_trace,
         "peel_reason": peel_reason,
@@ -344,8 +339,8 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     read.  The dominance class, the chain search and (for a dominant
     matrix) the peel are recomputed once, with no solve (at tol 0 on
     dominant input the peel is the chains, one walk): the chain's
-    claims, its next hops, the peel's trace and reason, and the two
-    interwoven certificates derived from them (each checked by its
+    claims, its next hops, the peel's trace and reason, and T's
+    interwoven certificate read off the chains (checked by its
     definition, ``verify_certificate``) are compared against them, in
     O(n) beyond the recomputation, whose stages after the row codes read
     only T and the rows coupled to it.  On a dominant matrix the verdict
@@ -412,17 +407,6 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             detail = _hops_problem(chain_obj.get("next"), chain, A)
         check("chain", not detail, detail)
 
-    def leftover_problem(obj, cert: InterwovenCertificate | None) -> str:
-        """Why ``obj["leftover"]`` is not ``cert``'s, or ``cert`` is no certificate; "" when fine."""
-        leftover = obj["leftover"]
-        if leftover is not None:
-            leftover = _indices([leftover], A.n)[0] - 1
-        if leftover != (None if cert is None else cert.leftover):
-            return "leftover differs from the derived certificate"
-        if cert is not None and not verify_certificate(A, cert):
-            return "derived certificate failed re-verification"
-        return ""
-
     with guarded("interwoven"):
         iw = report.get("interwoven") or {}
         # T's chains decide membership exactly (graph.chains_out_of)
@@ -430,17 +414,16 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         if _flag(iw.get("holds")) != (cert is not None):
             detail = "holds differs from the recomputed chains"
         else:
-            detail = leftover_problem(iw, cert)
+            leftover = iw["leftover"]
+            if leftover is not None:
+                leftover = _indices([leftover], A.n)[0]
+            if leftover != _leftover(cert):
+                detail = "leftover differs from the derived certificate"
+            elif cert is not None and not verify_certificate(A, cert):
+                detail = "derived certificate failed re-verification"
+            else:
+                detail = ""
         check("interwoven", not detail, detail)
-
-    with guarded("interwoven-peeling"):
-        obj = (report.get("interwoven_alternates") or {}).get("peeling")
-        cert = None if peel is None else interwoven_from_peeling(peel)
-        if obj is None:
-            detail = "" if cert is None else "the peel certifies T but the report has no certificate"
-        else:
-            detail = "the peel does not certify T" if cert is None else leftover_problem(obj, cert)
-        check("interwoven-peeling", not detail, detail)
 
     with guarded("peel"):
         claimed = report.get("peel_trace")

@@ -27,14 +27,16 @@ Gauss-Seidel sweeps; a solve of the comparison system is left to
 fallback after ``SCALING_SWEEP_CAP`` of them, and the scaling of a
 non-dominant H-matrix).  Both hand ``lu_solve`` the comparison rows.
 On a dominant matrix each such block is a dominant Z-matrix, which
-``sparse_lu`` solves with no numpy: by one reachability pass when the
-right-hand side is the block's gap vector (T at tol 0), and otherwise
-by one sparse GTH elimination, with no subtraction and no pivot
-threshold, which touches only stored entries and their fill.
+``sparse_lu`` solves with no numpy: one reachability pass decides
+whether it is singular, and x = 1 when the right-hand side is the
+block's gap vector (T at tol 0); any other one takes one sparse GTH
+elimination, with no subtraction and no pivot threshold, which touches
+only stored entries and their fill.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite);
-``s_h_check`` decides a dominant inner block by the peel alone, and
+``s_h_check`` reads an exactly dominant inner block's H-status off its
+one solve and decides a block dominant only within tol by its peel, and
 ``s_h_from_peel`` reads the subset H-condition on T at tol 0 off A's
 peel with no solve.
 """
@@ -411,17 +413,19 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
     """Subset H-condition: inner block H, and scaled cross sums below b2.
 
     lhs comes from one ``lu_solve`` of the inner comparison block, given
-    by rows (``comparison_rows``), with no numpy for a dominant block.
-    r_out holds each member's sum outside S, exact and rounded once
-    (``exact_sum``).  On T at tol 0 of a dominant matrix each row's exact
-    gap in the block is its sum outside T, so r_out is the block's own
-    gap vector bit for bit.  Then M 1 = r_out, and one reachability pass
-    decides x = 1 or a singular block in O(|S| + its nonzeros):
-    ``s_h_from_peel``'s answer.  A dominant
-    block with any other right-hand side is solved by sparse GTH
-    elimination, which touches only the stored entries and their fill.
-    A block that is not dominant (under ``--subset``, or a row dominant
-    only within tol) takes the dense LU.
+    by rows (``comparison_rows``), with no numpy for a dominant block,
+    and r_out holds each member's sum outside S, exact and rounded once
+    (``exact_sum``).  On T at tol 0 of a dominant matrix r_out is the
+    block's own gap vector bit for bit, so M 1 = r_out and one
+    reachability pass decides x = 1 or a singular block in O(|S| + its
+    nonzeros): ``s_h_from_peel``'s answer.  A dominant block with any
+    other right-hand side is solved by sparse GTH elimination, and a
+    block that is not dominant (under ``--subset``, or a row dominant
+    only within tol) by the dense LU.  A block exactly dominant at tol 0
+    is H iff it is nonsingular, which ``sparse_lu`` decides exactly, so
+    ``inner_h`` is read off the solve; at tol > 0 a dominant block is H
+    iff its band peel does not stall, and any other block takes
+    ``inverse_nonneg_oracle``.
     """
     _check_proper_subset(A, S, "s_h_check")
     sub = principal_submatrix(A, S)
@@ -443,10 +447,10 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
             note=note or "inner comparison block is singular",
         )
     lhs = _max_abs(x)
-    if classify_dominance(sub, tol) is not DominanceClass.NOT_DD:
-        # a dominant block is H iff its peel does not stall (a zero
-        # diagonal stalls it too), so no second scaling solve is needed
-        inner_h = not peel_levels(sub, tol).stalled
+    if _peel_is_chains(sub, tol):
+        inner_h = True  # an exactly dominant block is H iff nonsingular
+    elif classify_dominance(sub, tol) is not DominanceClass.NOT_DD:
+        inner_h = not peel_levels(sub, tol).stalled  # the band peel
     else:
         inner_h = inverse_nonneg_oracle(sub)
     satisfied = bool(inner_h and below(lhs))

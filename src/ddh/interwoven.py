@@ -17,11 +17,12 @@ condition are one statement).  One reader, ``interwoven_from_peeling``,
 reads a certificate off any ``core.Peel``: the analysis's chains out of
 T (``graph.chain_condition``), S's own chains (how ``is_interwoven``
 decides any subset), and the peel that ``hmatrix.is_h_dd`` decided with
-(``HVerdict.peel``).  On a dominant matrix at tol 0 the peel is the
-chains, so the two certificates for T are one.
-A report stores neither certificate, only whether each exists and its
-leftover: ``verify`` derives both again from its own chains and peel
-and checks them with ``verify_certificate``.  The greedy closure and a
+(``HVerdict.peel``).  T's one certificate is the chains': on a dominant
+matrix at tol 0 the peel is the chains, so the peel's is the same one,
+and at any tol the peel's exists only where the chains' does, since the
+peel layers only rows the chains reach.  A report stores only whether
+it exists and its leftover: ``verify`` derives it again from its own
+chains and checks it with ``verify_certificate``.  The greedy closure and a
 brute-force search stay in the test suite as references.
 """
 

@@ -98,14 +98,16 @@ def _norm_inf(M: np.ndarray) -> float:
                          for s in range(0, M.shape[0], step)]))
 
 
-def lu_factor(M) -> LuFactorization:
+def lu_factor(M, pivot_rtol: float = PIVOT_RTOL) -> LuFactorization:
     """LU with partial pivoting; flags singularity instead of raising.
 
-    Right-looking elimination.  The pivot search, the swaps and the
-    multipliers cost O(n) per step, O(n^2) in all, and the updates
-    n^3/3 multiply-adds.  Besides the copy of M that becomes the factors,
-    no temporary holds more than an eighth of M's elements: the
-    threshold is a max and a min, and each update runs on blocks of rows.
+    A pivot of 0, or below ``pivot_rtol`` times the largest initial
+    magnitude, declares singularity.  Right-looking elimination.  The
+    pivot search, the swaps and the multipliers cost O(n) per step,
+    O(n^2) in all, and the updates n^3/3 multiply-adds.  Besides the
+    copy of M that becomes the factors, no temporary holds more than an
+    eighth of M's elements: the threshold is a max and a min, and each
+    update runs on blocks of rows.
     """
     import numpy as np
 
@@ -114,7 +116,7 @@ def lu_factor(M) -> LuFactorization:
         raise ValueError("lu_factor expects a square real matrix")
     n = a.shape[0]
     pivots = np.arange(n)
-    threshold = PIVOT_RTOL * abs(float(max(a.max(), -a.min()))) if a.size else 0.0
+    threshold = pivot_rtol * abs(float(max(a.max(), -a.min()))) if a.size else 0.0
     singular = False
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))
@@ -185,7 +187,7 @@ def _check_residual(worst: float, norm_m: float, top: float):
         raise InconsistencyError(f"LU residual {worst:.3e} exceeds bound {bound:.3e}")
 
 
-def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
+def _solve_dense(a: np.ndarray, b: np.ndarray, pivot_rtol=PIVOT_RTOL) -> np.ndarray | None:
     import numpy as np
 
     one_dim = b.ndim == 1
@@ -193,7 +195,7 @@ def _solve_dense(a: np.ndarray, b: np.ndarray) -> np.ndarray | None:
         b = b[:, None]
     if b.shape[0] != a.shape[0]:
         raise ValueError("right-hand side length does not match matrix order")
-    fac = lu_factor(a)
+    fac = lu_factor(a, pivot_rtol)
     if fac.singular:
         return None
     x = _solve_factored(fac, b)

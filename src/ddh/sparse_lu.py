@@ -3,12 +3,13 @@
 ``oracle.lu_solve`` hands a matrix given as ``{column: value}`` row dicts
 (``core.comparison_rows``) to ``solve_rows``.  Every comparison block of
 a dominant matrix is a Z-matrix whose exact row gaps are >= 0
-(``_admit`` tests this in one pass).  When the right-hand side is that
-gap vector, as on T at tol 0, M 1 = b and the solve is decided by one
-reachability pass in O(n + nnz): x = 1 when every row chains to a row
-with a positive gap, and the block is singular otherwise (the
+(``_admit`` tests this in one pass).  One reachability pass decides
+in O(n + nnz) whether such a block is singular: it is nonsingular
+exactly when every row chains to a row with a positive gap (the
 Shivakumar-Chew-Farid condition, which the source paper shows
-necessary).  Any other right-hand side goes to ``gth_factor``, which
+necessary).  When the right-hand side is the gap vector, as on T at
+tol 0, M 1 = b and x = 1 with no elimination.  Any other right-hand
+side of a nonsingular block goes to ``gth_factor``, which
 eliminates the block with no subtraction (Grassmann, Taksar & Heyman
 1985), so every quantity is accurate to a few ulps (Alfa, Xue & Ye,
 Math. Comp. 2002) and a zero pivot, a zero row of the remaining block,
@@ -26,8 +27,8 @@ import math
 import sys
 from typing import NamedTuple
 
-from .core import exact_gap
-from .oracle import _check_residual, _max_abs, _solve_dense
+from .core import InconsistencyError, exact_gap
+from .oracle import PIVOT_RTOL, _check_residual, _max_abs, _solve_dense
 
 #: ``gth_factor`` hands over to the dense ``lu_factor`` once its entry
 #: updates pass this multiple of n^2, the dense LU's storage (it does n^3/3
@@ -197,27 +198,26 @@ def _substitute(fac: GthFactors, b: list[float]) -> list[float]:
 def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | None:
     """``oracle.lu_solve`` of rows and a vector: x as a list, None when singular.
 
-    When ``_admit`` takes the rows and b is their gap vector, bit for bit,
-    M 1 = b up to the one rounding of each gap, so x = 1 if M is
-    nonsingular, which ``_all_reach_a_gap`` decides: no elimination.
-    Where ``gth_factor`` completes on such a b, its x is 1 bit for bit
-    too, or it finds M singular.  Any other b goes to
-    ``gth_factor``, and ``oracle._solve_dense`` takes over when that
-    hands the rows over or b or x is not finite.  The residual is
-    checked either way.
+    When ``_admit`` takes the rows, ``_all_reach_a_gap`` decides whether
+    M is singular, exactly, before any elimination or dense hand-over,
+    so None means a singular M on every path.  If b is then their gap
+    vector, bit for bit, M 1 = b up to the one rounding of each gap, so
+    x = 1: no elimination.  Any other b goes to ``gth_factor``, and
+    ``oracle._solve_dense`` takes over when that hands the rows over,
+    when ``_admit`` refuses them, or when x is not finite; on rows
+    ``_admit`` took it has no pivot threshold, and a zero pivot raises
+    InconsistencyError.  The residual is checked either way.
     """
     b = [float(v) for v in b]
     if len(b) != len(rows):
         raise ValueError("right-hand side length does not match matrix order")
-    admitted = _admit(rows) if all(map(math.isfinite, b)) else None
+    admitted = _admit(rows)
+    if admitted is not None and not _all_reach_a_gap(admitted[1], admitted[2]):
+        return None
     if admitted is not None and admitted[1] == b:
-        if not _all_reach_a_gap(admitted[1], admitted[2]):
-            return None
         x = [1.0] * len(b)
     else:
         fac = None if admitted is None else gth_factor(rows, admitted)
-        if fac is not None and fac.singular:
-            return None
         x = None if fac is None else _substitute(fac, b)
     if x is None or not all(map(math.isfinite, x)):
         import numpy as np
@@ -226,7 +226,9 @@ def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | No
         for i, row in enumerate(rows):
             for j, v in row.items():
                 dense[i, j] = v
-        x = _solve_dense(dense, np.array(b))
+        x = _solve_dense(dense, np.array(b), PIVOT_RTOL if admitted is None else 0.0)
+        if x is None and admitted is not None:
+            raise InconsistencyError("dense LU met a zero pivot in a nonsingular block")
         return None if x is None else x.tolist()
     worst, norm_m = _residual(rows, x, b)
     top = _max_abs(x)

@@ -31,7 +31,10 @@ code in ``ddh`` replaces with sparse worklist kernels:
   system M d = 1, with its margin from the dense product M d;
 * the subset checks that analyze a copied block a second time: the
   subset H-condition deciding a dominant inner block with the full
-  ``is_h_dd`` and its b2 from ``Fraction`` ratios, and the SSDD search
+  ``is_h_dd`` and its b2 from ``Fraction`` ratios, the inner block's
+  H-status by the peel of the copied block (``inner_h_by_peel``), where
+  the product reads an exactly dominant block's off its one solve, and
+  the SSDD search
   classifying the copied block on T and confirming it with
   ``s_sdd_check``;
 * the ensemble generator drawing cell by cell from ``RandomStream`` and
@@ -92,6 +95,7 @@ from ddh import (
     comparison_matrix,
     inverse_nonneg_oracle,
     lu_solve,
+    peel_levels,
     principal_submatrix,
 )
 from ddh.mmio import _FIELDS, _SYMMETRIES, ParseError, _tokens, format_real
@@ -628,14 +632,23 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0, exact: bool = False) -> 
     return SHReport(subset=S, lhs=lhs, b2=b2, satisfied=satisfied, inner_h=inner_h, note=note)
 
 
-def lu_factor(M) -> LuFactorization:
+def inner_h_by_peel(A: Matrix, S: IndexSet, tol: float = 0.0) -> bool:
+    """Whether the dominant block A[S, S] is H: its copied block's peel does not stall.
+
+    A zero diagonal stalls it too.  At tol 0 this is ``s_h_check``'s
+    ``inner_h`` of a dominant A, which the product reads off its solve.
+    """
+    return not peel_levels(principal_submatrix(A, S), tol).stalled
+
+
+def lu_factor(M, pivot_rtol: float = PIVOT_RTOL) -> LuFactorization:
     """LU with partial pivoting that updates the whole trailing block at every step."""
     a = np.array(M, dtype=np.float64, copy=True)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("lu_factor expects a square real matrix")
     n = a.shape[0]
     pivots = np.arange(n)
-    threshold = PIVOT_RTOL * float(np.max(np.abs(a))) if a.size else 0.0
+    threshold = pivot_rtol * float(np.max(np.abs(a))) if a.size else 0.0
     singular = False
     for k in range(n):
         p = k + int(np.argmax(np.abs(a[k:, k])))

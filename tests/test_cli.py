@@ -249,7 +249,7 @@ class TestAnalyzeCommand:
         report = json.loads(captured.out)
         assert report["is_h"] is True
         assert report["t_set"] == [1, 2]
-        assert report["schema_version"] == 5
+        assert report["schema_version"] == 6
         assert report["peel_trace"] == [[2], [1]]
         assert report["chain"]["next"] == [2, 3]
 
@@ -785,6 +785,7 @@ class TestMalformedReports:
             (("order",), 3.9, "report-shape: FAIL (report order 3.9 != matrix order 3)"),
             (("order",), 3.0, "report-shape: FAIL (report order 3.0 != matrix order 3)"),
             (("schema_version",), 4.0, "report-shape: FAIL (schema_version 4.0 is not"),
+            (("schema_version",), 6.0, "report-shape: FAIL (schema_version 6.0 is not"),
         ],
     )
     def test_verify_fails_instead_of_raising(self, tmp_path, capsys, path, value, failed):
@@ -814,7 +815,6 @@ class TestStrictIndexLists:
             ("identity2", ("ssdd_set",), [True], "ssdd"),
             ("ladder", ("sh", "subset"), [1, 2.0], "sh"),
             ("ladder", ("interwoven", "leftover"), True, "interwoven"),
-            ("ladder", ("interwoven_alternates", "peeling", "leftover"), 1.0, "interwoven-peeling"),
         ],
     )
     def test_a_non_integer_index_fails_one_check(self, name, path, value, failed):
@@ -1016,10 +1016,7 @@ class TestVerifyChecksTheVerdict:
             ),
             (lambda r: {**r, "peel_trace": [[1]]}, ["peel: FAIL"]),
             (lambda r: {**r, "peel_reason": "StagnantPeel"}, ["peel: FAIL"]),
-            (
-                lambda r: {**r, "interwoven_alternates": {"peeling": None}, "sh": None},
-                ["interwoven-peeling: FAIL (the peel certifies T", "sh: FAIL (T is a nonempty"],
-            ),
+            (lambda r: {**r, "sh": None}, ["sh: FAIL (T is a nonempty"]),
             (
                 lambda r: {**r, "interwoven": {"holds": False, "leftover": None}},
                 ["interwoven: FAIL (holds differs from the recomputed chains)"],
@@ -1029,13 +1026,9 @@ class TestVerifyChecksTheVerdict:
                 lambda r: {**r, "interwoven": {"holds": True, "leftover": 2}},
                 ["interwoven: FAIL (leftover differs from the derived certificate)"],
             ),
-            (
-                lambda r: {**r, "interwoven_alternates": {"peeling": None}},
-                ["interwoven-peeling: FAIL (the peel certifies T but the report has no certificate)"],
-            ),
         ],
-        ids=["unreachable-chain", "peel-trace", "peel-reason", "null-certificates",
-             "flipped-holds", "wrong-leftover", "null-peeling"],
+        ids=["unreachable-chain", "peel-trace", "peel-reason", "null-sh",
+             "flipped-holds", "wrong-leftover"],
     )
     def test_forged_structure_fails(self, tmp_path, capsys, forge, failed):
         # each forgery is self-consistent; only recomputing from A exposes it
@@ -1058,6 +1051,30 @@ class TestVerifyChecksTheVerdict:
         rc, captured = _verify(tmp_path, capsys, report, path)
         assert rc == 4
         assert "sh: FAIL (numerical failure in sh: LU residual" in captured.out
+
+    @pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="under --tol a block of rows that are equalities only within tol passes as the "
+               "witness of a non-H verdict, and verify classifies it at the same tol",
+    )
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            "1 1 1\n1 2 0.9999\n2 1 0.9999\n2 2 1\n",  # strictly dominant
+            "1 1 1\n1 2 0.9999\n2 1 1.0001\n2 2 1\n",  # not dominant; det M(A) > 0
+        ],
+        ids=["strictly-dominant", "not-dominant"],
+    )
+    def test_a_tolerance_never_passes_a_non_h_verdict_on_an_h_matrix(
+        self, tmp_path, capsys, entries
+    ):
+        # both are H-matrices: analyze --tol 1e-3 and verify must not agree that they are not
+        path = tmp_path / "m.mtx"
+        path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 4\n" + entries)
+        analyzed = main(["analyze", "--tol", "1e-3", str(path)])
+        report = json.loads(capsys.readouterr().out)
+        rc, _ = _verify(tmp_path, capsys, report, path)
+        assert not (analyzed == 0 and report["is_h"] is False and rc == 0)
 
     @pytest.mark.parametrize(
         "text",
@@ -1264,7 +1281,7 @@ class TestVerifyReadsSchemaV2:
             lambda r: {k: v for k, v in r.items() if k != "schema_version"},
             lambda r: {**r, "schema_version": 1},
             lambda r: {**r, "schema_version": True},
-            lambda r: {**r, "schema_version": "5"},
+            lambda r: {**r, "schema_version": "6"},
             # the ladder's report as schema version 1 wrote it
             lambda r: {
                 **{k: v for k, v in r.items() if k != "schema_version"},
@@ -1295,9 +1312,15 @@ class TestVerifyReadsSchemaV2:
                 "chain": {"holds": True, "next": {"1": 2, "2": 3}, "unreachable": []},
                 "sh": {**r["sh"], "subset": [1, 2]},
             },
+            # the ladder's report as schema version 5 wrote it, T's interwoven certificate twice
+            lambda r: {
+                **r,
+                "schema_version": 5,
+                "interwoven_alternates": {"peeling": {"leftover": 1}},
+            },
         ],
         ids=["missing", "one", "bool", "string", "v1-report", "v2-report", "v3-report",
-             "v4-report"],
+             "v4-report", "v5-report"],
     )
     def test_other_schema_versions_fail_the_shape(self, tmp_path, capsys, forge):
         rc, captured = _verify(tmp_path, capsys, forge(_golden("ladder")), FIXTURES / "ladder.mtx")

@@ -6,7 +6,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ddh import (
@@ -35,12 +35,14 @@ import ddh.hmatrix
 import ddh.oracle
 from ddh.cli import analyze_matrix, emit_json, real_from_json, verify_report
 from ddh.hmatrix import SCALING_SWEEP_CAP
+import reference
 from helpers import (
     all_proper_nonempty_subsets,
     dd_matrices,
     exhaustive_ssdd,
     is_valid_scaling,
     jacobi_in_band,
+    proper_subsets,
 )
 
 LADDER = Matrix([[1, 1, 0], [0, 1, 1], [0, 0, 2]])
@@ -347,6 +349,61 @@ def test_subset_h_condition_matches_peel_on_t(A):
         if abs(rep.lhs - rep.b2) <= 1e-9 * max(1.0, abs(rep.b2)):
             return  # boundary case: either answer is acceptable
     assert rep.satisfied == verdict.is_h
+
+
+@st.composite
+def dominant_and_subsets(draw):
+    """An exactly dominant matrix (``dd_matrices``) and a nonempty proper subset of its rows."""
+    A = draw(dd_matrices(min_n=2, max_n=8))
+    return A, draw(proper_subsets(A.n).filter(len))
+
+
+def _dense_fill_block() -> tuple[Matrix, IndexSet]:
+    """Order 32, every entry stored: rows 0 and 31 strict, the rest equalities; S = rows 0-29.
+
+    S's block is strict in every row, and its elimination fills in past
+    ``GTH_BUDGET`` n^2 updates, so the dense LU solves it.
+    """
+    entries = np.ones((32, 32))
+    np.fill_diagonal(entries, 31.0)
+    entries[0, 0] = entries[31, 31] = 32.0
+    return Matrix(entries), IndexSet(tuple(range(30)), 32)
+
+
+def _subnormal_block() -> tuple[Matrix, IndexSet]:
+    """A 1e-320 coupling and a 1e-14 diagonal in S = rows 0-3 of an exactly dominant matrix.
+
+    The elimination hands the nonsingular block over at the 1e-320
+    quotient, and the dense LU's pivot threshold, 1e-12 of the largest
+    entry, would call it singular at the 1e-14 pivot.
+    """
+    entries = np.zeros((5, 5))
+    entries[0, 0], entries[0, 2] = 1.0, 1e-320
+    entries[1, 1] = 1e-14
+    entries[2, 2] = 1.0
+    entries[3, 3] = entries[3, 0] = 1.0
+    entries[4, 4], entries[4, 3] = 1.0, 0.5
+    return Matrix(entries), IndexSet((0, 1, 2, 3), 5)
+
+
+# rows 0 and 1 are a closed pair of exact equalities inside S = {0, 1, 2}: a singular block
+@example((Matrix([[1, 1, 0, 0], [1, 1, 0, 0], [0, 0, 2, 1], [0, 0, 0, 1]]), IndexSet((0, 1, 2), 4)))
+@example(_dense_fill_block())
+@example(_subnormal_block())
+@settings(max_examples=300, deadline=None)
+@given(dominant_and_subsets())
+def test_inner_h_of_an_exactly_dominant_block_is_its_peel(problem):
+    """At tol 0 ``s_h_check`` reads ``inner_h`` off its solve: the copied block's peel agrees.
+
+    An exactly dominant block is H iff it is nonsingular, which
+    ``sparse_lu`` decides by reachability on every path, whether the
+    block is then solved by elimination or, handed over, by the dense LU
+    (``reference.inner_h_by_peel`` is the peel of the copied block).
+    """
+    A, S = problem
+    rep = s_h_check(A, S)
+    assert rep.inner_h == reference.inner_h_by_peel(A, S)
+    assert (rep.lhs is None) == (not rep.inner_h)
 
 
 @settings(max_examples=150, deadline=None)

@@ -211,3 +211,23 @@ def test_chain_equivalence_and_constructor_agreement(A):
             assert cert is not None
             assert cert.subset.members == T.members
             assert verify_certificate(A, cert)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    A=st.one_of(dd_matrices(max_n=8), pattern_matrices(max_n=6)),
+    tol=st.sampled_from([0.0, 1e-3, 0.2]),
+)
+def test_the_chains_certify_t_wherever_the_peel_does(A, tol):
+    """T's one interwoven certificate is the chains': the peel's adds nothing.
+
+    The peel layers only rows the chains reach, so wherever the peel
+    leaves at most one row of T unlayered, and so certifies T, the
+    chains do too; at tol 0 on dominant input the two are equal.
+    """
+    chain_cert = interwoven_from_peeling(chain_condition(A, tol))
+    peel_cert = interwoven_from_peeling(peel_levels(A, tol))
+    if peel_cert is not None:
+        assert chain_cert is not None and verify_certificate(A, chain_cert)
+    if tol == 0.0:
+        assert peel_cert == chain_cert

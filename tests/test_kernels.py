@@ -942,13 +942,13 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     On an order-200 bidiagonal chain every row is exactly dominant, so
     the chains prove H and no scaling is computed.  ``analyze_matrix``
     solves once, for the subset H-condition, on the comparison block's
-    rows with no dense comparison matrix.  It walks out of T
-    (``layers_out_of``) twice: A's chains, which at tol 0 are A's peel
-    too (one ``Peel``, which the verdict, both interwoven certificates
-    and the SSDD search read), and the peel of the subset H-condition's
-    inner block.  ``verify_report`` on a freshly built copy, as
+    rows with no dense comparison matrix, and reads that exactly dominant
+    block's ``inner_h`` off the solve.  It walks out of T
+    (``layers_out_of``) once: A's chains, which at tol 0 are A's peel
+    too (one ``Peel``, which the verdict, the interwoven certificate
+    and the SSDD search read).  ``verify_report`` on a freshly built copy, as
     ``ddh verify`` meets the matrix, walks once: it decides the chain,
-    the interwoven certificates and the peel from that one ``Peel``, with
+    the interwoven certificate and the peel from that one ``Peel``, with
     no second closure, and reads the subset H-condition off it with no
     solve and no comparison matrix (every row of T is an exact
     equality).  On the analyzed matrix itself it walks none, since the
@@ -971,9 +971,8 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     assert report["is_h"] is True and len(report["peel_trace"]) == n - 1
     assert report["sh"]["inner_h"] is True and problems == []
     assert calls["lu_solve"] == 1 and calls["chain_condition"] == 1
-    assert calls["peel_levels"] == 2 and calls["comparison_matrix"] == 0
-    # the walks out of T: A's chains (also its peel), the peel of the sh inner block
-    assert calls["layers_out_of"] == 2
+    assert calls["peel_levels"] == 1 and calls["comparison_matrix"] == 0
+    assert calls["layers_out_of"] == 1  # A's chains, also its peel
     assert paths["paths"] == 0
 
     for matrix, walks in ((Matrix(entries), 1), (A, 0)):  # a fresh copy, then the kept chains

@@ -124,11 +124,16 @@ def _same_up_to_zero_sign(x, y) -> bool:
     return np.array_equal(np.abs(x), np.abs(y), equal_nan=True)
 
 
-def _solve_outcome(M, B):
+def _solve_outcome(M, B, solve=lu_solve):
     try:
-        return lu_solve(M, B), None
+        return solve(M, B), None
     except Exception as exc:  # the exception type is compared
         return None, type(exc)
+
+
+def _solve_without_threshold(M, B):
+    """The dense LU as ``solve_rows`` runs it on a block it knows nonsingular."""
+    return oracle._solve_dense(M, B, pivot_rtol=0.0)
 
 
 @settings(max_examples=400, deadline=None)
@@ -252,7 +257,8 @@ def _bits(x) -> list[str] | None:
 
 # row 0 has gap 2^-1074 and pivot 2^-1022 + 2^-1074, so f g_0 for row 1
 # rounds to 0: without the hand-over, row 1 would be left a zero row and
-# this block, whose determinant is 2^-1074 * 1e-310, called singular
+# this block, whose determinant is 2^-1074 * 1e-310, called singular; the dense
+# LU meets a zero pivot there too, so ``solve_rows`` raises instead
 @example(([{0: math.nextafter(2.2250738585072014e-308, 1.0), 1: -2.2250738585072014e-308},
            {0: -1e-310, 1: 1e-310}], [1.0, 1.0], None, True))
 # x is about 4.5e307 in every row, and row 4's left-to-right residual sum
@@ -281,17 +287,27 @@ def test_gth_elimination_matches_the_exact_solve(problem):
     exact value, relatively.  ``lu_solve`` returns the elimination's x
     unless it overflows.  A spoiled row goes to the dense LU, and
     ``lu_solve`` of the rows is then ``lu_solve`` of the dense array,
-    bit for bit, or raises the same error; so does a hand-over, unless
-    b is the rows' gap vector, which ``solve_rows`` decides with no
-    elimination (``test_gap_right_hand_side_takes_no_elimination``).
+    bit for bit, or raises the same error.  A hand-over of a block
+    ``_admit`` took is decided by reachability first: a singular block
+    gives None before any hand-over, and b equal to the gaps gives 1
+    (``test_gap_right_hand_side_takes_no_elimination``).  Any other
+    goes to the dense LU with no pivot threshold, since the block is
+    nonsingular, and a zero pivot there raises InconsistencyError.
     """
     rows, b, spoiler, tiny = problem
     fac = sparse_lu.gth_factor(rows)
     admitted = sparse_lu._admit(rows)
+    decided = admitted is not None and (
+        admitted[1] == b or not sparse_lu._all_reach_a_gap(admitted[1], admitted[2]))
     with np.errstate(all="ignore"):
         x, x_error = _solve_outcome(rows, b)
-        if fac is None and (admitted is None or admitted[1] != b):
-            y, y_error = _solve_outcome(_dense(rows), np.array(b))
+        if fac is None and not decided:
+            if admitted is None:
+                y, y_error = _solve_outcome(_dense(rows), np.array(b))
+            else:
+                y, y_error = _solve_outcome(_dense(rows), np.array(b), _solve_without_threshold)
+                if y is None and y_error is None:  # a zero pivot
+                    y_error = InconsistencyError
             assert x_error == y_error and _bits(x) == _bits(y)
     if spoiler is not None:
         event("spoiled: dense")
@@ -441,14 +457,16 @@ def test_gap_right_hand_side_takes_no_elimination(problem):
     is singular on the same blocks, and otherwise within 1e-12 of x,
     relatively: each gap is the exact one rounded once, and M^-1 >= 0
     keeps the exact solve within an ulp of 1.  A b one ulp off the gaps
-    takes one ``gth_factor`` call and keeps that accuracy.
+    of a nonsingular block takes one ``gth_factor`` call and keeps that
+    accuracy; of a singular one it takes none, since the reachability
+    pass decides singularity before any elimination, whatever b is.
     """
     rows, b, nudged = problem
     fac = sparse_lu.gth_factor(rows)
     assert fac is not None
     with mock.patch.object(sparse_lu, "gth_factor", wraps=sparse_lu.gth_factor) as spy:
         x = sparse_lu.solve_rows(rows, b)
-    assert spy.call_count == (1 if nudged else 0)
+    assert spy.call_count == (1 if nudged and not fac.singular else 0)
     exact = reference.exact_solve(rows, b)
     assert (x is None) == fac.singular == (exact is None)
     if x is None:
