@@ -16,8 +16,9 @@ is written on one line.  T is listed once, in ``t_set``: the chains are
 one next hop per row of T (null where the row has none), aligned with
 it, and the peel trace is a partition of T, so each certificate holds
 O(n) indices; T's interwoven certificate is read off the chains, so
-only its leftover is stored.  A scaling is written only for an H
-verdict on a matrix that is not exactly dominant, where no chain proves it.
+only its leftover is stored.  Every field is decided at tol 0, whatever
+``--tol`` is.  A scaling is written only for an H verdict on a matrix
+that is not dominant, where no chain proves it.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .core import (
     IndexSet,
     Matrix,
     Peel,
+    _check_tol,
     classify_dominance,
     non_sdd_rows,
     peel_levels,
@@ -64,7 +66,7 @@ from .oracle import EnsembleSpec, derive_seed, inverse_nonneg_oracle, jacobi_ora
 
 DEFAULT_MAX_ORDER = 4096
 #: the report layout ``analyze`` writes and ``verify`` reads
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 
 # ---------------------------------------------------------------------------
@@ -158,18 +160,23 @@ def analyze_matrix(
     Returns ``(report, problems)`` where ``problems`` lists internal
     cross-check failures (theory disagreeing with itself or, under
     ``with_oracle``, with the inverse-nonnegativity oracle where the
-    Jacobi oracle agrees with that oracle).
+    Jacobi oracle agrees with that oracle).  Every field is decided at
+    tol 0.  Without ``with_oracle``, ``tol`` lets the peel at tol propose
+    a verdict for A dominant only within it, written only with its proof:
+    a scaling, or a witness block of exact equalities (M(A)[W, W] 1 = 0).
     """
-    dom = classify_dominance(A, tol)
-    T = non_sdd_rows(A, tol)
-    chain = chain_condition(A, tol)
+    _check_tol(tol)
+    dom = classify_dominance(A)
+    T = non_sdd_rows(A)
+    chain = chain_condition(A)
     interwoven = interwoven_from_peeling(chain)
 
-    verdict = is_h_dd(A, tol) if dom.is_dd else None
+    verdict = is_h_dd(A) if dom.is_dd else None
     is_h = None
     peel_trace = None
     peel_reason = None
     witness = None
+    cert = None
     if verdict is not None:
         is_h = verdict.is_h
         peel_trace = [_one_based(t.members) for t in verdict.peel_trace]
@@ -184,11 +191,14 @@ def analyze_matrix(
         }
         if not dom.is_dd:
             is_h = oracle_obj["inverse_nonneg"]
-    cert = None
-    if is_h and classify_dominance(A) is DominanceClass.NOT_DD:
-        # no chain proves H: a row dominant only within tol, where the peel can call a
-        # non-H matrix H (the sweeps then raise), or --oracle's verdict on NotDD input
-        cert = solved_scaling(A) if verdict is None else scaling_certificate(A, verdict.peel)
+            cert = solved_scaling(A) if is_h else None
+    elif not dom.is_dd and classify_dominance(A, tol).is_dd:
+        proposal = is_h_dd(A, tol)
+        W = proposal.witness
+        if proposal.is_h:  # no chain proves it: the sweeps raise if A is not H after all
+            is_h, cert = True, scaling_certificate(A, proposal.peel)
+        elif classify_dominance(principal_submatrix(A, W)) is DominanceClass.DD_EQUALITY:
+            is_h, witness = False, _one_based(W.members)
 
     if subset is not None:
         ssdd_set = subset if s_sdd_check(A, subset) else None
@@ -196,7 +206,7 @@ def analyze_matrix(
     else:
         ssdd_set = None if verdict is None else find_ssdd_set_dd(A, verdict.peel)
         sh_subset = T if (len(T) > 0 and not T.is_full) else None
-    sh = s_h_check(A, sh_subset, tol) if sh_subset is not None else None
+    sh = s_h_check(A, sh_subset) if sh_subset is not None else None
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -336,29 +346,30 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     Returns (name, passed, detail) triples; an empty detail means no
     commentary.  Only a report of schema version ``SCHEMA_VERSION`` is
-    read.  The dominance class, the chain search and (for a dominant
-    matrix) the peel are recomputed once, with no solve (at tol 0 on
+    read, and its tolerance only to validate it: every fact is
+    recomputed at tol 0.  The dominance class, the chain search and (for
+    a dominant matrix) the peel are recomputed once, with no solve (on
     dominant input the peel is the chains, one walk): the chain's
     claims, its next hops, the peel's trace and reason, and T's
     interwoven certificate read off the chains (checked by its
     definition, ``verify_certificate``) are compared against them, in
     O(n) beyond the recomputation, whose stages after the row codes read
-    only T and the rows coupled to it.  On a dominant matrix the verdict
-    must be the peel's, with a witness iff non-H and a scaling iff H on a
-    matrix not exactly dominant; on any other, H needs a scaling, and
-    non-H none and the dense ``inverse_nonneg_oracle``'s agreement (the
-    rule of ``analyze --oracle``).  The subset H-condition is required
-    whenever T is a nonempty proper subset; a null subset means T.  On T
-    at tol 0 it is read off the recomputed peel (``s_h_from_peel``) with
-    no solve: with exact dominance signs every row of T is an exact
-    equality.  Any other subset or tol takes ``s_h_check`` and its solve.
-    Either way ``satisfied`` and ``inner_h`` must be the recomputed ones.
-    The order must be an ``int``; index lists (``_indices``), hops
-    (``_hops_problem``), flags (``_flag``) and reals (``real_from_json``)
-    are read strictly too.  Structural surprises (wrong order, missing
-    keys, fields of the wrong type) and numerical failures inside a
-    recomputation are reported as failures of the check that meets them
-    rather than raised.
+    only T and the rows coupled to it.  A witness must be a block of
+    exact equalities.  On a dominant matrix the verdict must be the
+    peel's, with a witness iff non-H and no scaling; on any other, H
+    needs a scaling, and non-H no scaling and either a witness or the
+    dense ``inverse_nonneg_oracle``'s agreement (the rule of ``analyze
+    --oracle``).  The subset H-condition is required whenever T is a
+    nonempty proper subset; a null subset means T.  On T of a dominant
+    matrix it is read off the recomputed peel (``s_h_from_peel``) with
+    no solve: every row of T is an exact equality.  Any other subset
+    takes ``s_h_check`` and its solve.  Either way ``satisfied`` and
+    ``inner_h`` must be the recomputed ones.  The order must be an
+    ``int``; index lists (``_indices``), hops (``_hops_problem``), flags
+    (``_flag``) and reals (``real_from_json``) are read strictly too.
+    Structural surprises (wrong order, missing keys, fields of the wrong
+    type) and numerical failures inside a recomputation are reported as
+    failures of the check that meets them rather than raised.
     """
     results: list[tuple[str, bool, str]] = []
 
@@ -379,7 +390,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         return [("report-shape", False,
                  f"schema_version {version!r} is not the supported {SCHEMA_VERSION}")]
     try:
-        tol = real_from_json(report["tolerance"])
+        tol = real_from_json(report["tolerance"])  # validated, and read for nothing else
         n = report["order"]
     except _MALFORMED:
         return [("report-shape", False, "missing or malformed tolerance/order")]
@@ -388,15 +399,15 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     if type(n) is not int or n != A.n:  # bool, "3" and 3.0 are no order
         return [("report-shape", False, f"report order {n!r} != matrix order {A.n}")]
 
-    dom = classify_dominance(A, tol)
+    dom = classify_dominance(A)
     check("dominance", report.get("dominance_class") == dom.value,
           f"recomputed class is {dom.value}")
-    T = non_sdd_rows(A, tol)
+    T = non_sdd_rows(A)
     with guarded("t-set"):
         ok = _indices(report.get("t_set"), A.n) == _one_based(T.members)
         check("t-set", ok, "recomputed T differs")
-    chain = chain_condition(A, tol)
-    peel = peel_levels(A, tol) if dom.is_dd else None
+    chain = chain_condition(A)
+    peel = peel_levels(A) if dom.is_dd else None
     trace, reason, _ = (None, None, None) if peel is None else peel_outcome(A, peel)
 
     with guarded("chain"):
@@ -443,7 +454,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
             if not W.member_set <= T.member_set or len(W) == 0:
                 check("witness", False, "witness is not a nonempty subset of T")
             else:
-                sub_class = classify_dominance(principal_submatrix(A, W), tol)
+                sub_class = classify_dominance(principal_submatrix(A, W))
                 ok = sub_class is DominanceClass.DD_EQUALITY
                 check(
                     "witness",
@@ -469,21 +480,19 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
 
     with guarded("h-consistency"):
         is_h = _flag(report.get("is_h"), nullable=True)
-        if dom.is_dd:
-            # the chains prove H where every row is exactly dominant; elsewhere a scaling must
+        if dom.is_dd:  # the chains prove H, and the witness non-H
             h = reason is PeelReason.SDD_REACHED
-            scaled = h and classify_dominance(A) is DominanceClass.NOT_DD
             check("h-consistency",
-                  is_h is h and (witness is None) == h and (scaling is not None) == scaled,
+                  is_h is h and (witness is None) == h and scaling is None,
                   f"a dominant matrix needs is_h {str(h).lower()}, with {'no' if h else 'a'} "
-                  f"witness and {'a' if scaled else 'no'} scaling")
+                  "witness and no scaling")
         elif is_h is True:
             check("h-consistency", scaling is not None and witness is None,
                   "H verdict must carry a scaling and no witness")
-        elif is_h is False:  # analyze --oracle decides a non-dominant matrix by this oracle
+        elif is_h is False:  # a witness, checked above, or analyze --oracle's own oracle
             check("h-consistency",
-                  witness is None and scaling is None and not inverse_nonneg_oracle(A),
-                  "non-H verdict must carry no certificate and fail the inverse oracle")
+                  scaling is None and (witness is not None or not inverse_nonneg_oracle(A)),
+                  "non-H verdict must carry no scaling, and a witness or fail the inverse oracle")
 
     ssdd = report.get("ssdd_set")
     if ssdd is not None:
@@ -509,8 +518,7 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
                 check("sh", False,
                       f"{what} is empty or the whole index set, so no subset H-condition applies")
             else:
-                on_t = tol == 0.0 and peel is not None and S == T
-                rep = s_h_from_peel(A, peel) if on_t else s_h_check(A, S, tol)
+                rep = s_h_from_peel(A, peel) if peel is not None and S == T else s_h_check(A, S)
                 # satisfied against the exact ratios, which the stored b2 may round onto lhs
                 ok = (
                     (satisfied, inner_h) == (rep.satisfied, rep.inner_h)
@@ -654,7 +662,8 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("analyze", help="analyze a Matrix Market file, print a JSON report")
     a.add_argument("matrix", help="path to a coordinate Matrix Market file")
     a.add_argument("--tol", type=_tolerance, default=0.0,
-                   help="treat |diag - row sum| <= tol as an equality row (default 0)")
+                   help="on a matrix dominant only within tol, let the peel at tol propose "
+                        "a verdict, written only with its proof (default 0)")
     a.add_argument("--oracle", action="store_true",
                    help="also run the inverse-nonnegativity and Jacobi oracles")
     a.add_argument("--subset", default=None,

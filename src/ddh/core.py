@@ -449,11 +449,6 @@ def _classified(A: Matrix, tol: float) -> _Rows:
     return A._strictness[tol]
 
 
-def _peel_is_chains(A: Matrix, tol: float) -> bool:
-    """Whether the peel's re-test cannot fire: tol 0 and dominant input."""
-    return not tol and _classified(A, 0.0).dom.is_dd
-
-
 def row_strictness(A: Matrix, tol: float = 0.0) -> array:
     """Per-row code as ``array('b')``: +1 strict, 0 equality (within tol), -1 dominance violated.
 
@@ -565,20 +560,18 @@ def _chains_out_of_t(A: Matrix, tol: float) -> Peel:
 def peel_levels(A: Matrix, tol: float = 0.0) -> Peel:
     """The recursive peel as one worklist pass: ``layers_out_of`` T at ``tol``.
 
-    T is cached with the row codes.  A row's sum inside T_k changes only
-    when a column it touches leaves, so only those rows are re-tested
-    after each level, each by the exact sign of its gap over its
-    nonzeros still in T_k (``exact_gap``): every decision matches
-    ``row_strictness`` on the copied submatrix at any ``tol``, and only
-    T's rows and columns are read.  On a dominant matrix at tol 0 each
-    row of T is an exact equality, so a row of T_k is strict exactly
-    when it has a nonzero outside T_k: the re-test cannot fail, and the
-    peel is ``graph.chain_condition``'s very ``Peel`` (Shivakumar & Chew
-    1974), which stalls exactly when some row of T has no chain.
+    On a dominant matrix at tol 0, the peel every report states, each row
+    of T is an exact equality, so no re-test can fail: the peel is
+    ``graph.chain_condition``'s very ``Peel`` (Shivakumar & Chew 1974).
+    Any other (tol > 0, which only proposes a verdict) re-tests only the
+    rows touching a column that just left, each by the exact sign of its
+    gap over its nonzeros still in T_k (``exact_gap``): every decision
+    matches ``row_strictness`` on the copied submatrix, and only T's
+    rows and columns are read.
     """
     tol = _check_tol(tol)
-    if _peel_is_chains(A, tol):
-        return _chains_out_of_t(A, tol)
+    if not tol and _classified(A, 0.0).dom.is_dd:
+        return _chains_out_of_t(A, 0.0)
     T = non_sdd_rows(A, tol)
     return Peel(T, *layers_out_of(A, T, tol))
 

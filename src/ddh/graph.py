@@ -39,9 +39,9 @@ def chain_condition(A: Matrix, tol: float = 0.0) -> Peel:
     """Check that every non-strict row reaches a strict row in the graph.
 
     These are the chains out of the non-strict rows T (``chains_out_of``),
-    walked once per matrix and tol and kept with the row codes, so
-    following ``next_hop`` runs through rows of T and ends at the first
-    strict row.  Where the peel's re-test cannot fire (tol 0, dominant
-    input) ``core.peel_levels`` returns this same ``Peel``.
+    kept with the row codes, so following ``next_hop`` runs through rows
+    of T to the first strict row; a report states them at tol 0.  On
+    dominant input at tol 0, where the peel's re-test cannot fire,
+    ``core.peel_levels`` returns this same ``Peel``.
     """
     return _chains_out_of_t(A, tol)

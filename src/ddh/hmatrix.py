@@ -21,8 +21,8 @@ verdict keeps its ``Peel`` so that an analysis peels A once:
 ``scaling_certificate`` sweeps in its order,
 ``interwoven.interwoven_from_peeling`` reads its next hops, and
 ``find_ssdd_set_dd`` reads the first.  A scaling, the certificate where
-no chain proves H (a row dominant only within tol), comes from
-Gauss-Seidel sweeps; a solve of the comparison system is left to
+no chain proves H (an H verdict that a peel at tol > 0 proposes), comes
+from Gauss-Seidel sweeps; a solve of the comparison system is left to
 ``s_h_check``'s inner block and to ``solved_scaling`` (the sweeps'
 fallback after ``SCALING_SWEEP_CAP`` of them, and the scaling of a
 non-dominant H-matrix).  Both hand ``lu_solve`` the comparison rows.
@@ -35,9 +35,8 @@ only stored entries and their fill.
 
 ``s_sdd_check`` / ``s_h_check`` implement the two classical
 subset-partitioned conditions (cross-validated in the test suite);
-``s_h_check`` reads an exactly dominant inner block's H-status off its
-one solve and decides a block dominant only within tol by its peel, and
-``s_h_from_peel`` reads the subset H-condition on T at tol 0 off A's
+``s_h_check`` reads a dominant inner block's H-status off its one
+solve, and ``s_h_from_peel`` reads the subset H-condition on T off A's
 peel with no solve.
 """
 
@@ -54,7 +53,6 @@ from .core import (
     IndexSet,
     Matrix,
     Peel,
-    _peel_is_chains,
     classify_dominance,
     comparison_rows,
     exact_gap,
@@ -326,7 +324,7 @@ def find_ssdd_set_dd(A: Matrix, peel: Peel) -> IndexSet | None:
         T = IndexSet.trusted((0,), A.n)  # every row is strict: any singleton works
     elif not (peel.levels and len(peel.levels[0]) == len(T)):
         return None
-    return T if _peel_is_chains(A, 0.0) or s_sdd_check(A, T) else None
+    return T if classify_dominance(A).is_dd or s_sdd_check(A, T) else None
 
 
 class SHReport(NamedTuple):
@@ -409,22 +407,21 @@ def _outside_ratios(A: Matrix, S: IndexSet):
     return b2, below, note
 
 
-def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
+def s_h_check(A: Matrix, S: IndexSet) -> SHReport:
     """Subset H-condition: inner block H, and scaled cross sums below b2.
 
     lhs comes from one ``lu_solve`` of the inner comparison block, given
     by rows (``comparison_rows``), with no numpy for a dominant block,
     and r_out holds each member's sum outside S, exact and rounded once
-    (``exact_sum``).  On T at tol 0 of a dominant matrix r_out is the
-    block's own gap vector bit for bit, so M 1 = r_out and one
-    reachability pass decides x = 1 or a singular block in O(|S| + its
-    nonzeros): ``s_h_from_peel``'s answer.  A dominant block with any
-    other right-hand side is solved by sparse GTH elimination, and a
-    block that is not dominant (under ``--subset``, or a row dominant
-    only within tol) by the dense LU.  A block exactly dominant at tol 0
-    is H iff it is nonsingular, which ``sparse_lu`` decides exactly, so
-    ``inner_h`` is read off the solve; at tol > 0 a dominant block is H
-    iff its band peel does not stall, and any other block takes
+    (``exact_sum``).  On T of a dominant matrix r_out is the block's own
+    gap vector bit for bit, so M 1 = r_out and one reachability pass
+    decides x = 1 or a singular block in O(|S| + its nonzeros):
+    ``s_h_from_peel``'s answer.  A dominant block with any other
+    right-hand side is solved by sparse GTH elimination, and a block
+    that is not dominant (under ``--subset``, or on non-dominant input)
+    by the dense LU.  Every dominance sign is exact, so a dominant block
+    is H iff it is nonsingular, which ``sparse_lu`` decides exactly:
+    ``inner_h`` is read off the solve.  Any other block takes
     ``inverse_nonneg_oracle``.
     """
     _check_proper_subset(A, S, "s_h_check")
@@ -447,12 +444,7 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0) -> SHReport:
             note=note or "inner comparison block is singular",
         )
     lhs = _max_abs(x)
-    if _peel_is_chains(sub, tol):
-        inner_h = True  # an exactly dominant block is H iff nonsingular
-    elif classify_dominance(sub, tol) is not DominanceClass.NOT_DD:
-        inner_h = not peel_levels(sub, tol).stalled  # the band peel
-    else:
-        inner_h = inverse_nonneg_oracle(sub)
+    inner_h = classify_dominance(sub).is_dd or inverse_nonneg_oracle(sub)
     satisfied = bool(inner_h and below(lhs))
     return SHReport(
         subset=S, lhs=lhs, b2=b2, satisfied=satisfied, inner_h=inner_h, note=note

@@ -204,9 +204,10 @@ def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | No
     vector, bit for bit, M 1 = b up to the one rounding of each gap, so
     x = 1: no elimination.  Any other b goes to ``gth_factor``, and
     ``oracle._solve_dense`` takes over when that hands the rows over,
-    when ``_admit`` refuses them, or when x is not finite; on rows
-    ``_admit`` took it has no pivot threshold, and a zero pivot raises
-    InconsistencyError.  The residual is checked either way.
+    when ``_admit`` refuses them, or when x is not finite.  Rows
+    ``_admit`` took reach it divided, with b, by their positive diagonal,
+    so a graded block keeps nonzero pivots, and with no pivot threshold:
+    a zero pivot raises InconsistencyError.  The residual is checked.
     """
     b = [float(v) for v in b]
     if len(b) != len(rows):
@@ -226,6 +227,10 @@ def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | No
         for i, row in enumerate(rows):
             for j, v in row.items():
                 dense[i, j] = v
+        if admitted is not None:  # every row reaches a gap, so its diagonal is positive
+            diag = dense.diagonal().copy()
+            dense /= diag[:, None]
+            b = [v / d for v, d in zip(b, diag.tolist())]
         x = _solve_dense(dense, np.array(b), PIVOT_RTOL if admitted is None else 0.0)
         if x is None and admitted is not None:
             raise InconsistencyError("dense LU met a zero pivot in a nonsingular block")

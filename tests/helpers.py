@@ -42,6 +42,20 @@ NON_DYADIC_EQUALITY = [
     [-0.7, 0.37, 1.7366666666666666, -0.6666666666666666],
     [0.001, 0.1, -0.37, 0.971],
 ]
+#: two H-matrices that are each a closed pair of equality rows within tol 1e-3, which a
+#: peel at that tol called non-H: strictly dominant, and not dominant (det M(A) > 0)
+STRICT_PAIR = [[1.0, 0.9999], [0.9999, 1.0]]
+NOT_DOMINANT_H_PAIR = [[1.0, 0.9999], [1.0001, 1.0]]
+#: row 1 falls short of dominance by 5e-4: an equality row at tol 1e-3, and H
+TOLERATED = [[1.0, 1.0005], [0.0, 1.0]]
+#: dominant within tol 0.05, and its peel at that tol ends in H, but it is not H
+TOLERATED_NON_H = [
+    [1.125, 0.125, 0, 0, 1],
+    [0.25, 2.5, 0.625, 1, 0.625],
+    [0, 0, 0.36761936389129013, 0.25, 0],
+    [0, 0.125, 0, 0.21144786266318258, 0.125],
+    [0, 0, 0, 0.125, 0.125],
+]
 
 
 def jacobi_in_band(A: Matrix) -> bool:

@@ -45,7 +45,10 @@ code in ``ddh`` replaces with sparse worklist kernels:
   where the product updates it in blocks of rows;
 * the exact solve of a comparison block given by its rows, by
   ``Fraction`` Gauss-Jordan elimination, which the product's GTH
-  elimination of dominant Z-matrices is compared against;
+  elimination of dominant Z-matrices is compared against, and the exact
+  H-status of any matrix (``exact_is_h``), by ``Fraction`` elimination of
+  its comparison matrix, which every verdict ``analyze`` writes is
+  compared against;
 * the subset dominance test ``s_sdd_check`` over every cross pair, in
   ``Fraction`` arithmetic, where the product tests each outside row
   against the inside row of the largest ratio;
@@ -685,6 +688,30 @@ def exact_solve(rows: list[dict[int, float]], b) -> list[Fraction] | None:
                 m = a[i][k]
                 a[i] = [v - m * w for v, w in zip(a[i], a[k])]
     return [row[n] for row in a]
+
+
+def exact_is_h(A: Matrix) -> bool:
+    """Whether A is an H-matrix, decided exactly: M(A) is a nonsingular M-matrix.
+
+    Gaussian elimination of the comparison matrix in ``Fraction``s of the
+    float moduli, with no pivoting.  A Z-matrix is a nonsingular
+    M-matrix iff every leading principal minor is positive, that is iff
+    every pivot is (Berman & Plemmons, *Nonnegative Matrices in the
+    Mathematical Sciences*, ch. 6); elimination stops at the first one
+    that is not.
+    """
+    mod = A.modulus
+    m = [[Fraction(float(mod[i, j])) * (1 if i == j else -1) for j in range(A.n)]
+         for i in range(A.n)]
+    for k in range(A.n):
+        pivot = m[k][k]
+        if pivot <= 0:
+            return False
+        for i in range(k + 1, A.n):
+            if m[i][k]:
+                f = m[i][k] / pivot
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return True
 
 
 def s_sdd_check(A: Matrix, S: IndexSet) -> bool:

@@ -23,7 +23,7 @@ from ddh import (
     write_matrix_market,
 )
 from ddh.cli import analyze_matrix, emit_json, main, real_from_json, verify_report
-from helpers import NON_DYADIC_EQUALITY, dd_matrices
+from helpers import NON_DYADIC_EQUALITY, TOLERATED, TOLERATED_NON_H, dd_matrices
 
 FIXTURES = Path(__file__).parent / "fixtures"
 #: every part is finite, but |1.5e308 + 1.5e308 i| is past the float range
@@ -249,7 +249,7 @@ class TestAnalyzeCommand:
         report = json.loads(captured.out)
         assert report["is_h"] is True
         assert report["t_set"] == [1, 2]
-        assert report["schema_version"] == 6
+        assert report["schema_version"] == 7
         assert report["peel_trace"] == [[2], [1]]
         assert report["chain"]["next"] == [2, 3]
 
@@ -345,9 +345,16 @@ class TestAnalyzeCommand:
         report_path.write_text(captured.out)
         assert main(["verify", str(report_path), str(path)]) == 0
         assert "FAIL" not in capsys.readouterr().out
-        # within tol 1e-3 row 1 is an equality, and 1e-20 does not make it strict
+        # within tol 1e-3 row 1 is an equality, and 1e-20 does not make it strict: the
+        # peel at tol stalls on rows 1 and 2, exact equalities in their own block
         assert main(["analyze", str(path), "--tol", "1e-3"]) == 0
-        assert json.loads(capsys.readouterr().out)["is_h"] is False
+        out = capsys.readouterr().out
+        tolerated = json.loads(out)
+        assert tolerated["is_h"] is False and tolerated["witness"] == [1, 2]
+        assert {**tolerated, "tolerance": 0, "is_h": None, "witness": None} == report
+        report_path.write_text(out)
+        assert main(["verify", str(report_path), str(path)]) == 0
+        assert "witness: ok" in capsys.readouterr().out
 
     def test_non_dyadic_equality_row_gives_lhs_1(self, tmp_path, capsys):
         # row 3's sum outside T = {3}, added left to right, missed its exact
@@ -591,7 +598,7 @@ class TestVerifyCommand:
         assert main(["verify", str(report_path), str(matrix_path)]) == 2
 
     def test_tolerance_round_trips_through_verify(self, tmp_path, capsys):
-        # row 1 is strict by 5e-7; at tol 1e-6 it joins the equality band
+        # row 1 is strict by 5e-7, which a tol of 1e-6 does not change: T is empty
         text = (
             "%%MatrixMarket matrix coordinate real general\n"
             "2 2 3\n1 1 1.0000005\n1 2 1.0\n2 2 2.0\n"
@@ -602,26 +609,27 @@ class TestVerifyCommand:
         out = capsys.readouterr().out
         assert rc == 0
         report = json.loads(out)
-        assert report["t_set"] == [1]
+        assert report["t_set"] == []
         assert report["tolerance"] == 1e-6
         report_path = tmp_path / "report.json"
         report_path.write_text(out)
         assert main(["verify", str(report_path), str(matrix_path)]) == 0
 
     def test_lone_row_without_a_chain_is_not_an_inconsistency(self, tmp_path, capsys):
-        # at tol 1e-3 row 1 of diag(1e-4, 1) is an equality row with no
-        # off-diagonal entry: no chain leaves it, yet T = {1} is trivially
-        # interwoven, which is no contradiction
+        # row 1 of diag(0, 1) is an equality row with no off-diagonal
+        # entry: no chain leaves it, yet T = {1} is trivially interwoven,
+        # which is no contradiction; its zero diagonal is the witness
         matrix_path = tmp_path / "m.mtx"
         matrix_path.write_text(
-            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1e-4\n2 2 1.0\n"
+            "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 0\n2 2 1.0\n"
         )
-        rc = main(["analyze", str(matrix_path), "--tol", "1e-3"])
+        rc = main(["analyze", str(matrix_path)])
         captured = capsys.readouterr()
         assert rc == 0 and captured.err == ""
         report = json.loads(captured.out)
         assert report["chain"] == {"holds": False, "next": [None]}
         assert report["interwoven"]["holds"] is True
+        assert report["is_h"] is False and report["witness"] == [1]
         report_path = tmp_path / "report.json"
         report_path.write_text(captured.out)
         assert main(["verify", str(report_path), str(matrix_path)]) == 0
@@ -646,6 +654,24 @@ class TestVerifyCommand:
         report_path.write_text(captured.out)
         assert main(["verify", str(report_path), str(matrix_path)]) == 0
 
+    def test_graded_subset_block_is_solved(self, tmp_path, capsys):
+        # the block on rows 1 and 2, [[2^-1022 + 2^-1074, 2^-1022], [1e-310, 1e-310]], is
+        # nonsingular (determinant 2^-1074 * 1e-310), and its GTH elimination hands over
+        # at a subnormal quotient; unscaled, the dense LU met a zero pivot (exit 3)
+        matrix_path = tmp_path / "m.mtx"
+        matrix_path.write_text(
+            "%%MatrixMarket matrix coordinate real general\n3 3 5\n"
+            "1 1 2.225073858507202e-308\n1 2 2.2250738585072014e-308\n"
+            "2 1 1e-310\n2 2 1e-310\n3 3 1\n"
+        )
+        rc = main(["analyze", str(matrix_path), "--subset", "1,2"])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["sh"]["inner_h"] is True and report["sh"]["lhs"] == 0
+        report_path = tmp_path / "report.json"
+        report_path.write_text(captured.out)
+        assert main(["verify", str(report_path), str(matrix_path)]) == 0
 
     @pytest.mark.parametrize("entries", [
         "1 1 1.002\n1 2 1\n2 2 5e-324\n",
@@ -731,8 +757,9 @@ class TestAnalyzeNonCli:
             (Matrix([[0.0]]), {"with_oracle": True}),
             (Matrix([[1, 2], [0.1, 1]]), {"with_oracle": True}),
             (Matrix([[1, 2], [2, 1]]), {}),
-            # row 1 is strict by 5e-4, an equality row at tol 1e-3
-            (Matrix([[1.0005, 1, 0], [0, 1, 1], [0, 0, 2]]), {"tol": 1e-3}),
+            # not dominant, but within tol 1e-3: a scaling proves H, and a witness non-H
+            (Matrix(TOLERATED), {"tol": 1e-3}),
+            (Matrix([[1, 1, 1e-20], [1, 1, 0], [0, 0, 1]]), {"tol": 1e-3}),
             (Matrix([[2, 1], [1, 2]]), {"subset": IndexSet((1,), 2)}),
         ]
         # an order-300 upper-bidiagonal chain: 299 rows of T, each with a hop
@@ -1052,29 +1079,30 @@ class TestVerifyChecksTheVerdict:
         assert rc == 4
         assert "sh: FAIL (numerical failure in sh: LU residual" in captured.out
 
-    @pytest.mark.xfail(
-        strict=True, raises=AssertionError,
-        reason="under --tol a block of rows that are equalities only within tol passes as the "
-               "witness of a non-H verdict, and verify classifies it at the same tol",
-    )
     @pytest.mark.parametrize(
-        "entries",
+        "entries, is_h",
         [
-            "1 1 1\n1 2 0.9999\n2 1 0.9999\n2 2 1\n",  # strictly dominant
-            "1 1 1\n1 2 0.9999\n2 1 1.0001\n2 2 1\n",  # not dominant; det M(A) > 0
+            ("1 1 1\n1 2 0.9999\n2 1 0.9999\n2 2 1\n", True),  # strictly dominant
+            ("1 1 1\n1 2 0.9999\n2 1 1.0001\n2 2 1\n", None),  # not dominant; det M(A) > 0
         ],
         ids=["strictly-dominant", "not-dominant"],
     )
     def test_a_tolerance_never_passes_a_non_h_verdict_on_an_h_matrix(
-        self, tmp_path, capsys, entries
+        self, tmp_path, capsys, entries, is_h
     ):
-        # both are H-matrices: analyze --tol 1e-3 and verify must not agree that they are not
+        # both are H-matrices; within tol 1e-3 each is a closed pair of equality rows,
+        # which a band peel called non-H.  A strictly dominant matrix gets its tol-0
+        # report; on the other the pair is no block of exact equalities, so no verdict
         path = tmp_path / "m.mtx"
         path.write_text("%%MatrixMarket matrix coordinate real general\n2 2 4\n" + entries)
-        analyzed = main(["analyze", "--tol", "1e-3", str(path)])
+        assert main(["analyze", str(path)]) == 0
+        exact = json.loads(capsys.readouterr().out)
+        assert main(["analyze", "--tol", "1e-3", str(path)]) == 0
         report = json.loads(capsys.readouterr().out)
-        rc, _ = _verify(tmp_path, capsys, report, path)
-        assert not (analyzed == 0 and report["is_h"] is False and rc == 0)
+        assert report["is_h"] is is_h and report["witness"] is None
+        assert report == {**exact, "tolerance": 1e-3}
+        rc, captured = _verify(tmp_path, capsys, report, path)
+        assert rc == 0 and "FAIL" not in captured.out
 
     @pytest.mark.parametrize(
         "text",
@@ -1146,16 +1174,6 @@ DEAD_END = Matrix([[2, 1, 0, 1], [0, 1, 1, 0], [0, 1, 1, 0], [0, 0, 0, 1]])
 #: H with T = {1, 2, 3}, one row per peel level; row 1 is an exact equality,
 #: 1 + 3 2^-54 + 2^-54 = 1 + 2^-52, so no float scaling has a positive margin
 SUB_ULP = [[1 + 2.0**-52, 1.0, 3 * 2.0**-54, 2.0**-54], [1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]]
-#: row 1 falls short of dominance by 5e-4: an equality row at tol 1e-3, and H
-TOLERATED = [[1.0, 1.0005], [0.0, 1.0]]
-#: dominant within tol 0.05, and its peel at that tol ends in H, but it is not H
-TOLERATED_NON_H = [
-    [1.125, 0.125, 0, 0, 1],
-    [0.25, 2.5, 0.625, 1, 0.625],
-    [0, 0, 0.36761936389129013, 0.25, 0],
-    [0, 0.125, 0, 0.21144786266318258, 0.125],
-    [0, 0, 0, 0.125, 0.125],
-]
 
 
 class TestEachProofOnce:
@@ -1281,7 +1299,7 @@ class TestVerifyReadsSchemaV2:
             lambda r: {k: v for k, v in r.items() if k != "schema_version"},
             lambda r: {**r, "schema_version": 1},
             lambda r: {**r, "schema_version": True},
-            lambda r: {**r, "schema_version": "6"},
+            lambda r: {**r, "schema_version": "7"},
             # the ladder's report as schema version 1 wrote it
             lambda r: {
                 **{k: v for k, v in r.items() if k != "schema_version"},
@@ -1318,9 +1336,12 @@ class TestVerifyReadsSchemaV2:
                 "schema_version": 5,
                 "interwoven_alternates": {"peeling": {"leftover": 1}},
             },
+            # the ladder's report as schema version 6 wrote it: the same fields, each
+            # decided at the report's tolerance
+            lambda r: {**r, "schema_version": 6},
         ],
         ids=["missing", "one", "bool", "string", "v1-report", "v2-report", "v3-report",
-             "v4-report", "v5-report"],
+             "v4-report", "v5-report", "v6-report"],
     )
     def test_other_schema_versions_fail_the_shape(self, tmp_path, capsys, forge):
         rc, captured = _verify(tmp_path, capsys, forge(_golden("ladder")), FIXTURES / "ladder.mtx")

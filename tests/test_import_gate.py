@@ -10,10 +10,11 @@ ensemble matrix, whose inner block fills, do not load it either.  The
 package's records are ``NamedTuple``s and small classes, not
 dataclasses, so no command pays for ``import dataclasses`` and the
 ``inspect``, ``ast``, ``dis`` and ``tokenize`` it pulls in.  ``verify``
-of a benchmark report solves nothing and forms no ``Fraction``, so it
-loads neither ``ddh.sparse_lu`` nor ``fractions`` and the ``decimal``
-that imports (``SOLVERS``): in the short children the benchmark times,
-start-up is most of the cost.  Each command runs through
+of a benchmark report, written at tol 0 or with ``--tol`` (which decides
+no field of a dominant matrix's report), solves nothing and forms no
+``Fraction``, so it loads neither ``ddh.sparse_lu`` nor ``fractions``
+and the ``decimal`` that imports (``SOLVERS``): in the short children
+the benchmark times, start-up is most of the cost.  Each command runs through
 ``ddh.cli.main`` in a fresh interpreter, which then reports which of
 the watched modules are in ``sys.modules``.  This counts modules, not
 time.  ``analyze --oracle``, whose oracles build dense arrays, does
@@ -83,14 +84,14 @@ def ensemble_matrix(seed: int) -> tuple[str, None]:
         return (Path(out) / f"dd_{seed}_0.mtx").read_text(), None
 
 
-def _benchmark_input(tmp_path: Path, make) -> tuple[Path, Path]:
-    """The perfbench input of seed 1 and its report, as files."""
+def _benchmark_input(tmp_path: Path, make, tol: float = 0.0) -> tuple[Path, Path]:
+    """The perfbench input of seed 1 and its report at ``tol``, as files."""
     text, _ = make(1)
     matrix = tmp_path / f"{make.__name__}.mtx"
     matrix.write_text(text)
-    report, problems = analyze_matrix(parse_matrix_market(text))
+    report, problems = analyze_matrix(parse_matrix_market(text), tol)
     assert problems == []
-    report_path = tmp_path / f"{make.__name__}.json"
+    report_path = tmp_path / f"{make.__name__}_{tol}.json"
     report_path.write_text(emit_json(report))
     return matrix, report_path
 
@@ -105,8 +106,9 @@ def test_verify_of_a_benchmark_input_loads_no_numpy(tmp_path, make):
     "make", [inputs.chain_matrix, inputs.wide_matrix, ensemble_matrix], ids=["chain", "wide", "ensemble"]
 )
 def test_verify_of_a_benchmark_input_loads_no_solver_or_fractions(tmp_path, make):
-    matrix, report = _benchmark_input(tmp_path, make)
-    assert _run_main("verify", str(report), str(matrix), watched=SOLVERS) == (0, set())
+    for tol in (0.0, 1e-3):  # verify reads the tolerance only to validate it
+        matrix, report = _benchmark_input(tmp_path, make, tol)
+        assert _run_main("verify", str(report), str(matrix), watched=SOLVERS) == (0, set())
 
 
 def test_verify_of_the_ladder_golden_loads_no_numpy():

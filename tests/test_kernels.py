@@ -19,6 +19,7 @@ import math
 import sys
 from array import array
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -63,6 +64,10 @@ from ddh.cli import analyze_matrix, emit_json, real_from_json, verify_report
 from ddh.core import _pointers, row_strictness
 from helpers import (
     NON_DYADIC_EQUALITY,
+    NOT_DOMINANT_H_PAIR,
+    STRICT_PAIR,
+    TOLERATED,
+    TOLERATED_NON_H,
     brute_force_interwoven,
     dd_matrices,
     is_chain_certificate,
@@ -180,33 +185,35 @@ def test_subset_checks_match_reference(A, data):
     exactly where the block is singular, and otherwise within 1e-12 of
     the exact lhs, relatively;
     ``satisfied`` may then differ only where lhs and b2 are that close.
-    Any other block is compared with the reference's dense solve.
+    Any other block is compared with the reference's dense solve.  The
+    subset H-condition is a fact about A, decided at tol 0, so it is
+    checked on S and on T at each tolerance as subsets; a library caller
+    may still pass ``find_ssdd_set_dd`` a peel at any tol.
     """
     S = data.draw(proper_subsets(A.n))
     for tol in TOLERANCES:
         expected = _outcome(reference.find_ssdd_set_dd, A, tol)
         if expected is not ValueError:  # dominance is the caller's precondition
             assert find_ssdd_set_dd(A, peel_levels(A, tol)) == expected
-        T = non_sdd_rows(A, tol)
-        for subset in (S, T):
-            got = _outcome(s_h_check, A, subset, tol)
-            exact = _sparse_lu_solves(A, subset)
-            expected = _outcome(reference.s_h_check, A, subset, tol, exact)
-            if exact:
-                event("sparse_lu")
-                same = dict(lhs=None, satisfied=False)
-                assert reference.sh_key(got._replace(**same)) == reference.sh_key(
-                    expected._replace(**same)
-                )
-                assert (got.lhs is None) == (expected.lhs is None)
-                if got.lhs is not None:
-                    assert abs(got.lhs - expected.lhs) <= 1e-12 * expected.lhs
-                    if got.lhs != got.b2:  # only a b2 rounded onto lhs hides the exact order
-                        assert got.satisfied == (got.inner_h and got.lhs < got.b2)
-                    tie = abs(got.lhs - got.b2) <= 1e-12 * got.lhs
-                    assert got.satisfied == expected.satisfied or tie
-            else:
-                assert reference.sh_key(got) == reference.sh_key(expected)
+    for subset in dict.fromkeys((S, *(non_sdd_rows(A, tol) for tol in TOLERANCES))):
+        got = _outcome(s_h_check, A, subset)
+        exact = _sparse_lu_solves(A, subset)
+        expected = _outcome(reference.s_h_check, A, subset, 0.0, exact)
+        if exact:
+            event("sparse_lu")
+            same = dict(lhs=None, satisfied=False)
+            assert reference.sh_key(got._replace(**same)) == reference.sh_key(
+                expected._replace(**same)
+            )
+            assert (got.lhs is None) == (expected.lhs is None)
+            if got.lhs is not None:
+                assert abs(got.lhs - expected.lhs) <= 1e-12 * expected.lhs
+                if got.lhs != got.b2:  # only a b2 rounded onto lhs hides the exact order
+                    assert got.satisfied == (got.inner_h and got.lhs < got.b2)
+                tie = abs(got.lhs - got.b2) <= 1e-12 * got.lhs
+                assert got.satisfied == expected.satisfied or tie
+        else:
+            assert reference.sh_key(got) == reference.sh_key(expected)
 
 
 # parts of complex entries: the real ones above, negated, and values whose
@@ -797,6 +804,61 @@ def test_verify_passes_every_report_analyze_writes(A):
         assert failed == [], (tol, failed)
 
 
+SCHEMA = json.loads((Path(__file__).parent.parent / "docs" / "report.schema.json").read_text())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dd_matrices(), sparse_matrices(), rounded_matrices()), st.sets(st.integers(0, 11)))
+@example(Matrix(STRICT_PAIR), set())
+@example(Matrix(NOT_DOMINANT_H_PAIR), set())
+@example(Matrix(TOLERATED), set())
+@example(Matrix(TOLERATED_NON_H), set())
+@example(Matrix(ROUNDING_REPRO), set())
+@example(Matrix(SSDD_SPOILED_WITHIN_TOL), set())
+def test_a_tolerance_decides_no_fact(A, picks):
+    """Every report at tol > 0 states facts about A itself, and ``verify`` passes it.
+
+    The picks below A's order are a subset for ``analyze`` when they
+    form a nonempty proper one.  On an exactly dominant A the report at
+    tol is the tol-0 report but for ``tolerance``.  On any other A a
+    verdict is null or A's exact one (``reference.exact_is_h``): H with
+    a scaling, non-H with a witness block of exact equalities.
+    ``InconsistencyError`` is raised only where A is not H (a peel at
+    tol that called it H, and no scaling proves it).  Every report
+    verifies and conforms to ``docs/report.schema.json``.
+    """
+    jsonschema = pytest.importorskip("jsonschema")
+    members = tuple(sorted(i for i in picks if i < A.n))
+    subset = IndexSet(members, A.n) if 0 < len(members) < A.n else None
+    h = reference.exact_is_h(A)
+    exactly_dominant = classify_dominance(A).is_dd
+    at_zero = _outcome(analyze_matrix, A, 0.0, False, subset)
+    for tol in (0.0, 1e-12, 1e-3, 0.2):
+        analyzed = _outcome(analyze_matrix, A, tol, False, subset)
+        if analyzed is InconsistencyError:
+            event("InconsistencyError")
+            assert not h and not exactly_dominant
+            continue
+        report, problems = analyzed
+        assert problems == []
+        if exactly_dominant:
+            event("exactly dominant")
+            assert report["is_h"] is h
+            assert emit_json({**report, "tolerance": 0.0}) == emit_json(at_zero[0])
+        else:
+            assert report["is_h"] in (None, h)
+            event(f"not dominant: is_h {report['is_h']}")
+            if report["is_h"] is True:
+                assert report["scaling"] is not None
+            elif report["is_h"] is False:
+                W = IndexSet.from_indices([i - 1 for i in report["witness"]], A.n)
+                assert classify_dominance(principal_submatrix(A, W)) is DominanceClass.DD_EQUALITY
+        report = json.loads(emit_json(report))
+        failed = [(name, detail) for name, ok, detail in verify_report(report, A) if not ok]
+        assert failed == [], (tol, failed)
+        jsonschema.validate(report, SCHEMA)
+
+
 def test_exact_peel_takes_all_of_t_at_level_one():
     """The 4 x 4 matrix whose rounded sum over T brings row 0 back to equality.
 
@@ -992,6 +1054,29 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     assert interwoven_from_peeling(peel) is not None
     assert calls["peel_levels"] == 0 and calls["classify_dominance"] == 0
     assert calls["layers_out_of"] == 0
+
+
+def test_verify_of_a_tolerance_report_works_at_tol_0_alone(monkeypatch):
+    """Work gate: ``verify_report`` reads a report's tolerance only to validate it.
+
+    The order-200 chain is exactly dominant, so its report at tol 0.2 is
+    its tol-0 report but for ``tolerance``.  Verifying it on a freshly
+    built copy classifies the rows at tol 0 alone (one key in the row
+    code cache), walks out of T once with no re-test (the chains, which
+    are the peel), and solves nothing.
+    """
+    n = 200
+    entries = np.eye(n) + np.eye(n, k=1) + np.diag([0.0] * (n - 1) + [1.0])
+    report = json.loads(emit_json(analyze_matrix(Matrix(entries), tol=0.2)[0]))
+    assert report == {**json.loads(emit_json(analyze_matrix(Matrix(entries))[0])), "tolerance": 0.2}
+    solves = _count_calls(monkeypatch, ("lu_solve",))
+    A = Matrix(entries)
+    with mock.patch.object(ddh.core, "layers_out_of", wraps=ddh.core.layers_out_of) as walks:
+        results = verify_report(report, A)
+    assert all(ok for _, ok, _ in results)
+    assert list(A._strictness) == [0.0]
+    assert walks.call_count == 1 and len(walks.call_args.args) == 2 and not walks.call_args.kwargs
+    assert solves == {"lu_solve": 0}
 
 
 def test_report_is_linear_in_the_order(monkeypatch):

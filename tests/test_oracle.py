@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -131,11 +132,6 @@ def _solve_outcome(M, B, solve=lu_solve):
         return None, type(exc)
 
 
-def _solve_without_threshold(M, B):
-    """The dense LU as ``solve_rows`` runs it on a block it knows nonsingular."""
-    return oracle._solve_dense(M, B, pivot_rtol=0.0)
-
-
 @settings(max_examples=400, deadline=None)
 @given(lu_problems())
 def test_lu_factor_matches_the_dense_reference(problem):
@@ -257,10 +253,16 @@ def _bits(x) -> list[str] | None:
 
 # row 0 has gap 2^-1074 and pivot 2^-1022 + 2^-1074, so f g_0 for row 1
 # rounds to 0: without the hand-over, row 1 would be left a zero row and
-# this block, whose determinant is 2^-1074 * 1e-310, called singular; the dense
-# LU meets a zero pivot there too, so ``solve_rows`` raises instead
+# this block, whose determinant is 2^-1074 * 1e-310, called singular; the
+# exact x is past the float range, so ``solve_rows`` raises instead
 @example(([{0: math.nextafter(2.2250738585072014e-308, 1.0), 1: -2.2250738585072014e-308},
            {0: -1e-310, 1: 1e-310}], [1.0, 1.0], None, True))
+# row 2's gap is an ulp of 1e-20, so the scaled block's kappa is 6.6e16, and
+# the dense LU cancels to an exact zero pivot
+@example(([{1: -1e-20, 0: 1e-20}, {0: -1e-20, 2: -1e-20, 1: 2e-20},
+           {0: -5e-324, 3: -1e-20, 2: 1.0000000000000001e-20},
+           {0: -1e-20, 1: -1e-20, 2: -1e-20, 4: -1e-20, 3: 4e-20}, {0: -1e-20, 4: 1e-20}],
+          [0.0] * 5, None, True))
 # x is about 4.5e307 in every row, and row 4's left-to-right residual sum
 # overflowed, so ``solve_rows`` raised on a correct x
 @example(([{0: 2.2250738585072014e-308}, {0: -1e-20, 4: -1e-20, 1: 2e-20},
@@ -290,9 +292,15 @@ def test_gth_elimination_matches_the_exact_solve(problem):
     bit for bit, or raises the same error.  A hand-over of a block
     ``_admit`` took is decided by reachability first: a singular block
     gives None before any hand-over, and b equal to the gaps gives 1
-    (``test_gap_right_hand_side_takes_no_elimination``).  Any other
-    goes to the dense LU with no pivot threshold, since the block is
-    nonsingular, and a zero pivot there raises InconsistencyError.
+    (``test_gap_right_hand_side_takes_no_elimination``).  Any other, a
+    nonsingular block, goes to the dense LU with a unit diagonal and no
+    pivot threshold, a backward stable solve.  Where the exact x stays
+    below 1e300, x is within 1e-9 of it in the max norm, relatively, or
+    within kappa 2^-50, kappa the condition number of the scaled block
+    (about 1e16 where the error passes 1e-9).  Only such a block near
+    singular may still meet a zero pivot, which raises
+    InconsistencyError, and where the exact x is past the float range
+    ``lu_solve`` raises that too.
     """
     rows, b, spoiler, tiny = problem
     fac = sparse_lu.gth_factor(rows)
@@ -301,14 +309,25 @@ def test_gth_elimination_matches_the_exact_solve(problem):
         admitted[1] == b or not sparse_lu._all_reach_a_gap(admitted[1], admitted[2]))
     with np.errstate(all="ignore"):
         x, x_error = _solve_outcome(rows, b)
-        if fac is None and not decided:
-            if admitted is None:
-                y, y_error = _solve_outcome(_dense(rows), np.array(b))
-            else:
-                y, y_error = _solve_outcome(_dense(rows), np.array(b), _solve_without_threshold)
-                if y is None and y_error is None:  # a zero pivot
-                    y_error = InconsistencyError
+        if fac is None and not decided and admitted is None:
+            y, y_error = _solve_outcome(_dense(rows), np.array(b))
             assert x_error == y_error and _bits(x) == _bits(y)
+    if fac is None and not decided and admitted is not None:
+        exact = reference.exact_solve(rows, b)
+        top = max(map(abs, exact))
+        # kappa_inf of the row-scaled block D^-1 M the dense LU factors:
+        # ||D^-1 M|| <= 2, and M^-1 >= 0 gives ||M^-1 D|| = max (M^-1 d)_i
+        kappa = 2 * max(reference.exact_solve(rows, [row[i] for i, row in enumerate(rows)]))
+        if top > sys.float_info.max:
+            event("handed over: x past the float range")
+            assert x_error is InconsistencyError
+        elif top < 1e300 and x_error is None:
+            event("handed over: solved")
+            error = max(abs(Fraction(got) - want) for got, want in zip(x, exact))
+            assert error <= top * max(Fraction(1e-9), kappa * Fraction(2.0**-50))
+        elif top < 1e300:
+            event("handed over: a zero pivot")  # cancellation, only in a block near singular
+            assert x_error is InconsistencyError and kappa > 1e12
     if spoiler is not None:
         event("spoiled: dense")
         assert fac is None
