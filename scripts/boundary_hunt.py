@@ -19,7 +19,6 @@ import sys
 from dataclasses import dataclass
 
 from ddh import (
-    EnsembleSpec,
     Matrix,
     Peel,
     inverse_nonneg_oracle,
@@ -28,10 +27,9 @@ from ddh import (
     jacobi_spectral_radius,
     layers_out_of,
     non_sdd_rows,
-    random_dd_matrix,
 )
 from ddh.core import exact_gap, row_strictness
-from ddh.oracle import RandomStream, derive_seed
+from ddh.ensemble import EnsembleSpec, RandomStream, derive_seed, random_dd_matrix
 
 
 @dataclass

@@ -21,7 +21,6 @@ import time
 from dataclasses import dataclass, field
 
 from ddh import (
-    EnsembleSpec,
     InconsistencyError,
     Peel,
     chain_condition,
@@ -31,9 +30,9 @@ from ddh import (
     jacobi_spectral_radius,
     layers_out_of,
     non_sdd_rows,
-    random_dd_matrix,
 )
-from ddh.oracle import JACOBI_BAND, derive_seed
+from ddh.ensemble import EnsembleSpec, derive_seed, random_dd_matrix
+from ddh.oracle import JACOBI_BAND
 
 
 @dataclass

@@ -51,18 +51,25 @@ from .interwoven import (
 )
 from .mmio import ParseError, parse_matrix_market, read_matrix_file, write_matrix_market
 from .oracle import (
-    EnsembleSpec,
+    _ENSEMBLE_NAMES,
     LuFactorization,
-    RandomStream,
-    derive_seed,
     inverse_nonneg_oracle,
     jacobi_oracle,
     jacobi_spectral_radius,
     lu_factor,
     lu_solve,
-    random_dd_matrix,
     spectral_radius,
 )
+
+
+def __getattr__(name: str):
+    """The ensemble generator's names, from ``ensemble`` on first use: ``analyze`` loads none."""
+    if name in _ENSEMBLE_NAMES:
+        from . import ensemble
+
+        return getattr(ensemble, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

@@ -62,7 +62,7 @@ from .interwoven import (
     verify_certificate,
 )
 from .mmio import ParseError, format_real, matrix_market_chunks, read_matrix_file
-from .oracle import EnsembleSpec, derive_seed, inverse_nonneg_oracle, jacobi_oracle, random_dd_matrix
+from .oracle import inverse_nonneg_oracle, jacobi_oracle
 
 DEFAULT_MAX_ORDER = 4096
 #: the report layout ``analyze`` writes and ``verify`` reads
@@ -164,6 +164,8 @@ def analyze_matrix(
     tol 0.  Without ``with_oracle``, ``tol`` lets the peel at tol propose
     a verdict for A dominant only within it, written only with its proof:
     a scaling, or a witness block of exact equalities (M(A)[W, W] 1 = 0).
+    On dominant input whose peel stalls, the subset H-condition on T is
+    read off the peel (``s_h_from_peel``) with no solve.
     """
     _check_tol(tol)
     dom = classify_dominance(A)
@@ -206,7 +208,10 @@ def analyze_matrix(
     else:
         ssdd_set = None if verdict is None else find_ssdd_set_dd(A, verdict.peel)
         sh_subset = T if (len(T) > 0 and not T.is_full) else None
-    sh = s_h_check(A, sh_subset) if sh_subset is not None else None
+    if subset is None and verdict is not None and verdict.peel.stalled:
+        sh = s_h_from_peel(A, verdict.peel)  # the stalled block is closed: M_T is singular
+    else:
+        sh = s_h_check(A, sh_subset) if sh_subset is not None else None
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -575,6 +580,8 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    from .ensemble import EnsembleSpec, derive_seed, random_dd_matrix
+
     try:
         spec = EnsembleSpec(
             n=args.n, density=args.density, equality_rows=args.equality_rows, seed=args.seed

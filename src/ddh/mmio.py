@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from math import isfinite
 
 from .core import Matrix, _refusal
 
@@ -127,11 +128,10 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
     sums: dict[int, complex | float] | None = None if symmetry == "general" else {}
     last = -1  # the key of the last entry read while sums is None
     seen = 0
-    while pos < len(lines):
-        lineno = pos + 1
-        toks = lines[pos].split()  # ``_tokens``, inlined: split() drops the outer blanks
-        pos += 1
-        if not toks or toks[0].startswith("%"):
+    # no Python call per entry: _check_finite runs on a complex sum or to word a refusal
+    for lineno, line in enumerate(lines[pos:], pos + 1):
+        toks = line.split()  # ``_tokens``, inlined: split() drops the outer blanks
+        if not toks or toks[0][0] == "%":
             continue
         if seen >= nnz:
             raise ParseError(f"more than the declared {nnz} entries", lineno)
@@ -158,7 +158,8 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
             if key > last:
                 last = key
                 total = zero + value  # as the first sum below: no negative zero
-                _check_finite(total, lineno)
+                if is_complex or not isfinite(total):
+                    _check_finite(total, lineno)
                 if i == j:
                     diagonal[i] = total
                 elif total != 0:
@@ -172,12 +173,14 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
             sums = {r * n + c: v for r, c, v in zip(rows, cols, values)}
             sums.update((r * (n + 1), d) for r, d in enumerate(diagonal))
         total = sums[key] = sums.get(key, zero) + value
-        _check_finite(total, lineno)
+        if is_complex or not isfinite(total):
+            _check_finite(total, lineno)
         if symmetry != "general" and i != j:
             mirrored = value.conjugate() if symmetry == "hermitian" else value
             key = j * n + i
             total = sums[key] = sums.get(key, zero) + mirrored
-            _check_finite(total, lineno)
+            if is_complex or not isfinite(total):
+                _check_finite(total, lineno)
         seen += 1
     if seen != nnz:
         raise ParseError(f"declared {nnz} entries but found {seen}", len(lines) + 1)

@@ -22,7 +22,6 @@ import pytest
 
 from ddh import (
     DominanceClass,
-    EnsembleSpec,
     InconsistencyError,
     IndexSet,
     Matrix,
@@ -37,14 +36,14 @@ from ddh import (
     non_sdd_rows,
     peel_levels,
     principal_submatrix,
-    random_dd_matrix,
     read_matrix_file,
     s_h_check,
     s_sdd_check,
     find_ssdd_set_dd,
 )
 from ddh.cli import analyze_matrix, emit_json, main, verify_report
-from ddh.oracle import JACOBI_BAND, derive_seed
+from ddh.ensemble import EnsembleSpec, derive_seed, random_dd_matrix
+from ddh.oracle import JACOBI_BAND
 from helpers import all_proper_nonempty_subsets, brute_force_interwoven, is_chain_certificate
 import reference
 from reference import taussky_test

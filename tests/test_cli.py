@@ -710,6 +710,21 @@ def test_module_entry_point(tmp_path):
     assert json.loads(proc.stdout)["is_h"] is True
 
 
+def test_an_overflowing_oracle_solve_writes_only_its_own_line(tmp_path):
+    """The inverse oracle's x of [[5e-324]] overflows; numpy prints no warning next to ddh's line."""
+    import subprocess
+    import sys
+
+    matrix = tmp_path / "m.mtx"
+    matrix.write_text("%%MatrixMarket matrix coordinate real general\n1 1 1\n1 1 5e-324\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "ddh", "analyze", "--oracle", str(matrix)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 3 and proc.stdout == ""
+    assert proc.stderr == "ddh: internal inconsistency: LU solution is not finite: max |x_i| is inf\n"
+
+
 class TestAnalyzeNonCli:
     def test_n1_zero_matrix(self):
         report, problems = analyze_matrix(Matrix([[0.0]]))

@@ -14,7 +14,12 @@ of a benchmark report, written at tol 0 or with ``--tol`` (which decides
 no field of a dominant matrix's report), solves nothing and forms no
 ``Fraction``, so it loads neither ``ddh.sparse_lu`` nor ``fractions``
 and the ``decimal`` that imports (``SOLVERS``): in the short children
-the benchmark times, start-up is most of the cost.  Each command runs through
+the benchmark times, start-up is most of the cost.  For the same reason
+neither command loads the ensemble generator, ``ddh.ensemble``, which
+only ``generate`` runs (``generate`` does load it), and ``analyze`` of
+a dominant matrix whose peel stalls, as the benchmark's ``wide`` input
+does, reads the subset H-condition off the peel and loads no
+``ddh.sparse_lu``; an H input still solves once.  Each command runs through
 ``ddh.cli.main`` in a fresh interpreter, which then reports which of
 the watched modules are in ``sys.modules``.  This counts modules, not
 time.  ``analyze --oracle``, whose oracles build dense arrays, does
@@ -48,6 +53,8 @@ import inputs  # noqa: E402  (perfbench module, found through sys.path)
 WATCHED = ("numpy", "dataclasses", "inspect")
 #: the solver and exact arithmetic that ``verify`` of a benchmark report does without
 SOLVERS = ("ddh.sparse_lu", "fractions", "decimal")
+#: the ensemble generator, which only ``generate`` runs, and the solver
+LAZY = ("ddh.ensemble", "ddh.sparse_lu")
 
 # argv: the watched modules as JSON, then main's arguments; prints main's
 # exit code and which watched modules were loaded, after main's own output
@@ -111,6 +118,30 @@ def test_verify_of_a_benchmark_input_loads_no_solver_or_fractions(tmp_path, make
         assert _run_main("verify", str(report), str(matrix), watched=SOLVERS) == (0, set())
 
 
+@pytest.mark.parametrize(
+    "make, solved",
+    [(inputs.chain_matrix, True), (inputs.wide_matrix, False), (ensemble_matrix, True)],
+    ids=["chain", "wide", "ensemble"],
+)
+def test_analyze_and_verify_load_no_generator(tmp_path, make, solved):
+    """Neither command loads ``ddh.ensemble``; ``analyze`` of the stalled wide input solves nothing."""
+    matrix, report = _benchmark_input(tmp_path, make)
+    loaded = {"ddh.sparse_lu"} if solved else set()
+    assert _run_main("analyze", str(matrix), watched=LAZY) == (0, loaded)
+    assert _run_main("verify", str(report), str(matrix), watched=LAZY) == (0, set())
+
+
+def test_the_generator_names_resolve_to_its_module():
+    import ddh
+    import ddh.ensemble
+    import ddh.oracle
+
+    for name in ("EnsembleSpec", "RandomStream", "derive_seed", "random_dd_matrix"):
+        assert getattr(ddh, name) is getattr(ddh.oracle, name) is getattr(ddh.ensemble, name)
+    with pytest.raises(AttributeError):  # only the names the package exports are forwarded
+        ddh.oracle.stream_words  # noqa: B018
+
+
 def test_verify_of_the_ladder_golden_loads_no_numpy():
     golden = ROOT / "tests" / "golden" / "ladder.json"
     assert _run_main("verify", str(golden), str(FIXTURES / "ladder.mtx")) == (0, set())
@@ -133,13 +164,16 @@ def test_analyze_of_a_benchmark_input_loads_no_numpy(tmp_path, make):
 def test_analyze_of_an_ensemble_input_loads_no_numpy(tmp_path):
     """Three ``ddh generate`` files of the benchmark's ensemble flags; their inner blocks fill.
 
-    ``generate`` itself draws with numpy, and so does ``analyze --oracle``.
+    ``generate`` itself draws with numpy, in ``ddh.ensemble``, which
+    ``analyze`` does not load; ``analyze --oracle`` loads numpy too.
     """
+    watched = WATCHED + ("ddh.ensemble",)
     code, loaded = _run_main(
-        "generate", *inputs.ENSEMBLE_FLAGS, "--seed", "3", "--count", "3", "--out-dir", str(tmp_path)
+        "generate", *inputs.ENSEMBLE_FLAGS, "--seed", "3", "--count", "3", "--out-dir", str(tmp_path),
+        watched=watched,
     )
-    assert code == 0 and "numpy" in loaded
+    assert code == 0 and {"numpy", "ddh.ensemble"} <= loaded
     for k in range(3):
-        assert _run_main("analyze", str(tmp_path / f"dd_3_{k}.mtx")) == (0, set())
+        assert _run_main("analyze", str(tmp_path / f"dd_3_{k}.mtx"), watched=watched) == (0, set())
     code, loaded = _run_main("analyze", "--oracle", str(tmp_path / "dd_3_0.mtx"))
     assert code == 0 and "numpy" in loaded

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 import ddh
 import ddh.cli
+import ddh.ensemble
 import ddh.hmatrix
 import ddh.sparse_lu
 import reference
@@ -977,9 +978,11 @@ def _count_calls(monkeypatch, names, home=ddh) -> dict[str, int]:
 
         return counted
 
+    modules = (ddh, ddh.core, ddh.graph, ddh.hmatrix, ddh.interwoven, ddh.oracle, ddh.ensemble,
+               ddh.cli)
     for name in calls:
         original = getattr(home, name)
-        for module in (ddh, ddh.core, ddh.graph, ddh.hmatrix, ddh.interwoven, ddh.oracle, ddh.cli):
+        for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name, original))
     return calls
@@ -1054,6 +1057,35 @@ def test_analysis_reuses_its_own_structures(monkeypatch):
     assert interwoven_from_peeling(peel) is not None
     assert calls["peel_levels"] == 0 and calls["classify_dominance"] == 0
     assert calls["layers_out_of"] == 0
+
+
+def _stalled_input(name: str) -> Matrix:
+    if name == "wide":  # the benchmark's order-2000 input, non-H by a closed pair
+        bench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        if bench not in sys.path:
+            sys.path.append(bench)
+        import inputs  # perfbench's builders, read-only
+
+        return ddh.parse_matrix_market(inputs.wide_matrix(1)[0])
+    return ddh.read_matrix_file(Path(__file__).resolve().parent / "fixtures" / f"{name}.mtx")
+
+
+@pytest.mark.parametrize("name", ["isolated_pair", "wide"])
+def test_a_stalled_peel_gives_the_subset_condition_with_no_solve(monkeypatch, name):
+    """Work gate: on dominant input whose peel stalls, ``analyze_matrix`` solves nothing.
+
+    The stalled block is closed, so M(A)[T, T] is singular, and
+    ``s_h_from_peel`` reads the subset H-condition on T off the peel:
+    no ``lu_solve``, no block copy (``principal_submatrix``) and no
+    comparison rows.  An H input keeps its one solve
+    (``test_analysis_reuses_its_own_structures``).
+    """
+    calls = _count_calls(monkeypatch, ("lu_solve", "principal_submatrix", "comparison_rows"))
+    A = _stalled_input(name)
+    report, problems = analyze_matrix(A)
+    assert report["is_h"] is False and report["peel_reason"] == "StagnantPeel"
+    assert report["sh"]["inner_h"] is False and report["sh"]["lhs"] is None and problems == []
+    assert calls == {"lu_solve": 0, "principal_submatrix": 0, "comparison_rows": 0}
 
 
 def test_verify_of_a_tolerance_report_works_at_tol_0_alone(monkeypatch):
@@ -1209,7 +1241,7 @@ def test_generator_draws_no_scalar_stream(monkeypatch):
     At order 400 it makes no ``RandomStream.next_u64`` call and no
     ``_mix64`` call; the scalar stream still goes through both wrappers.
     """
-    calls = _count_calls(monkeypatch, ("_mix64",), home=ddh.oracle)
+    calls = _count_calls(monkeypatch, ("_mix64",), home=ddh.ensemble)
     original = RandomStream.next_u64
 
     def next_u64(self):

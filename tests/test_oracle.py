@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 import reference
 from ddh import (
     DominanceClass,
-    EnsembleSpec,
     InconsistencyError,
     Matrix,
     classify_dominance,
@@ -22,13 +21,19 @@ from ddh import (
     jacobi_spectral_radius,
     lu_factor,
     lu_solve,
-    random_dd_matrix,
     spectral_radius,
     write_matrix_market,
 )
-from ddh import mmio, oracle, sparse_lu
+from ddh import ensemble, mmio, oracle, sparse_lu
 from ddh.core import exact_gap
-from ddh.oracle import STREAM_BLOCK, RandomStream, derive_seed, stream_words
+from ddh.ensemble import (
+    STREAM_BLOCK,
+    EnsembleSpec,
+    RandomStream,
+    derive_seed,
+    random_dd_matrix,
+    stream_words,
+)
 from helpers import count_updated_rows
 
 
@@ -650,7 +655,7 @@ class TestRandomDDMatrix:
         # order, and small chunks split the writer's rows into several slabs
         spec = EnsembleSpec(n=n, density=density, equality_rows=eq, seed=seed,
                             complex_entries=complex_entries)
-        with mock.patch.object(oracle, "STREAM_BLOCK", block):
+        with mock.patch.object(ensemble, "STREAM_BLOCK", block):
             A = random_dd_matrix(spec)
         B = reference.random_dd_matrix(spec)
         assert A.entries.dtype == B.entries.dtype
