@@ -15,10 +15,11 @@ writes it: "1", not "1.0"); infinities are encoded as the strings
 is written on one line.  T is listed once, in ``t_set``: the chains are
 one next hop per row of T (null where the row has none), aligned with
 it, and the peel trace is a partition of T, so each certificate holds
-O(n) indices; T's interwoven certificate is read off the chains, so
-only its leftover is stored.  Every field is decided at tol 0, whatever
-``--tol`` is.  A scaling is written only for an H verdict on a matrix
-that is not dominant, where no chain proves it.
+O(n) indices.  T's interwoven certificate is not written, since the
+chains determine it (``interwoven.interwoven_from_peeling``).  Every
+field is decided at tol 0, whatever ``--tol`` is.  A scaling is
+written only for an H verdict on a matrix that is not dominant, where
+no chain proves it.
 """
 
 from __future__ import annotations
@@ -56,17 +57,12 @@ from .hmatrix import (
     scaling_margin,
     solved_scaling,
 )
-from .interwoven import (
-    InterwovenCertificate,
-    interwoven_from_peeling,
-    verify_certificate,
-)
 from .mmio import ParseError, format_real, matrix_market_chunks, read_matrix_file
 from .oracle import inverse_nonneg_oracle, jacobi_oracle
 
 DEFAULT_MAX_ORDER = 4096
 #: the report layout ``analyze`` writes and ``verify`` reads
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +140,6 @@ def _one_based(indices) -> list[int]:
     return [int(i) + 1 for i in indices]
 
 
-def _leftover(cert: InterwovenCertificate | None) -> int | None:
-    """A certificate's leftover, 1-based; None without one or when |T| <= 1."""
-    return None if cert is None or cert.leftover is None else cert.leftover + 1
-
-
 def analyze_matrix(
     A: Matrix,
     tol: float = 0.0,
@@ -171,7 +162,6 @@ def analyze_matrix(
     dom = classify_dominance(A)
     T = non_sdd_rows(A)
     chain = chain_condition(A)
-    interwoven = interwoven_from_peeling(chain)
 
     verdict = is_h_dd(A) if dom.is_dd else None
     is_h = None
@@ -224,7 +214,6 @@ def analyze_matrix(
             "holds": not chain.stalled,
             "next": [chain.next_hop[i] + 1 if i in chain.next_hop else None for i in T.members],
         },
-        "interwoven": {"holds": interwoven is not None, "leftover": _leftover(interwoven)},
         "is_h": is_h,
         "peel_trace": peel_trace,
         "peel_reason": peel_reason,
@@ -355,16 +344,14 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
     recomputed at tol 0.  The dominance class, the chain search and (for
     a dominant matrix) the peel are recomputed once, with no solve (on
     dominant input the peel is the chains, one walk): the chain's
-    claims, its next hops, the peel's trace and reason, and T's
-    interwoven certificate read off the chains (checked by its
-    definition, ``verify_certificate``) are compared against them, in
-    O(n) beyond the recomputation, whose stages after the row codes read
-    only T and the rows coupled to it.  A witness must be a block of
-    exact equalities.  On a dominant matrix the verdict must be the
-    peel's, with a witness iff non-H and no scaling; on any other, H
-    needs a scaling, and non-H no scaling and either a witness or the
-    dense ``inverse_nonneg_oracle``'s agreement (the rule of ``analyze
-    --oracle``).  The subset H-condition is required whenever T is a
+    claims, its next hops and the peel's trace and reason are compared
+    against them, in O(n) beyond the recomputation, whose stages after
+    the row codes read only T and the rows coupled to it.  A witness
+    must be a block of exact equalities.  On a dominant matrix the
+    verdict must be the peel's, with a witness iff non-H and no scaling;
+    on any other, H needs a scaling, and non-H no scaling and either a
+    witness or the dense ``inverse_nonneg_oracle``'s agreement (the rule
+    of ``analyze --oracle``).  The subset H-condition is required whenever T is a
     nonempty proper subset; a null subset means T.  On T of a dominant
     matrix it is read off the recomputed peel (``s_h_from_peel``) with
     no solve: every row of T is an exact equality.  Any other subset
@@ -422,24 +409,6 @@ def verify_report(report: dict, A: Matrix) -> list[tuple[str, bool, str]]:
         else:
             detail = _hops_problem(chain_obj.get("next"), chain, A)
         check("chain", not detail, detail)
-
-    with guarded("interwoven"):
-        iw = report.get("interwoven") or {}
-        # T's chains decide membership exactly (graph.chains_out_of)
-        cert = interwoven_from_peeling(chain)
-        if _flag(iw.get("holds")) != (cert is not None):
-            detail = "holds differs from the recomputed chains"
-        else:
-            leftover = iw["leftover"]
-            if leftover is not None:
-                leftover = _indices([leftover], A.n)[0]
-            if leftover != _leftover(cert):
-                detail = "leftover differs from the derived certificate"
-            elif cert is not None and not verify_certificate(A, cert):
-                detail = "derived certificate failed re-verification"
-            else:
-                detail = ""
-        check("interwoven", not detail, detail)
 
     with guarded("peel"):
         claimed = report.get("peel_trace")

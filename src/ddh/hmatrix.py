@@ -331,7 +331,8 @@ class SHReport(NamedTuple):
     """Outcome of the subset H-condition on ``subset``.
 
     ``lhs`` is the infinity norm of the inner comparison block's inverse
-    applied to the outside row sums (None when that block is singular);
+    applied to the outside row sums (None when that block is singular,
+    or past the float range, as the note says);
     ``b2`` the smallest outside dominance-gap ratio of exact sums rounded
     once, with the conventions a/0 = +-inf (sign of a) and 0/0 = 0.
     ``satisfied`` requires an H inner block and lhs below the exact b2.
@@ -363,10 +364,12 @@ def _outside_ratios(A: Matrix, S: IndexSet):
     rounded once (exact where subnormal), so every sign and the "zero
     gap" note are exact, and a ratio of at least 2^-1000 is within 2^-51
     of the exact one, relatively.  ``below(lhs)`` forms the exact ratio as
-    a ``Fraction`` only below that or within 2^-40 of lhs.  Only the rows
-    found through the transposes of S's columns and the rows not strict
-    at tol 0 are summed: any other has r_j^S = 0 and a positive gap,
-    ratio +inf.  After the cached row codes: O(|S| + nnz of those rows and S's columns).
+    a ``Fraction`` only below that or within 2^-40 of lhs; an lhs of inf,
+    a finite one past the float range, is below exactly infinite ratios
+    only.  Only the rows found through the transposes of S's columns and
+    the rows not strict at tol 0 are summed: any other has r_j^S = 0 and
+    a positive gap, ratio +inf.  After the cached row codes: O(|S| + nnz
+    of those rows and S's columns).
     """
     inside, diag = S.member_set, A.diagonal_modulus
     indptr, indices, data, t_indptr, t_indices = A.pattern
@@ -389,10 +392,10 @@ def _outside_ratios(A: Matrix, S: IndexSet):
     b2 = min(ratios + strict if outside[:1] == [first] else strict + ratios)
 
     def below(lhs: float) -> bool:
-        if strict and not lhs < math.inf:
-            return False
+        if not lhs < math.inf:  # NaN, or a finite lhs past the float range: below exact infinities
+            return lhs == math.inf and all(num > 0.0 and not den for num, den in zip(nums, dens))
         for i, num, den, ratio in zip(outside, nums, dens, ratios):
-            finite = num and den and abs(num) < math.inf and den < math.inf and lhs < math.inf
+            finite = num and den and abs(num) < math.inf and den < math.inf
             if finite and (ratio < 2.0**-1000 or abs(ratio - lhs) <= ratio * 2.0**-40):
                 from fractions import Fraction as F  # imports decimal: only where lhs nearly ties
 
@@ -422,7 +425,8 @@ def s_h_check(A: Matrix, S: IndexSet) -> SHReport:
     by the dense LU.  Every dominance sign is exact, so a dominant block
     is H iff it is nonsingular, which ``sparse_lu`` decides exactly:
     ``inner_h`` is read off the solve.  Any other block takes
-    ``inverse_nonneg_oracle``.
+    ``inverse_nonneg_oracle``.  An lhs past the float range (``sparse_lu``
+    gives an inf) is written None, with a note.
     """
     _check_proper_subset(A, S, "s_h_check")
     sub = principal_submatrix(A, S)
@@ -446,6 +450,8 @@ def s_h_check(A: Matrix, S: IndexSet) -> SHReport:
     lhs = _max_abs(x)
     inner_h = classify_dominance(sub).is_dd or inverse_nonneg_oracle(sub)
     satisfied = bool(inner_h and below(lhs))
+    if lhs == math.inf:  # only sparse_lu returns one, for an lhs past the float range
+        lhs, note = None, note or "lhs exceeds the float range"
     return SHReport(
         subset=S, lhs=lhs, b2=b2, satisfied=satisfied, inner_h=inner_h, note=note
     )

@@ -20,9 +20,8 @@ decides any subset), and the peel that ``hmatrix.is_h_dd`` decided with
 (``HVerdict.peel``).  T's one certificate is the chains': on a dominant
 matrix at tol 0 the peel is the chains, so the peel's is the same one,
 and at any tol the peel's exists only where the chains' does, since the
-peel layers only rows the chains reach.  A report stores only whether
-it exists and its leftover: ``verify`` derives it again from its own
-chains and checks it with ``verify_certificate``.  The greedy closure and a
+peel layers only rows the chains reach.  A report writes none: its
+``chain.next`` determines T's certificate.  The greedy closure and a
 brute-force search stay in the test suite as references.
 """
 

@@ -93,11 +93,12 @@ def _norm_inf(M: np.ndarray) -> float:
         return float(np.max(np.abs(M))) if M.size else 0.0
     if not M.size:
         return 0.0
-    if M.size <= _SMALL_TEMPORARY:
-        return float(np.max(np.sum(np.abs(M), axis=1)))
-    step = _row_block(M.size, M.shape[1])
-    return float(np.max([np.max(np.sum(np.abs(M[s : s + step]), axis=1))
-                         for s in range(0, M.shape[0], step)]))
+    with np.errstate(over="ignore"):  # a row sum past the float range is inf
+        if M.size <= _SMALL_TEMPORARY:
+            return float(np.max(np.sum(np.abs(M), axis=1)))
+        step = _row_block(M.size, M.shape[1])
+        return float(np.max([np.max(np.sum(np.abs(M[s : s + step]), axis=1))
+                             for s in range(0, M.shape[0], step)]))
 
 
 def lu_factor(M, pivot_rtol: float = PIVOT_RTOL) -> LuFactorization:
@@ -219,9 +220,10 @@ def lu_solve(M, B) -> np.ndarray | list[float] | None:
     ``sparse_lu.solve_rows``, which gives a list, with no numpy, unless
     it hands them to ``lu_factor`` (a row that is not diagonally
     dominant, or an inf or a NaN); an array is factored by
-    ``lu_factor`` and gives an array.  Every solve is residual-checked;
-    a violated bound means the factorization itself is broken and raises
-    InconsistencyError.
+    ``lu_factor`` and gives an array.  Every finite solve is
+    residual-checked; a violated bound means the factorization itself is
+    broken and raises InconsistencyError.  Only ``solve_rows`` returns
+    an x_i of +inf, where the largest x_i is past the float range.
     """
     if isinstance(M, list) and M and isinstance(M[0], dict):
         from .sparse_lu import solve_rows

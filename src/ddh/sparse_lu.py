@@ -203,11 +203,14 @@ def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | No
     so None means a singular M on every path.  If b is then their gap
     vector, bit for bit, M 1 = b up to the one rounding of each gap, so
     x = 1: no elimination.  Any other b goes to ``gth_factor``, and
-    ``oracle._solve_dense`` takes over when that hands the rows over,
-    when ``_admit`` refuses them, or when x is not finite.  Rows
-    ``_admit`` took reach it divided, with b, by their positive diagonal,
-    so a graded block keeps nonzero pivots, and with no pivot threshold:
-    a zero pivot raises InconsistencyError.  The residual is checked.
+    where b >= 0 and x overflows, ``_unit_diagonal_solve`` solves again:
+    an inf there shows the largest x_i past the float range, and x is
+    returned with no residual check.  ``oracle._solve_dense`` takes over
+    when ``gth_factor`` hands the rows over, when ``_admit`` refuses
+    them, or when x is otherwise not finite.  Rows ``_admit`` took reach
+    it divided, with b, by their positive diagonal, so a graded block
+    keeps nonzero pivots, and with no pivot threshold: a zero pivot
+    raises InconsistencyError.  The residual is checked.
     """
     b = [float(v) for v in b]
     if len(b) != len(rows):
@@ -220,6 +223,10 @@ def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | No
     else:
         fac = None if admitted is None else gth_factor(rows, admitted)
         x = None if fac is None else _substitute(fac, b)
+        if x is not None and math.inf in x and all(0.0 <= v < math.inf for v in b):
+            x = _unit_diagonal_solve(rows, b)
+            if x is not None and math.inf in x:
+                return x  # the largest x_i is past the float range
     if x is None or not all(map(math.isfinite, x)):
         import numpy as np
 
@@ -245,6 +252,22 @@ def solve_rows(rows: list[dict[int, float]], b: list[float]) -> list[float] | No
         top *= scale
     _check_residual(worst, norm_m, top)
     return x
+
+
+def _unit_diagonal_solve(rows: list[dict[int, float]], b: list[float]) -> list[float] | None:
+    """GTH solve of admitted rows and b >= 0, each divided by its diagonal; None on a hand-over.
+
+    Elimination never raises a row's total g_i + sum_j c_ij, so every
+    pivot is at most 1 and no sum formed exceeds the x_i it feeds (up to
+    a few ulps): an inf shows the largest x_i past the float range, and
+    may stand for an x_i it feeds.  On the rows as given, a pivot above 1
+    can divide an overflowed sum back into range.
+    """
+    off, gap, holders = _admit(rows)
+    diag = [row[i] for i, row in enumerate(rows)]  # positive: every row reaches a gap
+    off = [{j: c / d for j, c in row.items()} for row, d in zip(off, diag)]
+    fac = gth_factor(rows, (off, [g / d for g, d in zip(gap, diag)], holders))
+    return None if fac is None else _substitute(fac, [v / d for v, d in zip(b, diag)])
 
 
 def _residual(rows: list[dict[int, float]], x: list[float], b: list[float]) -> tuple[float, float]:

@@ -605,7 +605,7 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0, exact: bool = False) -> 
     b2 is ``outside_ratios``', and ``satisfied`` compares lhs with every
     exact ratio.  The inner block is solved by the dense ``lu_solve``,
     or with ``exact`` by ``exact_solve``, whose lhs is the exact one
-    rounded once.
+    rounded once, or None, with a note, where that rounding overflows.
     """
     if S.universe_size != A.n:
         raise ValueError("subset universe does not match matrix order")
@@ -618,20 +618,24 @@ def s_h_check(A: Matrix, S: IndexSet, tol: float = 0.0, exact: bool = False) -> 
     if exact:
         rows = [dict(enumerate(row)) for row in comparison_matrix(sub).tolist()]
         x = exact_solve(rows, outside_sums)
-        x = None if x is None else np.array([float(abs(v)) for v in x])
+        top = None if x is None else max(map(abs, x))
     else:
         x = lu_solve(comparison_matrix(sub), outside_sums)
-    if x is None:
+        top = None if x is None else float(np.max(np.abs(x)))
+    if top is None:
         return SHReport(
             subset=S, lhs=None, b2=b2, satisfied=False, inner_h=False,
             note=note or "inner comparison block is singular",
         )
-    lhs = float(np.max(np.abs(x)))
+    try:
+        lhs = float(top)
+    except OverflowError:  # the exact lhs rounds past the float range: compared exactly
+        lhs, note = None, note or "lhs exceeds the float range"
     if classify_dominance(sub, tol) is not DominanceClass.NOT_DD:
         inner_h = is_h_dd(sub, tol).is_h
     else:
         inner_h = inverse_nonneg_oracle(sub)
-    satisfied = bool(inner_h and all(lhs < v for v in exact_ratios))
+    satisfied = bool(inner_h and all((top if lhs is None else lhs) < v for v in exact_ratios))
     return SHReport(subset=S, lhs=lhs, b2=b2, satisfied=satisfied, inner_h=inner_h, note=note)
 
 
@@ -898,10 +902,11 @@ def parse_matrix_market(text, max_order: int | None = None) -> Matrix:
             raise ParseError("entry value must be numeric", lineno) from None
         i -= 1
         j -= 1
-        entries[i, j] += value
-        if symmetry != "general" and i != j:
-            mirrored = value.conjugate() if symmetry == "hermitian" else value
-            entries[j, i] += mirrored
+        with np.errstate(over="ignore"):  # a sum past the float range is refused below
+            entries[i, j] += value
+            if symmetry != "general" and i != j:
+                mirrored = value.conjugate() if symmetry == "hermitian" else value
+                entries[j, i] += mirrored
         for z in (complex(entries[i, j]), complex(entries[j, i])):
             if not cmath.isfinite(z):
                 raise ParseError("entry value must be finite", lineno)

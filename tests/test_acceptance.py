@@ -385,8 +385,8 @@ def test_criterion_9_cli_fixtures_and_roundtrip(tmp_path, capsys):
     ladder = json.loads((TESTS_DIR / "golden" / "ladder.json").read_text())
     assert ladder["is_h"] is True and ladder["t_set"] == [1, 2]
     assert ladder["peel_trace"] == [[2], [1]] and ladder["chain"]["holds"] is True
-    assert ladder["schema_version"] == 7 and ladder["chain"]["next"] == [2, 3]
-    assert "interwoven_alternates" not in ladder  # T's one certificate is the chains'
+    assert ladder["schema_version"] == 8 and ladder["chain"]["next"] == [2, 3]
+    assert "interwoven" not in ladder  # chain.next determines T's certificate
     assert ladder["sh"]["subset"] is None  # T, listed once in t_set
     pair = json.loads((TESTS_DIR / "golden" / "isolated_pair.json").read_text())
     assert pair["is_h"] is False and pair["witness"] == [1, 2]

@@ -12,6 +12,7 @@ complements and ``tracemalloc`` bytes, never wall time.
 
 from __future__ import annotations
 
+import inspect
 import json
 import sys
 import tracemalloc
@@ -21,6 +22,7 @@ import pytest
 
 import ddh.core
 import ddh.hmatrix
+import ddh.interwoven
 import ddh.oracle
 import ddh.sparse_lu
 from ddh import (
@@ -118,6 +120,42 @@ def test_analyze_and_verify_make_no_full_order_dense_array(monkeypatch, make):
     comparison_matrix(A)
     assert A.modulus.shape == (A.n, A.n)
     assert orders[-2:] == [A.n, A.n]
+
+
+@pytest.mark.parametrize(
+    "make", [inputs.chain_matrix, inputs.wide_matrix, _ensemble_matrix],
+    ids=["chain", "wide", "ensemble"],
+)
+def test_analyze_and_verify_call_nothing_in_interwoven(monkeypatch, make):
+    """Work gate: no call into ``ddh.interwoven`` from ``analyze_matrix`` or ``verify_report``.
+
+    The report writes no interwoven block, since ``chain.next``
+    determines T's certificate, so neither side derives or checks one.
+    A library call afterwards is counted, which shows that the counter
+    sees one.
+    """
+    calls = []
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    modules = [m for name, m in sys.modules.items() if name == "ddh" or name.startswith("ddh.")]
+    for name, fn in vars(ddh.interwoven).copy().items():
+        if inspect.isfunction(fn) and fn.__module__ == "ddh.interwoven":
+            for module in modules:
+                if getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counting(name, fn))
+    A = parse_matrix_market(make(1)[0])
+    report, problems = analyze_matrix(A)
+    results = verify_report(json.loads(emit_json(report)), A)
+    assert problems == [] and all(ok for _, ok, _ in results) and calls == []
+    ddh.interwoven.is_interwoven(A, IndexSet.empty(A.n))
+    assert calls == ["is_interwoven", "_check_subset", "interwoven_from_peeling",
+                     "_trivial_certificate"]
 
 
 @pytest.mark.parametrize("n", [2_000, 20_000])

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import struct
+import subprocess
 import sys
 from pathlib import Path
 
@@ -249,7 +250,7 @@ class TestAnalyzeCommand:
         report = json.loads(captured.out)
         assert report["is_h"] is True
         assert report["t_set"] == [1, 2]
-        assert report["schema_version"] == 7
+        assert report["schema_version"] == 8
         assert report["peel_trace"] == [[2], [1]]
         assert report["chain"]["next"] == [2, 3]
 
@@ -617,8 +618,8 @@ class TestVerifyCommand:
 
     def test_lone_row_without_a_chain_is_not_an_inconsistency(self, tmp_path, capsys):
         # row 1 of diag(0, 1) is an equality row with no off-diagonal
-        # entry: no chain leaves it, yet T = {1} is trivially interwoven,
-        # which is no contradiction; its zero diagonal is the witness
+        # entry: no chain leaves it, which is no contradiction; its zero
+        # diagonal is the witness
         matrix_path = tmp_path / "m.mtx"
         matrix_path.write_text(
             "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 0\n2 2 1.0\n"
@@ -628,7 +629,6 @@ class TestVerifyCommand:
         assert rc == 0 and captured.err == ""
         report = json.loads(captured.out)
         assert report["chain"] == {"holds": False, "next": [None]}
-        assert report["interwoven"]["holds"] is True
         assert report["is_h"] is False and report["witness"] == [1]
         report_path = tmp_path / "report.json"
         report_path.write_text(captured.out)
@@ -725,6 +725,55 @@ def test_an_overflowing_oracle_solve_writes_only_its_own_line(tmp_path):
     assert proc.stderr == "ddh: internal inconsistency: LU solution is not finite: max |x_i| is inf\n"
 
 
+def _child(*args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-m", "ddh", *args], capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "entries, b2, satisfied",
+    [
+        ("1 1 1e-300\n1 2 1e10\n2 1 1e-300\n2 2 1\n", 1e300, False),
+        ("1 1 1e-300\n1 2 1e10\n2 2 1\n", math.inf, True),
+    ],
+    ids=["coupled", "uncoupled"],
+)
+def test_an_lhs_past_the_float_range_is_written_null(tmp_path, entries, b2, satisfied):
+    """T = {1}: the inner solve gives 1e10 / 1e-300, finite but past the float range.
+
+    The block is dominant and nonsingular, and its solve on the unit
+    diagonal overflows only where lhs is past the float range, so lhs is
+    written null with a note and ``satisfied`` holds only against an
+    exactly infinite b2 (row 2 has no entry in column 1).  Neither child
+    writes to stderr.
+    """
+    matrix = tmp_path / "m.mtx"
+    count = entries.count("\n")
+    matrix.write_text(f"%%MatrixMarket matrix coordinate real general\n2 2 {count}\n{entries}")
+    analyzed = _child("analyze", str(matrix))
+    assert (analyzed.returncode, analyzed.stderr) == (0, "")
+    sh = json.loads(analyzed.stdout)["sh"]
+    assert sh["lhs"] is None and sh["note"] == "lhs exceeds the float range"
+    assert sh["inner_h"] is True and sh["satisfied"] is satisfied
+    assert real_from_json(sh["b2"]) == pytest.approx(b2, rel=1e-15)
+    report = tmp_path / "report.json"
+    report.write_text(analyzed.stdout)
+    verified = _child("verify", str(report), str(matrix))
+    assert (verified.returncode, verified.stderr) == (0, "") and "FAIL" not in verified.stdout
+
+
+def test_an_infinite_oracle_norm_prints_no_warning(tmp_path):
+    """A row sum of |M| past the float range is inf in ``_norm_inf``, with no numpy warning."""
+    matrix = tmp_path / "m.mtx"
+    matrix.write_text("%%MatrixMarket matrix coordinate real general\n2 2 4\n"
+                      "1 1 1\n1 2 1e308\n2 1 1e308\n2 2 1e308\n")
+    proc = _child("analyze", "--oracle", str(matrix))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    report = json.loads(proc.stdout)
+    assert report["dominance_class"] == "NotDD" and report["is_h"] is False
+    assert report["oracle"] == {"inverse_nonneg": False, "jacobi": False}
+    assert report["sh"] is None and report["scaling"] is None and report["witness"] is None
+
+
 class TestAnalyzeNonCli:
     def test_n1_zero_matrix(self):
         report, problems = analyze_matrix(Matrix([[0.0]]))
@@ -741,8 +790,11 @@ class TestAnalyzeNonCli:
         assert not problems
 
     def test_full_t_interwoven_is_false(self):
+        # T is every row, so every hop is null: by the rule that derives
+        # interwoven from t_set and chain.next, T is not interwoven
         report, problems = analyze_matrix(Matrix([[1, 1], [1, 1]]))
-        assert report["interwoven"]["holds"] is False
+        assert report["t_set"] == [1, 2] and report["chain"] == {"holds": False, "next": [None, None]}
+        assert "interwoven" not in report
         assert report["is_h"] is False
         assert report["witness"] == [1, 2]
         assert not problems
@@ -815,7 +867,7 @@ class TestMalformedReports:
             (("witness",), 7, "witness: FAIL (malformed witness: TypeError"),
             (("tolerance",), "nan", "report-shape: FAIL"),
             (("tolerance",), -1, "report-shape: FAIL"),
-            (("interwoven",), [1], "interwoven: FAIL (malformed interwoven: AttributeError"),
+            (("sh",), [1], "sh: FAIL (malformed sh: TypeError"),
             (("ssdd_set",), 3, "ssdd: FAIL (malformed ssdd: TypeError"),
             (("chain", "next", 0), math.inf, "chain: FAIL (next hop inf of row 1 is not a 1-based index)"),
             (("chain",), [1], "chain: FAIL (malformed chain: AttributeError"),
@@ -828,6 +880,7 @@ class TestMalformedReports:
             (("order",), 3.0, "report-shape: FAIL (report order 3.0 != matrix order 3)"),
             (("schema_version",), 4.0, "report-shape: FAIL (schema_version 4.0 is not"),
             (("schema_version",), 6.0, "report-shape: FAIL (schema_version 6.0 is not"),
+            (("schema_version",), 8.0, "report-shape: FAIL (schema_version 8.0 is not"),
         ],
     )
     def test_verify_fails_instead_of_raising(self, tmp_path, capsys, path, value, failed):
@@ -856,7 +909,7 @@ class TestStrictIndexLists:
             ("isolated_pair", ("witness",), [1.0, 2.0], "witness"),
             ("identity2", ("ssdd_set",), [True], "ssdd"),
             ("ladder", ("sh", "subset"), [1, 2.0], "sh"),
-            ("ladder", ("interwoven", "leftover"), True, "interwoven"),
+            ("ladder", ("t_set",), [True, 2], "t-set"),
         ],
     )
     def test_a_non_integer_index_fails_one_check(self, name, path, value, failed):
@@ -892,7 +945,7 @@ class TestStrictFlags:
             (("sh", "satisfied"), "yes", "sh"),
             (("sh", "inner_h"), 1, "sh"),
             (("chain", "holds"), 1, "chain"),
-            (("interwoven", "holds"), "no", "interwoven"),
+            (("chain", "holds"), "no", "chain"),
             (("is_h",), 1, "h-consistency"),
             (("is_h",), "true", "h-consistency"),
             (("is_h",), None, "h-consistency"),
@@ -1031,7 +1084,7 @@ class TestVerifyChecksTheVerdict:
             (
                 lambda r: {
                     k: r[k]
-                    for k in ("schema_version", "tolerance", "order", "t_set", "chain", "interwoven")
+                    for k in ("schema_version", "tolerance", "order", "t_set", "chain")
                 },
                 ["dominance: FAIL", "h-consistency: FAIL (a dominant matrix needs is_h"],
             ),
@@ -1060,17 +1113,17 @@ class TestVerifyChecksTheVerdict:
             (lambda r: {**r, "peel_reason": "StagnantPeel"}, ["peel: FAIL"]),
             (lambda r: {**r, "sh": None}, ["sh: FAIL (T is a nonempty"]),
             (
-                lambda r: {**r, "interwoven": {"holds": False, "leftover": None}},
-                ["interwoven: FAIL (holds differs from the recomputed chains)"],
+                lambda r: {**r, "chain": {"holds": False, "next": [2, 3]}},
+                ["chain: FAIL (holds differs from the recomputed chains)"],
             ),
             (
-                # row 2 is the member of T nearest a strict row; row 1 is left over
-                lambda r: {**r, "interwoven": {"holds": True, "leftover": 2}},
-                ["interwoven: FAIL (leftover differs from the derived certificate)"],
+                # row 1's only off-diagonal entry is in column 2
+                lambda r: {**r, "chain": {"holds": True, "next": [3, 3]}},
+                ["chain: FAIL (hop 1 -> 3 crosses no off-diagonal nonzero)"],
             ),
         ],
         ids=["unreachable-chain", "peel-trace", "peel-reason", "null-sh",
-             "flipped-holds", "wrong-leftover"],
+             "flipped-holds", "missing-entry"],
     )
     def test_forged_structure_fails(self, tmp_path, capsys, forge, failed):
         # each forgery is self-consistent; only recomputing from A exposes it
@@ -1314,7 +1367,7 @@ class TestVerifyReadsSchemaV2:
             lambda r: {k: v for k, v in r.items() if k != "schema_version"},
             lambda r: {**r, "schema_version": 1},
             lambda r: {**r, "schema_version": True},
-            lambda r: {**r, "schema_version": "7"},
+            lambda r: {**r, "schema_version": "8"},
             # the ladder's report as schema version 1 wrote it
             lambda r: {
                 **{k: v for k, v in r.items() if k != "schema_version"},
@@ -1351,12 +1404,15 @@ class TestVerifyReadsSchemaV2:
                 "schema_version": 5,
                 "interwoven_alternates": {"peeling": {"leftover": 1}},
             },
-            # the ladder's report as schema version 6 wrote it: the same fields, each
-            # decided at the report's tolerance
-            lambda r: {**r, "schema_version": 6},
+            # the ladder's report as schema version 6 wrote it: the fields of version 7,
+            # each decided at the report's tolerance
+            lambda r: {**r, "schema_version": 6, "interwoven": {"holds": True, "leftover": 1}},
+            # the ladder's report as schema version 7 wrote it, with interwoven, which
+            # chain.next determines
+            lambda r: {**r, "schema_version": 7, "interwoven": {"holds": True, "leftover": 1}},
         ],
         ids=["missing", "one", "bool", "string", "v1-report", "v2-report", "v3-report",
-             "v4-report", "v5-report", "v6-report"],
+             "v4-report", "v5-report", "v6-report", "v7-report"],
     )
     def test_other_schema_versions_fail_the_shape(self, tmp_path, capsys, forge):
         rc, captured = _verify(tmp_path, capsys, forge(_golden("ladder")), FIXTURES / "ladder.mtx")

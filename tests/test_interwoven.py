@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from ddh import (
     verify_certificate,
 )
 import reference
-from ddh.cli import analyze_matrix
+from ddh.cli import analyze_matrix, emit_json
 from helpers import (
     brute_force_interwoven,
     dd_matrices,
@@ -231,3 +233,61 @@ def test_the_chains_certify_t_wherever_the_peel_does(A, tol):
         assert chain_cert is not None and verify_certificate(A, chain_cert)
     if tol == 0.0:
         assert peel_cert == chain_cert
+
+
+def derived_interwoven(report: dict) -> tuple[bool, int | None]:
+    """T's interwoven ``holds`` and 1-based ``leftover``, derived from a report.
+
+    The rule the README states: T is interwoven iff |T| <= 1, or T is not
+    every row and at most one item of ``chain.next`` is null.  The
+    leftover is that null row, or else the deepest reached row (the
+    longest chain of hops, the larger index on a tie); it is null when
+    T is not interwoven or |T| <= 1.
+    """
+    t_set, hops, n = report["t_set"], report["chain"]["next"], report["order"]
+    if len(t_set) <= 1:
+        return True, None
+    unreached = [i for i, hop in zip(t_set, hops) if hop is None]
+    if len(t_set) == n or len(unreached) > 1:
+        return False, None
+    if unreached:
+        return True, unreached[0]
+    hop_of = dict(zip(t_set, hops))
+    depth: dict[int, int] = {}
+    for start in t_set:
+        walk = []
+        v = start
+        while v in hop_of and v not in depth:
+            walk.append(v)
+            v = hop_of[v]
+        below = depth.get(v, 0)
+        for u in reversed(walk):
+            below = depth[u] = below + 1
+    return True, max(t_set, key=lambda i: (depth[i], i))
+
+
+@st.composite
+def any_matrices(draw, max_n=7):
+    """Small magnitudes on and off the diagonal: dominant rows and rows that are not."""
+    n = draw(st.integers(1, max_n))
+    values = st.sampled_from((0.0, 0.0, 0.0, 0.5, 1.0, 2.0))
+    return Matrix([[draw(values) for _ in range(n)] for _ in range(n)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=st.one_of(dd_matrices(max_n=8), pattern_matrices(max_n=6), any_matrices()))
+def test_the_report_determines_t_s_interwoven_certificate(A):
+    """``holds`` and ``leftover`` read off ``t_set``, ``chain.next`` and ``order`` are the library's.
+
+    The report writes no interwoven block; this rule recovers it, and
+    agrees with ``interwoven_from_peeling`` of the chains and with
+    ``is_interwoven`` of T wherever T is a proper subset or |T| <= 1.
+    """
+    report, _ = analyze_matrix(A)
+    holds, leftover = derived_interwoven(json.loads(emit_json(report)))
+    T = non_sdd_rows(A)
+    cert = interwoven_from_peeling(chain_condition(A))
+    assert holds == (cert is not None)
+    assert leftover == (None if cert is None or cert.leftover is None else cert.leftover + 1)
+    if len(T) <= 1 or not T.is_full:
+        assert is_interwoven(A, T) == cert

@@ -154,44 +154,49 @@ def test_kernels_match_reference_bit_for_bit(A, data):
 
 
 def _sparse_lu_solves(A: Matrix, S: IndexSet) -> bool:
-    """Whether ``s_h_check`` solves A's inner block on S with ``sparse_lu``, not by the dense LU.
+    """Whether ``s_h_check`` hands A's inner block on S to ``sparse_lu`` as a dominant Z-matrix.
 
-    That is by the reachability pass, when the right-hand side is the
-    block's gap vector, and otherwise by GTH elimination.
+    ``sparse_lu._admit`` takes such a block.  ``solve_rows`` then decides
+    its singularity exactly, by reachability, before it solves: by the
+    reachability pass when the right-hand side is the block's gap
+    vector, otherwise by GTH elimination, or by the dense LU with no
+    pivot threshold where the elimination hands the block over.
     """
     if not 0 < len(S) < A.n:
         return False
-    rows = comparison_rows(principal_submatrix(A, S))
-    _, out_s = split_row_sums(A, S)
-    b = [out_s[i] for i in S.members]
-    admitted = ddh.sparse_lu._admit(rows)
-    if admitted is not None and admitted[1] == b:
-        return True
-    fac = ddh.sparse_lu.gth_factor(rows)
-    if fac is None:
-        return False
-    x = ddh.sparse_lu._substitute(fac, b)
-    return fac.singular or all(map(math.isfinite, x))
+    return ddh.sparse_lu._admit(comparison_rows(principal_submatrix(A, S))) is not None
 
 
+@st.composite
+def rounded_matrices_and_subsets(draw):
+    A = draw(rounded_matrices())
+    return A, draw(proper_subsets(A.n))
+
+
+#: the inner block [[5e-324, 0], [-1, 1]] on S = {0, 2} is dominant and H; the
+#: dense LU's pivot threshold would call its subnormal pivot singular
+SUBNORMAL_PIVOT = Matrix([[5e-324, 0, 0, 0], [0, 0, 0, 0], [1, 0, 1, 0], [0, 0, 0, 0]])
+
+
+@example((SUBNORMAL_PIVOT, IndexSet((0, 2), 4)))
 @settings(max_examples=300, deadline=None)
-@given(rounded_matrices(), st.data())
-def test_subset_checks_match_reference(A, data):
+@given(rounded_matrices_and_subsets())
+def test_subset_checks_match_reference(problem):
     """Every SHReport field, reals by their bits, and every raised error type.
 
     Arbitrary subsets of non-H matrices are where the inner verdict is
     not implied by A's own scaling, so the subsets are drawn freely.  A
-    dominant inner block, which the reachability pass or GTH elimination
-    solves, is compared with the reference's exact solve: lhs None
-    exactly where the block is singular, and otherwise within 1e-12 of
-    the exact lhs, relatively;
-    ``satisfied`` may then differ only where lhs and b2 are that close.
-    Any other block is compared with the reference's dense solve.  The
-    subset H-condition is a fact about A, decided at tol 0, so it is
-    checked on S and on T at each tolerance as subsets; a library caller
-    may still pass ``find_ssdd_set_dd`` a peel at any tol.
+    dominant inner block, which ``sparse_lu`` decides exactly, is
+    compared with the reference's exact solve: lhs None exactly where
+    the block is singular or the exact lhs is past the float range, and
+    otherwise within 1e-12 of the exact lhs, relatively; ``satisfied``
+    may then differ only where lhs and b2 are that close and the two
+    lhs differ.  Any other block is compared with the reference's dense
+    solve.  The subset H-condition is a fact about A, decided at tol 0,
+    so it is checked on S and on T at each tolerance as subsets; a
+    library caller may still pass ``find_ssdd_set_dd`` a peel at any tol.
     """
-    S = data.draw(proper_subsets(A.n))
+    A, S = problem
     for tol in TOLERANCES:
         expected = _outcome(reference.find_ssdd_set_dd, A, tol)
         if expected is not ValueError:  # dominance is the caller's precondition
@@ -209,10 +214,13 @@ def test_subset_checks_match_reference(A, data):
             assert (got.lhs is None) == (expected.lhs is None)
             if got.lhs is not None:
                 assert abs(got.lhs - expected.lhs) <= 1e-12 * expected.lhs
-                if got.lhs != got.b2:  # only a b2 rounded onto lhs hides the exact order
-                    assert got.satisfied == (got.inner_h and got.lhs < got.b2)
                 tie = abs(got.lhs - got.b2) <= 1e-12 * got.lhs
-                assert got.satisfied == expected.satisfied or tie
+                if not tie:  # b2 is a rounded ratio: near lhs it can hide the exact order
+                    assert got.satisfied == (got.inner_h and got.lhs < got.b2)
+                # both compare their lhs with the exact ratios: only differing lhs's near a tie differ
+                assert got.satisfied == expected.satisfied or (tie and got.lhs != expected.lhs)
+            else:  # singular, or lhs past the float range and exactly ordered against b2
+                assert got.satisfied == expected.satisfied
         else:
             assert reference.sh_key(got) == reference.sh_key(expected)
 
@@ -300,7 +308,9 @@ def test_satisfied_is_decided_against_every_exact_ratio(A, data):
 
     The product forms a ``Fraction`` only for a ratio below 2^-1000 or
     within 2^-40 of lhs; the reference forms every one.  Each lhs tried
-    is 0, 1, inf, NaN, or a float ratio or one of its neighbours.  S is
+    is 0, 1, inf, NaN, or a float ratio or one of its neighbours.  An
+    lhs of inf stands for a finite one past the float range, below only
+    the ratios that are exactly +inf.  S is
     T or any proper subset, strict rows included.  A row outside S that
     touches no column of S has ratio +inf, 0 or -inf by its gap's sign,
     which the product takes from the row codes: the sparse matrices
@@ -318,7 +328,9 @@ def test_satisfied_is_decided_against_every_exact_ratio(A, data):
     for v in map(reference._rounded, exact):
         tried |= {v, math.nextafter(v, math.inf), math.nextafter(v, -math.inf)}
     for lhs in tried:
-        if lhs >= 0.0 or math.isnan(lhs):  # lhs is a largest modulus
+        if lhs == math.inf:  # a finite lhs past the float range: below only exact infinities
+            assert below(lhs) == all(v == math.inf for v in exact)
+        elif lhs >= 0.0 or math.isnan(lhs):  # lhs is a largest modulus
             assert below(lhs) == all(lhs < v for v in exact), lhs
 
 

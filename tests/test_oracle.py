@@ -81,9 +81,11 @@ class TestLu:
             lu_solve(np.array([[1e-300]]), np.array([1e300]))
 
     def test_a_non_finite_solution_of_rows_raises(self):
-        # GTH elimination overflows, and hands the block to the dense LU
+        # GTH elimination overflows on a negative b, and hands the block to the dense LU
         with np.errstate(over="ignore"), pytest.raises(InconsistencyError, match="not finite"):
-            lu_solve([{0: 1e-300}], [1e300])
+            lu_solve([{0: 1e-300}], [-1e300])
+        # with b >= 0 the inf, 1e600 on the unit diagonal too, is past the float range
+        assert lu_solve([{0: 1e-300}], [1e300]) == [math.inf]
 
     def test_dense_block_updates_every_row(self, monkeypatch):
         """Work gate: the dense LU updates every row below each pivot, n(n - 1)/2 in all.
@@ -280,6 +282,12 @@ def _bits(x) -> list[str] | None:
 @example(([{0: 1.0}, {1: 1.0},
            {0: -0.1, 1: -1.0, 3: -0.1, 4: -0.1, 2: _below_the_sum([0.1, 1.0, 0.1, 0.1])},
            {3: 1.0}, {4: 1.0}], [1.0] * 5, "negative gap", False))
+# row 2's sum 2 x_0 overflows, and its pivot 2.0000000000000004 would divide it
+# back to about 9e307: solved again on the unit diagonal, x is finite
+@example(([{0: 2.2250738585072014e-308}, {1: 1e-20},
+           {0: -2.0, 1: -1e-20, 2: 2.0000000000000004}], [2.0, 0.0, 0.0], None, True))
+# x_1 = 2e323 is past the float range, and feeds x_2, about 4e303, which reads inf
+@example(([{0: 1e-20}, {1: 5e-324}, {0: -1e-20, 1: -1e-20, 2: 0.5}], [0.0, 1.0, 0.0], None, True))
 @settings(max_examples=300, deadline=None)
 @given(dominant_z_blocks())
 def test_gth_elimination_matches_the_exact_solve(problem):
@@ -292,7 +300,9 @@ def test_gth_elimination_matches_the_exact_solve(problem):
     a block with ``TINY`` values (the budget is 8 n^2 updates, and order
     7 needs at most n^3 / 3).  Elsewhere each x_i is within 1e-12 of the
     exact value, relatively.  ``lu_solve`` returns the elimination's x
-    unless it overflows.  A spoiled row goes to the dense LU, and
+    unless a sum overflows; it then solves again on the rows divided by
+    their diagonal, where an inf shows the largest x_i past the float
+    range (b >= 0 here).  A spoiled row goes to the dense LU, and
     ``lu_solve`` of the rows is then ``lu_solve`` of the dense array,
     bit for bit, or raises the same error.  A hand-over of a block
     ``_admit`` took is decided by reachability first: a singular block
@@ -348,17 +358,22 @@ def test_gth_elimination_matches_the_exact_solve(problem):
         assert x is None and x_error is None
         return
     substituted = sparse_lu._substitute(fac, b)
-    if not all(map(math.isfinite, substituted)):
-        # x past the float range: ``solve_rows`` hands it to the dense LU,
-        # which raises on a non-finite x rather than return it
-        event("x past the float range")
-        assert x_error in (None, InconsistencyError)
-        assert x is None or all(map(math.isfinite, x))
-        return
-    event("solved, TINY values" if tiny else "solved")
-    assert x_error is None
-    assert _bits(x) == _bits(substituted)
-    if not tiny:
+    if all(map(math.isfinite, substituted)):
+        event("solved, TINY values" if tiny else "solved")
+        assert x_error is None
+        assert _bits(x) == _bits(substituted)
+    else:
+        # a sum overflowed: ``solve_rows`` solves again on unit-diagonal rows, where an
+        # inf shows the largest x_i past the float range, or hands over to the dense LU
+        unit = sparse_lu._unit_diagonal_solve(rows, b)
+        event("overflow: " + ("dense" if unit is None else "unit diagonal"))
+        if unit is None:
+            assert tiny and x_error in (None, InconsistencyError)
+            return
+        assert x_error is None and (math.inf in unit) == (math.inf in x)
+    if math.inf in x:
+        assert max(exact) > sys.float_info.max * (1 - 1e-12)
+    elif not tiny:
         for got, want in zip(x, exact):
             assert abs(Fraction(got) - want) <= Fraction(1e-12) * abs(want)
 
